@@ -84,6 +84,14 @@ timeout 180 python scripts/obs_gate.py
 timeout 60 python -m repro stats BENCH_serve.json --prom > /dev/null
 timeout 60 python -m repro stats BENCH_net.json > /dev/null
 
+echo "== perf harness (self-tests + quick run; exit code is the correctness gate) =="
+# The benchmark checks every output it timed: any serve decision that
+# differs from the synchronous engine, any functional/engine mismatch or
+# any unexhausted frontier is printed by op id and exits nonzero.  The
+# numbers are printed, not gated.
+timeout 300 python3 -m pytest perf/ -q
+timeout 300 python3 perf/run.py --quick --seed 7
+
 echo "== slow suite (full fuzz budget) =="
 timeout 600 python -m pytest -q -m slow
 

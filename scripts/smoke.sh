@@ -39,4 +39,12 @@ echo "== observability gate (live scrape + traced kill-links smoke) =="
 timeout 180 python scripts/obs_gate.py
 timeout 60 python -m repro stats BENCH_serve.json --prom > /dev/null
 
+echo "== perf harness (self-tests + quick run; exit code is the correctness gate) =="
+# The benchmark checks every output it timed: any serve decision that
+# differs from the synchronous engine, any functional/engine mismatch or
+# any unexhausted frontier is printed by op id and exits nonzero.  The
+# numbers are printed, not gated.
+timeout 300 python3 -m pytest perf/ -q
+timeout 300 python3 perf/run.py --quick --seed 7
+
 echo "Smoke green."

@@ -18,6 +18,16 @@ Frames are ``4-byte big-endian length + JSON bytes``.  JSON is emitted with
 sorted keys and no whitespace, making encodings canonical — byte-identical
 for equal frames — which the cross-runtime equivalence tests rely on.
 
+Each frame is serialized **once** and without an intermediate tree:
+:func:`encode_frame` writes the envelope's keys in sorted order around the
+fragments of :func:`repro.sim.jsonable.canonical_json` (that module states
+the kernel's invariants), byte for byte what ``json.dumps(sort_keys=True)``
+gave — ``tests/net/reference_codec.py`` keeps that implementation as the
+oracle.  The text is ASCII, so ``len(text)`` is the byte count, and a
+message's text is the same in a DATA and in a BATCH frame, so what a batch
+saves is envelope arithmetic (:func:`batch_bytes_saved`): no message is
+ever encoded just to be measured.
+
 Envelope versioning: a frame that belongs to a multiplexed protocol
 instance (:mod:`repro.serve`) carries ``"v": 2`` and its ``instance_id``
 under ``"iid"``.  Single-instance frames omit both keys and are therefore
@@ -37,9 +47,11 @@ from typing import Hashable, List, Optional, Tuple
 from repro.exceptions import TransportError
 from repro.sim.jsonable import (
     TAG,
+    canonical_json,
     from_jsonable,
     message_from_jsonable,
-    message_to_jsonable,
+    message_json,
+    raw_json,
     to_jsonable,
 )
 from repro.sim.messages import Message
@@ -55,6 +67,7 @@ __all__ = [
     "PING",
     "PONG",
     "TAG",
+    "batch_bytes_saved",
     "decode_frame",
     "encode_frame",
     "from_jsonable",
@@ -150,53 +163,91 @@ class Frame:
 # ----------------------------------------------------------------------
 # Frame (de)serialization
 # ----------------------------------------------------------------------
-# The value codec itself (to_jsonable / from_jsonable / the message
+# The value codec itself (canonical_json / from_jsonable / the message
 # helpers) lives in repro.sim.jsonable so execution traces can share the
 # exact tagging scheme without importing the wire layer; this module
-# re-exports it unchanged for compatibility.
-_message_to_jsonable = message_to_jsonable
-_message_from_jsonable = message_from_jsonable
+# re-exports to_jsonable / from_jsonable unchanged for compatibility.
+#
+# Wire grammar, keys in sorted order, bracketed parts only when set:
+#   {"at":A,"dst":D[,"iid":I],"kind":K[,"mark":B,"msgs":[M,..]][,"msg":M],
+#    "round":R[,"seq":Q],"src":S[,"tc":T][,"v":2]}
+_V2_TAIL = ',"v":2}'
+# Sizes of the fixed text around the fields, for batch_bytes_saved.
+_MARK_FIXED = len('{"at":,"dst":,"kind":"mark","round":,"src":}')
+_V2_FIXED = len(',"iid":') + len(_V2_TAIL) - len("}")
+_DATA_EXTRA = len(',"msg":')  # "data" is as long as "mark"
+_BATCH_EXTRA = len('"batch"') - len('"mark"') + len(',"mark":,"msgs":[]')
 
 
 def encode_frame(frame: Frame) -> bytes:
     """Canonical JSON body for *frame* (no length prefix)."""
-    body = {
-        "kind": frame.kind,
-        "round": frame.round_no,
-        "src": to_jsonable(frame.source),
-        "dst": to_jsonable(frame.destination),
-        "at": frame.sent_at,
-    }
-    if frame.kind == DATA:
-        if frame.message is None:
-            raise TransportError("DATA frame without a message")
-        body["msg"] = _message_to_jsonable(frame.message)
-    elif frame.kind == BATCH:
-        body["msgs"] = [_message_to_jsonable(m) for m in frame.messages]
-        body["mark"] = frame.mark
-    if frame.instance is not None:
-        # Version 2 envelope: only multiplexed frames pay for the extra
-        # keys, keeping single-instance encodings byte-identical to the
-        # legacy (version 1) wire format.
-        body["v"] = 2
-        body["iid"] = to_jsonable(frame.instance)
-    if frame.seq is not None:
-        # Orthogonal to the envelope version: only supervised links pay
-        # for the key, so unsupervised encodings stay byte-identical.
-        body["seq"] = frame.seq
-    if frame.trace is not None:
-        # Trace context rides the same conditional-key pattern: only
-        # traced frames carry it, so untraced encodings (and all archived
-        # byte streams) are untouched.
-        body["tc"] = frame.trace
+    kind = frame.kind
     try:
-        return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        if kind == DATA:
+            if frame.message is None:
+                raise TransportError("DATA frame without a message")
+            content = f',"msg":{message_json(frame.message)}'
+        elif kind == BATCH:
+            messages = ",".join([message_json(m) for m in frame.messages])
+            content = f',"mark":{raw_json(frame.mark)},"msgs":[{messages}]'
+        else:
+            content = ""
+        # Only multiplexed frames pay for "iid"/"v" (version 2), only
+        # supervised links for "seq", only traced frames for "tc": without
+        # them the bytes are the legacy version-1 wire format.
+        instance = frame.instance
+        iid = "" if instance is None else f',"iid":{canonical_json(instance)}'
+        seq = "" if frame.seq is None else f',"seq":{raw_json(frame.seq)}'
+        tc = "" if frame.trace is None else f',"tc":{raw_json(frame.trace)}'
+        tail = "}" if instance is None else _V2_TAIL
+        text = (
+            f'{{"at":{raw_json(frame.sent_at)},'
+            f'"dst":{canonical_json(frame.destination)}{iid},'
+            f'"kind":{raw_json(kind)}{content},'
+            f'"round":{raw_json(frame.round_no)}{seq},'
+            f'"src":{canonical_json(frame.source)}{tc}{tail}'
+        )
+        return text.encode("ascii")
     except (TypeError, ValueError) as exc:
         raise TransportError(f"frame not JSON-encodable: {exc}") from exc
 
 
+def batch_bytes_saved(frame: Frame) -> int:
+    """Bytes BATCH *frame* saves over the DATA frames + MARK it replaces.
+
+    Those carry the batch's ``at``/``dst``/``round``/``src``/``iid`` but
+    no ``seq``/``tc``.  With ``E`` that envelope's size as a MARK frame, a
+    DATA frame is ``E + len(',"msg":') + len(M)`` and the batch is ``E``
+    plus its own keys plus the same ``M`` texts and ``n - 1`` commas: the
+    message lengths cancel, which is exactly what re-encoding them gave.
+    """
+    n = len(frame.messages)
+    envelope = (
+        _MARK_FIXED
+        + len(raw_json(frame.sent_at))
+        + len(canonical_json(frame.destination))
+        + len(raw_json(frame.round_no))
+        + len(canonical_json(frame.source))
+    )
+    if frame.instance is not None:
+        envelope += _V2_FIXED + len(canonical_json(frame.instance))
+    batch = envelope + _BATCH_EXTRA + len(raw_json(frame.mark)) + max(0, n - 1)
+    if frame.seq is not None:
+        batch += len(',"seq":') + len(raw_json(frame.seq))
+    if frame.trace is not None:
+        batch += len(',"tc":') + len(raw_json(frame.trace))
+    unbatched = n * (envelope + _DATA_EXTRA) + (envelope if frame.mark else 0)
+    return max(0, unbatched - batch)
+
+
 def decode_frame(data: bytes) -> Frame:
-    """Inverse of :func:`encode_frame`."""
+    """Inverse of :func:`encode_frame`.
+
+    The body is parsed once and rebuilt in one flat pass:
+    :func:`~repro.sim.jsonable.from_jsonable` hands scalars (node ids,
+    path hops) back at its first check and rebuilds the hot payload shapes
+    (relay, ``V_d``, tuple) with list comprehensions, not generators.
+    """
     try:
         body = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -207,16 +258,17 @@ def decode_frame(data: bytes) -> Frame:
             f"unsupported frame envelope version {version!r} "
             f"(this codec understands {ENVELOPE_VERSIONS})"
         )
+    kind = body["kind"]
     message = None
     messages: Tuple[Message, ...] = ()
     mark = False
-    if body["kind"] == DATA:
-        message = _message_from_jsonable(body["msg"])
-    elif body["kind"] == BATCH:
-        messages = tuple(_message_from_jsonable(raw) for raw in body["msgs"])
+    if kind == DATA:
+        message = message_from_jsonable(body["msg"])
+    elif kind == BATCH:
+        messages = tuple([message_from_jsonable(raw) for raw in body["msgs"]])
         mark = bool(body["mark"])
     return Frame(
-        kind=body["kind"],
+        kind=kind,
         round_no=body["round"],
         source=from_jsonable(body["src"]),
         destination=from_jsonable(body["dst"]),
@@ -266,27 +318,38 @@ class FrameDecoder:
         so the caller must abandon the stream; the decoder's buffer is
         cleared to make that state explicit.
         """
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer.extend(data)
         frames: List[Frame] = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                break
-            (length,) = _LENGTH.unpack_from(self._buffer, 0)
-            if length > MAX_FRAME_BYTES:
-                self._buffer.clear()
-                return frames, TransportError(
-                    f"frame length {length} exceeds limit"
-                )
-            if len(self._buffer) < _LENGTH.size + length:
-                break
-            body = bytes(self._buffer[_LENGTH.size : _LENGTH.size + length])
-            del self._buffer[: _LENGTH.size + length]
-            try:
-                frames.append(decode_frame(body))
-            except TransportError as exc:
-                self._buffer.clear()
-                return frames, exc
-        return frames, None
+        error: Optional[TransportError] = None
+        offset = 0
+        # Walk an offset over one view of the buffer and drop the consumed
+        # prefix once, after the view is released (an exported bytearray
+        # cannot be resized); each body is copied out exactly once.
+        view = memoryview(buffer)
+        try:
+            while len(view) - offset >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(view, offset)
+                if length > MAX_FRAME_BYTES:
+                    error = TransportError(f"frame length {length} exceeds limit")
+                    break
+                end = offset + _LENGTH.size + length
+                if end > len(view):
+                    break
+                body = bytes(view[offset + _LENGTH.size : end])
+                offset = end
+                try:
+                    frames.append(decode_frame(body))
+                except TransportError as exc:
+                    error = exc
+                    break
+        finally:
+            view.release()
+            if error is not None:
+                buffer.clear()
+            else:
+                del buffer[:offset]
+        return frames, error
 
     @property
     def pending_bytes(self) -> int:

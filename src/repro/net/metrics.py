@@ -82,7 +82,8 @@ class RoundMetrics:
     #: In batched mode each BATCH frame contributes its coalesced message
     #: count, so this stays comparable across wire modes.
     messages_sent: int = 0
-    #: Bytes on the wire for those messages (0 for unmeasured transports).
+    #: Bytes of every frame the runner sent — DATA, BATCH and MARK alike
+    #: (0 for unmeasured transports).
     bytes_sent: int = 0
     #: Wire frames the runner successfully sent (DATA + MARK + BATCH).
     frames_sent: int = 0
@@ -192,8 +193,10 @@ class NetMetrics:
         entry.bytes_sent += nbytes
         entry.frames_sent += 1
 
-    def record_mark(self, round_no: int) -> None:
-        self.round(round_no).frames_sent += 1
+    def record_mark(self, round_no: int, nbytes: int) -> None:
+        entry = self.round(round_no)
+        entry.bytes_sent += nbytes
+        entry.frames_sent += 1
 
     def record_batch(
         self, round_no: int, n_messages: int, nbytes: int, saved: int

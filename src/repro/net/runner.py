@@ -58,7 +58,7 @@ from repro.core.spec import DegradableSpec
 from repro.core.values import Value
 from repro.exceptions import SimulationError, TransportError
 from repro.net.adapters import AsyncFaultAdapter, behavior_adapters, lift_injectors
-from repro.net.codec import BATCH, DATA, MARK, Frame, encode_frame
+from repro.net.codec import BATCH, DATA, MARK, Frame, batch_bytes_saved
 from repro.net.metrics import NetMetrics
 from repro.net.transport import LocalBus, Transport
 from repro.sim.engine import FaultInjector
@@ -527,13 +527,15 @@ class AsyncRoundRunner:
             if frame.kind == DATA:
                 self.metrics.record_send(round_no, nbytes)
             elif frame.kind == MARK:
-                self.metrics.record_mark(round_no)
+                self.metrics.record_mark(round_no, nbytes)
             elif frame.kind == BATCH:
+                # Unmeasured sends (nbytes == 0) report nothing saved, as
+                # they report nothing sent.
                 self.metrics.record_batch(
                     round_no,
                     len(frame.messages),
                     nbytes,
-                    self._batch_savings(frame, nbytes),
+                    batch_bytes_saved(frame) if nbytes > 0 else 0,
                 )
             self._trace_frame(EventKind.FRAME_SENT, round_no, frame)
             if span is not None:
@@ -571,47 +573,6 @@ class AsyncRoundRunner:
                 meta=meta,
             )
         )
-
-    @staticmethod
-    def _batch_savings(frame: Frame, nbytes: int) -> int:
-        """Envelope bytes one batch saved vs per-message frames + a marker.
-
-        Exact (re-encodes the frames the batch replaced), but only
-        computed for byte-measuring transports; unmeasured sends
-        (``nbytes == 0``) report 0 saved rather than paying the codec.
-        """
-        if nbytes <= 0:
-            return 0
-        unbatched = sum(
-            len(
-                encode_frame(
-                    Frame(
-                        kind=DATA,
-                        round_no=frame.round_no,
-                        source=frame.source,
-                        destination=frame.destination,
-                        message=message,
-                        sent_at=frame.sent_at,
-                        instance=frame.instance,
-                    )
-                )
-            )
-            for message in frame.messages
-        )
-        if frame.mark:
-            unbatched += len(
-                encode_frame(
-                    Frame(
-                        kind=MARK,
-                        round_no=frame.round_no,
-                        source=frame.source,
-                        destination=frame.destination,
-                        sent_at=frame.sent_at,
-                        instance=frame.instance,
-                    )
-                )
-            )
-        return max(0, unbatched - len(encode_frame(frame)))
 
     async def _collect(
         self,

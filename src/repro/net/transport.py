@@ -152,9 +152,14 @@ class LocalBus(Transport):
     """In-process transport over per-node asyncio queues.
 
     Frames are delivered by reference — the payload object the sender hands
-    over is the object the receiver gets, no serialization on the hot path.
-    Byte accounting is optional (``measure_bytes=True`` runs the codec once
-    per frame purely to size it); switch it off for raw fan-out throughput.
+    over is the object the receiver gets, and nothing is ever decoded.
+    Byte accounting is optional: ``measure_bytes=True`` runs
+    :func:`~repro.net.codec.encode_frame` exactly once per frame, purely
+    to size it — the only encode a frame on this bus ever costs, since
+    batch savings are envelope arithmetic
+    (:func:`~repro.net.codec.batch_bytes_saved`) — and the count is what
+    TCP would carry minus the 4-byte length prefix.  Switch it off for
+    raw fan-out throughput; sends then report 0 bytes and 0 saved.
     """
 
     name = "local"

@@ -21,12 +21,33 @@ encoded is a :class:`~repro.exceptions.TransportError` — and the trace
 serialization (:mod:`repro.sim.trace`), which falls back to an explicit
 :class:`Opaque` wrapper for exotic payloads so a trace can always be
 written and read back stably.
+
+The wire codec's send path skips the JSON *tree*: :func:`canonical_json`
+writes, straight from the value, the text that
+``json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))``
+would produce, byte for byte.  Its invariants:
+
+* **keys sorted by construction** — every object emitted is one of the
+  fixed tagged shapes above, written with its keys already in order;
+* **ASCII-only output** — strings go through ``json``'s own
+  ``ensure_ascii`` escaper — so ``len(text)`` is the encoded byte count;
+* exact ``str`` and ``int`` leaves (node ids, path hops, tags, round
+  numbers) come from a **bounded memo**: one table per exact type, i.e.
+  keyed by ``(type, value)`` so ``1``, ``1.0`` and ``True`` never alias,
+  filled lazily, at most :data:`LEAF_MEMO_ENTRIES` texts of at most
+  :data:`LEAF_MEMO_TEXT` characters each, cleared when full; nothing is
+  cached on messages or for containers, so mutable payloads are re-read;
+* the rest is still ``json``'s: string escaping on a memo miss,
+  ``float.__repr__`` for finite floats, and a stock ``JSONEncoder`` for
+  non-finite floats, scalar subclasses and untagged non-scalar fields.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Any
+from math import isfinite
+from typing import Any, Dict
 
 from repro.core.values import DEFAULT
 from repro.exceptions import TransportError
@@ -46,6 +67,17 @@ class Opaque:
     """
 
     text: str
+
+
+#: Bounds of each leaf-memo table: entries held, and characters per text.
+LEAF_MEMO_ENTRIES = 4096
+LEAF_MEMO_TEXT = 64
+
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_STR_TEXT: Dict[str, str] = {}
+_INT_TEXT: Dict[int, str] = {}
+_escape = json.encoder.encode_basestring_ascii
+_stock_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def to_jsonable(value: Any) -> Any:
@@ -78,25 +110,95 @@ def to_jsonable(value: Any) -> Any:
 
 def from_jsonable(obj: Any) -> Any:
     """Inverse of :func:`to_jsonable`."""
+    if obj.__class__ in _SCALAR_TYPES:
+        return obj
     if isinstance(obj, dict):
         tag = obj.get(TAG)
         if tag == "vd":
             return DEFAULT
-        if tag == "opaque":
-            return Opaque(obj["text"])
         if tag == "relay":
             return RelayPayload(
-                path=tuple(from_jsonable(hop) for hop in obj["path"]),
-                value=from_jsonable(obj["value"]),
+                tuple([from_jsonable(hop) for hop in obj["path"]]),
+                from_jsonable(obj["value"]),
             )
         if tag == "tuple":
-            return tuple(from_jsonable(v) for v in obj["items"])
+            return tuple([from_jsonable(v) for v in obj["items"]])
         if tag == "dict":
             return {from_jsonable(k): from_jsonable(v) for k, v in obj["items"]}
+        if tag == "opaque":
+            return Opaque(obj["text"])
         raise TransportError(f"unknown wire tag {tag!r}")
     if isinstance(obj, list):
         return [from_jsonable(v) for v in obj]
     return obj
+
+
+# ----------------------------------------------------------------------
+# Canonical text, written directly (the wire codec's send path)
+# ----------------------------------------------------------------------
+def _remember(table: dict, value: Any, text: str) -> str:
+    if len(text) <= LEAF_MEMO_TEXT:
+        if len(table) >= LEAF_MEMO_ENTRIES:
+            table.clear()
+        table[value] = text
+    return text
+
+
+def canonical_json(value: Any) -> str:
+    """The canonical JSON text of ``to_jsonable(value)``, without the tree.
+
+    Exact-type fast paths for the scalar leaves first, then
+    :func:`to_jsonable`'s own order of ``isinstance`` checks.
+    """
+    cls = value.__class__
+    if cls is str:
+        return _STR_TEXT.get(value) or _remember(_STR_TEXT, value, _escape(value))
+    if cls is int:
+        return _INT_TEXT.get(value) or _remember(_INT_TEXT, value, int.__repr__(value))
+    if value is DEFAULT:
+        return '{"__repro__":"vd"}'
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if cls is float and isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, Opaque):
+        return f'{{"__repro__":"opaque","text":{canonical_json(value.text)}}}'
+    if isinstance(value, RelayPayload):
+        path = ",".join([canonical_json(hop) for hop in value.path])
+        return (
+            f'{{"__repro__":"relay","path":[{path}],'
+            f'"value":{canonical_json(value.value)}}}'
+        )
+    if isinstance(value, tuple):
+        items = ",".join([canonical_json(v) for v in value])
+        return f'{{"__repro__":"tuple","items":[{items}]}}'
+    if isinstance(value, dict):
+        items = ",".join(
+            [f"[{canonical_json(k)},{canonical_json(v)}]" for k, v in value.items()]
+        )
+        return f'{{"__repro__":"dict","items":[{items}]}}'
+    if isinstance(value, list):
+        return f'[{",".join([canonical_json(v) for v in value])}]'
+    if isinstance(value, (str, int, float, bool)):
+        return _stock_json(value)
+    raise TransportError(
+        f"value of type {type(value).__name__} is not wire-encodable: {value!r}"
+    )
+
+
+def raw_json(value: Any) -> str:
+    """Canonical JSON text of an *untagged* field (a round number, a tag).
+
+    Emitted as ``json`` would: exact scalars share :func:`canonical_json`'s
+    fast paths, anything else is ``json``'s call (and its ``TypeError``).
+    """
+    if value.__class__ in _SCALAR_TYPES:
+        return canonical_json(value)
+    return _stock_json(value)
 
 
 def to_jsonable_lossy(value: Any) -> Any:
@@ -113,23 +215,23 @@ def to_jsonable_lossy(value: Any) -> Any:
         return {TAG: "opaque", "text": repr(value)}
 
 
-def message_to_jsonable(message: Message) -> dict:
-    """Structural (tag-free at top level) JSON form of one message."""
-    return {
-        "source": to_jsonable(message.source),
-        "destination": to_jsonable(message.destination),
-        "payload": to_jsonable(message.payload),
-        "round_sent": message.round_sent,
-        "tag": message.tag,
-    }
+def message_json(message: Message) -> str:
+    """Canonical JSON text of one message (keys in sorted order)."""
+    return (
+        f'{{"destination":{canonical_json(message.destination)},'
+        f'"payload":{canonical_json(message.payload)},'
+        f'"round_sent":{raw_json(message.round_sent)},'
+        f'"source":{canonical_json(message.source)},'
+        f'"tag":{raw_json(message.tag)}}}'
+    )
 
 
 def message_from_jsonable(raw: dict) -> Message:
-    """Inverse of :func:`message_to_jsonable`."""
+    """Inverse of :func:`message_json` on the parsed JSON object."""
     return Message(
-        source=from_jsonable(raw["source"]),
-        destination=from_jsonable(raw["destination"]),
-        payload=from_jsonable(raw["payload"]),
-        round_sent=raw["round_sent"],
-        tag=raw["tag"],
+        from_jsonable(raw["source"]),
+        from_jsonable(raw["destination"]),
+        from_jsonable(raw["payload"]),
+        raw["round_sent"],
+        raw["tag"],
     )

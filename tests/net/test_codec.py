@@ -197,6 +197,50 @@ class TestFrameDecoder:
         with pytest.raises(TransportError):
             decoder.feed(b"\xff\xff\xff\xff")
 
+    def _marks(self, count):
+        return [
+            Frame(kind=MARK, round_no=r, source="S", destination=f"p{r % 7}")
+            for r in range(count)
+        ]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 5, 64, 1000, 10**6])
+    def test_any_chunking_yields_the_same_frames_and_tail(self, chunk):
+        frames = self._marks(200)
+        tail = pack_frame(frames[0])[:-3]
+        blob = b"".join(pack_frame(f) for f in frames) + tail
+        decoder = FrameDecoder()
+        decoded = []
+        for start in range(0, len(blob), chunk):
+            got, error = decoder.feed_tolerant(blob[start : start + chunk])
+            assert error is None
+            decoded.extend(got)
+        assert decoded == frames
+        assert decoder.pending_bytes == len(tail)
+        assert decoder.feed(pack_frame(frames[0])[-3:]) == [frames[0]]
+        assert decoder.pending_bytes == 0
+
+    @pytest.mark.parametrize(
+        "poison",
+        [b"\x00\x00\x00\x02\xff\xff", b"\x00\x00\x00\x01{", b"\xff\xff\xff\xff"],
+        ids=["undecodable", "not-json", "oversized"],
+    )
+    def test_poison_mid_chunk_keeps_earlier_frames_and_clears(self, poison):
+        frames = self._marks(5)
+        good = b"".join(pack_frame(f) for f in frames)
+        decoder = FrameDecoder()
+        got, error = decoder.feed_tolerant(good + poison + good)
+        assert got == frames
+        assert isinstance(error, TransportError)
+        assert decoder.pending_bytes == 0
+
+    def test_a_body_that_is_json_but_no_frame_is_consumed_and_loud(self):
+        frame = self._marks(1)[0]
+        decoder = FrameDecoder()
+        with pytest.raises(KeyError):
+            decoder.feed(pack_frame(frame) + b"\x00\x00\x00\x02{}" + b"\x00\x00")
+        # As before: what was parsed is gone, the unparsed tail is kept.
+        assert decoder.pending_bytes == 2
+
 
 class TestEnvelopeVersions:
     """Version-2 (multiplexed) envelope vs. the legacy unversioned wire."""
