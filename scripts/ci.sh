@@ -6,6 +6,11 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}"
 
+# Run artifacts (load report, explorer bench) go to a scratch directory:
+# a CI run leaves the tree clean.
+ARTIFACTS="$(mktemp -d)"
+trap 'rm -rf "${ARTIFACTS}"' EXIT
+
 echo "== unit / property / integration tests (tier 1) =="
 python -m pytest -x -q
 
@@ -38,10 +43,12 @@ python -m repro net --transport local
 python -m repro net --transport tcp
 python -m repro net --transport tcp --no-batch
 
-echo "== wire-path bench (batched/unbatched equivalence gate) =="
-# Fails if the two wire modes diverge in decisions/substitutions/verdicts
-# anywhere on the quick grid, or the N=7 TCP frame reduction drops below 3x.
-timeout 300 python -m repro bench --quick --out BENCH_net.json
+echo "== one send path (the runner has no retry loop; supervision is the only backoff) =="
+# (`! grep` alone never trips `set -e`; spell the failure out.)
+if grep -rn "RetryPolicy" src/; then
+    echo "RetryPolicy is back in src/: the runner must not retry" >&2
+    exit 1
+fi
 
 echo "== chaos soak (seeded, replayable) =="
 timeout 300 python -m repro chaos --severity light --trials 5 --seed 7
@@ -58,11 +65,11 @@ echo "== trace conformance (golden trace + differential fuzz) =="
 python -m repro verify examples/traces/golden_m1u2.jsonl
 timeout 300 python -m repro fuzz --quick --seed 7
 
-echo "== schedule explorer (bounded DFS + shrink gate, archives BENCH_explore.json) =="
+echo "== schedule explorer (bounded DFS + shrink gate) =="
 # Seedless and deterministic: correct (1,2,5) must explore clean to the
 # bench depth, the seeded vote bug must be found and shrunk, and the
 # artifact records schedules/sec and the pruning ratio.
-timeout 300 python -m repro explore --bench --out BENCH_explore.json
+timeout 300 python -m repro explore --bench --out "${ARTIFACTS}/BENCH_explore.json"
 
 echo "== agreement service (multiplexed instances + load gate) =="
 # serve cross-checks every decision against the synchronous engine;
@@ -70,7 +77,7 @@ echo "== agreement service (multiplexed instances + load gate) =="
 # transport pair per link across all instances.
 timeout 300 python -m repro serve --instances 32 --max-inflight 32 --seed 7
 timeout 300 python -m repro serve --instances 8 --chaos light --seed 5 --timeout 0.5
-timeout 300 python -m repro load --instances 64 --seed 7 --metrics-port 0 --out BENCH_serve.json
+timeout 300 python -m repro load --instances 64 --seed 7 --metrics-port 0 --out "${ARTIFACTS}/BENCH_serve.json"
 
 echo "== observability gate (live scrape + traced kill-links smoke) =="
 # Starts repro serve --metrics-port, scrapes the endpoint while live,
@@ -78,11 +85,10 @@ echo "== observability gate (live scrape + traced kill-links smoke) =="
 # Then runs repro trace --kill-links on a known-degraded seed and fails
 # unless the span JSONL validates, the Perfetto JSON parses with every
 # parent resolving, and the summary names a degraded round.
-# The stats verb then re-renders the archived load report (with its
+# The stats verb then re-renders the load report written above (with its
 # embedded mid-run sample) as exposition, exercising the offline path.
 timeout 180 python scripts/obs_gate.py
-timeout 60 python -m repro stats BENCH_serve.json --prom > /dev/null
-timeout 60 python -m repro stats BENCH_net.json > /dev/null
+timeout 60 python -m repro stats "${ARTIFACTS}/BENCH_serve.json" --prom > /dev/null
 
 echo "== perf harness (self-tests + quick run; exit code is the correctness gate) =="
 # The benchmark checks every output it timed: any serve decision that
@@ -91,6 +97,7 @@ echo "== perf harness (self-tests + quick run; exit code is the correctness gate
 # numbers are printed, not gated.
 timeout 300 python3 -m pytest perf/ -q
 timeout 300 python3 perf/run.py --quick --seed 7
+echo "src/ Python lines: $(find src -name '*.py' | xargs wc -l | tail -1)"
 
 echo "== slow suite (full fuzz budget) =="
 timeout 600 python -m pytest -q -m slow

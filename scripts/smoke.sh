@@ -5,6 +5,10 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}"
 
+# The load report goes to a scratch directory: a run leaves the tree clean.
+ARTIFACTS="$(mktemp -d)"
+trap 'rm -rf "${ARTIFACTS}"' EXIT
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
@@ -16,9 +20,6 @@ timeout 120 python -m repro chaos --severity light --trials 2 --seed 7
 
 echo "== self-healing smoke (reconnect under kill-links chaos) =="
 timeout 120 python -m repro chaos --kill-links --severity light --trials 2 --seed 7 --transport tcp --timeout 0.5
-
-echo "== wire-path bench (archives BENCH_net.json) =="
-timeout 180 python -m repro bench --quick --repeats 1 --out BENCH_net.json
 
 echo "== trace conformance (golden trace + differential fuzz) =="
 python -m repro verify examples/traces/golden_m1u2.jsonl
@@ -33,11 +34,11 @@ timeout 60 python -m repro explore --smoke
 echo "== agreement service (32 concurrent instances, one shared bus) =="
 # Both gates exit nonzero on any sync-engine divergence or dropped submit.
 timeout 120 python -m repro serve --instances 32 --max-inflight 32 --seed 7
-timeout 120 python -m repro load --quick --instances 32 --seed 7 --metrics-port 0 --out BENCH_serve.json
+timeout 120 python -m repro load --quick --instances 32 --seed 7 --metrics-port 0 --out "${ARTIFACTS}/BENCH_serve.json"
 
 echo "== observability gate (live scrape + traced kill-links smoke) =="
 timeout 180 python scripts/obs_gate.py
-timeout 60 python -m repro stats BENCH_serve.json --prom > /dev/null
+timeout 60 python -m repro stats "${ARTIFACTS}/BENCH_serve.json" --prom > /dev/null
 
 echo "== perf harness (self-tests + quick run; exit code is the correctness gate) =="
 # The benchmark checks every output it timed: any serve decision that

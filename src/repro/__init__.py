@@ -17,7 +17,7 @@ A complete, executable reproduction of N. H. Vaidya's ICDCS 1993 paper:
   complexity analysis, Monte-Carlo fault injection, table rendering;
 * :mod:`repro.net` — asyncio message-bus runtime that runs the same
   protocols over real transports (in-process bus or TCP sockets) with
-  per-round deadlines, retry/backoff and wire metrics.
+  per-round deadlines, self-healing links and wire metrics.
 
 Quickstart::
 

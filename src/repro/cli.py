@@ -13,9 +13,6 @@ Exposes the library's main entry points for interactive exploration:
 * ``mission``      — fly the Figure 1(b) channel system with transient faults;
 * ``net``          — run one agreement over the asyncio runtime (in-process
   bus or real TCP sockets) and print the wire metrics;
-* ``bench``        — benchmark the wire path: batched vs unbatched frame
-  counts, bytes and round latencies across an (m, u, N) x transport grid,
-  gated on the two modes staying decision-identical;
 * ``chaos``        — soak the runtime under seeded network chaos (loss,
   duplication, reordering, corruption, partitions, crashes) and assert the
   paper's D.1–D.4 guarantee tiers against the chaos actually injected;
@@ -28,9 +25,9 @@ Exposes the library's main entry points for interactive exploration:
   writes ``BENCH_serve.json``, gated on every decision matching the
   synchronous reference engine;
 * ``stats``        — render a one-shot observability snapshot from a
-  recorded artifact (``BENCH_serve.json``, ``BENCH_net.json``, or a
-  trace record); ``--prom`` emits Prometheus text exposition so recorded
-  runs scrape into the same dashboards as live ones
+  recorded artifact (``BENCH_serve.json`` or a trace record); ``--prom``
+  emits Prometheus text exposition so recorded runs scrape into the same
+  dashboards as live ones
   (``serve``/``load`` gain ``--metrics-port`` for the live endpoint);
 * ``trace``        — record a causal span trace of one seeded run
   (``net`` single instance or ``serve`` multi-instance, optionally under
@@ -114,11 +111,11 @@ def _add_wire_arguments(
     transports: bool = True,
     batch_flag: bool = True,
 ) -> None:
-    """The wire-mode cluster shared by net/chaos/bench/serve/load.
+    """The wire-mode cluster shared by net/chaos/serve/load/explore.
 
     Every verb gets ``--timeout``; *transports* adds the local/tcp choice
-    (bench sweeps both itself) and *batch_flag* the legacy-wire-path
-    switch (chaos always runs the batched path it soaks).
+    (explore runs its own virtual transport) and *batch_flag* the
+    legacy-wire-path switch (chaos always runs the batched path it soaks).
     """
     if transports:
         parser.add_argument(
@@ -286,29 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "stats",
         help="render a one-shot observability snapshot from a recorded "
-             "artifact (BENCH_serve.json / BENCH_net.json / trace JSONL)",
+             "artifact (BENCH_serve.json / trace JSONL)",
     )
     p.add_argument("artifact", metavar="FILE",
                    help="artifact to snapshot")
     p.add_argument("--prom", action="store_true",
                    help="emit Prometheus text exposition instead of the "
                         "human-readable table")
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark the wire path: batched vs unbatched frame counts, "
-             "bytes and round latencies, with an equivalence gate",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="small grid / fewer repeats (the CI gate)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="runs per grid cell; round latencies pool across them")
-    p.add_argument("--out", default="BENCH_net.json",
-                   help="write the JSON report here ('' to skip)")
-    p.add_argument("--baseline", default="",
-                   help="compare against a previous BENCH_net.json; a "
-                        "batched frame-count increase fails the run")
-    _add_wire_arguments(p, timeout=5.0, transports=False, batch_flag=False)
 
     p = sub.add_parser(
         "chaos",
@@ -544,12 +525,7 @@ def _cmd_net(args) -> int:
     import asyncio
 
     from repro.core.protocol import execute_degradable_protocol
-    from repro.net import (
-        LocalBus,
-        MuteAdapter,
-        TcpTransport,
-        run_agreement_async,
-    )
+    from repro.net import MuteAdapter, make_transport, run_agreement_async
     from repro.sim.faults import OmissionInjector
 
     if args.timeout <= 0:
@@ -561,13 +537,12 @@ def _cmd_net(args) -> int:
         return 2
     spec, nodes, faulty, behaviors = instance
     crashed = faulty if args.adversary == "crash" else set()
-    transport = TcpTransport() if args.transport == "tcp" else LocalBus()
     adapters = [MuteAdapter(crashed)] if crashed else []
     outcome = asyncio.run(
         run_agreement_async(
             spec, nodes, "S", args.value,
             behaviors=behaviors,
-            transport=transport,
+            transport=make_transport(args.transport),
             adapters=adapters,
             round_timeout=args.timeout,
             batching=not args.no_batch,
@@ -621,7 +596,7 @@ def _cmd_serve(args) -> int:
     import random as random_module
 
     from repro.core.protocol import execute_degradable_protocol
-    from repro.net import LocalBus, TcpTransport
+    from repro.net import make_transport
     from repro.serve import AgreementService, record_service_run
     from repro.serve.load import VALUES
 
@@ -659,7 +634,7 @@ def _cmd_serve(args) -> int:
         service = AgreementService(
             spec,
             nodes,
-            transport=TcpTransport() if args.transport == "tcp" else LocalBus(),
+            transport=make_transport(args.transport),
             chaos=chaos,
             chaos_rng=chaos_rng,
             max_inflight=args.max_inflight,
@@ -819,9 +794,8 @@ def _cmd_load(args) -> int:
 def _cmd_trace(args) -> int:
     import asyncio
     import random as random_module
-    from dataclasses import replace as dc_replace
 
-    from repro.net import LocalBus, TcpTransport, run_agreement_async
+    from repro.net import make_transport, run_agreement_async
     from repro.trace import (
         Tracer,
         critical_paths,
@@ -851,15 +825,10 @@ def _cmd_trace(args) -> int:
     tracer = Tracer(seed=args.seed)
 
     if args.mode == "net":
-        base = TcpTransport() if args.transport == "tcp" else LocalBus()
-        transport = base
-        chaos_transport = None
+        policy = None
+        rng = None
         if severity:
-            from repro.net.chaos import (
-                ChaosTransport,
-                EndpointRestart,
-                make_policy,
-            )
+            from repro.net.chaos import make_policy, with_kill_links
 
             # Same construction as the chaos campaign's kill-links trial:
             # one RNG drives victim selection and every per-frame draw, so
@@ -867,35 +836,23 @@ def _cmd_trace(args) -> int:
             rng = random_module.Random(args.seed)
             policy = make_policy(severity, spec, nodes, rng, seed=args.seed)
             if args.kill_links:
-                receivers = [node for node in nodes if node != "S"]
-                victim = receivers[rng.randrange(len(receivers))]
-                policy = dc_replace(
-                    policy,
-                    link_resets=tuple(range(2, spec.rounds + 1)),
-                    restarts=(EndpointRestart(node=victim, at_round=2),),
-                )
-            chaos_transport = ChaosTransport(base, policy, rng=rng)
-            transport = chaos_transport
+                policy = with_kill_links(policy, spec, nodes, rng)
         outcome = asyncio.run(
             run_agreement_async(
                 spec,
                 nodes,
                 "S",
                 args.value,
-                transport=transport,
+                transport=make_transport(args.transport),
                 round_timeout=args.timeout,
+                chaos=policy,
+                chaos_rng=rng,
                 batching=not args.no_batch,
                 supervise=args.kill_links,
-                supervision_rng=(
-                    random_module.Random(args.seed)
-                    if args.kill_links else None
-                ),
                 tracer=tracer,
             )
         )
-        afflicted = (
-            set(chaos_transport.log.afflicted) if chaos_transport else set()
-        )
+        afflicted = set(outcome.chaos.afflicted) if outcome.chaos else set()
         trace_events = outcome.trace.events if outcome.trace else ()
         print(f"{spec}; traced net run, seed={args.seed}"
               + (f", '{severity}' chaos" if severity else "")
@@ -939,9 +896,7 @@ def _cmd_trace(args) -> int:
             service = AgreementService(
                 spec,
                 nodes,
-                transport=(
-                    TcpTransport() if args.transport == "tcp" else LocalBus()
-                ),
+                transport=make_transport(args.transport),
                 chaos=chaos,
                 chaos_rng=chaos_rng,
                 round_timeout=args.timeout,
@@ -1021,52 +976,6 @@ def _cmd_stats(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)
-    return 0 if ok else 1
-
-
-def _cmd_bench(args) -> int:
-    from repro.net.bench import (
-        compare_to_baseline,
-        load_report,
-        render_report,
-        run_bench,
-        save_report,
-    )
-
-    if args.repeats < 1:
-        print(f"error: --repeats must be >= 1, got {args.repeats}",
-              file=sys.stderr)
-        return 2
-    if args.timeout <= 0:
-        print(f"error: --timeout must be > 0, got {args.timeout}",
-              file=sys.stderr)
-        return 2
-    print(f"bench: grid={'quick' if args.quick else 'full'} "
-          f"repeats={args.repeats} timeout={args.timeout}s")
-    report = run_bench(
-        quick=args.quick, repeats=args.repeats, timeout=args.timeout
-    )
-    print()
-    print(render_report(report))
-    ok = bool(report["equivalent"])
-    headline = report.get("headline")
-    if headline is not None and not headline["met"]:
-        ok = False
-    if args.baseline:
-        try:
-            baseline = load_report(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline {args.baseline!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        base_ok, text = compare_to_baseline(report, baseline)
-        print()
-        print(text)
-        ok = ok and base_ok
-    if args.out:
-        save_report(report, args.out)
-        print()
-        print(f"report written to {args.out}")
     return 0 if ok else 1
 
 
@@ -1459,7 +1368,6 @@ _COMMANDS = {
     "load": _cmd_load,
     "trace": _cmd_trace,
     "stats": _cmd_stats,
-    "bench": _cmd_bench,
     "chaos": _cmd_chaos,
     "verify": _cmd_verify,
     "fuzz": _cmd_fuzz,

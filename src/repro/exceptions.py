@@ -42,11 +42,11 @@ class TransportError(ReproError):
     """A real transport failed to move a frame between two endpoints.
 
     Raised by the :mod:`repro.net` runtime for connection failures, encode
-    errors and injected transient faults.  The async round runner retries
-    transient transport errors with bounded backoff inside the round
-    deadline; a message whose retries are exhausted is treated as *lost*,
-    which the receiving protocol observes as absence and resolves to
-    ``V_d`` — agreement semantics are never widened by transport trouble.
+    errors and injected transient faults.  The async round runner sends
+    each frame once: a send that raises is treated as *lost* (a
+    supervised link re-dials within its backoff budget first), which the
+    receiving protocol observes as absence and resolves to ``V_d`` —
+    agreement semantics are never widened by transport trouble.
     """
 
 

@@ -14,9 +14,8 @@ inputs — wall time is *measured*, never consulted):
   schedule before/after shrinking and the candidate executions the
   shrinker spent.
 
-The JSON artifact (schema ``repro.bench.explore/v1``) lands next to
-``BENCH_net.json``/``BENCH_serve.json`` so the docs can quote one number
-per claim.
+The JSON artifact (schema ``repro.bench.explore/v1``) records one number
+per claim the docs quote.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ prove that claim execution by execution instead of assuming it.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -57,7 +56,8 @@ from repro.explore.transport import (
     ScheduleController,
 )
 from repro.net.adapters import behavior_adapters
-from repro.net.runner import AsyncRoundRunner, NetRunOutcome, RetryPolicy
+from repro.net.runner import AsyncRoundRunner, NetRunOutcome
+from repro.net.stack import build_stack
 from repro.verify.oracle import ConformanceReport, verify_record
 from repro.verify.record import RunRecord, record_net_outcome
 
@@ -289,14 +289,11 @@ def run_schedule(
         round_timeout=config.round_timeout,
         batching=config.batching,
     )
-    explored = transport
 
     async def _run() -> NetRunOutcome:
-        stack = explored
-        if config.supervise:
-            from repro.net.supervision import SupervisedTransport
-
-            stack = SupervisedTransport(explored, rng=random.Random(0))
+        stack, _ = build_stack(
+            transport, None, None, config.supervise, None, None
+        )
         session = ProtocolSession.byz(
             spec, nodes, SENDER, config.sender_value
         )
@@ -309,10 +306,6 @@ def run_schedule(
             transport=stack,
             adapters=behavior_adapters(config.behaviors()),
             round_timeout=config.round_timeout,
-            # The explored transport never raises: retries would only buy
-            # wall-clock; a single attempt keeps decision points 1:1 with
-            # frames.
-            retry=RetryPolicy(max_attempts=1),
             batching=config.batching,
             events=events,
         )

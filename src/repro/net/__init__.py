@@ -12,15 +12,15 @@ real deadlines:
 * :class:`AsyncRoundRunner` — drives a
   :class:`~repro.core.protocol.ProtocolSession` round by round with
   per-round deadlines; a missed deadline *is* the paper's assumption (b):
-  the receiver detects the absence and substitutes ``V_d``.  Transient
-  transport errors are retried with bounded backoff inside the deadline;
+  the receiver detects the absence and substitutes ``V_d``.  Each frame
+  is sent once; a send error is a metered loss, i.e. one more absence;
 * fault adapters — every synchronous-engine injector and Byzantine
   behaviour lifts onto the async path unchanged
   (:func:`lift_injectors`, :func:`behavior_adapters`), and
   :class:`MuteAdapter` crashes a node at the wire level so timeouts are
   exercised for real;
 * :class:`NetMetrics` — per-round message/byte counts, latency
-  percentiles, retries, timeout substitutions, chaos counters;
+  percentiles, send failures, timeout substitutions, chaos counters;
 * :class:`SupervisedTransport` — the self-healing layer: per-link
   reconnect supervision with capped, seeded exponential backoff
   (:class:`BackoffPolicy`), idempotent frame-stream resume via per-link
@@ -59,7 +59,6 @@ from repro.net.adapters import (
     behavior_adapters,
     lift_injectors,
 )
-from repro.net.bench import compare_to_baseline, render_report, run_bench
 from repro.net.codec import (
     BATCH,
     DATA,
@@ -78,9 +77,9 @@ from repro.net.metrics import NetMetrics, RoundMetrics
 from repro.net.runner import (
     AsyncRoundRunner,
     NetRunOutcome,
-    RetryPolicy,
     run_agreement_async,
 )
+from repro.net.stack import build_stack, make_transport
 from repro.net.supervision import (
     ALIVE,
     DEAD,
@@ -131,24 +130,22 @@ __all__ = [
     "PING",
     "PONG",
     "Partition",
-    "RetryPolicy",
     "RoundMetrics",
     "SUSPECT",
     "SupervisedTransport",
     "TcpTransport",
     "Transport",
     "behavior_adapters",
-    "compare_to_baseline",
+    "build_stack",
     "decode_frame",
     "encode_frame",
     "from_jsonable",
     "lift_injectors",
     "make_policy",
+    "make_transport",
     "pack_frame",
     "partition_injector",
-    "render_report",
     "run_agreement_async",
-    "run_bench",
     "run_trial_sync",
     "to_jsonable",
 ]

@@ -65,6 +65,7 @@ from repro.net.chaos.policy import (
     EndpointRestart,
     Partition,
     make_policy,
+    with_kill_links,
 )
 from repro.net.chaos.transport import ChaosTransport
 
@@ -95,4 +96,5 @@ __all__ = [
     "tier_for",
     "tier_is_asserted",
     "trial_seed",
+    "with_kill_links",
 ]

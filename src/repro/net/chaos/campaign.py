@@ -29,18 +29,15 @@ import asyncio
 import json
 import random
 from dataclasses import dataclass, field
-from dataclasses import replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.conditions import classify
 from repro.core.spec import DegradableSpec
 from repro.exceptions import ConfigurationError
 from repro.net.chaos.accounting import tier_for, tier_is_asserted
-from repro.net.chaos.policy import SEVERITIES, EndpointRestart, make_policy
-from repro.net.chaos.transport import ChaosTransport
+from repro.net.chaos.policy import SEVERITIES, make_policy, with_kill_links
 from repro.net.runner import run_agreement_async
-from repro.net.tcp import TcpTransport
-from repro.net.transport import LocalBus, Transport
+from repro.net.stack import make_transport
 
 #: Spec grid a campaign cycles through: the paper's running example, the
 #: m = 0 special case, a roomier degraded band, and a deeper recursion.
@@ -178,10 +175,6 @@ class TrialResult:
         }
 
 
-def _make_transport(name: str) -> Transport:
-    return TcpTransport() if name == "tcp" else LocalBus()
-
-
 async def run_trial(config: TrialConfig) -> TrialResult:
     """Run one chaos trial; a pure function of *config*."""
     spec = DegradableSpec(m=config.m, u=config.u, n_nodes=config.n_nodes)
@@ -191,36 +184,20 @@ async def run_trial(config: TrialConfig) -> TrialResult:
     rng = random.Random(config.seed)
     policy = make_policy(config.severity, spec, nodes, rng, seed=config.seed)
     if config.kill_links:
-        # Hard-reset every pooled connection at the onset of every relay
-        # round, and crash-restart one seeded victim's endpoint at round 2
-        # — the supervisor must re-dial through both.  Relay-round resets
-        # are what produce real *reconnects*: a directed link is reused
-        # across rounds only when the recursion is deep enough (m >= 2),
-        # so the deeper grid entries exercise the re-dial path while the
-        # shallow ones still exercise reset/restart healing.  Victim
-        # choice draws from the trial RNG, so the whole schedule replays
-        # from the seed.
-        receivers = [n for n in nodes if n != "S"]
-        victim = receivers[rng.randrange(len(receivers))]
-        policy = dc_replace(
-            policy,
-            link_resets=tuple(range(2, spec.rounds + 1)),
-            restarts=(EndpointRestart(node=victim, at_round=2),),
-        )
-    chaos = ChaosTransport(_make_transport(config.transport), policy, rng=rng)
+        policy = with_kill_links(policy, spec, nodes, rng)
     outcome = await run_agreement_async(
         spec,
         nodes,
         "S",
         SENDER_VALUE,
-        transport=chaos,
+        transport=make_transport(config.transport),
         round_timeout=config.timeout,
+        chaos=policy,
+        chaos_rng=rng,
+        # Supervision jitter defaults to Random(policy.seed): the trial seed.
         supervise=config.kill_links,
-        supervision_rng=(
-            random.Random(config.seed) if config.kill_links else None
-        ),
     )
-    afflicted = chaos.log.afflicted
+    afflicted = outcome.chaos.afflicted
     tier = tier_for(spec, len(afflicted))
     checked = tier_is_asserted(tier)
     report = classify(outcome.result, afflicted, spec)
@@ -239,7 +216,7 @@ async def run_trial(config: TrialConfig) -> TrialResult:
                 outcome.result.decisions.items(), key=lambda kv: str(kv[0])
             )
         },
-        chaos_counts=chaos.log.counts(),
+        chaos_counts=outcome.chaos.counts(),
         substitutions=outcome.result.stats.substitutions,
         timeouts=outcome.metrics.total_timeouts,
         reconnects=outcome.metrics.total_reconnects,

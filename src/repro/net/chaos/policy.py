@@ -19,7 +19,7 @@ campaigns visit all three guarantee tiers of the paper: ``f_eff <= m``
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import FrozenSet, Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro.core.spec import DegradableSpec
@@ -331,4 +331,31 @@ def make_policy(
         duplicate_probability=0.05,
         crashes=tuple(crashes),
         seed=seed,
+    )
+
+
+def with_kill_links(
+    policy: ChaosPolicy,
+    spec: DegradableSpec,
+    nodes: Sequence[NodeId],
+    rng: random.Random,
+) -> ChaosPolicy:
+    """The kill-links soak recipe layered on *policy*.
+
+    Hard-resets every pooled connection at the onset of every relay round
+    and crash-restarts one seeded victim's endpoint at round 2 — a
+    supervisor must re-dial through both.  Relay-round resets are what
+    produce real *reconnects*: a directed link is reused across rounds
+    only when the recursion is deep enough (m >= 2), so deeper specs
+    exercise the re-dial path while shallow ones still exercise
+    reset/restart healing.  The victim is one draw from *rng* (pass the
+    RNG :func:`make_policy` just used), chosen among the receivers
+    ``nodes[1:]``, so the whole schedule replays from the seed.
+    """
+    receivers = nodes[1:]
+    victim = receivers[rng.randrange(len(receivers))]
+    return replace(
+        policy,
+        link_resets=tuple(range(2, spec.rounds + 1)),
+        restarts=(EndpointRestart(node=victim, at_round=2),),
     )

@@ -1,7 +1,7 @@
 """Per-round accounting for the async runtime.
 
 :class:`NetMetrics` records, per engine round: message and byte counts,
-delivery latencies, adapter drops, retries, send failures, late frames and
+delivery latencies, adapter drops, send failures, late frames and
 deadline timeouts — plus the run-wide count of ``V_d`` substitutions the
 protocol performed for absent messages.  The recorder is surfaced through
 :class:`~repro.net.runner.NetRunOutcome` so experiments and the CLI can
@@ -10,7 +10,7 @@ print it next to the agreement verdict.
 Injected chaos (:mod:`repro.net.chaos`) is accounted separately from
 organic wire trouble: ``chaos_*`` counters record what the chaos layer
 *did* (dropped/duplicated/reordered/corrupted frames, partition rounds,
-crash events), while ``retries``/``timeouts``/``send_failures`` keep
+crash events), while ``timeouts``/``send_failures`` keep
 recording what the runtime *observed*.  ``decode_errors`` counts poisoned
 byte streams a transport discarded (one per dropped connection).
 :meth:`counters` flattens every integer counter into one dict — the
@@ -96,9 +96,7 @@ class RoundMetrics:
     duration: float = 0.0
     #: Messages removed by fault adapters before reaching the transport.
     dropped: int = 0
-    #: Transport send attempts that were retried after a transient error.
-    retries: int = 0
-    #: Messages abandoned after retries were exhausted (observed as absence).
+    #: Frames whose one send raised (observed as absence by the receiver).
     send_failures: int = 0
     #: (receiver, peer) pairs whose end-of-round marker missed the deadline.
     timeouts: int = 0
@@ -213,9 +211,6 @@ class NetMetrics:
 
     def record_drop(self, round_no: int) -> None:
         self.round(round_no).dropped += 1
-
-    def record_retry(self, round_no: int) -> None:
-        self.round(round_no).retries += 1
 
     def record_send_failure(self, round_no: int) -> None:
         self.round(round_no).send_failures += 1
@@ -377,10 +372,6 @@ class NetMetrics:
         return sum(r.timeouts for r in self.rounds.values())
 
     @property
-    def total_retries(self) -> int:
-        return sum(r.retries for r in self.rounds.values())
-
-    @property
     def total_send_failures(self) -> int:
         return sum(r.send_failures for r in self.rounds.values())
 
@@ -489,7 +480,6 @@ class NetMetrics:
             out[prefix + "frames_sent"] = entry.frames_sent
             out[prefix + "frames_batched"] = entry.frames_batched
             out[prefix + "dropped"] = entry.dropped
-            out[prefix + "retries"] = entry.retries
             out[prefix + "send_failures"] = entry.send_failures
             out[prefix + "timeouts"] = entry.timeouts
             out[prefix + "late_frames"] = entry.late_frames
@@ -529,7 +519,7 @@ class NetMetrics:
         """Plain-text per-round table plus the run summary."""
         headers = (
             "round", "msgs", "frames", "bytes",
-            "dropped", "retries", "timeouts", "late",
+            "dropped", "timeouts", "late",
         )
         rows: List[Tuple[str, ...]] = [headers]
         for round_no in sorted(self.rounds):
@@ -541,7 +531,6 @@ class NetMetrics:
                     str(entry.frames_sent),
                     str(entry.bytes_sent),
                     str(entry.dropped),
-                    str(entry.retries),
                     str(entry.timeouts),
                     str(entry.late_frames),
                 )

@@ -10,9 +10,9 @@ deadline instead of a lock-step barrier:
 1. processes step in deterministic order and emit their round's messages;
 2. fault adapters may drop/corrupt them (same interception contract as the
    sync engine, same behaviour objects);
-3. surviving frames go out over the transport; transient transport errors
-   are retried with bounded exponential backoff, *capped by the round
-   deadline* so flaky wires can delay but never reorder rounds;
+3. surviving frames go out over the transport, one ``send`` per frame; a
+   send that raises is a recorded loss, never a retry — healing a link is
+   the supervision layer's job, below the runner;
 4. every node then emits an end-of-round marker to every peer;
 5. each node collects its inbox until it holds markers from all peers or
    the deadline expires.  Whatever did not arrive is simply absent — the
@@ -60,6 +60,7 @@ from repro.exceptions import SimulationError, TransportError
 from repro.net.adapters import AsyncFaultAdapter, behavior_adapters, lift_injectors
 from repro.net.codec import BATCH, DATA, MARK, Frame, batch_bytes_saved
 from repro.net.metrics import NetMetrics
+from repro.net.stack import build_stack
 from repro.net.transport import LocalBus, Transport
 from repro.sim.engine import FaultInjector
 from repro.sim.messages import Message
@@ -73,33 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.trace import Span, Tracer
 
 NodeId = Hashable
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff for transient transport errors.
-
-    ``max_attempts`` counts total tries (first send included).  Waits start
-    at ``base_delay`` and multiply by ``multiplier`` up to ``max_delay``;
-    every wait is additionally clipped to the time remaining before the
-    round deadline, so retrying can never leak a message into a later
-    round.  Exhausted retries turn the message into a *loss* — receivers
-    observe absence and substitute ``V_d`` — rather than an error, keeping
-    agreement semantics intact under arbitrarily bad wires.
-    """
-
-    max_attempts: int = 4
-    base_delay: float = 0.02
-    multiplier: float = 2.0
-    max_delay: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
 
 
 @dataclass
@@ -130,7 +104,6 @@ class AsyncRoundRunner:
         transport: Optional[Transport] = None,
         adapters: Optional[Sequence[AsyncFaultAdapter]] = None,
         round_timeout: float = 5.0,
-        retry: Optional[RetryPolicy] = None,
         metrics: Optional[NetMetrics] = None,
         batching: bool = True,
         record_trace: bool = True,
@@ -144,7 +117,6 @@ class AsyncRoundRunner:
         self.transport = transport if transport is not None else LocalBus()
         self.adapters: List[AsyncFaultAdapter] = list(adapters or [])
         self.round_timeout = round_timeout
-        self.retry = retry or RetryPolicy()
         self.batching = batching
         #: Multiplexing identity: set when this runner drives one instance
         #: of a :mod:`repro.serve` service.  Every outgoing frame carries it
@@ -223,7 +195,7 @@ class AsyncRoundRunner:
                 )
                 if self.batching:
                     expected = await self._send_round_batched(
-                        round_no, survivors, deadline
+                        round_no, survivors
                     )
                 else:
                     for message in survivors:
@@ -236,8 +208,8 @@ class AsyncRoundRunner:
                             sent_at=loop.time(),
                             instance=self.instance_id,
                         )
-                        await self._send_with_retry(frame, round_no, deadline)
-                    await self._send_markers(round_no, deadline)
+                        await self._send(frame, round_no)
+                    await self._send_markers(round_no)
                     expected = {
                         node: {n for n in self._order if n != node}
                         for node in self._order
@@ -377,7 +349,7 @@ class AsyncRoundRunner:
         return all_survivors
 
     async def _send_round_batched(
-        self, round_no: int, survivors: Sequence[Message], deadline: float
+        self, round_no: int, survivors: Sequence[Message]
     ) -> Dict[NodeId, Set[NodeId]]:
         """Coalesce the round into one BATCH frame per directed link.
 
@@ -442,17 +414,14 @@ class AsyncRoundRunner:
                     )
         if self.transport.ordered_sends:
             for frame in frames:
-                await self._send_with_retry(frame, round_no, deadline)
+                await self._send(frame, round_no)
         elif frames:
             await asyncio.gather(
-                *(
-                    self._send_with_retry(frame, round_no, deadline)
-                    for frame in frames
-                )
+                *(self._send(frame, round_no) for frame in frames)
             )
         return expected
 
-    async def _send_markers(self, round_no: int, deadline: float) -> None:
+    async def _send_markers(self, round_no: int) -> None:
         loop = asyncio.get_running_loop()
         for source in self._order:
             if any(a.mutes_marker(round_no, source) for a in self.adapters):
@@ -468,22 +437,19 @@ class AsyncRoundRunner:
                     sent_at=loop.time(),
                     instance=self.instance_id,
                 )
-                await self._send_with_retry(frame, round_no, deadline)
+                await self._send(frame, round_no)
 
-    async def _send_with_retry(
-        self, frame: Frame, round_no: int, deadline: float
-    ) -> bool:
-        """Send one frame, retrying transient errors within the deadline.
+    async def _send(self, frame: Frame, round_no: int) -> None:
+        """Send one frame, exactly once, and meter what became of it.
 
-        Returns True on success; False means the frame is lost (recorded as
-        a send failure, observed by the receiver as absence).  The deadline
-        is checked before *and after* every backoff sleep: a sleep that
-        consumes the rest of the round converts the send into a recorded
-        loss instead of firing a retry attempt into a later round (which
-        would break the "retrying never leaks a message across rounds"
-        invariant on slow wires).
+        This is the one place a :class:`TransportError` turns into a
+        recorded absence: no ``FRAME_SENT``, no frame or byte counts, one
+        send failure, span ``ok=False`` — the receiver rides out the
+        deadline and substitutes ``V_d`` (assumption (b)).  The runner
+        never retries; a :class:`~repro.net.supervision.SupervisedTransport`
+        below it re-dials within its own budget and raises only once it
+        gives up, so a lost frame is metered the same with or without it.
         """
-        loop = asyncio.get_running_loop()
         span = None
         if self.tracer is not None:
             span = self.tracer.begin(
@@ -503,48 +469,29 @@ class AsyncRoundRunner:
             # Trace context rides the wire: every layer the frame passes
             # through downstream charges its work to this send span.
             frame = replace(frame, trace=span.span_id)
-        delay = self.retry.base_delay
-        attempt = 0
-        for attempt in range(1, self.retry.max_attempts + 1):
-            try:
-                nbytes = await self.transport.send(frame)
-            except TransportError:
-                if attempt >= self.retry.max_attempts:
-                    break
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                self.metrics.record_retry(round_no)
-                if span is not None:
-                    self.tracer.event(
-                        span, "retry", attempt=attempt, backoff=delay
-                    )
-                await asyncio.sleep(min(delay, remaining))
-                if deadline - loop.time() <= 0:
-                    break
-                delay = min(delay * self.retry.multiplier, self.retry.max_delay)
-                continue
-            if frame.kind == DATA:
-                self.metrics.record_send(round_no, nbytes)
-            elif frame.kind == MARK:
-                self.metrics.record_mark(round_no, nbytes)
-            elif frame.kind == BATCH:
-                # Unmeasured sends (nbytes == 0) report nothing saved, as
-                # they report nothing sent.
-                self.metrics.record_batch(
-                    round_no,
-                    len(frame.messages),
-                    nbytes,
-                    batch_bytes_saved(frame) if nbytes > 0 else 0,
-                )
-            self._trace_frame(EventKind.FRAME_SENT, round_no, frame)
+        try:
+            nbytes = await self.transport.send(frame)
+        except TransportError:
+            self.metrics.record_send_failure(round_no)
             if span is not None:
-                self.tracer.end(span, ok=True, attempts=attempt)
-            return True
-        self.metrics.record_send_failure(round_no)
+                self.tracer.end(span, ok=False)
+            return
+        if frame.kind == DATA:
+            self.metrics.record_send(round_no, nbytes)
+        elif frame.kind == MARK:
+            self.metrics.record_mark(round_no, nbytes)
+        elif frame.kind == BATCH:
+            # Unmeasured sends (nbytes == 0) report nothing saved, as
+            # they report nothing sent.
+            self.metrics.record_batch(
+                round_no,
+                len(frame.messages),
+                nbytes,
+                batch_bytes_saved(frame) if nbytes > 0 else 0,
+            )
+        self._trace_frame(EventKind.FRAME_SENT, round_no, frame)
         if span is not None:
-            self.tracer.end(span, ok=False, attempts=attempt)
-        return False
+            self.tracer.end(span, ok=True)
 
     def _trace_frame(
         self,
@@ -683,7 +630,6 @@ async def run_agreement_async(
     adapters: Optional[Sequence[AsyncFaultAdapter]] = None,
     extra_injectors: Optional[Sequence[FaultInjector]] = None,
     round_timeout: float = 5.0,
-    retry: Optional[RetryPolicy] = None,
     chaos: Optional["ChaosPolicy"] = None,
     chaos_rng: Optional[random.Random] = None,
     batching: bool = True,
@@ -736,34 +682,20 @@ async def run_agreement_async(
         stack.extend(lift_injectors(extra_injectors))
     if adapters:
         stack.extend(adapters)
-    base_transport = transport if transport is not None else LocalBus()
-    chaos_log = None
-    if chaos is not None:
-        # Imported lazily: repro.net.chaos.campaign imports this module.
-        from repro.net.chaos.transport import ChaosTransport
-
-        base_transport = ChaosTransport(base_transport, chaos, rng=chaos_rng)
-        chaos_log = base_transport.log
-    if supervise or heartbeat is not None:
-        from repro.net.supervision import SupervisedTransport
-
-        seed = chaos.seed if chaos is not None else 0
-        base_transport = SupervisedTransport(
-            base_transport,
-            heartbeat=heartbeat,
-            rng=(
-                supervision_rng
-                if supervision_rng is not None
-                else random.Random(seed)
-            ),
-        )
+    wire, chaos_log = build_stack(
+        transport if transport is not None else LocalBus(),
+        chaos,
+        chaos_rng,
+        supervise,
+        heartbeat,
+        supervision_rng,
+    )
     session = ProtocolSession.byz(spec, nodes, sender, sender_value)
     runner = AsyncRoundRunner(
         session,
-        transport=base_transport,
+        transport=wire,
         adapters=stack,
         round_timeout=round_timeout,
-        retry=retry,
         batching=batching,
         record_trace=record_trace,
         events=events,

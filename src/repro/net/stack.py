@@ -1,0 +1,63 @@
+"""The one place a transport stack is put together.
+
+:func:`make_transport` turns the ``local``/``tcp`` name every verb and
+config carries into a base transport; :func:`build_stack` wraps a base in
+the optional layers, always in the same order —
+``Supervised(Chaos(base))`` — so injected connection resets and endpoint
+restarts exercise the real re-dial path while frame chaos still reaches
+the protocol.  The runner entry point, the service gateway and the
+schedule explorer all assemble their stack here.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import TYPE_CHECKING, Optional, Tuple
+
+from repro.net.supervision import HeartbeatPolicy, SupervisedTransport
+from repro.net.tcp import TcpTransport
+from repro.net.transport import LocalBus, Transport
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.net.chaos.accounting import ChaosLog
+    from repro.net.chaos.policy import ChaosPolicy
+
+
+def make_transport(name: str) -> Transport:
+    """``"tcp"`` -> :class:`TcpTransport`, anything else -> :class:`LocalBus`."""
+    return TcpTransport() if name == "tcp" else LocalBus()
+
+
+def build_stack(
+    base: Transport,
+    chaos: Optional["ChaosPolicy"],
+    chaos_rng: Optional[random.Random],
+    supervise: bool,
+    heartbeat: Optional[HeartbeatPolicy],
+    supervision_rng: Optional[random.Random],
+) -> Tuple[Transport, Optional["ChaosLog"]]:
+    """Wrap *base* in chaos, then supervision; return it with the chaos log.
+
+    With *chaos* set every draw comes from *chaos_rng* (default:
+    ``random.Random(chaos.seed)``).  Supervision is armed by *supervise*
+    or by passing a *heartbeat* policy; its jitter RNG defaults to one
+    seeded like the chaos policy (0 without chaos), so one seed replays
+    the whole stack.
+    """
+    chaos_log = None
+    if chaos is not None:
+        # Imported lazily: repro.net.chaos.campaign imports the runner,
+        # which imports this module.
+        from repro.net.chaos.transport import ChaosTransport
+
+        base = ChaosTransport(base, chaos, rng=chaos_rng)
+        chaos_log = base.log
+    if supervise or heartbeat is not None:
+        if supervision_rng is None:
+            supervision_rng = random.Random(
+                chaos.seed if chaos is not None else 0
+            )
+        base = SupervisedTransport(
+            base, heartbeat=heartbeat, rng=supervision_rng
+        )
+    return base, chaos_log

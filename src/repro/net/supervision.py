@@ -12,9 +12,11 @@ round deadline (assumption (b)):
   that fails with a transport error is retried after
   :meth:`BackoffPolicy.delay`; the underlying transport re-dials on the
   retry (its pooled connection was evicted by the failure).  A send that
-  still fails when the budget is exhausted is metered as a send failure —
-  the receiver sees absence, fault accounting charges the link's source,
-  and the D.1–D.4 verdict is unchanged versus the sync engine.
+  still fails when the budget is exhausted raises
+  :class:`~repro.exceptions.TransportError` like any unsupervised send;
+  the runner meters it as a send failure — the receiver sees absence,
+  fault accounting charges the link's source, and the D.1–D.4 verdict is
+  unchanged versus the sync engine.
 
 * **Idempotent resume.**  Every supervised frame is stamped with a
   per-directed-link sequence number (``Frame.seq``); the receive side
@@ -29,7 +31,7 @@ round deadline (assumption (b)):
   samples into :class:`~repro.net.metrics.NetMetrics`, unanswered ones
   advance a per-link ``alive → suspect → dead`` state machine.  A dead
   link opens a circuit breaker: sends stop burning retry budget and
-  convert immediately to metered losses (fast-fail) until a probe is
+  raise immediately (fast-fail, metered per link) until a probe is
   answered again.  Heartbeats are link-plumbing, not protocol traffic —
   the chaos layer forwards them without consuming RNG draws, and the
   dedup window ignores them.
@@ -268,7 +270,7 @@ class SupervisedTransport(Transport):
         self._transition(link, sup, ALIVE)
 
     # ------------------------------------------------------------------
-    # Send path: stamp, retry with backoff, convert failure to absence
+    # Send path: stamp, retry with backoff, raise once the budget is spent
     # ------------------------------------------------------------------
     async def send(self, frame: Frame) -> int:
         if frame.kind in (PING, PONG):
@@ -276,11 +278,10 @@ class SupervisedTransport(Transport):
         link = (frame.source, frame.destination)
         sup = self.link(*link)
         if sup.state == DEAD:
-            # Circuit open: no dialing, no retry budget — the send becomes
-            # a metered loss immediately (absence → V_d at the receiver).
+            # Circuit open: no dialing, no retry budget — the caller books
+            # the loss immediately (absence → V_d at the receiver).
             if self.metrics is not None:
                 self.metrics.record_fast_fail(*link)
-                self.metrics.record_send_failure(frame.round_no)
             if self.tracer is not None:
                 self.tracer.instant(
                     "fast_fail",
@@ -290,7 +291,9 @@ class SupervisedTransport(Transport):
                     source=frame.source,
                     destination=frame.destination,
                 )
-            return 0
+            raise TransportError(
+                f"link {link[0]!r} -> {link[1]!r} is dead (circuit open)"
+            )
         seq = self._next_seq.get(link, 0) + 1
         self._next_seq[link] = seq
         frame = replace(frame, seq=seq)
@@ -341,7 +344,7 @@ class SupervisedTransport(Transport):
             self._note_alive(link, sup)
             return nbytes
         # Retry budget exhausted (or the link died mid-retry): the outage
-        # window closes unhealed and the frame is recorded as absent.
+        # window closes unhealed and the caller records the frame absent.
         if self.metrics is not None:
             seconds = loop.time() - outage_started
             self.metrics.record_outage(*link, seconds)
@@ -352,10 +355,12 @@ class SupervisedTransport(Transport):
                 seconds=seconds,
                 healed=False,
             )
-            self.metrics.record_send_failure(frame.round_no)
         if heal_span is not None:
             self.tracer.end(heal_span, healed=False)
-        return 0
+        raise TransportError(
+            f"link {link[0]!r} -> {link[1]!r} unhealed after "
+            f"{attempt} attempt(s)"
+        )
 
     async def send_corrupted(self, frame: Frame, rng: random.Random) -> int:
         # Chaos-injected corruption bypasses supervision on purpose: the

@@ -10,9 +10,10 @@ destination node's inbox queue.
 
 Failure model: connect and write errors surface as
 :class:`~repro.exceptions.TransportError`; the failed connection is evicted
-from the pool so the runner's retry opens a fresh socket.  A frame that is
-never delivered (peer crashed, retries exhausted) is simply *absent* at the
-receiver, which resolves it to ``V_d`` at the round deadline — the same
+from the pool so the next send on the link (a supervisor's re-dial, or the
+next round's frame) opens a fresh socket.  A frame that is never delivered
+(peer crashed, link unhealed) is simply *absent* at the receiver, which
+resolves it to ``V_d`` at the round deadline — the same
 degradation path as every other fault in the model.
 
 A frame that *arrives* but does not decode (corrupted in flight — what the
@@ -232,9 +233,9 @@ class TcpTransport(Transport):
         except (ConnectionError, OSError) as exc:
             # A reset connection costs this link one frame, never the
             # runner: the stale socket is evicted, the error is metered as
-            # a link loss, and the caller (runner retry or supervisor
-            # re-dial) decides whether to heal or let the receiver resolve
-            # the absence to V_d at the round deadline — assumption (b).
+            # a link loss, and the caller decides: a supervisor re-dials,
+            # the runner lets the receiver resolve the absence to V_d at
+            # the round deadline — assumption (b).
             stale = self._writers.pop(link, None)
             if stale is not None:
                 self._retire(stale)

@@ -6,7 +6,7 @@ frames through in-process asyncio queues without copying (built for massive
 in-process fan-out), :class:`~repro.net.tcp.TcpTransport` ships
 length-prefixed JSON over real localhost sockets, and
 :class:`FlakyTransport` wraps any transport with injected transient send
-failures so the retry/backoff path is testable deterministically.
+failures so sender-visible errors are testable deterministically.
 
 Contract:
 
@@ -14,8 +14,10 @@ Contract:
   traffic; :meth:`Transport.close` releases every resource;
 * :meth:`Transport.send` delivers one frame to its destination's inbox and
   returns the number of bytes that crossed the wire (0 when unmeasured);
-  transient failures raise :class:`~repro.exceptions.TransportError` — the
-  runner retries those with bounded backoff inside the round deadline;
+  failures raise :class:`~repro.exceptions.TransportError` — the runner
+  never retries: it records the frame as lost (the receiver sees absence).
+  Only :class:`~repro.net.supervision.SupervisedTransport` re-dials, and it
+  raises the same error once its backoff budget is spent;
 * :meth:`Transport.recv` returns the next frame addressed to a node,
   waiting until one arrives (the runner bounds the wait with the round
   deadline — that timeout *is* the paper's "detectable absence").
@@ -205,8 +207,8 @@ class FlakyTransport(Transport):
     * **count-based** (default): the first *failures* send attempts of
       every matching ``(source, destination, kind)`` link raise
       :class:`~repro.exceptions.TransportError`; later attempts pass
-      through.  With ``failures`` below the runner's retry budget this
-      exercises the backoff path without changing any outcome; with
+      through.  With ``failures`` below a supervisor's retry budget this
+      exercises its backoff path without changing any outcome; with
       ``failures`` effectively infinite it turns a link (or a node's whole
       output, via *match*) into an omission fault.
     * **probabilistic** (``failure_probability > 0``): each matching send

@@ -411,11 +411,8 @@ def metrics_registry(
         "Messages removed by fault adapters before the wire.",
     ).set(metrics.total_dropped)
     registry.counter(
-        "repro_retries_total", "Transport sends retried after an error."
-    ).set(metrics.total_retries)
-    registry.counter(
         "repro_send_failures_total",
-        "Messages abandoned after retries (observed as absence).",
+        "Frames whose send failed (observed as absence).",
     ).set(metrics.total_send_failures)
     registry.counter(
         "repro_timeouts_total",

@@ -5,7 +5,6 @@ at any artifact the toolkit writes and it detects the shape —
 
 * ``BENCH_serve.json`` (``repro.bench.serve/v1``) — the load report,
   including the mid-run ``/metrics`` sample the generator embedded;
-* ``BENCH_net.json`` (``repro.bench.net/v1``) — the wire-path bench;
 * a ``repro.trace/v1`` JSONL record (``repro run/net/serve --trace``) —
   event counts and round structure re-derived from the recorded trace.
 
@@ -17,7 +16,7 @@ dashboards as a live run.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.obs.prom import Registry, parse_exposition
 
@@ -95,54 +94,6 @@ def _serve_snapshot(report: dict, prom: bool) -> str:
     return "\n".join(lines)
 
 
-def _net_snapshot(report: dict, prom: bool) -> str:
-    comparisons = report.get("comparisons", [])
-    headline = report.get("headline") or {}
-    if prom:
-        registry = Registry()
-        registry.gauge(
-            "repro_bench_equivalent",
-            "1 when every batched/unbatched pair was decision-identical.",
-        ).set(1 if report.get("equivalent") else 0)
-        if headline:
-            registry.gauge(
-                "repro_bench_headline_frame_reduction",
-                "Batched-vs-unbatched frame reduction at the headline point.",
-            ).set(headline.get("frame_reduction", 0.0))
-        frames = registry.gauge(
-            "repro_bench_frames",
-            "Frames per benched configuration.",
-            ("config", "scenario", "mode"),
-        )
-        for entry in comparisons:
-            config = (
-                f"m{entry['m']}u{entry['u']}n{entry['n']}-{entry['transport']}"
-            )
-            frames.set(
-                entry["frames_batched"],
-                config=config, scenario=entry["scenario"], mode="batched",
-            )
-            frames.set(
-                entry["frames_unbatched"],
-                config=config, scenario=entry["scenario"], mode="unbatched",
-            )
-        return registry.render()
-    lines = [
-        f"bench report ({report.get('schema')})",
-        f"  comparisons={len(comparisons)}  "
-        f"equivalent={report.get('equivalent')}",
-    ]
-    if headline:
-        lines.append(
-            f"  headline: {headline.get('frame_reduction')}x frame "
-            f"reduction at m={headline.get('m')} u={headline.get('u')} "
-            f"N={headline.get('n')} ({headline.get('transport')}), "
-            f"required >= {headline.get('required_min')} "
-            f"-> {'met' if headline.get('met') else 'NOT MET'}"
-        )
-    return "\n".join(lines)
-
-
 def _trace_snapshot(path: str, prom: bool) -> str:
     from repro.verify.record import RunRecord
 
@@ -193,7 +144,7 @@ def render_snapshot(path: str, prom: bool = False) -> Tuple[str, bool]:
     """Render *path* as a one-shot snapshot.
 
     Returns ``(text, ok)``; ``ok=False`` marks an artifact that records a
-    failed gate (divergences, unmet headline) so the CLI can exit 1 while
+    failed gate (divergences, dropped submits) so the CLI can exit 1 while
     still printing the snapshot.  Raises ``ValueError`` for files that
     are not a known artifact shape.
     """
@@ -204,15 +155,6 @@ def render_snapshot(path: str, prom: bool = False) -> Tuple[str, bool]:
         if prom:
             parse_exposition(text)  # self-check: never emit malformed lines
         return text, bool(head.get("ok", True))
-    if schema == "repro.bench.net/v1":
-        text = _net_snapshot(head, prom)
-        if prom:
-            parse_exposition(text)
-        ok = bool(head.get("equivalent", True))
-        headline = head.get("headline")
-        if headline is not None:
-            ok = ok and bool(headline.get("met", True))
-        return text, ok
     if schema == "repro.trace/v1":
         text = _trace_snapshot(path, prom)
         if prom:
@@ -220,5 +162,5 @@ def render_snapshot(path: str, prom: bool = False) -> Tuple[str, bool]:
         return text, True
     raise ValueError(
         f"{path}: unrecognized artifact (schema={schema!r}); expected a "
-        f"repro.bench.serve/v1, repro.bench.net/v1, or repro.trace/v1 file"
+        f"repro.bench.serve/v1 or repro.trace/v1 file"
     )

@@ -65,13 +65,13 @@ from repro.core.values import DEFAULT, Value
 from repro.exceptions import AdmissionError, ConfigurationError
 from repro.net.adapters import behavior_adapters
 from repro.net.metrics import NetMetrics
-from repro.net.runner import AsyncRoundRunner, RetryPolicy
+from repro.net.runner import AsyncRoundRunner
+from repro.net.stack import build_stack
 from repro.net.transport import LocalBus, Transport
 from repro.serve.mux import InstanceMux
 from repro.sim.trace import EventTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.chaos.accounting import ChaosLog
     from repro.net.chaos.policy import ChaosPolicy
     from repro.net.supervision import HeartbeatPolicy
     from repro.obs.events import EventBus
@@ -140,7 +140,6 @@ class AgreementService:
         max_inflight: int = 16,
         queue_limit: int = 64,
         round_timeout: float = 5.0,
-        retry: Optional[RetryPolicy] = None,
         batching: bool = True,
         record_trace: bool = True,
         instance_envelope: Optional[float] = None,
@@ -172,30 +171,18 @@ class AgreementService:
             )
         self.spec = spec
         self.nodes = tuple(nodes)
-        base = transport if transport is not None else LocalBus()
-        self.chaos_log: Optional["ChaosLog"] = None
-        if chaos is not None:
-            from repro.net.chaos.transport import ChaosTransport
-
-            base = ChaosTransport(base, chaos, rng=chaos_rng)
-            self.chaos_log = base.log
-        if supervise or heartbeat is not None:
-            # Self-healing layer sits ABOVE chaos (and below the mux): an
-            # injected reset or endpoint restart exercises a real re-dial,
-            # and the supervisor's seq stamps ride inside every instance's
-            # frames so replays dedup across the shared stream.
-            from repro.net.supervision import SupervisedTransport
-
-            seed = chaos.seed if chaos is not None else 0
-            base = SupervisedTransport(
-                base,
-                heartbeat=heartbeat,
-                rng=(
-                    supervision_rng
-                    if supervision_rng is not None
-                    else random.Random(seed)
-                ),
-            )
+        # Supervision sits ABOVE chaos (and below the mux): an injected
+        # reset or endpoint restart exercises a real re-dial, and the
+        # supervisor's seq stamps ride inside every instance's frames so
+        # replays dedup across the shared stream.
+        base, self.chaos_log = build_stack(
+            transport if transport is not None else LocalBus(),
+            chaos,
+            chaos_rng,
+            supervise,
+            heartbeat,
+            supervision_rng,
+        )
         #: Optional span tracer: one admission→verdict span per instance,
         #: parenting the per-round spans its runner opens, with the whole
         #: transport stack (supervision heals, chaos injections, demux)
@@ -221,7 +208,6 @@ class AgreementService:
             if instance_envelope is not None
             else (spec.rounds + 2) * round_timeout
         )
-        self.retry = retry
         self.batching = batching
         self.record_trace = record_trace
 
@@ -489,7 +475,6 @@ class AgreementService:
             transport=channel,
             adapters=adapters,
             round_timeout=self.round_timeout,
-            retry=self.retry,
             metrics=NetMetrics(transport=channel.name),
             batching=self.batching,
             record_trace=self.record_trace,

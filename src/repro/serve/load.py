@@ -36,8 +36,8 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from repro.core.protocol import execute_degradable_protocol
 from repro.core.spec import DegradableSpec
 from repro.exceptions import AdmissionError, ConfigurationError
-from repro.net.runner import RetryPolicy
-from repro.net.transport import LocalBus, Transport
+from repro.net.stack import make_transport
+from repro.net.transport import Transport
 from repro.obs.stats import percentile
 from repro.serve.gateway import AgreementService, InstanceOutcome
 
@@ -209,12 +209,7 @@ async def run_load(
     nodes = [f"n{i}" for i in range(config.n_nodes)]
     workload = plan_workload(config)
     if transport is None:
-        if config.transport == "tcp":
-            from repro.net.tcp import TcpTransport
-
-            transport = TcpTransport()
-        else:
-            transport = LocalBus()
+        transport = make_transport(config.transport)
     events = None
     obs_server = None
     if config.metrics_port is not None:
@@ -230,9 +225,6 @@ async def run_load(
         max_inflight=config.max_inflight,
         queue_limit=config.queue_limit,
         round_timeout=config.round_timeout,
-        # Service benches lean on retries only for real transport blips;
-        # keep the default policy.
-        retry=RetryPolicy(),
         batching=config.batching,
         record_trace=False,
         events=events,

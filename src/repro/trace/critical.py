@@ -76,9 +76,9 @@ def critical_paths(spans: Sequence[Span]) -> List[RoundPath]:
       ride-out on the silent link (charged the full collect duration,
       since the window stayed open for exactly that absence).
     * ``link_heal`` — a supervision retry-backoff burst on its link.
-    * ``send`` — ordinary send latency; only sends that needed runner
-      retries (``attempts > 1``) or failed are charged, the rest are
-      noise below any interesting path.
+    * ``send`` — ordinary send latency; only sends that failed
+      (``ok=False``) are charged, the rest are noise below any
+      interesting path.
     """
     rounds: Dict[Tuple[Optional[str], int], RoundPath] = {}
     order: List[Tuple[Optional[str], int]] = []
@@ -126,22 +126,16 @@ def critical_paths(spans: Sequence[Span]) -> List[RoundPath]:
                     description=f"retry backoff on link {span.link}",
                 )
             )
-        elif span.name == "send":
-            attempts = span.attrs.get("attempts", 1)
-            ok = span.attrs.get("ok", True)
-            if (isinstance(attempts, int) and attempts > 1) or not ok:
-                path = entry(span)
-                path.costs.append(
-                    CostEntry(
-                        kind="send",
-                        link=span.link,
-                        seconds=span.duration,
-                        description=(
-                            f"retried send on link {span.link}"
-                            f" ({attempts} attempts)"
-                        ),
-                    )
+        elif span.name == "send" and not span.attrs.get("ok", True):
+            path = entry(span)
+            path.costs.append(
+                CostEntry(
+                    kind="send",
+                    link=span.link,
+                    seconds=span.duration,
+                    description=f"failed send on link {span.link}",
                 )
+            )
     return [rounds[key] for key in order]
 
 

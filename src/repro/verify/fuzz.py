@@ -248,10 +248,9 @@ async def _run_net_mode(
 ):
     # Imported here: repro.net pulls in asyncio transports which the pure
     # sync/verify layers should not pay for.
-    from repro.net import LocalBus, TcpTransport, run_agreement_async
+    from repro.net import make_transport, run_agreement_async
     from repro.net.chaos.policy import make_policy
 
-    transport = TcpTransport() if transport_name == "tcp" else LocalBus()
     chaos = None
     rng: Optional[random.Random] = None
     if case.chaos_severity:
@@ -268,7 +267,7 @@ async def _run_net_mode(
         SENDER,
         case.sender_value,
         behaviors=case.behaviors(),
-        transport=transport,
+        transport=make_transport(transport_name),
         round_timeout=case.timeout,
         chaos=chaos,
         chaos_rng=rng,

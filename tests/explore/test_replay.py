@@ -84,3 +84,72 @@ class TestReplayDeterminism:
     def test_token_survives_its_own_outcome(self):
         outcome = run_token(ExploreConfig().token((1,)))
         assert run_token(outcome.token).fingerprint == outcome.fingerprint
+
+
+class TestOneSendPath:
+    """The explorer certifies the configuration production runs: its
+    stack comes from ``build_stack`` and its runner gets no send-path
+    argument of its own."""
+
+    @pytest.mark.parametrize("supervise", [False, True])
+    def test_stack_comes_from_build_stack(self, monkeypatch, supervise):
+        from repro.explore import explorer
+        from repro.explore.transport import ExploredTransport
+        from repro.net.supervision import SupervisedTransport
+
+        built = []
+        runner_kwargs = []
+        real_build, real_runner = explorer.build_stack, explorer.AsyncRoundRunner
+
+        def spy_build(*args):
+            built.append((args, real_build(*args)))
+            return built[-1][1]
+
+        def spy_runner(session, **kwargs):
+            runner_kwargs.append(kwargs)
+            return real_runner(session, **kwargs)
+
+        monkeypatch.setattr(explorer, "build_stack", spy_build)
+        monkeypatch.setattr(explorer, "AsyncRoundRunner", spy_runner)
+        outcome = explorer.run_schedule(ExploreConfig(supervise=supervise))
+        assert outcome.ok
+
+        ((args, (stack, chaos_log)),) = built
+        base, chaos, chaos_rng, flag, heartbeat, supervision_rng = args
+        assert isinstance(base, ExploredTransport)
+        assert (chaos, chaos_rng, heartbeat, supervision_rng) == (None,) * 4
+        assert flag is supervise and chaos_log is None
+        if supervise:
+            assert isinstance(stack, SupervisedTransport)
+            assert stack.inner is base
+        else:
+            assert stack is base
+        (kwargs,) = runner_kwargs
+        assert kwargs["transport"] is stack
+        assert set(kwargs) == {
+            "transport", "adapters", "round_timeout", "batching", "events",
+        }
+
+    @pytest.mark.parametrize(
+        "config,schedule,fingerprint",
+        [
+            (
+                ExploreConfig(supervise=True), (),
+                "65baa78c9fb59d24dfc279eb935ab19d4fa144a7956349fd1e4e583b590ded33",
+            ),
+            (
+                ExploreConfig(supervise=True), (1,),
+                "989df509e8a7d157f259c88d50368fe41de0ed25b862b7891edfdb738f3b0413",
+            ),
+            (
+                ExploreConfig(batching=False, supervise=True), (2, 1),
+                "b211b98e07a1b7a1c5932f4894e133a6e7e999552458a93df38732baf3aff32e",
+            ),
+        ],
+    )
+    def test_supervised_tokens_replay_byte_for_byte(
+        self, config, schedule, fingerprint
+    ):
+        """Pinned fingerprints: the supervised stack the explorer certifies
+        is byte-for-byte the one ``build_stack`` gives production."""
+        assert run_token(config.token(schedule)).fingerprint == fingerprint

@@ -1,30 +1,29 @@
-"""NetMetrics contents and the bounded retry-with-backoff path."""
+"""NetMetrics contents and the runner's one-send-per-frame path."""
 
 import asyncio
+from collections import Counter
 
 import pytest
 
-from repro.core.protocol import ProtocolSession, execute_degradable_protocol
+from repro.core.protocol import execute_degradable_protocol
 from repro.core.spec import DegradableSpec
 from repro.exceptions import TransportError
 from repro.net import (
-    DATA,
     MARK,
     FlakyTransport,
-    Frame,
     LocalBus,
     NetMetrics,
-    RetryPolicy,
     Transport,
+    make_transport,
     run_agreement_async,
 )
-from repro.net.runner import AsyncRoundRunner
 from repro.sim.faults import OmissionInjector
+from repro.sim.trace import EventKind
+from repro.verify import record_net_outcome, verify_record
 
 from tests.conftest import node_names
 
 VALUE = "engage"
-FAST_RETRY = RetryPolicy(max_attempts=4, base_delay=0.001, max_delay=0.004)
 
 
 def _run(spec, nodes, transport, **kwargs):
@@ -33,27 +32,39 @@ def _run(spec, nodes, transport, **kwargs):
     )
 
 
-class TestRetryPolicy:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
+class _SendSpy(Transport):
+    """Counts send attempts per frame; every send on *link* raises."""
 
-    def test_transient_failures_are_absorbed(self, spec_1_2):
-        """Failures below the retry budget change nothing but the metrics."""
-        nodes = node_names(5)
-        flaky = FlakyTransport(LocalBus(), failures=2)
-        outcome = _run(spec_1_2, nodes, flaky, retry=FAST_RETRY)
-        sync_result, _ = execute_degradable_protocol(spec_1_2, nodes, "S", VALUE)
-        assert outcome.result.decisions == sync_result.decisions
-        assert outcome.metrics.total_retries > 0
-        assert outcome.metrics.total_send_failures == 0
-        assert flaky.injected_failures > 0
+    name = "send-spy"
 
-    def test_exhausted_retries_become_message_loss(self, spec_1_2):
+    def __init__(self, inner, link):
+        self.inner = inner
+        self.link = link
+        self.attempts = Counter()
+
+    def attach_metrics(self, metrics):
+        self.inner.attach_metrics(metrics)
+
+    async def open(self, nodes):
+        await self.inner.open(nodes)
+
+    async def send(self, frame):
+        self.attempts[
+            (frame.round_no, frame.source, frame.destination, frame.kind)
+        ] += 1
+        if (frame.source, frame.destination) == self.link:
+            raise TransportError("permanently failing link")
+        return await self.inner.send(frame)
+
+    async def recv(self, node):
+        return await self.inner.recv(node)
+
+    async def close(self):
+        await self.inner.close()
+
+
+class TestSingleSend:
+    def test_failed_send_becomes_message_loss(self, spec_1_2):
         """A permanently failing link degrades to omission, never to error."""
         nodes = node_names(5)
         flaky = FlakyTransport(
@@ -63,9 +74,7 @@ class TestRetryPolicy:
             and f.destination == "p1"
             and f.kind in ("data", "batch"),
         )
-        outcome = _run(
-            spec_1_2, nodes, flaky, retry=FAST_RETRY, round_timeout=0.4
-        )
+        outcome = _run(spec_1_2, nodes, flaky, round_timeout=0.4)
         sync_result, _ = execute_degradable_protocol(
             spec_1_2, nodes, "S", VALUE,
             extra_injectors=[OmissionInjector.for_links({("S", "p1")})],
@@ -76,125 +85,65 @@ class TestRetryPolicy:
             sync_result.stats.substitutions
         )
 
-
-class _AlwaysFailing(Transport):
-    """Counts send attempts; every one raises a transient error."""
-
-    name = "always-failing"
-
-    def __init__(self):
-        self.attempts = 0
-
-    async def open(self, nodes):
-        pass
-
-    async def send(self, frame):
-        self.attempts += 1
-        raise TransportError("permanently flaky")
-
-    async def recv(self, node):
-        raise AssertionError("recv must not be reached in this test")
-
-    async def close(self):
-        pass
-
-
-class TestRetryDeadlineClipping:
-    """Regression: a backoff sleep that eats the round must not be
-    followed by another send attempt — the deadline is re-checked after
-    the sleep, and an expired deadline converts the send into a recorded
-    loss (the receiver's absence) instead of a retry leaking into the
-    next round."""
-
-    def test_backoff_sleep_cannot_cross_the_deadline(self, monkeypatch):
-        spec = DegradableSpec(m=1, u=2, n_nodes=5)
+    def test_failing_send_is_attempted_exactly_once_per_frame(self, spec_1_2):
+        """The runner never retries: one ``transport.send`` per frame,
+        and each one that raised is exactly one recorded send failure."""
         nodes = node_names(5)
-        transport = _AlwaysFailing()
-        clock = {"now": 100.0}
+        spy = _SendSpy(LocalBus(), ("S", "p1"))
+        outcome = _run(spec_1_2, nodes, spy, round_timeout=0.4)
+        assert spy.attempts
+        assert set(spy.attempts.values()) == {1}
+        failed = [key for key in spy.attempts if key[1:3] == ("S", "p1")]
+        assert failed
+        assert outcome.metrics.total_send_failures == len(failed)
+        assert outcome.metrics.total_frames == len(spy.attempts) - len(failed)
 
-        async def fake_sleep(delay):
-            # Fake clock: sleeping advances time instantly and exactly.
-            clock["now"] += delay
 
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            monkeypatch.setattr(loop, "time", lambda: clock["now"])
-            monkeypatch.setattr(
-                "repro.net.runner.asyncio.sleep", fake_sleep
-            )
-            session = ProtocolSession.byz(spec, nodes, "S", VALUE)
-            runner = AsyncRoundRunner(
-                session,
-                transport=transport,
-                # base_delay far beyond the deadline: the (clipped) first
-                # backoff sleep lands exactly on the deadline.
-                retry=RetryPolicy(
-                    max_attempts=5, base_delay=10.0, max_delay=10.0
-                ),
-                round_timeout=1.0,
-            )
-            frame = Frame(
-                kind=DATA,
-                round_no=1,
-                source="S",
-                destination="p1",
-                sent_at=clock["now"],
-            )
-            deadline = clock["now"] + 1.0
-            delivered = await runner._send_with_retry(frame, 1, deadline)
-            return delivered, runner.metrics
+class TestSendParity:
+    """One send path: a frame lost to a dead link is metered the same
+    whether or not a supervisor tried to heal the link first."""
 
-        delivered, metrics = asyncio.run(scenario())
-        assert not delivered
-        # Exactly one attempt: the sleep consumed the round, and the
-        # post-sleep deadline check suppressed the second attempt (the
-        # old code fired it after the deadline).
-        assert transport.attempts == 1
-        assert metrics.total_retries == 1
-        assert metrics.total_send_failures == 1
-
-    def test_retry_within_deadline_still_fires(self, monkeypatch):
-        """The re-check only suppresses attempts *past* the deadline."""
-        spec = DegradableSpec(m=1, u=2, n_nodes=5)
+    @pytest.mark.parametrize("supervise", [False, True])
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_lost_frame_metered_identically(
+        self, spec_1_2, transport, supervise
+    ):
         nodes = node_names(5)
-        transport = _AlwaysFailing()
-        clock = {"now": 0.0}
-
-        async def fake_sleep(delay):
-            clock["now"] += delay
-
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            monkeypatch.setattr(loop, "time", lambda: clock["now"])
-            monkeypatch.setattr(
-                "repro.net.runner.asyncio.sleep", fake_sleep
-            )
-            session = ProtocolSession.byz(spec, nodes, "S", VALUE)
-            runner = AsyncRoundRunner(
-                session,
-                transport=transport,
-                retry=RetryPolicy(
-                    max_attempts=3, base_delay=0.01, max_delay=0.01
-                ),
-                round_timeout=1.0,
-            )
-            frame = Frame(
-                kind=DATA,
-                round_no=1,
-                source="S",
-                destination="p1",
-                sent_at=clock["now"],
-            )
-            delivered = await runner._send_with_retry(
-                frame, 1, clock["now"] + 1.0
-            )
-            return delivered, runner.metrics
-
-        delivered, metrics = asyncio.run(scenario())
-        assert not delivered
-        assert transport.attempts == 3       # full budget, deadline roomy
-        assert metrics.total_retries == 2    # attempts 2 and 3 were retries
-        assert metrics.total_send_failures == 1
+        flaky = FlakyTransport(
+            make_transport(transport),
+            failures=10 ** 9,
+            match=lambda f: (f.source, f.destination) == ("S", "p1"),
+        )
+        outcome = _run(
+            spec_1_2, nodes, flaky, round_timeout=0.4, supervise=supervise
+        )
+        counters = outcome.metrics.counters()
+        # Pinned, not compared pairwise: every (transport, supervise) cell
+        # must land on the same numbers.  S's round-1 frame to p1 is the
+        # one loss; it is no sent frame.
+        assert {
+            key: counters[key]
+            for key in counters
+            if key.endswith((".frames_sent", ".send_failures"))
+        } == {
+            "r1.frames_sent": 3, "r1.send_failures": 1,
+            "r2.frames_sent": 12, "r2.send_failures": 0,
+            "r3.frames_sent": 0, "r3.send_failures": 0,
+        }
+        assert not [
+            event for event in outcome.trace.events
+            if event.kind == EventKind.FRAME_SENT
+            and (event.source, event.destination) == ("S", "p1")
+        ]
+        record = record_net_outcome(
+            spec_1_2, nodes, "S", VALUE, {"S"}, outcome
+        )
+        assert verify_record(record).ok
+        sync_result, _ = execute_degradable_protocol(
+            spec_1_2, nodes, "S", VALUE,
+            extra_injectors=[OmissionInjector.for_links({("S", "p1")})],
+        )
+        assert outcome.result.decisions == sync_result.decisions
 
 
 class _MarkDelayer(Transport):

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.protocol import execute_degradable_protocol
 from repro.core.spec import DegradableSpec
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, TransportError
 from repro.net.codec import DATA, PING, Frame
 from repro.net.metrics import NetMetrics
 from repro.net.runner import run_agreement_async
@@ -246,11 +246,14 @@ class TestHeartbeatFailureDetector:
             ]
             try:
                 await self._wait_for_state(sup, ("S", "p1"), DEAD)
-                # Circuit open: the send neither dials nor retries.
-                nbytes = await sup.send(data_frame())
-                assert nbytes == 0
+                # Circuit open: the send neither dials nor sleeps — it
+                # raises at once and leaves booking the loss to the caller.
+                dialed = flaky.injected_failures
+                with pytest.raises(TransportError):
+                    await sup.send(data_frame())
+                assert flaky.injected_failures == dialed
                 assert metrics.link("S", "p1").fast_fails >= 1
-                assert metrics.total_send_failures >= 1
+                assert metrics.total_send_failures == 0
 
                 # The peer comes back; one answered probe closes the circuit.
                 blocked["on"] = False
@@ -290,7 +293,7 @@ class TestHeartbeatFailureDetector:
 
 class TestTransparentHealing:
     def test_transient_send_failures_healed_below_the_runner(self, spec_1_2):
-        """The supervisor absorbs flaky sends: the runner sees zero retries
+        """The supervisor absorbs flaky sends: the runner sees no failure
         and decides exactly what the synchronous engine does."""
         nodes = ["S", "p1", "p2", "p3", "p4"]
 
@@ -309,7 +312,6 @@ class TestTransparentHealing:
             spec_1_2, nodes, "S", "engage", record_trace=False
         )
         assert outcome.decisions == reference.decisions
-        assert outcome.metrics.total_retries == 0
         assert outcome.metrics.total_send_failures == 0
 
     def test_exhausted_retries_become_metered_absence(self, spec_1_2):

@@ -37,7 +37,6 @@ def build_golden_recorder():
     metrics.record_batch(2, 4, 380, 110)
     metrics.record_round_duration(2, 0.06)
     metrics.record_timeout(2, "p1", "p2")
-    metrics.record_retry(2)
     metrics.record_drop(2)
     metrics.record_late(2)
     metrics.record_send_failure(2)

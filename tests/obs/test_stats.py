@@ -63,11 +63,6 @@ class TestPercentiles:
 class TestSharedCallSites:
     """Every former private copy now resolves to the one implementation."""
 
-    def test_bench_alias(self):
-        from repro.net.bench import _percentile
-
-        assert _percentile is percentile
-
     def test_load_reexport(self):
         from repro.serve.load import percentile as load_percentile
 

@@ -204,61 +204,6 @@ class TestNet:
         assert "batch frame(s)" in out
 
 
-class TestBench:
-    def _shrink_grid(self, monkeypatch):
-        # One tiny local-bus cell: the CLI plumbing is under test here,
-        # not the sweep (tests/net/test_bench.py covers the harness).
-        import repro.net.bench as bench
-
-        monkeypatch.setattr(bench, "QUICK_GRID", ((1, 1, 4, "local"),))
-        monkeypatch.setattr(bench, "SCENARIOS", ("clean",))
-
-    def test_quick_bench_writes_report(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        self._shrink_grid(monkeypatch)
-        path = tmp_path / "BENCH_net.json"
-        code, out, _ = run_cli(
-            capsys, "bench", "--quick", "--repeats", "1",
-            "--out", str(path),
-        )
-        assert code == 0
-        assert "equivalence gate: PASSED" in out
-        report = json.loads(path.read_text())
-        assert report["schema"] == "repro.bench.net/v1"
-        assert report["equivalent"] is True
-        assert report["comparisons"][0]["frame_reduction"] > 1.0
-
-    def test_baseline_comparison(self, capsys, tmp_path, monkeypatch):
-        self._shrink_grid(monkeypatch)
-        path = tmp_path / "BENCH_net.json"
-        code, _, _ = run_cli(
-            capsys, "bench", "--quick", "--repeats", "1",
-            "--out", str(path),
-        )
-        assert code == 0
-        code, out, _ = run_cli(
-            capsys, "bench", "--quick", "--repeats", "1",
-            "--out", "", "--baseline", str(path),
-        )
-        assert code == 0
-        assert "no frame regressions" in out
-
-    def test_bad_repeats_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--repeats", "0")
-        assert code == 2
-        assert "repeats" in err
-
-    def test_missing_baseline_rejected(self, capsys, monkeypatch):
-        self._shrink_grid(monkeypatch)
-        code, _, err = run_cli(
-            capsys, "bench", "--quick", "--repeats", "1", "--out", "",
-            "--baseline", "/nonexistent/bench.json",
-        )
-        assert code == 2
-        assert "baseline" in err
-
-
 class TestChaos:
     def test_light_campaign_passes(self, capsys):
         code, out, _ = run_cli(

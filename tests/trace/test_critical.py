@@ -4,12 +4,12 @@ from repro.trace import Tracer, critical_paths, cross_link, summary_lines
 
 
 def traced_round(tracer, round_no, instance=None, *, ride_out=None,
-                 heal=None, slow_send=None, duration=1.0):
+                 heal=None, send=None, duration=1.0):
     """Synthesize one round's spans on a controllable virtual clock.
 
     *ride_out* = (peer, node): a collect window held open to the deadline.
     *heal* = (src, dst, seconds): a supervision retry-backoff burst.
-    *slow_send* = (src, dst, attempts, seconds): a retried runner send.
+    *send* = (src, dst, ok, seconds): one runner send, delivered or lost.
     """
     t0 = tracer.now()
     rnd = tracer.begin("round", "runner", instance=instance,
@@ -20,12 +20,12 @@ def traced_round(tracer, round_no, instance=None, *, ride_out=None,
                             instance=instance, source=src, destination=dst)
         tracer.advance(seconds)
         tracer.end(span, healed=True)
-    if slow_send is not None:
-        src, dst, attempts, seconds = slow_send
+    if send is not None:
+        src, dst, ok, seconds = send
         span = tracer.begin("send", "runner", instance=instance,
                             round_no=round_no, source=src, destination=dst)
         tracer.advance(seconds)
-        tracer.end(span, ok=True, attempts=attempts)
+        tracer.end(span, ok=ok)
     if ride_out is not None:
         peer, node = ride_out
         span = tracer.begin("collect", "runner", instance=instance,
@@ -84,7 +84,7 @@ class TestCriticalPaths:
     def test_heal_burst_dominates_without_degrading(self):
         tracer = ClockedTracer()
         traced_round(tracer, 3, heal=("p2", "p5", 0.43),
-                     slow_send=("S", "p1", 2, 0.02), duration=0.51)
+                     send=("S", "p1", False, 0.02), duration=0.51)
         (path,) = critical_paths(tracer.spans)
         assert not path.degraded
         assert path.dominant.kind == "heal"
@@ -94,9 +94,16 @@ class TestCriticalPaths:
 
     def test_single_attempt_sends_are_not_charged(self):
         tracer = ClockedTracer()
-        traced_round(tracer, 1, slow_send=("S", "p1", 1, 0.2))
+        traced_round(tracer, 1, send=("S", "p1", True, 0.2))
         (path,) = critical_paths(tracer.spans)
         assert path.costs == []
+
+    def test_failed_send_is_charged_to_its_link(self):
+        tracer = ClockedTracer()
+        traced_round(tracer, 1, send=("S", "p1", False, 0.2))
+        (path,) = critical_paths(tracer.spans)
+        assert [(c.kind, c.link) for c in path.costs] == [("send", "S->p1")]
+        assert "failed send on link S->p1" in summary_lines([path])[0]
 
     def test_rounds_keyed_per_instance_in_run_order(self):
         tracer = ClockedTracer()
