@@ -50,6 +50,18 @@ if grep -rn "RetryPolicy" src/; then
     exit 1
 fi
 
+echo "== one scenario vocabulary (one node list, one fault-kind table, replayable tokens) =="
+# The S,p1..p{N-1} builder and the kind -> Behavior mapping live once, in
+# repro.core.scenario.  (A count test, since `! grep` never trips `set -e`.)
+for pattern in '[f"p{k}" for k in range(1,' 'LieAboutSender("forged"'; do
+    if [ "$(grep -rF -- "${pattern}" src/ | wc -l)" -gt 1 ]; then
+        echo "'${pattern}' occurs more than once under src/:" >&2
+        grep -rnF -- "${pattern}" src/ >&2
+        exit 1
+    fi
+done
+bash scripts/replay_tokens.sh
+
 echo "== chaos soak (seeded, replayable) =="
 timeout 300 python -m repro chaos --severity light --trials 5 --seed 7
 

@@ -25,6 +25,9 @@ echo "== trace conformance (golden trace + differential fuzz) =="
 python -m repro verify examples/traces/golden_m1u2.jsonl
 timeout 120 python -m repro fuzz --quick --seed 7
 
+echo "== replay tokens (one committed token per grammar) =="
+bash scripts/replay_tokens.sh
+
 echo "== schedule explorer smoke (virtual clock, seedless) =="
 # Deterministic both ways: the correct running example must explore
 # clean, and the seeded vote bug must be found and shrunk to a

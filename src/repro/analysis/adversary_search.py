@@ -34,6 +34,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 from repro.core.behavior import Behavior, BehaviorMap, Path
 from repro.core.byz import run_degradable_agreement
 from repro.core.conditions import OutcomeReport, classify
+from repro.core.scenario import node_ids
 from repro.core.spec import DegradableSpec, sub_minimal_spec
 from repro.core.values import DEFAULT, Value
 from repro.exceptions import AnalysisError
@@ -155,7 +156,7 @@ def exhaustive_search(
             f"reduce n_nodes/max_faults or raise max_profiles"
         )
 
-    nodes: List[NodeId] = ["S"] + [f"p{k}" for k in range(1, n_nodes)]
+    nodes: List[NodeId] = node_ids(n_nodes)
     sender = nodes[0]
     receivers = nodes[1:]
     result = SearchResult(spec=spec, domain=domain)

@@ -36,6 +36,7 @@ from repro.core.behavior import (
     TwoFacedBehavior,
 )
 from repro.core.byz import run_degradable_agreement
+from repro.core.scenario import node_ids
 from repro.core.spec import DegradableSpec
 from repro.core.values import DEFAULT
 from repro.exceptions import AnalysisError
@@ -132,7 +133,7 @@ def mixed_fault_grid(
     max_crash = (
         spec.n_nodes - 1 - max_byzantine if max_crash is None else max_crash
     )
-    nodes = ["S"] + [f"p{k}" for k in range(1, spec.n_nodes)]
+    nodes = node_ids(spec.n_nodes)
     receivers = nodes[1:]
     study = MixedFaultStudy(spec=spec)
 

@@ -31,6 +31,7 @@ from repro.core.behavior import (
 )
 from repro.core.byz import run_degradable_agreement
 from repro.core.conditions import OutcomeReport, classify
+from repro.core.scenario import node_ids
 from repro.core.spec import DegradableSpec, sub_minimal_spec
 from repro.core.values import DEFAULT
 from repro.exceptions import AnalysisError
@@ -113,7 +114,7 @@ class ScenarioSpec:
 
     # ------------------------------------------------------------------
     def nodes(self) -> List[str]:
-        return ["S"] + [f"p{k}" for k in range(1, self.n_nodes)]
+        return node_ids(self.n_nodes)
 
     def spec(self) -> DegradableSpec:
         if self.n_nodes > 2 * self.m + self.u:

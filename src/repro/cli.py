@@ -74,17 +74,11 @@ from repro.analysis.tables import (
 )
 from repro.channels.recovery import MissionSimulator
 from repro.channels.system import DegradableChannelSystem
-from repro.core.behavior import (
-    BehaviorMap,
-    ConstantLiar,
-    LieAboutSender,
-    SilentBehavior,
-    TwoFacedBehavior,
-)
 from repro.core.byz import run_degradable_agreement
 from repro.core.conditions import classify
+from repro.core.scenario import FAULT_KINDS, Instance
 from repro.core.spec import DegradableSpec
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 
 
 def _add_spec_arguments(
@@ -151,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", default="alpha", help="sender's value")
     p.add_argument("--faulty", default="",
                    help="comma-separated faulty node ids (S, p1, p2, ...)")
-    p.add_argument("--adversary", default="lie",
-                   choices=["lie", "silent", "constant", "two-faced"])
+    p.add_argument("--adversary", default="lie", choices=list(FAULT_KINDS))
     p.add_argument("--verbose", action="store_true",
                    help="narrate the full execution (messages and ballots)")
     p.add_argument("--trace", default="",
@@ -168,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faulty", default="",
                    help="comma-separated faulty node ids (S, p1, p2, ...)")
     p.add_argument("--adversary", default="lie",
-                   choices=["lie", "silent", "constant", "two-faced", "crash"],
+                   choices=[*FAULT_KINDS, "crash"],
                    help="'crash' mutes nodes at the wire level, forcing real "
                         "round-deadline timeouts")
     p.add_argument("--no-verify", action="store_true",
@@ -349,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", default="alpha", help="the sender's value")
     p.add_argument("--faulty", default="",
                    help="comma-separated node:kind behaviour faults "
-                        "(kinds: lie, silent, constant, two-faced)")
+                        f"(kinds: {', '.join(FAULT_KINDS)})")
     p.add_argument("--depth", type=int, default=2,
                    help="max non-default schedule choices per execution")
     p.add_argument("--budget", type=int, default=200,
@@ -445,43 +438,129 @@ def _cmd_tradeoff(args) -> int:
     return 0
 
 
+def _n_nodes(args) -> int:
+    """``-n``, defaulting to the paper's minimum ``2m + u + 1``."""
+    return args.nodes if args.nodes is not None else 2 * args.m + args.u + 1
+
+
+def _instance(args, faults=()) -> Instance:
+    """The agreement instance the ``(m, u, N)`` / ``--value`` flags name."""
+    instance = Instance(
+        args.m,
+        args.u,
+        _n_nodes(args),
+        getattr(args, "value", "alpha"),
+        tuple(faults),
+    )
+    instance.spec()  # surface an infeasible (m, u, N) as a usage error
+    return instance
+
+
 def _build_instance(args):
     """Shared (spec, nodes, faulty, behaviors) setup for run/net commands.
 
-    Returns ``None`` (after printing to stderr) when a faulty id is unknown.
     The ``crash`` adversary maps to no behaviour — the caller realizes it at
     the transport level (omission injector / wire mute).
     """
-    n = args.nodes if args.nodes is not None else 2 * args.m + args.u + 1
-    spec = DegradableSpec(m=args.m, u=args.u, n_nodes=n)
-    nodes = ["S"] + [f"p{k}" for k in range(1, n)]
     faulty = {f for f in args.faulty.split(",") if f}
-    unknown = faulty - set(nodes)
+    instance = _instance(
+        args,
+        []
+        if args.adversary == "crash"
+        else sorted((node, args.adversary) for node in faulty),
+    )
+    unknown = faulty - set(instance.nodes())
     if unknown:
-        print(f"unknown node ids: {sorted(unknown)}", file=sys.stderr)
-        return None
-    adversary = getattr(args, "adversary", "lie")
-    behaviors: BehaviorMap = {}
-    for node in faulty:
-        if adversary == "lie":
-            behaviors[node] = LieAboutSender("forged", "S")
-        elif adversary == "silent":
-            behaviors[node] = SilentBehavior()
-        elif adversary == "constant":
-            behaviors[node] = ConstantLiar("forged")
-        elif adversary == "two-faced":
-            behaviors[node] = TwoFacedBehavior(
-                {p: ("x" if i % 2 else "y") for i, p in enumerate(nodes)}
+        raise ConfigurationError(f"unknown node ids: {sorted(unknown)}")
+    return instance.spec(), instance.nodes(), faulty, instance.behaviors()
+
+
+#: How each positive-only flag words its bound (the integer ones say >= 1).
+_POSITIVE_FLAGS = {"timeout": "> 0", "trials": "> 0", "instances": ">= 1"}
+
+
+def _check_positive(args, *flags: str) -> None:
+    """Usage errors for the positive-only flags several verbs share."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value <= 0:
+            raise ConfigurationError(
+                f"--{flag} must be {_POSITIVE_FLAGS[flag]}, got {value}"
             )
-        # "crash" intentionally adds no behaviour.
-    return spec, nodes, faulty, behaviors
+
+
+def _service_driver(args, instance: Instance, severity: str, **service):
+    """The serve-mode driver ``serve`` and ``trace --mode serve`` share.
+
+    Builds the (optionally chaotic) :class:`AgreementService` and the
+    seeded round-robin plan of ``--instances`` submissions; returns the
+    service and ``drive``, the coroutine that submits the plan and awaits
+    every decision (then holds the service open for *linger* seconds).
+    Call it inside the running loop: the service creates its admission
+    queue at construction.
+    """
+    import asyncio
+    import random
+
+    from repro.net import make_transport
+    from repro.net.chaos import seeded_policy
+    from repro.serve import AgreementService
+    from repro.serve.load import VALUES
+
+    spec, nodes = instance.spec(), instance.nodes()
+    chaos = chaos_rng = None
+    if severity:
+        chaos, chaos_rng = seeded_policy(severity, spec, nodes, args.seed)
+    rng = random.Random(args.seed)
+    plan = [
+        (nodes[i % len(nodes)], rng.choice(VALUES))
+        for i in range(args.instances)
+    ]
+    service = AgreementService(
+        spec,
+        nodes,
+        transport=make_transport(args.transport),
+        chaos=chaos,
+        chaos_rng=chaos_rng,
+        round_timeout=args.timeout,
+        batching=not args.no_batch,
+        **service,
+    )
+
+    async def drive(linger: float = 0.0):
+        async with service:
+            iids = [service.submit(sender, value) for sender, value in plan]
+            decided = [await service.decision(iid) for iid in iids]
+            if linger > 0:
+                await asyncio.sleep(linger)
+        return decided
+
+    return service, drive
+
+
+def _print_decisions(spec, nodes, faulty, result, where: str = ""):
+    """Classify *result* and print the per-receiver verdict table."""
+    report = classify(result, faulty, spec)
+    print(f"{spec}; f={len(faulty)} ({report.regime} regime){where}")
+    for node in nodes[1:]:
+        marker = "x" if node in faulty else " "
+        print(f"  [{marker}] {node} -> {result.decisions[node]!r}")
+    print(f"shape: {report.shape.value}")
+    return report
+
+
+def _contract_exit(report, ok: bool) -> int:
+    if ok:
+        print("contract: SATISFIED")
+        return 0
+    print("contract: VIOLATED")
+    for violation in report.violations:
+        print(f"  !! {violation}")
+    return 1
 
 
 def _cmd_run(args) -> int:
-    instance = _build_instance(args)
-    if instance is None:
-        return 2
-    spec, nodes, faulty, behaviors = instance
+    spec, nodes, faulty, behaviors = _build_instance(args)
     if args.verbose:
         from repro.core.narrate import narrate_execution
 
@@ -506,19 +585,8 @@ def _cmd_run(args) -> int:
         result = run_degradable_agreement(
             spec, nodes, "S", args.value, behaviors
         )
-    report = classify(result, faulty, spec)
-    print(f"{spec}; f={len(faulty)} ({report.regime} regime)")
-    for node in nodes[1:]:
-        marker = "x" if node in faulty else " "
-        print(f"  [{marker}] {node} -> {result.decisions[node]!r}")
-    print(f"shape: {report.shape.value}")
-    if report.satisfied:
-        print("contract: SATISFIED")
-        return 0
-    print("contract: VIOLATED")
-    for violation in report.violations:
-        print(f"  !! {violation}")
-    return 1
+    report = _print_decisions(spec, nodes, faulty, result)
+    return _contract_exit(report, report.satisfied)
 
 
 def _cmd_net(args) -> int:
@@ -528,14 +596,8 @@ def _cmd_net(args) -> int:
     from repro.net import MuteAdapter, make_transport, run_agreement_async
     from repro.sim.faults import OmissionInjector
 
-    if args.timeout <= 0:
-        print(f"error: --timeout must be > 0, got {args.timeout}",
-              file=sys.stderr)
-        return 2
-    instance = _build_instance(args)
-    if instance is None:
-        return 2
-    spec, nodes, faulty, behaviors = instance
+    _check_positive(args, "timeout")
+    spec, nodes, faulty, behaviors = _build_instance(args)
     crashed = faulty if args.adversary == "crash" else set()
     adapters = [MuteAdapter(crashed)] if crashed else []
     outcome = asyncio.run(
@@ -557,13 +619,10 @@ def _cmd_net(args) -> int:
             batched=not args.no_batch,
         ).save(args.trace)
         print(f"trace recorded to {args.trace}")
-    report = classify(result, faulty, spec)
-    print(f"{spec}; f={len(faulty)} ({report.regime} regime) "
-          f"over transport '{outcome.metrics.transport}'")
-    for node in nodes[1:]:
-        marker = "x" if node in faulty else " "
-        print(f"  [{marker}] {node} -> {result.decisions[node]!r}")
-    print(f"shape: {report.shape.value}")
+    report = _print_decisions(
+        spec, nodes, faulty, result,
+        f" over transport '{outcome.metrics.transport}'",
+    )
     print()
     print(outcome.metrics.render())
     ok = report.satisfied
@@ -582,48 +641,18 @@ def _cmd_net(args) -> int:
                     print(f"  {node}: sync={value!r} "
                           f"async={result.decisions.get(node)!r}")
         ok = ok and matches
-    if ok:
-        print("contract: SATISFIED")
-        return 0
-    print("contract: VIOLATED")
-    for violation in report.violations:
-        print(f"  !! {violation}")
-    return 1
+    return _contract_exit(report, ok)
 
 
 def _cmd_serve(args) -> int:
     import asyncio
-    import random as random_module
 
     from repro.core.protocol import execute_degradable_protocol
-    from repro.net import make_transport
-    from repro.serve import AgreementService, record_service_run
-    from repro.serve.load import VALUES
+    from repro.serve import record_service_run
 
-    if args.timeout <= 0:
-        print(f"error: --timeout must be > 0, got {args.timeout}",
-              file=sys.stderr)
-        return 2
-    if args.instances < 1:
-        print(f"error: --instances must be >= 1, got {args.instances}",
-              file=sys.stderr)
-        return 2
-    n = args.nodes if args.nodes is not None else 2 * args.m + args.u + 1
-    spec = DegradableSpec(m=args.m, u=args.u, n_nodes=n)
-    nodes = ["S"] + [f"p{k}" for k in range(1, n)]
-    chaos = None
-    chaos_rng = None
-    if args.chaos:
-        from repro.net.chaos import make_policy
-
-        chaos_rng = random_module.Random(args.seed)
-        chaos = make_policy(args.chaos, spec, nodes, chaos_rng, seed=args.seed)
-    rng = random_module.Random(args.seed)
-    plan = [
-        (nodes[i % len(nodes)], rng.choice(VALUES))
-        for i in range(args.instances)
-    ]
-
+    _check_positive(args, "timeout", "instances")
+    instance = _instance(args)
+    spec, nodes = instance.spec(), instance.nodes()
     events = None
     if args.metrics_port is not None:
         from repro.obs import EventBus
@@ -631,60 +660,29 @@ def _cmd_serve(args) -> int:
         events = EventBus()
 
     async def run_service():
-        service = AgreementService(
-            spec,
-            nodes,
-            transport=make_transport(args.transport),
-            chaos=chaos,
-            chaos_rng=chaos_rng,
+        service, drive = _service_driver(
+            args,
+            instance,
+            args.chaos,
             max_inflight=args.max_inflight,
             queue_limit=args.queue_limit,
-            round_timeout=args.timeout,
-            batching=not args.no_batch,
             events=events,
         )
-        obs_server = None
-        if args.metrics_port is not None:
-            from repro.obs import ObsServer, metrics_registry
+        if args.metrics_port is None:
+            return service, await drive()
+        from repro.obs import ObsServer
 
-            obs_server = ObsServer(
-                lambda: metrics_registry(
-                    service.aggregate_metrics, service=service, bus=events
-                ),
-                health=lambda: {
-                    # Override the default "ok" once any instance was
-                    # watchdog-cancelled: still HTTP 200 (the process is
-                    # alive and scrapable), but probes see the distinction.
-                    "status": (
-                        "degraded"
-                        if service.aggregate_metrics.watchdog_cancellations
-                        else "ok"
-                    ),
-                    "instances_done": len(service.outcomes),
-                    "inflight": service.inflight,
-                    "queue_depth": service.queue_depth,
-                    "watchdogged":
-                        service.aggregate_metrics.watchdog_cancellations,
-                },
-                bus=events,
-                port=args.metrics_port,
-            )
-            await obs_server.start()
-            # External scrapers (and the CI gate) parse this line; keep
-            # it first and flushed so they see it before the run ends.
-            print(f"metrics: {obs_server.url}/metrics", flush=True)
+        obs_server = ObsServer.for_service(
+            service, events, args.metrics_port
+        )
+        await obs_server.start()
+        # External scrapers (and the CI gate) parse this line; keep
+        # it first and flushed so they see it before the run ends.
+        print(f"metrics: {obs_server.url}/metrics", flush=True)
         try:
-            async with service:
-                iids = [
-                    service.submit(sender, value) for sender, value in plan
-                ]
-                decided = [await service.decision(iid) for iid in iids]
-                if obs_server is not None and args.metrics_linger > 0:
-                    await asyncio.sleep(args.metrics_linger)
-            return service, decided
+            return service, await drive(linger=args.metrics_linger)
         finally:
-            if obs_server is not None:
-                await obs_server.close()
+            await obs_server.close()
 
     service, outcomes = asyncio.run(run_service())
     print(f"{spec}; {len(outcomes)} instance(s) multiplexed over one "
@@ -699,7 +697,7 @@ def _cmd_serve(args) -> int:
     print()
     print(service.aggregate_metrics.render())
     ok = all(outcome.ok for outcome in outcomes)
-    if not args.no_verify and chaos is None:
+    if not args.no_verify and not args.chaos:
         mismatches = 0
         for outcome in outcomes:
             reference, _ = execute_degradable_protocol(
@@ -730,20 +728,16 @@ def _cmd_load(args) -> int:
 
     from repro.serve import LoadConfig, run_load
 
-    if args.timeout <= 0:
-        print(f"error: --timeout must be > 0, got {args.timeout}",
-              file=sys.stderr)
-        return 2
+    _check_positive(args, "timeout")
     instances = args.instances
     concurrency = args.concurrency
     if args.quick:
         instances = min(instances, 32)
         concurrency = min(concurrency, 8)
-    n = args.nodes if args.nodes is not None else 2 * args.m + args.u + 1
     config = LoadConfig(
         m=args.m,
         u=args.u,
-        n_nodes=n,
+        n_nodes=_n_nodes(args),
         instances=instances,
         mode=args.mode,
         rate=args.rate,
@@ -793,7 +787,6 @@ def _cmd_load(args) -> int:
 
 def _cmd_trace(args) -> int:
     import asyncio
-    import random as random_module
 
     from repro.net import make_transport, run_agreement_async
     from repro.trace import (
@@ -806,37 +799,27 @@ def _cmd_trace(args) -> int:
         write_spans,
     )
 
-    if args.timeout <= 0:
-        print(f"error: --timeout must be > 0, got {args.timeout}",
-              file=sys.stderr)
-        return 2
+    _check_positive(args, "timeout")
     if args.mode == "serve" and args.kill_links:
         print("error: --kill-links is a net-mode soak "
               "(the service runs its own supervision)", file=sys.stderr)
         return 2
-    if args.instances < 1:
-        print(f"error: --instances must be >= 1, got {args.instances}",
-              file=sys.stderr)
-        return 2
-    n = args.nodes if args.nodes is not None else 2 * args.m + args.u + 1
-    spec = DegradableSpec(m=args.m, u=args.u, n_nodes=n)
-    nodes = ["S"] + [f"p{k}" for k in range(1, n)]
+    _check_positive(args, "instances")
+    instance = _instance(args)
+    spec, nodes = instance.spec(), instance.nodes()
     severity = args.chaos or ("light" if args.kill_links else "")
     tracer = Tracer(seed=args.seed)
 
     if args.mode == "net":
-        policy = None
-        rng = None
+        policy = rng = None
         if severity:
-            from repro.net.chaos import make_policy, with_kill_links
+            from repro.net.chaos import seeded_policy
 
-            # Same construction as the chaos campaign's kill-links trial:
-            # one RNG drives victim selection and every per-frame draw, so
-            # a (seed, severity) pair here reproduces that schedule.
-            rng = random_module.Random(args.seed)
-            policy = make_policy(severity, spec, nodes, rng, seed=args.seed)
-            if args.kill_links:
-                policy = with_kill_links(policy, spec, nodes, rng)
+            # The chaos campaign's recipe: a (seed, severity) pair here
+            # reproduces that campaign trial's schedule.
+            policy, rng = seeded_policy(
+                severity, spec, nodes, args.seed, args.kill_links
+            )
         outcome = asyncio.run(
             run_agreement_async(
                 spec,
@@ -874,41 +857,13 @@ def _cmd_trace(args) -> int:
             ).save(args.record)
             print(f"  verify trace recorded to {args.record}")
     else:
-        from repro.serve import AgreementService, record_service_run
-        from repro.serve.load import VALUES
-
-        chaos = None
-        chaos_rng = None
-        if severity:
-            from repro.net.chaos import make_policy
-
-            chaos_rng = random_module.Random(args.seed)
-            chaos = make_policy(
-                severity, spec, nodes, chaos_rng, seed=args.seed
-            )
-        rng = random_module.Random(args.seed)
-        plan = [
-            (nodes[i % len(nodes)], rng.choice(VALUES))
-            for i in range(args.instances)
-        ]
+        from repro.serve import record_service_run
 
         async def run_service():
-            service = AgreementService(
-                spec,
-                nodes,
-                transport=make_transport(args.transport),
-                chaos=chaos,
-                chaos_rng=chaos_rng,
-                round_timeout=args.timeout,
-                batching=not args.no_batch,
-                tracer=tracer,
+            service, drive = _service_driver(
+                args, instance, severity, tracer=tracer
             )
-            async with service:
-                iids = [
-                    service.submit(sender, value) for sender, value in plan
-                ]
-                decided = [await service.decision(iid) for iid in iids]
-            return service, decided
+            return service, await drive()
 
         service, outcomes = asyncio.run(run_service())
         print(f"{spec}; traced service run, seed={args.seed}, "
@@ -1010,14 +965,7 @@ def _cmd_chaos(args) -> int:
             print(f"  !! {violation}")
         return 1
 
-    if args.trials <= 0:
-        print(f"error: --trials must be > 0, got {args.trials}",
-              file=sys.stderr)
-        return 2
-    if args.timeout <= 0:
-        print(f"error: --timeout must be > 0, got {args.timeout}",
-              file=sys.stderr)
-        return 2
+    _check_positive(args, "trials", "timeout")
     severities = list(SEVERITIES) if args.severity == "all" else [args.severity]
 
     def progress(result) -> None:
@@ -1029,15 +977,19 @@ def _cmd_chaos(args) -> int:
     print(f"chaos campaign: seed={args.seed} transport={args.transport} "
           f"severities={','.join(severities)} trials/severity={args.trials}"
           + (" kill-links soak" if args.kill_links else ""))
-    report = run_campaign_sync(
-        args.seed,
-        severities,
-        args.trials,
-        transport=args.transport,
-        timeout=args.timeout,
-        progress=progress,
-        kill_links=args.kill_links,
-    )
+
+    def campaign(progress=None):
+        return run_campaign_sync(
+            args.seed,
+            severities,
+            args.trials,
+            transport=args.transport,
+            timeout=args.timeout,
+            progress=progress,
+            kill_links=args.kill_links,
+        )
+
+    report = campaign(progress)
     print()
     if args.kill_links:
         # The soak gate's determinism half: the same seeded campaign,
@@ -1049,14 +1001,7 @@ def _cmd_chaos(args) -> int:
         print(f"  self-healing: {reconnects} reconnect(s), "
               f"{restarts} endpoint restart(s) across "
               f"{len(report.trials)} trial(s)")
-        rerun = run_campaign_sync(
-            args.seed,
-            severities,
-            args.trials,
-            transport=args.transport,
-            timeout=args.timeout,
-            kill_links=True,
-        )
+        rerun = campaign()
         mismatches = []
         for first, second in zip(report.trials, rerun.trials):
             if first.decisions != second.decisions:
@@ -1328,7 +1273,7 @@ def _cmd_explore(args) -> int:
     config = ExploreConfig(
         m=args.m,
         u=args.u,
-        n_nodes=args.nodes if args.nodes else 2 * args.m + args.u + 1,
+        n_nodes=_n_nodes(args),
         sender_value=args.value,
         faults=tuple(faults),
         round_timeout=args.timeout,

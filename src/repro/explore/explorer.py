@@ -36,17 +36,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.behavior import (
-    BehaviorMap,
-    ConstantLiar,
-    LieAboutSender,
-    SilentBehavior,
-    TwoFacedBehavior,
-)
 from repro.core.eig import byz_resolver
 from repro.core.protocol import ProtocolSession
+from repro.core.scenario import (  # FAULT_KINDS, SENDER: re-exported
+    FAULT_KINDS,
+    INSTANCE_FIELDS,
+    SENDER,
+    Instance,
+    absent,
+    flag,
+    format_token,
+    parse_token,
+)
 from repro.core.spec import DegradableSpec
 from repro.exceptions import ConfigurationError
 from repro.explore.clock import run_on_virtual_clock
@@ -61,26 +64,37 @@ from repro.net.stack import build_stack
 from repro.verify.oracle import ConformanceReport, verify_record
 from repro.verify.record import RunRecord, record_net_outcome
 
-SENDER = "S"
 
-#: Behaviour kinds an explored configuration may assign (same vocabulary
-#: as the fuzzer's replay tokens).
-FAULT_KINDS = ("lie", "silent", "constant", "two-faced")
+def _schedule_field(text: str) -> Tuple[int, ...]:
+    return () if absent(text) else tuple(int(c) for c in text.split("."))
+
+
+#: The explore replay grammar: token key -> (keyword, conversion); every
+#: keyword but ``schedule`` is an :class:`ExploreConfig` field.
+TOKEN_FIELDS = {
+    **INSTANCE_FIELDS,
+    "timeout": ("round_timeout", float),
+    "batch": ("batching", flag),
+    "sup": ("supervise", flag),
+    "bug": ("vote_offset", int),
+    "sched": ("schedule", _schedule_field),
+}
 
 
 # ----------------------------------------------------------------------
 # Configuration and replay tokens
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ExploreConfig:
-    """One fully determined agreement instance to explore schedules of."""
+class ExploreConfig(Instance):
+    """One fully determined agreement instance to explore schedules of:
+    an :class:`~repro.core.scenario.Instance` (defaulting to the paper's
+    running example) plus the wire mode and the virtual round deadline."""
+
+    grammar: ClassVar[str] = "explore"
 
     m: int = 1
     u: int = 2
     n_nodes: int = 5
-    sender_value: str = "alpha"
-    #: ``((node, kind), ...)`` sorted by node; kinds from FAULT_KINDS.
-    faults: Tuple[Tuple[str, str], ...] = ()
     #: Virtual round deadline — schedule delays scale with it, so its
     #: exact value never changes which executions exist, only their
     #: virtual timestamps.
@@ -98,52 +112,18 @@ class ExploreConfig:
     def __post_init__(self) -> None:
         self.spec()  # validate N > 2m + u eagerly
 
-    def spec(self) -> DegradableSpec:
-        return DegradableSpec(m=self.m, u=self.u, n_nodes=self.n_nodes)
-
-    def nodes(self) -> List[str]:
-        return [SENDER] + [f"p{k}" for k in range(1, self.n_nodes)]
-
-    def behaviors(self) -> BehaviorMap:
-        nodes = self.nodes()
-        behaviors: BehaviorMap = {}
-        for node, kind in self.faults:
-            if node not in nodes:
-                raise ConfigurationError(
-                    f"explore config names unknown faulty node {node!r}"
-                )
-            if kind == "lie":
-                behaviors[node] = LieAboutSender("forged", SENDER)
-            elif kind == "silent":
-                behaviors[node] = SilentBehavior()
-            elif kind == "constant":
-                behaviors[node] = ConstantLiar("forged")
-            elif kind == "two-faced":
-                behaviors[node] = TwoFacedBehavior(
-                    {p: ("x" if i % 2 else "y") for i, p in enumerate(nodes)}
-                )
-            else:
-                raise ConfigurationError(
-                    f"unknown fault kind {kind!r}; choose from {FAULT_KINDS}"
-                )
-        return behaviors
-
-    @property
-    def behavior_faulty(self) -> FrozenSet[str]:
-        return frozenset(node for node, _ in self.faults)
-
     def token(self, schedule: Sequence[int] = ()) -> str:
         """Replay token naming this config plus one schedule."""
-        faults = (
-            "+".join(f"{n}:{k}" for n, k in self.faults) or "-"
-        )
         sched = ".".join(str(c) for c in trim_schedule(schedule)) or "-"
-        return (
-            f"m={self.m},u={self.u},n={self.n_nodes},"
-            f"value={self.sender_value},faults={faults},"
-            f"timeout={self.round_timeout},batch={int(self.batching)},"
-            f"sup={int(self.supervise)},bug={self.vote_offset},"
-            f"sched={sched}"
+        return format_token(
+            self.token_fields()
+            + [
+                ("timeout", self.round_timeout),
+                ("batch", int(self.batching)),
+                ("sup", int(self.supervise)),
+                ("bug", self.vote_offset),
+                ("sched", sched),
+            ]
         )
 
 
@@ -157,56 +137,9 @@ def trim_schedule(schedule: Sequence[int]) -> Tuple[int, ...]:
 
 def parse_explore_token(token: str) -> Tuple[ExploreConfig, Tuple[int, ...]]:
     """Inverse of :meth:`ExploreConfig.token`."""
-    fields_map: Dict[str, str] = {}
-    for part in token.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigurationError(
-                f"malformed explore token segment {part!r} in {token!r}"
-            )
-        key, value = part.split("=", 1)
-        fields_map[key.strip()] = value.strip()
-    required = {"m", "u", "n"}
-    missing = required - set(fields_map)
-    if missing:
-        raise ConfigurationError(
-            f"explore token {token!r} is missing fields: {sorted(missing)}"
-        )
-    try:
-        faults: Tuple[Tuple[str, str], ...] = ()
-        raw_faults = fields_map.get("faults", "-")
-        if raw_faults not in ("", "-"):
-            pairs = []
-            for chunk in raw_faults.split("+"):
-                node, _, kind = chunk.partition(":")
-                if not node or not kind:
-                    raise ConfigurationError(
-                        f"malformed fault assignment {chunk!r} in {token!r}"
-                    )
-                pairs.append((node, kind))
-            faults = tuple(sorted(pairs))
-        raw_sched = fields_map.get("sched", "-")
-        schedule: Tuple[int, ...] = ()
-        if raw_sched not in ("", "-"):
-            schedule = tuple(int(c) for c in raw_sched.split("."))
-        config = ExploreConfig(
-            m=int(fields_map["m"]),
-            u=int(fields_map["u"]),
-            n_nodes=int(fields_map["n"]),
-            sender_value=fields_map.get("value", "alpha"),
-            faults=faults,
-            round_timeout=float(fields_map.get("timeout", 1.0)),
-            batching=bool(int(fields_map.get("batch", 1))),
-            supervise=bool(int(fields_map.get("sup", 0))),
-            vote_offset=int(fields_map.get("bug", 0)),
-        )
-        return config, schedule
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"malformed explore token {token!r}: {exc}"
-        ) from exc
+    fields = parse_token(token, "explore", TOKEN_FIELDS)
+    schedule = fields.pop("schedule", ())
+    return ExploreConfig(**fields), schedule
 
 
 # ----------------------------------------------------------------------

@@ -90,7 +90,12 @@ from repro.net.supervision import (
     SupervisedTransport,
 )
 from repro.net.tcp import TcpTransport
-from repro.net.transport import FlakyTransport, LocalBus, Transport
+from repro.net.transport import (
+    FlakyTransport,
+    LocalBus,
+    Transport,
+    TransportLayer,
+)
 
 # Chaos imports the runner — keep this after the core modules above.
 from repro.net.chaos import (
@@ -135,6 +140,7 @@ __all__ = [
     "SupervisedTransport",
     "TcpTransport",
     "Transport",
+    "TransportLayer",
     "behavior_adapters",
     "build_stack",
     "decode_frame",

@@ -10,6 +10,8 @@ harness against realistic network misbehaviour:
   allowed to do: per-frame loss, duplication, reordering (bounded delayed
   redelivery), corruption, added latency; scheduled :class:`Partition`
   (sever-and-heal) and :class:`Crash` (dark endpoint, optional restart);
+  :func:`seeded_policy` is the one seeded recipe — a preset policy plus
+  the RNG that built it and must make the per-frame draws;
 * :class:`ChaosTransport` — applies a policy around any
   :class:`~repro.net.transport.Transport`, every draw from one injected
   ``random.Random`` — same seed, same chaos, byte for byte;
@@ -65,7 +67,7 @@ from repro.net.chaos.policy import (
     EndpointRestart,
     Partition,
     make_policy,
-    with_kill_links,
+    seeded_policy,
 )
 from repro.net.chaos.transport import ChaosTransport
 
@@ -93,8 +95,8 @@ __all__ = [
     "run_campaign_sync",
     "run_trial",
     "run_trial_sync",
+    "seeded_policy",
     "tier_for",
     "tier_is_asserted",
     "trial_seed",
-    "with_kill_links",
 ]

@@ -32,10 +32,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.conditions import classify
-from repro.core.spec import DegradableSpec
+from repro.core.scenario import (
+    SHAPE_FIELDS,
+    Instance,
+    flag,
+    format_token,
+    parse_token,
+)
 from repro.exceptions import ConfigurationError
 from repro.net.chaos.accounting import tier_for, tier_is_asserted
-from repro.net.chaos.policy import SEVERITIES, make_policy, with_kill_links
+from repro.net.chaos.policy import SEVERITIES, seeded_policy
 from repro.net.runner import run_agreement_async
 from repro.net.stack import make_transport
 
@@ -51,6 +57,16 @@ DEFAULT_GRID: Tuple[Tuple[int, int, int], ...] = (
 TRANSPORTS = ("local", "tcp")
 
 SENDER_VALUE = "engage"
+
+#: The chaos replay grammar: token key -> (TrialConfig keyword, conversion).
+TOKEN_FIELDS = {
+    **SHAPE_FIELDS,
+    "severity": ("severity", str),
+    "transport": ("transport", str),
+    "seed": ("seed", int),
+    "timeout": ("timeout", float),
+    "kill_links": ("kill_links", flag),
+}
 
 
 @dataclass(frozen=True)
@@ -84,45 +100,32 @@ class TrialConfig:
             )
 
     @property
+    def instance(self) -> Instance:
+        """The fault-free agreement instance this trial runs under chaos."""
+        return Instance(self.m, self.u, self.n_nodes, SENDER_VALUE)
+
+    @property
     def replay_token(self) -> str:
-        token = (
-            f"m={self.m},u={self.u},n={self.n_nodes},"
-            f"severity={self.severity},transport={self.transport},"
-            f"seed={self.seed},timeout={self.timeout}"
-        )
+        fields = [
+            ("m", self.m),
+            ("u", self.u),
+            ("n", self.n_nodes),
+            ("severity", self.severity),
+            ("transport", self.transport),
+            ("seed", self.seed),
+            ("timeout", self.timeout),
+        ]
         if self.kill_links:
             # Appended only when set, so pre-existing tokens keep parsing
             # (and old tokens replay the same trials they always named).
-            token += ",kill_links=1"
-        return token
+            fields.append(("kill_links", 1))
+        return format_token(fields)
 
 
 def parse_replay(token: str) -> TrialConfig:
     """Inverse of :attr:`TrialConfig.replay_token`."""
-    fields: Dict[str, str] = {}
-    for part in token.split(","):
-        key, sep, value = part.strip().partition("=")
-        if not sep or not key or not value:
-            raise ConfigurationError(
-                f"malformed replay token part {part!r} "
-                f"(expected key=value pairs)"
-            )
-        fields[key] = value
-    try:
-        return TrialConfig(
-            m=int(fields.pop("m")),
-            u=int(fields.pop("u")),
-            n_nodes=int(fields.pop("n")),
-            severity=fields.pop("severity"),
-            transport=fields.pop("transport"),
-            seed=int(fields.pop("seed")),
-            timeout=float(fields.pop("timeout", "0.25")),
-            kill_links=bool(int(fields.pop("kill_links", "0"))),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"replay token missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigurationError(f"malformed replay token: {exc}") from exc
+    required = ("m", "u", "n", "severity", "transport", "seed")
+    return TrialConfig(**parse_token(token, "chaos", TOKEN_FIELDS, required))
 
 
 @dataclass
@@ -177,19 +180,16 @@ class TrialResult:
 
 async def run_trial(config: TrialConfig) -> TrialResult:
     """Run one chaos trial; a pure function of *config*."""
-    spec = DegradableSpec(m=config.m, u=config.u, n_nodes=config.n_nodes)
-    nodes = ["S"] + [f"p{k}" for k in range(1, config.n_nodes)]
-    # One RNG drives the whole trial: victim selection in the policy AND
-    # every per-frame draw in the transport.
-    rng = random.Random(config.seed)
-    policy = make_policy(config.severity, spec, nodes, rng, seed=config.seed)
-    if config.kill_links:
-        policy = with_kill_links(policy, spec, nodes, rng)
+    instance = config.instance
+    spec, nodes = instance.spec(), instance.nodes()
+    policy, rng = seeded_policy(
+        config.severity, spec, nodes, config.seed, config.kill_links
+    )
     outcome = await run_agreement_async(
         spec,
         nodes,
-        "S",
-        SENDER_VALUE,
+        nodes[0],
+        instance.sender_value,
         transport=make_transport(config.transport),
         round_timeout=config.timeout,
         chaos=policy,

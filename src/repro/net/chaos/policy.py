@@ -334,28 +334,36 @@ def make_policy(
     )
 
 
-def with_kill_links(
-    policy: ChaosPolicy,
+def seeded_policy(
+    severity: str,
     spec: DegradableSpec,
     nodes: Sequence[NodeId],
-    rng: random.Random,
-) -> ChaosPolicy:
-    """The kill-links soak recipe layered on *policy*.
+    seed: int,
+    kill_links: bool = False,
+) -> Tuple[ChaosPolicy, random.Random]:
+    """The seeded chaos recipe: a preset policy and the RNG that built it.
 
-    Hard-resets every pooled connection at the onset of every relay round
-    and crash-restarts one seeded victim's endpoint at round 2 — a
-    supervisor must re-dial through both.  Relay-round resets are what
-    produce real *reconnects*: a directed link is reused across rounds
-    only when the recursion is deep enough (m >= 2), so deeper specs
-    exercise the re-dial path while shallow ones still exercise
-    reset/restart healing.  The victim is one draw from *rng* (pass the
-    RNG :func:`make_policy` just used), chosen among the receivers
-    ``nodes[1:]``, so the whole schedule replays from the seed.
+    One ``Random(seed)`` chooses the policy's victims (and the kill-links
+    victim, when asked) and must then be handed, as it stands, to the
+    chaos layer (``chaos_rng=``) for every per-frame draw — that sharing
+    is what makes a run a pure function of ``(severity, spec, seed)``.
+
+    *kill_links* layers the self-healing soak on the preset: a hard reset
+    of every pooled connection at the onset of every relay round, and a
+    crash-restart of one receiver's endpoint at round 2 — a supervisor
+    must re-dial through both.  Relay-round resets are what produce real
+    *reconnects*: a directed link is reused across rounds only when the
+    recursion is deep enough (m >= 2), so deeper specs exercise the
+    re-dial path while shallow ones still exercise reset/restart healing.
     """
-    receivers = nodes[1:]
-    victim = receivers[rng.randrange(len(receivers))]
-    return replace(
-        policy,
-        link_resets=tuple(range(2, spec.rounds + 1)),
-        restarts=(EndpointRestart(node=victim, at_round=2),),
-    )
+    rng = random.Random(seed)
+    policy = make_policy(severity, spec, nodes, rng, seed=seed)
+    if kill_links:
+        receivers = nodes[1:]
+        victim = receivers[rng.randrange(len(receivers))]
+        policy = replace(
+            policy,
+            link_resets=tuple(range(2, spec.rounds + 1)),
+            restarts=(EndpointRestart(node=victim, at_round=2),),
+        )
+    return policy, rng

@@ -50,20 +50,20 @@ from typing import Dict, Hashable, Optional, Sequence, Tuple
 from repro.net.chaos.accounting import ChaosEvent, ChaosLog
 from repro.net.chaos.policy import ChaosPolicy
 from repro.net.codec import BATCH, DATA, PING, PONG, Frame
-from repro.net.metrics import NetMetrics
-from repro.net.transport import Transport
+from repro.net.transport import Transport, TransportLayer
 
 NodeId = Hashable
 
 Link = Tuple[NodeId, NodeId]
 
 
-class ChaosTransport(Transport):
+class ChaosTransport(TransportLayer):
     """Applies a seeded ChaosPolicy to every frame crossing a transport."""
 
     #: One RNG feeds every draw; the runner must send sequentially so the
     #: draw sequence stays a pure function of the frame sequence.
     ordered_sends = True
+    layer = "chaos"
 
     def __init__(
         self,
@@ -72,31 +72,12 @@ class ChaosTransport(Transport):
         rng: Optional[random.Random] = None,
         log: Optional[ChaosLog] = None,
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.policy = policy
         self.rng = rng if rng is not None else random.Random(policy.seed)
         self.log = log if log is not None else ChaosLog()
-        self.metrics: Optional[NetMetrics] = None
-        self.tracer = None
         self._held: Dict[Link, Frame] = {}
         self._round_seen = 0
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"chaos+{self.inner.name}"
-
-    def attach_metrics(self, metrics: NetMetrics) -> None:
-        self.metrics = metrics
-        self.inner.attach_metrics(metrics)
-
-    def attach_tracer(self, tracer) -> None:
-        self.tracer = tracer
-        self.inner.attach_tracer(tracer)
-
-    def round_opened(
-        self, round_no: int, deadline: float, instance=None
-    ) -> None:
-        self.inner.round_opened(round_no, deadline, instance)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -116,18 +97,9 @@ class ChaosTransport(Transport):
         self._held = {}
         await self.inner.close()
 
-    def reset_connections(self, node: Optional[NodeId] = None) -> int:
-        return self.inner.reset_connections(node)
-
-    async def restart_endpoint(self, node: NodeId) -> None:
-        await self.inner.restart_endpoint(node)
-
     # ------------------------------------------------------------------
     # Traffic
     # ------------------------------------------------------------------
-    async def recv(self, node: NodeId) -> Frame:
-        return await self.inner.recv(node)
-
     async def send(self, frame: Frame) -> int:
         if frame.kind in (PING, PONG):
             # Heartbeats belong to the supervision layer above, not to any

@@ -120,6 +120,16 @@ class RoundMetrics:
     )
 
 
+def _round_total(counter: str) -> property:
+    """Read-only total of one :class:`RoundMetrics` counter over a
+    recorder's own rounds and those of every instance folded into it."""
+
+    def total(self: "NetMetrics") -> int:
+        return sum(getattr(entry, counter) for entry in self.all_rounds())
+
+    return property(total)
+
+
 class NetMetrics:
     """Run-wide metrics recorder for one async agreement execution."""
 
@@ -134,11 +144,12 @@ class NetMetrics:
         self.partition_rounds = 0
         #: Node crash onsets the chaos layer executed.
         self.crash_events = 0
-        #: Per-instance counter snapshots for multiplexed service runs
+        #: Folded recorders of a multiplexed service run
         #: (:mod:`repro.serve`): instance id → the *instance's own*
-        #: flattened counters, folded in by :meth:`record_instance` when
-        #: the instance decides.  Single-agreement runs leave this empty.
-        self.instances: Dict[str, Dict[str, int]] = {}
+        #: recorder, folded in by :meth:`record_instance` when the
+        #: instance decides.  Every ``total_*`` figure sums this recorder's
+        #: rounds and theirs.  Single-agreement runs leave this empty.
+        self.instances: Dict[str, "NetMetrics"] = {}
         #: Frames the service demux routed to a retired (already decided
         #: and garbage-collected) or never-registered instance.
         self.stray_frames = 0
@@ -249,18 +260,20 @@ class NetMetrics:
         self.publish("stray_frame", total=self.stray_frames)
 
     def record_instance(
-        self, instance_id: Hashable, counters: Dict[str, int]
+        self, instance_id: Hashable, recorder: "NetMetrics"
     ) -> None:
-        """Fold one decided instance's counter fingerprint into this run.
+        """Fold one decided instance's recorder into this run.
 
-        Called by the service gateway when an instance completes; the key
-        is stringified so arbitrary hashable instance ids serialize
-        stably.  Because :meth:`counters` emits these sub-counters sorted
-        by key, the aggregate fingerprint is insensitive to instance
-        *completion order* — two same-seed service runs fingerprint
-        identically even though the event loop interleaves them freely.
+        Called by the service gateway when an instance completes, with the
+        recorder the instance's runner wrote (nothing is copied: totals
+        and the fingerprint are derived from it on demand).  The key is
+        stringified so arbitrary hashable instance ids serialize stably.
+        Because :meth:`counters` emits the folded counters sorted by key,
+        the aggregate fingerprint is insensitive to instance *completion
+        order* — two same-seed service runs fingerprint identically even
+        though the event loop interleaves them freely.
         """
-        self.instances[str(instance_id)] = dict(counters)
+        self.instances[str(instance_id)] = recorder
 
     def record_partition_round(self) -> None:
         self.partition_rounds += 1
@@ -342,58 +355,55 @@ class NetMetrics:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
-    @property
-    def total_messages(self) -> int:
-        return sum(r.messages_sent for r in self.rounds.values())
+    def all_rounds(self) -> List[RoundMetrics]:
+        """Every round entry of this recorder and of the folded ones."""
+        return [
+            entry
+            for recorder in (self, *self.instances.values())
+            for entry in recorder.rounds.values()
+        ]
 
     @property
-    def total_bytes(self) -> int:
-        return sum(r.bytes_sent for r in self.rounds.values())
+    def total_rounds(self) -> int:
+        """Engine rounds executed.
+
+        A service aggregate runs no round itself — its own round entries
+        only hold what the shared chaos layer did — so once instances are
+        folded in, theirs are the rounds that count.
+        """
+        folded = sum(len(r.rounds) for r in self.instances.values())
+        return folded or len(self.rounds)
 
     @property
-    def total_frames(self) -> int:
-        """Wire frames successfully sent — the batching win shows here."""
-        return sum(r.frames_sent for r in self.rounds.values())
+    def total_substitutions(self) -> int:
+        """``V_d`` substitutions of this run and of every folded instance."""
+        return self.substitutions + sum(
+            r.substitutions for r in self.instances.values()
+        )
 
-    @property
-    def total_frames_batched(self) -> int:
-        return sum(r.frames_batched for r in self.rounds.values())
-
-    @property
-    def total_batch_bytes_saved(self) -> int:
-        return sum(r.batch_bytes_saved for r in self.rounds.values())
+    total_messages = _round_total("messages_sent")
+    total_bytes = _round_total("bytes_sent")
+    #: Wire frames successfully sent — the batching win shows here.
+    total_frames = _round_total("frames_sent")
+    total_frames_batched = _round_total("frames_batched")
+    total_batch_bytes_saved = _round_total("batch_bytes_saved")
+    total_timeouts = _round_total("timeouts")
+    total_send_failures = _round_total("send_failures")
+    total_dropped = _round_total("dropped")
+    total_late_frames = _round_total("late_frames")
+    total_chaos_drops = _round_total("chaos_drops")
+    total_chaos_dups = _round_total("chaos_dups")
+    total_chaos_reorders = _round_total("chaos_reorders")
+    total_chaos_corruptions = _round_total("chaos_corruptions")
 
     def round_durations(self) -> List[float]:
-        """Per-round wall-clock durations, in round order (seconds)."""
-        return [self.rounds[r].duration for r in sorted(self.rounds)]
-
-    @property
-    def total_timeouts(self) -> int:
-        return sum(r.timeouts for r in self.rounds.values())
-
-    @property
-    def total_send_failures(self) -> int:
-        return sum(r.send_failures for r in self.rounds.values())
-
-    @property
-    def total_dropped(self) -> int:
-        return sum(r.dropped for r in self.rounds.values())
-
-    @property
-    def total_chaos_drops(self) -> int:
-        return sum(r.chaos_drops for r in self.rounds.values())
-
-    @property
-    def total_chaos_dups(self) -> int:
-        return sum(r.chaos_dups for r in self.rounds.values())
-
-    @property
-    def total_chaos_reorders(self) -> int:
-        return sum(r.chaos_reorders for r in self.rounds.values())
-
-    @property
-    def total_chaos_corruptions(self) -> int:
-        return sum(r.chaos_corruptions for r in self.rounds.values())
+        """Per-round wall-clock durations (seconds), in round order —
+        this recorder's, then each folded instance's."""
+        return [
+            recorder.rounds[r].duration
+            for recorder in (self, *self.instances.values())
+            for r in sorted(recorder.rounds)
+        ]
 
     @property
     def total_reconnects(self) -> int:
@@ -448,6 +458,10 @@ class NetMetrics:
         :meth:`record_instance` sub-counter — would make same-seed
         fingerprints diverge in a maximally confusing way, so the leak
         fails loudly at the source instead.
+
+        A folded instance contributes its own recorder's ``counters()``
+        under ``inst.<id>.``; the ``total_*`` properties are the place
+        that sums across instances.
         """
         out: Dict[str, int] = {
             "substitutions": self.substitutions,
@@ -471,7 +485,8 @@ class NetMetrics:
             if entry.deduped:
                 out[prefix + "deduped"] = entry.deduped
         for instance_id in sorted(self.instances):
-            for key, value in sorted(self.instances[instance_id].items()):
+            folded = self.instances[instance_id].counters()
+            for key, value in sorted(folded.items()):
                 out[f"inst.{instance_id}.{key}"] = value
         for round_no in sorted(self.rounds):
             entry = self.rounds[round_no]
@@ -508,7 +523,7 @@ class NetMetrics:
         harness and the load generator.
         """
         pooled: List[float] = []
-        for entry in self.rounds.values():
+        for entry in self.all_rounds():
             pooled.extend(entry.latencies)
         return percentiles(pooled, {"p50": 0.50, "p90": 0.90, "p99": 0.99})
 
@@ -547,7 +562,7 @@ class NetMetrics:
             f"transport={self.transport or 'unknown'}  "
             f"messages={self.total_messages}  frames={self.total_frames}  "
             f"bytes={self.total_bytes}  "
-            f"V_d substitutions={self.substitutions}"
+            f"V_d substitutions={self.total_substitutions}"
         )
         if self.total_frames_batched:
             lines.append(
@@ -555,17 +570,9 @@ class NetMetrics:
                 f"{self.total_batch_bytes_saved} envelope byte(s) saved"
             )
         if self.instances:
-            inst_frames = sum(
-                sum(v for k, v in c.items() if k.endswith(".frames_sent"))
-                for c in self.instances.values()
-            )
-            inst_messages = sum(
-                sum(v for k, v in c.items() if k.endswith(".messages_sent"))
-                for c in self.instances.values()
-            )
             lines.append(
                 f"multiplexing: {len(self.instances)} instance(s) folded in  "
-                f"frames={inst_frames}  messages={inst_messages}"
+                f"rounds={self.total_rounds}"
                 + (f"  stray_frames={self.stray_frames}"
                    if self.stray_frames else "")
             )

@@ -53,8 +53,7 @@ from typing import Dict, Hashable, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ConfigurationError, TransportError
 from repro.net.codec import PING, PONG, Frame
-from repro.net.metrics import NetMetrics
-from repro.net.transport import Transport
+from repro.net.transport import Transport, TransportLayer
 
 NodeId = Hashable
 Link = Tuple[NodeId, NodeId]
@@ -156,8 +155,10 @@ class LinkSupervisor:
     high_seq: int = 0
 
 
-class SupervisedTransport(Transport):
+class SupervisedTransport(TransportLayer):
     """Self-healing wrapper: reconnects, dedups, and detects dead links."""
+
+    layer = "supervised"
 
     def __init__(
         self,
@@ -171,38 +172,15 @@ class SupervisedTransport(Transport):
             raise ConfigurationError(
                 f"dedup_window must be >= 1, got {dedup_window}"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.heartbeat = heartbeat
         self.rng = rng if rng is not None else random.Random(0)
         self.dedup_window = dedup_window
-        self.metrics: Optional[NetMetrics] = None
-        self.tracer = None
         self._nodes: Tuple[NodeId, ...] = ()
         self._links: Dict[Link, LinkSupervisor] = {}
         self._next_seq: Dict[Link, int] = {}
         self._heartbeat_task: Optional[asyncio.Task] = None
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"supervised+{self.inner.name}"
-
-    @property
-    def ordered_sends(self) -> bool:  # type: ignore[override]
-        return self.inner.ordered_sends
-
-    def attach_metrics(self, metrics: NetMetrics) -> None:
-        self.metrics = metrics
-        self.inner.attach_metrics(metrics)
-
-    def attach_tracer(self, tracer) -> None:
-        self.tracer = tracer
-        self.inner.attach_tracer(tracer)
-
-    def round_opened(
-        self, round_no: int, deadline: float, instance=None
-    ) -> None:
-        self.inner.round_opened(round_no, deadline, instance)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -226,12 +204,6 @@ class SupervisedTransport(Transport):
                 pass
             self._heartbeat_task = None
         await self.inner.close()
-
-    def reset_connections(self, node: Optional[NodeId] = None) -> int:
-        return self.inner.reset_connections(node)
-
-    async def restart_endpoint(self, node: NodeId) -> None:
-        await self.inner.restart_endpoint(node)
 
     # ------------------------------------------------------------------
     # Link state

@@ -7,6 +7,9 @@ in-process fan-out), :class:`~repro.net.tcp.TcpTransport` ships
 length-prefixed JSON over real localhost sockets, and
 :class:`FlakyTransport` wraps any transport with injected transient send
 failures so sender-visible errors are testable deterministically.
+Wrappers (flaky, chaos, supervision) derive from :class:`TransportLayer`,
+which forwards the whole contract to the wrapped transport, so a layer
+defines only the methods it changes.
 
 Contract:
 
@@ -199,7 +202,68 @@ class LocalBus(Transport):
         self._inboxes = {}
 
 
-class FlakyTransport(Transport):
+class TransportLayer(Transport):
+    """One layer of a transport stack: the whole contract, forwarded.
+
+    Holds the wrapped transport as :attr:`inner`, forwards every method of
+    the :class:`Transport` contract down to it, and keeps the recorder and
+    tracer the runner attaches (passing them on, so every layer of a stack
+    sees the same ones).  A concrete layer sets :attr:`layer` — its name
+    reads ``<layer>+<inner name>`` — and overrides only what it changes.
+    """
+
+    #: This layer's prefix in the stack's name.
+    layer = "layer"
+
+    def __init__(self, inner: Transport) -> None:
+        self.inner = inner
+        self.metrics: Optional[NetMetrics] = None
+        self.tracer = None
+
+    @property
+    def name(self) -> str:  # type: ignore[override]
+        return f"{self.layer}+{self.inner.name}"
+
+    @property
+    def ordered_sends(self) -> bool:  # type: ignore[override]
+        return self.inner.ordered_sends
+
+    def attach_metrics(self, metrics: NetMetrics) -> None:
+        self.metrics = metrics
+        self.inner.attach_metrics(metrics)
+
+    def attach_tracer(self, tracer) -> None:
+        self.tracer = tracer
+        self.inner.attach_tracer(tracer)
+
+    def round_opened(
+        self, round_no: int, deadline: float, instance=None
+    ) -> None:
+        self.inner.round_opened(round_no, deadline, instance)
+
+    async def open(self, nodes: Sequence[NodeId]) -> None:
+        await self.inner.open(nodes)
+
+    async def send(self, frame: Frame) -> int:
+        return await self.inner.send(frame)
+
+    async def recv(self, node: NodeId) -> Frame:
+        return await self.inner.recv(node)
+
+    async def send_corrupted(self, frame: Frame, rng: random.Random) -> int:
+        return await self.inner.send_corrupted(frame, rng)
+
+    def reset_connections(self, node: Optional[NodeId] = None) -> int:
+        return self.inner.reset_connections(node)
+
+    async def restart_endpoint(self, node: NodeId) -> None:
+        await self.inner.restart_endpoint(node)
+
+    async def close(self) -> None:
+        await self.inner.close()
+
+
+class FlakyTransport(TransportLayer):
     """Wraps a transport with deterministic transient send failures.
 
     Two failure modes, both fully reproducible:
@@ -217,6 +281,8 @@ class FlakyTransport(Transport):
       reproduces the same failure pattern byte for byte.
     """
 
+    layer = "flaky"
+
     def __init__(
         self,
         inner: Transport,
@@ -232,7 +298,7 @@ class FlakyTransport(Transport):
                 f"failure_probability must be in [0, 1], "
                 f"got {failure_probability}"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.failures = failures
         self.match = match
         self.failure_probability = failure_probability
@@ -241,28 +307,10 @@ class FlakyTransport(Transport):
         self._attempts: Dict[tuple, int] = {}
 
     @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"flaky+{self.inner.name}"
-
-    @property
     def ordered_sends(self) -> bool:  # type: ignore[override]
         # Probabilistic failures draw from one RNG: concurrent sends would
         # make the draw order (hence the failure pattern) racy.
         return self.failure_probability > 0.0 or self.inner.ordered_sends
-
-    def attach_metrics(self, metrics: NetMetrics) -> None:
-        self.inner.attach_metrics(metrics)
-
-    def attach_tracer(self, tracer) -> None:
-        self.inner.attach_tracer(tracer)
-
-    def round_opened(
-        self, round_no: int, deadline: float, instance=None
-    ) -> None:
-        self.inner.round_opened(round_no, deadline, instance)
-
-    async def open(self, nodes: Sequence[NodeId]) -> None:
-        await self.inner.open(nodes)
 
     def _should_fail(self, frame: Frame) -> bool:
         if self.failure_probability > 0.0:
@@ -282,18 +330,3 @@ class FlakyTransport(Transport):
                 f"{frame.source!r} -> {frame.destination!r}"
             )
         return await self.inner.send(frame)
-
-    async def send_corrupted(self, frame: Frame, rng: random.Random) -> int:
-        return await self.inner.send_corrupted(frame, rng)
-
-    async def recv(self, node: NodeId) -> Frame:
-        return await self.inner.recv(node)
-
-    def reset_connections(self, node: Optional[NodeId] = None) -> int:
-        return self.inner.reset_connections(node)
-
-    async def restart_endpoint(self, node: NodeId) -> None:
-        await self.inner.restart_endpoint(node)
-
-    async def close(self) -> None:
-        await self.inner.close()

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.events import EventBus
-from repro.obs.prom import Registry
+from repro.obs.prom import Registry, metrics_registry
 
 __all__ = ["ObsServer", "scrape"]
 
@@ -56,6 +56,34 @@ class ObsServer:
         self._server: Optional[asyncio.AbstractServer] = None
         #: Requests served, by path (the server's own observability).
         self.requests: Dict[str, int] = {}
+
+    @classmethod
+    def for_service(cls, service, bus, port: int, tracer=None) -> "ObsServer":
+        """The endpoint ``repro serve`` and ``repro load`` put on a service.
+
+        ``/metrics`` snapshots the service's aggregate recorder, gateway
+        state, *bus* and *tracer* per scrape; ``/healthz`` turns
+        ``"degraded"`` once any instance was watchdog-cancelled — still
+        HTTP 200 (the process is alive and scrapable), but probes see
+        the distinction.
+        """
+        aggregate = service.aggregate_metrics
+        return cls(
+            lambda: metrics_registry(
+                aggregate, service=service, bus=bus, tracer=tracer
+            ),
+            health=lambda: {
+                "status": (
+                    "degraded" if aggregate.watchdog_cancellations else "ok"
+                ),
+                "instances_done": len(service.outcomes),
+                "inflight": service.inflight,
+                "queue_depth": service.queue_depth,
+                "watchdogged": aggregate.watchdog_cancellations,
+            },
+            bus=bus,
+            port=port,
+        )
 
     @property
     def port(self) -> int:

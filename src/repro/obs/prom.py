@@ -371,7 +371,10 @@ def metrics_registry(
 
     Counter values are lifted straight from the recorder the runtime
     already maintains, so ``/metrics`` agrees with
-    :meth:`NetMetrics.counters` without double bookkeeping.  Rebuilt per
+    :meth:`NetMetrics.counters` without double bookkeeping.  For a
+    service aggregate the wire totals (frames, messages, bytes, rounds,
+    substitutions, latencies, durations) cover every decided instance
+    folded into it — the recorder's ``total_*`` views sum them.  Rebuilt per
     scrape: cheap (one pass over the recorder) and race-free enough for
     a single event loop.  *tracer* (a :class:`repro.trace.Tracer`) adds
     the span-derived families: per-category span counts and duration
@@ -386,7 +389,7 @@ def metrics_registry(
 
     registry.gauge(
         "repro_rounds_total", "Engine rounds the runtime executed."
-    ).set(len(metrics.rounds))
+    ).set(metrics.total_rounds)
     registry.counter(
         "repro_messages_sent_total",
         "Protocol messages handed to the transport.",
@@ -405,7 +408,7 @@ def metrics_registry(
         "repro_substitutions_total",
         "V_d substitutions for absent messages (assumption (b); "
         "the core degradation signal).",
-    ).set(metrics.substitutions)
+    ).set(metrics.total_substitutions)
     registry.counter(
         "repro_dropped_messages_total",
         "Messages removed by fault adapters before the wire.",
@@ -421,7 +424,7 @@ def metrics_registry(
     registry.counter(
         "repro_late_frames_total",
         "Frames that arrived after their round closed.",
-    ).set(sum(r.late_frames for r in metrics.rounds.values()))
+    ).set(metrics.total_late_frames)
     registry.counter(
         "repro_decode_errors_total",
         "Poisoned byte streams a transport discarded.",
@@ -503,7 +506,7 @@ def metrics_registry(
         "One-way data-frame delivery latency.",
         LATENCY_BUCKETS,
     )
-    for entry in metrics.rounds.values():
+    for entry in metrics.all_rounds():
         latency.observe_many(entry.latencies)
     durations = registry.histogram(
         "repro_round_duration_seconds",

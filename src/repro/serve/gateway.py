@@ -31,9 +31,10 @@ fingerprint's determinism.  :meth:`AgreementService.restart_node`
 crash-restarts one node's endpoint mid-campaign (the mux re-attaches its
 pump; see :meth:`~repro.serve.mux.InstanceMux.restart_node`).
 
-Every finished instance folds its wire counters into the service's
-aggregate recorder (``NetMetrics.record_instance``, keyed and sorted so
-the aggregate fingerprint is insensitive to completion order) and appends
+Every finished instance folds its recorder into the service's aggregate
+recorder (``NetMetrics.record_instance``: the aggregate's totals sum the
+folded recorders, and its fingerprint lists their counters keyed and
+sorted, so it is insensitive to completion order) and appends
 its stamped trace to the service trace;
 :func:`record_service_run` packages the whole service run as one
 ``mode="serve"`` :class:`~repro.verify.record.RunRecord` that
@@ -426,7 +427,8 @@ class AgreementService:
     # ------------------------------------------------------------------
     @property
     def aggregate_metrics(self) -> NetMetrics:
-        """Shared-transport recorder with per-instance counters folded in."""
+        """Shared-transport recorder with every decided instance's recorder
+        folded in (totals and fingerprint cover them)."""
         return self.mux.metrics
 
     def service_trace(self) -> EventTrace:
@@ -561,7 +563,7 @@ class AgreementService:
             # cancellation timing (breaking the aggregate fingerprint)
             # and a truncated trace would fail conformance demux.
             self.aggregate_metrics.record_instance(
-                job.instance_id, runner.metrics.counters()
+                job.instance_id, runner.metrics
             )
             if runner.trace is not None:
                 self._traces.append(runner.trace)

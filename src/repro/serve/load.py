@@ -215,7 +215,6 @@ async def run_load(
     if config.metrics_port is not None:
         from repro.obs.events import EventBus
         from repro.obs.http import ObsServer
-        from repro.obs.prom import metrics_registry
 
         events = EventBus()
     service = AgreementService(
@@ -231,30 +230,8 @@ async def run_load(
         tracer=tracer,
     )
     if events is not None:
-        obs_server = ObsServer(
-            lambda: metrics_registry(
-                service.aggregate_metrics,
-                service=service,
-                bus=events,
-                tracer=tracer,
-            ),
-            health=lambda: {
-                # Watchdogged instances mean degraded service: alive and
-                # scrapable (HTTP 200 either way), but not healthy.
-                "status": (
-                    "degraded"
-                    if service.aggregate_metrics.watchdog_cancellations
-                    else "ok"
-                ),
-                "instances_done": len(service.outcomes),
-                "inflight": service.inflight,
-                "queue_depth": service.queue_depth,
-                "watchdogged": (
-                    service.aggregate_metrics.watchdog_cancellations
-                ),
-            },
-            bus=events,
-            port=config.metrics_port,
+        obs_server = ObsServer.for_service(
+            service, events, config.metrics_port, tracer
         )
     loop = asyncio.get_running_loop()
     rejections = 0

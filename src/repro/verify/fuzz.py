@@ -28,33 +28,42 @@ exact case, and same-token replays produce identical trace fingerprints
 from __future__ import annotations
 
 import asyncio
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.behavior import (
-    BehaviorMap,
-    ConstantLiar,
-    LieAboutSender,
-    SilentBehavior,
-    TwoFacedBehavior,
-)
 from repro.core.protocol import execute_degradable_protocol
-from repro.core.spec import DegradableSpec
-from repro.exceptions import ConfigurationError, ReproError
+from repro.core.scenario import (
+    FAULT_KINDS,
+    INSTANCE_FIELDS,
+    SENDER,
+    Instance,
+    absent,
+    format_token,
+    node_ids,
+    parse_token,
+)
+from repro.exceptions import ReproError
 from repro.verify.oracle import ConformanceReport, verify_record
 from repro.verify.record import RunRecord, record_net_outcome, record_sync_run
-
-SENDER = "S"
-
-#: Behaviour kinds a fuzz case may assign (mirrors the CLI's adversaries).
-FAULT_KINDS = ("lie", "silent", "constant", "two-faced")
 
 #: Small (m, u) corners the fuzzer samples; N is 2m+u+1 plus at most one
 #: spare node, capped at 7 so a full TCP case stays fast.
 SPEC_CORNERS = ((0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 _VALUES = ("alpha", "beta", "gamma")
+
+
+def _chaos_field(text: str) -> Tuple[str, int]:
+    severity, _, seed = ("" if absent(text) else text).partition(":")
+    return severity, int(seed or 0)
+
+
+#: The fuzz replay grammar: token key -> (FuzzCase keyword, conversion).
+TOKEN_FIELDS = {
+    **INSTANCE_FIELDS,
+    "chaos": ("chaos", _chaos_field),
+    "timeout": ("timeout", float),
+}
 
 
 class FuzzFailure(ReproError):
@@ -69,15 +78,12 @@ class FuzzFailure(ReproError):
 # Cases and replay tokens
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class FuzzCase:
-    """One fully determined differential trial."""
+class FuzzCase(Instance):
+    """One fully determined differential trial: an
+    :class:`~repro.core.scenario.Instance` plus its chaos and deadline."""
 
-    m: int
-    u: int
-    n_nodes: int
-    sender_value: str = "alpha"
-    #: ``((node, kind), ...)`` sorted by node; kinds from FAULT_KINDS.
-    faults: Tuple[Tuple[str, str], ...] = ()
+    grammar: ClassVar[str] = "fuzz"
+
     #: Chaos severity preset ("" = no chaos).
     chaos_severity: str = ""
     chaos_seed: int = 0
@@ -86,106 +92,22 @@ class FuzzCase:
     @property
     def token(self) -> str:
         """Replay token: reconstructs this exact case via parse_case_token."""
-        faults = (
-            "+".join(f"{node}:{kind}" for node, kind in self.faults) or "-"
-        )
         chaos = (
             f"{self.chaos_severity}:{self.chaos_seed}"
             if self.chaos_severity
             else "-"
         )
-        return (
-            f"m={self.m},u={self.u},n={self.n_nodes},"
-            f"value={self.sender_value},faults={faults},chaos={chaos},"
-            f"timeout={self.timeout}"
+        return format_token(
+            self.token_fields()
+            + [("chaos", chaos), ("timeout", self.timeout)]
         )
-
-    def spec(self) -> DegradableSpec:
-        return DegradableSpec(m=self.m, u=self.u, n_nodes=self.n_nodes)
-
-    def nodes(self) -> List[str]:
-        return [SENDER] + [f"p{k}" for k in range(1, self.n_nodes)]
-
-    def behaviors(self) -> BehaviorMap:
-        nodes = self.nodes()
-        behaviors: BehaviorMap = {}
-        for node, kind in self.faults:
-            if node not in nodes:
-                raise ConfigurationError(
-                    f"fuzz case names unknown faulty node {node!r}"
-                )
-            if kind == "lie":
-                behaviors[node] = LieAboutSender("forged", SENDER)
-            elif kind == "silent":
-                behaviors[node] = SilentBehavior()
-            elif kind == "constant":
-                behaviors[node] = ConstantLiar("forged")
-            elif kind == "two-faced":
-                behaviors[node] = TwoFacedBehavior(
-                    {p: ("x" if i % 2 else "y") for i, p in enumerate(nodes)}
-                )
-            else:
-                raise ConfigurationError(
-                    f"unknown fault kind {kind!r}; choose from {FAULT_KINDS}"
-                )
-        return behaviors
-
-    @property
-    def behavior_faulty(self) -> FrozenSet[str]:
-        return frozenset(node for node, _ in self.faults)
 
 
 def parse_case_token(token: str) -> FuzzCase:
     """Inverse of :attr:`FuzzCase.token`."""
-    fields: Dict[str, str] = {}
-    for part in token.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigurationError(
-                f"malformed fuzz token segment {part!r} in {token!r}"
-            )
-        key, value = part.split("=", 1)
-        fields[key.strip()] = value.strip()
-    required = {"m", "u", "n"}
-    missing = required - set(fields)
-    if missing:
-        raise ConfigurationError(
-            f"fuzz token {token!r} is missing fields: {sorted(missing)}"
-        )
-    try:
-        faults: Tuple[Tuple[str, str], ...] = ()
-        raw_faults = fields.get("faults", "-")
-        if raw_faults not in ("", "-"):
-            pairs = []
-            for chunk in raw_faults.split("+"):
-                node, _, kind = chunk.partition(":")
-                if not node or not kind:
-                    raise ConfigurationError(
-                        f"malformed fault assignment {chunk!r} in {token!r}"
-                    )
-                pairs.append((node, kind))
-            faults = tuple(sorted(pairs))
-        severity, chaos_seed = "", 0
-        raw_chaos = fields.get("chaos", "-")
-        if raw_chaos not in ("", "-"):
-            severity, _, raw_seed = raw_chaos.partition(":")
-            chaos_seed = int(raw_seed or 0)
-        return FuzzCase(
-            m=int(fields["m"]),
-            u=int(fields["u"]),
-            n_nodes=int(fields["n"]),
-            sender_value=fields.get("value", "alpha"),
-            faults=faults,
-            chaos_severity=severity,
-            chaos_seed=chaos_seed,
-            timeout=float(fields.get("timeout", 2.0)),
-        )
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"malformed fuzz token {token!r}: {exc}"
-        ) from exc
+    fields = parse_token(token, "fuzz", TOKEN_FIELDS)
+    severity, seed = fields.pop("chaos", ("", 0))
+    return FuzzCase(**fields, chaos_severity=severity, chaos_seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -239,27 +161,19 @@ def _net_modes(transports: Sequence[str]) -> List[Tuple[str, str, bool]]:
     return modes
 
 
-async def _run_net_mode(
-    case: FuzzCase,
-    spec: DegradableSpec,
-    nodes: List[str],
-    transport_name: str,
-    batched: bool,
-):
+async def _run_net_mode(case: FuzzCase, transport_name: str, batched: bool):
     # Imported here: repro.net pulls in asyncio transports which the pure
     # sync/verify layers should not pay for.
     from repro.net import make_transport, run_agreement_async
-    from repro.net.chaos.policy import make_policy
+    from repro.net.chaos.policy import seeded_policy
 
-    chaos = None
-    rng: Optional[random.Random] = None
+    spec, nodes = case.spec(), case.nodes()
+    chaos = rng = None
     if case.chaos_severity:
-        # One RNG per mode, rebuilt from the case seed, drives victim
-        # selection and every per-frame draw — the chaos campaign's replay
-        # recipe, applied per wire mode.
-        rng = random.Random(case.chaos_seed)
-        chaos = make_policy(
-            case.chaos_severity, spec, nodes, rng, seed=case.chaos_seed
+        # Rebuilt from the case seed per wire mode: the chaos campaign's
+        # replay recipe, applied to each mode alone.
+        chaos, rng = seeded_policy(
+            case.chaos_severity, spec, nodes, case.chaos_seed
         )
     return await run_agreement_async(
         spec,
@@ -294,9 +208,7 @@ def run_case(
     results["sync"] = sync_result
 
     for mode, transport_name, batched in _net_modes(transports):
-        net = asyncio.run(
-            _run_net_mode(case, spec, nodes, transport_name, batched)
-        )
+        net = asyncio.run(_run_net_mode(case, transport_name, batched))
         faulty = case.behavior_faulty | (
             net.chaos.afflicted if net.chaos is not None else frozenset()
         )
@@ -391,7 +303,7 @@ def case_strategy(allow_chaos: bool = True):
         m, u = draw(st.sampled_from(SPEC_CORNERS))
         extra = draw(st.integers(min_value=0, max_value=1))
         n = min(2 * m + u + 1 + extra, 7)
-        nodes = [SENDER] + [f"p{k}" for k in range(1, n)]
+        nodes = node_ids(n)
         n_faults = draw(st.integers(min_value=0, max_value=u))
         order = draw(st.permutations(nodes))
         faults = tuple(
@@ -437,7 +349,6 @@ def run_fuzz(
     from hypothesis import HealthCheck, Phase, given
     from hypothesis import seed as hypothesis_seed
     from hypothesis import settings
-    from hypothesis import strategies as st  # noqa: F401  (re-exported hook)
 
     report = FuzzReport(seed=seed, transports=tuple(transports))
     # Cache by replay token: Hypothesis may re-run an example (notably to

@@ -1,17 +1,25 @@
 """Campaign machinery: replay tokens, trial seeds, reports, reproducibility."""
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
+from repro.core.scenario import node_ids
+from repro.core.spec import DegradableSpec
 from repro.exceptions import ConfigurationError
 from repro.net.chaos import (
     DEFAULT_GRID,
+    SEVERITIES,
+    EndpointRestart,
     TrialConfig,
     campaign_configs,
+    make_policy,
     parse_replay,
     run_campaign_sync,
     run_trial_sync,
+    seeded_policy,
     trial_seed,
 )
 
@@ -46,6 +54,44 @@ class TestReplayToken:
         with pytest.raises(ConfigurationError):
             TrialConfig(m=1, u=2, n_nodes=5, severity="light",
                         transport="local", seed=1, timeout=0.0)
+
+
+class TestSeededPolicy:
+    """``seeded_policy`` is the recipe the campaign, the fuzzer and the
+    CLI's serve/trace verbs each used to spell out by hand."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 123456])
+    @pytest.mark.parametrize("kill_links", [False, True])
+    @pytest.mark.parametrize("severity", SEVERITIES)
+    def test_reproduces_the_inlined_recipe(self, severity, kill_links, seed):
+        spec = DegradableSpec(m=2, u=3, n_nodes=8)
+        nodes = node_ids(8)
+        # The recipe as every call site wrote it before.
+        rng = random.Random(seed)
+        policy = make_policy(severity, spec, nodes, rng, seed=seed)
+        if kill_links:
+            victim = nodes[1:][rng.randrange(len(nodes) - 1)]
+            policy = replace(
+                policy,
+                link_resets=tuple(range(2, spec.rounds + 1)),
+                restarts=(EndpointRestart(node=victim, at_round=2),),
+            )
+
+        got_policy, got_rng = seeded_policy(
+            severity, spec, nodes, seed, kill_links
+        )
+        assert got_policy == policy
+        assert got_policy.seed == seed
+        # The RNG-sharing rule: the returned RNG stands exactly where the
+        # policy's victim draws left it, ready for the per-frame draws.
+        assert [got_rng.random() for _ in range(8)] == [
+            rng.random() for _ in range(8)
+        ]
+
+    def test_default_is_no_kill_links(self):
+        spec = DegradableSpec(m=1, u=2, n_nodes=5)
+        policy, _ = seeded_policy("light", spec, node_ids(5), 3)
+        assert not policy.link_resets and not policy.restarts
 
 
 class TestTrialSeeds:

@@ -7,7 +7,15 @@ import pytest
 from repro.exceptions import TransportError
 from repro.net.codec import DATA, MARK, Frame
 from repro.net.tcp import TcpTransport
-from repro.net.transport import FlakyTransport, LocalBus
+from repro.net.chaos import ChaosPolicy, ChaosTransport
+from repro.net.metrics import NetMetrics
+from repro.net.supervision import SupervisedTransport
+from repro.net.transport import (
+    FlakyTransport,
+    LocalBus,
+    Transport,
+    TransportLayer,
+)
 from repro.sim.messages import Message, RelayPayload
 
 NODES = ["S", "p1", "p2"]
@@ -119,6 +127,106 @@ class TestFlakyTransport:
             await flaky.close()
 
         asyncio.run(scenario())
+
+
+class _Recording(Transport):
+    """Base transport that logs every contract call it receives."""
+
+    name = "recording"
+    ordered_sends = True
+
+    def __init__(self):
+        self.calls = []
+
+    def attach_metrics(self, metrics):
+        self.calls.append(("attach_metrics", metrics))
+
+    def attach_tracer(self, tracer):
+        self.calls.append(("attach_tracer", tracer))
+
+    def round_opened(self, round_no, deadline, instance=None):
+        self.calls.append(("round_opened", round_no, deadline, instance))
+
+    async def open(self, nodes):
+        self.calls.append(("open", tuple(nodes)))
+
+    async def send(self, frame):
+        self.calls.append(("send", frame))
+        return 7
+
+    async def recv(self, node):
+        self.calls.append(("recv", node))
+        return data_frame(destination=node)
+
+    async def send_corrupted(self, frame, rng):
+        self.calls.append(("send_corrupted", frame, rng))
+        return 3
+
+    def reset_connections(self, node=None):
+        self.calls.append(("reset_connections", node))
+        return 2
+
+    async def restart_endpoint(self, node):
+        self.calls.append(("restart_endpoint", node))
+
+    async def close(self):
+        self.calls.append(("close",))
+
+
+class TestTransportLayer:
+    def test_forwards_the_whole_contract(self):
+        async def scenario():
+            base = _Recording()
+            layer = TransportLayer(base)
+            metrics, tracer, frame = NetMetrics(), object(), data_frame()
+            layer.attach_metrics(metrics)
+            layer.attach_tracer(tracer)
+            assert layer.metrics is metrics and layer.tracer is tracer
+            layer.round_opened(2, 1.5, "i0")
+            await layer.open(NODES)
+            assert await layer.send(frame) == 7
+            assert (await layer.recv("p1")).destination == "p1"
+            assert await layer.send_corrupted(frame, None) == 3
+            assert layer.reset_connections("p2") == 2
+            await layer.restart_endpoint("p2")
+            async with layer:
+                pass
+            return base.calls, metrics, tracer, frame, layer
+
+        calls, metrics, tracer, frame, layer = asyncio.run(scenario())
+        assert calls == [
+            ("attach_metrics", metrics),
+            ("attach_tracer", tracer),
+            ("round_opened", 2, 1.5, "i0"),
+            ("open", tuple(NODES)),
+            ("send", frame),
+            ("recv", "p1"),
+            ("send_corrupted", frame, None),
+            ("reset_connections", "p2"),
+            ("restart_endpoint", "p2"),
+            ("close",),
+        ]
+        assert layer.name == "layer+recording"
+        assert layer.ordered_sends is True
+
+    def test_every_wrapper_is_a_layer(self):
+        base = LocalBus()
+        stack = SupervisedTransport(
+            ChaosTransport(FlakyTransport(base), ChaosPolicy())
+        )
+        assert stack.name == "supervised+chaos+flaky+local"
+        metrics = NetMetrics()
+        stack.attach_metrics(metrics)
+        layer = stack
+        while isinstance(layer, TransportLayer):
+            assert layer.metrics is metrics
+            layer = layer.inner
+        assert layer is base
+        # Chaos forces ordered sends on everything above it; a quiet
+        # flaky layer over a bus does not.
+        assert stack.ordered_sends is True
+        assert FlakyTransport(base).ordered_sends is False
+        assert FlakyTransport(base, failure_probability=0.5).ordered_sends
 
 
 class TestTcpTransport:

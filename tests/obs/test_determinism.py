@@ -129,7 +129,10 @@ class TestFingerprintIsAllInts:
         metrics.record_link_state("S", "p1", "suspect")
         metrics.record_watchdog_cancellation()
         metrics.record_endpoint_restart()
-        metrics.record_instance("i0", {"messages": 3, "frames": 2})
+        inner = NetMetrics()
+        inner.record_batch(1, 3, 300, 90)
+        inner.record_latency(1, 0.002)
+        metrics.record_instance("i0", inner)
         counters = metrics.counters()
         assert counters  # non-trivial
         for key, value in counters.items():
@@ -144,12 +147,16 @@ class TestFingerprintIsAllInts:
         metrics = NetMetrics()
         # Simulate the exact leak the audit exists for: a wall-clock
         # float smuggled in through an instance fold.
-        metrics.record_instance("i9", {"outage_seconds": 1.5})
+        leaky = NetMetrics()
+        leaky.substitutions = 1.5
+        metrics.record_instance("i9", leaky)
         with pytest.raises(TypeError, match="determinism fingerprint"):
             metrics.counters()
 
     def test_bool_is_not_an_acceptable_counter(self):
         metrics = NetMetrics()
-        metrics.record_instance("i9", {"satisfied": True})
+        leaky = NetMetrics()
+        leaky.substitutions = True
+        metrics.record_instance("i9", leaky)
         with pytest.raises(TypeError, match="determinism fingerprint"):
             metrics.counters()

@@ -62,7 +62,7 @@ def build_golden_recorder():
 
     metrics.record_stray_frame()
     metrics.record_watchdog_cancellation()
-    metrics.record_instance("i0", {"messages": 3})
+    metrics.record_instance("i0", NetMetrics())
     return metrics, bus
 
 
