@@ -50,6 +50,20 @@ if grep -rn "RetryPolicy" src/; then
     exit 1
 fi
 
+echo "== a cheap schedule (one deadline timer per node-round; trace lines from the codec's kernel) =="
+# _collect awaits recv directly under one call_at per node-round: a
+# wait_for around recv is a Task, a timer and a future per frame again.
+if grep -n "wait_for(" src/repro/net/runner.py; then
+    echo "wait_for( is back in the runner: the round deadline is one timer, not one per frame" >&2
+    exit 1
+fi
+# event_to_json writes its line with canonical_json/raw_json; the dict
+# tree + json.dumps writer lives in tests/sim/reference_trace.py only.
+if sed -n '/^def event_to_json/,/^def event_from_json/p' src/repro/sim/trace.py | grep -n "json.dumps("; then
+    echo "json.dumps( is back in event_to_json: trace lines come from the canonical-text kernel" >&2
+    exit 1
+fi
+
 echo "== one scenario vocabulary (one node list, one fault-kind table, replayable tokens) =="
 # The S,p1..p{N-1} builder and the kind -> Behavior mapping live once, in
 # repro.core.scenario.  (A count test, since `! grep` never trips `set -e`.)

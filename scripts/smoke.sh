@@ -12,6 +12,9 @@ trap 'rm -rf "${ARTIFACTS}"' EXIT
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== trace line writer vs its reference (same lines, headers, fingerprints) =="
+python -m pytest -q tests/sim/test_trace_differential.py
+
 echo "== net runtime over the local bus =="
 python -m repro net --transport local
 

@@ -374,7 +374,10 @@ class ExploreReport:
     violations: List[ExploreViolation] = field(default_factory=list)
     budget_exhausted: bool = False
     frontier_exhausted: bool = False
+    #: Seconds spent exploring: the runs ``executions`` counts.
     elapsed: float = 0.0
+    #: Seconds spent shrinking violations (the runs ``shrink_runs`` count).
+    shrink_elapsed: float = 0.0
     unique_fingerprints: int = 0
 
     @property
@@ -398,7 +401,12 @@ class ExploreReport:
             f"{', exhausted' if self.budget_exhausted else ''}) "
             f"over {self.decision_points} decision points "
             f"in {self.elapsed:.2f}s "
-            f"({self.schedules_per_sec:.0f} schedules/s)",
+            f"({self.schedules_per_sec:.0f} schedules/s)"
+            + (
+                f", shrinking took {self.shrink_elapsed:.2f}s"
+                if self.violations
+                else ""
+            ),
             f"    partial-order pruning: {self.pruned} of "
             f"{self.offered + self.pruned} options pruned "
             f"({self.pruning_ratio:.0%}); "
@@ -422,7 +430,9 @@ def explore(
     :class:`~repro.core.spec.DegradableSpec` (explored fault-free with
     defaults).  *depth_bound* caps the number of non-default choices per
     schedule; *budget* caps total executions (schedule runs; shrinking a
-    violation is budgeted separately since it terminates quickly).
+    violation is budgeted separately since it terminates quickly — and
+    timed separately, as ``shrink_elapsed``, so ``schedules_per_sec``
+    divides the executions counted by the time they took).
     """
     if isinstance(config, DegradableSpec):
         config = ExploreConfig(
@@ -452,9 +462,11 @@ def explore(
         report.pruned += outcome.pruned
         fingerprints.add(outcome.fingerprint)
         if not outcome.ok:
+            shrink_started = time.perf_counter()
             shrunk, shrink_runs = shrink_schedule(
                 config, outcome.schedule, outcome
             )
+            report.shrink_elapsed += time.perf_counter() - shrink_started
             report.violations.append(
                 ExploreViolation(
                     found=outcome, shrunk=shrunk, shrink_runs=shrink_runs
@@ -480,5 +492,7 @@ def explore(
     else:
         report.frontier_exhausted = True
     report.unique_fingerprints = len(fingerprints)
-    report.elapsed = time.perf_counter() - started
+    report.elapsed = (
+        time.perf_counter() - started - report.shrink_elapsed
+    )
     return report

@@ -252,13 +252,17 @@ class ExploredTransport(Transport):
         # earlier round that is still unconsumed — queued, in flight, or
         # dropped — missed the round it belonged to.  Its source is an
         # absence the oracle must see as fault placement.
-        for entry in self._tracked:
+        # A consumed entry is settled — it was charged, if late, when it
+        # was consumed — so it leaves the list here: the scan stays one
+        # round's frames long however many rounds the run has.
+        live = [entry for entry in self._tracked if not entry.consumed]
+        for entry in live:
             if (
                 entry.frame.instance == instance
                 and entry.frame.round_no < round_no
-                and not entry.consumed
             ):
                 self._charge(entry)
+        self._tracked = live
 
     async def send(self, frame: Frame) -> int:
         if frame.destination not in self._inboxes:

@@ -521,6 +521,42 @@ class AsyncRoundRunner:
             )
         )
 
+    def _file_frame(
+        self,
+        frame: Frame,
+        round_no: int,
+        pending: Set[NodeId],
+        inbox: List[Message],
+    ) -> None:
+        """Meter one received frame; file its messages, resolve its source."""
+        if frame.round_no != round_no:
+            self.metrics.record_late(round_no)
+            self._trace_frame(
+                EventKind.LATE_FRAME,
+                round_no,
+                frame,
+                extra_meta={"frame_round": frame.round_no},
+            )
+            return
+        loop = asyncio.get_running_loop()
+        self._trace_frame(EventKind.FRAME_RECV, round_no, frame)
+        if frame.kind == MARK:
+            pending.discard(frame.source)
+        elif frame.kind == BATCH:
+            latency = max(0.0, loop.time() - frame.sent_at)
+            for message in frame.messages:
+                inbox.append(message)
+                self.metrics.record_latency(round_no, latency)
+            if frame.mark:
+                pending.discard(frame.source)
+        elif frame.message is not None:
+            inbox.append(frame.message)
+            self.metrics.record_latency(
+                round_no, max(0.0, loop.time() - frame.sent_at)
+            )
+        else:
+            self.metrics.record_late(round_no)
+
     async def _collect(
         self,
         node: NodeId,
@@ -541,6 +577,19 @@ class AsyncRoundRunner:
         DATA, stale BATCH, *and stale MARK* — are metered as late frames,
         so chaos-induced lateness shows up in campaign reports whichever
         frame kind it hit.
+
+        The deadline is the single place absence is decided, and it costs
+        one timer per node-round, not one per frame: ``transport.recv`` is
+        awaited directly, and one ``loop.call_at(deadline, ...)`` cancels
+        this task's pending ``recv``, setting a flag first.  A
+        ``CancelledError`` with the flag set is the round closing (the
+        frame, if one was just handed over, stays queued and surfaces a
+        round late); without it — the gateway watchdog, a mux shutdown, a
+        caller giving up on ``run()`` — it is re-raised untouched.  The
+        timer is cancelled on every exit, so a finished, timed-out or
+        cancelled collect leaves nothing scheduled on the real or the
+        virtual clock; a collect whose deadline has already passed arms
+        nothing and awaits nothing.  ``docs/runtime.md`` §7 has the cost.
         """
         loop = asyncio.get_running_loop()
         span = None
@@ -559,42 +608,28 @@ class AsyncRoundRunner:
                 waiting=len(pending),
             )
         inbox: List[Message] = []
-        while pending:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                break
+        if pending and loop.time() < deadline:
+            task = asyncio.current_task()
+            expired = False
+
+            def expire() -> None:
+                nonlocal expired
+                expired = True
+                task.cancel()
+
+            timer = loop.call_at(deadline, expire)
             try:
-                frame = await asyncio.wait_for(
-                    self.transport.recv(node), timeout=remaining
-                )
-            except asyncio.TimeoutError:
-                break
-            if frame.round_no != round_no:
-                self.metrics.record_late(round_no)
-                self._trace_frame(
-                    EventKind.LATE_FRAME,
-                    round_no,
-                    frame,
-                    extra_meta={"frame_round": frame.round_no},
-                )
-                continue
-            self._trace_frame(EventKind.FRAME_RECV, round_no, frame)
-            if frame.kind == MARK:
-                pending.discard(frame.source)
-            elif frame.kind == BATCH:
-                latency = max(0.0, loop.time() - frame.sent_at)
-                for message in frame.messages:
-                    inbox.append(message)
-                    self.metrics.record_latency(round_no, latency)
-                if frame.mark:
-                    pending.discard(frame.source)
-            elif frame.message is not None:
-                inbox.append(frame.message)
-                self.metrics.record_latency(
-                    round_no, max(0.0, loop.time() - frame.sent_at)
-                )
-            else:
-                self.metrics.record_late(round_no)
+                while pending and loop.time() < deadline:
+                    frame = await self.transport.recv(node)
+                    self._file_frame(frame, round_no, pending, inbox)
+            except asyncio.CancelledError:
+                # Ours only if the timer fired, and then only if nobody
+                # else asked in the same loop turn (3.11+ keeps count).
+                uncancel = getattr(task, "uncancel", None)
+                if not expired or (uncancel is not None and uncancel() > 0):
+                    raise
+            finally:
+                timer.cancel()
         for peer in sorted(pending, key=str):
             self.metrics.record_timeout(round_no, node, peer)
             if span is not None:

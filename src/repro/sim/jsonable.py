@@ -25,7 +25,9 @@ written and read back stably.
 The wire codec's send path skips the JSON *tree*: :func:`canonical_json`
 writes, straight from the value, the text that
 ``json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))``
-would produce, byte for byte.  Its invariants:
+would produce, byte for byte.  The trace's line and header writers use
+the same kernel through :func:`lossy_json`, which adds only the trace's
+whole-field :class:`Opaque` fallback.  Its invariants:
 
 * **keys sorted by construction** — every object emitted is one of the
   fixed tagged shapes above, written with its keys already in order;
@@ -134,7 +136,7 @@ def from_jsonable(obj: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Canonical text, written directly (the wire codec's send path)
+# Canonical text, written directly (wire frames and trace lines)
 # ----------------------------------------------------------------------
 def _remember(table: dict, value: Any, text: str) -> str:
     if len(text) <= LEAF_MEMO_TEXT:
@@ -205,14 +207,29 @@ def to_jsonable_lossy(value: Any) -> Any:
     """Like :func:`to_jsonable`, but never fails.
 
     Values outside the wire-encodable domain are wrapped as
-    :class:`Opaque` (their ``repr``).  Used by trace serialization, where
-    "the trace can always be written" beats strictness; the wire codec
-    keeps raising so protocol bugs stay loud.
+    :class:`Opaque` (their ``repr``).  This is the *definition* of the
+    trace's lossy rule; the trace writers emit its text through
+    :func:`lossy_json` and never build the tree.
     """
     try:
         return to_jsonable(value)
     except TransportError:
         return {TAG: "opaque", "text": repr(value)}
+
+
+def lossy_json(value: Any) -> str:
+    """Canonical JSON text of ``to_jsonable_lossy(value)``, without the tree.
+
+    The trace's counterpart of the strict wire rule: "the trace can always
+    be written" beats strictness, so a *field* any part of which raises
+    :class:`~repro.exceptions.TransportError` becomes, as a whole, the
+    ``opaque`` tag around ``repr(value)`` — never a partly encoded
+    container.  The wire codec keeps raising so protocol bugs stay loud.
+    """
+    try:
+        return canonical_json(value)
+    except TransportError:
+        return f'{{"__repro__":"opaque","text":{_escape(repr(value))}}}'
 
 
 def message_json(message: Message) -> str:

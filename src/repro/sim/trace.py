@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.exceptions import TraceFormatError
-from repro.sim.jsonable import from_jsonable, to_jsonable_lossy
+from repro.sim.jsonable import from_jsonable, lossy_json, raw_json
 from repro.sim.messages import Message
 
 NodeId = Hashable
@@ -198,7 +198,11 @@ class EventTrace:
         :class:`~repro.sim.jsonable.Opaque` (stable after the first
         conversion) rather than failing the export.
         """
-        return "\n".join(event_to_json(event) for event in self._events)
+        return "\n".join(self.lines())
+
+    def lines(self) -> List[str]:
+        """The canonical JSON line of every event, in recording order."""
+        return [event_to_json(event) for event in self._events]
 
     @classmethod
     def from_jsonl(cls, text: str) -> "EventTrace":
@@ -232,19 +236,32 @@ class EventTrace:
 # Single-event (de)serialization
 # ----------------------------------------------------------------------
 def event_to_json(event: TraceEvent) -> str:
-    """One canonical JSON line for *event* (sorted keys, no whitespace)."""
-    return json.dumps(
-        {
-            "round": event.round_no,
-            "kind": event.kind.value,
-            "source": to_jsonable_lossy(event.source),
-            "destination": to_jsonable_lossy(event.destination),
-            "payload": to_jsonable_lossy(event.payload),
-            "note": event.note,
-            "meta": to_jsonable_lossy(event.meta),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    """One canonical JSON line for *event* (sorted keys, no whitespace).
+
+    Written straight from the event with the codec's canonical-text kernel
+    (:mod:`repro.sim.jsonable`) — no dict tree.  Invariants, pinned byte
+    for byte against the tree writer kept in
+    ``tests/sim/reference_trace.py``:
+
+    * the seven keys are emitted in sorted order by construction, so the
+      line equals the ``sort_keys=True`` rendering of the same object;
+    * ``source``, ``destination``, ``payload`` and ``meta`` follow the
+      lossy rule *per field*: a field any part of which is not
+      wire-encodable becomes, as a whole, the ``opaque`` tag around its
+      ``repr`` (:func:`~repro.sim.jsonable.lossy_json`);
+    * ``round``, ``kind`` and ``note`` are untagged JSON scalars;
+    * the text is ASCII-only and holds no line break, so a trace's lines
+      can be sorted, hashed and joined without re-reading them — every
+      fingerprint and golden trace is a hash of exactly these lines.
+    """
+    return (
+        f'{{"destination":{lossy_json(event.destination)},'
+        f'"kind":{raw_json(event.kind.value)},'
+        f'"meta":{lossy_json(event.meta)},'
+        f'"note":{raw_json(event.note)},'
+        f'"payload":{lossy_json(event.payload)},'
+        f'"round":{raw_json(event.round_no)},'
+        f'"source":{lossy_json(event.source)}}}'
     )
 
 

@@ -26,7 +26,12 @@ from typing import TYPE_CHECKING, FrozenSet, Hashable, Tuple
 
 from repro.core.spec import DegradableSpec
 from repro.exceptions import TraceFormatError
-from repro.sim.jsonable import from_jsonable, to_jsonable_lossy
+from repro.sim.jsonable import (
+    from_jsonable,
+    lossy_json,
+    raw_json,
+    to_jsonable_lossy,
+)
 from repro.sim.trace import EventTrace, event_from_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,31 +69,41 @@ class RunRecord:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def header(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "m": self.spec.m,
-            "u": self.spec.u,
-            "n_nodes": self.spec.n_nodes,
-            "nodes": [to_jsonable_lossy(n) for n in self.nodes],
-            "sender": to_jsonable_lossy(self.sender),
-            "sender_value": to_jsonable_lossy(self.sender_value),
-            "faulty": sorted(
-                (to_jsonable_lossy(n) for n in self.faulty), key=repr
-            ),
-            "mode": self.mode,
-            "transport": self.transport,
-            "batched": self.batched,
-            "tag": self.tag,
-            "meta": to_jsonable_lossy(self.meta),
-        }
+    def header(self) -> str:
+        """The header line: canonical JSON text, keys in sorted order.
+
+        Written with the same canonical-text kernel as the event lines
+        (:func:`repro.sim.trace.event_to_json`); ``faulty`` keeps its
+        historical order — sorted by the ``repr`` of each node's tagged
+        form — so the line, and every fingerprint over it, is unchanged.
+        """
+        nodes = ",".join([lossy_json(n) for n in self.nodes])
+        faulty = ",".join(
+            [
+                lossy_json(n)
+                for n in sorted(
+                    self.faulty, key=lambda n: repr(to_jsonable_lossy(n))
+                )
+            ]
+        )
+        return (
+            f'{{"batched":{raw_json(self.batched)},'
+            f'"faulty":[{faulty}],'
+            f'"m":{raw_json(self.spec.m)},'
+            f'"meta":{lossy_json(self.meta)},'
+            f'"mode":{raw_json(self.mode)},'
+            f'"n_nodes":{raw_json(self.spec.n_nodes)},'
+            f'"nodes":[{nodes}],'
+            f'"schema":{raw_json(SCHEMA)},'
+            f'"sender":{lossy_json(self.sender)},'
+            f'"sender_value":{lossy_json(self.sender_value)},'
+            f'"tag":{raw_json(self.tag)},'
+            f'"transport":{raw_json(self.transport)},'
+            f'"u":{raw_json(self.spec.u)}}}'
+        )
 
     def to_jsonl(self) -> str:
-        header_line = json.dumps(
-            self.header(), sort_keys=True, separators=(",", ":")
-        )
-        body = self.trace.to_jsonl()
-        return header_line + ("\n" + body if body else "")
+        return "\n".join([self.header()] + self.trace.lines())
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RunRecord":
@@ -156,17 +171,17 @@ class RunRecord:
         fingerprint; everything semantically meaningful — who sent,
         delivered, substituted and decided what in which round — still
         lands in the hash.
+
+        The bytes hashed are the header line, then each event line behind
+        a newline, lines in sorted order — taken from the line list as
+        written, never from a joined text split again: a line is
+        ASCII-only and holds no line break
+        (:func:`~repro.sim.trace.event_to_json`), so both give the same
+        bytes.  ``tests/sim/reference_trace.py`` keeps the old computation.
         """
-        digest = hashlib.sha256()
-        digest.update(
-            json.dumps(
-                self.header(), sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        )
-        for line in sorted(self.trace.to_jsonl().splitlines()):
-            digest.update(b"\n")
-            digest.update(line.encode("utf-8"))
-        return digest.hexdigest()
+        lines = sorted(self.trace.lines())
+        lines.insert(0, self.header())
+        return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
 
 
 # ----------------------------------------------------------------------

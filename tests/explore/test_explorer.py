@@ -147,6 +147,38 @@ class TestBrokenVote:
             assert violation.shrunk.deviations <= violation.found.deviations
 
 
+    def test_schedules_per_sec_leaves_shrinking_out(self, monkeypatch):
+        """``executions`` does not count the shrinker's runs, so the time
+        they take must not sit in the rate's denominator either.  A clock
+        that ticks one second per executed schedule makes both exact."""
+        from repro.explore import explorer
+
+        class OneSecondPerSchedule:
+            now = 0.0
+
+            def perf_counter(self):
+                return self.now
+
+        clock = OneSecondPerSchedule()
+        real_run_schedule = explorer.run_schedule
+
+        def timed_run_schedule(*args, **kwargs):
+            clock.now += 1.0
+            return real_run_schedule(*args, **kwargs)
+
+        monkeypatch.setattr(explorer, "time", clock)
+        monkeypatch.setattr(explorer, "run_schedule", timed_run_schedule)
+        report = explore(BROKEN, depth_bound=1, budget=50, stop_at_first=False)
+        shrink_runs = sum(v.shrink_runs for v in report.violations)
+        assert report.violations and shrink_runs > 0
+        assert report.elapsed == report.executions
+        assert report.shrink_elapsed == shrink_runs
+        assert report.schedules_per_sec == 1.0
+        assert f"shrinking took {shrink_runs:.2f}s" in report.render()
+        clean = explore(ExploreConfig(), depth_bound=0, budget=1)
+        assert clean.shrink_elapsed == 0.0 and "shrinking" not in clean.render()
+
+
 class TestShrinker:
     def test_refuses_conforming_schedules(self):
         with pytest.raises(ConfigurationError, match="conforming"):

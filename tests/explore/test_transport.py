@@ -218,3 +218,80 @@ class TestInstanceAwareness:
         consumed, afflicted = drive(transport, scenario)
         assert consumed.instance == "a"
         assert afflicted == set()
+
+
+class AuditedTransport(ExploredTransport):
+    """Recomputes ``afflicted`` the way the transport did before it pruned
+    ``_tracked``: every entry ever sent, rescanned at every round opening
+    and at close.  ``audits`` collects one ``(afflicted, recomputed,
+    longest scan)`` per closed transport."""
+
+    audits = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = []
+        self.recomputed = set()
+        self.longest_scan = 0
+
+    def _miss(self, entries):
+        self.recomputed.update(e.frame.source for e in entries if not e.consumed)
+
+    async def send(self, frame):
+        nbytes = await super().send(frame)
+        self.sent.append(self._tracked[-1])
+        return nbytes
+
+    def round_opened(self, round_no, deadline, instance=None):
+        self.longest_scan = max(self.longest_scan, len(self._tracked))
+        self._miss(
+            e for e in self.sent
+            if e.frame.instance == instance and e.frame.round_no < round_no
+        )
+        super().round_opened(round_no, deadline, instance)
+
+    async def recv(self, node):
+        frame = await super().recv(node)
+        if frame.round_no < self._instance_round.get(frame.instance, 0):
+            self.recomputed.add(frame.source)
+        return frame
+
+    async def close(self):
+        self._miss(self.sent)
+        await super().close()
+        self.audits.append((set(self.afflicted), self.recomputed, self.longest_scan))
+
+
+class TestSettledEntriesLeaveTheScan:
+    """``round_opened`` drops consumed entries, so it scans a round's
+    frames, not the run's — and charges exactly whom the full rescan did."""
+
+    @pytest.mark.no_wall_timeout
+    @pytest.mark.parametrize(
+        "config,depth,schedules,round_frames",
+        [  # the three configurations the benchmark certifies
+            (dict(), 2, 513, 12),
+            (dict(supervise=True, faults=(("p1", "two-faced"), ("p2", "lie"))), 2, 513, 12),
+            (dict(m=2, u=2, n_nodes=7), 1, 133, 30),
+        ],
+        ids=["n5-clean", "n5-supervised-faulty", "n7-clean"],
+    )
+    def test_same_afflicted_set_on_every_schedule(
+        self, monkeypatch, config, depth, schedules, round_frames
+    ):
+        from repro.explore import ExploreConfig, explore, explorer
+
+        monkeypatch.setattr(explorer, "ExploredTransport", AuditedTransport)
+        monkeypatch.setattr(AuditedTransport, "audits", [])
+        report = explore(
+            ExploreConfig(**config), depth_bound=depth, budget=10**6,
+            stop_at_first=False,
+        )
+        assert report.frontier_exhausted and report.ok
+        audits = AuditedTransport.audits
+        assert len(audits) == report.executions == schedules
+        assert all(afflicted == recomputed for afflicted, recomputed, _ in audits)
+        assert any(afflicted for afflicted, _, _ in audits)
+        # Never more than the round just finished plus the schedule's
+        # stragglers, whatever the number of rounds.
+        assert max(scan for _, _, scan in audits) <= round_frames + depth

@@ -6,7 +6,10 @@
 * every frame sent is encoded exactly once — and on TCP decoded exactly
   once — so ``codec.encodes_per_frame_sent`` sits at its floor of 1.0;
 * MARK frames are metered in ``bytes_sent`` like every other frame, so
-  batched and unbatched byte totals reconcile with ``batch_bytes_saved``.
+  batched and unbatched byte totals reconcile with ``batch_bytes_saved``;
+* a frame *received* costs the event loop no task and no timer: a task
+  per frame sent, a task and one deadline timer per node-round, and no
+  timer left scheduled however the run ends.
 """
 
 import asyncio
@@ -221,3 +224,83 @@ def test_batched_and_unbatched_byte_totals_reconcile_with_savings(spec):
         unbatched.total_bytes - batched.total_bytes
         == batched.total_batch_bytes_saved + unreplaced_marks
     )
+
+
+# ----------------------------------------------------------------------
+# What a received frame costs the event loop
+# ----------------------------------------------------------------------
+class _LossyBus(LocalBus):
+    """``LocalBus`` that loses every frame *lost* says to (all by default)."""
+
+    def __init__(self, lost=lambda frame: True) -> None:
+        super().__init__()
+        self.lost = lost
+
+    async def send(self, frame) -> int:
+        return 0 if self.lost(frame) else await super().send(frame)
+
+
+def _run_counting(spec, transport, scenario=lambda runner: runner.run()):
+    """Run ``scenario(runner)`` on a fresh loop; return the runner, the
+    coroutine names of the tasks created meanwhile, and the timer handles
+    still scheduled (and not cancelled) when it finished."""
+    nodes = node_names(spec.n_nodes)
+    runner = AsyncRoundRunner(
+        ProtocolSession.byz(spec, nodes, nodes[0], "attack"),
+        transport=transport,
+        round_timeout=0.05,
+    )
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        created = []
+
+        def factory(loop, coro, **kwargs):
+            created.append(coro.__qualname__)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        loop.set_task_factory(factory)
+        await scenario(runner)
+        # Snapshot here: asyncio.run() adds shutdown tasks of its own.
+        return list(created), [h for h in loop._scheduled if not h.cancelled()]
+
+    return (runner, *asyncio.run(main()))
+
+
+@pytest.mark.parametrize(
+    "spec,sends,collects", [(SPECS[0], 16, 15), (SPECS[1], 66, 28)], ids=str
+)
+def test_a_received_frame_costs_no_task_and_a_round_leaves_no_timer(
+    spec, sends, collects
+):
+    """One task per frame sent (the fan-out) and one per node-round (its
+    collect, which owns the round's one deadline timer) — none per frame
+    received; ``wait_for`` around every ``recv`` used to add one each
+    (47 and 160 tasks)."""
+    runner, created, timers = _run_counting(spec, LocalBus())
+    assert runner.metrics.total_frames == sends
+    assert created.count("AsyncRoundRunner._send") == sends
+    assert created.count("AsyncRoundRunner._collect") == collects
+    assert len(created) == sends + collects == {5: 31, 7: 94}[spec.n_nodes]
+    assert timers == []
+
+
+def test_a_timed_out_round_leaves_no_timer():
+    bus = _LossyBus(lambda frame: (frame.source, frame.destination) == ("S", "p1"))
+    runner, _, timers = _run_counting(SPECS[0], bus)
+    assert runner.metrics.total_timeouts == 1  # p1 rode out the deadline
+    assert timers == []
+
+
+def test_a_cancelled_run_leaves_no_timer():
+    async def cancel_mid_collect(runner):
+        task = asyncio.ensure_future(runner.run())
+        await asyncio.sleep(0.01)
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+
+    # Nothing arrives, so every collect is waiting on its deadline.
+    _, created, timers = _run_counting(SPECS[0], _LossyBus(), cancel_mid_collect)
+    assert created.count("AsyncRoundRunner._collect") == 5
+    assert timers == []

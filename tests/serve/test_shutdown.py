@@ -153,6 +153,41 @@ class TestWatchdog:
         assert not healthy.watchdogged and healthy.ok
         assert service.aggregate_metrics.watchdog_cancellations == 1
 
+    def test_instance_cancelled_while_collecting_gets_the_same_verdict(self):
+        """The watchdog's cancellation lands in ``_collect``'s bare
+        ``recv`` (the round deadline is far past the envelope): it must
+        come out of ``run()`` as a cancellation, not be taken for the
+        round deadline expiring."""
+        from repro.explore import run_on_virtual_clock
+
+        class MuteBus(LocalBus):
+            async def send(self, frame):
+                return 0 if frame.instance == "mute" else await super().send(frame)
+
+        async def scenario():
+            async with AgreementService(
+                SPEC, NODES,
+                transport=MuteBus(),
+                round_timeout=60.0,
+                instance_envelope=0.5,
+                max_inflight=1,
+            ) as service:
+                started = asyncio.get_running_loop().time()
+                mute = await service.submit_and_wait(
+                    "S", "v", instance_id="mute"
+                )
+                waited = asyncio.get_running_loop().time() - started
+                healthy = await service.submit_and_wait("S", "w")
+                return mute, waited, healthy, service
+
+        mute, waited, healthy, service = run_on_virtual_clock(scenario())
+        assert waited == 0.5  # the envelope, not the 60 s round deadline
+        assert mute.watchdogged and not mute.ok
+        assert set(mute.decisions.values()) == {DEFAULT}
+        assert not healthy.watchdogged and healthy.ok
+        assert service.aggregate_metrics.watchdog_cancellations == 1
+        assert service.aggregate_metrics.total_timeouts == 0
+
     def test_watchdogged_instances_stay_out_of_the_service_record(self):
         async def scenario():
             async with AgreementService(
