@@ -64,6 +64,34 @@ if sed -n '/^def event_to_json/,/^def event_from_json/p' src/repro/sim/trace.py 
     exit 1
 fi
 
+echo "== the EIG shape computed once (one path table, one inbox order, no per-message repr) =="
+# Inboxes are ordered by repro.sim.messages.delivery_order, which renders
+# a payload once per distinct object; neither runtime spells the key out.
+for runtime in src/repro/sim/engine.py src/repro/net/runner.py; do
+    if grep -n "str(m.payload)" "${runtime}"; then
+        echo "str(m.payload) is back in ${runtime}: inbox order comes from delivery_order" >&2
+        exit 1
+    fi
+done
+# Paths are enumerated once per shape by EIGShape; the recursive generator
+# and the recursive fold live in tests/core/reference_eig.py only.
+if grep -n "_extend(\|_resolve_path(" src/repro/core/eig.py; then
+    echo "the recursive path enumeration / resolve is back in core/eig.py: use the EIGShape table" >&2
+    exit 1
+fi
+if sed -n '/^def vote(/,/^def majority(/p' src/repro/core/vote.py | grep -n "Counter("; then
+    echo "Counter( is back inside vote: it counts 5-9 ballots in a plain dict" >&2
+    exit 1
+fi
+# The functional recursion and the oracle enumerate paths on their own:
+# they are what the table is cross-checked against.
+for independent in src/repro/core/byz.py src/repro/verify/oracle.py; do
+    if grep -n "eig_shape\|EIGShape\|^ *\(from\|import\) .*\beig\b" "${independent}"; then
+        echo "${independent} imports the EIG shape table: it must stay an independent implementation" >&2
+        exit 1
+    fi
+done
+
 echo "== one scenario vocabulary (one node list, one fault-kind table, replayable tokens) =="
 # The S,p1..p{N-1} builder and the kind -> Behavior mapping live once, in
 # repro.core.scenario.  (A count test, since `! grep` never trips `set -e`.)

@@ -26,11 +26,30 @@ OM(m) — the resolver is pluggable for exactly that reason.
 Missing values (messages that never arrived) are stored as the default
 value ``V_d``, matching the paper's assumption that message absence is
 detected.
+
+Which paths exist, in which order they are enumerated and relayed, and
+which paths are whose children depend only on ``(all_nodes, owner, root,
+depth)`` — never on a value.  :class:`EIGShape` computes that once per
+shape (:func:`eig_shape`, bounded and memoized) and every tree, ingest and
+relay of that shape looks it up.  :mod:`repro.core.byz` and
+:mod:`repro.verify.oracle` deliberately do **not**: they enumerate on
+their own, which is what makes them independent cross-checks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.values import DEFAULT, Value
 from repro.core.vote import majority, vote
@@ -53,8 +72,101 @@ def majority_resolver(threshold: int, ballots: Sequence[Value]) -> Value:
     return majority(ballots)
 
 
+def _relay_key(path: PathT) -> Tuple[str, ...]:
+    """Sort key of ``stored_paths`` and of the relay plan: each hop's ``str``."""
+    return tuple(str(hop) for hop in path)
+
+
+#: Shapes :func:`eig_shape` keeps, least recently used evicted.  A service
+#: whose sender rotates over all ``N`` nodes touches ``N * (N - 1)`` shapes
+#: (42 at N = 7, 90 at N = 10); one shape is about 6 KB at (2,2,7) and 80 KB
+#: at (3,3,10), so a full cache of the largest configuration anything here
+#: runs stays near 10 MB.
+SHAPE_CACHE_SIZE = 128
+
+
+class EIGShape:
+    """What an EIG tree's ``(all_nodes, owner, root, depth)`` alone decides.
+
+    Immutable, shared by every tree, ingest and relay of the same shape
+    (fetch it with :func:`eig_shape`, never construct it per instance).
+    All tables are tuples indexed by path length ``1 .. depth`` (index 0 is
+    empty), and every path tuple exists once: the same objects sit in
+    ``levels``, ``members`` and ``relay``.
+
+    ``levels[k]``
+        every length-``k`` path from ``(root,)`` extended by nodes that are
+        neither on the path nor the owner, in depth-first order over
+        ``all_nodes`` — the order the recursive enumeration produced.
+        Every path of one level has the same number of children, and
+        ``levels[k + 1]`` lists them parent by parent, so the children of
+        ``levels[k][i]`` are the slice ``levels[k + 1][i * fan:(i + 1) *
+        fan]`` with ``fan = len(levels[k + 1]) // len(levels[k])``: the
+        fold needs no child table beyond that.
+    ``expected[k]``
+        the paths of length ``k`` the owner can legitimately be sent:
+        ``levels[k]``, or nothing at all when ``root == owner`` (nobody
+        relays a value to a node through that node).
+    ``members[k]``
+        ``frozenset(expected[k])``.  Membership is the *whole* structural
+        check on a relayed path: a path is in it iff it has length ``k``,
+        starts at ``root``, repeats no node, names only known nodes and
+        avoids the owner.
+    ``relay[k]`` (``k < depth``)
+        one ``(path, path + (owner,), destinations)`` per expected path, in
+        ``EIGTree.stored_paths`` order (sorted by the ``str`` of each hop —
+        node ids are assumed to have distinct ``str``); ``destinations``
+        are the nodes not on the extended path, in ``all_nodes`` order.
+    """
+
+    __slots__ = ("levels", "expected", "members", "relay")
+
+    def __init__(
+        self, all_nodes: Tuple[NodeId, ...], owner: NodeId, root: NodeId, depth: int
+    ) -> None:
+        levels: List[Tuple[PathT, ...]] = [(), ((root,),)]
+        for _ in range(1, depth):
+            levels.append(
+                tuple(
+                    path + (node,)
+                    for path in levels[-1]
+                    for node in all_nodes
+                    if node != owner and node not in path
+                )
+            )
+        self.levels: Tuple[Tuple[PathT, ...], ...] = tuple(levels)
+        self.expected: Tuple[Tuple[PathT, ...], ...] = (
+            self.levels if root != owner else ((),) * (depth + 1)
+        )
+        self.members: Tuple[FrozenSet[PathT], ...] = tuple(
+            frozenset(level) for level in self.expected
+        )
+        relay: List[tuple] = [()]
+        for level in self.expected[1:depth]:
+            plan = []
+            for path in sorted(level, key=_relay_key):
+                extended = path + (owner,)
+                plan.append(
+                    (path, extended, tuple(d for d in all_nodes if d not in extended))
+                )
+            relay.append(tuple(plan))
+        self.relay: Tuple[tuple, ...] = tuple(relay)
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def eig_shape(
+    all_nodes: Tuple[NodeId, ...], owner: NodeId, root: NodeId, depth: int
+) -> EIGShape:
+    """The shared :class:`EIGShape` for these arguments (bounded memo)."""
+    return EIGShape(all_nodes, owner, root, depth)
+
+
 class EIGTree:
     """Per-node store of path-labelled values plus the resolve fold.
+
+    The tree holds only values; everything structural — which paths to
+    expect, their order, who is whose child — is looked up in the
+    :class:`EIGShape` of ``(all_nodes, owner, root, depth)``.
 
     Parameters
     ----------
@@ -77,7 +189,10 @@ class EIGTree:
             raise ProtocolError(f"owner {owner!r} not among nodes")
         self.n_total = len(self.all_nodes)
         self.depth = depth
-        self._values: Dict[PathT, Value] = {}
+        #: path -> value, in filing order.  :meth:`store` is the validating
+        #: writer; ``AgreementProcess._ingest`` writes here directly once
+        #: ``EIGShape.members`` has vouched for the path.
+        self.stored: Dict[PathT, Value] = {}
 
     # ------------------------------------------------------------------
     # Storage
@@ -85,20 +200,19 @@ class EIGTree:
     def store(self, path: PathT, value: Value) -> None:
         """Record the value received for *path* (overwrites silently)."""
         self._validate_path(path)
-        self._values[path] = value
+        self.stored[path] = value
 
     def value(self, path: PathT) -> Value:
         """Stored value for *path*; ``V_d`` when nothing arrived."""
-        return self._values.get(path, DEFAULT)
+        return self.stored.get(path, DEFAULT)
 
     def has(self, path: PathT) -> bool:
-        return path in self._values
+        return path in self.stored
 
     def stored_paths(self, length: int) -> List[PathT]:
         """All stored paths of the given length, in deterministic order."""
         return sorted(
-            (p for p in self._values if len(p) == length),
-            key=lambda p: tuple(str(x) for x in p),
+            (p for p in self.stored if len(p) == length), key=_relay_key
         )
 
     def _validate_path(self, path: PathT) -> None:
@@ -125,19 +239,10 @@ class EIGTree:
         """Every path of the given length starting at *root* that this tree
         could legitimately receive (distinct nodes, owner excluded)."""
         if length < 1 or length > self.depth:
-            return
-        yield from self._extend((root,), length)
-
-    def _extend(self, prefix: PathT, length: int) -> Iterator[PathT]:
-        if self.owner in prefix:
-            return
-        if len(prefix) == length:
-            yield prefix
-            return
-        for node in self.all_nodes:
-            if node in prefix or node == self.owner:
-                continue
-            yield from self._extend(prefix + (node,), length)
+            return iter(())
+        return iter(
+            eig_shape(self.all_nodes, self.owner, root, self.depth).expected[length]
+        )
 
     # ------------------------------------------------------------------
     # Resolution
@@ -145,38 +250,57 @@ class EIGTree:
     def resolve(
         self, root: NodeId, m: int, resolver: Resolver = byz_resolver
     ) -> Value:
-        """Fold the tree rooted at ``(root,)`` into this node's decision."""
-        return self._resolve_path((root,), m, resolver)
+        """Fold the tree rooted at ``(root,)`` into this node's decision.
 
-    def _resolve_path(self, path: PathT, m: int, resolver: Resolver) -> Value:
-        if len(path) >= self.depth:
-            return self.value(path)
-        n_pi = self.n_total - len(path) + 1
-        threshold = n_pi - 1 - m
-        if threshold <= 0:
-            raise ProtocolError(
-                f"non-positive vote threshold at path {path!r}: n_pi={n_pi}, m={m}"
-            )
-        ballots: List[Value] = [self.value(path)]
-        for child in self.all_nodes:
-            if child in path or child == self.owner:
+        Bottom-up, one level at a time over ``EIGShape.levels``: the leaf
+        level resolves to the stored values, and each internal path to
+        ``resolver(n_pi - 1 - m, [own value, *children's results])`` — one
+        *resolver* call per internal path, children taken as that path's
+        slice of the level below.  The threshold depends on the level
+        only, so it is checked once per level, top-down and before any
+        vote, which reports the same path the depth-first recursion met
+        first; the ballot count is still checked per path.
+        """
+        depth = self.depth
+        levels = eig_shape(self.all_nodes, self.owner, root, depth).levels
+        n_total = self.n_total
+        for length in range(1, depth):
+            if levels[length] and n_total - length - m <= 0:
+                raise ProtocolError(
+                    f"non-positive vote threshold at path "
+                    f"{levels[length][0]!r}: n_pi={n_total - length + 1}, m={m}"
+                )
+        value = self.stored.get
+        resolved: List[Value] = [value(path, DEFAULT) for path in levels[depth]]
+        for length in range(depth - 1, 0, -1):
+            paths = levels[length]
+            if not paths:
                 continue
-            ballots.append(self._resolve_path(path + (child,), m, resolver))
-        if len(ballots) != n_pi - 1:
-            raise ProtocolError(
-                f"ballot count mismatch at {path!r}: got {len(ballots)}, "
-                f"expected {n_pi - 1}"
-            )
-        return resolver(threshold, ballots)
+            n_ballots = n_total - length
+            threshold = n_ballots - m
+            fan = len(resolved) // len(paths)
+            folded: List[Value] = []
+            stop = 0
+            for path in paths:
+                start, stop = stop, stop + fan
+                ballots = [value(path, DEFAULT), *resolved[start:stop]]
+                if len(ballots) != n_ballots:
+                    raise ProtocolError(
+                        f"ballot count mismatch at {path!r}: got "
+                        f"{len(ballots)}, expected {n_ballots}"
+                    )
+                folded.append(resolver(threshold, ballots))
+            resolved = folded
+        return resolved[0]
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.stored)
 
     def items(self) -> Iterable[Tuple[PathT, Value]]:
-        return self._values.items()
+        return self.stored.items()
 
 
 def expected_path_count(n_nodes: int, depth: int) -> int:

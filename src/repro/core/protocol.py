@@ -26,11 +26,19 @@ layer from :mod:`repro.sim.routing`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.behavior import BehaviorMap
 from repro.core.byz import AgreementResult, ExecutionStats
-from repro.core.eig import EIGTree, Resolver, byz_resolver, majority_resolver
+from repro.core.eig import (
+    SHAPE_CACHE_SIZE,
+    EIGTree,
+    Resolver,
+    byz_resolver,
+    eig_shape,
+    majority_resolver,
+)
 from repro.core.spec import DegradableSpec
 from repro.core.values import DEFAULT, Value
 from repro.exceptions import ConfigurationError, ProtocolError
@@ -87,6 +95,9 @@ class AgreementProcess(Process):
         self.trace: Optional[EventTrace] = None
         if not self.is_sender:
             self.tree = EIGTree(node_id, self.all_nodes, depth)
+            # Which relays to accept, expect and forward is a property of
+            # the shape alone; it is shared with every process of it.
+            self._shape = eig_shape(self.all_nodes, node_id, sender, depth)
 
     # ------------------------------------------------------------------
     def step(self, round_no: int, inbox: Sequence[Message]) -> List[Message]:
@@ -117,32 +128,43 @@ class AgreementProcess(Process):
         return outgoing
 
     def _ingest(self, round_no: int, inbox: Sequence[Message]) -> None:
-        """Store the previous wave; mark absent expected messages as V_d."""
+        """Store the previous wave; mark absent expected messages as V_d.
+
+        A relay is filed iff it carries this instance's tag, its path is a
+        member of the shape's expected set for this wave — one lookup that
+        says right length, rooted at the sender, no repeated or unknown
+        node, this node not on it — and its last hop is the node that sent
+        it (a node may only relay under its own identity; the runtimes
+        already prevent source forgery, so a mismatched last hop is a
+        Byzantine fabrication).  Anything else is ignored and absence
+        handling covers it; a duplicate overwrites, so the last one in
+        delivery order wins.  Then every expected path still missing is
+        filed as ``V_d`` in enumeration order (assumption (b)).
+        """
         wave_length = round_no - 1
         if wave_length < 1 or wave_length > self.depth:
             return
+        members = self._shape.members[wave_length]
+        stored = self.tree.stored
+        tag = self.tag
+        before = len(stored)
         for message in inbox:
             payload = message.payload
-            if not isinstance(payload, RelayPayload) or message.tag != self.tag:
+            if not isinstance(payload, RelayPayload) or message.tag != tag:
                 continue
             path = payload.path
-            if len(path) != wave_length:
-                continue  # stale or malformed relay; absence handling covers it
-            if path[0] != self.sender:
-                continue
-            if path[-1] != message.source:
-                # A node may only relay under its own identity; the engine
-                # already prevents source forgery, so a mismatched last hop
-                # is a Byzantine fabrication we refuse to file.
-                continue
-            if self.node_id in path:
-                continue
-            self.tree.store(path, payload.value)
-        # Absence detection (assumption (b)): every expected path of this
-        # wave that did not arrive is recorded as the default value.
-        for path in self.tree.expected_paths(wave_length, self.sender):
-            if not self.tree.has(path):
-                self.tree.store(path, DEFAULT)
+            try:
+                expected = path in members
+            except TypeError:
+                continue  # an unhashable hop names no node
+            if expected and path[-1] == message.source:
+                stored[path] = payload.value
+        level = self._shape.expected[wave_length]
+        if len(stored) - before == len(level):
+            return  # the whole wave arrived
+        for path in level:
+            if path not in stored:
+                stored[path] = DEFAULT
                 self.absence_substitutions += 1
                 if self.trace is not None:
                     self.trace.record(
@@ -169,22 +191,46 @@ class AgreementProcess(Process):
             )
 
     def _relay_wave(self, round_no: int) -> List[Message]:
-        """Forward every value of the previous wave, tagged with our id."""
-        previous_length = round_no - 1
+        """Forward every value of the previous wave, tagged with our id.
+
+        ``_ingest`` has just filed every expected path of that wave, so
+        the shape's relay plan (``stored_paths`` order, extended paths and
+        destinations precomputed) is exactly what is stored.
+        """
+        stored = self.tree.stored
+        source, tag = self.node_id, self.tag
         outgoing: List[Message] = []
-        for path in self.tree.stored_paths(previous_length):
-            extended = path + (self.node_id,)
-            payload = RelayPayload(path=extended, value=self.tree.value(path))
-            for dest in self.all_nodes:
-                if dest in extended:
-                    continue
-                outgoing.append(self.send(dest, payload, round_no, tag=self.tag))
+        for path, extended, destinations in self._shape.relay[round_no - 1]:
+            payload = RelayPayload(extended, stored[path])
+            for dest in destinations:
+                outgoing.append(Message(source, dest, payload, round_no, tag))
         return outgoing
 
 
 # ----------------------------------------------------------------------
 # Transport-facing driver seam
 # ----------------------------------------------------------------------
+_NOBODY: FrozenSet[NodeId] = frozenset()
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _source_table(
+    nodes: Tuple[NodeId, ...], sender: NodeId
+) -> Tuple[Dict[NodeId, FrozenSet[NodeId]], Dict[NodeId, FrozenSet[NodeId]]]:
+    """Who can send to whom, fixed by ``(nodes, sender)`` and shared by every
+    session of them: ``(direct wave, relay waves)``, each ``receiver ->
+    sources``.  The direct wave reaches every receiver from the sender
+    alone; a relay wave reaches it from every *other* receiver.  The sender
+    is in neither table: nothing is ever addressed to it.
+    """
+    receivers = [node for node in nodes if node != sender]
+    direct = frozenset((sender,))
+    return (
+        {node: direct for node in receivers},
+        {node: frozenset(n for n in receivers if n != node) for node in receivers},
+    )
+
+
 class ProtocolSession:
     """Transport-agnostic handle on one message-passing protocol run.
 
@@ -214,6 +260,9 @@ class ProtocolSession:
         self.process_map: Dict[NodeId, AgreementProcess] = {
             p.node_id: p for p in self.processes
         }
+        self._direct_sources, self._relay_sources = _source_table(
+            self.nodes, sender
+        )
 
     @classmethod
     def byz(
@@ -281,16 +330,16 @@ class ProtocolSession:
         data: a receiver's round closes once a batch (or the deadline)
         resolved every expected source, with no marker traffic on the
         protocol's structurally silent links.
+
+        The answer is one of the frozensets of a table fixed by ``(nodes,
+        sender)`` and shared by every session of them — nothing is built
+        per call.
         """
         if round_no == 1:
-            if node == self.sender:
-                return frozenset()
-            return frozenset({self.sender})
-        if 2 <= round_no <= self.data_rounds and node != self.sender:
-            return frozenset(
-                n for n in self.nodes if n != node and n != self.sender
-            )
-        return frozenset()
+            return self._direct_sources.get(node, _NOBODY)
+        if 2 <= round_no <= self.data_rounds:
+            return self._relay_sources.get(node, _NOBODY)
+        return _NOBODY
 
     def collect_result(self, messages: int = 0, rounds: int = 0) -> AgreementResult:
         """Package every receiver's decision as an :class:`AgreementResult`.
@@ -337,6 +386,7 @@ def make_byz_processes(
         )
     if sender not in nodes:
         raise ConfigurationError(f"sender {sender!r} not among nodes")
+    nodes = tuple(nodes)  # one tuple for all N processes and their trees
     return [
         AgreementProcess(
             node_id=node,
@@ -405,15 +455,5 @@ def execute_degradable_protocol(
     )
     session.attach_trace(engine.trace)
     rounds = engine.run(session.total_rounds)
-    result = session.collect_result(
-        messages=_count_messages(engine), rounds=rounds
-    )
+    result = session.collect_result(messages=engine.emitted, rounds=rounds)
     return result, engine
-
-
-def _count_messages(engine: SynchronousEngine) -> int:
-    if engine.trace is None:
-        return 0
-    from repro.sim.trace import EventKind
-
-    return engine.trace.count(EventKind.SENT)

@@ -19,7 +19,7 @@ the external voter's ``k``-out-of-``n`` vote from Section 3.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.core.values import DEFAULT, Value
 from repro.exceptions import ConfigurationError
@@ -41,7 +41,10 @@ def vote(threshold: int, values: Sequence[Value]) -> Value:
     Returns
     -------
     The unique value reaching the threshold, or :data:`DEFAULT` when no value
-    reaches it or two distinct values tie at or above it.
+    reaches it or two distinct values tie at or above it.  Ballots are
+    counted by equality (``V_d`` is a ballot like any other and may be the
+    winner) in one plain dict, first occurrence first; the scan stops at
+    the second winner.
 
     Raises
     ------
@@ -64,12 +67,17 @@ def vote(threshold: int, values: Sequence[Value]) -> Value:
             f"beta={len(values)}: the paper's VOTE(alpha, beta) presumes "
             f"alpha <= beta — the caller passed a short ballot vector"
         )
-    counts = Counter(values)
-    winners = [v for v, c in counts.items() if c >= threshold]
-    if len(winners) == 1:
-        return winners[0]
-    # No winner, or a tie between two (or more) values: default.
-    return DEFAULT
+    counts: Dict[Value, int] = {}
+    for value in values:
+        counts[value] = counts.get(value, 0) + 1
+    winner = DEFAULT
+    won = False
+    for value, count in counts.items():
+        if count >= threshold:
+            if won:
+                return DEFAULT  # a tie between two values: default
+            winner, won = value, True
+    return winner  # still V_d when no value reached the threshold
 
 
 def majority(values: Sequence[Value], default: Value = DEFAULT) -> Value:

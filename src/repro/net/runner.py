@@ -63,7 +63,7 @@ from repro.net.metrics import NetMetrics
 from repro.net.stack import build_stack
 from repro.net.transport import LocalBus, Transport
 from repro.sim.engine import FaultInjector
-from repro.sim.messages import Message
+from repro.sim.messages import Message, delivery_order
 from repro.sim.trace import EventKind, EventTrace, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -280,10 +280,7 @@ class AsyncRoundRunner:
         outgoing: List[Message] = []
         for node in self._order:
             process = self.session.process_map[node]
-            inbox = sorted(
-                inboxes[node],
-                key=lambda m: (str(m.destination), str(m.source), str(m.payload)),
-            )
+            inbox = delivery_order(inboxes[node])
             if self.trace is not None:
                 # Delivery is logged at the round that *consumes* the
                 # message — the synchronous engine's convention — so the

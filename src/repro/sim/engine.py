@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
 from repro.exceptions import SimulationError
-from repro.sim.messages import Message
+from repro.sim.messages import Message, delivery_order
 from repro.sim.network import Topology
 from repro.sim.node import Process
 from repro.sim.trace import EventKind, EventTrace
@@ -73,8 +73,14 @@ class SynchronousEngine:
             self.processes[process.node_id] = process
         self.injectors: List[FaultInjector] = list(injectors or [])
         self.trace: Optional[EventTrace] = EventTrace() if record_trace else None
+        # A topology is immutable, so its links are read once, not asked
+        # of the graph per message.
+        self._links = topology.links
         self._in_flight: List[Message] = []
         self.current_round = 0
+        #: Messages the processes emitted so far, counted before injectors
+        #: drop, alter or multiply them (one per ``sent`` trace event).
+        self.emitted = 0
         self._order: List[NodeId] = sorted(
             self.processes, key=lambda n: str(n)
         )
@@ -102,7 +108,7 @@ class SynchronousEngine:
         """Execute exactly one synchronous round."""
         self.current_round += 1
         inboxes: Dict[NodeId, List[Message]] = {n: [] for n in self.processes}
-        for message in self._deterministic(self._in_flight):
+        for message in delivery_order(self._in_flight):
             inboxes[message.destination].append(message)
             if self.trace is not None:
                 self.trace.record_message(
@@ -121,9 +127,16 @@ class SynchronousEngine:
                         f"{message.source!r}"
                     )
                 outgoing.append(message)
+        self.emitted += len(outgoing)
 
-        for message in outgoing:
-            self._dispatch(message)
+        if self.injectors or self.trace is not None:
+            for message in outgoing:
+                self._dispatch(message)
+        else:
+            # Nobody can alter a message and nobody records one: every
+            # message is its own sole survivor.
+            for message in outgoing:
+                self._enqueue(message)
 
     def _dispatch(self, original: Message) -> None:
         if self.trace is not None:
@@ -136,6 +149,8 @@ class SynchronousEngine:
             for message in survivors:
                 replacements = injector.intercept(self.current_round, message)
                 for replacement in replacements:
+                    if replacement is message:
+                        continue  # passed through untouched: nothing to check
                     if replacement.source != original.source:
                         raise SimulationError(
                             f"injector {type(injector).__name__} attempted to "
@@ -167,7 +182,7 @@ class SynchronousEngine:
             raise SimulationError(
                 f"node {message.source!r} attempted to message itself"
             )
-        if not self.topology.has_edge(message.source, message.destination):
+        if message.destination not in self._links[message.source]:
             # No physical link: the message silently never arrives.  The
             # relay layer is responsible for multi-hop routing.
             if self.trace is not None:
@@ -192,10 +207,3 @@ class SynchronousEngine:
             for node_id, process in self.processes.items()
             if process.decided
         }
-
-    @staticmethod
-    def _deterministic(messages: List[Message]) -> List[Message]:
-        return sorted(
-            messages,
-            key=lambda m: (str(m.destination), str(m.source), str(m.payload)),
-        )

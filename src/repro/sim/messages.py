@@ -18,7 +18,7 @@ receiver then observes as absence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 NodeId = Hashable
 
@@ -70,6 +70,33 @@ class RelayPayload:
     def __post_init__(self) -> None:
         if not self.path:
             raise ValueError("RelayPayload.path must be non-empty")
+
+
+def delivery_order(messages: Iterable[Message]) -> List[Message]:
+    """*messages* in the one deterministic inbox order every runtime uses.
+
+    Sorted by ``(str(destination), str(source), str(payload))``, stable for
+    equal keys — the order every pinned trace and fingerprint was recorded
+    in.  ``str(payload)`` is a dataclass ``repr``, by far the dearest part
+    of the key, and a relayed payload is one object shared by all its
+    destinations, so it is rendered once per distinct payload *object*
+    (the messages keep their payloads alive, so ``id`` cannot be reused
+    meanwhile); equal-but-distinct payloads render equal and sort the same.
+    """
+    rendered: Dict[int, str] = {}
+    keyed = []
+    for index, message in enumerate(messages):
+        payload = message.payload
+        text = rendered.get(id(payload))
+        if text is None:
+            text = rendered[id(payload)] = str(payload)
+        # The unique index keeps equal keys in arrival order and keeps the
+        # sort from ever comparing two messages.
+        keyed.append(
+            (str(message.destination), str(message.source), text, index, message)
+        )
+    keyed.sort()
+    return [entry[4] for entry in keyed]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ the relay layer in :mod:`repro.sim.routing`).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -40,9 +42,12 @@ class Topology:
     # ------------------------------------------------------------------
     @classmethod
     def complete(cls, nodes: Sequence[NodeId]) -> "Topology":
-        """Fully connected topology (algorithm BYZ's native assumption)."""
-        graph = nx.complete_graph(list(nodes))
-        return cls(graph)
+        """Fully connected topology (algorithm BYZ's native assumption).
+
+        Topologies are immutable, so one frozen instance per node tuple is
+        shared by every caller (bounded memo).
+        """
+        return _complete(cls, tuple(nodes))
 
     @classmethod
     def from_edges(
@@ -149,6 +154,16 @@ class Topology:
     def has_edge(self, a: NodeId, b: NodeId) -> bool:
         return self._graph.has_edge(a, b)
 
+    @cached_property
+    def links(self) -> Mapping[NodeId, FrozenSet[NodeId]]:
+        """Each node's direct neighbours, read off the frozen graph once."""
+        return MappingProxyType(
+            {
+                node: frozenset(neighbours)
+                for node, neighbours in self._graph.adjacency()
+            }
+        )
+
     def neighbors(self, node: NodeId) -> List[NodeId]:
         return list(self._graph.neighbors(node))
 
@@ -221,3 +236,8 @@ class Topology:
             f"Topology(n={self.n_nodes}, edges={self._graph.number_of_edges()}, "
             f"complete={self.is_complete()})"
         )
+
+
+@lru_cache(maxsize=64)  # one small frozen graph per distinct node tuple
+def _complete(cls: type, nodes: Tuple[NodeId, ...]) -> Topology:
+    return cls(nx.complete_graph(list(nodes)))

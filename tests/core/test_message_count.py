@@ -17,6 +17,9 @@ from repro.core.behavior import ConstantLiar, LieAboutSender
 from repro.core.byz import message_count, run_degradable_agreement
 from repro.core.protocol import execute_degradable_protocol
 from repro.core.spec import DegradableSpec
+from repro.sim.engine import FaultInjector
+from repro.sim.faults import OmissionInjector
+from repro.sim.trace import EventKind
 from tests.conftest import node_names
 
 VALUE = "engage"
@@ -87,3 +90,45 @@ class TestMessageCountClosedForm:
                 spec, nodes, "S", VALUE, behaviors
             )
             assert result.stats.messages == message_count(7, 2)
+
+
+class TestEngineCountsWithoutATrace:
+    """``stats.messages`` is what the processes emitted, trace or no trace.
+
+    It used to be the number of ``sent`` trace events, so a run with
+    ``record_trace=False`` reported 0 messages.
+    """
+
+    @pytest.mark.parametrize("point", [(1, 2, 5), (2, 2, 7), (3, 3, 10)], ids=_grid_id)
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_equals_closed_form_and_functional_run(self, point, record_trace):
+        m, u, n = point
+        spec = DegradableSpec(m=m, u=u, n_nodes=n)
+        nodes = node_names(n)
+        result, engine = execute_degradable_protocol(
+            spec, nodes, "S", VALUE, record_trace=record_trace
+        )
+        functional = run_degradable_agreement(spec, nodes, "S", VALUE)
+        assert result.stats.messages == message_count(n, m)
+        assert result.stats.messages == functional.stats.messages
+        assert engine.emitted == result.stats.messages
+        if record_trace:
+            assert engine.trace.count(EventKind.SENT) == engine.emitted
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_injectors_do_not_change_the_count(self, record_trace):
+        # Emitted means handed to the engine: an injector that drops or
+        # multiplies messages changes what is delivered, not what was sent.
+        class Doubler(FaultInjector):
+            def intercept(self, round_no, message):
+                return [message, message]
+
+        spec = DegradableSpec(m=1, u=2, n_nodes=5)
+        nodes = node_names(5)
+        for injector in (OmissionInjector.from_sources({"p1"}), Doubler()):
+            result, engine = execute_degradable_protocol(
+                spec, nodes, "S", VALUE,
+                extra_injectors=[injector], record_trace=record_trace,
+            )
+            assert result.stats.messages == message_count(5, 1) == 16
+            assert engine.emitted == 16

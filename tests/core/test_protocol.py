@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.behavior import ConstantLiar, LieAboutSender, TwoFacedBehavior
 from repro.core.protocol import (
+    ProtocolSession,
     execute_degradable_protocol,
     make_byz_processes,
     make_om_processes,
@@ -156,3 +157,34 @@ class TestOMProtocol:
         assert all(
             p.decision == "v" for p in processes if p.node_id != "S"
         )
+
+
+class TestExpectedSources:
+    """``expected_sources`` answers from a table; the answers did not move."""
+
+    @pytest.mark.parametrize("sender", ["S", "p2"])
+    def test_equals_the_round_schedule_spelled_out(self, sender):
+        spec = DegradableSpec(m=2, u=2, n_nodes=7)
+        nodes = node_names(7)
+        session = ProtocolSession.byz(spec, nodes, sender, "v")
+        for round_no in range(0, session.total_rounds + 2):
+            for node in nodes:
+                if node == sender:
+                    want = frozenset()
+                elif round_no == 1:
+                    want = frozenset({sender})
+                elif 2 <= round_no <= session.data_rounds:
+                    want = frozenset(n for n in nodes if n not in (node, sender))
+                else:
+                    want = frozenset()
+                assert session.expected_sources(round_no, node) == want
+
+    def test_nothing_is_built_per_call_or_per_session(self):
+        spec = DegradableSpec(m=1, u=2, n_nodes=5)
+        nodes = node_names(5)
+        first = ProtocolSession.byz(spec, nodes, "S", "v")
+        second = ProtocolSession.byz(spec, list(nodes), "S", "w")
+        for round_no in (1, 2, 3):
+            assert first.expected_sources(round_no, "p1") is second.expected_sources(
+                round_no, "p1"
+            )

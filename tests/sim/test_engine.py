@@ -63,6 +63,23 @@ class TestDelivery:
         dropped = engine.trace.filter(lambda e: e.kind is EventKind.DROPPED)
         assert len(dropped) == 1 and dropped[0].note == "no link"
 
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_missing_link_drops_with_and_without_a_trace(self, record_trace):
+        # The engine reads the link set once at construction; with no trace
+        # and no injector it also skips _dispatch — the link check must not
+        # go with it.
+        topo = Topology.from_edges(NODES, [("a", "b"), ("b", "c")])
+        sender = ScriptedProcess("a", {1: [("b", "x"), ("c", "x")]})
+        b, c = RecordingProcess("b"), RecordingProcess("c")
+        engine = SynchronousEngine(topo, [sender, b, c], record_trace=record_trace)
+        engine.run(2)
+        assert [m.payload for m in b.received] == ["x"]
+        assert c.received == []
+        assert engine.emitted == 2
+        if record_trace:
+            dropped = engine.trace.filter(lambda e: e.kind is EventKind.DROPPED)
+            assert [(e.destination, e.note) for e in dropped] == [("c", "no link")]
+
     def test_self_message_rejected(self):
         sender = ScriptedProcess("a", {1: [("a", "x")]})
         engine = make_engine([sender, IdleProcess("b"), IdleProcess("c")])
@@ -201,3 +218,82 @@ class TestTraceToggle:
         )
         engine.run(2)
         assert engine.trace is None
+
+
+class TestUntracedUninjectedRounds:
+    """No trace and no injector: ``step_round`` skips ``_dispatch`` and
+    enqueues directly — every structural guard must still fire."""
+
+    def untraced(self, processes):
+        return SynchronousEngine(
+            Topology.complete(NODES), processes, record_trace=False
+        )
+
+    def test_delivers_and_counts(self):
+        sender = ScriptedProcess("a", {1: [("b", "x"), ("c", "y")]})
+        b, c = RecordingProcess("b"), RecordingProcess("c")
+        engine = self.untraced([sender, b, c])
+        engine.run(2)
+        assert [m.payload for m in b.received] == ["x"]
+        assert [m.payload for m in c.received] == ["y"]
+        assert engine.emitted == 2
+
+    @pytest.mark.parametrize("destination", ["a", "zzz"])
+    def test_self_and_unknown_destination_rejected(self, destination):
+        sender = ScriptedProcess("a", {1: [(destination, "x")]})
+        engine = self.untraced([sender, IdleProcess("b"), IdleProcess("c")])
+        with pytest.raises(SimulationError):
+            engine.run(1)
+
+    def test_source_forgery_rejected(self):
+        class Forger(Process):
+            def step(self, round_no, inbox):
+                return [Message(source="b", destination="c", payload=1)]
+
+        engine = self.untraced([Forger("a"), IdleProcess("b"), IdleProcess("c")])
+        with pytest.raises(SimulationError):
+            engine.run(1)
+
+
+class TestPassThroughInjectors:
+    """A replacement that *is* the intercepted message skips the forge and
+    corruption checks; anything else is still checked."""
+
+    def test_pass_through_records_no_corruption(self):
+        sender = ScriptedProcess("a", {1: [("b", "x")]})
+        receiver = RecordingProcess("b")
+        engine = make_engine(
+            [sender, receiver, IdleProcess("c")],
+            injectors=[FaultInjector(), FaultInjector()],
+        )
+        engine.run(2)
+        assert [m.payload for m in receiver.received] == ["x"]
+        assert engine.trace.count(EventKind.CORRUPTED) == 0
+        assert engine.trace.count(EventKind.DROPPED) == 0
+
+    def test_forgery_after_a_pass_through_is_still_rejected(self):
+        class ForgeSource(FaultInjector):
+            def intercept(self, round_no, message):
+                return [message, Message("b", message.destination, "forged")]
+
+        sender = ScriptedProcess("a", {1: [("c", "x")]})
+        engine = SynchronousEngine(
+            Topology.complete(NODES),
+            [sender, IdleProcess("b"), IdleProcess("c")],
+            [FaultInjector(), ForgeSource()],
+            record_trace=False,
+        )
+        with pytest.raises(SimulationError):
+            engine.run(1)
+
+    def test_equal_copy_is_checked_but_not_corruption(self):
+        class Copy(FaultInjector):
+            def intercept(self, round_no, message):
+                return [message.with_payload(message.payload)]
+
+        sender = ScriptedProcess("a", {1: [("b", "x")]})
+        receiver = RecordingProcess("b")
+        engine = make_engine([sender, receiver, IdleProcess("c")], injectors=[Copy()])
+        engine.run(2)
+        assert [m.payload for m in receiver.received] == ["x"]
+        assert engine.trace.count(EventKind.CORRUPTED) == 0

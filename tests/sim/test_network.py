@@ -157,3 +157,36 @@ class TestRandomConnected:
     def test_probability_validated(self):
         with pytest.raises(ConfigurationError):
             Topology.random_with_connectivity(["a", "b", "c"], 1, 1.5)
+
+
+class TestSharedAndFrozen:
+    """``complete`` is memoized on the node tuple; a topology never changes."""
+
+    def test_complete_returns_one_shared_instance(self):
+        first = Topology.complete(NODES)
+        assert Topology.complete(list(NODES)) is first
+        assert Topology.complete(tuple(NODES)) is first
+        assert Topology.complete(NODES[:4]) is not first
+        assert Topology.complete(list(reversed(NODES))) is not first
+
+    def test_mutating_the_graph_still_raises(self):
+        import networkx as nx
+
+        for topo in (Topology.complete(NODES), Topology.ring(NODES)):
+            with pytest.raises(nx.NetworkXError):
+                topo.graph.remove_edge("a", "b")
+            with pytest.raises(nx.NetworkXError):
+                topo.graph.add_node("ghost")
+        assert Topology.complete(NODES).has_edge("a", "b")
+
+    def test_links_mirror_the_graph(self):
+        topo = Topology.from_edges(NODES, [("a", "b"), ("b", "c")])
+        assert topo.links == {
+            "a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set(), "e": set(),
+        }
+        assert topo.links is topo.links  # read off the graph once
+        complete = Topology.complete(NODES)
+        assert all(
+            (b in complete.links[a]) == complete.has_edge(a, b)
+            for a in NODES for b in NODES
+        )
