@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}"
 
-# Run artifacts (load report, explorer bench) go to a scratch directory:
-# a CI run leaves the tree clean.
+# Run artifacts (the load report) go to a scratch directory: a CI run
+# leaves the tree clean.
 ARTIFACTS="$(mktemp -d)"
 trap 'rm -rf "${ARTIFACTS}"' EXIT
 
@@ -41,7 +41,6 @@ python -m repro experiments
 python -m repro suite
 python -m repro net --transport local
 python -m repro net --transport tcp
-python -m repro net --transport tcp --no-batch
 
 echo "== one send path (the runner has no retry loop; supervision is the only backoff) =="
 # (`! grep` alone never trips `set -e`; spell the failure out.)
@@ -92,6 +91,33 @@ for independent in src/repro/core/byz.py src/repro/verify/oracle.py; do
     fi
 done
 
+echo "== thin verbs (superseded flags, harness and test double stay out of src/) =="
+# FlakyTransport is a test double: it lives in tests/net/flaky.py.
+if grep -rn --include="*.py" "FlakyTransport" src/; then
+    echo "FlakyTransport is back under src/: it is a test double (tests/net/flaky.py)" >&2
+    exit 1
+fi
+# The unbatched wire mode is a keyword-only reference path, not a CLI flag.
+if grep -rn --include="*.py" "no.batch" src/repro/cli/; then
+    echo "--no-batch is back in the CLI: batching=False is a keyword for tests and perf/ only" >&2
+    exit 1
+fi
+# The explorer's gate is tier-1 + perf/; its own bench harness is gone.
+if grep -rn --include="*.py" "repro.bench.explore" src/ || [ -e src/repro/explore/bench.py ]; then
+    echo "the explorer bench harness is back under src/: perf/explore_certify.py measures it" >&2
+    exit 1
+fi
+# Import cost follows use: scipy only where a bound is computed, and the
+# CLI package's front door pays for no verb family.
+if grep -rn --include="*.py" "^from scipy\|^import scipy" src/; then
+    echo "a module-level scipy import is back under src/: import it at the call" >&2
+    exit 1
+fi
+if grep -n "^from repro.analysis\|^import repro.analysis" src/repro/cli/__init__.py; then
+    echo "repro.cli imports repro.analysis at module level: a handler imports what it needs when it runs" >&2
+    exit 1
+fi
+
 echo "== one scenario vocabulary (one node list, one fault-kind table, replayable tokens) =="
 # The S,p1..p{N-1} builder and the kind -> Behavior mapping live once, in
 # repro.core.scenario.  (A count test, since `! grep` never trips `set -e`.)
@@ -120,10 +146,15 @@ python -m repro verify examples/traces/golden_m1u2.jsonl
 timeout 300 python -m repro fuzz --quick --seed 7
 
 echo "== schedule explorer (bounded DFS + shrink gate) =="
-# Seedless and deterministic: correct (1,2,5) must explore clean to the
-# bench depth, the seeded vote bug must be found and shrunk, and the
-# artifact records schedules/sec and the pruning ratio.
-timeout 300 python -m repro explore --bench --out "${ARTIFACTS}/BENCH_explore.json"
+# Seedless and deterministic, and a gate that can fail in both
+# directions: correct (1,2,5) must explore clean to an exhausted depth-2
+# frontier (exit 0), and the planted vote bug must be found and shrunk to
+# a replayable one-deviation token (exit 1).
+timeout 300 python -m repro explore --depth 2 --budget 150
+if timeout 300 python -m repro explore --inject-vote-bug 1 --depth 2 --budget 150; then
+    echo "planted vote bug not found" >&2
+    exit 1
+fi
 
 echo "== agreement service (multiplexed instances + load gate) =="
 # serve cross-checks every decision against the synchronous engine;

@@ -36,9 +36,13 @@ bash scripts/replay_tokens.sh
 
 echo "== schedule explorer smoke (virtual clock, seedless) =="
 # Deterministic both ways: the correct running example must explore
-# clean, and the seeded vote bug must be found and shrunk to a
-# replayable one-deviation token.
-timeout 60 python -m repro explore --smoke
+# clean (exit 0), and the planted vote bug must be found and shrunk to a
+# replayable one-deviation token (exit 1).
+timeout 60 python -m repro explore --depth 2 --budget 150
+if timeout 60 python -m repro explore --inject-vote-bug 1 --depth 2 --budget 150; then
+    echo "planted vote bug not found" >&2
+    exit 1
+fi
 
 echo "== agreement service (32 concurrent instances, one shared bus) =="
 # Both gates exit nonzero on any sync-engine divergence or dropped submit.

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 from repro.exceptions import AnalysisError
 
 
@@ -37,6 +35,10 @@ def violation_rate_upper_bound(
     _check(n_trials, n_violations, confidence)
     if n_violations >= n_trials:
         return 1.0
+    # Imported at the call: scipy.stats costs ~1 s and ~80 MB to load, and
+    # this is the only function in the package that needs it.
+    from scipy import stats
+
     return float(
         stats.beta.ppf(confidence, n_violations + 1, n_trials - n_violations)
     )

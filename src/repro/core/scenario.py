@@ -173,10 +173,19 @@ def flag(text: str) -> bool:
     return bool(int(text))
 
 
-def _faults(text: str) -> Tuple[Tuple[str, str], ...]:
+def fault_pairs(
+    text: str, separator: str = "+", default_kind: str = ""
+) -> Tuple[Tuple[str, str], ...]:
+    """The ``node:kind`` assignments *text* lists, sorted by node.
+
+    As called, the ``faults=`` token field: ``+``-separated, kind
+    required.  ``repro explore --faulty`` reads its comma-separated list,
+    where a bare node takes *default_kind*, through the same conversion.
+    """
     pairs = []
-    for chunk in () if absent(text) else text.split("+"):
+    for chunk in () if absent(text) else text.split(separator):
         node, _, kind = chunk.partition(":")
+        kind = kind or default_kind
         if not node or not kind:
             raise ValueError(
                 f"malformed fault assignment {chunk!r} (expected node:kind)"
@@ -192,5 +201,5 @@ SHAPE_FIELDS = {"m": ("m", int), "u": ("u", int), "n": ("n_nodes", int)}
 INSTANCE_FIELDS = {
     **SHAPE_FIELDS,
     "value": ("sender_value", str),
-    "faults": ("faults", _faults),
+    "faults": ("faults", fault_pairs),
 }

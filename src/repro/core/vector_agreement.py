@@ -31,10 +31,14 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.behavior import BehaviorMap
-from repro.core.byz import run_degradable_agreement
+from repro.core.interactive_consistency import (
+    ic_runner_byz,
+    run_interactive_consistency,
+    vectors_agree,
+    vectors_valid,
+)
 from repro.core.spec import DegradableSpec
 from repro.core.values import DEFAULT, Value, is_default
-from repro.exceptions import ConfigurationError
 
 NodeId = Hashable
 
@@ -68,18 +72,9 @@ def run_degradable_interactive_consistency(
     behaviors: Optional[BehaviorMap] = None,
 ) -> Vectors:
     """One m/u-degradable agreement per sender; assemble all vectors."""
-    node_list = list(nodes)
-    missing = [p for p in node_list if p not in private_values]
-    if missing:
-        raise ConfigurationError(f"missing private values for {missing!r}")
-    vectors: Vectors = {p: {} for p in node_list}
-    for sender in node_list:
-        result = run_degradable_agreement(
-            spec, node_list, sender, private_values[sender], behaviors
-        )
-        for node in node_list:
-            vectors[node][sender] = result.decision_of(node)
-    return vectors
+    return run_interactive_consistency(
+        nodes, private_values, ic_runner_byz(spec, behaviors)
+    )
 
 
 def classify_vectors(
@@ -93,8 +88,8 @@ def classify_vectors(
     fault_free = [p for p in vectors if p not in faulty]
     regime = spec.guarantee_for(len(faulty))
 
-    identical = _identical(vectors, fault_free)
-    valid_entries = _valid(vectors, private_values, fault_free)
+    identical = vectors_agree(vectors, fault_free)
+    valid_entries = vectors_valid(vectors, private_values, fault_free)
     compatible = _compatible(vectors, fault_free)
     per_sender = _per_sender_two_class(
         vectors, private_values, fault_free, faulty
@@ -133,23 +128,6 @@ def classify_vectors(
         per_sender_two_class=per_sender,
         satisfied=not violations,
         violations=violations,
-    )
-
-
-def _identical(vectors: Vectors, fault_free: List[NodeId]) -> bool:
-    if not fault_free:
-        return True
-    reference = vectors[fault_free[0]]
-    return all(vectors[p] == reference for p in fault_free[1:])
-
-
-def _valid(
-    vectors: Vectors, private_values: Dict[NodeId, Value], fault_free: List[NodeId]
-) -> bool:
-    return all(
-        vectors[i][j] == private_values[j]
-        for i in fault_free
-        for j in fault_free
     )
 
 

@@ -6,9 +6,9 @@ package runs the *same protocol state machines* over real transports with
 real deadlines:
 
 * :class:`Transport` — the wire abstraction;
-  :class:`LocalBus` (in-process asyncio queues, zero-copy fan-out),
+  :class:`LocalBus` (in-process asyncio queues, zero-copy fan-out) and
   :class:`TcpTransport` (length-prefixed JSON frames over localhost
-  sockets) and :class:`FlakyTransport` (injected transient send failures);
+  sockets);
 * :class:`AsyncRoundRunner` — drives a
   :class:`~repro.core.protocol.ProtocolSession` round by round with
   per-round deadlines; a missed deadline *is* the paper's assumption (b):
@@ -90,12 +90,7 @@ from repro.net.supervision import (
     SupervisedTransport,
 )
 from repro.net.tcp import TcpTransport
-from repro.net.transport import (
-    FlakyTransport,
-    LocalBus,
-    Transport,
-    TransportLayer,
-)
+from repro.net.transport import LocalBus, Transport, TransportLayer
 
 # Chaos imports the runner — keep this after the core modules above.
 from repro.net.chaos import (
@@ -121,7 +116,6 @@ __all__ = [
     "Crash",
     "DATA",
     "DEAD",
-    "FlakyTransport",
     "Frame",
     "FrameDecoder",
     "HeartbeatPolicy",

@@ -20,7 +20,9 @@ harness against realistic network misbehaviour:
   count ``f_eff`` that selects the guarantee tier to assert;
 * :mod:`~repro.net.chaos.campaign` — seed-driven soak sweeps over
   ``(m, u, N) x severity`` grids with JSON reports and one-command
-  replay of any failed trial.
+  replay of any failed trial; :func:`run_seeded_instance` is the one
+  "seeded chaotic net instance" recipe its trials, ``repro trace`` and
+  the fuzzer all run.
 
 Quickstart::
 
@@ -56,6 +58,7 @@ from repro.net.chaos.campaign import (
     parse_replay,
     run_campaign,
     run_campaign_sync,
+    run_seeded_instance,
     run_trial,
     run_trial_sync,
     trial_seed,
@@ -93,6 +96,7 @@ __all__ = [
     "partition_injector",
     "run_campaign",
     "run_campaign_sync",
+    "run_seeded_instance",
     "run_trial",
     "run_trial_sync",
     "seeded_policy",

@@ -21,6 +21,11 @@ trial prints a replay token that reruns it alone, bit for bit::
 The report (:class:`CampaignReport`, JSON-serializable) records per-tier
 pass rates, total chaos event counts, each failure's replay token, and
 the worst-case seeds (failures first, heaviest chaos otherwise).
+
+:func:`run_seeded_instance` is the recipe underneath — one seeded,
+optionally chaotic / supervised / traced net instance — shared with
+``repro trace`` and the differential fuzzer, so a ``(seed, severity)``
+pair names the same schedule in all three.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import asyncio
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.conditions import classify
 from repro.core.scenario import (
@@ -42,7 +47,7 @@ from repro.core.scenario import (
 from repro.exceptions import ConfigurationError
 from repro.net.chaos.accounting import tier_for, tier_is_asserted
 from repro.net.chaos.policy import SEVERITIES, seeded_policy
-from repro.net.runner import run_agreement_async
+from repro.net.runner import NetRunOutcome, run_agreement_async
 from repro.net.stack import make_transport
 
 #: Spec grid a campaign cycles through: the paper's running example, the
@@ -177,30 +182,95 @@ class TrialResult:
             "endpoint_restarts": self.endpoint_restarts,
         }
 
+    def line(self) -> str:
+        """The one-line campaign progress form."""
+        status = "FAIL" if self.failed else "ok" if self.checked else "rec"
+        return (
+            f"  [{status}] {self.config.replay_token} "
+            f"tier={self.tier} f_eff={self.f_eff}"
+        )
 
-async def run_trial(config: TrialConfig) -> TrialResult:
-    """Run one chaos trial; a pure function of *config*."""
-    instance = config.instance
+    def render(self) -> str:
+        """The full single-trial report ``repro chaos --replay`` prints."""
+        lines = [
+            f"replay {self.config.replay_token}",
+            f"  tier={self.tier} f_eff={self.f_eff} afflicted={self.afflicted}",
+            f"  shape={self.shape} substitutions={self.substitutions} "
+            f"timeouts={self.timeouts}",
+            f"  chaos={self.chaos_counts}",
+            *(f"    {n} -> {v}" for n, v in sorted(self.decisions.items())),
+        ]
+        if not self.checked:
+            lines.append(
+                "verdict: RECORD-ONLY (f_eff > u; the paper promises "
+                "nothing here)"
+            )
+        elif self.passed:
+            lines.append("verdict: PASSED")
+        else:
+            lines.append("verdict: FAILED")
+            lines += [f"  !! {violation}" for violation in self.violations]
+        return "\n".join(lines)
+
+
+async def run_seeded_instance(
+    instance: Instance,
+    transport: str,
+    round_timeout: float,
+    severity: str = "",
+    seed: int = 0,
+    kill_links: bool = False,
+    batching: bool = True,
+    tracer=None,
+) -> Tuple[NetRunOutcome, FrozenSet, str]:
+    """Run *instance* once over the async runtime, a pure function of its
+    arguments; return the outcome, the afflicted set and the tier.
+
+    *severity* (``""`` = a clean network) and *seed* select the chaos via
+    :func:`~repro.net.chaos.policy.seeded_policy`; *kill_links* layers the
+    self-healing soak on it and runs under a reconnecting supervisor.  The
+    afflicted set is the instance's declared faulty nodes plus every node
+    the chaos layer charged — the fault set the run is to be judged
+    against — and the tier is the guarantee its size selects.
+    """
     spec, nodes = instance.spec(), instance.nodes()
-    policy, rng = seeded_policy(
-        config.severity, spec, nodes, config.seed, config.kill_links
-    )
+    policy = rng = None
+    if severity:
+        policy, rng = seeded_policy(severity, spec, nodes, seed, kill_links)
     outcome = await run_agreement_async(
         spec,
         nodes,
         nodes[0],
         instance.sender_value,
-        transport=make_transport(config.transport),
-        round_timeout=config.timeout,
+        behaviors=instance.behaviors(),
+        transport=make_transport(transport),
+        round_timeout=round_timeout,
         chaos=policy,
         chaos_rng=rng,
+        batching=batching,
         # Supervision jitter defaults to Random(policy.seed): the trial seed.
-        supervise=config.kill_links,
+        supervise=kill_links,
+        tracer=tracer,
     )
-    afflicted = outcome.chaos.afflicted
-    tier = tier_for(spec, len(afflicted))
+    afflicted = instance.behavior_faulty
+    if outcome.chaos is not None:
+        afflicted = afflicted | outcome.chaos.afflicted
+    return outcome, afflicted, tier_for(spec, len(afflicted))
+
+
+async def run_trial(config: TrialConfig) -> TrialResult:
+    """Run one chaos trial; a pure function of *config*."""
+    instance = config.instance
+    outcome, afflicted, tier = await run_seeded_instance(
+        instance,
+        config.transport,
+        config.timeout,
+        config.severity,
+        config.seed,
+        config.kill_links,
+    )
     checked = tier_is_asserted(tier)
-    report = classify(outcome.result, afflicted, spec)
+    report = classify(outcome.result, afflicted, instance.spec())
     return TrialResult(
         config=config,
         f_eff=len(afflicted),
@@ -242,6 +312,9 @@ class CampaignReport:
     trials_per_severity: int
     timeout: float
     trials: List[TrialResult] = field(default_factory=list)
+    #: Kill-links campaigns only: what the same-seed re-run did not
+    #: reproduce, one line per trial (None = the campaign was not re-run).
+    rerun_mismatches: Optional[List[str]] = None
 
     @property
     def failures(self) -> List[TrialResult]:
@@ -249,7 +322,30 @@ class CampaignReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.rerun_mismatches
+
+    def diff(self, rerun: Sequence[TrialResult]) -> List[str]:
+        """Trials *rerun* did not reproduce, each named by replay token.
+
+        The soak gate's determinism half: the same seeded trials, re-run,
+        must reproduce every decision and the full wire fingerprint —
+        reconnect and restart counters included — or the self-healing
+        layer leaked wall-clock state into the run.
+        """
+        mismatches = []
+        for first, second in zip(self.trials, rerun):
+            token = first.config.replay_token
+            if first.decisions != second.decisions:
+                mismatches.append(f"{token}: decisions diverged")
+            elif first.fingerprint != second.fingerprint:
+                changed = sorted(
+                    set(first.fingerprint.items())
+                    ^ set(second.fingerprint.items())
+                )
+                mismatches.append(
+                    f"{token}: fingerprint diverged ({changed[:6]})"
+                )
+        return mismatches
 
     def tier_summary(self) -> Dict[str, Dict]:
         out: Dict[str, Dict] = {}
@@ -306,6 +402,62 @@ class CampaignReport:
             json.dump(self.to_json(), handle, indent=2, sort_keys=True)
             handle.write("\n")
 
+    def render(self) -> str:
+        """The campaign summary: self-healing and re-run lines for a
+        kill-links soak, then per-tier pass rates and chaos totals (a
+        soak its re-run did not reproduce stops at the mismatches)."""
+        lines = []
+        if self.rerun_mismatches is not None:
+            reconnects = sum(t.reconnects for t in self.trials)
+            restarts = sum(t.endpoint_restarts for t in self.trials)
+            lines.append(
+                f"  self-healing: {reconnects} reconnect(s), "
+                f"{restarts} endpoint restart(s) across "
+                f"{len(self.trials)} trial(s)"
+            )
+            if self.rerun_mismatches:
+                lines.append("  !! same-seed re-run NOT reproducible:")
+                lines += [f"     {line}" for line in self.rerun_mismatches]
+                return "\n".join(lines)
+            lines.append(
+                f"  same-seed re-run: all {len(self.trials)} trial "
+                f"fingerprint(s) and decisions identical"
+            )
+        for tier, entry in self.tier_summary().items():
+            if tier == "none":
+                lines.append(
+                    f"  tier {tier:<9}: {entry['trials']} trial(s) recorded "
+                    f"(no guarantee asserted)"
+                )
+            else:
+                lines.append(
+                    f"  tier {tier:<9}: {entry['passed']}/{entry['trials']} "
+                    f"passed (rate {entry['pass_rate']:.2f})"
+                )
+        totals = self.chaos_totals()
+        if totals:
+            lines.append(
+                "  chaos totals: "
+                + " ".join(f"{k}={v}" for k, v in sorted(totals.items()))
+            )
+        return "\n".join(lines)
+
+    def verdict(self) -> str:
+        """The closing verdict, with a replay command per failed trial."""
+        if self.rerun_mismatches:
+            return "campaign FAILED (kill-links determinism)"
+        if self.ok:
+            return (
+                f"campaign PASSED ({len(self.trials)} trials, "
+                f"0 checked-tier violations)"
+            )
+        return "\n".join([
+            f"campaign FAILED ({len(self.failures)} checked-tier "
+            f"violation(s)); replay each with:",
+            *(f'  python -m repro chaos --replay "{t.config.replay_token}"'
+              for t in self.failures),
+        ])
+
 
 def trial_seed(base_seed: int, severity: str, index: int) -> int:
     """Stable per-trial seed: hashable from the campaign seed alone."""
@@ -351,7 +503,12 @@ async def run_campaign(
     progress=None,
     kill_links: bool = False,
 ) -> CampaignReport:
-    """Run the sweep; *progress* (if given) is called with each result."""
+    """Run the sweep; *progress* (if given) is called with each result.
+
+    A *kill_links* campaign is the self-healing soak gate and runs every
+    trial twice: what the re-run did not reproduce lands in
+    ``report.rerun_mismatches`` (:meth:`CampaignReport.diff`) and fails it.
+    """
     report = CampaignReport(
         seed=base_seed,
         transport=transport,
@@ -372,6 +529,10 @@ async def run_campaign(
         report.trials.append(result)
         if progress is not None:
             progress(result)
+    if kill_links:
+        report.rerun_mismatches = report.diff(
+            [await run_trial(trial.config) for trial in report.trials]
+        )
     return report
 
 

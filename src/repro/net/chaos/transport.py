@@ -136,16 +136,15 @@ class ChaosTransport(TransportLayer):
             self._record("crash", frame, afflicted=frozenset({crash.node}))
             return 0
 
-        if frame.kind == BATCH:
-            return await self._send_batch(frame)
-        if frame.kind != DATA:
+        if frame.kind not in (DATA, BATCH):
             await self._flush_link(link)
             return await self.inner.send(frame)
-        return await self._send_data(frame, link)
+        return await self._send_drawn(frame, link)
 
-    async def _send_batch(self, frame: Frame) -> int:
-        """Drop/corrupt/latency/dup draws, one per batch frame.
+    async def _send_drawn(self, frame: Frame, link: Link) -> int:
+        """Drop/corrupt/reorder/latency/dup draws, one set per frame.
 
+        The reorder draw is taken for DATA only (see the module docstring).
         Losing a batch loses the link's whole round — data and marker —
         so the receiver detects it through genuine deadline expiry; the
         accounting still charges one source node, the same attribution a
@@ -158,23 +157,11 @@ class ChaosTransport(TransportLayer):
         if policy.corrupt_probability and rng.random() < policy.corrupt_probability:
             self._record("corrupt", frame, afflicted=frozenset({frame.source}))
             return await self.inner.send_corrupted(frame, rng)
-        if policy.latency_probability and rng.random() < policy.latency_probability:
-            low, high = policy.latency
-            delay = low + (high - low) * rng.random()
-            self._record("delay", frame)
-            if delay > 0:
-                await asyncio.sleep(delay)
-        return await self._deliver(frame)
-
-    async def _send_data(self, frame: Frame, link: Link) -> int:
-        policy, rng = self.policy, self.rng
-        if policy.drop_probability and rng.random() < policy.drop_probability:
-            self._record("drop", frame, afflicted=frozenset({frame.source}))
-            return 0
-        if policy.corrupt_probability and rng.random() < policy.corrupt_probability:
-            self._record("corrupt", frame, afflicted=frozenset({frame.source}))
-            return await self.inner.send_corrupted(frame, rng)
-        if policy.reorder_probability and rng.random() < policy.reorder_probability:
+        if (
+            frame.kind == DATA
+            and policy.reorder_probability
+            and rng.random() < policy.reorder_probability
+        ):
             self._record("reorder", frame)
             held = self._held.get(link)
             if held is None:

@@ -28,10 +28,12 @@ from repro.serve.gateway import (
 from repro.serve.load import (
     LoadConfig,
     LoadReport,
+    check_divergence,
     latency_summary,
     percentile,
     plan_workload,
     run_load,
+    serve_plan,
 )
 from repro.serve.mux import InstanceChannel, InstanceMux
 
@@ -42,9 +44,11 @@ __all__ = [
     "InstanceOutcome",
     "LoadConfig",
     "LoadReport",
+    "check_divergence",
     "latency_summary",
     "percentile",
     "plan_workload",
     "record_service_run",
     "run_load",
+    "serve_plan",
 ]

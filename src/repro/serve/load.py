@@ -20,9 +20,15 @@ Two arrival models, both pure functions of ``seed``:
   decides (latency under a fixed multiprogramming level).
 
 Senders cycle round-robin through the node set and values are drawn from
-a small seeded vocabulary, so one ``(config, seed)`` pair names one exact
-workload.  The report serializes to ``BENCH_serve.json``
-(schema ``repro.bench.serve/v1``).
+a small seeded vocabulary (:func:`plan_workload`), so one ``(config,
+seed)`` pair names one exact workload.  The report serializes to
+``BENCH_serve.json`` (schema ``repro.bench.serve/v1``).
+
+:func:`serve_plan` is the degenerate arrival model ``repro serve`` and
+``repro trace --mode serve`` run: the same seeded plan submitted in one
+burst to an (optionally chaotic, traced, scraped) service, every decision
+awaited.  :func:`check_divergence` is the one cross-check of service
+decisions against the synchronous engine, for either driver.
 """
 
 from __future__ import annotations
@@ -30,12 +36,14 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.protocol import execute_degradable_protocol
+from repro.core.scenario import Instance
 from repro.core.spec import DegradableSpec
 from repro.exceptions import AdmissionError, ConfigurationError
+from repro.net.chaos.policy import seeded_policy
 from repro.net.stack import make_transport
 from repro.net.transport import Transport
 from repro.obs.stats import percentile
@@ -64,7 +72,6 @@ class LoadConfig:
     concurrency: int = 8
     seed: int = 20260808
     transport: str = "local"  # "local" | "tcp"
-    batching: bool = True
     max_inflight: int = 16
     queue_limit: int = 64
     round_timeout: float = 5.0
@@ -96,8 +103,14 @@ class LoadConfig:
             )
 
     @property
+    def instance(self) -> Instance:
+        """The ``(m, u, N)`` shape under load (senders and values come
+        from the plan, not from here)."""
+        return Instance(self.m, self.u, self.n_nodes)
+
+    @property
     def spec(self) -> DegradableSpec:
-        return DegradableSpec(m=self.m, u=self.u, n_nodes=self.n_nodes)
+        return self.instance.spec()
 
 
 @dataclass
@@ -130,20 +143,11 @@ class LoadReport:
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA,
+            # The workload, not where its endpoint happened to listen.
             "config": {
-                "m": self.config.m,
-                "u": self.config.u,
-                "n_nodes": self.config.n_nodes,
-                "instances": self.config.instances,
-                "mode": self.config.mode,
-                "rate": self.config.rate,
-                "concurrency": self.config.concurrency,
-                "seed": self.config.seed,
-                "transport": self.config.transport,
-                "batching": self.config.batching,
-                "max_inflight": self.config.max_inflight,
-                "queue_limit": self.config.queue_limit,
-                "round_timeout": self.config.round_timeout,
+                key: value
+                for key, value in asdict(self.config).items()
+                if key != "metrics_port"
             },
             "instances_done": self.instances_done,
             "duration_s": round(self.duration, 6),
@@ -179,14 +183,34 @@ def latency_summary(samples: List[float]) -> Dict[str, float]:
     }
 
 
-def plan_workload(config: LoadConfig) -> List[Tuple[NodeId, object]]:
+def plan_workload(
+    nodes: Sequence[NodeId], instances: int, seed: int
+) -> List[Tuple[NodeId, object]]:
     """The seeded (sender, value) stream — round-robin senders, drawn values."""
-    rng = random.Random(config.seed)
-    nodes = [f"n{i}" for i in range(config.n_nodes)]
+    rng = random.Random(seed)
     return [
-        (nodes[i % len(nodes)], rng.choice(VALUES))
-        for i in range(config.instances)
+        (nodes[i % len(nodes)], rng.choice(VALUES)) for i in range(instances)
     ]
+
+
+def _observed_service(
+    spec, nodes, transport: Transport, metrics_port, tracer=None, **options
+):
+    """An :class:`AgreementService` and, when *metrics_port* is set, the
+    not-yet-started ``/metrics`` + ``/healthz`` + ``/events`` server over
+    it (else ``None``)."""
+    events = obs_server = None
+    if metrics_port is not None:
+        from repro.obs.events import EventBus
+        from repro.obs.http import ObsServer
+
+        events = EventBus()
+    service = AgreementService(
+        spec, nodes, transport=transport, events=events, tracer=tracer, **options
+    )
+    if events is not None:
+        obs_server = ObsServer.for_service(service, events, metrics_port, tracer)
+    return service, obs_server
 
 
 async def run_load(
@@ -206,33 +230,21 @@ async def run_load(
     ``--metrics-port 0`` the ephemeral port is only known then, so CI
     parses this line instead of racing on a fixed port.
     """
-    nodes = [f"n{i}" for i in range(config.n_nodes)]
-    workload = plan_workload(config)
+    nodes = config.instance.nodes()
+    workload = plan_workload(nodes, config.instances, config.seed)
     if transport is None:
         transport = make_transport(config.transport)
-    events = None
-    obs_server = None
-    if config.metrics_port is not None:
-        from repro.obs.events import EventBus
-        from repro.obs.http import ObsServer
-
-        events = EventBus()
-    service = AgreementService(
+    service, obs_server = _observed_service(
         config.spec,
         nodes,
-        transport=transport,
+        transport,
+        config.metrics_port,
+        tracer,
         max_inflight=config.max_inflight,
         queue_limit=config.queue_limit,
         round_timeout=config.round_timeout,
-        batching=config.batching,
         record_trace=False,
-        events=events,
-        tracer=tracer,
     )
-    if events is not None:
-        obs_server = ObsServer.for_service(
-            service, events, config.metrics_port, tracer
-        )
     loop = asyncio.get_running_loop()
     rejections = 0
     dropped = 0
@@ -332,7 +344,7 @@ async def run_load(
     if obs_server is not None:
         await obs_server.close()
 
-    divergences = check_divergence(config, workload, outcomes)
+    divergences = check_divergence(config.spec, nodes, outcomes.values())
     return LoadReport(
         config=config,
         instances_done=len(outcomes),
@@ -346,9 +358,9 @@ async def run_load(
 
 
 def check_divergence(
-    config: LoadConfig,
-    workload: List[Tuple[NodeId, object]],
-    outcomes: Dict[str, InstanceOutcome],
+    spec: DegradableSpec,
+    nodes: Sequence[NodeId],
+    outcomes: Iterable[InstanceOutcome],
 ) -> List[str]:
     """Compare every service decision to the synchronous reference engine.
 
@@ -356,15 +368,15 @@ def check_divergence(
     mismatch means the service path (mux, shared transport, admission,
     concurrent scheduling) changed a decision — a correctness failure the
     benchmark must fail loudly on, whatever the latency numbers say.
+    Returns the diverging instance ids, sorted.
     """
-    nodes = [f"n{i}" for i in range(config.n_nodes)]
     divergences: List[str] = []
     expected_cache: Dict[Tuple[NodeId, object], dict] = {}
-    for iid, outcome in sorted(outcomes.items()):
+    for outcome in sorted(outcomes, key=lambda o: o.instance_id):
         key = (outcome.sender, outcome.sender_value)
         if key not in expected_cache:
             reference, _ = execute_degradable_protocol(
-                config.spec,
+                spec,
                 nodes,
                 outcome.sender,
                 outcome.sender_value,
@@ -372,5 +384,62 @@ def check_divergence(
             )
             expected_cache[key] = reference.decisions
         if outcome.decisions != expected_cache[key]:
-            divergences.append(iid)
+            divergences.append(outcome.instance_id)
     return divergences
+
+
+async def serve_plan(
+    instance: Instance,
+    instances: int,
+    seed: int,
+    transport: str = "local",
+    round_timeout: float = 2.0,
+    severity: str = "",
+    metrics_port: Optional[int] = None,
+    linger: float = 0.0,
+    announce=None,
+    **service_options,
+) -> Tuple[AgreementService, List[InstanceOutcome]]:
+    """Serve the seeded plan in one burst; return the service and outcomes.
+
+    Builds an :class:`AgreementService` for *instance*'s ``(m, u, N)``
+    (under the seeded *severity* chaos preset when one is named; extra
+    keywords — ``max_inflight``, ``queue_limit``, ``tracer`` — go to its
+    constructor), submits :func:`plan_workload`'s *instances* submissions
+    at once and awaits every decision, in submission order.  With
+    *metrics_port* set, ``/metrics`` + ``/healthz`` + ``/events`` are
+    served for the duration of the run plus *linger* seconds (the scrape
+    window for external collectors), and *announce* gets the bound
+    endpoint as one line before the first submission.
+    """
+    spec, nodes = instance.spec(), instance.nodes()
+    chaos = chaos_rng = None
+    if severity:
+        chaos, chaos_rng = seeded_policy(severity, spec, nodes, seed)
+    service, obs_server = _observed_service(
+        spec,
+        nodes,
+        make_transport(transport),
+        metrics_port,
+        chaos=chaos,
+        chaos_rng=chaos_rng,
+        round_timeout=round_timeout,
+        **service_options,
+    )
+    if obs_server is not None:
+        await obs_server.start()
+        if announce is not None:
+            announce(f"metrics: {obs_server.url}/metrics")
+    try:
+        async with service:
+            iids = [
+                service.submit(sender, value)
+                for sender, value in plan_workload(nodes, instances, seed)
+            ]
+            decided = [await service.decision(iid) for iid in iids]
+            if linger > 0:
+                await asyncio.sleep(linger)
+    finally:
+        if obs_server is not None:
+            await obs_server.close()
+    return service, decided

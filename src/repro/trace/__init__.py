@@ -2,8 +2,9 @@
 
 See :mod:`repro.trace.spans` for the model and the determinism
 contract, :mod:`repro.trace.export` for the JSONL / Perfetto exporters,
-and :mod:`repro.trace.critical` for per-round critical-path analysis.
-The ``repro trace`` CLI verb records a traced run end to end.
+and :mod:`repro.trace.critical` for per-round critical-path analysis;
+:func:`trace_report` joins the three into the report the ``repro trace``
+CLI verb prints for a traced run.
 """
 
 from .spans import Span, SpanEvent, Tracer, span_key
@@ -17,7 +18,9 @@ from .export import (
     write_perfetto,
     write_spans,
 )
-from .critical import CostEntry, RoundPath, critical_paths, cross_link, summary_lines
+from .critical import (
+    CostEntry, RoundPath, critical_paths, cross_link, summary_lines, trace_report,
+)
 
 __all__ = [
     "Span",
@@ -37,4 +40,5 @@ __all__ = [
     "critical_paths",
     "cross_link",
     "summary_lines",
+    "trace_report",
 ]

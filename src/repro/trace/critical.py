@@ -14,7 +14,8 @@ Degradation forensics: a round with any deadline ride-out is flagged
 assumption (b) — and :func:`cross_link` joins those ride-outs to the
 ``repro.verify`` trace's TIMEOUT records by (instance, round, link), so
 the span story and the conformance-oracle story can be checked against
-each other.
+each other.  :func:`trace_report` is the whole end-of-run report: export,
+critical-path summary and cross-link, as lines and a verdict.
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .spans import Span
+from .export import validate_spans, write_perfetto, write_spans
+from .spans import Span, Tracer
 
-__all__ = ["CostEntry", "RoundPath", "critical_paths", "summary_lines", "cross_link"]
+__all__ = [
+    "CostEntry", "RoundPath", "critical_paths", "summary_lines", "cross_link",
+    "trace_report",
+]
 
 
 @dataclass
@@ -198,3 +203,61 @@ def cross_link(
             f"verify TIMEOUT record {key} has no span ride-out"
         )
     return problems
+
+
+def trace_report(
+    tracer: Tracer,
+    trace_events: Sequence[object],
+    spans_path: str = "",
+    perfetto_path: str = "",
+) -> Tuple[List[str], bool]:
+    """Close, export and analyse *tracer*'s spans; return lines and a verdict.
+
+    Writes the lossless span log and the Perfetto JSON where a path is
+    given, summarizes each round's critical path, and cross-checks the
+    span-side deadline ride-outs against the TIMEOUT records among
+    *trace_events* (the run's :mod:`repro.verify` trace).  The verdict is
+    False when the spans fail :func:`validate_spans` or the two views
+    disagree.
+    """
+    abandoned = tracer.close_open()
+    spans = tracer.spans
+    lines = [
+        f"spans: {len(spans)} recorded, trace id {tracer.trace_id}"
+        + (f", {abandoned} closed at export (cancelled mid-run)" if abandoned else "")
+    ]
+    problems = validate_spans(spans)
+    if spans_path:
+        write_spans(spans_path, spans, tracer=tracer)
+        lines.append(f"  span log written to {spans_path}")
+    if perfetto_path:
+        write_perfetto(perfetto_path, spans, tracer=tracer)
+        lines.append(
+            f"  perfetto trace written to {perfetto_path} "
+            f"(open at https://ui.perfetto.dev)"
+        )
+
+    paths = critical_paths(spans)
+    lines += ["", "critical path:"]
+    lines += [f"  {line}" for line in summary_lines(paths)]
+    degraded = [p for p in paths if p.degraded]
+    if degraded:
+        lines.append(
+            f"  {len(degraded)} degraded round(s): deadline ride-outs "
+            f"substituted V_d per assumption (b)"
+        )
+
+    discrepancies = cross_link(paths, trace_events)
+    lines.append("")
+    if discrepancies:
+        lines.append("span/verify cross-check: MISMATCH")
+        lines += [f"  !! {item}" for item in discrepancies]
+    else:
+        lines.append(
+            "span/verify cross-check: consistent (every span-side "
+            "ride-out matches a TIMEOUT trace record)"
+        )
+    if problems:
+        lines.append("span validation: FAILED")
+        lines += [f"  !! {item}" for item in problems]
+    return lines, not problems and not discrepancies

@@ -161,38 +161,14 @@ def _net_modes(transports: Sequence[str]) -> List[Tuple[str, str, bool]]:
     return modes
 
 
-async def _run_net_mode(case: FuzzCase, transport_name: str, batched: bool):
-    # Imported here: repro.net pulls in asyncio transports which the pure
-    # sync/verify layers should not pay for.
-    from repro.net import make_transport, run_agreement_async
-    from repro.net.chaos.policy import seeded_policy
-
-    spec, nodes = case.spec(), case.nodes()
-    chaos = rng = None
-    if case.chaos_severity:
-        # Rebuilt from the case seed per wire mode: the chaos campaign's
-        # replay recipe, applied to each mode alone.
-        chaos, rng = seeded_policy(
-            case.chaos_severity, spec, nodes, case.chaos_seed
-        )
-    return await run_agreement_async(
-        spec,
-        nodes,
-        SENDER,
-        case.sender_value,
-        behaviors=case.behaviors(),
-        transport=make_transport(transport_name),
-        round_timeout=case.timeout,
-        chaos=chaos,
-        chaos_rng=rng,
-        batching=batched,
-    )
-
-
 def run_case(
     case: FuzzCase, transports: Sequence[str] = ("local", "tcp")
 ) -> CaseOutcome:
     """Execute *case* over every runtime and audit every trace."""
+    # Imported here: repro.net pulls in asyncio transports which the pure
+    # sync/verify layers should not pay for.
+    from repro.net.chaos import run_seeded_instance
+
     spec = case.spec()
     nodes = case.nodes()
     outcome = CaseOutcome(case=case)
@@ -208,9 +184,17 @@ def run_case(
     results["sync"] = sync_result
 
     for mode, transport_name, batched in _net_modes(transports):
-        net = asyncio.run(_run_net_mode(case, transport_name, batched))
-        faulty = case.behavior_faulty | (
-            net.chaos.afflicted if net.chaos is not None else frozenset()
+        # The chaos campaign's replay recipe, rebuilt from the case seed
+        # for each wire mode alone.
+        net, faulty, _ = asyncio.run(
+            run_seeded_instance(
+                case,
+                transport_name,
+                case.timeout,
+                case.chaos_severity,
+                case.chaos_seed,
+                batching=batched,
+            )
         )
         records[mode] = record_net_outcome(
             spec,

@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.scenario import node_ids
+from repro.core.scenario import Instance, node_ids
 from repro.core.spec import DegradableSpec
 from repro.exceptions import ConfigurationError
+from repro.explore import run_on_virtual_clock
+from repro.net import LocalBus, run_agreement_async
 from repro.net.chaos import (
     DEFAULT_GRID,
     SEVERITIES,
@@ -17,9 +19,13 @@ from repro.net.chaos import (
     campaign_configs,
     make_policy,
     parse_replay,
+    run_campaign,
     run_campaign_sync,
+    run_seeded_instance,
+    run_trial,
     run_trial_sync,
     seeded_policy,
+    tier_for,
     trial_seed,
 )
 
@@ -92,6 +98,54 @@ class TestSeededPolicy:
         spec = DegradableSpec(m=1, u=2, n_nodes=5)
         policy, _ = seeded_policy("light", spec, node_ids(5), 3)
         assert not policy.link_resets and not policy.restarts
+
+
+class TestSeededInstance:
+    """``run_seeded_instance`` is the run-one-net-instance recipe
+    ``run_trial``, ``repro trace`` and the fuzzer each spelled out."""
+
+    @pytest.mark.no_wall_timeout
+    @pytest.mark.parametrize("kill_links", [False, True])
+    @pytest.mark.parametrize("severity", SEVERITIES)
+    def test_reproduces_the_inlined_trial(self, severity, kill_links):
+        config = TrialConfig(2, 3, 8, severity, "local", 7, kill_links=kill_links)
+        spec, nodes = config.instance.spec(), config.instance.nodes()
+
+        async def inlined():
+            # run_trial's body, as it read before the recipe had a name.
+            policy, rng = seeded_policy(severity, spec, nodes, 7, kill_links)
+            return await run_agreement_async(
+                spec, nodes, nodes[0], "engage",
+                transport=LocalBus(), round_timeout=config.timeout,
+                chaos=policy, chaos_rng=rng, supervise=kill_links,
+            )
+
+        want = run_on_virtual_clock(inlined())
+        got, afflicted, tier = run_on_virtual_clock(run_seeded_instance(
+            config.instance, "local", config.timeout, severity, 7, kill_links
+        ))
+        assert got.result.decisions == want.result.decisions
+        assert afflicted == want.chaos.afflicted
+        assert tier == tier_for(spec, len(afflicted))
+        assert got.chaos.counts() == want.chaos.counts()
+        assert got.metrics.counters() == want.metrics.counters()
+
+        trial = run_on_virtual_clock(run_trial(config))
+        assert trial.decisions == {
+            str(n): repr(v) for n, v in want.result.decisions.items()
+        }
+        assert trial.afflicted == sorted(str(n) for n in afflicted)
+        assert (trial.tier, trial.f_eff) == (tier, len(afflicted))
+        assert trial.chaos_counts == want.chaos.counts()
+        assert trial.fingerprint == want.metrics.counters()
+
+    def test_a_clean_network_charges_only_the_declared_faults(self):
+        instance = Instance(1, 2, 5, "alpha", (("p2", "silent"),))
+        outcome, afflicted, tier = run_on_virtual_clock(
+            run_seeded_instance(instance, "local", 0.5)
+        )
+        assert outcome.chaos is None
+        assert afflicted == {"p2"} and tier == "byzantine"
 
 
 class TestTrialSeeds:
@@ -167,3 +221,41 @@ class TestCampaign:
         first.save(str(a))
         second.save(str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rerun_diff_names_what_changed_by_replay_token(self):
+        report = run_campaign_sync(7, ["light"], 2, transport="local")
+        assert report.rerun_mismatches is None  # not a kill-links soak
+        assert report.diff(report.trials) == []
+
+        first, second = report.trials
+        counter = sorted(first.fingerprint)[0]
+        planted = [
+            replace(first, fingerprint={
+                **first.fingerprint, counter: first.fingerprint[counter] + 1,
+            }),
+            replace(second, decisions={**second.decisions, "p1": "'forged'"}),
+        ]
+        fingerprint_line, decisions_line = report.diff(planted)
+        assert fingerprint_line.startswith(
+            f"{first.config.replay_token}: fingerprint diverged"
+        )
+        assert counter in fingerprint_line
+        assert decisions_line == (
+            f"{second.config.replay_token}: decisions diverged"
+        )
+
+    @pytest.mark.no_wall_timeout
+    def test_kill_links_campaign_reruns_itself(self):
+        report = run_on_virtual_clock(
+            run_campaign(7, ["light", "crash"], 2, kill_links=True)
+        )
+        assert report.rerun_mismatches == []
+        assert report.ok
+        assert "same-seed re-run: all 4 trial" in report.render()
+        assert report.verdict().startswith("campaign PASSED (4 trials")
+
+        report.rerun_mismatches = ["token: decisions diverged"]
+        assert not report.ok
+        assert "NOT reproducible" in report.render()
+        assert "tier byzantine" not in report.render()
+        assert report.verdict() == "campaign FAILED (kill-links determinism)"

@@ -15,10 +15,11 @@ import pytest
 
 from repro.core.spec import DegradableSpec
 from repro.exceptions import TransportError
-from repro.net import FlakyTransport, LocalBus, TcpTransport, run_agreement_async
+from repro.net import LocalBus, TcpTransport, run_agreement_async
 from repro.net.chaos import ChaosPolicy, TrialConfig, run_trial_sync
 
 from tests.conftest import node_names
+from tests.net.flaky import FlakyTransport
 
 VALUE = "engage"
 

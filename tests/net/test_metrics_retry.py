@@ -10,7 +10,6 @@ from repro.core.spec import DegradableSpec
 from repro.exceptions import TransportError
 from repro.net import (
     MARK,
-    FlakyTransport,
     LocalBus,
     NetMetrics,
     Transport,
@@ -18,6 +17,7 @@ from repro.net import (
     run_agreement_async,
 )
 from repro.sim.faults import OmissionInjector
+from tests.net.flaky import FlakyTransport
 from repro.sim.trace import EventKind
 from repro.verify import record_net_outcome, verify_record
 

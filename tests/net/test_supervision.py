@@ -29,8 +29,9 @@ from repro.net.supervision import (
     HeartbeatPolicy,
     SupervisedTransport,
 )
-from repro.net.transport import FlakyTransport, LocalBus
+from repro.net.transport import LocalBus
 from repro.sim.messages import Message, RelayPayload
+from tests.net.flaky import FlakyTransport
 
 NODES = ["S", "p1", "p2"]
 

@@ -11,12 +11,12 @@ from repro.net.chaos import ChaosPolicy, ChaosTransport
 from repro.net.metrics import NetMetrics
 from repro.net.supervision import SupervisedTransport
 from repro.net.transport import (
-    FlakyTransport,
     LocalBus,
     Transport,
     TransportLayer,
 )
 from repro.sim.messages import Message, RelayPayload
+from tests.net.flaky import FlakyTransport
 
 NODES = ["S", "p1", "p2"]
 

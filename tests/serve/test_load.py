@@ -5,13 +5,17 @@ import json
 
 import pytest
 
+from repro.core.scenario import Instance
 from repro.exceptions import ConfigurationError
 from repro.serve import (
+    AgreementService,
     LoadConfig,
+    check_divergence,
     latency_summary,
     percentile,
     plan_workload,
     run_load,
+    serve_plan,
 )
 from repro.serve.load import SCHEMA, VALUES
 
@@ -37,23 +41,68 @@ class TestConfig:
             LoadConfig(**kwargs)
 
 
+def plan_of(config):
+    """The plan ``run_load`` submits for *config*."""
+    return plan_workload(
+        config.instance.nodes(), config.instances, config.seed
+    )
+
+
 class TestWorkloadPlan:
     def test_same_seed_same_plan(self):
         config = LoadConfig(instances=24, seed=99)
-        assert plan_workload(config) == plan_workload(config)
+        assert plan_of(config) == plan_of(config)
 
     def test_different_seed_different_plan(self):
-        a = plan_workload(LoadConfig(instances=24, seed=1))
-        b = plan_workload(LoadConfig(instances=24, seed=2))
+        a = plan_of(LoadConfig(instances=24, seed=1))
+        b = plan_of(LoadConfig(instances=24, seed=2))
         assert a != b
 
     def test_plan_covers_all_senders_with_known_values(self):
         config = LoadConfig(instances=20, seed=5)
-        plan = plan_workload(config)
+        plan = plan_of(config)
         assert len(plan) == 20
         senders = {sender for sender, _ in plan}
         assert len(senders) == config.n_nodes  # round-robin hits every node
         assert all(value in VALUES for _, value in plan)
+
+
+class TestOnePlanOneCrossCheck:
+    """``repro serve`` and ``repro load`` share the seeded plan and the
+    synchronous-engine cross-check; only the arrival model differs."""
+
+    def test_both_drivers_submit_the_plan(self, monkeypatch):
+        submitted = {}
+        submit = AgreementService.submit
+
+        def spy(self, sender, value, *args, **kwargs):
+            iid = submit(self, sender, value, *args, **kwargs)
+            submitted[iid] = (sender, value)
+            return iid
+
+        monkeypatch.setattr(AgreementService, "submit", spy)
+        config = LoadConfig(instances=12, seed=41, concurrency=3)
+        plan = plan_of(config)
+        assert {sender for sender, _ in plan} == {"S", "p1", "p2", "p3", "p4"}
+
+        asyncio.run(run_load(config))
+        assert [submitted[iid] for iid in sorted(submitted)] == plan
+        submitted.clear()
+        _, outcomes = asyncio.run(serve_plan(config.instance, 12, 41))
+        assert [submitted[o.instance_id] for o in outcomes] == plan
+        assert [(o.sender, o.sender_value) for o in outcomes] == plan
+
+    def test_cross_check_passes_clean_and_flags_a_tampered_decision(self):
+        instance = Instance(1, 2, 5)
+        spec, nodes = instance.spec(), instance.nodes()
+        _, outcomes = asyncio.run(serve_plan(instance, 6, 3))
+        by_id = {o.instance_id: o for o in outcomes}  # run_load's shape
+        assert check_divergence(spec, nodes, outcomes) == []
+        assert check_divergence(spec, nodes, by_id.values()) == []
+
+        outcomes[4].result.decisions["p2"] = "forged"
+        assert check_divergence(spec, nodes, outcomes) == ["i0004"]
+        assert check_divergence(spec, nodes, by_id.values()) == ["i0004"]
 
 
 class TestStatistics:

@@ -191,13 +191,6 @@ class TestNet:
         assert code == 2
         assert "unknown node ids" in err
 
-    def test_no_batch_legacy_wire_path(self, capsys):
-        code, out, _ = run_cli(capsys, "net", "--no-batch")
-        assert code == 0
-        assert "contract: SATISFIED" in out
-        # The legacy path sends no batch frames, so no batching summary.
-        assert "batch frame(s)" not in out
-
     def test_batched_by_default(self, capsys):
         code, out, _ = run_cli(capsys, "net")
         assert code == 0
@@ -248,6 +241,51 @@ class TestParser:
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["explore", "--timeout", "0"], "--timeout must be > 0"),
+            (["fuzz", "--examples", "0"], "--examples must be >= 1"),
+            (["suite", "/nonexistent.json"], "cannot read suite"),
+            (["serve", "--metrics-port", "99999"], "--metrics-port must be in"),
+            (["load", "--metrics-port", "99999"], "--metrics-port must be in"),
+        ],
+    )
+    def test_bad_argument_is_one_error_line_not_a_traceback(
+        self, capsys, argv, names
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert names in err
+
+
+class TestStartup:
+    """Import cost follows use: only ``report`` computes a Clopper-Pearson
+    bound, so only it may load scipy."""
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "import repro.analysis",
+            "import repro.cli",
+            "import runpy, sys; sys.argv = ['repro', 'net', '--help']\n"
+            "try:\n    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit:\n    pass",
+        ],
+    )
+    def test_scipy_stays_unloaded(self, statement):
+        import subprocess
+        import sys
+
+        probe = f"{statement}\nimport sys\nprint('scipy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert result.stdout.splitlines()[-1] == "False"
 
 
 class TestClocksyncCommand:
@@ -359,25 +397,6 @@ class TestExplore:
         assert code_a == code_b == 1
         assert out_a == out_b
         assert "fingerprint" in out_a
-
-    def test_smoke_gate(self, capsys):
-        code, out, _ = run_cli(capsys, "explore", "--smoke")
-        assert code == 0
-        assert "verdict  ok" in out
-
-    def test_bench_writes_artifact(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_explore.json"
-        code, out, _ = run_cli(
-            capsys, "explore", "--smoke", "--bench", "--out", str(out_path)
-        )
-        assert code == 0
-        assert out_path.exists()
-        import json
-
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == "repro.bench.explore/v1"
-        assert payload["correct"]["violations"] == 0
-        assert payload["broken_vote"]["violations"] > 0
 
     def test_faulty_flag_and_usage_errors(self, capsys):
         code, out, _ = run_cli(

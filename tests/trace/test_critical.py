@@ -1,6 +1,13 @@
 """Critical-path reduction: dominant costs, degraded rounds, cross-link."""
 
-from repro.trace import Tracer, critical_paths, cross_link, summary_lines
+from repro.trace import (
+    Tracer,
+    critical_paths,
+    cross_link,
+    read_spans,
+    summary_lines,
+    trace_report,
+)
 
 
 def traced_round(tracer, round_no, instance=None, *, ride_out=None,
@@ -167,3 +174,39 @@ class TestCrossLink:
         assert cross_link(
             critical_paths(tracer.spans), [Delivered(1, "p1", "p2")]
         ) == []
+
+
+class TestTraceReport:
+    """The whole ``repro trace`` report as one library call."""
+
+    def test_consistent_run_exports_and_passes(self, tmp_path):
+        tracer = ClockedTracer(seed=5)
+        traced_round(tracer, 1)
+        traced_round(tracer, 2, ride_out=("p1", "p4"), duration=0.5)
+        spans_path = str(tmp_path / "spans.jsonl")
+        lines, ok = trace_report(
+            tracer, [FakeTimeout(2, "p1", "p4")], spans_path
+        )
+        assert ok
+        assert lines[0].startswith(f"spans: {len(tracer.spans)} recorded")
+        assert f"  span log written to {spans_path}" in lines
+        assert not any("perfetto" in line for line in lines)
+        assert any("round 2" in line and "DEGRADED" in line for line in lines)
+        assert "  1 degraded round(s)" in "\n".join(lines)
+        assert lines[-1].startswith("span/verify cross-check: consistent")
+        header, spans = read_spans(spans_path)
+        assert header["seed"] == 5 and len(spans) == len(tracer.spans)
+
+    def test_disagreeing_views_fail_the_verdict(self):
+        tracer = ClockedTracer()
+        traced_round(tracer, 2, ride_out=("p1", "p4"), duration=0.5)
+        lines, ok = trace_report(tracer, [])
+        assert not ok
+        assert "span/verify cross-check: MISMATCH" in lines
+        assert lines[-1].startswith("  !! span ride-out")
+
+    def test_open_spans_are_closed_at_export(self):
+        tracer = ClockedTracer()
+        tracer.begin("round", "runner", round_no=1)
+        lines, _ = trace_report(tracer, [])
+        assert "1 closed at export (cancelled mid-run)" in lines[0]
