@@ -49,6 +49,29 @@ if grep -rn "RetryPolicy" src/; then
     exit 1
 fi
 
+echo "== two runtimes, one round (the runner calls the engine's emit; one interception contract) =="
+# net/adapters.py is gone: FaultInjector is the only interception base
+# class and CrashInjector (sim/faults.py) is the wire-level crash.
+if grep -rn --include="*.py" "AsyncFaultAdapter\|InjectorAdapter\|lift_injectors\|behavior_adapters\|MuteAdapter" src/; then
+    echo "an adapter name is back under src/: both runtimes take FaultInjector objects" >&2
+    exit 1
+fi
+# Assumption (c) is enforced in sim/engine.py and nowhere else; the
+# runner steps no process and raises no SimulationError of its own.
+if grep -n "SimulationError\|\.step(" src/repro/net/runner.py; then
+    echo "net/runner.py steps processes or raises SimulationError: that is SynchronousEngine.emit's job" >&2
+    exit 1
+fi
+if [ "$(grep -rl --include="*.py" "attempted to forge source" src/ | wc -l)" -gt 1 ]; then
+    echo "'attempted to forge source' occurs in more than one file under src/:" >&2
+    grep -rn --include="*.py" "attempted to forge source" src/ >&2
+    exit 1
+fi
+if grep -rn --include="*.py" "def tier_for\|def expected_conditions" src/; then
+    echo "tier_for / expected_conditions are back: call spec.guarantee_for" >&2
+    exit 1
+fi
+
 echo "== a cheap schedule (one deadline timer per node-round; trace lines from the codec's kernel) =="
 # _collect awaits recv directly under one call_at per node-round: a
 # wait_for around recv is a Task, a timer and a future per frame again.

@@ -18,6 +18,9 @@ python -m pytest -q tests/sim/test_trace_differential.py
 echo "== EIG shape table vs its reference (same paths, folds, votes, process steps) =="
 python -m pytest -q tests/core/test_eig_differential.py
 
+echo "== the shared round, from both runtimes (same checks, same injector order, same crash) =="
+python -m pytest -q tests/net/test_async_faults.py
+
 echo "== net runtime over the local bus =="
 python -m repro net --transport local
 

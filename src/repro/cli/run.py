@@ -51,8 +51,8 @@ def register(sub) -> None:
 def _build_instance(args):
     """Shared (spec, nodes, faulty, behaviors) setup for run/net commands.
 
-    The ``crash`` adversary maps to no behaviour — the caller realizes it at
-    the transport level (omission injector / wire mute).
+    The ``crash`` adversary maps to no behaviour — the caller realizes it
+    as a :class:`~repro.sim.faults.CrashInjector`.
     """
     faulty = {f for f in args.faulty.split(",") if f}
     instance = _instance(
@@ -122,18 +122,20 @@ def _cmd_net(args) -> int:
     import asyncio
 
     from repro.core.protocol import execute_degradable_protocol
-    from repro.net import MuteAdapter, make_transport, run_agreement_async
-    from repro.sim.faults import OmissionInjector
+    from repro.net import make_transport, run_agreement_async
+    from repro.sim.faults import CrashInjector
 
     spec, nodes, faulty, behaviors = _build_instance(args)
-    crashed = faulty if args.adversary == "crash" else set()
-    adapters = [MuteAdapter(crashed)] if crashed else []
+    # One description of the crash for the run and for its cross-check:
+    # the lock-step engine simply never asks an injector about markers.
+    crashed = args.adversary == "crash" and faulty
+    crash = [CrashInjector(faulty)] if crashed else None
     outcome = asyncio.run(
         run_agreement_async(
             spec, nodes, "S", args.value,
             behaviors=behaviors,
             transport=make_transport(args.transport),
-            adapters=adapters,
+            extra_injectors=crash,
             round_timeout=args.timeout,
         )
     )
@@ -153,9 +155,8 @@ def _cmd_net(args) -> int:
     print(outcome.metrics.render())
     ok = report.satisfied
     if not args.no_verify:
-        extra = [OmissionInjector.from_sources(crashed)] if crashed else None
         sync_result, _ = execute_degradable_protocol(
-            spec, nodes, "S", args.value, behaviors, extra_injectors=extra
+            spec, nodes, "S", args.value, behaviors, extra_injectors=crash
         )
         matches = sync_result.decisions == result.decisions
         print()

@@ -445,11 +445,7 @@ def execute_degradable_protocol(
     """
     topology = topology or Topology.complete(nodes)
     session = ProtocolSession.byz(spec, nodes, sender, sender_value)
-    injectors: List[FaultInjector] = []
-    if behaviors:
-        injectors.extend(behavior_injectors(behaviors))
-    if extra_injectors:
-        injectors.extend(extra_injectors)
+    injectors = [*behavior_injectors(behaviors), *(extra_injectors or ())]
     engine = SynchronousEngine(
         topology, session.processes, injectors, record_trace=record_trace
     )

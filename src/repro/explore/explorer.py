@@ -3,7 +3,7 @@
 One :class:`ExploreConfig` pins an agreement instance — spec, sender
 value, behaviour assignments, wire mode, virtual round deadline — and a
 *schedule* (tuple of menu indices) pins one execution of it: the runner,
-the fault adapters and (optionally) the supervision layer run unmodified
+the fault injectors and (optionally) the supervision layer run unmodified
 on a :class:`~repro.explore.clock.VirtualClockLoop` over an
 :class:`~repro.explore.transport.ExploredTransport`, and the schedule
 decides every frame's fate.  :func:`run_schedule` executes exactly one
@@ -58,9 +58,9 @@ from repro.explore.transport import (
     ExploredTransport,
     ScheduleController,
 )
-from repro.net.adapters import behavior_adapters
 from repro.net.runner import AsyncRoundRunner, NetRunOutcome
 from repro.net.stack import build_stack
+from repro.sim.faults import behavior_injectors
 from repro.verify.oracle import ConformanceReport, verify_record
 from repro.verify.record import RunRecord, record_net_outcome
 
@@ -237,7 +237,7 @@ def run_schedule(
         runner = AsyncRoundRunner(
             session,
             transport=stack,
-            adapters=behavior_adapters(config.behaviors()),
+            injectors=behavior_injectors(config.behaviors()),
             round_timeout=config.round_timeout,
             batching=config.batching,
             events=events,

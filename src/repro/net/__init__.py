@@ -14,11 +14,12 @@ real deadlines:
   per-round deadlines; a missed deadline *is* the paper's assumption (b):
   the receiver detects the absence and substitutes ``V_d``.  Each frame
   is sent once; a send error is a metered loss, i.e. one more absence;
-* fault adapters — every synchronous-engine injector and Byzantine
-  behaviour lifts onto the async path unchanged
-  (:func:`lift_injectors`, :func:`behavior_adapters`), and
-  :class:`MuteAdapter` crashes a node at the wire level so timeouts are
-  exercised for real;
+* faults — the runner calls the synchronous engine's own
+  :meth:`~repro.sim.engine.SynchronousEngine.emit` for the protocol half
+  of a round, so every :class:`~repro.sim.engine.FaultInjector` and
+  Byzantine behaviour acts on the wire exactly as in the simulator, and
+  :class:`~repro.sim.faults.CrashInjector` also mutes a node's
+  end-of-round markers so timeouts are exercised for real;
 * :class:`NetMetrics` — per-round message/byte counts, latency
   percentiles, send failures, timeout substitutions, chaos counters;
 * :class:`SupervisedTransport` — the self-healing layer: per-link
@@ -52,13 +53,6 @@ Quickstart::
 Or from the command line: ``python -m repro net --transport tcp``.
 """
 
-from repro.net.adapters import (
-    AsyncFaultAdapter,
-    InjectorAdapter,
-    MuteAdapter,
-    behavior_adapters,
-    lift_injectors,
-)
 from repro.net.codec import (
     BATCH,
     DATA,
@@ -106,7 +100,6 @@ from repro.net.chaos import (
 
 __all__ = [
     "ALIVE",
-    "AsyncFaultAdapter",
     "AsyncRoundRunner",
     "BATCH",
     "BackoffPolicy",
@@ -119,11 +112,9 @@ __all__ = [
     "Frame",
     "FrameDecoder",
     "HeartbeatPolicy",
-    "InjectorAdapter",
     "LINK_STATES",
     "LocalBus",
     "MARK",
-    "MuteAdapter",
     "NetMetrics",
     "NetRunOutcome",
     "PING",
@@ -135,12 +126,10 @@ __all__ = [
     "TcpTransport",
     "Transport",
     "TransportLayer",
-    "behavior_adapters",
     "build_stack",
     "decode_frame",
     "encode_frame",
     "from_jsonable",
-    "lift_injectors",
     "make_policy",
     "make_transport",
     "pack_frame",

@@ -44,9 +44,7 @@ from repro.net.chaos.accounting import (
     BENIGN_KINDS,
     ChaosEvent,
     ChaosLog,
-    expected_conditions,
     partition_injector,
-    tier_for,
     tier_is_asserted,
 )
 from repro.net.chaos.campaign import (
@@ -90,7 +88,6 @@ __all__ = [
     "TrialConfig",
     "TrialResult",
     "campaign_configs",
-    "expected_conditions",
     "make_policy",
     "parse_replay",
     "partition_injector",
@@ -100,7 +97,6 @@ __all__ = [
     "run_trial",
     "run_trial_sync",
     "seeded_policy",
-    "tier_for",
     "tier_is_asserted",
     "trial_seed",
 ]

@@ -29,9 +29,8 @@ equivalence suite leans on this).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Tuple
+from typing import Dict, FrozenSet, Hashable, List
 
-from repro.core.spec import DegradableSpec
 from repro.net.chaos.policy import Partition
 from repro.sim.faults import OmissionInjector
 
@@ -129,23 +128,9 @@ class ChaosLog:
 # ----------------------------------------------------------------------
 # Tier selection
 # ----------------------------------------------------------------------
-def tier_for(spec: DegradableSpec, f_eff: int) -> str:
-    """Guarantee tier for an effective fault count (spec's vocabulary)."""
-    return spec.guarantee_for(f_eff)
-
-
 def tier_is_asserted(tier: str) -> bool:
     """Whether the paper promises anything at this tier."""
     return tier in ("byzantine", "degraded")
-
-
-def expected_conditions(tier: str, sender_faulty: bool) -> Tuple[str, ...]:
-    """Condition labels the tier obliges (for report readability)."""
-    if tier == "byzantine":
-        return ("D.2",) if sender_faulty else ("D.1",)
-    if tier == "degraded":
-        return ("D.4",) if sender_faulty else ("D.3",)
-    return ()
 
 
 # ----------------------------------------------------------------------

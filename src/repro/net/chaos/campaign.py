@@ -45,7 +45,7 @@ from repro.core.scenario import (
     parse_token,
 )
 from repro.exceptions import ConfigurationError
-from repro.net.chaos.accounting import tier_for, tier_is_asserted
+from repro.net.chaos.accounting import tier_is_asserted
 from repro.net.chaos.policy import SEVERITIES, seeded_policy
 from repro.net.runner import NetRunOutcome, run_agreement_async
 from repro.net.stack import make_transport
@@ -255,7 +255,7 @@ async def run_seeded_instance(
     afflicted = instance.behavior_faulty
     if outcome.chaos is not None:
         afflicted = afflicted | outcome.chaos.afflicted
-    return outcome, afflicted, tier_for(spec, len(afflicted))
+    return outcome, afflicted, spec.guarantee_for(len(afflicted))
 
 
 async def run_trial(config: TrialConfig) -> TrialResult:

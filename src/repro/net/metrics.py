@@ -1,7 +1,7 @@
 """Per-round accounting for the async runtime.
 
 :class:`NetMetrics` records, per engine round: message and byte counts,
-delivery latencies, adapter drops, send failures, late frames and
+delivery latencies, injector drops, send failures, late frames and
 deadline timeouts — plus the run-wide count of ``V_d`` substitutions the
 protocol performed for absent messages.  The recorder is surfaced through
 :class:`~repro.net.runner.NetRunOutcome` so experiments and the CLI can
@@ -78,7 +78,7 @@ class RoundMetrics:
     """Counters for a single engine round."""
 
     round_no: int
-    #: Protocol messages handed to the transport (post-adapter survivors).
+    #: Protocol messages handed to the transport (post-injector survivors).
     #: In batched mode each BATCH frame contributes its coalesced message
     #: count, so this stays comparable across wire modes.
     messages_sent: int = 0
@@ -94,7 +94,7 @@ class RoundMetrics:
     batch_bytes_saved: int = 0
     #: Wall-clock seconds from first send to the end of collection.
     duration: float = 0.0
-    #: Messages removed by fault adapters before reaching the transport.
+    #: Messages removed by fault injectors before reaching the transport.
     dropped: int = 0
     #: Frames whose one send raised (observed as absence by the receiver).
     send_failures: int = 0

@@ -1,26 +1,30 @@
 """Async round runner: drives BYZ over a real transport, deadline by deadline.
 
 :class:`AsyncRoundRunner` executes one
-:class:`~repro.core.protocol.ProtocolSession` — the exact same
-:class:`~repro.core.protocol.AgreementProcess` state machines the
-synchronous engine steps — but moves every message through a
-:class:`~repro.net.transport.Transport` and closes each round with a real
-deadline instead of a lock-step barrier:
+:class:`~repro.core.protocol.ProtocolSession` over a
+:class:`~repro.net.transport.Transport`, closing each round with a real
+deadline instead of a lock-step barrier.  The protocol half of a round is
+not written here: the runner owns a
+:class:`~repro.sim.engine.SynchronousEngine` over the complete topology and
+calls its :meth:`~repro.sim.engine.SynchronousEngine.emit`, so stepping
+order, the assumption-(c) checks, the injector chain and the protocol-level
+trace lines are the synchronous engine's own.  What is here is what the
+paper says differs — frames, the wire, the deadline:
 
-1. processes step in deterministic order and emit their round's messages;
-2. fault adapters may drop/corrupt them (same interception contract as the
-   sync engine, same behaviour objects);
-3. surviving frames go out over the transport, one ``send`` per frame; a
+1. the engine steps the processes on the inboxes collected last round and
+   returns the messages that survived the fault injectors;
+2. surviving frames go out over the transport, one ``send`` per frame; a
    send that raises is a recorded loss, never a retry — healing a link is
    the supervision layer's job, below the runner;
-4. every node then emits an end-of-round marker to every peer;
-5. each node collects its inbox until it holds markers from all peers or
+3. every node then emits an end-of-round marker to every peer (unless an
+   injector's ``mutes_marker`` withholds it: a crashed node says nothing);
+4. each node collects its inbox until it holds markers from all peers or
    the deadline expires.  Whatever did not arrive is simply absent — the
    protocol's ingest resolves each expected-but-missing relay path to
    ``V_d``, which is model assumption (b) ("the absence of a message can be
    detected") realized by an actual timeout over an actual wire.
 
-Wire modes: by default the runner runs **batched** — steps 3 and 4
+Wire modes: by default the runner runs **batched** — steps 2 and 3
 collapse into one ``BATCH`` frame per directed link per round (all of the
 link's DATA messages plus the end-of-round marker), and the per-link
 batches go out concurrently via :func:`asyncio.gather` (per-link ordering
@@ -37,10 +41,10 @@ whose behaviour depends on send order (seeded chaos, probabilistic
 flakiness — ``Transport.ordered_sends``) get their batches sent
 sequentially so same-seed runs stay byte-for-byte reproducible.
 
-Determinism: inboxes are sorted with the synchronous engine's delivery
-order before stepping, so for every scenario in which no honest frame
-misses its deadline the decisions, classification verdicts and
-substitution counts are identical between the two runtimes — the
+Determinism: each collected inbox is put in the synchronous engine's
+delivery order before it is handed over, so for every scenario in which no
+honest frame misses its deadline the decisions, classification verdicts
+and substitution counts are identical between the two runtimes — the
 equivalence suite in ``tests/net`` pins this down.
 """
 
@@ -56,14 +60,15 @@ from repro.core.byz import AgreementResult
 from repro.core.protocol import ProtocolSession
 from repro.core.spec import DegradableSpec
 from repro.core.values import Value
-from repro.exceptions import SimulationError, TransportError
-from repro.net.adapters import AsyncFaultAdapter, behavior_adapters, lift_injectors
+from repro.exceptions import TransportError
 from repro.net.codec import BATCH, DATA, MARK, Frame, batch_bytes_saved
 from repro.net.metrics import NetMetrics
 from repro.net.stack import build_stack
 from repro.net.transport import LocalBus, Transport
-from repro.sim.engine import FaultInjector
+from repro.sim.engine import FaultInjector, SynchronousEngine
+from repro.sim.faults import behavior_injectors
 from repro.sim.messages import Message, delivery_order
+from repro.sim.network import Topology
 from repro.sim.trace import EventKind, EventTrace, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -102,7 +107,7 @@ class AsyncRoundRunner:
         self,
         session: ProtocolSession,
         transport: Optional[Transport] = None,
-        adapters: Optional[Sequence[AsyncFaultAdapter]] = None,
+        injectors: Optional[Sequence[FaultInjector]] = None,
         round_timeout: float = 5.0,
         metrics: Optional[NetMetrics] = None,
         batching: bool = True,
@@ -115,7 +120,6 @@ class AsyncRoundRunner:
             raise ValueError(f"round_timeout must be > 0, got {round_timeout}")
         self.session = session
         self.transport = transport if transport is not None else LocalBus()
-        self.adapters: List[AsyncFaultAdapter] = list(adapters or [])
         self.round_timeout = round_timeout
         self.batching = batching
         #: Multiplexing identity: set when this runner drives one instance
@@ -141,15 +145,22 @@ class AsyncRoundRunner:
             self.transport.attach_tracer(tracer)
         self._round_span: Optional["Span"] = None
         #: Canonical execution trace: protocol events are logged by the
-        #: processes themselves (via :meth:`ProtocolSession.attach_trace`),
-        #: wire events by this runner.  Same schema as the synchronous
-        #: engine's trace, extended with the wire-level kinds.
+        #: processes themselves (via :meth:`ProtocolSession.attach_trace`)
+        #: and by :attr:`engine`, wire events by this runner.  Same schema
+        #: as the synchronous engine's trace, plus the wire-level kinds.
         self.trace: Optional[EventTrace] = (
             EventTrace(instance=instance_id) if record_trace else None
         )
         session.attach_trace(self.trace)
-        # Same deterministic stepping order as the synchronous engine.
-        self._order: List[NodeId] = sorted(session.nodes, key=lambda n: str(n))
+        #: The protocol half of every round: the synchronous engine itself,
+        #: over the complete topology, writing into this runner's trace.
+        self.engine = SynchronousEngine(
+            Topology.complete(session.nodes),
+            session.processes,
+            injectors,
+            record_trace=False,
+        )
+        self.engine.trace = self.trace
 
     # ------------------------------------------------------------------
     # Execution
@@ -159,10 +170,10 @@ class AsyncRoundRunner:
         loop = asyncio.get_running_loop()
         session = self.session
         await self.transport.open(list(session.nodes))
+        order = self.engine.order
         executed = 0
-        emitted_total = 0
         try:
-            inboxes: Dict[NodeId, List[Message]] = {n: [] for n in self._order}
+            inboxes: Dict[NodeId, List[Message]] = {n: [] for n in order}
             for round_no in range(1, session.total_rounds + 1):
                 if session.all_decided() and not any(inboxes.values()):
                     break
@@ -185,9 +196,12 @@ class AsyncRoundRunner:
                         instance=self.instance_id,
                         round_no=round_no,
                     )
-                outgoing = self._step_processes(round_no, inboxes)
-                emitted_total += len(outgoing)
-                survivors = self._apply_adapters(round_no, outgoing)
+                survivors, dropped = self.engine.emit(
+                    round_no,
+                    {n: delivery_order(inbox) for n, inbox in inboxes.items()},
+                )
+                for _ in range(dropped):
+                    self.metrics.record_drop(round_no)
                 round_started = loop.time()
                 deadline = round_started + self.round_timeout
                 self.transport.round_opened(
@@ -211,16 +225,15 @@ class AsyncRoundRunner:
                         await self._send(frame, round_no)
                     await self._send_markers(round_no)
                     expected = {
-                        node: {n for n in self._order if n != node}
-                        for node in self._order
+                        node: {n for n in order if n != node} for node in order
                     }
                 collected = await asyncio.gather(
                     *(
                         self._collect(node, round_no, deadline, expected[node])
-                        for node in self._order
+                        for node in order
                     )
                 )
-                inboxes = dict(zip(self._order, collected))
+                inboxes = dict(zip(order, collected))
                 self.metrics.record_round_duration(
                     round_no, loop.time() - round_started
                 )
@@ -243,7 +256,9 @@ class AsyncRoundRunner:
         finally:
             await self.transport.close()
         self.metrics.substitutions = session.substitutions
-        return session.collect_result(messages=emitted_total, rounds=executed)
+        return session.collect_result(
+            messages=self.engine.emitted, rounds=executed
+        )
 
     # ------------------------------------------------------------------
     # Round phases
@@ -256,7 +271,7 @@ class AsyncRoundRunner:
         deadline misses): anything a node expected here but never filed is
         an absence that must show up as a ``defaulted`` substitution.
         """
-        for node in self._order:
+        for node in self.engine.order:
             sources = tuple(
                 sorted(self.session.expected_sources(round_no, node), key=str)
             )
@@ -274,77 +289,6 @@ class AsyncRoundRunner:
                     )
                 )
 
-    def _step_processes(
-        self, round_no: int, inboxes: Dict[NodeId, List[Message]]
-    ) -> List[Message]:
-        outgoing: List[Message] = []
-        for node in self._order:
-            process = self.session.process_map[node]
-            inbox = delivery_order(inboxes[node])
-            if self.trace is not None:
-                # Delivery is logged at the round that *consumes* the
-                # message — the synchronous engine's convention — so the
-                # two runtimes produce comparable protocol-level traces.
-                for message in inbox:
-                    self.trace.record_message(
-                        round_no, EventKind.DELIVERED, message
-                    )
-            for message in process.step(round_no, inbox):
-                if message.source != node:
-                    raise SimulationError(
-                        f"process {node!r} attempted to forge source "
-                        f"{message.source!r}"
-                    )
-                if message.destination == message.source:
-                    raise SimulationError(
-                        f"node {node!r} attempted to message itself"
-                    )
-                if message.destination not in self.session.process_map:
-                    raise SimulationError(
-                        f"message to unknown node {message.destination!r}"
-                    )
-                outgoing.append(message)
-        return outgoing
-
-    def _apply_adapters(
-        self, round_no: int, outgoing: Sequence[Message]
-    ) -> List[Message]:
-        all_survivors: List[Message] = []
-        for original in outgoing:
-            if self.trace is not None:
-                self.trace.record_message(round_no, EventKind.SENT, original)
-            survivors = [original]
-            for adapter in self.adapters:
-                next_wave: List[Message] = []
-                for message in survivors:
-                    for replacement in adapter.intercept(round_no, message):
-                        if replacement.source != original.source:
-                            raise SimulationError(
-                                f"adapter {type(adapter).__name__} attempted "
-                                f"to forge source {replacement.source!r} on a "
-                                f"message from {original.source!r}"
-                            )
-                        if (
-                            replacement.payload != message.payload
-                            and self.trace is not None
-                        ):
-                            self.trace.record_message(
-                                round_no,
-                                EventKind.CORRUPTED,
-                                replacement,
-                                note=f"by {type(adapter).__name__}",
-                            )
-                        next_wave.append(replacement)
-                survivors = next_wave
-            if not survivors:
-                self.metrics.record_drop(round_no)
-                if self.trace is not None:
-                    self.trace.record_message(
-                        round_no, EventKind.DROPPED, original
-                    )
-            all_survivors.extend(survivors)
-        return all_survivors
-
     async def _send_round_batched(
         self, round_no: int, survivors: Sequence[Message]
     ) -> Dict[NodeId, Set[NodeId]]:
@@ -352,9 +296,9 @@ class AsyncRoundRunner:
 
         Groups *survivors* by ``(source, destination)`` (send order
         preserved inside each batch), folds the end-of-round marker into
-        the batch's ``mark`` flag (cleared when an adapter mutes the
+        the batch's ``mark`` flag (cleared when an injector mutes the
         source's markers, so receivers still ride out the deadline for
-        wire-crashed nodes), and skips links that carry no data *and* are
+        crashed nodes), and skips links that carry no data *and* are
         not expected by the protocol's round schedule — structurally
         silent links cost zero frames.  Batches go out concurrently via
         ``asyncio.gather`` unless the transport demands ordered sends
@@ -365,20 +309,21 @@ class AsyncRoundRunner:
         it should wait on before closing the round early.
         """
         loop = asyncio.get_running_loop()
+        order = self.engine.order
         groups: Dict[tuple, List[Message]] = {}
         for message in survivors:
             key = (message.source, message.destination)
             groups.setdefault(key, []).append(message)
         expected: Dict[NodeId, Set[NodeId]] = {
             node: set(self.session.expected_sources(round_no, node))
-            for node in self._order
+            for node in order
         }
         frames: List[Frame] = []
-        for source in self._order:
+        for source in order:
             muted = any(
-                a.mutes_marker(round_no, source) for a in self.adapters
+                i.mutes_marker(round_no, source) for i in self.engine.injectors
             )
-            for destination in self._order:
+            for destination in order:
                 if destination == source:
                     continue
                 messages = groups.get((source, destination), ())
@@ -420,10 +365,11 @@ class AsyncRoundRunner:
 
     async def _send_markers(self, round_no: int) -> None:
         loop = asyncio.get_running_loop()
-        for source in self._order:
-            if any(a.mutes_marker(round_no, source) for a in self.adapters):
+        order, injectors = self.engine.order, self.engine.injectors
+        for source in order:
+            if any(i.mutes_marker(round_no, source) for i in injectors):
                 continue
-            for destination in self._order:
+            for destination in order:
                 if destination == source:
                     continue
                 frame = Frame(
@@ -659,7 +605,6 @@ async def run_agreement_async(
     sender_value: Value,
     behaviors: Optional[BehaviorMap] = None,
     transport: Optional[Transport] = None,
-    adapters: Optional[Sequence[AsyncFaultAdapter]] = None,
     extra_injectors: Optional[Sequence[FaultInjector]] = None,
     round_timeout: float = 5.0,
     chaos: Optional["ChaosPolicy"] = None,
@@ -675,9 +620,10 @@ async def run_agreement_async(
     """Run one m/u-degradable agreement over an async transport.
 
     The async counterpart of
-    :func:`repro.core.protocol.execute_degradable_protocol`: same
-    parameters, same behaviour objects, same result shape — plus the
-    :class:`~repro.net.metrics.NetMetrics` recorder for the wire story.
+    :func:`repro.core.protocol.execute_degradable_protocol`: the same
+    fault parameters (*behaviors*, then *extra_injectors*, assembled in
+    that order and run by the same engine code), same result shape — plus
+    the :class:`~repro.net.metrics.NetMetrics` recorder for the wire story.
     Defaults to :class:`~repro.net.transport.LocalBus` and the batched
     wire path (one frame per directed link per round); ``batching=False``
     selects the legacy one-frame-per-message path.  The two are
@@ -707,13 +653,6 @@ async def run_agreement_async(
     deterministic ids.  Same invariant as *events*: observing a run
     never changes it.
     """
-    stack: List[AsyncFaultAdapter] = []
-    if behaviors:
-        stack.extend(behavior_adapters(behaviors))
-    if extra_injectors:
-        stack.extend(lift_injectors(extra_injectors))
-    if adapters:
-        stack.extend(adapters)
     wire, chaos_log = build_stack(
         transport if transport is not None else LocalBus(),
         chaos,
@@ -726,7 +665,7 @@ async def run_agreement_async(
     runner = AsyncRoundRunner(
         session,
         transport=wire,
-        adapters=stack,
+        injectors=[*behavior_injectors(behaviors), *(extra_injectors or ())],
         round_timeout=round_timeout,
         batching=batching,
         record_trace=record_trace,

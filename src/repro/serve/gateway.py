@@ -64,12 +64,12 @@ from repro.core.protocol import ProtocolSession
 from repro.core.spec import DegradableSpec
 from repro.core.values import DEFAULT, Value
 from repro.exceptions import AdmissionError, ConfigurationError
-from repro.net.adapters import behavior_adapters
 from repro.net.metrics import NetMetrics
 from repro.net.runner import AsyncRoundRunner
 from repro.net.stack import build_stack
 from repro.net.transport import LocalBus, Transport
 from repro.serve.mux import InstanceMux
+from repro.sim.faults import behavior_injectors
 from repro.sim.trace import EventTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -471,11 +471,10 @@ class AgreementService:
             job.sender_value,
             tag=f"byz:{job.instance_id}",
         )
-        adapters = behavior_adapters(job.behaviors) if job.behaviors else []
         runner = AsyncRoundRunner(
             session,
             transport=channel,
-            adapters=adapters,
+            injectors=behavior_injectors(job.behaviors),
             round_timeout=self.round_timeout,
             metrics=NetMetrics(transport=channel.name),
             batching=self.batching,

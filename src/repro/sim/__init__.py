@@ -9,6 +9,7 @@ top of this package.
 from repro.sim.engine import FaultInjector, SynchronousEngine
 from repro.sim.faults import (
     ByzantineRelayInjector,
+    CrashInjector,
     MessageCorruptor,
     OmissionInjector,
     SpuriousTimeoutInjector,
@@ -29,6 +30,7 @@ from repro.sim.trace import EventKind, EventTrace, TraceEvent
 __all__ = [
     "ByzantineRelayInjector",
     "ClockReadingPayload",
+    "CrashInjector",
     "Envelope",
     "EventKind",
     "EventTrace",

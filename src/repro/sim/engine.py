@@ -1,4 +1,4 @@
-"""Deterministic synchronous round engine.
+"""Deterministic synchronous round engine — and the one protocol round.
 
 Executes a set of :class:`~repro.sim.node.Process` objects in lock-step
 rounds over a :class:`~repro.sim.network.Topology`:
@@ -9,6 +9,14 @@ rounds over a :class:`~repro.sim.network.Topology`:
 3. each outgoing message passes through the registered fault injectors
    (Byzantine corruption, omissions, ...) and is queued for delivery if the
    topology contains the link.
+
+Steps 2 and 3 are :meth:`SynchronousEngine.emit`, the protocol half of a
+round.  The asyncio runtime (:class:`repro.net.AsyncRoundRunner`) owns an
+engine and calls the same method with the inboxes it collected off the
+wire, so stepping order, the checks below, the injector chain and the
+protocol-level trace lines are defined here once; the runtimes differ only
+in how a round's survivors travel and how assumption (b) closes the round
+(lock-step barrier here, a deadline there).
 
 Model guarantees enforced structurally (Section 4 assumptions):
 
@@ -25,7 +33,7 @@ missing ones.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SimulationError
 from repro.sim.messages import Message, delivery_order
@@ -39,14 +47,24 @@ NodeId = Hashable
 class FaultInjector:
     """Hook that may drop, alter or multiply messages in flight.
 
-    Subclasses override :meth:`intercept`.  Returning ``[]`` drops the
-    message; returning the message unchanged passes it through; returning a
-    modified copy corrupts it.  All returned messages must keep the original
-    ``source`` (assumption (c)).
+    The one interception contract of both runtimes.  Subclasses override
+    :meth:`intercept`.  Returning ``[]`` drops the message; returning the
+    message unchanged passes it through; returning a modified copy corrupts
+    it.  All returned messages must keep the original ``source``
+    (assumption (c)).
     """
 
     def intercept(self, round_no: int, message: Message) -> List[Message]:
         return [message]
+
+    def mutes_marker(self, round_no: int, node: NodeId) -> bool:
+        """Whether *node* also withholds its end-of-round signal on the wire.
+
+        Only the asyncio runtime asks: a muted node's receivers must ride
+        out the round deadline to learn of its silence.  The lock-step
+        engine has no markers and never calls this.
+        """
+        return False
 
 
 class SynchronousEngine:
@@ -60,30 +78,34 @@ class SynchronousEngine:
         record_trace: bool = True,
     ) -> None:
         self.topology = topology
+        # A topology is immutable, so its links are read once, not asked
+        # of the graph per message.
+        links = topology.links
         self.processes: Dict[NodeId, Process] = {}
         for process in processes:
             if process.node_id in self.processes:
                 raise SimulationError(
                     f"duplicate process for node {process.node_id!r}"
                 )
-            if process.node_id not in topology.graph:
+            if process.node_id not in links:
                 raise SimulationError(
                     f"process node {process.node_id!r} not in topology"
                 )
             self.processes[process.node_id] = process
         self.injectors: List[FaultInjector] = list(injectors or [])
         self.trace: Optional[EventTrace] = EventTrace() if record_trace else None
-        # A topology is immutable, so its links are read once, not asked
-        # of the graph per message.
-        self._links = topology.links
+        # ``_reachable[n]`` is every *other* node *n* has a link to that runs
+        # a process, so one membership test admits a message.
+        if len(links) != len(self.processes):
+            links = {n: links[n] & self.processes.keys() for n in self.processes}
+        self._reachable = links
         self._in_flight: List[Message] = []
         self.current_round = 0
         #: Messages the processes emitted so far, counted before injectors
         #: drop, alter or multiply them (one per ``sent`` trace event).
         self.emitted = 0
-        self._order: List[NodeId] = sorted(
-            self.processes, key=lambda n: str(n)
-        )
+        #: The fixed stepping order (node ids by ``str``) of both runtimes.
+        self.order: List[NodeId] = sorted(self.processes, key=str)
 
     # ------------------------------------------------------------------
     # Execution
@@ -110,17 +132,39 @@ class SynchronousEngine:
         inboxes: Dict[NodeId, List[Message]] = {n: [] for n in self.processes}
         for message in delivery_order(self._in_flight):
             inboxes[message.destination].append(message)
-            if self.trace is not None:
-                self.trace.record_message(
-                    self.current_round, EventKind.DELIVERED, message
-                )
-        self._in_flight = []
+        self._in_flight, _ = self.emit(self.current_round, inboxes)
 
+    def emit(
+        self, round_no: int, inboxes: Dict[NodeId, List[Message]]
+    ) -> Tuple[List[Message], int]:
+        """The protocol half of round *round_no*, shared by both runtimes.
+
+        Hands every process its inbox (each already in
+        :func:`~repro.sim.messages.delivery_order`), steps the processes in
+        the engine's fixed order, runs what they emit through the injector
+        chain in list order and returns ``(survivors, dropped)``: the
+        messages to deliver next round, in emission order, and how many
+        emitted messages the injectors removed entirely.  ``delivered``,
+        ``sent``, ``corrupted`` and ``dropped`` trace lines are written
+        here, a round's ``delivered`` lines before any process steps.
+
+        The Section 4 checks live here and nowhere else.  A process must
+        emit under its own name and an injector must keep the source it
+        was handed (assumption (c)); a survivor must address a known node
+        other than its source; one with no link to ride is dropped with a
+        ``no link`` trace line.  The destination checks run on survivors,
+        after injection: a process that addresses itself is not an error
+        if an injector drops that message.  Any breach raises
+        :class:`~repro.exceptions.SimulationError`.
+        """
+        trace = self.trace
+        if trace is not None:
+            for node_id in self.order:
+                for message in inboxes[node_id]:
+                    trace.record_message(round_no, EventKind.DELIVERED, message)
         outgoing: List[Message] = []
-        for node_id in self._order:
-            process = self.processes[node_id]
-            sent = process.step(self.current_round, inboxes[node_id])
-            for message in sent:
+        for node_id in self.order:
+            for message in self.processes[node_id].step(round_no, inboxes[node_id]):
                 if message.source != node_id:
                     raise SimulationError(
                         f"process {node_id!r} attempted to forge source "
@@ -129,25 +173,30 @@ class SynchronousEngine:
                 outgoing.append(message)
         self.emitted += len(outgoing)
 
-        if self.injectors or self.trace is not None:
-            for message in outgoing:
-                self._dispatch(message)
+        survivors: List[Message] = []
+        dropped = 0
+        if self.injectors or trace is not None:
+            for original in outgoing:
+                wave = self._inject(round_no, original)
+                if not wave:
+                    dropped += 1
+                self._admit(round_no, wave, survivors)
         else:
             # Nobody can alter a message and nobody records one: every
             # message is its own sole survivor.
-            for message in outgoing:
-                self._enqueue(message)
+            self._admit(round_no, outgoing, survivors)
+        return survivors, dropped
 
-    def _dispatch(self, original: Message) -> None:
-        if self.trace is not None:
-            self.trace.record_message(
-                self.current_round, EventKind.SENT, original
-            )
-        survivors = [original]
+    def _inject(self, round_no: int, original: Message) -> List[Message]:
+        """What the injector chain leaves of *original*, traced."""
+        trace = self.trace
+        if trace is not None:
+            trace.record_message(round_no, EventKind.SENT, original)
+        wave = [original]
         for injector in self.injectors:
             next_wave: List[Message] = []
-            for message in survivors:
-                replacements = injector.intercept(self.current_round, message)
+            for message in wave:
+                replacements = injector.intercept(round_no, message)
                 for replacement in replacements:
                     if replacement is message:
                         continue  # passed through untouched: nothing to check
@@ -157,43 +206,41 @@ class SynchronousEngine:
                             f"forge source {replacement.source!r} on a message "
                             f"from {original.source!r}"
                         )
-                    if replacement.payload != message.payload and self.trace is not None:
-                        self.trace.record_message(
-                            self.current_round,
+                    if replacement.payload != message.payload and trace is not None:
+                        trace.record_message(
+                            round_no,
                             EventKind.CORRUPTED,
                             replacement,
                             note=f"by {type(injector).__name__}",
                         )
                 next_wave.extend(replacements)
-            survivors = next_wave
-        if not survivors and self.trace is not None:
-            self.trace.record_message(
-                self.current_round, EventKind.DROPPED, original
-            )
-        for message in survivors:
-            self._enqueue(message)
+            wave = next_wave
+        if not wave and trace is not None:
+            trace.record_message(round_no, EventKind.DROPPED, original)
+        return wave
 
-    def _enqueue(self, message: Message) -> None:
-        if message.destination not in self.processes:
-            raise SimulationError(
-                f"message to unknown node {message.destination!r}"
-            )
-        if message.destination == message.source:
-            raise SimulationError(
-                f"node {message.source!r} attempted to message itself"
-            )
-        if message.destination not in self._links[message.source]:
-            # No physical link: the message silently never arrives.  The
-            # relay layer is responsible for multi-hop routing.
-            if self.trace is not None:
-                self.trace.record_message(
-                    self.current_round,
-                    EventKind.DROPPED,
-                    message,
-                    note="no link",
+    def _admit(
+        self, round_no: int, wave: Sequence[Message], survivors: List[Message]
+    ) -> None:
+        """Append to *survivors* each message of *wave* with a link to ride."""
+        reachable = self._reachable
+        for message in wave:
+            if message.destination in reachable[message.source]:
+                survivors.append(message)
+            elif message.destination not in self.processes:
+                raise SimulationError(
+                    f"message to unknown node {message.destination!r}"
                 )
-            return
-        self._in_flight.append(message)
+            elif message.destination == message.source:
+                raise SimulationError(
+                    f"node {message.source!r} attempted to message itself"
+                )
+            elif self.trace is not None:
+                # No physical link: the message silently never arrives.  The
+                # relay layer is responsible for multi-hop routing.
+                self.trace.record_message(
+                    round_no, EventKind.DROPPED, message, note="no link"
+                )
 
     # ------------------------------------------------------------------
     # Introspection

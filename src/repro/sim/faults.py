@@ -1,6 +1,9 @@
-"""Fault injection for the synchronous engine.
+"""Fault injection for both runtimes.
 
-Three families of faults appear in the paper:
+Every injector here is a :class:`~repro.sim.engine.FaultInjector`, run by
+:meth:`~repro.sim.engine.SynchronousEngine.emit` — the synchronous engine
+and the asyncio runner take the same objects in the same order.  Three
+families of faults appear in the paper:
 
 * **Byzantine nodes** (the main model): arbitrary behaviour.  Realized by
   :class:`ByzantineRelayInjector`, which rewrites the payloads of messages
@@ -8,7 +11,9 @@ Three families of faults appear in the paper:
   :class:`~repro.core.behavior.Behavior` objects the functional algorithm
   uses — so one scenario script drives both implementations.
 * **Omissions / crashes**: a faulty node's messages simply vanish
-  (:class:`OmissionInjector` with a source set, or a silent behaviour).
+  (:class:`OmissionInjector` with a source set, or a silent behaviour);
+  :class:`CrashInjector` also withholds the node's end-of-round signal, so
+  on a real wire its receivers learn of the silence from the deadline.
 * **Spurious timeouts** (Section 6.1): when more than ``m`` nodes are
   faulty, clock synchronization may degrade and a fault-free node may
   wrongly declare a fault-free node's message absent.
@@ -21,7 +26,7 @@ Three families of faults appear in the paper:
 from __future__ import annotations
 
 import random
-from typing import AbstractSet, Callable, Hashable, List, Optional
+from typing import AbstractSet, Callable, Hashable, Iterable, List, Optional
 
 from repro.core.behavior import BehaviorMap
 from repro.sim.engine import FaultInjector
@@ -86,6 +91,25 @@ class OmissionInjector(FaultInjector):
         return cls(lambda _round, msg: (msg.source, msg.destination) in links)
 
 
+class CrashInjector(OmissionInjector):
+    """Crash fault: a node that stops talking entirely.
+
+    Drops every message originating at *nodes*, exactly like
+    :meth:`OmissionInjector.from_sources`, *and* mutes their end-of-round
+    markers.  The lock-step engine has no markers, so there the two are the
+    same fault; on the wire an omission still lets rounds close fast, while
+    a crash makes receivers wait out the full round deadline before
+    substituting ``V_d`` — the timeout path of assumption (b), for real.
+    """
+
+    def __init__(self, nodes: Iterable[NodeId]) -> None:
+        crashed = self.nodes = frozenset(nodes)
+        super().__init__(lambda _round, msg: msg.source in crashed)
+
+    def mutes_marker(self, round_no: int, node: NodeId) -> bool:
+        return node in self.nodes
+
+
 class SpuriousTimeoutInjector(FaultInjector):
     """Section 6.1 model: fault-free messages occasionally time out.
 
@@ -139,6 +163,7 @@ class MessageCorruptor(FaultInjector):
         return [message]
 
 
-def behavior_injectors(behaviors: BehaviorMap) -> List[FaultInjector]:
-    """Standard injector stack for a behaviour-driven Byzantine fault set."""
-    return [ByzantineRelayInjector(behaviors)]
+def behavior_injectors(behaviors: Optional[BehaviorMap]) -> List[FaultInjector]:
+    """Standard injector stack for a behaviour-driven Byzantine fault set
+    (empty when no node has a behaviour: nothing to intercept)."""
+    return [ByzantineRelayInjector(behaviors)] if behaviors else []

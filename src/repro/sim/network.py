@@ -156,10 +156,11 @@ class Topology:
 
     @cached_property
     def links(self) -> Mapping[NodeId, FrozenSet[NodeId]]:
-        """Each node's direct neighbours, read off the frozen graph once."""
+        """Each node's direct neighbours, read off the frozen graph once
+        (other nodes only: a self-loop in the graph links nobody)."""
         return MappingProxyType(
             {
-                node: frozenset(neighbours)
+                node: frozenset(neighbours) - {node}
                 for node, neighbours in self._graph.adjacency()
             }
         )

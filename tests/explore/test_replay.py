@@ -127,7 +127,7 @@ class TestOneSendPath:
         (kwargs,) = runner_kwargs
         assert kwargs["transport"] is stack
         assert set(kwargs) == {
-            "transport", "adapters", "round_timeout", "batching", "events",
+            "transport", "injectors", "round_timeout", "batching", "events",
         }
 
     @pytest.mark.parametrize(

@@ -21,12 +21,11 @@ from repro.core.values import DEFAULT
 from repro.net import (
     ChaosPolicy,
     LocalBus,
-    MuteAdapter,
     Partition,
     partition_injector,
     run_agreement_async,
 )
-from repro.sim.faults import OmissionInjector
+from repro.sim.faults import CrashInjector, OmissionInjector
 
 from tests.conftest import node_names
 
@@ -57,7 +56,7 @@ def _async_timeout(spec, nodes, omitting):
         run_agreement_async(
             spec, nodes, "S", VALUE,
             transport=LocalBus(),
-            adapters=[MuteAdapter(omitting)],
+            extra_injectors=[CrashInjector(omitting)],
             round_timeout=0.4,
         )
     )

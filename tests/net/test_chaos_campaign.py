@@ -25,7 +25,6 @@ from repro.net.chaos import (
     run_trial,
     run_trial_sync,
     seeded_policy,
-    tier_for,
     trial_seed,
 )
 
@@ -126,7 +125,7 @@ class TestSeededInstance:
         ))
         assert got.result.decisions == want.result.decisions
         assert afflicted == want.chaos.afflicted
-        assert tier == tier_for(spec, len(afflicted))
+        assert tier == spec.guarantee_for(len(afflicted))
         assert got.chaos.counts() == want.chaos.counts()
         assert got.metrics.counters() == want.metrics.counters()
 

@@ -19,7 +19,6 @@ from repro.net.chaos import (
     Crash,
     Partition,
     make_policy,
-    tier_for,
 )
 from repro.net.codec import DATA, MARK, Frame
 from repro.net.metrics import NetMetrics
@@ -286,10 +285,10 @@ class TestCrash:
 class TestAccountingBridge:
     def test_f_eff_selects_the_tier(self):
         spec = DegradableSpec(m=1, u=2, n_nodes=5)
-        assert tier_for(spec, 0) == "byzantine"
-        assert tier_for(spec, 1) == "byzantine"
-        assert tier_for(spec, 2) == "degraded"
-        assert tier_for(spec, 3) == "none"
+        assert spec.guarantee_for(0) == "byzantine"
+        assert spec.guarantee_for(1) == "byzantine"
+        assert spec.guarantee_for(2) == "degraded"
+        assert spec.guarantee_for(3) == "none"
 
     def test_make_policy_rejects_unknown_severity(self):
         spec = DegradableSpec(m=1, u=2, n_nodes=5)

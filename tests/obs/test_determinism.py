@@ -5,14 +5,17 @@ RNG and nothing wall-clock-derived reaches the determinism fingerprint,
 so a same-seed chaos run produces identical decisions and
 :meth:`NetMetrics.counters` fingerprints with the observability layer
 attached or absent — and every fingerprint value is a plain ``int``.
+The runs are LocalBus only and run on the virtual clock: a ridden-out
+deadline costs no wall time (``tests/serve/test_metrics.py`` proves the
+counters are clock-blind).
 """
 
-import asyncio
 import random
 
 import pytest
 
 from repro.core.spec import DegradableSpec
+from repro.explore.clock import run_on_virtual_clock
 from repro.net import LocalBus, run_agreement_async
 from repro.net.chaos import ChaosPolicy
 from repro.net.metrics import NetMetrics
@@ -33,7 +36,7 @@ NOISY = ChaosPolicy(
 
 
 def chaos_run(seed, events=None):
-    outcome = asyncio.run(
+    outcome = run_on_virtual_clock(
         run_agreement_async(
             SPEC,
             node_names(5),
@@ -101,7 +104,7 @@ class TestObservedEqualsUnobserved:
                         service.aggregate_metrics.counters(),
                     )
 
-            return asyncio.run(scenario())
+            return run_on_virtual_clock(scenario())
 
         bus = EventBus()
         observed = service_run(events=bus)

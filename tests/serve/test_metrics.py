@@ -4,6 +4,7 @@ import asyncio
 import random
 
 from repro.core.spec import DegradableSpec
+from repro.explore.clock import run_on_virtual_clock
 from repro.net.chaos import ChaosPolicy, seeded_policy
 from repro.net.metrics import NetMetrics
 from repro.obs import EventBus, metrics_registry, parse_exposition
@@ -78,13 +79,16 @@ class TestSeededFingerprints:
     ``counters()`` deliberately excludes wall-clock quantities, so the
     fingerprint is a function of the workload (and chaos seed) alone —
     the regression this guards is any counter silently picking up timing
-    or completion-order dependence.
+    or completion-order dependence.  The cases run on the virtual clock:
+    a round that waits out its deadline costs no wall time, and
+    :meth:`test_real_and_virtual_clock_count_the_same` is the proof that
+    nothing counted depends on which clock told the time.
     """
 
     def test_clean_concurrent_runs_fingerprint_identically(self):
         workload = plan(seed=42, count=12)
-        first = asyncio.run(run_service(workload))
-        second = asyncio.run(run_service(workload))
+        first = run_on_virtual_clock(run_service(workload))
+        second = run_on_virtual_clock(run_service(workload))
         assert first == second
         assert any(key.startswith("inst.") for key in first)
 
@@ -96,10 +100,10 @@ class TestSeededFingerprints:
         policy = ChaosPolicy(
             drop_probability=0.1, duplicate_probability=0.2, seed=17
         )
-        first = asyncio.run(
+        first = run_on_virtual_clock(
             run_service(workload, chaos=policy, chaos_seed=17, max_inflight=1)
         )
-        second = asyncio.run(
+        second = run_on_virtual_clock(
             run_service(workload, chaos=policy, chaos_seed=17, max_inflight=1)
         )
         assert first == second
@@ -109,13 +113,29 @@ class TestSeededFingerprints:
         policy = ChaosPolicy(
             drop_probability=0.25, duplicate_probability=0.25, seed=17
         )
-        first = asyncio.run(
+        first = run_on_virtual_clock(
             run_service(workload, chaos=policy, chaos_seed=17, max_inflight=1)
         )
-        other = asyncio.run(
+        other = run_on_virtual_clock(
             run_service(workload, chaos=policy, chaos_seed=99, max_inflight=1)
         )
         assert first != other
+
+    def test_real_and_virtual_clock_count_the_same(self):
+        """The loop clock is render-only: same seed, same ``counters()``,
+        whether deadlines are slept through or skipped over."""
+        workload = plan(seed=7, count=6)
+        policy = ChaosPolicy(
+            drop_probability=0.1, duplicate_probability=0.2, seed=17
+        )
+        real = asyncio.run(
+            run_service(workload, chaos=policy, chaos_seed=17, max_inflight=1)
+        )
+        virtual = run_on_virtual_clock(
+            run_service(workload, chaos=policy, chaos_seed=17, max_inflight=1)
+        )
+        assert real == virtual
+        assert any(key.endswith(".timeouts") and real[key] for key in real)
 
 
 class TestServiceScrape:
@@ -193,7 +213,9 @@ class TestServiceScrape:
         assert "frames=128" in aggregate.render()
 
     def test_substitutions_under_light_chaos_sum_over_outcomes(self):
-        service, bus, samples = asyncio.run(self.scrape("light", seed=5))
+        service, bus, samples = run_on_virtual_clock(
+            self.scrape("light", seed=5)
+        )
         outcomes = list(service.outcomes.values())
         expected = sum(o.metrics.substitutions for o in outcomes)
         assert expected > 0  # this seed does lose frames

@@ -297,3 +297,63 @@ class TestPassThroughInjectors:
         engine.run(2)
         assert [m.payload for m in receiver.received] == ["x"]
         assert engine.trace.count(EventKind.CORRUPTED) == 0
+
+
+class TestEmit:
+    """``emit`` is the protocol half of a round both runtimes call: inboxes
+    in, ``(survivors, dropped)`` out, every structural check inside."""
+
+    class DropToSelf(FaultInjector):
+        def intercept(self, round_no, message):
+            return [] if message.destination == message.source else [message]
+
+    def test_returns_survivors_and_the_fully_dropped_count(self):
+        sender = ScriptedProcess("a", {1: [("a", "x"), ("b", "y"), ("c", "z")]})
+        b = RecordingProcess("b")
+        engine = make_engine(
+            [sender, b, IdleProcess("c")], injectors=[self.DropToSelf()]
+        )
+        survivors, dropped = engine.emit(1, {n: [] for n in NODES})
+        assert [(m.destination, m.payload) for m in survivors] == [
+            ("b", "y"), ("c", "z"),
+        ]
+        assert (dropped, engine.emitted) == (1, 3)
+        # The caller owns delivery: handing the survivors back is round 2.
+        engine.emit(2, {"a": [], "b": survivors[:1], "c": []})
+        assert [m.payload for m in b.received] == ["y"]
+        delivered = engine.trace.of_kind(EventKind.DELIVERED)
+        assert [(e.round_no, e.destination) for e in delivered] == [(2, "b")]
+
+    def test_destination_checks_run_on_survivors_after_injection(self):
+        # A self-addressed message an injector drops never reaches the
+        # check; one that survives does.
+        for injectors, raises in (([self.DropToSelf()], False), ([], True)):
+            sender = ScriptedProcess("a", {1: [("a", "x")]})
+            engine = make_engine(
+                [sender, IdleProcess("b"), IdleProcess("c")], injectors=injectors
+            )
+            if raises:
+                with pytest.raises(SimulationError, match="message itself"):
+                    engine.run(1)
+            else:
+                assert engine.run(1) == 1
+
+    def test_topology_node_without_a_process_is_an_unknown_destination(self):
+        sender = ScriptedProcess("a", {1: [("c", "x")]})
+        engine = SynchronousEngine(
+            Topology.complete(NODES), [sender, IdleProcess("b")], record_trace=False
+        )
+        with pytest.raises(SimulationError, match="unknown node 'c'"):
+            engine.run(1)
+
+    def test_a_self_loop_in_the_graph_does_not_admit_a_self_message(self):
+        import networkx as nx
+
+        graph = nx.complete_graph(NODES)
+        graph.add_edge("a", "a")
+        sender = ScriptedProcess("a", {1: [("a", "x")]})
+        engine = SynchronousEngine(
+            Topology(graph), [sender, IdleProcess("b"), IdleProcess("c")]
+        )
+        with pytest.raises(SimulationError, match="message itself"):
+            engine.run(1)

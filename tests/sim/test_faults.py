@@ -8,6 +8,7 @@ from repro.core.behavior import ConstantLiar, LieAboutSender, SilentBehavior
 from repro.core.values import DEFAULT
 from repro.sim.faults import (
     ByzantineRelayInjector,
+    CrashInjector,
     MessageCorruptor,
     OmissionInjector,
     SpuriousTimeoutInjector,
@@ -62,6 +63,8 @@ class TestByzantineRelayInjector:
         injectors = behavior_injectors({"bad": ConstantLiar("x")})
         assert len(injectors) == 1
         assert isinstance(injectors[0], ByzantineRelayInjector)
+        # Nobody misbehaves: nothing to intercept, so no injector at all.
+        assert behavior_injectors({}) == behavior_injectors(None) == []
 
 
 class TestOmissionInjector:
@@ -83,6 +86,20 @@ class TestOmissionInjector:
         assert inj.intercept(1, relay_msg("a", "b", ("S", "a"), 1)) == []
         msg = relay_msg("a", "c", ("S", "a"), 1)
         assert inj.intercept(1, msg) == [msg]
+
+
+class TestCrashInjector:
+    def test_drops_like_a_source_omission_and_mutes_markers(self):
+        inj = CrashInjector({"a"})
+        assert inj.intercept(1, relay_msg("a", "b", ("S", "a"), 1)) == []
+        msg = relay_msg("c", "b", ("S", "c"), 1)
+        assert inj.intercept(1, msg) == [msg]
+        assert inj.dropped == 1
+        assert inj.mutes_marker(1, "a") and not inj.mutes_marker(1, "c")
+
+    def test_no_other_injector_mutes(self):
+        # An omission silences data only: markers still close the round.
+        assert not OmissionInjector.from_sources({"a"}).mutes_marker(1, "a")
 
 
 class TestSpuriousTimeoutInjector:

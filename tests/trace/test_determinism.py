@@ -12,15 +12,17 @@ the two halves of the tracing contract:
 
 These runs deliberately arm **no** :class:`HeartbeatPolicy`: heartbeat
 probe spans are cadence-driven (their *count* is wall-clock shaped), so
-span-id determinism only holds for runs without one.
+span-id determinism only holds for runs without one.  They are LocalBus
+only and run on the virtual clock: a ridden-out deadline costs no wall time
+(``tests/serve/test_metrics.py`` proves the counters are clock-blind).
 """
 
-import asyncio
 import random
 
 import pytest
 
 from repro.core.spec import DegradableSpec
+from repro.explore.clock import run_on_virtual_clock
 from repro.net import LocalBus, run_agreement_async
 from repro.net.chaos import ChaosPolicy
 from repro.trace import Tracer
@@ -40,7 +42,7 @@ NOISY = ChaosPolicy(
 
 
 def chaos_run(seed, tracer=None):
-    return asyncio.run(
+    return run_on_virtual_clock(
         run_agreement_async(
             SPEC,
             node_names(5),
@@ -79,7 +81,7 @@ def service_run(tracer=None):
                 service.aggregate_metrics.counters(),
             )
 
-    return asyncio.run(scenario())
+    return run_on_virtual_clock(scenario())
 
 
 class TestTracedEqualsUntraced:
