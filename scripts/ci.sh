@@ -168,14 +168,33 @@ echo "== trace conformance (golden trace + differential fuzz) =="
 python -m repro verify examples/traces/golden_m1u2.jsonl
 timeout 300 python -m repro fuzz --quick --seed 7
 
-echo "== schedule explorer (bounded DFS + shrink gate) =="
+echo "== schedule explorer (exhausted frontiers + shrink gate) =="
 # Seedless and deterministic, and a gate that can fail in both
 # directions: correct (1,2,5) must explore clean to an exhausted depth-2
-# frontier (exit 0), and the planted vote bug must be found and shrunk to
-# a replayable one-deviation token (exit 1).
-timeout 300 python -m repro explore --depth 2 --budget 150
+# frontier (exit 0 *and* the frontier sentence: a run that merely spent
+# its budget also exits 0), and the planted vote bug must be found and
+# shrunk to a replayable one-deviation token (exit 1).
+timeout 300 python -m repro explore --depth 2 --budget 150 | tee "${ARTIFACTS}/explore.txt"
+if ! grep -q "frontier exhausted at depth 2: 513 schedules settled (149 run + 364 covered" "${ARTIFACTS}/explore.txt"; then
+    echo "(1,2,5) did not exhaust its depth-2 frontier in 149 runs" >&2
+    exit 1
+fi
 if timeout 300 python -m repro explore --inject-vote-bug 1 --depth 2 --budget 150; then
     echo "planted vote bug not found" >&2
+    exit 1
+fi
+# The deeper certificate tier-1 has no time for: (2,2,7) clean to an
+# exhausted depth-2 frontier, 8 713 schedules from 2 572 runs (~20 s).
+timeout 600 python -m repro explore -m 2 -u 2 --depth 2 --budget 3000 | tee "${ARTIFACTS}/explore.txt"
+if ! grep "frontier exhausted at depth 2: " "${ARTIFACTS}/explore.txt" | grep -q "(2572 run + "; then
+    echo "(2,2,7) did not exhaust its depth-2 frontier in 2572 runs" >&2
+    exit 1
+fi
+# One definition of when a stall surfaces: what send arms and what a
+# drop's silent-stall report compares must be the same expression.
+if [ "$(grep -c "STALL_FRACTION \*" src/repro/explore/transport.py)" -gt 1 ]; then
+    echo "'STALL_FRACTION *' occurs more than once in explore/transport.py:" >&2
+    grep -n "STALL_FRACTION \*" src/repro/explore/transport.py >&2
     exit 1
 fi
 

@@ -37,11 +37,19 @@ timeout 120 python -m repro fuzz --quick --seed 7
 echo "== replay tokens (one committed token per grammar) =="
 bash scripts/replay_tokens.sh
 
+echo "== one run per behaviour vs the search that runs everything (same frontier, same fingerprints, covered == twin) =="
+python -m pytest -q tests/explore/test_reduction.py
+
 echo "== schedule explorer smoke (virtual clock, seedless) =="
 # Deterministic both ways: the correct running example must explore
-# clean (exit 0), and the planted vote bug must be found and shrunk to a
+# clean to an exhausted depth-2 frontier (exit 0 and the frontier
+# sentence), and the planted vote bug must be found and shrunk to a
 # replayable one-deviation token (exit 1).
-timeout 60 python -m repro explore --depth 2 --budget 150
+timeout 60 python -m repro explore --depth 2 --budget 150 | tee "${ARTIFACTS}/explore.txt"
+if ! grep -q "frontier exhausted at depth 2: 513 schedules settled (149 run + 364 covered" "${ARTIFACTS}/explore.txt"; then
+    echo "(1,2,5) did not exhaust its depth-2 frontier in 149 runs" >&2
+    exit 1
+fi
 if timeout 60 python -m repro explore --inject-vote-bug 1 --depth 2 --budget 150; then
     echo "planted vote bug not found" >&2
     exit 1

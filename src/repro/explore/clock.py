@@ -16,7 +16,8 @@ The result: a run whose only I/O is in-memory (the explorer's
 :class:`~repro.explore.transport.ExploredTransport`) executes in
 microseconds of wall time regardless of how many virtual seconds of
 round deadlines it rides out, and — because the loop is single-threaded,
-timers fire in deterministic heap order, and no real descriptor ever
+timers fire in arming order (same-instant timers in the order they were
+armed, whatever else sits in the heap), and no real descriptor ever
 becomes ready asynchronously — two runs of the same coroutine make
 identical scheduling decisions.  That determinism is what turns a
 schedule token into a replayable execution.
@@ -34,6 +35,7 @@ Two failure modes are converted into loud errors instead of hangs:
 from __future__ import annotations
 
 import asyncio
+import heapq
 import selectors
 from typing import Any, Awaitable, TypeVar
 
@@ -111,6 +113,21 @@ class _VirtualSelector:
         self.close()
 
 
+class _ArmedTimer(asyncio.TimerHandle):
+    """A timer ordered by ``(when, arming sequence)``.
+
+    ``TimerHandle`` compares by ``when`` alone and ``heapq`` is not
+    stable, so which of two same-instant timers fires first would depend
+    on unrelated timers in the heap (a stall nobody consumes reordering
+    two node-round deadlines).  The sequence number breaks the tie.
+    """
+
+    __slots__ = ("_armed",)
+
+    def __lt__(self, other):
+        return (self._when, self._armed) < (other._when, other._armed)
+
+
 class VirtualClockLoop(asyncio.SelectorEventLoop):
     """Event loop on virtual time; idle waits advance the clock instantly."""
 
@@ -124,6 +141,7 @@ class VirtualClockLoop(asyncio.SelectorEventLoop):
         super().__init__(selectors.DefaultSelector())
         self._virtual_now = float(start_time)
         self._virtual_limit = float(start_time) + float(horizon)
+        self._armed = 0
         # Wrap after super().__init__: the self-pipe is already registered
         # on the inner selector, and all future calls route through the
         # proxy, which only intercepts select().
@@ -131,6 +149,15 @@ class VirtualClockLoop(asyncio.SelectorEventLoop):
 
     def time(self) -> float:
         return self._virtual_now
+
+    def call_at(self, when, callback, *args, context=None):
+        """``BaseEventLoop.call_at`` with an :class:`_ArmedTimer`."""
+        self._check_closed()
+        timer = _ArmedTimer(when, callback, args, self, context)
+        self._armed = timer._armed = self._armed + 1
+        heapq.heappush(self._scheduled, timer)
+        timer._scheduled = True
+        return timer
 
     def advance(self, interval: float) -> None:
         """Jump the virtual clock forward by *interval* seconds."""

@@ -18,7 +18,10 @@ and branches on every decision point with every non-default option —
 bounded by the number of non-default choices (*depth_bound*, the
 classical delay bound) and by a total execution *budget*.  Each child
 prefix extends its parent at a decision index past the parent's own
-prefix, so every schedule is generated exactly once.  A violating
+prefix, so every schedule is generated exactly once — and *run* at most
+once per observable behaviour: a schedule that only flips a drop nobody
+would have heard as a ``stall`` is settled by the run it repeats
+(``covered``, see :func:`explore`).  A violating
 execution is shrunk to a minimal prefix (greedily zeroing deviations,
 then lowering the survivors) before being reported with its replay
 token.
@@ -54,6 +57,7 @@ from repro.core.spec import DegradableSpec
 from repro.exceptions import ConfigurationError
 from repro.explore.clock import run_on_virtual_clock
 from repro.explore.transport import (
+    STALL,
     DecisionPoint,
     ExploredTransport,
     ScheduleController,
@@ -147,7 +151,13 @@ def parse_explore_token(token: str) -> Tuple[ExploreConfig, Tuple[int, ...]]:
 # ----------------------------------------------------------------------
 @dataclass
 class ScheduleOutcome:
-    """One explored execution, fully judged."""
+    """One explored execution, fully judged.
+
+    ``silent_stalls`` holds the decision indices of this execution's
+    drops whose ``stall`` nobody would have heard
+    (:meth:`ExploredTransport.silent_stalls`): the schedule with any of
+    them flipped to ``stall`` is this same execution.
+    """
 
     config: ExploreConfig
     schedule: Tuple[int, ...]
@@ -159,6 +169,7 @@ class ScheduleOutcome:
     afflicted: FrozenSet[object]
     offered: int
     pruned: int
+    silent_stalls: FrozenSet[int]
 
     @property
     def ok(self) -> bool:
@@ -270,6 +281,7 @@ def run_schedule(
         afflicted=frozenset(transport.afflicted),
         offered=controller.offered,
         pruned=controller.pruned,
+        silent_stalls=transport.silent_stalls(),
     )
 
 
@@ -362,12 +374,19 @@ class ExploreViolation:
 
 @dataclass
 class ExploreReport:
-    """Everything one bounded exploration produced."""
+    """Everything one bounded exploration produced.
+
+    ``executions`` counts schedules actually *run* (what ``budget`` caps
+    and ``schedules_per_sec`` divides; ``decision_points``, ``offered``
+    and ``pruned`` sum over them); ``covered`` counts schedules settled
+    without a run, by the execution they are known to repeat.
+    """
 
     config: ExploreConfig
     depth_bound: int
     budget: int
     executions: int = 0
+    covered: int = 0
     decision_points: int = 0
     offered: int = 0
     pruned: int = 0
@@ -385,6 +404,11 @@ class ExploreReport:
         return not self.violations
 
     @property
+    def schedules(self) -> int:
+        """Schedules settled: run or covered."""
+        return self.executions + self.covered
+
+    @property
     def schedules_per_sec(self) -> float:
         return self.executions / self.elapsed if self.elapsed > 0 else 0.0
 
@@ -395,13 +419,30 @@ class ExploreReport:
 
     def render(self) -> str:
         status = "ok" if self.ok else "VIOLATIONS"
+        if self.frontier_exhausted:
+            reach = (
+                f"frontier exhausted at depth {self.depth_bound}: "
+                f"{self.schedules} schedules settled ({self.executions} run "
+                f"+ {self.covered} covered: a stall nobody listened for is "
+                f"its drop)"
+            )
+        else:
+            why = (
+                "budget spent"
+                if self.budget_exhausted
+                else "stopped at the first violation"
+            )
+            reach = (
+                f"{why} after {self.executions} runs: frontier NOT "
+                f"exhausted at depth {self.depth_bound} "
+                f"({self.schedules} schedules settled, {self.covered} "
+                f"covered)"
+            )
         lines = [
-            f"[{status}] explored {self.executions} schedules "
-            f"(depth bound {self.depth_bound}, budget {self.budget}"
-            f"{', exhausted' if self.budget_exhausted else ''}) "
-            f"over {self.decision_points} decision points "
+            f"[{status}] {reach}; budget {self.budget}, "
+            f"{self.decision_points} decision points "
             f"in {self.elapsed:.2f}s "
-            f"({self.schedules_per_sec:.0f} schedules/s)"
+            f"({self.schedules_per_sec:.0f} runs/s)"
             + (
                 f", shrinking took {self.shrink_elapsed:.2f}s"
                 if self.violations
@@ -433,6 +474,16 @@ def explore(
     violation is budgeted separately since it terminates quickly — and
     timed separately, as ``shrink_elapsed``, so ``schedules_per_sec``
     divides the executions counted by the time they took).
+
+    One run per observable behaviour: a run reports its *silent stalls*
+    — drops whose ``stall`` would have surfaced after the destination
+    stopped listening — and the schedule with such a drop flipped to
+    ``stall`` is that same execution (``docs/runtime.md`` §12).  When
+    the DFS reaches it, it is settled without a run: counted in
+    ``report.covered``, same fingerprint, same verdict (a violation is
+    reported once, by the twin that ran), children enumerated from the
+    twin's trail.  The flipped schedule inherits the twin's remaining
+    silent drops, so the rule composes to any depth.
     """
     if isinstance(config, DegradableSpec):
         config = ExploreConfig(
@@ -449,41 +500,63 @@ def explore(
     )
     started = time.perf_counter()
     fingerprints = set()
+    # Schedules a settled one covers: key -> (the twin's trail while the
+    # schedule is expandable, {silent drop index: its stall choice}).
+    # Flipping drop to stall moves a schedule later in DFS order, so a
+    # twin always settles before the schedule it covers is popped.
+    covered_by: Dict[Tuple[int, ...], tuple] = {}
     stack: List[Tuple[int, ...]] = [()]
     while stack:
-        if report.executions >= budget:
+        prefix = stack.pop()
+        twin = covered_by.pop(prefix, None)
+        if twin is not None:
+            trail, stalls = twin
+            report.covered += 1
+        elif report.executions >= budget:
             report.budget_exhausted = True
             break
-        prefix = stack.pop()
-        outcome = run_schedule(config, prefix, events=events)
-        report.executions += 1
-        report.decision_points += len(outcome.trail)
-        report.offered += outcome.offered
-        report.pruned += outcome.pruned
-        fingerprints.add(outcome.fingerprint)
-        if not outcome.ok:
-            shrink_started = time.perf_counter()
-            shrunk, shrink_runs = shrink_schedule(
-                config, outcome.schedule, outcome
-            )
-            report.shrink_elapsed += time.perf_counter() - shrink_started
-            report.violations.append(
-                ExploreViolation(
-                    found=outcome, shrunk=shrunk, shrink_runs=shrink_runs
+        else:
+            outcome = run_schedule(config, prefix, events=events)
+            report.executions += 1
+            report.decision_points += len(outcome.trail)
+            report.offered += outcome.offered
+            report.pruned += outcome.pruned
+            fingerprints.add(outcome.fingerprint)
+            if not outcome.ok:
+                shrink_started = time.perf_counter()
+                shrunk, shrink_runs = shrink_schedule(
+                    config, outcome.schedule, outcome
                 )
+                report.shrink_elapsed += (
+                    time.perf_counter() - shrink_started
+                )
+                report.violations.append(
+                    ExploreViolation(
+                        found=outcome, shrunk=shrunk, shrink_runs=shrink_runs
+                    )
+                )
+                if stop_at_first:
+                    break
+            trail = outcome.trail
+            stalls = {
+                i: trail[i].menu.index(STALL) for i in outcome.silent_stalls
+            }
+        expandable = sum(1 for c in prefix if c != 0) < depth_bound
+        for i, stall in stalls.items():
+            others = {j: s for j, s in stalls.items() if j != i}
+            covered_by[prefix[:i] + (stall,) + prefix[i + 1:]] = (
+                trail if expandable else None,
+                others,
             )
-            if stop_at_first:
-                break
-        deviations = sum(1 for c in prefix if c != 0)
-        if deviations + 1 > depth_bound:
+        if not expandable:
             continue
         # Branch on every decision at or past this prefix: each child is
         # generated from exactly one parent, so the search tree never
-        # revisits a schedule.
-        choices = tuple(point.choice for point in outcome.trail)
+        # revisits a schedule.  (Past the prefix every choice was 0.)
+        choices = prefix + (0,) * (len(trail) - len(prefix))
         children: List[Tuple[int, ...]] = []
-        for i in range(len(prefix), len(outcome.trail)):
-            for alternative in range(1, len(outcome.trail[i].menu)):
+        for i in range(len(prefix), len(trail)):
+            for alternative in range(1, len(trail[i].menu)):
                 children.append(choices[:i] + (alternative,))
         # LIFO stack + reversed children = earliest decision points are
         # explored first, keeping shallow (early-round) deviations ahead

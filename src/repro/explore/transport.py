@@ -39,6 +39,16 @@ execution is then judged in the D.1–D.4 tier selected by its effective
 fault count.  The transport detects misses positively (a tracked frame
 not consumed by the time a later round opens) rather than trusting the
 schedule, so defers that *won* their race charge nobody.
+
+**Silent stalls.**  A stalled frame that surfaces after its destination
+has stopped calling ``recv`` is, observably, its ``drop``: the transport
+is the runner's only view of a frame, and an unconsumed stall is charged
+by the same ``round_opened``/``close`` scan as a drop (``stall`` only
+differs when the stale frame is *consumed* and metered as a late frame).
+So the transport notes when each node last listened and when each
+dropped frame's stall would have surfaced, and :meth:`silent_stalls`
+names the drops whose stall nobody would have heard — the explorer
+settles those stall schedules by their drop twin instead of running them.
 """
 
 from __future__ import annotations
@@ -46,7 +56,17 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Deque,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.exceptions import ConfigurationError, TransportError
 from repro.net.codec import BATCH, DATA, MARK, PING, PONG, Frame
@@ -202,6 +222,11 @@ class ExploredTransport(Transport):
         # mux), so boundaries and miss detection are keyed accordingly.
         self._deadlines: Dict[Tuple[object, int], float] = {}
         self._instance_round: Dict[object, int] = {}
+        #: Last virtual instant each node was inside ``recv``.
+        self._listened: Dict[NodeId, float] = {}
+        #: Decision index of each dropped frame whose menu offers
+        #: ``stall`` -> (destination, instant the stall would surface).
+        self._drop_stalls: Dict[int, Tuple[NodeId, float]] = {}
 
     # ------------------------------------------------------------------
     # Menus (partial-order pruning lives here)
@@ -282,32 +307,37 @@ class ExploredTransport(Transport):
         self._tracked.append(entry)
         if action == DELIVER:
             self._deliver(entry)
-        elif action == DROP:
-            pass  # never arrives; charged when a later round opens
-        elif action in (STALL, DEFER):
-            loop = asyncio.get_running_loop()
-            now = loop.time()
+            return 0
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        if action == DEFER:
+            when = now + DEFER_FRACTION * self.round_timeout
+        else:  # where the frame's stall surfaces — or would have
             deadline = self._deadlines.get(
                 (frame.instance, frame.round_no), now + self.round_timeout
             )
-            if action == STALL:
-                when = deadline + STALL_FRACTION * self.round_timeout
-            else:
-                when = now + DEFER_FRACTION * self.round_timeout
+            when = deadline + STALL_FRACTION * self.round_timeout
+        if action != DROP:
             entry.timer = loop.call_at(when, self._deliver, entry)
+        elif STALL in menu:
+            # Never arrives; charged when a later round opens.
+            index = len(self.controller.trail) - 1
+            self._drop_stalls[index] = (frame.destination, when)
         return 0
 
     async def recv(self, node: NodeId) -> Frame:
         inbox = self._inboxes.get(node)
         if inbox is None:
             raise TransportError(f"no endpoint for node {node!r}")
+        loop = asyncio.get_running_loop()
+        self._listened[node] = loop.time()
         while not inbox:
-            loop = asyncio.get_running_loop()
             waiter = loop.create_future()
             self._waiters[node].append(waiter)
             try:
                 await waiter
             finally:
+                self._listened[node] = loop.time()
                 if not waiter.done():
                     try:
                         self._waiters[node].remove(waiter)
@@ -330,6 +360,19 @@ class ExploredTransport(Transport):
                 self._charge(entry)
         self._inboxes = {}
         self._waiters = {}
+
+    def silent_stalls(self) -> FrozenSet[int]:
+        """Decision indices of drops whose ``stall`` nobody would hear.
+
+        A drop is listed when its stall would have surfaced *strictly
+        later* than the destination last listened (a tie counts as
+        heard): flipping it to ``stall`` is then the same execution.
+        """
+        return frozenset(
+            index
+            for index, (destination, when) in self._drop_stalls.items()
+            if when > self._listened.get(destination, float("-inf"))
+        )
 
     # ------------------------------------------------------------------
     # Internals

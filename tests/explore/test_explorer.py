@@ -53,8 +53,10 @@ class TestCorrectProtocol:
         assert report.frontier_exhausted
         assert not report.budget_exhausted
         # Depth 1 over the batched running example: the default schedule
-        # plus one sibling per withheld option of its 16 decision points.
-        assert report.executions == 33
+        # plus one sibling per withheld option of its 16 decision points —
+        # and a lone stall is never heard, so each is covered by its drop.
+        assert report.executions == 17 and report.covered == 16
+        assert report.schedules == 33
 
     def test_budget_caps_executions(self):
         report = explore(ExploreConfig(), depth_bound=3, budget=7)

@@ -279,11 +279,14 @@ class TestSettledEntriesLeaveTheScan:
     def test_same_afflicted_set_on_every_schedule(
         self, monkeypatch, config, depth, schedules, round_frames
     ):
-        from repro.explore import ExploreConfig, explore, explorer
+        from repro.explore import ExploreConfig, explorer
 
+        from tests.explore.reference_explorer import reference_explore
+
+        # The search that runs every schedule, so all of them are audited.
         monkeypatch.setattr(explorer, "ExploredTransport", AuditedTransport)
         monkeypatch.setattr(AuditedTransport, "audits", [])
-        report = explore(
+        report = reference_explore(
             ExploreConfig(**config), depth_bound=depth, budget=10**6,
             stop_at_first=False,
         )
