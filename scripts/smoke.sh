@@ -21,6 +21,9 @@ python -m pytest -q tests/core/test_eig_differential.py
 echo "== the shared round, from both runtimes (same checks, same injector order, same crash) =="
 python -m pytest -q tests/net/test_async_faults.py
 
+echo "== what the wire path costs (one encode per frame, one send order, no task per frame) =="
+python -m pytest -q tests/net/test_wire_cost.py
+
 echo "== net runtime over the local bus =="
 python -m repro net --transport local
 

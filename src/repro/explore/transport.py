@@ -193,12 +193,12 @@ class _Tracked:
 
 
 class ExploredTransport(Transport):
-    """In-memory transport whose deliveries the schedule decides."""
+    """In-memory transport whose deliveries the schedule decides.
+
+    Decision index == send order: the runner awaits sends one by one.
+    """
 
     name = "explored"
-    #: Decisions must be consumed in one deterministic order; serialized
-    #: sends keep decision index == send order even for batched rounds.
-    ordered_sends = True
 
     def __init__(
         self,

@@ -60,9 +60,6 @@ Link = Tuple[NodeId, NodeId]
 class ChaosTransport(TransportLayer):
     """Applies a seeded ChaosPolicy to every frame crossing a transport."""
 
-    #: One RNG feeds every draw; the runner must send sequentially so the
-    #: draw sequence stays a pure function of the frame sequence.
-    ordered_sends = True
     layer = "chaos"
 
     def __init__(
@@ -228,7 +225,7 @@ class ChaosTransport(TransportLayer):
                     self.metrics.record_crash_event()
             # Scheduled transport faults execute at round onset, *between*
             # the previous round's collection and this round's first send
-            # — awaited inline under ordered_sends, so the healing path
+            # — awaited inline before the next send, so the healing path
             # (re-dial, fresh endpoint) runs to completion before the next
             # frame and the reconnect count is seed-deterministic.
             if r in self.policy.link_resets:

@@ -26,20 +26,19 @@ paper says differs — frames, the wire, the deadline:
 
 Wire modes: by default the runner runs **batched** — steps 2 and 3
 collapse into one ``BATCH`` frame per directed link per round (all of the
-link's DATA messages plus the end-of-round marker), and the per-link
-batches go out concurrently via :func:`asyncio.gather` (per-link ordering
-is trivially preserved: one frame per link per round).  Collection then
+link's DATA messages plus the end-of-round marker).  Collection then
 waits only on the protocol's *expected* sources for the round
 (:meth:`~repro.core.protocol.ProtocolSession.expected_sources`) instead of
 on every peer's marker, so structurally silent links carry nothing at all.
 A batch that fails to send is one link's absence — its receiver resolves
 the missing paths to ``V_d`` exactly as with per-message losses.
-``batching=False`` keeps the original one-frame-per-message path
-(sequential sends, full marker mesh); both modes share one wire format
-and are pinned decision-identical by the equivalence suite.  Transports
-whose behaviour depends on send order (seeded chaos, probabilistic
-flakiness — ``Transport.ordered_sends``) get their batches sent
-sequentially so same-seed runs stay byte-for-byte reproducible.
+``batching=False`` keeps the original one-frame-per-message path (full
+marker mesh); both modes share one wire format and are pinned
+decision-identical by the equivalence suite.  A wire mode is a *framing*
+function; the round's frames then leave through the one send loop in
+:meth:`AsyncRoundRunner.run`, one after another in link order, on every
+transport stack — the model orders nothing inside a round, and one order
+keeps same-seed runs byte-for-byte reproducible.
 
 Determinism: each collected inbox is put in the synchronous engine's
 delivery order before it is handed over, so for every scenario in which no
@@ -53,7 +52,17 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.behavior import BehaviorMap
 from repro.core.byz import AgreementResult
@@ -171,6 +180,7 @@ class AsyncRoundRunner:
         session = self.session
         await self.transport.open(list(session.nodes))
         order = self.engine.order
+        framing = self._frame_batched if self.batching else self._frame_unbatched
         executed = 0
         try:
             inboxes: Dict[NodeId, List[Message]] = {n: [] for n in order}
@@ -207,26 +217,9 @@ class AsyncRoundRunner:
                 self.transport.round_opened(
                     round_no, deadline, self.instance_id
                 )
-                if self.batching:
-                    expected = await self._send_round_batched(
-                        round_no, survivors
-                    )
-                else:
-                    for message in survivors:
-                        frame = Frame(
-                            kind=DATA,
-                            round_no=round_no,
-                            source=message.source,
-                            destination=message.destination,
-                            message=message,
-                            sent_at=loop.time(),
-                            instance=self.instance_id,
-                        )
-                        await self._send(frame, round_no)
-                    await self._send_markers(round_no)
-                    expected = {
-                        node: {n for n in order if n != node} for node in order
-                    }
+                frames, expected = framing(round_no, survivors)
+                for frame in frames:
+                    await self._send(frame, round_no)
                 collected = await asyncio.gather(
                     *(
                         self._collect(node, round_no, deadline, expected[node])
@@ -289,9 +282,9 @@ class AsyncRoundRunner:
                     )
                 )
 
-    async def _send_round_batched(
+    def _frame_batched(
         self, round_no: int, survivors: Sequence[Message]
-    ) -> Dict[NodeId, Set[NodeId]]:
+    ) -> Tuple[Iterable[Frame], Dict[NodeId, Set[NodeId]]]:
         """Coalesce the round into one BATCH frame per directed link.
 
         Groups *survivors* by ``(source, destination)`` (send order
@@ -300,13 +293,12 @@ class AsyncRoundRunner:
         source's markers, so receivers still ride out the deadline for
         crashed nodes), and skips links that carry no data *and* are
         not expected by the protocol's round schedule — structurally
-        silent links cost zero frames.  Batches go out concurrently via
-        ``asyncio.gather`` unless the transport demands ordered sends
-        (seeded chaos), in which case they are sent sequentially in
-        deterministic link order.
+        silent links cost zero frames.  Every frame is built, stamped and
+        its ``coalesced`` line recorded before the first one is sent.
 
-        Returns each node's pending-source set for collection: the sources
-        it should wait on before closing the round early.
+        Returns the frames in link order (source-major) and each node's
+        pending-source set for collection: the sources it should wait on
+        before closing the round early.
         """
         loop = asyncio.get_running_loop()
         order = self.engine.order
@@ -354,33 +346,50 @@ class AsyncRoundRunner:
                             },
                         )
                     )
-        if self.transport.ordered_sends:
-            for frame in frames:
-                await self._send(frame, round_no)
-        elif frames:
-            await asyncio.gather(
-                *(self._send(frame, round_no) for frame in frames)
-            )
-        return expected
+        return frames, expected
 
-    async def _send_markers(self, round_no: int) -> None:
+    def _frame_unbatched(
+        self, round_no: int, survivors: Sequence[Message]
+    ) -> Tuple[Iterable[Frame], Dict[NodeId, Set[NodeId]]]:
+        """One DATA frame per message, then the full marker mesh.
+
+        All DATA in survivor order, then one MARK per directed link,
+        source-major, unless an injector mutes the source — generated
+        lazily, so each frame's ``sent_at`` is stamped as it leaves.
+        Every node waits on every peer's marker.
+        """
         loop = asyncio.get_running_loop()
         order, injectors = self.engine.order, self.engine.injectors
-        for source in order:
-            if any(i.mutes_marker(round_no, source) for i in injectors):
-                continue
-            for destination in order:
-                if destination == source:
-                    continue
-                frame = Frame(
-                    kind=MARK,
+
+        def frames() -> Iterable[Frame]:
+            for message in survivors:
+                yield Frame(
+                    kind=DATA,
                     round_no=round_no,
-                    source=source,
-                    destination=destination,
+                    source=message.source,
+                    destination=message.destination,
+                    message=message,
                     sent_at=loop.time(),
                     instance=self.instance_id,
                 )
-                await self._send(frame, round_no)
+            for source in order:
+                if any(i.mutes_marker(round_no, source) for i in injectors):
+                    continue
+                for destination in order:
+                    if destination == source:
+                        continue
+                    yield Frame(
+                        kind=MARK,
+                        round_no=round_no,
+                        source=source,
+                        destination=destination,
+                        sent_at=loop.time(),
+                        instance=self.instance_id,
+                    )
+
+        return frames(), {
+            node: {n for n in order if n != node} for node in order
+        }
 
     async def _send(self, frame: Frame, round_no: int) -> None:
         """Send one frame, exactly once, and meter what became of it.
@@ -392,6 +401,9 @@ class AsyncRoundRunner:
         never retries; a :class:`~repro.net.supervision.SupervisedTransport`
         below it re-dials within its own budget and raises only once it
         gives up, so a lost frame is metered the same with or without it.
+        Awaited frame by frame from the one send loop in :meth:`run`:
+        each retrying link holds the round's later links for at most that
+        backoff budget, never for the round deadline.
         """
         span = None
         if self.tracer is not None:
@@ -532,7 +544,8 @@ class AsyncRoundRunner:
         timer is cancelled on every exit, so a finished, timed-out or
         cancelled collect leaves nothing scheduled on the real or the
         virtual clock; a collect whose deadline has already passed arms
-        nothing and awaits nothing.  ``docs/runtime.md`` §7 has the cost.
+        nothing and awaits nothing.  Collects are the only tasks a round
+        creates; ``docs/runtime.md`` §7 has the cost.
         """
         loop = asyncio.get_running_loop()
         span = None

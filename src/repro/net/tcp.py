@@ -27,11 +27,10 @@ frame — never the node.
 
 The transport is frame-kind agnostic: DATA, MARK and BATCH frames share
 the same length-prefixed pipe, and under the batched wire path the pooled
-per-link connection carries exactly one BATCH frame per round, which is
-where the concurrent per-link ``asyncio.gather`` sends pay off — each
-link's frame writes to its own socket with no cross-link ordering to
-preserve.  Losing one (connection reset, poisoned stream) loses that
-link's round wholesale: data and marker together, detected by deadline.
+per-link connection carries exactly one BATCH frame per round, written
+in the runner's one send order (link order, as on every transport).
+Losing one (connection reset, poisoned stream) loses that link's round
+wholesale: data and marker together, detected by deadline.
 """
 
 from __future__ import annotations

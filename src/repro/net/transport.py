@@ -18,7 +18,8 @@ Contract:
   failures raise :class:`~repro.exceptions.TransportError` — the runner
   never retries: it records the frame as lost (the receiver sees absence).
   Only :class:`~repro.net.supervision.SupervisedTransport` re-dials, and it
-  raises the same error once its backoff budget is spent;
+  raises the same error once its backoff budget is spent.  The runner
+  awaits a round's sends one after another, whatever the transport;
 * :meth:`Transport.recv` returns the next frame addressed to a node,
   waiting until one arrives (the runner bounds the wait with the round
   deadline — that timeout *is* the paper's "detectable absence").
@@ -43,12 +44,6 @@ class Transport(ABC):
 
     #: Human-readable transport name (shown in metrics).
     name = "abstract"
-
-    #: True when the transport's observable behaviour depends on the order
-    #: send() calls are issued (seeded chaos / probabilistic failure draws).
-    #: The runner then serializes a round's batch sends instead of firing
-    #: them concurrently, so one seed keeps producing one draw sequence.
-    ordered_sends = False
 
     @abstractmethod
     async def open(self, nodes: Sequence[NodeId]) -> None:
@@ -221,10 +216,6 @@ class TransportLayer(Transport):
     @property
     def name(self) -> str:  # type: ignore[override]
         return f"{self.layer}+{self.inner.name}"
-
-    @property
-    def ordered_sends(self) -> bool:  # type: ignore[override]
-        return self.inner.ordered_sends
 
     def attach_metrics(self, metrics: NetMetrics) -> None:
         self.metrics = metrics

@@ -46,9 +46,11 @@ from __future__ import annotations
 
 import asyncio
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Deque,
     Dict,
     FrozenSet,
     Hashable,
@@ -222,7 +224,8 @@ class AgreementService:
         #: ``max_inflight + queue_limit``.
         self._admitted = 0
         self._instance_counter = 0
-        self._latencies: List[float] = []
+        #: The window the retry-after hint averages over; nothing older.
+        self._latencies: Deque[float] = deque(maxlen=32)
         self._started = False
         #: Per-instance traces in completion order; concatenation keeps
         #: every instance's internal event order intact, which is all the
@@ -396,8 +399,8 @@ class AgreementService:
             # instances (watchdog-envelope latencies, say) must not tell
             # rejected clients to go away for tens of seconds — the hint
             # paces retries, it does not forecast instance runtime.
-            recent = self._latencies[-32:]
-            return min(1.0, max(0.01, sum(recent) / len(recent)))
+            mean = sum(self._latencies) / len(self._latencies)
+            return min(1.0, max(0.01, mean))
         # No instance has finished yet, so there is no latency history to
         # average; clamp the round deadline into [0.01s, 1s] so a service
         # configured with a generous round_timeout (the 5s default, say)

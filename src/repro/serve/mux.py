@@ -253,10 +253,6 @@ class InstanceChannel(Transport):
     def name(self) -> str:  # type: ignore[override]
         return self.mux.transport.name
 
-    @property
-    def ordered_sends(self) -> bool:  # type: ignore[override]
-        return self.mux.transport.ordered_sends
-
     def attach_metrics(self, metrics: NetMetrics) -> None:
         # Deliberately NOT forwarded: the mux attached the aggregate
         # recorder to the shared stack once; re-attaching every instance's

@@ -60,12 +60,6 @@ class FlakyTransport(TransportLayer):
         self.injected_failures = 0
         self._attempts: Dict[tuple, int] = {}
 
-    @property
-    def ordered_sends(self) -> bool:  # type: ignore[override]
-        # Probabilistic failures draw from one RNG: concurrent sends would
-        # make the draw order (hence the failure pattern) racy.
-        return self.failure_probability > 0.0 or self.inner.ordered_sends
-
     def _should_fail(self, frame: Frame) -> bool:
         if self.failure_probability > 0.0:
             return self.rng.random() < self.failure_probability

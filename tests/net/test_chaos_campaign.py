@@ -20,10 +20,8 @@ from repro.net.chaos import (
     make_policy,
     parse_replay,
     run_campaign,
-    run_campaign_sync,
     run_seeded_instance,
     run_trial,
-    run_trial_sync,
     seeded_policy,
     trial_seed,
 )
@@ -170,10 +168,10 @@ class TestTrialResult:
         # room (u < N // 2); find a seed landing in the record-only tier
         # and check it is recorded, not judged.
         for seed in range(40):
-            result = run_trial_sync(TrialConfig(
+            result = run_on_virtual_clock(run_trial(TrialConfig(
                 m=1, u=2, n_nodes=6, severity="partition",
                 transport="local", seed=seed,
-            ))
+            )))
             if result.tier == "none":
                 assert not result.checked
                 assert result.passed is None
@@ -182,10 +180,10 @@ class TestTrialResult:
         pytest.skip("no record-only trial in the first 40 seeds")
 
     def test_json_shape(self):
-        result = run_trial_sync(TrialConfig(
+        result = run_on_virtual_clock(run_trial(TrialConfig(
             m=1, u=2, n_nodes=5, severity="light",
             transport="local", seed=11,
-        ))
+        )))
         blob = result.to_json()
         assert parse_replay(blob["replay"]) == result.config
         assert blob["tier"] in ("byzantine", "degraded", "none")
@@ -198,7 +196,9 @@ class TestTrialResult:
 
 class TestCampaign:
     def test_small_campaign_report(self, tmp_path):
-        report = run_campaign_sync(7, ["light", "crash"], 2, transport="local")
+        report = run_on_virtual_clock(
+            run_campaign(7, ["light", "crash"], 2, transport="local")
+        )
         assert len(report.trials) == 4
         assert report.ok  # light/crash on the default grid must pass
 
@@ -214,15 +214,21 @@ class TestCampaign:
         assert json.loads(out.read_text())["ok"] is True
 
     def test_same_seed_campaign_is_bit_identical(self, tmp_path):
-        first = run_campaign_sync(13, ["heavy"], 3, transport="local")
-        second = run_campaign_sync(13, ["heavy"], 3, transport="local")
+        first = run_on_virtual_clock(
+            run_campaign(13, ["heavy"], 3, transport="local")
+        )
+        second = run_on_virtual_clock(
+            run_campaign(13, ["heavy"], 3, transport="local")
+        )
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         first.save(str(a))
         second.save(str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_rerun_diff_names_what_changed_by_replay_token(self):
-        report = run_campaign_sync(7, ["light"], 2, transport="local")
+        report = run_on_virtual_clock(
+            run_campaign(7, ["light"], 2, transport="local")
+        )
         assert report.rerun_mismatches is None  # not a kill-links soak
         assert report.diff(report.trials) == []
 

@@ -15,8 +15,9 @@ import pytest
 
 from repro.core.spec import DegradableSpec
 from repro.exceptions import TransportError
+from repro.explore.clock import run_on_virtual_clock
 from repro.net import LocalBus, TcpTransport, run_agreement_async
-from repro.net.chaos import ChaosPolicy, TrialConfig, run_trial_sync
+from repro.net.chaos import ChaosPolicy, TrialConfig, run_trial
 
 from tests.conftest import node_names
 from tests.net.flaky import FlakyTransport
@@ -37,7 +38,9 @@ NOISY = ChaosPolicy(
 def run_once(transport_factory, seed, batching=True):
     spec = DegradableSpec(m=1, u=2, n_nodes=5)
     nodes = node_names(5)
-    outcome = asyncio.run(
+    # Real sockets need the real clock; the bus runs on the virtual one.
+    run = run_on_virtual_clock if transport_factory is LocalBus else asyncio.run
+    return run(
         run_agreement_async(
             spec, nodes, "S", VALUE,
             transport=transport_factory(),
@@ -47,7 +50,6 @@ def run_once(transport_factory, seed, batching=True):
             batching=batching,
         )
     )
-    return outcome
 
 
 def fingerprint(outcome):
@@ -121,8 +123,8 @@ class TestTrialDeterminism:
             m=1, u=2, n_nodes=5, severity=severity,
             transport="local", seed=1234,
         )
-        first = run_trial_sync(config)
-        second = run_trial_sync(config)
+        first = run_on_virtual_clock(run_trial(config))
+        second = run_on_virtual_clock(run_trial(config))
         assert first.decisions == second.decisions
         assert first.chaos_counts == second.chaos_counts
         assert first.afflicted == second.afflicted

@@ -32,6 +32,7 @@ from repro.core.conditions import classify
 from repro.core.protocol import execute_degradable_protocol
 from repro.core.spec import DegradableSpec
 from repro.core.values import DEFAULT
+from repro.explore.clock import run_on_virtual_clock
 from repro.net import LocalBus, TcpTransport, run_agreement_async
 from repro.net.chaos import ChaosPolicy, Crash, Partition
 
@@ -258,7 +259,7 @@ class TestWireModeEquivalenceUnderScheduledChaos:
         )
 
         def run(batching):
-            return asyncio.run(
+            return run_on_virtual_clock(
                 run_agreement_async(
                     spec, nodes, "S", VALUE,
                     transport=LocalBus(),

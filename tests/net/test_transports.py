@@ -133,7 +133,6 @@ class _Recording(Transport):
     """Base transport that logs every contract call it receives."""
 
     name = "recording"
-    ordered_sends = True
 
     def __init__(self):
         self.calls = []
@@ -207,7 +206,6 @@ class TestTransportLayer:
             ("close",),
         ]
         assert layer.name == "layer+recording"
-        assert layer.ordered_sends is True
 
     def test_every_wrapper_is_a_layer(self):
         base = LocalBus()
@@ -222,11 +220,6 @@ class TestTransportLayer:
             assert layer.metrics is metrics
             layer = layer.inner
         assert layer is base
-        # Chaos forces ordered sends on everything above it; a quiet
-        # flaky layer over a bus does not.
-        assert stack.ordered_sends is True
-        assert FlakyTransport(base).ordered_sends is False
-        assert FlakyTransport(base, failure_probability=0.5).ordered_sends
 
 
 class TestTcpTransport:

@@ -7,23 +7,33 @@
   once — so ``codec.encodes_per_frame_sent`` sits at its floor of 1.0;
 * MARK frames are metered in ``bytes_sent`` like every other frame, so
   batched and unbatched byte totals reconcile with ``batch_bytes_saved``;
-* a frame *received* costs the event loop no task and no timer: a task
-  per frame sent, a task and one deadline timer per node-round, and no
-  timer left scheduled however the run ends.
+* a frame costs the event loop no task and no timer, sent or received:
+  a task and one deadline timer per node-round, and no timer left
+  scheduled however the run ends;
+* a round's frames leave in link order (``engine.order`` source-major,
+  destination-minor), one after another, from one call site, on every
+  transport stack.
 """
 
 import asyncio
+import sys
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.protocol import ProtocolSession
 from repro.core.spec import DegradableSpec
+from repro.exceptions import TransportError
+from repro.explore.clock import run_on_virtual_clock
 from repro.net import codec
+from repro.net.chaos.policy import ChaosPolicy
 from repro.net.codec import BATCH, MARK, Frame, batch_bytes_saved, encode_frame
 from repro.net.runner import AsyncRoundRunner, run_agreement_async
+from repro.net.supervision import BackoffPolicy
 from repro.net.tcp import TcpTransport
-from repro.net.transport import LocalBus
+from repro.net.transport import LocalBus, TransportLayer
 from repro.sim.messages import Message, RelayPayload
+from repro.sim.trace import EventKind
 from repro.trace import Tracer
 
 from tests.conftest import node_names
@@ -273,15 +283,15 @@ def _run_counting(spec, transport, scenario=lambda runner: runner.run()):
 def test_a_received_frame_costs_no_task_and_a_round_leaves_no_timer(
     spec, sends, collects
 ):
-    """One task per frame sent (the fan-out) and one per node-round (its
-    collect, which owns the round's one deadline timer) — none per frame
-    received; ``wait_for`` around every ``recv`` used to add one each
-    (47 and 160 tasks)."""
+    """One task per node-round (its collect, which owns the round's one
+    deadline timer) — none per frame sent, none per frame received; the
+    gathered fan-out used to add one per frame sent (31 and 94 tasks),
+    ``wait_for`` around every ``recv`` one more each (47 and 160)."""
     runner, created, timers = _run_counting(spec, LocalBus())
     assert runner.metrics.total_frames == sends
-    assert created.count("AsyncRoundRunner._send") == sends
+    assert created.count("AsyncRoundRunner._send") == 0
     assert created.count("AsyncRoundRunner._collect") == collects
-    assert len(created) == sends + collects == {5: 31, 7: 94}[spec.n_nodes]
+    assert len(created) == collects == {5: 15, 7: 28}[spec.n_nodes]
     assert timers == []
 
 
@@ -304,3 +314,145 @@ def test_a_cancelled_run_leaves_no_timer():
     _, created, timers = _run_counting(SPECS[0], _LossyBus(), cancel_mid_collect)
     assert created.count("AsyncRoundRunner._collect") == 5
     assert timers == []
+
+
+# ----------------------------------------------------------------------
+# One send order
+# ----------------------------------------------------------------------
+class _Wire(TransportLayer):
+    """Notes every frame on its way down: when ``send`` was entered, the
+    order frames reach ``inner`` (after ``delay(frame)`` seconds), and the
+    line of the runner that called ``AsyncRoundRunner._send``."""
+
+    layer = "wire"
+
+    def __init__(self, inner, delay=lambda frame: 0.0) -> None:
+        super().__init__(inner)
+        self.delay = delay
+        self.entered = []  # (round, source, destination, loop.time())
+        self.reached = []  # (round, kind, source, destination)
+        self.sites = set()
+
+    async def send(self, frame) -> int:
+        caller = sys._getframe(1)
+        while caller.f_code.co_name != "_send":
+            caller = caller.f_back
+        site = caller.f_back  # None when _send is a task of its own
+        self.sites.add(site and (site.f_code.co_name, site.f_lineno))
+        now = asyncio.get_running_loop().time()
+        self.entered.append((frame.round_no, frame.source, frame.destination, now))
+        pause = self.delay(frame)
+        if pause:
+            await asyncio.sleep(pause)
+        self.reached.append(
+            (frame.round_no, frame.kind, frame.source, frame.destination)
+        )
+        return await self.inner.send(frame)
+
+    @property
+    def links(self):
+        return [(r, source, destination) for r, _, source, destination in self.reached]
+
+
+class _RefusingBus(LocalBus):
+    """``LocalBus`` on which one directed link never connects."""
+
+    def __init__(self, link) -> None:
+        super().__init__()
+        self.link = link
+
+    async def send(self, frame) -> int:
+        if (frame.source, frame.destination) == self.link:
+            raise TransportError(f"link {self.link} refused")
+        return await super().send(frame)
+
+
+def _agreement(transport, spec=SPECS[0], **kwargs):
+    nodes = node_names(spec.n_nodes)
+    return run_agreement_async(
+        spec, nodes, nodes[0], "attack", transport=transport, **kwargs
+    )
+
+
+def test_frames_leave_in_link_order_however_long_each_send_takes():
+    """Earlier links take longer: gathered sends would complete — reach
+    the wire, write their ``frame-sent`` lines — in reverse."""
+    spec = SPECS[0]
+    nodes = node_names(spec.n_nodes)
+    wire = _Wire(LocalBus())
+    runner = AsyncRoundRunner(
+        ProtocolSession.byz(spec, nodes, nodes[0], "attack"),
+        transport=wire,
+        round_timeout=5.0,
+    )
+    rank = {node: i for i, node in enumerate(runner.engine.order)}
+    wire.delay = lambda frame: 0.001 * (
+        25 - 5 * rank[frame.source] - rank[frame.destination]
+    )
+    run_on_virtual_clock(runner.run())
+    link_order = sorted(wire.links, key=lambda f: (f[0], rank[f[1]], rank[f[2]]))
+    assert len(link_order) == 16
+    assert wire.links == link_order
+    sent = runner.trace.of_kind(EventKind.FRAME_SENT)
+    assert [(e.round_no, e.source, e.destination) for e in sent] == link_order
+    assert runner.metrics.total_timeouts == 0
+
+
+def test_both_wire_modes_send_from_one_line_with_or_without_a_chaos_layer():
+    sites = set()
+    for batching in (True, False):
+        plain, chaotic = _Wire(LocalBus()), _Wire(LocalBus())
+        run_on_virtual_clock(_agreement(plain, batching=batching))
+        run_on_virtual_clock(
+            _agreement(chaotic, batching=batching, chaos=ChaosPolicy())
+        )
+        assert plain.reached == chaotic.reached
+        assert len(plain.reached) == (16 if batching else 16 + 20 * 3)
+        sites |= plain.sites | chaotic.sites
+    assert len(sites) == 1 and {name for name, _ in sites} == {"run"}
+
+
+def test_tcp_hands_the_wire_the_sequence_local_bus_does():
+    local = _Wire(LocalBus())
+    run_on_virtual_clock(_agreement(local, SPECS[1]))
+    for _ in range(2):
+        tcp = _Wire(TcpTransport())
+        asyncio.run(_agreement(tcp, SPECS[1]))
+        assert tcp.links == local.links
+    assert len(local.links) == 66
+
+
+def test_a_retrying_link_holds_the_rest_of_its_round_for_the_backoff_budget():
+    """Supervision without chaos: the refused link's re-dials are awaited
+    in line, so its round's later links wait for them — at most the
+    backoff budget, nowhere near the round deadline."""
+    wire = _Wire(_RefusingBus(("S", "p1")))
+    outcome = run_on_virtual_clock(
+        _agreement(wire, supervise=True, round_timeout=5.0)
+    )
+    assert outcome.metrics.total_send_failures == 1
+    assert outcome.metrics.total_timeouts == 1  # p1 on S, round 1
+    received = outcome.trace.of_kind(EventKind.FRAME_RECV)
+    assert len(received) == 15
+    assert {(e.source, e.destination) for e in received if e.round_no == 1} == {
+        ("S", "p2"),
+        ("S", "p3"),
+        ("S", "p4"),
+    }
+    policy = BackoffPolicy()
+    slowest, fastest = (
+        sum(
+            policy.delay(attempt, SimpleNamespace(random=lambda: draw))
+            for attempt in range(1, policy.max_attempts)
+        )
+        for draw in (1.0, 0.0)
+    )
+    first_round = [entry for entry in wire.entered if entry[0] == 1]
+    opened = first_round[0][3]
+    assert [entry[1:3] for entry in first_round] == [("S", "p1")] * 4 + [
+        ("S", "p2"),
+        ("S", "p3"),
+        ("S", "p4"),
+    ]
+    held = [at - opened for *_, at in first_round[4:]]
+    assert all(fastest <= wait <= slowest < 0.1 for wait in held)

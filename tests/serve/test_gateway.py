@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.spec import DegradableSpec
 from repro.exceptions import AdmissionError, ConfigurationError
+from repro.explore.clock import run_on_virtual_clock
 from repro.net.chaos import ChaosPolicy
 from repro.net.transport import LocalBus
 from repro.serve import AgreementService, record_service_run
@@ -182,13 +183,35 @@ class TestAdmissionControl:
                 # watchdog-bound campaign would.
                 service._latencies.extend([30.0] * 8)
                 slow = service.retry_after_hint()
-                service._latencies[:] = [1e-9] * 8
+                service._latencies.clear()
+                service._latencies.extend([1e-9] * 8)
                 fast = service.retry_after_hint()
                 return slow, fast
 
         slow, fast = run(scenario())
         assert slow == 1.0   # upper clamp (was 26.7s before the fix)
         assert fast == 0.01  # lower clamp survives on the warm path too
+
+    def test_latency_history_is_bounded_by_the_window_the_hint_reads(self):
+        # Regression: one float per served instance was kept forever while
+        # the hint only ever read the last 32.
+        policy = ChaosPolicy(
+            latency_probability=0.5, latency=(0.01, 0.05), seed=5
+        )
+
+        async def scenario():
+            async with AgreementService(
+                SPEC, NODES, chaos=policy, round_timeout=5.0
+            ) as service:
+                for _ in range(100):
+                    await service.submit_and_wait("S", "attack")
+                served = [o.latency for o in service.outcomes.values()]
+                return served, list(service._latencies), service.retry_after_hint()
+
+        served, kept, hint = run_on_virtual_clock(scenario())
+        assert len(served) == 100 and kept == served[-32:]
+        assert sum(served[:32]) != sum(kept)  # the window moved
+        assert 0.01 < hint == sum(kept) / 32 < 1.0
 
 
 class TestChaosAccounting:

@@ -93,7 +93,6 @@ class TestRouting:
         mux = InstanceMux(bus, NODES)
         channel = InstanceChannel(mux, "x")
         assert channel.name == bus.name
-        assert channel.ordered_sends == bus.ordered_sends
 
     def test_attach_metrics_not_forwarded_to_shared_transport(self):
         # The aggregate recorder is attached once by the mux; a runner
