@@ -62,6 +62,14 @@ if [ "$(grep -c "asyncio.gather(" src/repro/net/runner.py)" -gt 1 ]; then
     exit 1
 fi
 
+echo "== one failure detector (absence is decided at the round deadline, nowhere else) =="
+# The heartbeat detector, its PING/PONG frames, circuit breaker and
+# link-state metrics are gone; a supervised link re-dials and dedups.
+if grep -rniE "heartbeat|\bping\b|\bpong\b|fast_fail|links_by_state|link_state" src/; then
+    echo "a heartbeat failure detector is back under src/: the round deadline is the only one" >&2
+    exit 1
+fi
+
 echo "== two runtimes, one round (the runner calls the engine's emit; one interception contract) =="
 # net/adapters.py is gone: FaultInjector is the only interception base
 # class and CrashInjector (sim/faults.py) is the wire-level crash.

@@ -55,11 +55,6 @@ class MixedCell:
     full_ok: int = 0
     #: trials where at least D.3/D.4 (two-class) held
     degraded_ok: int = 0
-
-    @property
-    def total_faults(self) -> int:
-        return self.n_byzantine + self.n_crash
-
     #: True when the fault budget swallows every receiver (conditions hold
     #: vacuously — there is nobody left to disagree).
     vacuous: bool = False

@@ -59,9 +59,6 @@ class ExecutionStats:
     #: and always reports 0.
     substitutions: int = 0
 
-    def merge_rounds(self, depth: int) -> None:
-        self.rounds = max(self.rounds, depth)
-
 
 @dataclass
 class AgreementResult:

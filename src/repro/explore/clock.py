@@ -3,7 +3,7 @@
 The async runtime reads time exclusively through ``loop.time()`` and
 sleeps exclusively through loop timers (``asyncio.sleep``,
 ``asyncio.wait_for``), so substituting the loop's clock is enough to make
-*every* deadline, backoff and heartbeat in the stack virtual.
+*every* deadline and backoff in the stack virtual.
 :class:`VirtualClockLoop` is a :class:`asyncio.SelectorEventLoop` whose
 
 * ``time()`` returns a virtual timestamp instead of the OS monotonic

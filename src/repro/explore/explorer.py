@@ -104,8 +104,8 @@ class ExploreConfig(Instance):
     #: virtual timestamps.
     round_timeout: float = 1.0
     batching: bool = True
-    #: Wrap the stack in a SupervisedTransport (no heartbeat), covering
-    #: the supervision layer's send/recv path under explored schedules.
+    #: Wrap the stack in a SupervisedTransport, covering the supervision
+    #: layer's send/recv path under explored schedules.
     supervise: bool = False
     #: TEST-ONLY HOOK: skew every ``VOTE`` threshold by this offset
     #: (clamped to the legal [1, beta] band).  A non-zero offset plants a
@@ -229,15 +229,11 @@ def run_schedule(
     nodes = config.nodes()
     controller = ScheduleController(schedule)
     transport = ExploredTransport(
-        controller,
-        round_timeout=config.round_timeout,
-        batching=config.batching,
+        controller, round_timeout=config.round_timeout
     )
 
     async def _run() -> NetRunOutcome:
-        stack, _ = build_stack(
-            transport, None, None, config.supervise, None, None
-        )
+        stack, _ = build_stack(transport, None, None, config.supervise, None)
         session = ProtocolSession.byz(
             spec, nodes, SENDER, config.sender_value
         )

@@ -69,7 +69,7 @@ from typing import (
 )
 
 from repro.exceptions import ConfigurationError, TransportError
-from repro.net.codec import BATCH, DATA, MARK, PING, PONG, Frame
+from repro.net.codec import BATCH, DATA, MARK, Frame
 from repro.net.transport import Transport
 
 NodeId = Hashable
@@ -204,7 +204,6 @@ class ExploredTransport(Transport):
         self,
         controller: ScheduleController,
         round_timeout: float,
-        batching: bool = True,
     ) -> None:
         if round_timeout <= 0:
             raise ValueError(
@@ -212,7 +211,6 @@ class ExploredTransport(Transport):
             )
         self.controller = controller
         self.round_timeout = round_timeout
-        self.batching = batching
         #: Sources whose frames missed the round they belonged to.
         self.afflicted: Set[NodeId] = set()
         self._inboxes: Dict[NodeId, Deque[_Tracked]] = {}
@@ -238,12 +236,8 @@ class ExploredTransport(Transport):
         an offered one: within-round reorderings of batched frames (the
         inbox sort makes them protocol-equivalent to immediate delivery),
         stalling a bare MARK (same inbox and same absence as dropping
-        it), and any tampering with supervision heartbeats (explored
-        configurations arm no failure detector, so a dropped PING only
-        re-sends).
+        it).
         """
-        if frame.kind in (PING, PONG):
-            return (DELIVER,), 3
         if frame.kind == MARK:
             # defer commutes (the round closes later but sees the same
             # inbox); stall is protocol-equivalent to drop (the receiver

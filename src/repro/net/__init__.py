@@ -24,12 +24,9 @@ real deadlines:
   percentiles, send failures, timeout substitutions, chaos counters;
 * :class:`SupervisedTransport` — the self-healing layer: per-link
   reconnect supervision with capped, seeded exponential backoff
-  (:class:`BackoffPolicy`), idempotent frame-stream resume via per-link
-  sequence numbers, and an optional heartbeat failure detector
-  (:class:`HeartbeatPolicy`) driving each directed link through an
-  ``alive``/``suspect``/``dead`` state machine with a circuit breaker —
-  sends on a dead link fast-fail into metered losses (absence → ``V_d``)
-  instead of stalling a round;
+  (:class:`BackoffPolicy`) and idempotent frame-stream resume via
+  per-link sequence numbers — a send that cannot be healed is a metered
+  loss, i.e. one more absence the round deadline resolves to ``V_d``;
 * :mod:`repro.net.chaos` — a seeded network-chaos layer
   (:class:`ChaosTransport` around any transport: loss, duplication,
   reordering, corruption, partitions, crashes) plus soak campaigns that
@@ -57,8 +54,6 @@ from repro.net.codec import (
     BATCH,
     DATA,
     MARK,
-    PING,
-    PONG,
     Frame,
     FrameDecoder,
     decode_frame,
@@ -74,15 +69,7 @@ from repro.net.runner import (
     run_agreement_async,
 )
 from repro.net.stack import build_stack, make_transport
-from repro.net.supervision import (
-    ALIVE,
-    DEAD,
-    LINK_STATES,
-    SUSPECT,
-    BackoffPolicy,
-    HeartbeatPolicy,
-    SupervisedTransport,
-)
+from repro.net.supervision import BackoffPolicy, SupervisedTransport
 from repro.net.tcp import TcpTransport
 from repro.net.transport import LocalBus, Transport, TransportLayer
 
@@ -99,7 +86,6 @@ from repro.net.chaos import (
 )
 
 __all__ = [
-    "ALIVE",
     "AsyncRoundRunner",
     "BATCH",
     "BackoffPolicy",
@@ -108,20 +94,14 @@ __all__ = [
     "ChaosTransport",
     "Crash",
     "DATA",
-    "DEAD",
     "Frame",
     "FrameDecoder",
-    "HeartbeatPolicy",
-    "LINK_STATES",
     "LocalBus",
     "MARK",
     "NetMetrics",
     "NetRunOutcome",
-    "PING",
-    "PONG",
     "Partition",
     "RoundMetrics",
-    "SUSPECT",
     "SupervisedTransport",
     "TcpTransport",
     "Transport",

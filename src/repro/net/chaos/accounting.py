@@ -110,10 +110,6 @@ class ChaosLog:
             charged.update(self._by_instance.get(None, ()))
         return frozenset(charged)
 
-    def f_eff_for(self, instance: Hashable) -> int:
-        """Effective fault count as seen by one protocol instance."""
-        return len(self.afflicted_for(instance))
-
     def counts(self) -> Dict[str, int]:
         """Events per kind — stable keys, zero-filled, for reports."""
         out = {kind: 0 for kind in ABSENCE_KINDS + BENIGN_KINDS}

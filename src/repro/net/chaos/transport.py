@@ -49,7 +49,7 @@ from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.net.chaos.accounting import ChaosEvent, ChaosLog
 from repro.net.chaos.policy import ChaosPolicy
-from repro.net.codec import BATCH, DATA, PING, PONG, Frame
+from repro.net.codec import BATCH, DATA, Frame
 from repro.net.transport import Transport, TransportLayer
 
 NodeId = Hashable
@@ -98,24 +98,6 @@ class ChaosTransport(TransportLayer):
     # Traffic
     # ------------------------------------------------------------------
     async def send(self, frame: Frame) -> int:
-        if frame.kind in (PING, PONG):
-            # Heartbeats belong to the supervision layer above, not to any
-            # protocol round: they consume no RNG draws and are never
-            # recorded (their cadence is wall-clock-driven, so recording
-            # them would poison the determinism fingerprint).  Scheduled
-            # faults still silence them — a crashed or partitioned node
-            # must look dead to the failure detector too.
-            round_now = max(1, self._round_seen)
-            if self.policy.severed_by(
-                round_now, frame.source, frame.destination
-            ) is not None:
-                return 0
-            if self.policy.crashed(round_now, frame.source) is not None or (
-                self.policy.crashed(round_now, frame.destination) is not None
-            ):
-                return 0
-            return await self.inner.send(frame)
-
         await self._advance_round(frame.round_no)
         link = (frame.source, frame.destination)
 

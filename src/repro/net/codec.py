@@ -64,8 +64,6 @@ __all__ = [
     "FrameDecoder",
     "MARK",
     "MAX_FRAME_BYTES",
-    "PING",
-    "PONG",
     "TAG",
     "batch_bytes_saved",
     "decode_frame",
@@ -82,13 +80,6 @@ NodeId = Hashable
 DATA = "data"
 MARK = "mark"
 BATCH = "batch"
-
-#: Link-supervision kinds (:mod:`repro.net.supervision`): a heartbeat probe
-#: and its echo.  They carry no protocol payload and no sequence number —
-#: they belong to the *link*, not to any agreement round — so the chaos
-#: layer and the dedup window both ignore them.
-PING = "ping"
-PONG = "pong"
 
 #: Envelope versions this codec understands.  Version 1 is the legacy
 #: unversioned format (no ``"v"`` key, no instance id); version 2 adds the

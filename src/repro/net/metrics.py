@@ -42,8 +42,8 @@ class LinkMetrics:
 
     A link entry exists only once something happened on the link — lazily
     created by the first recorded event — so clean runs carry no link
-    noise.  Wall-clock-dependent fields (outage seconds, heartbeat RTTs)
-    are kept for operators but excluded from the determinism fingerprint;
+    noise.  Wall-clock-dependent fields (outage seconds) are kept for
+    operators but excluded from the determinism fingerprint;
     only event *counts* whose triggers are seeded (reconnects, dedups) are
     fingerprinted.
     """
@@ -59,18 +59,6 @@ class LinkMetrics:
     outages: int = 0
     #: Total wall-clock seconds spent inside those outage windows.
     outage_seconds: float = 0.0
-    #: Sends short-circuited to a metered loss because the circuit was open.
-    fast_fails: int = 0
-    #: Heartbeat probes sent on the link while it sat idle.
-    heartbeats: int = 0
-    #: Heartbeat echoes received (samples in :attr:`heartbeat_rtts`).
-    pongs: int = 0
-    #: Current failure-detector verdict: ``alive`` / ``suspect`` / ``dead``.
-    state: str = "alive"
-    #: Number of state-machine transitions the detector performed.
-    state_changes: int = 0
-    #: Round-trip times of answered heartbeats (seconds).
-    heartbeat_rtts: List[float] = field(default_factory=list)
 
 
 @dataclass
@@ -310,35 +298,6 @@ class NetMetrics:
         entry.outages += 1
         entry.outage_seconds += max(0.0, seconds)
 
-    def record_fast_fail(self, source: NodeId, destination: NodeId) -> None:
-        self.link(source, destination).fast_fails += 1
-
-    def record_heartbeat(self, source: NodeId, destination: NodeId) -> None:
-        self.link(source, destination).heartbeats += 1
-
-    def record_heartbeat_rtt(
-        self, source: NodeId, destination: NodeId, seconds: float
-    ) -> None:
-        entry = self.link(source, destination)
-        entry.pongs += 1
-        entry.heartbeat_rtts.append(max(0.0, seconds))
-
-    def record_link_state(
-        self, source: NodeId, destination: NodeId, state: str
-    ) -> None:
-        entry = self.link(source, destination)
-        if entry.state != state:
-            previous = entry.state
-            entry.state = state
-            entry.state_changes += 1
-            self.publish(
-                "link_state",
-                source=str(source),
-                destination=str(destination),
-                state=state,
-                previous=previous,
-            )
-
     def record_watchdog_cancellation(self) -> None:
         self.watchdog_cancellations += 1
         self.publish(
@@ -418,20 +377,6 @@ class NetMetrics:
         return sum(link.outages for link in self.links.values())
 
     @property
-    def total_fast_fails(self) -> int:
-        return sum(link.fast_fails for link in self.links.values())
-
-    @property
-    def total_heartbeats(self) -> int:
-        return sum(link.heartbeats for link in self.links.values())
-
-    def dead_links(self) -> List[Link]:
-        """Directed links currently judged dead by the failure detector."""
-        return sorted(
-            key for key, link in self.links.items() if link.state == "dead"
-        )
-
-    @property
     def total_chaos_events(self) -> int:
         """Every chaos perturbation this run: frame-level plus crashes."""
         return (
@@ -454,7 +399,7 @@ class NetMetrics:
 
         Every value is audited to be an ``int`` before the dict is
         returned: a wall-clock-derived float (``outage_seconds``,
-        heartbeat RTTs, round durations) silently folded in — e.g. via a
+        round durations) silently folded in — e.g. via a
         :meth:`record_instance` sub-counter — would make same-seed
         fingerprints diverge in a maximally confusing way, so the leak
         fails loudly at the source instead.
@@ -474,9 +419,8 @@ class NetMetrics:
             "link_resets": self.link_resets,
         }
         # Link counters: only seeded-deterministic event counts, and only
-        # for links where those events happened — a heartbeat-created entry
-        # with zero reconnects/dedups must not perturb the fingerprint
-        # (heartbeat cadence is wall-clock-driven).
+        # for links where those events happened — an entry created by an
+        # error or outage alone must not perturb the fingerprint.
         for (source, destination) in sorted(self.links):
             entry = self.links[(source, destination)]
             prefix = f"link.{source}.{destination}."
@@ -577,21 +521,12 @@ class NetMetrics:
                    if self.stray_frames else "")
             )
         if self.links or self.endpoint_restarts or self.link_resets:
-            dead = self.dead_links()
             lines.append(
                 f"supervision: reconnects={self.total_reconnects}  "
                 f"deduped={self.total_deduped}  "
                 f"outages={self.total_outages}  "
-                f"fast_fails={self.total_fast_fails}  "
-                f"heartbeats={self.total_heartbeats}  "
                 f"link_resets={self.link_resets}  "
                 f"endpoint_restarts={self.endpoint_restarts}"
-                + (
-                    "  dead="
-                    + ",".join(f"{s}->{d}" for s, d in dead)
-                    if dead
-                    else ""
-                )
             )
         if self.watchdog_cancellations:
             lines.append(

@@ -83,7 +83,6 @@ from repro.sim.trace import EventKind, EventTrace, TraceEvent
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.net.chaos.accounting import ChaosLog
     from repro.net.chaos.policy import ChaosPolicy
-    from repro.net.supervision import HeartbeatPolicy
     from repro.obs.events import EventBus
     from repro.trace import Span, Tracer
 
@@ -625,7 +624,6 @@ async def run_agreement_async(
     batching: bool = True,
     record_trace: bool = True,
     supervise: bool = False,
-    heartbeat: Optional["HeartbeatPolicy"] = None,
     supervision_rng: Optional[random.Random] = None,
     events: Optional["EventBus"] = None,
     tracer: Optional["Tracer"] = None,
@@ -652,8 +650,6 @@ async def run_agreement_async(
     :class:`~repro.net.supervision.SupervisedTransport` *above* chaos, so
     injected connection resets and endpoint restarts are healed by real
     re-dials while unhealable outages degrade into metered absences.
-    Passing a :class:`~repro.net.supervision.HeartbeatPolicy` as
-    *heartbeat* also arms the PING/PONG failure detector.
 
     *events* attaches a :class:`~repro.obs.events.EventBus` to the
     recorder: round/link lifecycle events are published as they happen.
@@ -671,7 +667,6 @@ async def run_agreement_async(
         chaos,
         chaos_rng,
         supervise,
-        heartbeat,
         supervision_rng,
     )
     session = ProtocolSession.byz(spec, nodes, sender, sender_value)

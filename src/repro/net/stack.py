@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.net.supervision import HeartbeatPolicy, SupervisedTransport
+from repro.net.supervision import SupervisedTransport
 from repro.net.tcp import TcpTransport
 from repro.net.transport import LocalBus, Transport
 
@@ -33,16 +33,14 @@ def build_stack(
     chaos: Optional["ChaosPolicy"],
     chaos_rng: Optional[random.Random],
     supervise: bool,
-    heartbeat: Optional[HeartbeatPolicy],
     supervision_rng: Optional[random.Random],
 ) -> Tuple[Transport, Optional["ChaosLog"]]:
     """Wrap *base* in chaos, then supervision; return it with the chaos log.
 
     With *chaos* set every draw comes from *chaos_rng* (default:
-    ``random.Random(chaos.seed)``).  Supervision is armed by *supervise*
-    or by passing a *heartbeat* policy; its jitter RNG defaults to one
-    seeded like the chaos policy (0 without chaos), so one seed replays
-    the whole stack.
+    ``random.Random(chaos.seed)``).  Supervision is armed by *supervise*;
+    its jitter RNG defaults to one seeded like the chaos policy (0 without
+    chaos), so one seed replays the whole stack.
     """
     chaos_log = None
     if chaos is not None:
@@ -52,12 +50,10 @@ def build_stack(
 
         base = ChaosTransport(base, chaos, rng=chaos_rng)
         chaos_log = base.log
-    if supervise or heartbeat is not None:
+    if supervise:
         if supervision_rng is None:
             supervision_rng = random.Random(
                 chaos.seed if chaos is not None else 0
             )
-        base = SupervisedTransport(
-            base, heartbeat=heartbeat, rng=supervision_rng
-        )
+        base = SupervisedTransport(base, rng=supervision_rng)
     return base, chaos_log

@@ -45,7 +45,6 @@ __all__ = [
     "INSTANCE_WATCHDOGGED",
     "LINK_OUTAGE",
     "LINK_RECONNECT",
-    "LINK_STATE",
     "ROUND_CLOSED",
     "ROUND_STARTED",
     "SERVICE_STARTED",
@@ -59,7 +58,6 @@ __all__ = [
 # constants exist so subscribers and tests spell the common ones once.
 ROUND_STARTED = "round_started"
 ROUND_CLOSED = "round_closed"
-LINK_STATE = "link_state"
 LINK_RECONNECT = "link_reconnect"
 LINK_OUTAGE = "link_outage"
 ENDPOINT_RESTART = "endpoint_restart"

@@ -462,23 +462,6 @@ def metrics_registry(
         "Wall-clock seconds spent inside outage windows.",
     ).set(sum(link.outage_seconds for link in metrics.links.values()))
     registry.counter(
-        "repro_link_fast_fails_total",
-        "Sends short-circuited by an open circuit breaker.",
-    ).set(metrics.total_fast_fails)
-    registry.counter(
-        "repro_heartbeats_total", "PING probes sent on idle links."
-    ).set(metrics.total_heartbeats)
-    states = registry.gauge(
-        "repro_links_by_state",
-        "Supervised links per failure-detector verdict.",
-        ("state",),
-    )
-    by_state = {"alive": 0, "suspect": 0, "dead": 0}
-    for link in metrics.links.values():
-        by_state[link.state] = by_state.get(link.state, 0) + 1
-    for state, count in by_state.items():
-        states.set(count, state=state)
-    registry.counter(
         "repro_endpoint_restarts_total",
         "Node endpoints killed and restarted mid-run.",
     ).set(metrics.endpoint_restarts)

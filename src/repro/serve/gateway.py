@@ -76,7 +76,6 @@ from repro.sim.trace import EventTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.chaos.policy import ChaosPolicy
-    from repro.net.supervision import HeartbeatPolicy
     from repro.obs.events import EventBus
     from repro.verify.record import RunRecord
 
@@ -147,7 +146,6 @@ class AgreementService:
         record_trace: bool = True,
         instance_envelope: Optional[float] = None,
         supervise: bool = False,
-        heartbeat: Optional["HeartbeatPolicy"] = None,
         supervision_rng: Optional[random.Random] = None,
         events: Optional["EventBus"] = None,
         tracer=None,
@@ -183,7 +181,6 @@ class AgreementService:
             chaos,
             chaos_rng,
             supervise,
-            heartbeat,
             supervision_rng,
         )
         #: Optional span tracer: one admission→verdict span per instance,
@@ -193,7 +190,7 @@ class AgreementService:
         self.tracer = tracer
         self.mux = InstanceMux(base, self.nodes, tracer=tracer)
         #: Observability bus (optional): lifecycle events — admission,
-        #: verdicts, watchdog firings, link state — are published here.
+        #: verdicts, watchdog firings, link outages — are published here.
         #: Publication draws zero RNG and never touches the determinism
         #: fingerprint; same-seed runs are identical with it on or off.
         self.events = events
@@ -227,10 +224,6 @@ class AgreementService:
         #: The window the retry-after hint averages over; nothing older.
         self._latencies: Deque[float] = deque(maxlen=32)
         self._started = False
-        #: Per-instance traces in completion order; concatenation keeps
-        #: every instance's internal event order intact, which is all the
-        #: demux-and-verify path needs (record fingerprints sort lines).
-        self._traces: List[EventTrace] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -435,11 +428,17 @@ class AgreementService:
         return self.mux.metrics
 
     def service_trace(self) -> EventTrace:
-        """Every finished instance's stamped events, one merged trace."""
+        """Every finished instance's stamped events, one merged trace.
+
+        Instances appear in completion order; concatenation keeps each
+        one's internal event order intact, which is all the
+        demux-and-verify path needs (record fingerprints sort lines).
+        """
         merged = EventTrace()
-        for trace in self._traces:
-            for event in trace.events:
-                merged.record(event)
+        for outcome in self.outcomes.values():
+            if outcome.trace is not None:
+                for event in outcome.trace.events:
+                    merged.record(event)
         return merged
 
     # ------------------------------------------------------------------
@@ -567,8 +566,6 @@ class AgreementService:
             self.aggregate_metrics.record_instance(
                 job.instance_id, runner.metrics
             )
-            if runner.trace is not None:
-                self._traces.append(runner.trace)
         return outcome
 
 

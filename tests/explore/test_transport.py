@@ -22,7 +22,7 @@ from repro.explore import (
     ScheduleController,
     run_on_virtual_clock,
 )
-from repro.net.codec import BATCH, DATA, MARK, PING, Frame
+from repro.net.codec import BATCH, DATA, MARK, Frame
 from repro.sim.messages import Message, RelayPayload
 
 
@@ -42,11 +42,9 @@ def data_frame(round_no=1, source="S", destination="p1", instance=None):
     )
 
 
-def make(schedule=(), timeout=1.0, batching=True):
+def make(schedule=(), timeout=1.0):
     controller = ScheduleController(schedule)
-    transport = ExploredTransport(
-        controller, round_timeout=timeout, batching=batching
-    )
+    transport = ExploredTransport(controller, round_timeout=timeout)
     return controller, transport
 
 
@@ -68,7 +66,6 @@ class TestMenus:
             (DATA, (DELIVER, DROP, STALL, DEFER)),
             (BATCH, (DELIVER, DROP, STALL)),
             (MARK, (DELIVER, DROP)),
-            (PING, (DELIVER,)),
         ],
     )
     def test_menu_per_kind(self, kind, expected_menu):

@@ -315,14 +315,12 @@ class TestEnvelopeVersions:
 
 
 class TestSupervisionFrames:
-    """Heartbeat frames and the per-link sequence stamp on the wire."""
+    """A pre-change peer's probe frames and the per-link sequence stamp."""
 
     def test_ping_pong_round_trip(self):
-        from repro.net.codec import PING, PONG
-
-        ping = Frame(kind=PING, round_no=0, source="S", destination="p1",
+        ping = Frame(kind="ping", round_no=0, source="S", destination="p1",
                      sent_at=2.5)
-        pong = Frame(kind=PONG, round_no=0, source="p1", destination="S",
+        pong = Frame(kind="pong", round_no=0, source="p1", destination="S",
                      sent_at=2.5)
         assert decode_frame(encode_frame(ping)) == ping
         assert decode_frame(encode_frame(pong)) == pong

@@ -18,8 +18,6 @@ from repro.net.codec import (
     BATCH,
     DATA,
     MARK,
-    PING,
-    PONG,
     Frame,
     decode_frame,
     encode_frame,
@@ -41,8 +39,8 @@ class TestTraceContextRoundTrip:
     @pytest.mark.parametrize("kind,extra", [
         (MARK, {}),
         (DATA, {"message": None}),  # replaced below
-        (PING, {}),
-        (PONG, {}),
+        ("ping", {}),
+        ("pong", {}),
     ])
     def test_trace_round_trips_on_every_kind(self, kind, extra):
         if kind == DATA:
@@ -79,7 +77,7 @@ class TestTraceContextRoundTrip:
         # combination of trace/instance/seq present or absent must
         # round-trip losslessly on every frame kind.
         rng = random.Random(0)
-        kinds = [MARK, DATA, BATCH, PING, PONG]
+        kinds = [MARK, DATA, BATCH, "ping", "pong"]
         for case in range(200):
             kind = rng.choice(kinds)
             trace = (
@@ -129,13 +127,13 @@ class TestUntracedBytesUnchanged:
             b'["S","p1"],"value":"engage"},"round_sent":2,"source":"p1",'
             b'"tag":"byz"}],"round":1,"src":"S"}',
         ),
-        PING: (
-            Frame(kind=PING, round_no=0, source="S", destination="p1",
+        "ping": (
+            Frame(kind="ping", round_no=0, source="S", destination="p1",
                   sent_at=2.5),
             b'{"at":2.5,"dst":"p1","kind":"ping","round":0,"src":"S"}',
         ),
-        PONG: (
-            Frame(kind=PONG, round_no=0, source="p1", destination="S",
+        "pong": (
+            Frame(kind="pong", round_no=0, source="p1", destination="S",
                   sent_at=2.5),
             b'{"at":2.5,"dst":"S","kind":"pong","round":0,"src":"p1"}',
         ),

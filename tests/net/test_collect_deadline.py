@@ -33,7 +33,6 @@ def _runner(config, schedule=(), transport=None):
         transport = ExploredTransport(
             ScheduleController(schedule),
             round_timeout=config.round_timeout,
-            batching=config.batching,
         )
     session = ProtocolSession.byz(
         config.spec(), config.nodes(), "S", config.sender_value

@@ -1,9 +1,8 @@
-"""Self-healing links: backoff, dedup, heartbeats, and kill-links soaks.
+"""Self-healing links: backoff, dedup, and kill-links soaks.
 
 Covers the supervision layer bottom-up: :class:`BackoffPolicy` schedules,
 receive-side sequence dedup (replay suppression that survives chaos
-reordering), the heartbeat ``alive → suspect → dead`` state machine with
-its circuit breaker, transparent healing of transient send failures under
+reordering), transparent healing of transient send failures under
 a full protocol run, and the acceptance soak — a seeded chaos campaign
 that hard-resets every TCP connection and crash-restarts a node mid-run,
 twice, asserting identical decisions and wire fingerprints.
@@ -17,19 +16,12 @@ import pytest
 
 from repro.core.protocol import execute_degradable_protocol
 from repro.core.spec import DegradableSpec
-from repro.exceptions import ConfigurationError, TransportError
+from repro.exceptions import ConfigurationError
 from repro.explore.clock import run_on_virtual_clock
-from repro.net.codec import DATA, PING, Frame
+from repro.net.codec import DATA, Frame
 from repro.net.metrics import NetMetrics
 from repro.net.runner import run_agreement_async
-from repro.net.supervision import (
-    ALIVE,
-    DEAD,
-    SUSPECT,
-    BackoffPolicy,
-    HeartbeatPolicy,
-    SupervisedTransport,
-)
+from repro.net.supervision import BackoffPolicy, SupervisedTransport
 from repro.net.transport import LocalBus
 from repro.sim.messages import Message, RelayPayload
 from tests.net.flaky import FlakyTransport
@@ -87,14 +79,6 @@ class TestBackoffPolicy:
             BackoffPolicy(multiplier=0.5)
         with pytest.raises(ConfigurationError):
             BackoffPolicy(jitter=1.5)
-
-    def test_heartbeat_validation(self):
-        with pytest.raises(ConfigurationError):
-            HeartbeatPolicy(interval=0.0)
-        with pytest.raises(ConfigurationError):
-            HeartbeatPolicy(suspect_after=0)
-        with pytest.raises(ConfigurationError):
-            HeartbeatPolicy(suspect_after=3, dead_after=3)
 
 
 class TestSequenceDedup:
@@ -184,115 +168,6 @@ class TestSequenceDedup:
         assert asyncio.run(scenario()) == 2
 
 
-class TestHeartbeatFailureDetector:
-    def test_misses_walk_alive_suspect_dead_and_recover(self):
-        async def scenario():
-            bus = LocalBus()
-            sup = SupervisedTransport(
-                bus,
-                heartbeat=HeartbeatPolicy(
-                    interval=10.0, suspect_after=2, dead_after=4
-                ),
-                rng=random.Random(0),
-            )
-            metrics = NetMetrics(transport=sup.name)
-            sup.attach_metrics(metrics)
-            await sup.open(NODES)
-            try:
-                link = ("S", "p1")
-                state = sup.link(*link)
-                assert state.state == ALIVE
-                sup._note_miss(link, state)
-                assert state.state == ALIVE
-                sup._note_miss(link, state)
-                assert state.state == SUSPECT
-                sup._note_miss(link, state)
-                sup._note_miss(link, state)
-                assert state.state == DEAD
-                sup._note_alive(link, state)
-                assert state.state == ALIVE and state.misses == 0
-            finally:
-                await sup.close()
-            return metrics
-
-        metrics = asyncio.run(scenario())
-        # alive -> suspect -> dead -> alive: three recorded transitions.
-        assert metrics.link("S", "p1").state_changes == 3
-        assert metrics.link("S", "p1").state == ALIVE
-
-    def test_dead_link_circuit_breaker_fast_fails_sends(self):
-        async def scenario():
-            blocked = {"on": True}
-            bus = LocalBus()
-            flaky = FlakyTransport(
-                bus,
-                failures=10**9,
-                match=lambda f: blocked["on"] and f.destination == "p1",
-            )
-            sup = SupervisedTransport(
-                flaky,
-                backoff=BackoffPolicy(max_attempts=2, base_delay=0.001,
-                                      max_delay=0.001, jitter=0.0),
-                heartbeat=HeartbeatPolicy(
-                    interval=0.02, suspect_after=1, dead_after=2
-                ),
-                rng=random.Random(0),
-            )
-            metrics = NetMetrics(transport=sup.name)
-            sup.attach_metrics(metrics)
-            await sup.open(NODES)
-            # Consumers keep PING/PONG flowing for the healthy links.
-            consumers = [
-                asyncio.ensure_future(self._drain(sup, node))
-                for node in NODES
-            ]
-            try:
-                await self._wait_for_state(sup, ("S", "p1"), DEAD)
-                # Circuit open: the send neither dials nor sleeps — it
-                # raises at once and leaves booking the loss to the caller.
-                dialed = flaky.injected_failures
-                with pytest.raises(TransportError):
-                    await sup.send(data_frame())
-                assert flaky.injected_failures == dialed
-                assert metrics.link("S", "p1").fast_fails >= 1
-                assert metrics.total_send_failures == 0
-
-                # The peer comes back; one answered probe closes the circuit.
-                blocked["on"] = False
-                await self._wait_for_state(sup, ("S", "p1"), ALIVE)
-                assert await sup.send(data_frame(value="healed")) > 0
-            finally:
-                for task in consumers:
-                    task.cancel()
-                await asyncio.gather(*consumers, return_exceptions=True)
-                await sup.close()
-            return metrics
-
-        metrics = asyncio.run(scenario())
-        assert metrics.total_heartbeats > 0
-        assert metrics.link("S", "p1").outages >= 0  # metered, not raised
-
-    @staticmethod
-    async def _drain(sup, node):
-        try:
-            while True:
-                await sup.recv(node)
-        except asyncio.CancelledError:
-            pass
-
-    @staticmethod
-    async def _wait_for_state(sup, link, state, timeout=5.0):
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while sup.link_states().get(link) != state:
-            if loop.time() > deadline:
-                raise AssertionError(
-                    f"link {link} never reached {state!r}: "
-                    f"{sup.link_states()}"
-                )
-            await asyncio.sleep(0.01)
-
-
 class TestTransparentHealing:
     def test_transient_send_failures_healed_below_the_runner(self, spec_1_2):
         """The supervisor absorbs flaky sends: the runner sees no failure
@@ -325,7 +200,7 @@ class TestTransparentHealing:
             flaky = FlakyTransport(
                 LocalBus(),
                 failures=10**9,
-                match=lambda f: f.destination == "p1" and f.kind != PING,
+                match=lambda f: f.destination == "p1",
             )
             return await run_agreement_async(
                 spec_1_2, nodes, "S", "engage",

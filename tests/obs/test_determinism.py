@@ -128,8 +128,6 @@ class TestFingerprintIsAllInts:
         metrics.record_reconnect("S", "p1")
         metrics.record_dedup("S", "p1")
         metrics.record_outage("S", "p1", 1.5)
-        metrics.record_heartbeat_rtt("S", "p1", 0.01)
-        metrics.record_link_state("S", "p1", "suspect")
         metrics.record_watchdog_cancellation()
         metrics.record_endpoint_restart()
         inner = NetMetrics()

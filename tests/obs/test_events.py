@@ -151,20 +151,15 @@ class TestRecorderWiring:
         metrics.attach_bus(bus)
         metrics.record_stray_frame()
         metrics.record_reconnect("S", "p1")
-        metrics.record_link_state("S", "p1", "suspect")
         metrics.record_watchdog_cancellation()
         metrics.record_endpoint_restart()
         kinds = [e.kind for e in bus.recent()]
         assert kinds == [
             "stray_frame",
             "link_reconnect",
-            "link_state",
             "watchdog_cancellation",
             "endpoint_restart",
         ]
-        state_event = bus.recent()[2]
-        assert state_event.data["state"] == "suspect"
-        assert state_event.data["previous"] == "alive"
 
     def test_runner_publishes_round_lifecycle(self):
         from repro.net.runner import run_agreement_async

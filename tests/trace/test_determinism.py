@@ -10,11 +10,9 @@ the two halves of the tracing contract:
   id sets — ids derive from seed + logical coordinates only, never the
   clock or the event loop's interleaving.
 
-These runs deliberately arm **no** :class:`HeartbeatPolicy`: heartbeat
-probe spans are cadence-driven (their *count* is wall-clock shaped), so
-span-id determinism only holds for runs without one.  They are LocalBus
-only and run on the virtual clock: a ridden-out deadline costs no wall time
-(``tests/serve/test_metrics.py`` proves the counters are clock-blind).
+These runs are LocalBus only and run on the virtual clock: a ridden-out
+deadline costs no wall time (``tests/serve/test_metrics.py`` proves the
+counters are clock-blind).
 """
 
 import random
