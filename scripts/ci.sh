@@ -107,6 +107,24 @@ if sed -n '/^def event_to_json/,/^def event_from_json/p' src/repro/sim/trace.py 
     exit 1
 fi
 
+echo "== a trace event costs once (built in one step, audited in one pass) =="
+# Stamping an instance builds the stamped event directly: replace() walks
+# fields() and re-enters __init__ by keyword, 2.5 µs more per event.
+if sed -n '/^    def record(/,/^    def record_message(/p' src/repro/sim/trace.py | grep -n "replace("; then
+    echo "replace( is back in EventTrace.record: build the stamped TraceEvent directly" >&2
+    exit 1
+fi
+# The oracle files every event once; no check rescans the trace.
+if grep -n "def _deliveries_for\|def _index_sends" src/repro/verify/oracle.py; then
+    echo "a per-check rescan of the trace is back in verify/oracle.py: read the one-pass buckets" >&2
+    exit 1
+fi
+if [ "$(grep -c "for event in events" src/repro/verify/oracle.py)" -gt 1 ]; then
+    echo "'for event in events' occurs more than once in verify/oracle.py: the oracle reads the trace once" >&2
+    grep -n "for event in events" src/repro/verify/oracle.py >&2
+    exit 1
+fi
+
 echo "== the EIG shape computed once (one path table, one inbox order, no per-message repr) =="
 # Inboxes are ordered by repro.sim.messages.delivery_order, which renders
 # a payload once per distinct object; neither runtime spells the key out.
@@ -205,7 +223,7 @@ if timeout 300 python -m repro explore --inject-vote-bug 1 --depth 2 --budget 15
     exit 1
 fi
 # The deeper certificate tier-1 has no time for: (2,2,7) clean to an
-# exhausted depth-2 frontier, 8 713 schedules from 2 572 runs (~20 s).
+# exhausted depth-2 frontier, 8 713 schedules from 2 572 runs (~14 s).
 timeout 600 python -m repro explore -m 2 -u 2 --depth 2 --budget 3000 | tee "${ARTIFACTS}/explore.txt"
 if ! grep "frontier exhausted at depth 2: " "${ARTIFACTS}/explore.txt" | grep -q "(2572 run + "; then
     echo "(2,2,7) did not exhaust its depth-2 frontier in 2572 runs" >&2

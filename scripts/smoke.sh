@@ -15,6 +15,9 @@ python -m pytest -x -q
 echo "== trace line writer vs its reference (same lines, headers, fingerprints) =="
 python -m pytest -q tests/sim/test_trace_differential.py
 
+echo "== one-pass oracle vs its reference (same reports on frontiers, mutations, doctored traces) =="
+python -m pytest -q tests/verify/test_oracle_differential.py
+
 echo "== EIG shape table vs its reference (same paths, folds, votes, process steps) =="
 python -m pytest -q tests/core/test_eig_differential.py
 

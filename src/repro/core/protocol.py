@@ -169,12 +169,8 @@ class AgreementProcess(Process):
                 if self.trace is not None:
                     self.trace.record(
                         TraceEvent(
-                            round_no=round_no,
-                            kind=EventKind.DEFAULTED,
-                            source=self.node_id,
-                            destination=None,
-                            payload=path,
-                            note="absent relay resolved to V_d",
+                            round_no, EventKind.DEFAULTED, self.node_id, None,
+                            path, "absent relay resolved to V_d",
                         )
                     )
 
@@ -182,11 +178,7 @@ class AgreementProcess(Process):
         if self.trace is not None:
             self.trace.record(
                 TraceEvent(
-                    round_no=round_no,
-                    kind=EventKind.DECIDED,
-                    source=self.node_id,
-                    destination=None,
-                    payload=self.decision,
+                    round_no, EventKind.DECIDED, self.node_id, None, self.decision
                 )
             )
 

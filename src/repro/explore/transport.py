@@ -105,6 +105,20 @@ class DecisionPoint:
     menu: Tuple[str, ...]
     choice: int
 
+    def __init__(
+        self, index, round_no, kind, source, destination, menu, choice
+    ) -> None:
+        # One per explored frame: filled like repro.sim.trace.TraceEvent,
+        # straight into the instance dict (same object, a third the cost).
+        fields_ = self.__dict__
+        fields_["index"] = index
+        fields_["round_no"] = round_no
+        fields_["kind"] = kind
+        fields_["source"] = source
+        fields_["destination"] = destination
+        fields_["menu"] = menu
+        fields_["choice"] = choice
+
     @property
     def action(self) -> str:
         return self.menu[self.choice]
@@ -160,13 +174,7 @@ class ScheduleController:
         self.offered += len(menu)
         self.pruned += pruned
         point = DecisionPoint(
-            index=index,
-            round_no=round_no,
-            kind=kind,
-            source=source,
-            destination=destination,
-            menu=tuple(menu),
-            choice=choice,
+            index, round_no, kind, source, destination, tuple(menu), choice
         )
         self.trail.append(point)
         return point.action

@@ -272,13 +272,7 @@ class AsyncRoundRunner:
             self.metrics.record_expected(round_no, node, sources)
             if self.trace is not None:
                 self.trace.record(
-                    TraceEvent(
-                        round_no=round_no,
-                        kind=EventKind.EXPECTED,
-                        source=node,
-                        destination=None,
-                        payload=sources,
-                    )
+                    TraceEvent(round_no, EventKind.EXPECTED, node, None, sources)
                 )
 
     def _frame_batched(
@@ -334,15 +328,8 @@ class AsyncRoundRunner:
                 if self.trace is not None:
                     self.trace.record(
                         TraceEvent(
-                            round_no=round_no,
-                            kind=EventKind.COALESCED,
-                            source=source,
-                            destination=destination,
-                            payload=None,
-                            meta={
-                                "messages": len(frame.messages),
-                                "mark": frame.mark,
-                            },
+                            round_no, EventKind.COALESCED, source, destination,
+                            None, "", {"messages": len(messages), "mark": frame.mark},
                         )
                     )
         return frames, expected
@@ -465,13 +452,7 @@ class AsyncRoundRunner:
             meta.update(extra_meta)
         self.trace.record(
             TraceEvent(
-                round_no=round_no,
-                kind=kind,
-                source=frame.source,
-                destination=frame.destination,
-                payload=None,
-                note=note,
-                meta=meta,
+                round_no, kind, frame.source, frame.destination, None, note, meta
             )
         )
 
@@ -594,12 +575,8 @@ class AsyncRoundRunner:
             if self.trace is not None:
                 self.trace.record(
                     TraceEvent(
-                        round_no=round_no,
-                        kind=EventKind.TIMEOUT,
-                        source=peer,
-                        destination=node,
-                        payload=None,
-                        note="peer unresolved at round deadline",
+                        round_no, EventKind.TIMEOUT, peer, node, None,
+                        "peer unresolved at round deadline",
                     )
                 )
         if span is not None:

@@ -175,12 +175,22 @@ class SynchronousEngine:
 
         survivors: List[Message] = []
         dropped = 0
-        if self.injectors or trace is not None:
+        if self.injectors:
             for original in outgoing:
                 wave = self._inject(round_no, original)
                 if not wave:
                     dropped += 1
                 self._admit(round_no, wave, survivors)
+        elif trace is not None:
+            # Nobody can alter a message: each is its own sole survivor,
+            # admitted right after its ``sent`` line as _inject would.
+            reachable = self._reachable
+            for message in outgoing:
+                trace.record_message(round_no, EventKind.SENT, message)
+                if message.destination in reachable[message.source]:
+                    survivors.append(message)
+                else:
+                    self._admit(round_no, (message,), survivors)
         else:
             # Nobody can alter a message and nobody records one: every
             # message is its own sole survivor.

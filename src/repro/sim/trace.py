@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.exceptions import TraceFormatError
@@ -89,6 +89,22 @@ class TraceEvent:
     #: size, ...).  Keys are strings; values must be jsonable.
     meta: Optional[Dict[str, Any]] = field(default=None)
 
+    def __init__(
+        self, round_no, kind, source, destination, payload, note="", meta=None
+    ) -> None:
+        # The generated frozen __init__ pays one object.__setattr__ per
+        # field; filling the instance dict directly builds the same object
+        # in about a third of the time.  Everything else stays generated
+        # (tests/sim/test_trace.py::TestConstruction pins the twin).
+        fields_ = self.__dict__
+        fields_["round_no"] = round_no
+        fields_["kind"] = kind
+        fields_["source"] = source
+        fields_["destination"] = destination
+        fields_["payload"] = payload
+        fields_["note"] = note
+        fields_["meta"] = meta
+
 
 class EventTrace:
     """Ordered log of execution events with query helpers.
@@ -110,21 +126,20 @@ class EventTrace:
             meta = dict(event.meta) if event.meta else {}
             if "instance" not in meta:
                 meta["instance"] = self.instance
-                event = replace(event, meta=meta)
+                event = TraceEvent(
+                    event.round_no, event.kind, event.source,
+                    event.destination, event.payload, event.note, meta,
+                )
         self._events.append(event)
 
     def record_message(
         self, round_no: int, kind: EventKind, message: Message, note: str = ""
     ) -> None:
+        tag = message.tag
         self.record(
             TraceEvent(
-                round_no=round_no,
-                kind=kind,
-                source=message.source,
-                destination=message.destination,
-                payload=message.payload,
-                note=note,
-                meta={"tag": message.tag} if message.tag else None,
+                round_no, kind, message.source, message.destination,
+                message.payload, note, {"tag": tag} if tag else None,
             )
         )
 
@@ -201,8 +216,22 @@ class EventTrace:
         return "\n".join(self.lines())
 
     def lines(self) -> List[str]:
-        """The canonical JSON line of every event, in recording order."""
-        return [event_to_json(event) for event in self._events]
+        """The canonical JSON line of every event, in recording order.
+
+        A relayed payload is one object shared by all its ``sent`` and
+        ``delivered`` lines, so each payload object's text is written once
+        per call, keyed by ``id()``: the events hold their payloads for
+        the whole call, so no id is reused while the table lives.
+        """
+        payload_text: Dict[int, str] = {}
+        out = []
+        for event in self._events:
+            key = id(event.payload)
+            text = payload_text.get(key)
+            if text is None:
+                text = payload_text[key] = lossy_json(event.payload)
+            out.append(_line(event, text))
+        return out
 
     @classmethod
     def from_jsonl(cls, text: str) -> "EventTrace":
@@ -254,12 +283,20 @@ def event_to_json(event: TraceEvent) -> str:
       can be sorted, hashed and joined without re-reading them — every
       fingerprint and golden trace is a hash of exactly these lines.
     """
+    return _line(event, lossy_json(event.payload))
+
+
+_KIND_TEXT = {kind: raw_json(kind.value) for kind in EventKind}
+
+
+def _line(event: TraceEvent, payload: str) -> str:
+    """*event*'s line around its already written *payload* text."""
     return (
         f'{{"destination":{lossy_json(event.destination)},'
-        f'"kind":{raw_json(event.kind.value)},'
+        f'"kind":{_KIND_TEXT[event.kind]},'
         f'"meta":{lossy_json(event.meta)},'
         f'"note":{raw_json(event.note)},'
-        f'"payload":{lossy_json(event.payload)},'
+        f'"payload":{payload},'
         f'"round":{raw_json(event.round_no)},'
         f'"source":{lossy_json(event.source)}}}'
     )

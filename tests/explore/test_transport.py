@@ -9,6 +9,9 @@ protocol's own absences muddying attribution.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import inspect
+from typing import Hashable, Tuple
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.explore import (
     DELIVER,
     DROP,
     STALL,
+    DecisionPoint,
     ExploreScheduleError,
     ExploredTransport,
     ScheduleController,
@@ -117,6 +121,53 @@ class TestScheduleValidation:
         assert point.action == DROP
         assert (point.source, point.destination) == ("S", "p1")
         assert "drop" in point.label
+
+
+@dataclasses.dataclass(frozen=True)
+class PlainPoint:
+    """DecisionPoint as the generated frozen dataclass would build it."""
+
+    index: int
+    round_no: int
+    kind: str
+    source: Hashable
+    destination: Hashable
+    menu: Tuple[str, ...]
+    choice: int
+
+
+class TestDecisionPointConstruction:
+    """The hand-written ``__init__`` builds what the generated one would."""
+
+    ARGS = (3, 2, BATCH, "S", "p1", (DELIVER, DROP, STALL), 2)
+
+    def test_parameters_are_the_fields_in_order(self):
+        params = list(inspect.signature(DecisionPoint.__init__).parameters.values())[1:]
+        fields = dataclasses.fields(DecisionPoint)
+        assert [p.name for p in params] == [f.name for f in fields]
+        assert all(f.default is dataclasses.MISSING for f in fields)
+        assert all(p.default is inspect.Parameter.empty for p in params)
+        assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 7
+
+    def test_same_object_as_the_plain_frozen_twin(self):
+        ours, twin = DecisionPoint(*self.ARGS), PlainPoint(*self.ARGS)
+        assert vars(ours) == vars(twin) and list(vars(ours)) == list(vars(twin))
+        assert repr(ours) == repr(twin).replace("PlainPoint", "DecisionPoint", 1)
+        names = [f.name for f in dataclasses.fields(DecisionPoint)]
+        assert DecisionPoint(**dict(zip(names, self.ARGS))) == ours
+        assert ours == DecisionPoint(*self.ARGS) and ours != twin
+        assert hash(ours) == hash(twin)
+        moved = dataclasses.replace(ours, choice=1)
+        assert type(moved) is DecisionPoint and moved.action == DROP
+        assert vars(moved) == vars(dataclasses.replace(twin, choice=1))
+        assert ours.action == STALL and ours.label.startswith("#3 r2 batch S->p1: stall")
+
+    def test_frozen(self):
+        point = DecisionPoint(*self.ARGS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.choice = 0
+        with pytest.raises(TypeError):
+            DecisionPoint(*self.ARGS[:6])
 
 
 class TestActions:

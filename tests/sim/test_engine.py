@@ -1,7 +1,11 @@
 """Unit tests for the synchronous round engine."""
 
+import hashlib
+
 import pytest
 
+from repro.core.protocol import ProtocolSession
+from repro.core.spec import DegradableSpec
 from repro.exceptions import SimulationError
 from repro.sim.engine import FaultInjector, SynchronousEngine
 from repro.sim.messages import Message
@@ -253,6 +257,39 @@ class TestUntracedUninjectedRounds:
         engine = self.untraced([Forger("a"), IdleProcess("b"), IdleProcess("c")])
         with pytest.raises(SimulationError):
             engine.run(1)
+
+
+class TestTracedUninjectedRounds:
+    """A trace but no injector: each message is admitted right after its
+    ``sent`` line, so a ``no link`` drop follows the send it drops."""
+
+    def ring_run(self):
+        spec = DegradableSpec(m=1, u=2, n_nodes=5)
+        nodes = ["S", "p1", "p2", "p3", "p4"]
+        session = ProtocolSession.byz(spec, nodes, "S", "attack")
+        engine = SynchronousEngine(Topology.ring(nodes), session.processes)
+        session.attach_trace(engine.trace)
+        engine.run(session.total_rounds)
+        return engine.trace
+
+    def test_each_no_link_drop_follows_its_send(self):
+        events = self.ring_run().events
+        drops = [i for i, e in enumerate(events) if e.kind is EventKind.DROPPED]
+        assert len(drops) == 8
+        for i in drops:
+            sent, dropped = events[i - 1], events[i]
+            assert sent.kind is EventKind.SENT and dropped.note == "no link"
+            assert (sent.round_no, sent.source, sent.destination, sent.payload) == (
+                dropped.round_no, dropped.source, dropped.destination, dropped.payload
+            )
+
+    def test_trace_bytes_are_pinned(self):
+        # sha256 of the JSONL written when every message went through the
+        # injector loop: recording all sends first would change it.
+        text = self.ring_run().to_jsonl()
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "a636e8c7b536d4523a02ada8ed9535fa3b24d1d25a1687377b44a1b9e2b89ebd"
+        )
 
 
 class TestPassThroughInjectors:

@@ -1,7 +1,16 @@
 """Unit tests for execution traces and local views."""
 
-from repro.sim.messages import Message
+import dataclasses
+import inspect
+from typing import Any, Dict, Optional
+
+import pytest
+
+from repro.core.values import DEFAULT
+from repro.sim.messages import Message, RelayPayload
 from repro.sim.trace import EventKind, EventTrace, TraceEvent
+
+from tests.sim import reference_trace as reference
 
 
 def delivered(round_no, src, dst, payload):
@@ -29,6 +38,96 @@ class TestRecording:
         assert event.kind is EventKind.SENT
         assert event.round_no == 2
         assert event.note == "test"
+
+    def test_instance_stamp_keeps_meta_order_and_leaves_the_original(self):
+        trace = EventTrace(instance="op3")
+        tagged = Message(source="a", destination="b", payload="x", tag="byz")
+        trace.record_message(1, EventKind.SENT, tagged)
+        trace.record(delivered(1, "a", "b", "x"))
+        own = TraceEvent(1, EventKind.DECIDED, "b", None, "x", meta={"instance": "mine"})
+        trace.record(own)
+        framed_meta = {"frame": "batch", "messages": 2}
+        framed = TraceEvent(1, EventKind.FRAME_SENT, "a", "b", None, "n", framed_meta)
+        trace.record(framed)
+        metas = [e.meta for e in trace.events]
+        assert metas == [
+            {"tag": "byz", "instance": "op3"},
+            {"instance": "op3"},
+            {"instance": "mine"},
+            {"frame": "batch", "messages": 2, "instance": "op3"},
+        ]
+        assert [list(m) for m in metas][3] == ["frame", "messages", "instance"]
+        assert trace.events[2] is own
+        assert framed_meta == {"frame": "batch", "messages": 2}
+        assert trace.events[3] == dataclasses.replace(framed, meta=metas[3])
+
+
+@dataclasses.dataclass(frozen=True)
+class PlainEvent:
+    """TraceEvent as the generated frozen dataclass would build it."""
+
+    round_no: int
+    kind: EventKind
+    source: Any
+    destination: Any
+    payload: Any
+    note: str = ""
+    meta: Optional[Dict[str, Any]] = dataclasses.field(default=None)
+
+
+SAMPLES = [
+    (1, EventKind.SENT, "S", "p1", RelayPayload(("S",), "v")),
+    (2, EventKind.DEFAULTED, "p2", None, ("S", "p1"), "absent relay resolved to V_d"),
+    (3, EventKind.COALESCED, "p1", "p3", None, "", {"messages": 3, "mark": True}),
+    (4, EventKind.DECIDED, "p4", None, DEFAULT, "", None),
+]
+
+
+class TestConstruction:
+    """The hand-written ``__init__`` builds what the generated one would."""
+
+    def test_parameters_are_the_fields_in_order_with_their_defaults(self):
+        params = list(inspect.signature(TraceEvent.__init__).parameters.values())[1:]
+        fields = dataclasses.fields(TraceEvent)
+        assert [p.name for p in params] == [f.name for f in fields]
+        assert [p.default for p in params] == [
+            inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+            for f in fields
+        ]
+        assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 7
+
+    @pytest.mark.parametrize("args", SAMPLES, ids=lambda a: a[1].value)
+    def test_same_object_as_the_plain_frozen_twin(self, args):
+        ours, twin = TraceEvent(*args), PlainEvent(*args)
+        assert vars(ours) == vars(twin) and list(vars(ours)) == list(vars(twin))
+        assert repr(ours) == repr(twin).replace("PlainEvent", "TraceEvent", 1)
+        names = [f.name for f in dataclasses.fields(TraceEvent)]
+        assert TraceEvent(**dict(zip(names, args))) == ours
+        assert ours == TraceEvent(*args) and ours != twin
+        assert ours != TraceEvent(*args[:4], "other")
+        if ours.meta is None:
+            assert hash(ours) == hash(twin) == hash(TraceEvent(*args))
+        else:
+            with pytest.raises(TypeError):
+                hash(ours)
+        for change in ({"note": "x"}, {"meta": {"tag": "t"}}, {"round_no": 9}):
+            moved = dataclasses.replace(ours, **change)
+            assert type(moved) is TraceEvent
+            assert vars(moved) == vars(dataclasses.replace(twin, **change))
+
+    def test_frozen(self):
+        event = TraceEvent(*SAMPLES[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.note = "x"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del event.payload
+        assert event.note == ""
+
+    def test_missing_and_unknown_arguments_are_refused(self):
+        with pytest.raises(TypeError):
+            TraceEvent(1, EventKind.SENT, "S", "p1")
+        with pytest.raises(TypeError):
+            TraceEvent(1, EventKind.SENT, "S", "p1", "x", tag="byz")
 
 
 class TestQueries:
@@ -113,6 +212,37 @@ class TestExport:
         assert back.events == trace.events
         assert back.events[0].payload.value is DEFAULT
         assert isinstance(back.events[1].payload, tuple)
+
+    def test_shared_payload_objects_write_the_reference_lines(self):
+        """One payload object behind many lines is written once per
+        ``lines()`` call, and the lines still equal the reference writer's."""
+
+        class Unencodable:
+            def __repr__(self):
+                return "<unencodable>"
+
+        relay = RelayPayload(("S", "p1"), DEFAULT)
+        listed = ["a", ("b", 2), relay]
+        opaque = [1, Unencodable()]
+        trace = EventTrace()
+        for round_no, payload in enumerate((relay, listed, opaque, relay, None)):
+            message = Message("S", "p1", payload, tag="byz")
+            trace.record_message(round_no, EventKind.SENT, message)
+            trace.record_message(round_no + 1, EventKind.DELIVERED, message)
+            trace.record(TraceEvent(round_no, EventKind.CORRUPTED, "p2", "p3", payload))
+        trace.record(TraceEvent(1, EventKind.DEFAULTED, "p3", None, relay.path))
+
+        def reference_lines():
+            return [reference.event_to_json(event) for event in trace.events]
+
+        assert trace.lines() == reference_lines()
+        # The text table lives for one call: a list changed in between
+        # is written afresh.
+        listed.append(("c", DEFAULT))
+        opaque.pop()
+        assert trace.lines() == reference_lines()
+        assert '"c"' in trace.lines()[3]
+        assert trace.to_jsonl() == reference.trace_to_jsonl(trace)
 
     def test_from_jsonl_rejects_garbage(self):
         import pytest

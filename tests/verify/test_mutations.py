@@ -9,6 +9,8 @@ through is not checking the paper's arithmetic.
 
 from dataclasses import replace
 
+import pytest
+
 from repro.core.behavior import LieAboutSender
 from repro.core.eig import vote
 from repro.core.protocol import execute_degradable_protocol
@@ -36,18 +38,85 @@ def run_and_record(spec, behaviors, faulty, extra_injectors=None):
     )
 
 
-class TestVoteThresholdMutation:
-    """Flip VOTE(n-1-m, ...) to VOTE(1, ...): decisions drift off the fold."""
-
-    def test_caught_as_vote_mismatch(self, spec_1_2, monkeypatch):
-        monkeypatch.setattr(
+# ----------------------------------------------------------------------
+# The mutated records (test_oracle_differential.py replays every one)
+# ----------------------------------------------------------------------
+def vote_threshold_record(spec):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
             "repro.core.protocol.byz_resolver",
             lambda threshold, ballots: vote(1, ballots),
         )
-        record = run_and_record(
-            spec_1_2, {"p1": LieAboutSender("forged", "S")}, {"p1"}
-        )
-        report = verify_record(record)
+        return run_and_record(spec, {"p1": LieAboutSender("forged", "S")}, {"p1"})
+
+
+def forge(record, event):
+    doctored = EventTrace()
+    for original in record.trace.events:
+        doctored.record(original)
+    doctored.record(event)
+    return replace(record, trace=doctored)
+
+
+def unsent_delivery_record(spec):
+    return forge(
+        run_and_record(spec, {}, set()),
+        TraceEvent(
+            round_no=2,
+            kind=EventKind.DELIVERED,
+            source="S",
+            destination="p3",
+            payload=RelayPayload(path=("S",), value="planted"),
+            meta={"tag": "byz"},
+        ),
+    )
+
+
+def malformed_path_record(spec):
+    return forge(
+        run_and_record(spec, {}, set()),
+        TraceEvent(
+            round_no=3,
+            kind=EventKind.DELIVERED,
+            source="p2",
+            # path claims to end at p4 but the wire source is p2
+            destination="p3",
+            payload=RelayPayload(path=("S", "p4"), value="planted"),
+            meta={"tag": "byz"},
+        ),
+    )
+
+
+def suppressed_default_record(spec):
+    record = run_and_record(
+        spec, {}, {"p1"}, extra_injectors=[OmissionInjector.from_sources({"p1"})]
+    )
+    defaulted = [e for e in record.trace.events if e.kind is EventKind.DEFAULTED]
+    assert defaulted, "omission run must produce V_d substitutions"
+    victim = defaulted[0]
+    doctored = EventTrace()
+    removed = False
+    for event in record.trace.events:
+        if not removed and event is victim:
+            removed = True
+            continue
+        doctored.record(event)
+    return replace(record, trace=doctored)
+
+
+MUTATED_RECORDS = {
+    "vote-threshold": vote_threshold_record,
+    "unsent-delivery": unsent_delivery_record,
+    "malformed-path": malformed_path_record,
+    "suppressed-default": suppressed_default_record,
+}
+
+
+class TestVoteThresholdMutation:
+    """Flip VOTE(n-1-m, ...) to VOTE(1, ...): decisions drift off the fold."""
+
+    def test_caught_as_vote_mismatch(self, spec_1_2):
+        report = verify_record(vote_threshold_record(spec_1_2))
         assert not report.ok
         assert VOTE_MISMATCH in report.codes
 
@@ -61,45 +130,13 @@ class TestVoteThresholdMutation:
 class TestForgedFrameMutation:
     """Plant one DATA delivery the fault-free source never emitted."""
 
-    def forge(self, record, event):
-        doctored = EventTrace()
-        for original in record.trace.events:
-            doctored.record(original)
-        doctored.record(event)
-        return replace(record, trace=doctored)
-
     def test_unsent_delivery_caught(self, spec_1_2):
-        record = run_and_record(spec_1_2, {}, set())
-        forged = self.forge(
-            record,
-            TraceEvent(
-                round_no=2,
-                kind=EventKind.DELIVERED,
-                source="S",
-                destination="p3",
-                payload=RelayPayload(path=("S",), value="planted"),
-                meta={"tag": "byz"},
-            ),
-        )
-        report = verify_record(forged)
+        report = verify_record(unsent_delivery_record(spec_1_2))
         assert not report.ok
         assert UNSENT_DELIVERY in report.codes
 
     def test_malformed_path_caught_as_forged_relay(self, spec_1_2):
-        record = run_and_record(spec_1_2, {}, set())
-        forged = self.forge(
-            record,
-            TraceEvent(
-                round_no=3,
-                kind=EventKind.DELIVERED,
-                source="p2",
-                # path claims to end at p4 but the wire source is p2
-                destination="p3",
-                payload=RelayPayload(path=("S", "p4"), value="planted"),
-                meta={"tag": "byz"},
-            ),
-        )
-        report = verify_record(forged)
+        report = verify_record(malformed_path_record(spec_1_2))
         assert not report.ok
         assert FORGED_RELAY in report.codes
 
@@ -108,25 +145,7 @@ class TestSuppressedDefaultMutation:
     """Drop one absence→V_d substitution event from an omission run."""
 
     def test_caught_as_absence_unrecorded(self, spec_1_2):
-        record = run_and_record(
-            spec_1_2,
-            {},
-            {"p1"},
-            extra_injectors=[OmissionInjector.from_sources({"p1"})],
-        )
-        defaulted = [
-            e for e in record.trace.events if e.kind is EventKind.DEFAULTED
-        ]
-        assert defaulted, "omission run must produce V_d substitutions"
-        victim = defaulted[0]
-        doctored = EventTrace()
-        removed = False
-        for event in record.trace.events:
-            if not removed and event is victim:
-                removed = True
-                continue
-            doctored.record(event)
-        report = verify_record(replace(record, trace=doctored))
+        report = verify_record(suppressed_default_record(spec_1_2))
         assert not report.ok
         assert ABSENCE_UNRECORDED in report.codes
 
