@@ -69,6 +69,17 @@ if grep -rniE "heartbeat|\bping\b|\bpong\b|fast_fail|links_by_state|link_state" 
     echo "a heartbeat failure detector is back under src/: the round deadline is the only one" >&2
     exit 1
 fi
+# The gateway's instance watchdog (a wait_for around runner.run() that
+# forced an all-V_d verdict) is gone: the round deadline bounds the sends
+# too, so nothing above the runner times an instance out.
+if grep -rnE "instance_envelope|watchdog_cancel|WATCHDOG|instance_watchdogged|record_watchdog" src/; then
+    echo "the instance watchdog is back under src/: the round deadline bounds every instance" >&2
+    exit 1
+fi
+if grep -n "wait_for(" src/repro/serve/gateway.py; then
+    echo "wait_for( is back in serve/gateway.py: the gateway awaits runner.run() directly" >&2
+    exit 1
+fi
 
 echo "== two runtimes, one round (the runner calls the engine's emit; one interception contract) =="
 # net/adapters.py is gone: FaultInjector is the only interception base
@@ -93,11 +104,17 @@ if grep -rn --include="*.py" "def tier_for\|def expected_conditions" src/; then
     exit 1
 fi
 
-echo "== a cheap schedule (one deadline timer per node-round; trace lines from the codec's kernel) =="
-# _collect awaits recv directly under one call_at per node-round: a
-# wait_for around recv is a Task, a timer and a future per frame again.
+echo "== a cheap schedule (one deadline timer per round; trace lines from the codec's kernel) =="
+# A round arms one call_at before its first send, and it cancels the send
+# in flight or the collects still waiting; a collect awaits recv directly.
+# A wait_for around recv is a Task, a timer and a future per frame again.
 if grep -n "wait_for(" src/repro/net/runner.py; then
     echo "wait_for( is back in the runner: the round deadline is one timer, not one per frame" >&2
+    exit 1
+fi
+if [ "$(grep -c "call_at(" src/repro/net/runner.py)" -gt 1 ]; then
+    echo "call_at( occurs more than once in net/runner.py: a round arms one timer, not one per collect" >&2
+    grep -n "call_at(" src/repro/net/runner.py >&2
     exit 1
 fi
 # event_to_json writes its line with canonical_json/raw_json; the dict

@@ -27,6 +27,9 @@ python -m pytest -q tests/net/test_async_faults.py
 echo "== what the wire path costs (one encode per frame, one send order, no task per frame) =="
 python -m pytest -q tests/net/test_wire_cost.py
 
+echo "== one deadline per round (it bounds sends and collects; nothing above the runner) =="
+python -m pytest -q tests/net/test_collect_deadline.py tests/serve/test_shutdown.py
+
 echo "== supervision and the exported metric catalog (re-dial, dedup window, golden exposition) =="
 python -m pytest -q tests/net/test_supervision.py tests/net/test_dedup_differential.py tests/obs/test_prom.py
 

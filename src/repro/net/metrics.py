@@ -144,9 +144,6 @@ class NetMetrics:
         #: Per-directed-link supervision counters, lazily created by the
         #: first recorded link event (:mod:`repro.net.supervision`).
         self.links: Dict[Link, LinkMetrics] = {}
-        #: Service instances the gateway watchdog cancelled for exceeding
-        #: their round-deadline envelope.
-        self.watchdog_cancellations = 0
         #: Node endpoints that were killed and restarted mid-run.
         self.endpoint_restarts = 0
         #: Scheduled hard-resets of pooled connections the chaos layer
@@ -298,12 +295,6 @@ class NetMetrics:
         entry.outages += 1
         entry.outage_seconds += max(0.0, seconds)
 
-    def record_watchdog_cancellation(self) -> None:
-        self.watchdog_cancellations += 1
-        self.publish(
-            "watchdog_cancellation", total=self.watchdog_cancellations
-        )
-
     def record_endpoint_restart(self) -> None:
         self.endpoint_restarts += 1
         self.publish("endpoint_restart", total=self.endpoint_restarts)
@@ -414,7 +405,6 @@ class NetMetrics:
             "partition_rounds": self.partition_rounds,
             "crash_events": self.crash_events,
             "stray_frames": self.stray_frames,
-            "watchdog_cancellations": self.watchdog_cancellations,
             "endpoint_restarts": self.endpoint_restarts,
             "link_resets": self.link_resets,
         }
@@ -527,11 +517,6 @@ class NetMetrics:
                 f"outages={self.total_outages}  "
                 f"link_resets={self.link_resets}  "
                 f"endpoint_restarts={self.endpoint_restarts}"
-            )
-        if self.watchdog_cancellations:
-            lines.append(
-                f"watchdog: {self.watchdog_cancellations} instance(s) "
-                f"cancelled past their round-deadline envelope"
             )
         if self.total_chaos_events or self.partition_rounds or self.decode_errors:
             lines.append(

@@ -22,7 +22,10 @@ paper says differs — frames, the wire, the deadline:
    the deadline expires.  Whatever did not arrive is simply absent — the
    protocol's ingest resolves each expected-but-missing relay path to
    ``V_d``, which is model assumption (b) ("the absence of a message can be
-   detected") realized by an actual timeout over an actual wire.
+   detected") realized by an actual timeout over an actual wire.  The
+   deadline is one timer per round, armed before the first send, and it
+   bounds the sends too: one still in flight is cut off and, with every
+   frame not yet sent, metered as lost.
 
 Wire modes: by default the runner runs **batched** — steps 2 and 3
 collapse into one ``BATCH`` frame per directed link per round (all of the
@@ -87,6 +90,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.trace import Span, Tracer
 
 NodeId = Hashable
+
+
+class _RoundDeadline:
+    """One round's one timer: when it fires it cancels every task in
+    :attr:`waiting` — the run's own task while it sends, then each collect
+    still waiting.  A dict, not a set: cancelled collects resume in node
+    order, so same-seed runs stay byte-identical."""
+
+    __slots__ = ("at", "expired", "waiting", "timer")
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, at: float) -> None:
+        self.at, self.expired = at, False
+        self.waiting: Dict["asyncio.Task", None] = {}
+        self.timer = loop.call_at(at, self._expire)
+
+    def _expire(self) -> None:
+        self.expired = True
+        for task in self.waiting:
+            task.cancel()
+
+    def ended(self, task: "asyncio.Task") -> bool:
+        """Whether *task*'s ``CancelledError`` is this deadline's alone: the
+        timer fired and nobody else cancelled *task* in the same loop turn
+        (3.11+ keeps count) — a caller giving up on ``run()`` is re-raised."""
+        uncancel = getattr(task, "uncancel", None)
+        return self.expired and (uncancel is None or uncancel() == 0)
 
 
 @dataclass
@@ -176,11 +205,14 @@ class AsyncRoundRunner:
     async def run(self) -> AgreementResult:
         """Run the protocol to completion and return the agreement result."""
         loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
         session = self.session
         await self.transport.open(list(session.nodes))
         order = self.engine.order
         framing = self._frame_batched if self.batching else self._frame_unbatched
         executed = 0
+        deadline: Optional[_RoundDeadline] = None
+        label = None if self.instance_id is None else str(self.instance_id)
         try:
             inboxes: Dict[NodeId, List[Message]] = {n: [] for n in order}
             for round_no in range(1, session.total_rounds + 1):
@@ -188,13 +220,7 @@ class AsyncRoundRunner:
                     break
                 self.metrics.round(round_no)
                 self.metrics.publish(
-                    "round_started",
-                    round=round_no,
-                    instance=(
-                        None
-                        if self.instance_id is None
-                        else str(self.instance_id)
-                    ),
+                    "round_started", round=round_no, instance=label
                 )
                 self._record_expected(round_no)
                 if self.tracer is not None:
@@ -212,19 +238,29 @@ class AsyncRoundRunner:
                 for _ in range(dropped):
                     self.metrics.record_drop(round_no)
                 round_started = loop.time()
-                deadline = round_started + self.round_timeout
+                deadline = _RoundDeadline(
+                    loop, round_started + self.round_timeout
+                )
                 self.transport.round_opened(
-                    round_no, deadline, self.instance_id
+                    round_no, deadline.at, self.instance_id
                 )
                 frames, expected = framing(round_no, survivors)
+                deadline.waiting[task] = None
+                frames = iter(frames)
                 for frame in frames:
-                    await self._send(frame, round_no)
+                    await self._send(frame, round_no, deadline)
+                    if deadline.expired:
+                        # Cut off: every frame not yet sent is lost too.
+                        for _ in frames:
+                            self.metrics.record_send_failure(round_no)
+                del deadline.waiting[task]
                 collected = await asyncio.gather(
                     *(
                         self._collect(node, round_no, deadline, expected[node])
                         for node in order
                     )
                 )
+                deadline.timer.cancel()
                 inboxes = dict(zip(order, collected))
                 self.metrics.record_round_duration(
                     round_no, loop.time() - round_started
@@ -238,14 +274,12 @@ class AsyncRoundRunner:
                     "round_closed",
                     round=round_no,
                     messages=len(survivors),
-                    instance=(
-                        None
-                        if self.instance_id is None
-                        else str(self.instance_id)
-                    ),
+                    instance=label,
                 )
                 executed += 1
         finally:
+            if deadline is not None:
+                deadline.timer.cancel()
             await self.transport.close()
         self.metrics.substitutions = session.substitutions
         return session.collect_result(
@@ -377,30 +411,29 @@ class AsyncRoundRunner:
             node: {n for n in order if n != node} for node in order
         }
 
-    async def _send(self, frame: Frame, round_no: int) -> None:
+    async def _send(
+        self, frame: Frame, round_no: int, deadline: _RoundDeadline
+    ) -> None:
         """Send one frame, exactly once, and meter what became of it.
 
-        This is the one place a :class:`TransportError` turns into a
+        This is the one place a lost frame — ``send`` raised
+        :class:`TransportError`, or *deadline* cut it off — turns into a
         recorded absence: no ``FRAME_SENT``, no frame or byte counts, one
-        send failure, span ``ok=False`` — the receiver rides out the
+        send failure, span ``ok=False``; the receiver rides out the
         deadline and substitutes ``V_d`` (assumption (b)).  The runner
         never retries; a :class:`~repro.net.supervision.SupervisedTransport`
         below it re-dials within its own budget and raises only once it
         gives up, so a lost frame is metered the same with or without it.
         Awaited frame by frame from the one send loop in :meth:`run`:
         each retrying link holds the round's later links for at most that
-        backoff budget, never for the round deadline.
+        backoff budget.
         """
         span = None
         if self.tracer is not None:
             span = self.tracer.begin(
                 "send",
                 "runner",
-                parent=(
-                    self._round_span.span_id
-                    if self._round_span is not None
-                    else None
-                ),
+                parent=getattr(self._round_span, "span_id", None),
                 instance=self.instance_id,
                 round_no=round_no,
                 source=frame.source,
@@ -412,7 +445,10 @@ class AsyncRoundRunner:
             frame = replace(frame, trace=span.span_id)
         try:
             nbytes = await self.transport.send(frame)
-        except TransportError:
+        except (TransportError, asyncio.CancelledError) as exc:
+            cancelled = isinstance(exc, asyncio.CancelledError)
+            if cancelled and not deadline.ended(asyncio.current_task()):
+                raise
             self.metrics.record_send_failure(round_no)
             if span is not None:
                 self.tracer.end(span, ok=False)
@@ -496,7 +532,7 @@ class AsyncRoundRunner:
         self,
         node: NodeId,
         round_no: int,
-        deadline: float,
+        deadline: _RoundDeadline,
         pending: Set[NodeId],
     ) -> List[Message]:
         """Drain *node*'s inbox until *pending* resolves or the deadline.
@@ -513,19 +549,14 @@ class AsyncRoundRunner:
         so chaos-induced lateness shows up in campaign reports whichever
         frame kind it hit.
 
-        The deadline is the single place absence is decided, and it costs
-        one timer per node-round, not one per frame: ``transport.recv`` is
-        awaited directly, and one ``loop.call_at(deadline, ...)`` cancels
-        this task's pending ``recv``, setting a flag first.  A
-        ``CancelledError`` with the flag set is the round closing (the
-        frame, if one was just handed over, stays queued and surfaces a
-        round late); without it — the gateway watchdog, a mux shutdown, a
-        caller giving up on ``run()`` — it is re-raised untouched.  The
-        timer is cancelled on every exit, so a finished, timed-out or
-        cancelled collect leaves nothing scheduled on the real or the
-        virtual clock; a collect whose deadline has already passed arms
-        nothing and awaits nothing.  Collects are the only tasks a round
-        creates; ``docs/runtime.md`` §7 has the cost.
+        The deadline is the single place absence is decided; a collect arms
+        no timer of its own.  It awaits ``transport.recv`` directly while
+        registered on *deadline*, whose timer cancels it: a cancel
+        :meth:`_RoundDeadline.ended` claims is the round closing (a frame
+        just handed over stays queued and surfaces a round late), any
+        other is re-raised.  A collect that starts after the deadline
+        awaits nothing.  Collects are the only tasks a round creates;
+        ``docs/runtime.md`` §7 has the cost.
         """
         loop = asyncio.get_running_loop()
         span = None
@@ -533,39 +564,25 @@ class AsyncRoundRunner:
             span = self.tracer.begin(
                 "collect",
                 "runner",
-                parent=(
-                    self._round_span.span_id
-                    if self._round_span is not None
-                    else None
-                ),
+                parent=getattr(self._round_span, "span_id", None),
                 instance=self.instance_id,
                 round_no=round_no,
                 destination=node,
                 waiting=len(pending),
             )
         inbox: List[Message] = []
-        if pending and loop.time() < deadline:
+        if pending and not deadline.expired:
             task = asyncio.current_task()
-            expired = False
-
-            def expire() -> None:
-                nonlocal expired
-                expired = True
-                task.cancel()
-
-            timer = loop.call_at(deadline, expire)
+            deadline.waiting[task] = None
             try:
-                while pending and loop.time() < deadline:
+                while pending and loop.time() < deadline.at:
                     frame = await self.transport.recv(node)
                     self._file_frame(frame, round_no, pending, inbox)
             except asyncio.CancelledError:
-                # Ours only if the timer fired, and then only if nobody
-                # else asked in the same loop turn (3.11+ keeps count).
-                uncancel = getattr(task, "uncancel", None)
-                if not expired or (uncancel is not None and uncancel() > 0):
+                if not deadline.ended(task):
                     raise
             finally:
-                timer.cancel()
+                del deadline.waiting[task]
         for peer in sorted(pending, key=str):
             self.metrics.record_timeout(round_no, node, peer)
             if span is not None:

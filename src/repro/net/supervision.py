@@ -214,14 +214,6 @@ class SupervisedTransport(TransportLayer):
             f"{attempt} attempt(s)"
         )
 
-    async def send_corrupted(self, frame: Frame, rng: random.Random) -> int:
-        # Chaos-injected corruption bypasses supervision on purpose: the
-        # frame is *meant* to be lost, healing it would undo the fault.
-        link = (frame.source, frame.destination)
-        seq = self._next_seq.get(link, 0) + 1
-        self._next_seq[link] = seq
-        return await self.inner.send_corrupted(replace(frame, seq=seq), rng)
-
     # ------------------------------------------------------------------
     # Receive path: dedup replays
     # ------------------------------------------------------------------

@@ -4,8 +4,8 @@ The runtime's layers — :class:`~repro.net.runner.AsyncRoundRunner`,
 :class:`~repro.net.supervision.SupervisedTransport`,
 :class:`~repro.serve.mux.InstanceMux`,
 :class:`~repro.serve.gateway.AgreementService` — publish lifecycle events
-here: rounds starting and closing, link failure-detector transitions,
-instances admitted / decided / watchdogged, D.1–D.4 tier verdicts.  An
+here: rounds starting and closing, link re-dials and outages, instances
+admitted / rejected / decided, D.1–D.4 tier verdicts.  An
 operator (or the ``/events`` HTTP route) subscribes to watch a live run
 degrade and recover in real time.
 
@@ -42,7 +42,6 @@ __all__ = [
     "INSTANCE_ATTACHED",
     "INSTANCE_DECIDED",
     "INSTANCE_REJECTED",
-    "INSTANCE_WATCHDOGGED",
     "LINK_OUTAGE",
     "LINK_RECONNECT",
     "ROUND_CLOSED",
@@ -51,7 +50,6 @@ __all__ = [
     "SERVICE_STOPPED",
     "SPAN_CLOSED",
     "STRAY_FRAME",
-    "WATCHDOG_CANCELLATION",
 ]
 
 # Canonical event kinds.  Publishers are free to mint new kinds — these
@@ -66,8 +64,6 @@ INSTANCE_ADMITTED = "instance_admitted"
 INSTANCE_ATTACHED = "instance_attached"
 INSTANCE_REJECTED = "instance_rejected"
 INSTANCE_DECIDED = "instance_decided"
-INSTANCE_WATCHDOGGED = "instance_watchdogged"
-WATCHDOG_CANCELLATION = "watchdog_cancellation"
 SERVICE_STARTED = "service_started"
 SERVICE_STOPPED = "service_stopped"
 SPAN_CLOSED = "span_closed"

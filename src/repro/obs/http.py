@@ -7,12 +7,11 @@ no frameworks, no threads — good enough for a Prometheus scraper, a
 * ``GET /metrics`` — the Prometheus text exposition of a freshly built
   :class:`~repro.obs.prom.Registry` (the ``source`` callable snapshots
   live state per scrape);
-* ``GET /healthz`` — JSON liveness: ``{"status": "ok", ...}`` by
-  default, merged with the optional ``health`` callable's payload.  The
-  callable may *override* ``status`` — ``repro serve``/``repro load``
-  report ``"degraded"`` (still HTTP 200; liveness and service health are
-  different questions) once any instance has been watchdog-cancelled
-  this run;
+* ``GET /healthz`` — JSON liveness: ``{"status": "ok", ...}``, merged
+  with the optional ``health`` callable's payload (``repro serve``/
+  ``repro load`` add their gateway's progress and queue state).  Always
+  HTTP 200: an instance that rode out its deadlines has a verdict like
+  any other, and the tier verdicts live in ``/metrics``;
 * ``GET /events`` — the event bus's recent ring buffer as JSON
   (``?n=50`` bounds the tail);
 * anything else — 404.
@@ -62,10 +61,8 @@ class ObsServer:
         """The endpoint ``repro serve`` and ``repro load`` put on a service.
 
         ``/metrics`` snapshots the service's aggregate recorder, gateway
-        state, *bus* and *tracer* per scrape; ``/healthz`` turns
-        ``"degraded"`` once any instance was watchdog-cancelled — still
-        HTTP 200 (the process is alive and scrapable), but probes see
-        the distinction.
+        state, *bus* and *tracer* per scrape; ``/healthz`` adds the
+        gateway's progress and queue state to ``"status": "ok"``.
         """
         aggregate = service.aggregate_metrics
         return cls(
@@ -73,13 +70,9 @@ class ObsServer:
                 aggregate, service=service, bus=bus, tracer=tracer
             ),
             health=lambda: {
-                "status": (
-                    "degraded" if aggregate.watchdog_cancellations else "ok"
-                ),
                 "instances_done": len(service.outcomes),
                 "inflight": service.inflight,
                 "queue_depth": service.queue_depth,
-                "watchdogged": aggregate.watchdog_cancellations,
             },
             bus=bus,
             port=port,
@@ -186,11 +179,9 @@ class ObsServer:
                 self.source().render(),
             )
         if path == "/healthz":
-            # The health callable's payload is merged over the default,
-            # so it may downgrade status to "degraded".  Always HTTP 200:
-            # the process is alive and scrapable either way — degradation
-            # is reported in the body, not as an error a probe would
-            # misread as "restart me".
+            # The health callable's payload is merged over the default.
+            # Always HTTP 200: the process is alive and scrapable, and a
+            # probe must not misread anything in the body as "restart me".
             payload: Dict[str, object] = {"status": "ok"}
             if self.health is not None:
                 payload.update(self.health())

@@ -478,11 +478,6 @@ def metrics_registry(
         "repro_stray_frames_total",
         "Frames routed to a retired or unknown instance.",
     ).set(metrics.stray_frames)
-    registry.counter(
-        "repro_watchdog_cancellations_total",
-        "Instances cancelled past their round-deadline envelope "
-        "(forced all-V_d verdicts).",
-    ).set(metrics.watchdog_cancellations)
 
     latency = registry.histogram(
         "repro_delivery_latency_seconds",
@@ -526,7 +521,6 @@ def metrics_registry(
             "Finished instances by outcome.",
             ("outcome",),
         )
-        decided = watchdogged = 0
         tiers: Dict[str, int] = {}
         satisfied = violated = 0
         inst_latency = registry.histogram(
@@ -535,18 +529,13 @@ def metrics_registry(
             DURATION_BUCKETS,
         )
         for outcome in service.outcomes.values():
-            if outcome.watchdogged:
-                watchdogged += 1
-            else:
-                decided += 1
             tiers[outcome.tier] = tiers.get(outcome.tier, 0) + 1
             if outcome.ok:
                 satisfied += 1
             else:
                 violated += 1
             inst_latency.observe(outcome.latency)
-        outcomes.set(decided, outcome="decided")
-        outcomes.set(watchdogged, outcome="watchdogged")
+        outcomes.set(len(service.outcomes), outcome="decided")
         tier_counter = registry.counter(
             "repro_tier_verdicts_total",
             "Per-instance D.1-D.4 guarantee-tier verdicts "

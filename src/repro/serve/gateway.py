@@ -18,16 +18,12 @@ at most ``max_inflight`` instances run concurrently, at most
 derived from observed instance latencies — backpressure a load generator
 can act on, not silent unboundedness.
 
-Robustness: a per-instance *watchdog* bounds how long any instance may
-hold a worker slot.  An instance that exceeds its round-deadline envelope
-(``instance_envelope``, default ``(rounds + 2) * round_timeout``) is
-cancelled, its slot freed, and its client handed a degraded verdict —
-every receiver decided ``V_d``, ``satisfied=False`` with a watchdog
-violation note — instead of hanging the admission queue behind it.
-Watchdogged instances contribute neither trace nor per-instance counters
-to the service record: a half-run trace would fail conformance demux, and
-a cancellation-timing-dependent counter fold would break the aggregate
-fingerprint's determinism.  :meth:`AgreementService.restart_node`
+Robustness: nothing here bounds an instance; its runner's round deadline
+does.  One timer per round bounds the sends as well as the collects, so
+even a transport whose send never returns costs an instance exactly its
+rounds' deadlines, and the verdict is the protocol's own decisions judged
+by :func:`~repro.core.conditions.classify`.  The worker slot is freed
+when the run ends, like any other.  :meth:`AgreementService.restart_node`
 crash-restarts one node's endpoint mid-campaign (the mux re-attaches its
 pump; see :meth:`~repro.serve.mux.InstanceMux.restart_node`).
 
@@ -64,7 +60,7 @@ from repro.core.byz import AgreementResult
 from repro.core.conditions import OutcomeReport, classify
 from repro.core.protocol import ProtocolSession
 from repro.core.spec import DegradableSpec
-from repro.core.values import DEFAULT, Value
+from repro.core.values import Value
 from repro.exceptions import AdmissionError, ConfigurationError
 from repro.net.metrics import NetMetrics
 from repro.net.runner import AsyncRoundRunner
@@ -103,10 +99,8 @@ class InstanceOutcome:
     #: Submit-to-decision wall time (monotonic seconds).
     latency: float
     trace: Optional[EventTrace] = None
-    #: True when the gateway watchdog cancelled this instance for
-    #: exceeding its round-deadline envelope.  Watchdogged outcomes carry
-    #: a synthesized all-``V_d`` result and are excluded from the service
-    #: record (no trace, no counter fold).
+    #: Always False: the gateway has no watchdog (the round deadline
+    #: bounds every instance).  Kept because ``perf/loadgen.py`` reads it.
     watchdogged: bool = False
 
     @property
@@ -144,7 +138,6 @@ class AgreementService:
         round_timeout: float = 5.0,
         batching: bool = True,
         record_trace: bool = True,
-        instance_envelope: Optional[float] = None,
         supervise: bool = False,
         supervision_rng: Optional[random.Random] = None,
         events: Optional["EventBus"] = None,
@@ -161,10 +154,6 @@ class AgreementService:
         if round_timeout <= 0:
             raise ConfigurationError(
                 f"round_timeout must be > 0, got {round_timeout}"
-            )
-        if instance_envelope is not None and instance_envelope <= 0:
-            raise ConfigurationError(
-                f"instance_envelope must be > 0, got {instance_envelope}"
             )
         if len(set(nodes)) != spec.n_nodes:
             raise ConfigurationError(
@@ -190,7 +179,7 @@ class AgreementService:
         self.tracer = tracer
         self.mux = InstanceMux(base, self.nodes, tracer=tracer)
         #: Observability bus (optional): lifecycle events — admission,
-        #: verdicts, watchdog firings, link outages — are published here.
+        #: verdicts, link outages — are published here.
         #: Publication draws zero RNG and never touches the determinism
         #: fingerprint; same-seed runs are identical with it on or off.
         self.events = events
@@ -199,15 +188,6 @@ class AgreementService:
         self.max_inflight = max_inflight
         self.queue_limit = queue_limit
         self.round_timeout = round_timeout
-        #: Watchdog budget per instance: a full protocol run is
-        #: ``rounds + 1`` deadline windows (final round is ingest-only),
-        #: so ``rounds + 2`` windows of wall time means the runner is
-        #: wedged, not slow.
-        self.instance_envelope = (
-            instance_envelope
-            if instance_envelope is not None
-            else (spec.rounds + 2) * round_timeout
-        )
         self.batching = batching
         self.record_trace = record_trace
 
@@ -389,7 +369,7 @@ class AgreementService:
         """Backpressure hint: roughly one queue-drain's worth of seconds."""
         if self._latencies:
             # Same [0.01s, 1s] clamp as the cold path below: a run of slow
-            # instances (watchdog-envelope latencies, say) must not tell
+            # instances (ones riding out round deadlines, say) must not tell
             # rejected clients to go away for tens of seconds — the hint
             # paces retries, it does not forecast instance runtime.
             mean = sum(self._latencies) / len(self._latencies)
@@ -485,29 +465,7 @@ class AgreementService:
             events=self.events,
             tracer=self.tracer,
         )
-        watchdogged = False
-        try:
-            result = await asyncio.wait_for(
-                runner.run(), timeout=self.instance_envelope
-            )
-        except asyncio.TimeoutError:
-            # Watchdog fired: the runner blew through every per-round
-            # deadline it was budgeted and is presumed wedged.  wait_for
-            # has already cancelled it (running its ``finally`` and
-            # closing the channel); release again defensively — it is
-            # idempotent — then synthesize the verdict the paper's model
-            # assigns a run nobody heard from: every receiver at ``V_d``.
-            watchdogged = True
-            await channel.close()
-            result = AgreementResult(
-                decisions={
-                    node: DEFAULT
-                    for node in self.nodes
-                    if node != job.sender
-                },
-                sender=job.sender,
-                sender_value=job.sender_value,
-            )
+        result = await runner.run()
         latency = loop.time() - job.submitted_at
         declared = frozenset(job.behaviors or ())
         afflicted = declared
@@ -517,15 +475,6 @@ class AgreementService:
             )
         tier = self.spec.guarantee_for(len(afflicted))
         report = classify(result, afflicted, self.spec)
-        if watchdogged:
-            # A cancellation is never a satisfied contract, whatever shape
-            # the synthesized all-V_d decisions happen to classify as.
-            report.satisfied = False
-            report.violations.append(
-                f"watchdog: instance exceeded its "
-                f"{self.instance_envelope:.3g}s envelope and was cancelled"
-            )
-            self.aggregate_metrics.record_watchdog_cancellation()
         outcome = InstanceOutcome(
             instance_id=job.instance_id,
             sender=job.sender,
@@ -536,36 +485,23 @@ class AgreementService:
             tier=tier,
             report=report,
             latency=latency,
-            trace=None if watchdogged else runner.trace,
-            watchdogged=watchdogged,
+            trace=runner.trace,
         )
         if self.tracer is not None:
             span = self.tracer.scope_span(job.instance_id)
             if span is not None:
-                self.tracer.end(
-                    span,
-                    tier=tier,
-                    ok=report.satisfied,
-                    watchdogged=watchdogged,
-                )
+                self.tracer.end(span, tier=tier, ok=report.satisfied)
         self._latencies.append(latency)
         self.outcomes[job.instance_id] = outcome
         self.aggregate_metrics.publish(
-            "instance_watchdogged" if watchdogged else "instance_decided",
+            "instance_decided",
             instance=str(job.instance_id),
             tier=tier,
             ok=report.satisfied,
             afflicted=len(afflicted),
             latency=latency,
         )
-        if not watchdogged:
-            # A cancelled instance's half-run counters and trace stay out
-            # of the service record: the counter fold would depend on
-            # cancellation timing (breaking the aggregate fingerprint)
-            # and a truncated trace would fail conformance demux.
-            self.aggregate_metrics.record_instance(
-                job.instance_id, runner.metrics
-            )
+        self.aggregate_metrics.record_instance(job.instance_id, runner.metrics)
         return outcome
 
 
@@ -588,17 +524,7 @@ def record_service_run(service: AgreementService) -> "RunRecord":
         raise ConfigurationError(
             "service has no finished instances; nothing to record"
         )
-    # Watchdog-cancelled instances have no trace in the merged stream, so
-    # listing them in the header's meta would make demux look for records
-    # that cannot exist.  Their verdicts live in ``service.outcomes``.
-    outcomes = [
-        o for o in service.outcomes.values() if not o.watchdogged
-    ]
-    if not outcomes:
-        raise ConfigurationError(
-            "every service instance was watchdog-cancelled; "
-            "no conformant trace to record"
-        )
+    outcomes = list(service.outcomes.values())
     instances_meta = [
         {
             "id": outcome.instance_id,

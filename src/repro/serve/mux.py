@@ -295,11 +295,6 @@ class InstanceChannel(Transport):
             frame = replace(frame, instance=self.instance_id)
         return await self.mux.transport.send(frame)
 
-    async def send_corrupted(self, frame: Frame, rng) -> int:
-        if frame.instance != self.instance_id:
-            frame = replace(frame, instance=self.instance_id)
-        return await self.mux.transport.send_corrupted(frame, rng)
-
     async def recv(self, node: NodeId) -> Frame:
         return await self.mux.queue_for(self.instance_id, node).get()
 

@@ -266,9 +266,11 @@ class Tracer:
         """Force-close any spans still open; returns how many were.
 
         An export-time tidy for the CLI — never called on the protocol
-        path.  A watchdog-cancelled runner leaves its round/collect spans
-        open; closing them here (marked ``abandoned=True``) keeps every
-        ``parent_id`` resolvable in the exported trace.
+        path.  A run cancelled from outside (a caller giving up on
+        ``run()``, a service stopped mid-instance) leaves its
+        round/collect spans open; closing them here (marked
+        ``abandoned=True``) keeps every ``parent_id`` resolvable in the
+        exported trace.
         """
         closed = 0
         for span in self.spans:

@@ -8,8 +8,10 @@
 * MARK frames are metered in ``bytes_sent`` like every other frame, so
   batched and unbatched byte totals reconcile with ``batch_bytes_saved``;
 * a frame costs the event loop no task and no timer, sent or received:
-  a task and one deadline timer per node-round, and no timer left
-  scheduled however the run ends;
+  one task per node-round (its collect) and one deadline timer per round,
+  which bounds the sends as well as the collects — in a plain run and in
+  a served instance alike, since nothing above the runner arms a timer —
+  and no timer left scheduled however the run ends;
 * a round's frames leave in link order (``engine.order`` source-major,
   destination-minor), one after another, from one call site, on every
   transport stack.
@@ -32,6 +34,7 @@ from repro.net.runner import AsyncRoundRunner, run_agreement_async
 from repro.net.supervision import BackoffPolicy
 from repro.net.tcp import TcpTransport
 from repro.net.transport import LocalBus, TransportLayer
+from repro.serve import AgreementService
 from repro.sim.messages import Message, RelayPayload
 from repro.sim.trace import EventKind
 from repro.trace import Tracer
@@ -250,10 +253,36 @@ class _LossyBus(LocalBus):
         return 0 if self.lost(frame) else await super().send(frame)
 
 
+async def _counting(scenario):
+    """Await *scenario* with the running loop counting; return the
+    coroutine names of the tasks created meanwhile, how many timers were
+    armed, and the timer handles still scheduled (and not cancelled)
+    when it finished."""
+    loop = asyncio.get_running_loop()
+    created, armed = [], []
+    call_at = loop.call_at
+
+    def counting_call_at(*args, **kwargs):
+        armed.append(args[0])
+        return call_at(*args, **kwargs)
+
+    def factory(loop, coro, **kwargs):
+        created.append(coro.__qualname__)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    loop.call_at = counting_call_at
+    loop.set_task_factory(factory)
+    try:
+        await scenario
+    finally:
+        del loop.call_at
+        loop.set_task_factory(None)
+    return created, len(armed), [h for h in loop._scheduled if not h.cancelled()]
+
+
 def _run_counting(spec, transport, scenario=lambda runner: runner.run()):
-    """Run ``scenario(runner)`` on a fresh loop; return the runner, the
-    coroutine names of the tasks created meanwhile, and the timer handles
-    still scheduled (and not cancelled) when it finished."""
+    """Run ``scenario(runner)`` on a fresh loop under :func:`_counting`;
+    return the runner and what was counted."""
     nodes = node_names(spec.n_nodes)
     runner = AsyncRoundRunner(
         ProtocolSession.byz(spec, nodes, nodes[0], "attack"),
@@ -262,42 +291,61 @@ def _run_counting(spec, transport, scenario=lambda runner: runner.run()):
     )
 
     async def main():
-        loop = asyncio.get_running_loop()
-        created = []
-
-        def factory(loop, coro, **kwargs):
-            created.append(coro.__qualname__)
-            return asyncio.Task(coro, loop=loop, **kwargs)
-
-        loop.set_task_factory(factory)
-        await scenario(runner)
-        # Snapshot here: asyncio.run() adds shutdown tasks of its own.
-        return list(created), [h for h in loop._scheduled if not h.cancelled()]
+        # Counted here: asyncio.run() adds shutdown tasks of its own.
+        return await _counting(scenario(runner))
 
     return (runner, *asyncio.run(main()))
 
 
 @pytest.mark.parametrize(
-    "spec,sends,collects", [(SPECS[0], 16, 15), (SPECS[1], 66, 28)], ids=str
+    "spec,sends,collects,rounds",
+    [(SPECS[0], 16, 15, 3), (SPECS[1], 66, 28, 4)],
+    ids=str,
 )
 def test_a_received_frame_costs_no_task_and_a_round_leaves_no_timer(
-    spec, sends, collects
+    spec, sends, collects, rounds
 ):
-    """One task per node-round (its collect, which owns the round's one
-    deadline timer) — none per frame sent, none per frame received; the
-    gathered fan-out used to add one per frame sent (31 and 94 tasks),
-    ``wait_for`` around every ``recv`` one more each (47 and 160)."""
-    runner, created, timers = _run_counting(spec, LocalBus())
+    """One task per node-round (its collect) and one deadline timer per
+    round — none per frame sent, none per frame received; the gathered
+    fan-out used to add one task per frame sent (31 and 94 tasks),
+    ``wait_for`` around every ``recv`` one more each (47 and 160), and a
+    timer per node-round (8 and 18 timers)."""
+    runner, created, armed, timers = _run_counting(spec, LocalBus())
     assert runner.metrics.total_frames == sends
     assert created.count("AsyncRoundRunner._send") == 0
     assert created.count("AsyncRoundRunner._collect") == collects
     assert len(created) == collects == {5: 15, 7: 28}[spec.n_nodes]
+    assert armed == rounds == runner.metrics.total_rounds
+    assert timers == []
+
+
+@pytest.mark.parametrize(
+    "spec,collects,rounds", [(SPECS[0], 15, 3), (SPECS[1], 28, 4)], ids=str
+)
+def test_a_served_instance_costs_its_collects_and_one_timer_per_round(
+    spec, collects, rounds
+):
+    """The gateway awaits the runner directly: a served instance creates
+    the tasks and timers a plain run does and nothing more (a ``wait_for``
+    watchdog added one task and one timer: 16/29 tasks, 9/19 timers)."""
+    nodes = node_names(spec.n_nodes)
+
+    async def main():
+        async with AgreementService(spec, nodes, round_timeout=5.0) as service:
+            counted = await _counting(service.submit_and_wait(nodes[0], "attack"))
+            (outcome,) = service.outcomes.values()
+            return (outcome, *counted)
+
+    outcome, created, armed, timers = asyncio.run(main())
+    assert outcome.ok and outcome.metrics.total_timeouts == 0
+    assert created == ["AsyncRoundRunner._collect"] * collects
+    assert armed == rounds == outcome.metrics.total_rounds
     assert timers == []
 
 
 def test_a_timed_out_round_leaves_no_timer():
     bus = _LossyBus(lambda frame: (frame.source, frame.destination) == ("S", "p1"))
-    runner, _, timers = _run_counting(SPECS[0], bus)
+    runner, _, _, timers = _run_counting(SPECS[0], bus)
     assert runner.metrics.total_timeouts == 1  # p1 rode out the deadline
     assert timers == []
 
@@ -311,7 +359,7 @@ def test_a_cancelled_run_leaves_no_timer():
             await task
 
     # Nothing arrives, so every collect is waiting on its deadline.
-    _, created, timers = _run_counting(SPECS[0], _LossyBus(), cancel_mid_collect)
+    _, created, _, timers = _run_counting(SPECS[0], _LossyBus(), cancel_mid_collect)
     assert created.count("AsyncRoundRunner._collect") == 5
     assert timers == []
 

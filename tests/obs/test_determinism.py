@@ -128,7 +128,6 @@ class TestFingerprintIsAllInts:
         metrics.record_reconnect("S", "p1")
         metrics.record_dedup("S", "p1")
         metrics.record_outage("S", "p1", 1.5)
-        metrics.record_watchdog_cancellation()
         metrics.record_endpoint_restart()
         inner = NetMetrics()
         inner.record_batch(1, 3, 300, 90)

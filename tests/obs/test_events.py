@@ -151,13 +151,11 @@ class TestRecorderWiring:
         metrics.attach_bus(bus)
         metrics.record_stray_frame()
         metrics.record_reconnect("S", "p1")
-        metrics.record_watchdog_cancellation()
         metrics.record_endpoint_restart()
         kinds = [e.kind for e in bus.recent()]
         assert kinds == [
             "stray_frame",
             "link_reconnect",
-            "watchdog_cancellation",
             "endpoint_restart",
         ]
 

@@ -52,7 +52,7 @@ class TestRoutes:
         assert payload["instances_done"] == 7
 
     def test_healthz_reports_degraded_but_stays_200(self):
-        # A watchdogged instance degrades the *status* without failing
+        # A health callable may override the *status* without failing
         # the probe: orchestrators keep routing, dashboards go amber.
         async def scenario():
             async with make_server(

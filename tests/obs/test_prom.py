@@ -57,7 +57,6 @@ def build_golden_recorder():
     metrics.record_link_reset()
 
     metrics.record_stray_frame()
-    metrics.record_watchdog_cancellation()
     metrics.record_instance("i0", NetMetrics())
     return metrics, bus
 
@@ -173,7 +172,6 @@ class TestCatalogGolden:
         assert samples["repro_link_reconnects_total"] == 1
         assert samples["repro_link_outage_seconds_total"] == 0.5
         assert samples["repro_instances_folded_total"] == 1
-        assert samples["repro_watchdog_cancellations_total"] == 1
         assert samples["repro_delivery_latency_seconds_count"] == 2
         assert samples["repro_round_duration_seconds_count"] == 2
 
@@ -201,9 +199,5 @@ class TestCatalogGolden:
             ("repro_link_reconnects_total", "link.S.p1.reconnects"),
             ("repro_endpoint_restarts_total", "endpoint_restarts"),
             ("repro_stray_frames_total", "stray_frames"),
-            (
-                "repro_watchdog_cancellations_total",
-                "watchdog_cancellations",
-            ),
         ):
             assert samples[prom_name] == counters[counter_key], prom_name

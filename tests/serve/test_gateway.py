@@ -172,15 +172,15 @@ class TestAdmissionControl:
     def test_retry_after_warm_path_clamped_like_cold_path(self):
         # Regression: the warm path (latency history present) used to be
         # max(0.01, avg) with no upper bound, so a run of slow instances
-        # (watchdog-envelope latencies, say) told rejected clients to go
-        # away for tens of seconds.  Both branches now share [0.01s, 1s].
+        # (ones riding out round deadlines, say) told rejected clients to
+        # go away for tens of seconds.  Both branches now share [0.01s, 1s].
         async def scenario():
             async with AgreementService(
                 SPEC, NODES, round_timeout=3.0
             ) as service:
                 await service.submit_and_wait("S", "attack")
                 # Poison the history with pathological latencies the way a
-                # watchdog-bound campaign would.
+                # campaign of wedged instances would.
                 service._latencies.extend([30.0] * 8)
                 slow = service.retry_after_hint()
                 service._latencies.clear()

@@ -1,9 +1,11 @@
-"""Shutdown hygiene and recovery: idempotent close, watchdog, restart.
+"""Shutdown hygiene and recovery: idempotent close, round deadlines, restart.
 
 The service must tear down the same way every time — close twice, close
-after a watchdog cancellation, close with a client's future cancelled —
-without leaking tasks or resurrecting retired instance channels, and the
-watchdog/restart machinery must free resources instead of wedging them.
+behind a wedged instance, close with a client's future cancelled —
+without leaking tasks or resurrecting retired instance channels.  Nothing
+above the runner bounds an instance: a transport that never returns or
+never delivers costs it exactly its rounds' deadlines, and restarts must
+free resources instead of wedging them.
 """
 
 import asyncio
@@ -14,9 +16,12 @@ import pytest
 from repro.core.spec import DegradableSpec
 from repro.core.values import DEFAULT
 from repro.exceptions import ConfigurationError, TransportError
+from repro.explore import run_on_virtual_clock
 from repro.net.transport import LocalBus
+from repro.obs.prom import metrics_registry, parse_exposition
 from repro.serve import AgreementService, record_service_run
 from repro.serve.mux import InstanceMux
+from repro.sim.trace import EventKind
 
 SPEC = DegradableSpec(m=1, u=2, n_nodes=5)
 NODES = ("S", "p1", "p2", "p3", "p4")
@@ -33,6 +38,37 @@ class WedgeBus(LocalBus):
         if frame.instance in self.wedge_instances:
             await asyncio.sleep(3600)
         return await super().send(frame)
+
+
+class MuteBus(LocalBus):
+    """LocalBus that silently loses every frame of instance ``mute``."""
+
+    async def send(self, frame):
+        return 0 if frame.instance == "mute" else await super().send(frame)
+
+
+def serve_behind(transport, instance_id, round_timeout):
+    """On the virtual clock: serve *instance_id* then one healthy instance,
+    one slot, over *transport*; return both outcomes, the virtual seconds
+    the first took, and the service."""
+
+    async def scenario():
+        async with AgreementService(
+            SPEC, NODES,
+            transport=transport,
+            round_timeout=round_timeout,
+            max_inflight=1,
+        ) as service:
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            first = await service.submit_and_wait(
+                "S", "v", instance_id=instance_id
+            )
+            waited = loop.time() - started
+            healthy = await service.submit_and_wait("S", "w")
+            return first, waited, healthy, service
+
+    return run_on_virtual_clock(scenario())
 
 
 def leaked_tasks():
@@ -67,19 +103,18 @@ class TestCloseHygiene:
                 SPEC, NODES,
                 transport=WedgeBus(wedge_instances={"wedge"}),
                 round_timeout=0.2,
-                instance_envelope=0.4,
                 max_inflight=2,
             )
             await service.start()
             iid = service.submit("S", "v", instance_id="wedge")
             # The client walks away mid-flight; the worker must not choke
-            # on the cancelled future when the watchdog resolves the job.
+            # on the cancelled future when the round deadlines end the job.
             service._futures[iid].cancel()
             await service.close()
             await service.close()
             return leaked_tasks()
 
-        assert asyncio.run(scenario()) == []
+        assert run_on_virtual_clock(scenario()) == []
 
     def test_mux_never_delivers_to_a_retired_channel(self):
         """GC under cancellation: once a channel is released, frames for
@@ -129,108 +164,63 @@ class TestCloseHygiene:
 
 
 class TestWatchdog:
-    def test_wedged_instance_is_cancelled_with_degraded_verdict(self):
-        async def scenario():
-            async with AgreementService(
-                SPEC, NODES,
-                transport=WedgeBus(wedge_instances={"wedge"}),
-                round_timeout=0.2,
-                instance_envelope=0.5,
-                max_inflight=1,
-            ) as service:
-                wedged = await service.submit_and_wait(
-                    "S", "v", instance_id="wedge"
-                )
-                # The slot was freed: a follow-up instance runs to a real
-                # decision behind the cancelled one.
-                healthy = await service.submit_and_wait("S", "w")
-                return wedged, healthy, service
+    """There is no watchdog: a served instance is bounded by its rounds'
+    deadlines alone, and its verdict is ``classify`` of its own decisions.
+    (1,2,5) runs three rounds; the third only ingests, so an instance that
+    hears nothing waits out two deadlines."""
 
-        wedged, healthy, service = asyncio.run(scenario())
-        assert wedged.watchdogged and not wedged.ok
-        assert set(wedged.decisions.values()) == {DEFAULT}
-        assert any("watchdog" in v for v in wedged.report.violations)
-        assert not healthy.watchdogged and healthy.ok
-        assert service.aggregate_metrics.watchdog_cancellations == 1
-
-    def test_instance_cancelled_while_collecting_gets_the_same_verdict(self):
-        """The watchdog's cancellation lands in ``_collect``'s bare
-        ``recv`` (the round deadline is far past the envelope): it must
-        come out of ``run()`` as a cancellation, not be taken for the
-        round deadline expiring."""
-        from repro.explore import run_on_virtual_clock
-
-        class MuteBus(LocalBus):
-            async def send(self, frame):
-                return 0 if frame.instance == "mute" else await super().send(frame)
-
-        async def scenario():
-            async with AgreementService(
-                SPEC, NODES,
-                transport=MuteBus(),
-                round_timeout=60.0,
-                instance_envelope=0.5,
-                max_inflight=1,
-            ) as service:
-                started = asyncio.get_running_loop().time()
-                mute = await service.submit_and_wait(
-                    "S", "v", instance_id="mute"
-                )
-                waited = asyncio.get_running_loop().time() - started
-                healthy = await service.submit_and_wait("S", "w")
-                return mute, waited, healthy, service
-
-        mute, waited, healthy, service = run_on_virtual_clock(scenario())
-        assert waited == 0.5  # the envelope, not the 60 s round deadline
-        assert mute.watchdogged and not mute.ok
-        assert set(mute.decisions.values()) == {DEFAULT}
-        assert not healthy.watchdogged and healthy.ok
-        assert service.aggregate_metrics.watchdog_cancellations == 1
-        assert service.aggregate_metrics.total_timeouts == 0
-
-    def test_watchdogged_instances_stay_out_of_the_service_record(self):
-        async def scenario():
-            async with AgreementService(
-                SPEC, NODES,
-                transport=WedgeBus(wedge_instances={"wedge"}),
-                round_timeout=0.2,
-                instance_envelope=0.5,
-            ) as service:
-                await service.submit_and_wait("S", "v", instance_id="wedge")
-                await service.submit_and_wait("S", "w", instance_id="fine")
-                return record_service_run(service)
-
-        record = asyncio.run(scenario())
-        listed = [entry["id"] for entry in record.meta["instances"]]
-        assert listed == ["fine"]
-
-    def test_all_watchdogged_record_refused(self):
-        async def scenario():
-            async with AgreementService(
-                SPEC, NODES,
-                transport=WedgeBus(wedge_instances={"wedge"}),
-                round_timeout=0.2,
-                instance_envelope=0.5,
-            ) as service:
-                await service.submit_and_wait("S", "v", instance_id="wedge")
-                with pytest.raises(ConfigurationError):
-                    record_service_run(service)
-
-        asyncio.run(scenario())
-
-    def test_default_envelope_budgets_the_full_run(self):
-        service = AgreementService(SPEC, NODES, round_timeout=0.5)
-        assert service.instance_envelope == pytest.approx(
-            (SPEC.rounds + 2) * 0.5
+    def test_a_wedged_instance_decides_at_exactly_its_rounds_deadlines(self):
+        # Every send of "wedge" hangs: the round deadline cuts each round's
+        # send phase off, and every frame the rounds built is a send failure.
+        wedged, waited, healthy, service = serve_behind(
+            WedgeBus(wedge_instances={"wedge"}), "wedge", 1.0
         )
+        assert waited == 2.0
+        assert wedged.metrics.round_durations() == [1.0, 1.0, 0.0]
+        built = len(wedged.trace.of_kind(EventKind.COALESCED))
+        assert wedged.metrics.total_send_failures == built == 16
+        assert wedged.metrics.total_frames == 0
+        assert wedged.trace.of_kind(EventKind.FRAME_SENT) == []
+        assert set(wedged.decisions.values()) == {DEFAULT}
+        assert not wedged.watchdogged and not wedged.ok
+        assert wedged.report.violations == [
+            "D.1 violated with f=0 <= m=1: fault-free receivers did not "
+            "all adopt the sender's value"
+        ]
+        # The slot was freed: the next instance decides behind it.
+        assert healthy.ok and set(healthy.decisions.values()) == {"w"}
+        # Both are folded and both are on the record.
+        record = record_service_run(service)
+        listed = [entry["id"] for entry in record.meta["instances"]]
+        assert listed == ["wedge", healthy.instance_id]
+        samples = parse_exposition(
+            metrics_registry(service.aggregate_metrics, service=service).render()
+        )
+        assert (
+            samples['repro_instances_total{outcome="decided"}']
+            == samples["repro_instances_folded_total"]
+            == len(service.outcomes)
+            == 2
+        )
+
+    def test_a_mute_instance_ends_at_its_own_deadlines(self):
+        # Every frame of "mute" is lost in silence: each round waits out
+        # its own 60 s deadline and files every expected peer as a timeout.
+        mute, waited, healthy, service = serve_behind(MuteBus(), "mute", 60.0)
+        assert waited == 120.0
+        assert mute.metrics.round_durations() == [60.0, 60.0, 0.0]
+        assert mute.metrics.total_timeouts == 16
+        assert mute.metrics.total_send_failures == 0
+        assert set(mute.decisions.values()) == {DEFAULT}
+        assert not mute.watchdogged and not mute.ok
+        assert healthy.ok and healthy.metrics.total_timeouts == 0
+        assert service.aggregate_metrics.total_timeouts == 16
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             AgreementService(SPEC, NODES, round_timeout=0.0)
         with pytest.raises(ConfigurationError):
             AgreementService(SPEC, NODES, round_timeout=-1.0)
-        with pytest.raises(ConfigurationError):
-            AgreementService(SPEC, NODES, instance_envelope=0.0)
 
     def test_cold_start_retry_hint_is_clamped(self):
         # Regression: with no latency history the hint used to parrot
