@@ -81,6 +81,37 @@ if grep -n "wait_for(" src/repro/serve/gateway.py; then
     exit 1
 fi
 
+echo "== one restart path (a restarted endpoint keeps its inbox; the mux only routes) =="
+# The mux's retired-id set, lazy attach and its event, the tracer's bus
+# mirror, the backoff policy object and the supervisor RNG knob are gone.
+if grep -rnE "_retired|instance_attached|span_closed|BackoffPolicy|supervision_rng" src/; then
+    echo "a deleted restart/mux/observer name is back under src/: the mux only routes, and nothing configures the backoff" >&2
+    exit 1
+fi
+# restart_endpoint empties a node's inbox in place: a replaced queue
+# leaves the mux's pump parked on the old one, and the node is deaf.
+python - <<'PY'
+import ast
+import sys
+
+for path in ("src/repro/net/transport.py", "src/repro/net/tcp.py"):
+    for fn in ast.walk(ast.parse(open(path).read())):
+        if not (isinstance(fn, ast.AsyncFunctionDef) and fn.name == "restart_endpoint"):
+            continue
+        for node in ast.walk(fn):
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            for target in targets:
+                if (
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Attribute)
+                    and target.value.attr == "_inboxes"
+                ):
+                    sys.exit(
+                        f"{path}:{node.lineno}: restart_endpoint rebinds "
+                        "self._inboxes[...]: empty the inbox in place"
+                    )
+PY
+
 echo "== two runtimes, one round (the runner calls the engine's emit; one interception contract) =="
 # net/adapters.py is gone: FaultInjector is the only interception base
 # class and CrashInjector (sim/faults.py) is the wire-level crash.

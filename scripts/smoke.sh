@@ -30,6 +30,12 @@ python -m pytest -q tests/net/test_wire_cost.py
 echo "== one deadline per round (it bounds sends and collects; nothing above the runner) =="
 python -m pytest -q tests/net/test_collect_deadline.py tests/serve/test_shutdown.py
 
+echo "== one restart path (a restarted node keeps serving; mux state stays flat) =="
+python -m pytest -q \
+    "tests/serve/test_shutdown.py::TestRestartNode::test_a_chaos_restart_leaves_the_node_serving" \
+    "tests/serve/test_shutdown.py::TestRestartNode::test_a_tcp_endpoint_restart_leaves_the_node_serving" \
+    "tests/serve/test_mux.py::TestFlatState::test_mux_state_is_the_same_size_after_256_and_512_instances"
+
 echo "== supervision and the exported metric catalog (re-dial, dedup window, golden exposition) =="
 python -m pytest -q tests/net/test_supervision.py tests/net/test_dedup_differential.py tests/obs/test_prom.py
 

@@ -233,7 +233,7 @@ def run_schedule(
     )
 
     async def _run() -> NetRunOutcome:
-        stack, _ = build_stack(transport, None, None, config.supervise, None)
+        stack, _ = build_stack(transport, None, None, config.supervise)
         session = ProtocolSession.byz(
             spec, nodes, SENDER, config.sender_value
         )

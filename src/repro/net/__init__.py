@@ -23,9 +23,9 @@ real deadlines:
 * :class:`NetMetrics` — per-round message/byte counts, latency
   percentiles, send failures, timeout substitutions, chaos counters;
 * :class:`SupervisedTransport` — the self-healing layer: per-link
-  reconnect supervision with capped, seeded exponential backoff
-  (:class:`BackoffPolicy`) and idempotent frame-stream resume via
-  per-link sequence numbers — a send that cannot be healed is a metered
+  reconnect supervision with capped, seeded exponential backoff (fixed
+  constants in :mod:`repro.net.supervision`) and idempotent frame-stream
+  resume via per-link sequence numbers — a send that cannot be healed is a metered
   loss, i.e. one more absence the round deadline resolves to ``V_d``;
 * :mod:`repro.net.chaos` — a seeded network-chaos layer
   (:class:`ChaosTransport` around any transport: loss, duplication,
@@ -69,7 +69,7 @@ from repro.net.runner import (
     run_agreement_async,
 )
 from repro.net.stack import build_stack, make_transport
-from repro.net.supervision import BackoffPolicy, SupervisedTransport
+from repro.net.supervision import SupervisedTransport
 from repro.net.tcp import TcpTransport
 from repro.net.transport import LocalBus, Transport, TransportLayer
 
@@ -88,7 +88,6 @@ from repro.net.chaos import (
 __all__ = [
     "AsyncRoundRunner",
     "BATCH",
-    "BackoffPolicy",
     "ChaosLog",
     "ChaosPolicy",
     "ChaosTransport",

@@ -67,12 +67,11 @@ class ChaosTransport(TransportLayer):
         inner: Transport,
         policy: ChaosPolicy,
         rng: Optional[random.Random] = None,
-        log: Optional[ChaosLog] = None,
     ) -> None:
         super().__init__(inner)
         self.policy = policy
         self.rng = rng if rng is not None else random.Random(policy.seed)
-        self.log = log if log is not None else ChaosLog()
+        self.log = ChaosLog()
         self._held: Dict[Link, Frame] = {}
         self._round_seen = 0
 

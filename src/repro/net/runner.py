@@ -146,7 +146,6 @@ class AsyncRoundRunner:
         transport: Optional[Transport] = None,
         injectors: Optional[Sequence[FaultInjector]] = None,
         round_timeout: float = 5.0,
-        metrics: Optional[NetMetrics] = None,
         batching: bool = True,
         record_trace: bool = True,
         instance_id: Optional[Hashable] = None,
@@ -165,9 +164,7 @@ class AsyncRoundRunner:
         #: service traces can be demultiplexed offline.  ``None`` keeps the
         #: legacy single-instance wire format and trace shape.
         self.instance_id = instance_id
-        self.metrics = metrics or NetMetrics(transport=self.transport.name)
-        if not self.metrics.transport:
-            self.metrics.transport = self.transport.name
+        self.metrics = NetMetrics(transport=self.transport.name)
         if events is not None:
             self.metrics.attach_bus(events)
         # Let the transport stack record what only it can see (decode
@@ -618,7 +615,6 @@ async def run_agreement_async(
     batching: bool = True,
     record_trace: bool = True,
     supervise: bool = False,
-    supervision_rng: Optional[random.Random] = None,
     events: Optional["EventBus"] = None,
     tracer: Optional["Tracer"] = None,
 ) -> NetRunOutcome:
@@ -661,7 +657,6 @@ async def run_agreement_async(
         chaos,
         chaos_rng,
         supervise,
-        supervision_rng,
     )
     session = ProtocolSession.byz(spec, nodes, sender, sender_value)
     runner = AsyncRoundRunner(

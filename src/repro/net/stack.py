@@ -33,14 +33,13 @@ def build_stack(
     chaos: Optional["ChaosPolicy"],
     chaos_rng: Optional[random.Random],
     supervise: bool,
-    supervision_rng: Optional[random.Random],
 ) -> Tuple[Transport, Optional["ChaosLog"]]:
     """Wrap *base* in chaos, then supervision; return it with the chaos log.
 
     With *chaos* set every draw comes from *chaos_rng* (default:
     ``random.Random(chaos.seed)``).  Supervision is armed by *supervise*;
-    its jitter RNG defaults to one seeded like the chaos policy (0 without
-    chaos), so one seed replays the whole stack.
+    its jitter RNG is seeded like the chaos policy (0 without chaos), so
+    one seed replays the whole stack.
     """
     chaos_log = None
     if chaos is not None:
@@ -51,9 +50,6 @@ def build_stack(
         base = ChaosTransport(base, chaos, rng=chaos_rng)
         chaos_log = base.log
     if supervise:
-        if supervision_rng is None:
-            supervision_rng = random.Random(
-                chaos.seed if chaos is not None else 0
-            )
-        base = SupervisedTransport(base, rng=supervision_rng)
+        seed = chaos.seed if chaos is not None else 0
+        base = SupervisedTransport(base, rng=random.Random(seed))
     return base, chaos_log

@@ -10,7 +10,7 @@ round deadline (assumption (b)):
 
 * **Reconnect with capped exponential backoff + seeded jitter.**  A send
   that fails with a transport error is retried after
-  :meth:`BackoffPolicy.delay`; the underlying transport re-dials on the
+  :func:`backoff_delay`; the underlying transport re-dials on the
   retry (its pooled connection was evicted by the failure).  A send that
   still fails when the budget is exhausted raises
   :class:`~repro.exceptions.TransportError` like any unsupervised send;
@@ -54,49 +54,21 @@ NodeId = Hashable
 Link = Tuple[NodeId, NodeId]
 
 
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Capped exponential backoff with seeded jitter for link re-dials.
+#: Send attempts per frame before the link counts as unhealed.
+MAX_ATTEMPTS = 4
+#: Backoff before the first retry; each later retry doubles it ...
+BASE_DELAY = 0.01
+#: ... up to this cap.
+MAX_DELAY = 0.25
+#: Each backoff is stretched by up to this fraction, drawn from the
+#: supervisor's RNG (never the global one: a seed replays the schedule).
+JITTER = 0.25
 
-    Attempt *k* (1-based) sleeps ``base_delay * multiplier**(k-1)`` capped
-    at ``max_delay``, stretched by up to ``jitter`` (a fraction) drawn
-    from the supervisor's injected RNG — never the global one, so a seed
-    reproduces the exact retry schedule.
-    """
 
-    max_attempts: int = 4
-    base_delay: float = 0.01
-    multiplier: float = 2.0
-    max_delay: float = 0.25
-    jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_delay < 0 or self.max_delay < self.base_delay:
-            raise ConfigurationError(
-                f"delays must satisfy 0 <= base <= max, got "
-                f"base={self.base_delay}, max={self.max_delay}"
-            )
-        if self.multiplier < 1.0:
-            raise ConfigurationError(
-                f"multiplier must be >= 1, got {self.multiplier}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        """Backoff before retry *attempt* (1-based), jittered from *rng*."""
-        raw = min(
-            self.base_delay * self.multiplier ** (attempt - 1), self.max_delay
-        )
-        if self.jitter <= 0.0 or raw <= 0.0:
-            return raw
-        return raw * (1.0 + self.jitter * rng.random())
+def backoff_delay(attempt: int, rng: random.Random) -> float:
+    """Backoff before retry *attempt* (1-based), jittered from *rng*."""
+    raw = min(BASE_DELAY * 2.0 ** (attempt - 1), MAX_DELAY)
+    return raw * (1.0 + JITTER * rng.random())
 
 
 @dataclass
@@ -117,7 +89,6 @@ class SupervisedTransport(TransportLayer):
     def __init__(
         self,
         inner: Transport,
-        backoff: Optional[BackoffPolicy] = None,
         rng: Optional[random.Random] = None,
         dedup_window: int = 4096,
     ) -> None:
@@ -126,7 +97,6 @@ class SupervisedTransport(TransportLayer):
                 f"dedup_window must be >= 1, got {dedup_window}"
             )
         super().__init__(inner)
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.rng = rng if rng is not None else random.Random(0)
         self.dedup_window = dedup_window
         self._links: Dict[Link, LinkSupervisor] = {}
@@ -154,7 +124,7 @@ class SupervisedTransport(TransportLayer):
         loop = asyncio.get_running_loop()
         outage_started: Optional[float] = None
         heal_span = None
-        for attempt in range(1, self.backoff.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 nbytes = await self.inner.send(frame)
             except TransportError:
@@ -170,17 +140,17 @@ class SupervisedTransport(TransportLayer):
                             destination=frame.destination,
                             seq=seq,
                         )
-                if attempt >= self.backoff.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     break
-                backoff_delay = self.backoff.delay(attempt, self.rng)
+                delay = backoff_delay(attempt, self.rng)
                 if heal_span is not None:
                     self.tracer.event(
                         heal_span,
                         "backoff",
                         attempt=attempt,
-                        delay=backoff_delay,
+                        delay=delay,
                     )
-                await asyncio.sleep(backoff_delay)
+                await asyncio.sleep(delay)
                 continue
             if outage_started is not None and self.metrics is not None:
                 seconds = loop.time() - outage_started

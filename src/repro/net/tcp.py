@@ -42,7 +42,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.exceptions import TransportError
 from repro.net.codec import Frame, FrameDecoder, pack_frame
 from repro.net.metrics import NetMetrics
-from repro.net.transport import Transport
+from repro.net.transport import Transport, drain
 
 NodeId = Hashable
 
@@ -62,7 +62,7 @@ class TcpTransport(Transport):
         self._addresses: Dict[NodeId, Tuple[str, int]] = {}
         self._inboxes: Dict[NodeId, "asyncio.Queue[Frame]"] = {}
         self._writers: Dict[Tuple[NodeId, NodeId], asyncio.StreamWriter] = {}
-        self._retired: List[asyncio.StreamWriter] = []
+        self._closing: List[asyncio.StreamWriter] = []
         self._reader_tasks: List[asyncio.Task] = []
         #: Links that have successfully carried at least one frame; a
         #: re-dial on such a link is a *reconnect* (first dials are not).
@@ -120,9 +120,9 @@ class TcpTransport(Transport):
         return handle
 
     async def close(self) -> None:
-        writers = list(self._writers.values()) + self._retired
+        writers = list(self._writers.values()) + self._closing
         self._writers = {}
-        self._retired = []
+        self._closing = []
         for writer in writers:
             writer.close()
         for writer in writers:
@@ -155,7 +155,7 @@ class TcpTransport(Transport):
     def _retire(self, writer: asyncio.StreamWriter) -> None:
         """Evict a writer from service but keep it for a clean close."""
         writer.close()
-        self._retired.append(writer)
+        self._closing.append(writer)
 
     # ------------------------------------------------------------------
     # Fault surface (chaos / operators)
@@ -179,16 +179,18 @@ class TcpTransport(Transport):
             transport = writer.transport
             if transport is not None:
                 transport.abort()
-            self._retired.append(writer)
+            self._closing.append(writer)
         return len(links)
 
     async def restart_endpoint(self, node: NodeId) -> None:
-        """Crash-restart *node*'s endpoint: new server, new port, empty inbox.
+        """Crash-restart *node*'s endpoint: new server, new port, emptied inbox.
 
         Models a process restart: the listening socket dies (in-flight
         connections with it), queued-but-unconsumed frames are lost, and
         the node comes back on a *fresh* ephemeral port.  Senders resolve
         the address per-send, so their next frame dials the new endpoint.
+        The inbox is emptied in place, so a ``recv`` already waiting on
+        *node* hears the frames that arrive after the restart.
         """
         server = self._servers.pop(node, None)
         if server is None:
@@ -197,7 +199,7 @@ class TcpTransport(Transport):
         await server.wait_closed()
         for link in [l for l in list(self._writers) if node in l]:
             self._retire(self._writers.pop(link))
-        self._inboxes[node] = asyncio.Queue()
+        drain(self._inboxes[node])
         replacement = await asyncio.start_server(
             self._make_handler(node), host=self.host, port=0
         )

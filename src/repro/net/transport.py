@@ -39,6 +39,13 @@ from repro.net.metrics import NetMetrics
 NodeId = Hashable
 
 
+def drain(inbox: "asyncio.Queue[Frame]") -> None:
+    """Lose every frame queued in *inbox*, keeping the queue itself (an
+    endpoint restart: whoever waits on it keeps waiting on the live one)."""
+    while not inbox.empty():
+        inbox.get_nowait()
+
+
 class Transport(ABC):
     """Moves frames between the endpoints of one protocol run."""
 
@@ -131,9 +138,12 @@ class Transport(ABC):
 
         Models a process restart: queued-but-unconsumed inbound frames are
         lost and the endpoint comes back fresh (socket transports also
-        move to a new port).  Transports that cannot express a restart
-        raise :class:`~repro.exceptions.TransportError`; wrappers forward
-        down their stack.
+        move to a new port).  The node keeps its inbox: it is emptied in
+        place, never replaced, so a ``recv`` already waiting on *node*
+        reads every frame delivered after the restart — a restart is a
+        transient omission, not a permanent one.  Transports that cannot
+        express a restart raise :class:`~repro.exceptions.TransportError`;
+        wrappers forward down their stack.
         """
         raise TransportError(
             f"{self.name} transport cannot restart endpoint {node!r}"
@@ -187,9 +197,10 @@ class LocalBus(Transport):
 
     async def restart_endpoint(self, node: NodeId) -> None:
         """Crash-restart: queued-but-undelivered frames for *node* are lost."""
-        if node not in self._inboxes:
+        inbox = self._inboxes.get(node)
+        if inbox is None:
             raise TransportError(f"no endpoint for node {node!r}")
-        self._inboxes[node] = asyncio.Queue()
+        drain(inbox)
 
     async def close(self) -> None:
         self._inboxes = {}

@@ -39,7 +39,6 @@ __all__ = [
     "ObsEvent",
     "ENDPOINT_RESTART",
     "INSTANCE_ADMITTED",
-    "INSTANCE_ATTACHED",
     "INSTANCE_DECIDED",
     "INSTANCE_REJECTED",
     "LINK_OUTAGE",
@@ -48,7 +47,6 @@ __all__ = [
     "ROUND_STARTED",
     "SERVICE_STARTED",
     "SERVICE_STOPPED",
-    "SPAN_CLOSED",
     "STRAY_FRAME",
 ]
 
@@ -61,12 +59,10 @@ LINK_OUTAGE = "link_outage"
 ENDPOINT_RESTART = "endpoint_restart"
 STRAY_FRAME = "stray_frame"
 INSTANCE_ADMITTED = "instance_admitted"
-INSTANCE_ATTACHED = "instance_attached"
 INSTANCE_REJECTED = "instance_rejected"
 INSTANCE_DECIDED = "instance_decided"
 SERVICE_STARTED = "service_started"
 SERVICE_STOPPED = "service_stopped"
-SPAN_CLOSED = "span_closed"
 
 
 @dataclass(frozen=True)

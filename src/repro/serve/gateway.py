@@ -24,8 +24,9 @@ even a transport whose send never returns costs an instance exactly its
 rounds' deadlines, and the verdict is the protocol's own decisions judged
 by :func:`~repro.core.conditions.classify`.  The worker slot is freed
 when the run ends, like any other.  :meth:`AgreementService.restart_node`
-crash-restarts one node's endpoint mid-campaign (the mux re-attaches its
-pump; see :meth:`~repro.serve.mux.InstanceMux.restart_node`).
+crash-restarts one node's endpoint mid-campaign through the transport's
+``restart_endpoint`` — the same path a chaos-scheduled restart takes (see
+:meth:`~repro.serve.mux.InstanceMux.restart_node`).
 
 Every finished instance folds its recorder into the service's aggregate
 recorder (``NetMetrics.record_instance``: the aggregate's totals sum the
@@ -139,7 +140,6 @@ class AgreementService:
         batching: bool = True,
         record_trace: bool = True,
         supervise: bool = False,
-        supervision_rng: Optional[random.Random] = None,
         events: Optional["EventBus"] = None,
         tracer=None,
     ) -> None:
@@ -170,7 +170,6 @@ class AgreementService:
             chaos,
             chaos_rng,
             supervise,
-            supervision_rng,
         )
         #: Optional span tracer: one admission→verdict span per instance,
         #: parenting the per-round spans its runner opens, with the whole
@@ -386,11 +385,10 @@ class AgreementService:
         """Crash-restart one node's endpoint mid-campaign.
 
         Delegates to :meth:`~repro.serve.mux.InstanceMux.restart_node`:
-        the node's pump is cancelled, its transport endpoint rebuilt (any
-        queued frames are lost — recorded absence, not a hang), and a
-        fresh pump re-attached to the same per-instance channels.
-        In-flight instances ride out the node's silence to their round
-        deadlines and substitute ``V_d``.
+        the node's endpoint is restarted with its inbox kept, so any
+        queued frames are lost (recorded absence, not a hang) and the node
+        hears every later frame.  In-flight instances ride out the lost
+        frames to their round deadlines and substitute ``V_d``.
         """
         if node not in self.nodes:
             raise ConfigurationError(
@@ -458,7 +456,6 @@ class AgreementService:
             transport=channel,
             injectors=behavior_injectors(job.behaviors),
             round_timeout=self.round_timeout,
-            metrics=NetMetrics(transport=channel.name),
             batching=self.batching,
             record_trace=self.record_trace,
             instance_id=job.instance_id,

@@ -8,21 +8,25 @@ concurrent agreement instances over it.  Two pieces make that work:
   the full node set and runs one *pump* task per node: an endless
   ``recv`` loop that routes every inbound frame to the per-instance queue
   its ``instance`` field names (the version-2 envelope of
-  :mod:`repro.net.codec`).  Instance queues are created lazily — on the
-  client's submit, or on the first frame to arrive for a not-yet-local
-  instance — and garbage-collected when the instance's runner closes its
-  channel.  Frames for retired or unknown instances are counted as
-  *stray* (:meth:`~repro.net.metrics.NetMetrics.record_stray_frame`), not
-  delivered: a decided instance's duplicate stragglers must not leak into
-  a later instance that happens to reuse a queue slot.
+  :mod:`repro.net.codec`).  An instance's queues are created when the
+  gateway opens its channel — before the instance's first send, since one
+  process hosts every node of an instance — and garbage-collected when the
+  instance's runner closes it.  The mux only routes: a frame for an
+  instance it does not hold (a decided instance's straggler, or an
+  unversioned frame) is counted *stray*
+  (:meth:`~repro.net.metrics.NetMetrics.record_stray_frame`), not
+  delivered.  Instance ids are single-use by the gateway's rule
+  (:meth:`~repro.serve.gateway.AgreementService.submit`), so a straggler
+  can never reach a later instance.
 
 * :class:`InstanceChannel` is the per-instance face of the mux: a full
   :class:`~repro.net.transport.Transport`, so an unmodified
   :class:`~repro.net.runner.AsyncRoundRunner` drives its instance over it.
-  ``send`` stamps the instance id onto every outgoing frame, ``recv``
-  reads the instance's demultiplexed queue, and ``close`` releases the
-  instance (the runner's ``finally: transport.close()`` is the GC hook) —
-  the *shared* transport stays open until the mux itself stops.
+  ``send`` forwards the frames its runner stamped with the instance id,
+  ``recv`` reads the instance's demultiplexed queue, and ``close``
+  releases the instance (the runner's ``finally: transport.close()`` is
+  the GC hook) — the *shared* transport stays open until the mux itself
+  stops.
 
 Layering with chaos: wrap the shared transport in a
 :class:`~repro.net.chaos.transport.ChaosTransport` *below* the mux, so
@@ -35,8 +39,7 @@ instance assert its own D.1–D.4 tier.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import replace
-from typing import Dict, Hashable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.exceptions import TransportError
 from repro.net.codec import Frame
@@ -54,7 +57,6 @@ class InstanceMux:
         self,
         transport: Transport,
         nodes: Sequence[NodeId],
-        metrics: Optional[NetMetrics] = None,
         tracer=None,
     ) -> None:
         self.transport = transport
@@ -62,18 +64,15 @@ class InstanceMux:
         #: Aggregate recorder: transport-level events (decode errors,
         #: chaos, stray frames) land here; each instance's runner keeps its
         #: own per-instance :class:`NetMetrics` on its channel.
-        self.metrics = metrics or NetMetrics(transport=transport.name)
-        if not self.metrics.transport:
-            self.metrics.transport = transport.name
+        self.metrics = NetMetrics(transport=transport.name)
         transport.attach_metrics(self.metrics)
         #: Shared span tracer: attached to the shared stack exactly once
         #: (like the aggregate recorder); per-instance runners carry the
-        #: same tracer, so channel re-attachment must not re-wire it.
+        #: same tracer, so a channel's attach must not re-wire it.
         self.tracer = tracer
         if tracer is not None:
             transport.attach_tracer(tracer)
         self._queues: Dict[InstanceId, Dict[NodeId, "asyncio.Queue[Frame]"]] = {}
-        self._retired: Set[InstanceId] = set()
         self._pumps: List["asyncio.Task"] = []
         self._started = False
 
@@ -104,46 +103,28 @@ class InstanceMux:
     async def restart_node(self, node: NodeId) -> None:
         """Crash-restart one node's endpoint mid-campaign.
 
-        Tears the node's runner side down for real — its pump task is
-        cancelled, its transport endpoint is rebuilt
-        (:meth:`~repro.net.transport.Transport.restart_endpoint`, which
-        drops anything queued for it) — then re-attaches: a fresh pump
-        resumes draining the rebuilt endpoint into the same per-instance
-        channel queues, so in-flight instances keep their channels and
-        simply see the restarted node go absent for the frames it lost
-        (assumption (b): recorded absence, ``V_d``, not a hang).
+        The same path a chaos-scheduled restart takes:
+        :meth:`~repro.net.transport.Transport.restart_endpoint` loses the
+        frames queued for *node* and keeps its inbox, so the node's pump
+        goes on reading it.  In-flight instances see the restarted node
+        go absent for the frames it lost (assumption (b): recorded
+        absence, ``V_d``, not a hang); later instances see nothing.
         """
         if node not in self.nodes:
             raise TransportError(
                 f"no endpoint for node {node!r} (mux nodes: {self.nodes!r})"
             )
-        if not self._started:
-            raise TransportError("mux is not running; nothing to restart")
-        idx = self.nodes.index(node)
-        pump = self._pumps[idx]
-        pump.cancel()
-        await asyncio.gather(pump, return_exceptions=True)
         await self.transport.restart_endpoint(node)
-        self._pumps[idx] = asyncio.ensure_future(self._pump(node))
         self.metrics.record_endpoint_restart()
 
     # ------------------------------------------------------------------
     # Instance registry
     # ------------------------------------------------------------------
     def register(self, instance_id: InstanceId) -> None:
-        """Provision the per-node inbound queues for *instance_id*.
-
-        Idempotent while the instance is live; registering a *retired* id
-        is an error — instance ids name one agreement each, and reviving
-        one would let a GC'd instance's stray frames leak into a new run.
-        """
+        """Provision the per-node inbound queues for *instance_id*
+        (idempotent while the instance is live)."""
         if instance_id is None:
             raise TransportError("instance id must not be None on a mux")
-        if instance_id in self._retired:
-            raise TransportError(
-                f"instance {instance_id!r} already ran and was retired; "
-                f"instance ids are single-use"
-            )
         if instance_id not in self._queues:
             self._queues[instance_id] = {
                 node: asyncio.Queue() for node in self.nodes
@@ -152,7 +133,6 @@ class InstanceMux:
     def release(self, instance_id: InstanceId) -> None:
         """Garbage-collect a finished instance's queues (idempotent)."""
         self._queues.pop(instance_id, None)
-        self._retired.add(instance_id)
 
     def channel(self, instance_id: InstanceId) -> "InstanceChannel":
         """Register *instance_id* and return its Transport-shaped view."""
@@ -186,10 +166,8 @@ class InstanceMux:
 
         The pump is the *sole* consumer of ``transport.recv(node)``;
         per-instance runners read their channel queues instead.  A frame
-        whose instance is unknown here is either (a) the first frame of an
-        instance a peer started before our client submitted it — register
-        and deliver — or (b) a straggler for a retired instance, or an
-        unversioned (v1) frame that cannot name an instance at all — both
+        for an instance this mux does not hold — a decided instance's
+        straggler, or an unversioned (v1) frame that cannot name one — is
         counted stray and dropped.
         """
         while True:
@@ -199,8 +177,8 @@ class InstanceMux:
                 raise
             except TransportError:
                 return  # transport torn down under us; mux is stopping
-            instance_id = frame.instance
-            if instance_id is None or instance_id in self._retired:
+            queues = self._queues.get(frame.instance)
+            if queues is None:
                 self.metrics.record_stray_frame()
                 if self.tracer is not None:
                     self.tracer.instant(
@@ -218,19 +196,12 @@ class InstanceMux:
                     "demux",
                     "mux",
                     parent=frame.trace,
-                    instance=instance_id,
+                    instance=frame.instance,
                     round_no=frame.round_no,
                     source=frame.source,
                     destination=node,
                 )
-            if instance_id not in self._queues:
-                self.register(instance_id)
-                self.metrics.publish(
-                    "instance_attached",
-                    instance=str(instance_id),
-                    node=str(node),
-                )
-            self._queues[instance_id][node].put_nowait(frame)
+            queues[node].put_nowait(frame)
 
 
 class InstanceChannel(Transport):
@@ -238,10 +209,10 @@ class InstanceChannel(Transport):
 
     Hand this to an :class:`~repro.net.runner.AsyncRoundRunner` as its
     transport: ``open`` (re-)registers the instance instead of opening the
-    shared transport again, ``send`` stamps the instance id and forwards,
-    ``recv`` reads the instance's demultiplexed queue, and ``close``
-    releases the instance on the mux — the shared transport itself outlives
-    every channel.
+    shared transport again, ``send`` forwards to the shared transport (the
+    runner stamped its instance id on the frame), ``recv`` reads the
+    instance's demultiplexed queue, and ``close`` releases the instance on
+    the mux — the shared transport itself outlives every channel.
     """
 
     def __init__(self, mux: InstanceMux, instance_id: InstanceId) -> None:
@@ -274,12 +245,8 @@ class InstanceChannel(Transport):
     ) -> None:
         # Round boundaries are per-instance but the timing seam belongs to
         # the shared wire: forward so a round-aware shared transport (the
-        # schedule explorer's) sees every instance's deadlines.  The
-        # runner already stamps its instance id; default it here for
-        # direct-driven channels.
-        self.mux.transport.round_opened(
-            round_no, deadline, self.instance_id if instance is None else instance
-        )
+        # schedule explorer's) sees every instance's deadlines.
+        self.mux.transport.round_opened(round_no, deadline, instance)
 
     async def open(self, nodes: Sequence[NodeId]) -> None:
         unknown = [n for n in nodes if n not in self.mux.nodes]
@@ -291,8 +258,6 @@ class InstanceChannel(Transport):
         self.mux.register(self.instance_id)
 
     async def send(self, frame: Frame) -> int:
-        if frame.instance != self.instance_id:
-            frame = replace(frame, instance=self.instance_id)
         return await self.mux.transport.send(frame)
 
     async def recv(self, node: NodeId) -> Frame:

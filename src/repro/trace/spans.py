@@ -114,10 +114,7 @@ def span_key(
 class Tracer:
     """Collects spans for one run; ids are a pure function of the seed.
 
-    *bus* (optional) receives a ``span_closed`` event per finished span —
-    publication draws zero RNG, like every other
-    :class:`~repro.obs.events.EventBus` publisher.  *clock* (optional)
-    overrides the timestamp source; by default the running event loop's
+    *clock* (optional) overrides the timestamp source; by default the running event loop's
     ``time()`` is used (virtual under the schedule explorer, monotonic
     otherwise), falling back to :func:`time.monotonic` off-loop.
     """
@@ -125,14 +122,12 @@ class Tracer:
     def __init__(
         self,
         seed: int = 0,
-        bus=None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.seed = int(seed)
         self.trace_id = hashlib.sha256(
             f"repro.trace|{self.seed}".encode("utf-8")
         ).hexdigest()[:32]
-        self.bus = bus
         self._clock = clock
         self.spans: List[Span] = []
         self._by_id: Dict[str, Span] = {}
@@ -201,20 +196,11 @@ class Tracer:
         return span
 
     def end(self, span: Span, **attrs: object) -> Span:
-        """Close a span (idempotent) and publish its completion."""
+        """Close a span (idempotent)."""
         if span.end is None:
             span.end = self.now()
         if attrs:
             span.attrs.update(attrs)
-        if self.bus is not None:
-            self.bus.publish(
-                "span_closed",
-                span=span.span_id,
-                name=span.name,
-                category=span.category,
-                instance=span.instance,
-                round=span.round_no,
-            )
         return span
 
     def instant(

@@ -115,9 +115,9 @@ class TestOneSendPath:
         assert outcome.ok
 
         ((args, (stack, chaos_log)),) = built
-        base, chaos, chaos_rng, flag, supervision_rng = args
+        base, chaos, chaos_rng, flag = args
         assert isinstance(base, ExploredTransport)
-        assert (chaos, chaos_rng, supervision_rng) == (None,) * 3
+        assert (chaos, chaos_rng) == (None,) * 2
         assert flag is supervise and chaos_log is None
         if supervise:
             assert isinstance(stack, SupervisedTransport)

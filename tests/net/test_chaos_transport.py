@@ -13,7 +13,6 @@ import pytest
 from repro.core.spec import DegradableSpec
 from repro.exceptions import ConfigurationError
 from repro.net.chaos import (
-    ChaosLog,
     ChaosPolicy,
     ChaosTransport,
     Crash,
@@ -294,21 +293,6 @@ class TestAccountingBridge:
         spec = DegradableSpec(m=1, u=2, n_nodes=5)
         with pytest.raises(ConfigurationError):
             make_policy("apocalypse", spec, NODES, random.Random(0))
-
-    def test_shared_log_can_span_transports(self):
-        log = ChaosLog()
-        chaos = ChaosTransport(
-            LocalBus(), ChaosPolicy(drop_probability=1.0),
-            rng=random.Random(1), log=log,
-        )
-
-        async def scenario():
-            await chaos.open(NODES)
-            await chaos.send(data_frame())
-            await chaos.close()
-
-        asyncio.run(scenario())
-        assert log.counts()["drop"] == 1
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,6 @@
 """Self-healing links: backoff, dedup, and kill-links soaks.
 
-Covers the supervision layer bottom-up: :class:`BackoffPolicy` schedules,
+Covers the supervision layer bottom-up: the backoff schedule,
 receive-side sequence dedup (replay suppression that survives chaos
 reordering), transparent healing of transient send failures under
 a full protocol run, and the acceptance soak — a seeded chaos campaign
@@ -11,17 +11,22 @@ twice, asserting identical decisions and wire fingerprints.
 import asyncio
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.protocol import execute_degradable_protocol
 from repro.core.spec import DegradableSpec
-from repro.exceptions import ConfigurationError
 from repro.explore.clock import run_on_virtual_clock
 from repro.net.codec import DATA, Frame
 from repro.net.metrics import NetMetrics
 from repro.net.runner import run_agreement_async
-from repro.net.supervision import BackoffPolicy, SupervisedTransport
+from repro.net.supervision import (
+    JITTER,
+    MAX_ATTEMPTS,
+    SupervisedTransport,
+    backoff_delay,
+)
 from repro.net.transport import LocalBus
 from repro.sim.messages import Message, RelayPayload
 from tests.net.flaky import FlakyTransport
@@ -44,41 +49,27 @@ def data_frame(source="S", destination="p1", value="engage", round_no=1):
 
 
 class TestBackoffPolicy:
+    """The re-dial schedule: at most 4 attempts, 0.01 s doubling up to a
+    0.25 s cap, each stretched by at most 25 % from the supervisor's RNG."""
+
     def test_exponential_growth_capped(self):
-        policy = BackoffPolicy(
-            max_attempts=6, base_delay=0.01, multiplier=2.0,
-            max_delay=0.05, jitter=0.0,
-        )
-        rng = random.Random(0)
-        delays = [policy.delay(k, rng) for k in range(1, 7)]
-        assert delays[:3] == [0.01, 0.02, 0.04]
-        assert delays[3:] == [0.05, 0.05, 0.05]  # capped
+        unjittered = SimpleNamespace(random=lambda: 0.0)
+        delays = [backoff_delay(k, unjittered) for k in range(1, 8)]
+        assert delays[:5] == [0.01, 0.02, 0.04, 0.08, 0.16]
+        assert delays[5:] == [0.25, 0.25]  # capped
+        assert MAX_ATTEMPTS == 4
 
     def test_jitter_stretches_within_bounds(self):
-        policy = BackoffPolicy(
-            max_attempts=4, base_delay=0.1, multiplier=1.0,
-            max_delay=0.1, jitter=0.5,
-        )
         rng = random.Random(7)
         for _ in range(50):
-            d = policy.delay(1, rng)
-            assert 0.1 <= d <= 0.1 * 1.5
+            d = backoff_delay(1, rng)
+            assert 0.01 <= d <= 0.01 * (1 + JITTER)
+        assert JITTER == 0.25
 
     def test_jitter_is_seed_deterministic(self):
-        policy = BackoffPolicy()
-        a = [policy.delay(k, random.Random(3)) for k in range(1, 5)]
-        b = [policy.delay(k, random.Random(3)) for k in range(1, 5)]
+        a = [backoff_delay(k, random.Random(3)) for k in range(1, 5)]
+        b = [backoff_delay(k, random.Random(3)) for k in range(1, 5)]
         assert a == b
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BackoffPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            BackoffPolicy(base_delay=0.5, max_delay=0.1)
-        with pytest.raises(ConfigurationError):
-            BackoffPolicy(multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            BackoffPolicy(jitter=1.5)
 
 
 class TestSequenceDedup:
@@ -181,7 +172,6 @@ class TestTransparentHealing:
             return await run_agreement_async(
                 spec_1_2, nodes, "S", "engage",
                 transport=flaky, round_timeout=5.0, supervise=True,
-                supervision_rng=random.Random(0),
             )
 
         outcome = asyncio.run(scenario())
@@ -205,7 +195,6 @@ class TestTransparentHealing:
             return await run_agreement_async(
                 spec_1_2, nodes, "S", "engage",
                 transport=flaky, round_timeout=0.3, supervise=True,
-                supervision_rng=random.Random(0),
             )
 
         # Virtual clock: round 2's three links to p1 re-dial one after

@@ -31,7 +31,7 @@ from repro.net import codec
 from repro.net.chaos.policy import ChaosPolicy
 from repro.net.codec import BATCH, MARK, Frame, batch_bytes_saved, encode_frame
 from repro.net.runner import AsyncRoundRunner, run_agreement_async
-from repro.net.supervision import BackoffPolicy
+from repro.net.supervision import MAX_ATTEMPTS, backoff_delay
 from repro.net.tcp import TcpTransport
 from repro.net.transport import LocalBus, TransportLayer
 from repro.serve import AgreementService
@@ -487,11 +487,10 @@ def test_a_retrying_link_holds_the_rest_of_its_round_for_the_backoff_budget():
         ("S", "p3"),
         ("S", "p4"),
     }
-    policy = BackoffPolicy()
     slowest, fastest = (
         sum(
-            policy.delay(attempt, SimpleNamespace(random=lambda: draw))
-            for attempt in range(1, policy.max_attempts)
+            backoff_delay(attempt, SimpleNamespace(random=lambda: draw))
+            for attempt in range(1, MAX_ATTEMPTS)
         )
         for draw in (1.0, 0.0)
     )

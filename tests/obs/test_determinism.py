@@ -47,7 +47,6 @@ def chaos_run(seed, events=None):
             chaos=NOISY,
             chaos_rng=random.Random(seed),
             supervise=True,
-            supervision_rng=random.Random(seed),
             events=events,
         )
     )

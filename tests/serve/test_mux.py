@@ -1,14 +1,16 @@
-"""InstanceMux / InstanceChannel: routing, GC, strays, id stamping."""
+"""InstanceMux / InstanceChannel: routing, GC, strays, flat state."""
 
 import asyncio
 
 import pytest
 
+from repro.core.spec import DegradableSpec
 from repro.exceptions import TransportError
+from repro.explore import run_on_virtual_clock
 from repro.net.codec import MARK, Frame
 from repro.net.metrics import NetMetrics
 from repro.net.transport import LocalBus
-from repro.serve import InstanceChannel, InstanceMux
+from repro.serve import AgreementService, InstanceChannel, InstanceMux
 
 NODES = ("S", "p1", "p2")
 
@@ -44,31 +46,31 @@ class TestRouting:
         assert got_a.instance == "a" and got_a.round_no == 1
         assert got_b.instance == "b" and got_b.round_no == 2
 
-    def test_unknown_instance_is_registered_on_first_frame(self):
-        # A peer may start an instance before our client submits it: the
-        # pump must provision the queue rather than drop the frame.
+    def test_frame_for_an_unregistered_instance_is_stray(self):
+        # The mux only routes: one process hosts every node of an instance
+        # and registers it before its first send, so a frame naming an
+        # instance the mux does not hold is counted, never provisioned.
         async def scenario():
             mux = InstanceMux(LocalBus(), NODES)
             await mux.start()
             try:
                 await mux.transport.send(mark("p2", instance="early"))
                 await asyncio.sleep(0)  # let the pump route it
-                channel = mux.channel("early")
-                return await asyncio.wait_for(channel.recv("p2"), 1.0)
+                return mux.metrics.stray_frames, mux.live_instances
             finally:
                 await mux.stop()
 
-        assert run(scenario()).instance == "early"
+        assert run(scenario()) == (1, 0)
 
-    def test_channel_send_stamps_instance_id(self):
+    def test_channel_send_forwards_the_stamped_frame(self):
         async def scenario():
             mux = InstanceMux(LocalBus(), NODES)
             await mux.start()
             try:
                 channel = mux.channel("x")
-                # The runner hands over unstamped frames; the channel must
-                # stamp them before they hit the shared wire.
-                await channel.send(mark("p1"))
+                # The runner stamps its instance id; the channel forwards
+                # the frame to the shared wire as it is.
+                await channel.send(mark("p1", instance="x"))
                 return await asyncio.wait_for(channel.recv("p1"), 1.0)
             finally:
                 await mux.stop()
@@ -117,8 +119,6 @@ class TestGarbageCollection:
                 assert mux.live_instances == 1
                 await channel.close()
                 assert mux.live_instances == 0
-                with pytest.raises(TransportError, match="single-use"):
-                    mux.register("done")
             finally:
                 await mux.stop()
 
@@ -206,3 +206,38 @@ class TestSharedTransport:
             return bus._inboxes
 
         assert run(scenario()) == {}
+
+
+class TestFlatState:
+    def test_mux_state_is_the_same_size_after_256_and_512_instances(self):
+        """The mux holds live instances only: nothing it keeps grows with
+        the number of instances it has served."""
+        spec = DegradableSpec(m=1, u=2, n_nodes=5)
+        nodes = ("S", "p1", "p2", "p3", "p4")
+
+        def sizes(mux):
+            return {
+                name: len(value)
+                for name, value in vars(mux).items()
+                if isinstance(value, (dict, list, set, tuple))
+            }
+
+        async def serve(service, count):
+            for _ in range(count // 32):
+                ids = [service.submit("S", "v") for _ in range(32)]
+                for iid in ids:
+                    assert (await service.decision(iid)).ok
+
+        async def scenario():
+            async with AgreementService(
+                spec, nodes, record_trace=False
+            ) as service:
+                await serve(service, 256)
+                after_256 = sizes(service.mux)
+                await serve(service, 256)
+                return after_256, sizes(service.mux), len(service.outcomes)
+
+        after_256, after_512, served = run_on_virtual_clock(scenario())
+        assert served == 512
+        assert after_256 == after_512
+        assert after_512["_queues"] == 0

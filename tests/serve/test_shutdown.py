@@ -17,6 +17,9 @@ from repro.core.spec import DegradableSpec
 from repro.core.values import DEFAULT
 from repro.exceptions import ConfigurationError, TransportError
 from repro.explore import run_on_virtual_clock
+from repro.net.chaos import ChaosPolicy
+from repro.net.chaos.policy import EndpointRestart
+from repro.net.tcp import TcpTransport
 from repro.net.transport import LocalBus
 from repro.obs.prom import metrics_registry, parse_exposition
 from repro.serve import AgreementService, record_service_run
@@ -258,7 +261,6 @@ class TestRestartNode:
         async def scenario():
             async with AgreementService(
                 SPEC, NODES, round_timeout=0.3, supervise=True,
-                supervision_rng=random.Random(0),
             ) as service:
                 iid = service.submit("S", "v")
                 await asyncio.sleep(0)  # let the worker pick it up
@@ -273,6 +275,52 @@ class TestRestartNode:
         assert set(outcome.decisions) == set(NODES) - {"S"}
         for value in outcome.decisions.values():
             assert value in ("v", DEFAULT)
+
+    def test_a_chaos_restart_leaves_the_node_serving(self):
+        """A chaos-scheduled endpoint restart is a transient omission: the
+        node keeps its inbox, so its pump goes on reading it and every later
+        instance hears it.  A replaced inbox would leave the pump parked on
+        the old one, and p2 deaf for good."""
+
+        async def scenario():
+            async with AgreementService(
+                SPEC, NODES,
+                chaos=ChaosPolicy(restarts=(EndpointRestart("p2", 2),)),
+                round_timeout=1.0,
+                max_inflight=1,
+            ) as service:
+                return service, [
+                    await service.submit_and_wait("S", value)
+                    for value in ("v0", "v1", "v2")
+                ]
+
+        service, outcomes = run_on_virtual_clock(scenario())
+        assert service.aggregate_metrics.endpoint_restarts == 1
+        for value, outcome in zip(("v0", "v1", "v2"), outcomes):
+            assert outcome.decisions["p2"] == value
+            assert outcome.metrics.total_timeouts == 0
+
+    def test_a_tcp_endpoint_restart_leaves_the_node_serving(self):
+        """The same over real sockets: the chaos restart goes through
+        ``TcpTransport.restart_endpoint`` (new server, new port) and the
+        node's pump hears the frames that reach the new port."""
+
+        async def scenario():
+            async with AgreementService(
+                SPEC, NODES,
+                transport=TcpTransport(),
+                chaos=ChaosPolicy(restarts=(EndpointRestart("p2", 2),)),
+                round_timeout=0.5,
+                max_inflight=1,
+            ) as service:
+                return [
+                    await service.submit_and_wait("S", value)
+                    for value in ("v0", "v1")
+                ]
+
+        for value, outcome in zip(("v0", "v1"), asyncio.run(scenario())):
+            assert outcome.decisions["p2"] == value
+            assert outcome.metrics.total_timeouts == 0
 
     def test_restart_unknown_node_rejected(self):
         async def scenario():

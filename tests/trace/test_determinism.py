@@ -51,7 +51,6 @@ def chaos_run(seed, tracer=None):
             chaos=NOISY,
             chaos_rng=random.Random(seed),
             supervise=True,
-            supervision_rng=random.Random(seed),
             tracer=tracer,
         )
     )

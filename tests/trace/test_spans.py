@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.events import EventBus
 from repro.trace import Span, Tracer, span_key
 
 
@@ -85,15 +84,6 @@ class TestLifecycle:
         assert open_span.attrs["abandoned"] is True
         assert "abandoned" not in closed_span.attrs
         assert tracer.close_open() == 0
-
-    def test_end_publishes_span_closed_on_the_bus(self):
-        bus = EventBus()
-        tracer = Tracer(bus=bus)
-        tracer.end(tracer.begin("round", "runner", instance="i1", round_no=2))
-        assert bus.counts["span_closed"] == 1
-        event = bus.recent()[-1]
-        assert event.data["name"] == "round"
-        assert event.data["round"] == 2
 
 
 class TestEventsAndScopes:
