@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}"
 
-# Run artifacts (the load report) go to a scratch directory: a CI run
-# leaves the tree clean.
+# Run artifacts (explorer output, a service trace) go to a scratch
+# directory: a CI run leaves the tree clean.
 ARTIFACTS="$(mktemp -d)"
 trap 'rm -rf "${ARTIFACTS}"' EXIT
 
@@ -217,6 +217,12 @@ if grep -rn --include="*.py" "repro.bench.explore" src/ || [ -e src/repro/explor
     echo "the explorer bench harness is back under src/: perf/explore_certify.py measures it" >&2
     exit 1
 fi
+# The service has one load generator, perf/loadgen.py; src/ keeps only the
+# seeded plan repro serve submits (serve/plan.py).
+if grep -rnE --include="*.py" "repro\.bench\.serve|run_load|LoadConfig|LoadReport|latency_summary" src/ || [ -e src/repro/serve/load.py ]; then
+    echo "the service load generator is back under src/: perf/loadgen.py measures the service" >&2
+    exit 1
+fi
 # Import cost follows use: scipy only where a bound is computed, and the
 # CLI package's front door pays for no verb family.
 if grep -rn --include="*.py" "^from scipy\|^import scipy" src/; then
@@ -288,13 +294,15 @@ if [ "$(grep -c "STALL_FRACTION \*" src/repro/explore/transport.py)" -gt 1 ]; th
     exit 1
 fi
 
-echo "== agreement service (multiplexed instances + load gate) =="
-# serve cross-checks every decision against the synchronous engine;
-# load fails on any divergence or dropped submit.  Both share one
-# transport pair per link across all instances.
+echo "== agreement service (multiplexed instances + backpressure) =="
+# serve cross-checks every decision against the synchronous engine, with
+# one transport pair per link across all instances.  The third run plans
+# 64 instances against an admission bound of 8: rejected submits wait out
+# retry_after, and every instance must still be decided.
 timeout 300 python -m repro serve --instances 32 --max-inflight 32 --seed 7
 timeout 300 python -m repro serve --instances 8 --chaos light --seed 5 --timeout 0.5
-timeout 300 python -m repro load --instances 64 --seed 7 --metrics-port 0 --out "${ARTIFACTS}/BENCH_serve.json"
+timeout 300 python -m repro serve --instances 64 --max-inflight 4 --queue-limit 4 --seed 7
+timeout 300 python -m repro serve --instances 4 --trace "${ARTIFACTS}/serve.jsonl"
 
 echo "== observability gate (live scrape + traced kill-links smoke) =="
 # Starts repro serve --metrics-port, scrapes the endpoint while live,
@@ -302,10 +310,10 @@ echo "== observability gate (live scrape + traced kill-links smoke) =="
 # Then runs repro trace --kill-links on a known-degraded seed and fails
 # unless the span JSONL validates, the Perfetto JSON parses with every
 # parent resolving, and the summary names a degraded round.
-# The stats verb then re-renders the load report written above (with its
-# embedded mid-run sample) as exposition, exercising the offline path.
+# The stats verb then re-renders the service trace recorded above as
+# exposition, exercising the offline path.
 timeout 180 python scripts/obs_gate.py
-timeout 60 python -m repro stats "${ARTIFACTS}/BENCH_serve.json" --prom > /dev/null
+timeout 60 python -m repro stats "${ARTIFACTS}/serve.jsonl" --prom > /dev/null
 
 echo "== perf harness (self-tests + quick run; exit code is the correctness gate) =="
 # The benchmark checks every output it timed: any serve decision that

@@ -5,7 +5,7 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}"
 
-# The load report goes to a scratch directory: a run leaves the tree clean.
+# Run artifacts go to a scratch directory: a run leaves the tree clean.
 ARTIFACTS="$(mktemp -d)"
 trap 'rm -rf "${ARTIFACTS}"' EXIT
 
@@ -73,14 +73,16 @@ if timeout 60 python -m repro explore --inject-vote-bug 1 --depth 2 --budget 150
     exit 1
 fi
 
-echo "== agreement service (32 concurrent instances, one shared bus) =="
-# Both gates exit nonzero on any sync-engine divergence or dropped submit.
+echo "== agreement service (32 concurrent instances, one shared bus; backpressure) =="
+# Each run exits nonzero on any sync-engine divergence; the third plans 64
+# instances against an admission bound of 8 and must decide them all.
 timeout 120 python -m repro serve --instances 32 --max-inflight 32 --seed 7
-timeout 120 python -m repro load --quick --instances 32 --seed 7 --metrics-port 0 --out "${ARTIFACTS}/BENCH_serve.json"
+timeout 120 python -m repro serve --instances 64 --max-inflight 4 --queue-limit 4 --seed 7
+timeout 120 python -m repro serve --instances 4 --trace "${ARTIFACTS}/serve.jsonl"
 
 echo "== observability gate (live scrape + traced kill-links smoke) =="
 timeout 180 python scripts/obs_gate.py
-timeout 60 python -m repro stats "${ARTIFACTS}/BENCH_serve.json" --prom > /dev/null
+timeout 60 python -m repro stats "${ARTIFACTS}/serve.jsonl" --prom > /dev/null
 
 echo "== perf harness (self-tests + quick run; exit code is the correctness gate) =="
 # The benchmark checks every output it timed: any serve decision that

@@ -8,8 +8,8 @@ library call and the printing of what that call returns:
   experiment batteries (``table`` ... ``experiments``);
 * :mod:`repro.cli.run`     — one agreement instance, on the synchronous
   engine (``run``) or the asyncio runtime (``net``);
-* :mod:`repro.cli.service` — the multi-instance service: ``serve``,
-  ``load`` and the ``stats`` snapshot of their artifacts;
+* :mod:`repro.cli.service` — the multi-instance service: ``serve``
+  and the ``stats`` snapshot of a recorded trace;
 * :mod:`repro.cli.trace`   — ``trace``: causal spans and critical path;
 * :mod:`repro.cli.chaos`   — ``chaos``: seeded soak campaigns;
 * :mod:`repro.cli.check`   — ``verify``, ``fuzz`` and ``explore``.
@@ -83,7 +83,7 @@ def _add_spec_arguments(
 
 
 def _add_wire_arguments(parser, timeout: float, transports: bool = True) -> None:
-    """The wire cluster shared by net/chaos/serve/load/trace/explore.
+    """The wire cluster shared by net/chaos/serve/trace/explore.
 
     Every verb gets a positive ``--timeout``; *transports* adds the
     local/tcp choice (explore runs its own virtual transport).

@@ -453,8 +453,7 @@ class NetMetrics:
         """Pooled one-way latency percentiles, nearest-rank, in seconds.
 
         Delegates to :func:`repro.obs.stats.percentiles` — the one
-        canonical nearest-rank implementation shared with the bench
-        harness and the load generator.
+        canonical nearest-rank implementation.
         """
         pooled: List[float] = []
         for entry in self.all_rounds():

@@ -16,12 +16,11 @@ link supervision verdicts — and makes it exportable:
   :func:`~repro.obs.prom.parse_exposition`, the tiny validator the CI
   gate runs against every scrape;
 * :mod:`repro.obs.http` — an asyncio ``/metrics`` + ``/healthz`` +
-  ``/events`` endpoint (``repro serve --metrics-port``,
-  ``repro load --metrics-port``);
+  ``/events`` endpoint (``repro serve --metrics-port``);
 * :mod:`repro.obs.stats` — the one shared nearest-rank percentile
-  implementation (metrics, bench, and load all call it);
+  implementation;
 * :mod:`repro.obs.snapshot` — ``repro stats``: one-shot snapshots from
-  recorded artifacts (bench reports, trace records).
+  recorded trace records.
 
 Invariant, pinned by the same-seed suites: observing a run never changes
 it.  Event publication draws zero RNG and nothing wall-clock-derived

@@ -8,8 +8,8 @@ no frameworks, no threads — good enough for a Prometheus scraper, a
   :class:`~repro.obs.prom.Registry` (the ``source`` callable snapshots
   live state per scrape);
 * ``GET /healthz`` — JSON liveness: ``{"status": "ok", ...}``, merged
-  with the optional ``health`` callable's payload (``repro serve``/
-  ``repro load`` add their gateway's progress and queue state).  Always
+  with the optional ``health`` callable's payload (``repro serve`` adds
+  its gateway's progress and queue state).  Always
   HTTP 200: an instance that rode out its deadlines has a verdict like
   any other, and the tier verdicts live in ``/metrics``;
 * ``GET /events`` — the event bus's recent ring buffer as JSON
@@ -18,7 +18,7 @@ no frameworks, no threads — good enough for a Prometheus scraper, a
 
 Port 0 binds an ephemeral port; :attr:`ObsServer.port` reports the real
 one after :meth:`ObsServer.start`.  :func:`scrape` is the matching
-client used by the load generator's mid-run self-scrape and the tests.
+client the tests scrape a live service with.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class ObsServer:
 
     @classmethod
     def for_service(cls, service, bus, port: int, tracer=None) -> "ObsServer":
-        """The endpoint ``repro serve`` and ``repro load`` put on a service.
+        """The endpoint ``repro serve`` puts on a service.
 
         ``/metrics`` snapshots the service's aggregate recorder, gateway
         state, *bus* and *tracer* per scrape; ``/healthz`` adds the

@@ -1,8 +1,8 @@
-"""Shared order statistics for metrics, benchmarks and load reports.
+"""Shared order statistics for metrics.
 
 One nearest-rank percentile implementation for the whole repo.  It used
-to exist three times (``NetMetrics.latency_percentiles``, the bench
-harness, the load generator), each with its own off-by-one personality
+to exist three times (``NetMetrics.latency_percentiles``, a bench
+harness, a load generator), each with its own off-by-one personality
 on small samples; this module is the single canonical version.
 
 Nearest-rank definition: the q-th percentile of ``n`` sorted samples is

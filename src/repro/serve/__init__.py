@@ -15,9 +15,10 @@ that service layer over the existing async runtime:
   (chaos faults charged to the instance whose frames they hit), and
   per-instance + aggregate metrics; :func:`record_service_run` packages
   a run for ``repro verify``'s demux path;
-* :mod:`repro.serve.load` — a seeded open-/closed-loop client load
-  generator with latency percentiles, throughput, and a divergence gate
-  against the synchronous reference engine (``BENCH_serve.json``).
+* :mod:`repro.serve.plan` — the seeded plan, :func:`serve_plan` (what
+  ``repro serve`` and ``repro trace --mode serve`` run, waiting out
+  admission backpressure) and :func:`check_divergence`, the
+  cross-check against the synchronous reference engine.
 """
 
 from repro.serve.gateway import (
@@ -25,30 +26,16 @@ from repro.serve.gateway import (
     InstanceOutcome,
     record_service_run,
 )
-from repro.serve.load import (
-    LoadConfig,
-    LoadReport,
-    check_divergence,
-    latency_summary,
-    percentile,
-    plan_workload,
-    run_load,
-    serve_plan,
-)
 from repro.serve.mux import InstanceChannel, InstanceMux
+from repro.serve.plan import check_divergence, plan_workload, serve_plan
 
 __all__ = [
     "AgreementService",
     "InstanceChannel",
     "InstanceMux",
     "InstanceOutcome",
-    "LoadConfig",
-    "LoadReport",
     "check_divergence",
-    "latency_summary",
-    "percentile",
     "plan_workload",
     "record_service_run",
-    "run_load",
     "serve_plan",
 ]

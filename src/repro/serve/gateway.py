@@ -15,8 +15,9 @@ Admission control is a bounded queue in front of a bounded worker pool:
 at most ``max_inflight`` instances run concurrently, at most
 ``queue_limit`` more may wait, and a submit beyond both is rejected with
 :class:`~repro.exceptions.AdmissionError` carrying a ``retry_after`` hint
-derived from observed instance latencies — backpressure a load generator
-can act on, not silent unboundedness.
+derived from observed instance latencies — backpressure a client can
+act on (:func:`~repro.serve.plan.serve_plan` waits it out), not silent
+unboundedness.
 
 Robustness: nothing here bounds an instance; its runner's round deadline
 does.  One timer per round bounds the sends as well as the collects, so

@@ -115,7 +115,9 @@ class RunRecord:
         try:
             raw = json.loads(lines[0])
         except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"malformed header line: {exc}") from exc
+            raise TraceFormatError(
+                f"not a {SCHEMA} record: malformed header line: {exc}"
+            ) from exc
         if not isinstance(raw, dict) or raw.get("schema") != SCHEMA:
             raise TraceFormatError(
                 f"not a {SCHEMA} record: first line must be the run header "
@@ -157,7 +159,7 @@ class RunRecord:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 return cls.from_jsonl(handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise TraceFormatError(f"cannot read trace {path!r}: {exc}") from exc
 
     # ------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""ObsServer routes, and live /metrics scrapes of a running load run."""
+"""ObsServer routes, and live /metrics scrapes of a running service."""
 
 import asyncio
 import json
 
 import pytest
 
+from repro.core.scenario import Instance
 from repro.net.metrics import NetMetrics
 from repro.obs.events import EventBus
 from repro.obs.http import ObsServer, scrape
 from repro.obs.prom import metrics_registry, parse_exposition
+from repro.serve import serve_plan
 
 
 def run(coro):
@@ -112,34 +114,56 @@ class TestRoutes:
         assert status == 400
 
 
-class TestLiveLoadScrape:
-    """The load generator's own endpoint, scraped while instances run."""
+def port_of(announce_line):
+    """The port in a ``metrics: http://host:port/metrics`` line."""
+    return int(announce_line.rsplit(":", 1)[1].split("/")[0])
+
+
+class TestLiveServeScrape:
+    """``serve_plan``'s endpoint, scraped while instances are in flight."""
+
+    @staticmethod
+    def serve_and_scrape(transport):
+        """Serve a plan past the admission bound and scrape ``/metrics``
+        from the announce callback until an instance shows as admitted
+        but not decided; return the announce lines and the scrape."""
+        announced, scraped, tasks = [], [], []
+
+        async def scrape_live(port):
+            for _ in range(200):
+                status, body = await scrape("127.0.0.1", port)
+                assert status == 200
+                samples = parse_exposition(body)
+                if (samples["repro_gateway_inflight"]
+                        + samples["repro_gateway_queue_depth"]) >= 1:
+                    scraped.append(body)
+                    return
+                await asyncio.sleep(0.001)
+
+        def announce(line):
+            announced.append(line)
+            tasks.append(asyncio.ensure_future(scrape_live(port_of(line))))
+
+        async def scenario():
+            _, outcomes = await serve_plan(
+                Instance(1, 2, 5), 12, 7, transport=transport,
+                metrics_port=0, announce=announce,
+                max_inflight=2, queue_limit=2,
+            )
+            await asyncio.gather(*tasks)
+            return outcomes
+
+        outcomes = run(scenario())
+        assert len(outcomes) == 12 and all(o.ok for o in outcomes)
+        return announced, scraped
 
     @pytest.mark.parametrize("transport", ["local", "tcp"])
-    def test_load_run_serves_and_embeds_metrics(self, transport):
-        from repro.serve.load import LoadConfig, run_load
-
-        config = LoadConfig(
-            instances=6,
-            concurrency=3,
-            round_timeout=2.0,
-            transport=transport,
-            metrics_port=0,
-        )
-        report = run(run_load(config))
-        assert report.ok
-        assert report.instances_done == 6
-        sample = report.metrics_sample
-        assert sample is not None
-        assert sample["endpoint"].endswith("/metrics")
-        assert sample["port"] > 0
-        # The embedded exposition is itself well-formed and carries the
-        # gateway + bus families only a live service can produce.
-        samples = parse_exposition("\n".join(sample["exposition"]) + "\n")
-        assert sample["samples"] == sum(
-            1 for line in sample["exposition"]
-            if line and not line.startswith("#")
-        )
+    def test_serve_run_answers_a_live_scrape(self, transport):
+        _, scraped = self.serve_and_scrape(transport)
+        assert len(scraped) == 1
+        # The live exposition is well-formed and carries the gateway +
+        # bus families only a running service can produce.
+        samples = parse_exposition(scraped[0])
         assert "repro_gateway_inflight" in samples
         assert "repro_gateway_queue_depth" in samples
         assert any(
@@ -152,41 +176,20 @@ class TestLiveLoadScrape:
     def test_ephemeral_port_is_announced_once_bound(self):
         # Port 0 lets the OS pick: the chosen port must be announced so
         # scrapers (and CI) never race on a fixed number.
-        from repro.serve.load import LoadConfig, run_load
-
-        announced = []
-        config = LoadConfig(
-            instances=2, concurrency=2, round_timeout=2.0, metrics_port=0
-        )
-        report = run(run_load(config, announce=announced.append))
-        metrics_lines = [l for l in announced if l.startswith("metrics: ")]
-        assert len(metrics_lines) == 1
-        port = report.metrics_sample["port"]
+        announced, scraped = self.serve_and_scrape("local")
+        assert len(announced) == 1 and len(scraped) == 1
+        port = port_of(announced[0])
         assert port > 0
-        assert metrics_lines[0] == (
-            f"metrics: http://127.0.0.1:{port}/metrics"
-        )
+        assert announced[0] == f"metrics: http://127.0.0.1:{port}/metrics"
 
-    def test_report_round_trips_sample_through_json(self, tmp_path):
-        from repro.serve.load import LoadConfig, run_load
+    def test_metrics_port_none_disables_observability(self, monkeypatch):
+        async def no_server(self):
+            raise AssertionError("an ObsServer was started")
 
-        config = LoadConfig(
-            instances=4, concurrency=2, round_timeout=2.0, metrics_port=0
-        )
-        report = run(run_load(config))
-        path = tmp_path / "BENCH_serve.json"
-        report.save(str(path))
-        payload = json.loads(path.read_text())
-        assert payload["metrics_sample"]["samples"] == (
-            report.metrics_sample["samples"]
-        )
-
-    def test_metrics_port_none_disables_observability(self):
-        from repro.serve.load import LoadConfig, run_load
-
-        report = run(
-            run_load(
-                LoadConfig(instances=2, concurrency=2, round_timeout=2.0)
-            )
-        )
-        assert report.metrics_sample is None
+        monkeypatch.setattr(ObsServer, "start", no_server)
+        announced = []
+        _, outcomes = run(serve_plan(
+            Instance(1, 2, 5), 2, 0, announce=announced.append
+        ))
+        assert len(outcomes) == 2
+        assert announced == []

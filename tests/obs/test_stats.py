@@ -63,11 +63,6 @@ class TestPercentiles:
 class TestSharedCallSites:
     """Every former private copy now resolves to the one implementation."""
 
-    def test_load_reexport(self):
-        from repro.serve.load import percentile as load_percentile
-
-        assert load_percentile is percentile
-
     def test_metrics_latency_percentiles_delegate(self):
         from repro.net.metrics import NetMetrics
 

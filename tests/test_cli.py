@@ -249,7 +249,7 @@ class TestParser:
             (["fuzz", "--examples", "0"], "--examples must be >= 1"),
             (["suite", "/nonexistent.json"], "cannot read suite"),
             (["serve", "--metrics-port", "99999"], "--metrics-port must be in"),
-            (["load", "--metrics-port", "99999"], "--metrics-port must be in"),
+            (["serve", "--metrics-port", "-1"], "--metrics-port must be in"),
         ],
     )
     def test_bad_argument_is_one_error_line_not_a_traceback(
@@ -347,26 +347,35 @@ class TestServe:
         assert "--instances" in err
 
 
-class TestLoad:
-    def test_quick_load_writes_report(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_serve.json"
-        code, out, _ = run_cli(
-            capsys, "load", "--quick", "--instances", "12",
-            "--timeout", "2.0", "--out", str(out_path),
+class TestStats:
+    def test_serve_trace_snapshots_as_exposition(self, capsys, tmp_path):
+        trace = tmp_path / "serve.jsonl"
+        code, _, _ = run_cli(
+            capsys, "serve", "--instances", "2", "--trace", str(trace),
         )
         assert code == 0
-        assert out_path.exists()
-        assert "p50" in out
+        code, out, _ = run_cli(capsys, "stats", str(trace), "--prom")
+        assert code == 0
+        assert 'repro_trace_info{mode="serve"' in out
 
-    def test_open_loop_mode(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_serve.json"
-        code, out, _ = run_cli(
-            capsys, "load", "--quick", "--instances", "8",
-            "--mode", "open", "--rate", "400", "--timeout", "2.0",
-            "--out", str(out_path),
-        )
-        assert code == 0
-        assert "open" in out
+    def test_json_that_is_not_a_trace_record_is_refused(
+        self, capsys, tmp_path
+    ):
+        # Shaped like the retired load report: indented, multi-line JSON.
+        path = tmp_path / "report.json"
+        path.write_text('{\n  "ok": true,\n  "schema": "repro.bench.serve/v1"\n}\n')
+        code, out, err = run_cli(capsys, "stats", str(path))
+        assert code == 2
+        assert out == ""
+        assert "repro.trace/v1" in err
+
+    def test_unreadable_file_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "blob.bin"
+        path.write_bytes(b"\xd8\xff\x00 not text")
+        code, out, err = run_cli(capsys, "stats", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExplore:

@@ -1,12 +1,12 @@
 """The CLI's argument surface, pinned.
 
 ``SURFACE`` was written from ``build_parser()`` at the commit before
-``repro/cli.py`` became the ``repro/cli/`` package, minus exactly the
-eight options that split removed on purpose (``--no-batch`` on net,
-serve, load, trace and explore; explore's ``--smoke``, ``--bench`` and
-``--out``).  Each row is ``(option strings, default, choices, required)``
-in declaration order, so an option that appears, disappears, or changes
-its default shows up here as a one-line diff.
+``repro/cli.py`` became the ``repro/cli/`` package, minus what was
+removed on purpose since: ``--no-batch`` on every verb that had it,
+explore's ``--smoke``, ``--bench`` and ``--out``, and the load-generator
+verb with all its options.  Each row is ``(option strings, default,
+choices, required)`` in declaration order, so an option that appears,
+disappears, or changes its default shows up here as a one-line diff.
 """
 
 import argparse
@@ -52,21 +52,6 @@ SURFACE = {'table': [],
            ('--trace', '', None, False),
            ('--metrics-port', None, None, False),
            ('--metrics-linger', 0.0, None, False)],
- 'load': [('-m', 1, None, False),
-          ('-u', 2, None, False),
-          ('-n/--nodes', None, None, False),
-          ('--transport', 'local', ('local', 'tcp'), False),
-          ('--timeout', 5.0, None, False),
-          ('--seed', 20260808, None, False),
-          ('--instances', 64, None, False),
-          ('--mode', 'closed', ('open', 'closed'), False),
-          ('--rate', 200.0, None, False),
-          ('--concurrency', 8, None, False),
-          ('--max-inflight', 16, None, False),
-          ('--queue-limit', 64, None, False),
-          ('--quick', False, None, False),
-          ('--out', 'BENCH_serve.json', None, False),
-          ('--metrics-port', None, None, False)],
  'trace': [('-m', 1, None, False),
            ('-u', 2, None, False),
            ('-n/--nodes', None, None, False),
