@@ -51,7 +51,8 @@ fi
 
 echo "== one send order (a round's frames leave in link order on every transport) =="
 # The runner sends from one loop; no transport declares a send order, and
-# the only gather left in the runner is the collect (one task per node-round).
+# the only gather left in the runner is the collect (one task per node that
+# must still wait once the round has filed what already arrived).
 if grep -rn --include="*.py" "ordered_sends" src/; then
     echo "ordered_sends is back under src/: there is one send order, the runner's" >&2
     exit 1
@@ -154,6 +155,11 @@ if sed -n '/^def event_to_json/,/^def event_from_json/p' src/repro/sim/trace.py 
     echo "json.dumps( is back in event_to_json: trace lines come from the canonical-text kernel" >&2
     exit 1
 fi
+
+echo "== a round collects inline (recv_nowait on every transport; a task only for a node that waits) =="
+# The task-count pins (0 collect tasks per fault-free instance, plain or
+# served) are the guard against a per-node gather coming back.
+python -m pytest -q tests/net/test_recv_nowait.py tests/net/test_wire_cost.py
 
 echo "== a trace event costs once (built in one step, audited in one pass) =="
 # Stamping an instance builds the stamped event directly: replace() walks

@@ -24,8 +24,8 @@ python -m pytest -q tests/core/test_eig_differential.py
 echo "== the shared round, from both runtimes (same checks, same injector order, same crash) =="
 python -m pytest -q tests/net/test_async_faults.py
 
-echo "== what the wire path costs (one encode per frame, one send order, no task per frame) =="
-python -m pytest -q tests/net/test_wire_cost.py
+echo "== what the wire path costs (one encode per frame, one send order, a task only for a node that waits) =="
+python -m pytest -q tests/net/test_recv_nowait.py tests/net/test_wire_cost.py
 
 echo "== one deadline per round (it bounds sends and collects; nothing above the runner) =="
 python -m pytest -q tests/net/test_collect_deadline.py tests/serve/test_shutdown.py

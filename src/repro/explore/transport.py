@@ -328,9 +328,7 @@ class ExploredTransport(Transport):
         return 0
 
     async def recv(self, node: NodeId) -> Frame:
-        inbox = self._inboxes.get(node)
-        if inbox is None:
-            raise TransportError(f"no endpoint for node {node!r}")
+        inbox = self._inbox(node)
         loop = asyncio.get_running_loop()
         self._listened[node] = loop.time()
         while not inbox:
@@ -345,14 +343,14 @@ class ExploredTransport(Transport):
                         self._waiters[node].remove(waiter)
                     except ValueError:
                         pass
-        entry = inbox.popleft()
-        entry.consumed = True
-        current = self._instance_round.get(entry.frame.instance, 0)
-        if entry.frame.round_no < current:
-            # Consumed, but a round late (a stalled frame surfacing, or a
-            # defer that lost its race): still a miss.
-            self._charge(entry)
-        return entry.frame
+        return self._take(node, inbox)
+
+    def recv_nowait(self, node: NodeId) -> Optional[Frame]:
+        inbox = self._inbox(node)
+        if not inbox:
+            self._listened[node] = asyncio.get_running_loop().time()
+            return None
+        return self._take(node, inbox)
 
     async def close(self) -> None:
         for entry in self._tracked:
@@ -379,6 +377,25 @@ class ExploredTransport(Transport):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _inbox(self, node: NodeId) -> Deque[_Tracked]:
+        inbox = self._inboxes.get(node)
+        if inbox is None:
+            raise TransportError(f"no endpoint for node {node!r}")
+        return inbox
+
+    def _take(self, node: NodeId, inbox: Deque[_Tracked]) -> Frame:
+        """Hand over the head of *node*'s inbox: *node* listened now, the
+        frame is consumed, and charged if it is a round late."""
+        self._listened[node] = asyncio.get_running_loop().time()
+        entry = inbox.popleft()
+        entry.consumed = True
+        current = self._instance_round.get(entry.frame.instance, 0)
+        if entry.frame.round_no < current:
+            # Consumed, but a round late (a stalled frame surfacing, or a
+            # defer that lost its race): still a miss.
+            self._charge(entry)
+        return entry.frame
+
     def _deliver(self, entry: _Tracked) -> None:
         inbox = self._inboxes.get(entry.frame.destination)
         if inbox is None:

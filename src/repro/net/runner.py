@@ -19,10 +19,12 @@ paper says differs — frames, the wire, the deadline:
 3. every node then emits an end-of-round marker to every peer (unless an
    injector's ``mutes_marker`` withholds it: a crashed node says nothing);
 4. each node collects its inbox until it holds markers from all peers or
-   the deadline expires.  Whatever did not arrive is simply absent — the
-   protocol's ingest resolves each expected-but-missing relay path to
-   ``V_d``, which is model assumption (b) ("the absence of a message can be
-   detected") realized by an actual timeout over an actual wire.  The
+   the deadline expires — inline, in the run's own task, from what has
+   already arrived; a task only for a node that must wait.  Whatever did
+   not arrive is simply absent — the protocol's ingest resolves each
+   expected-but-missing relay path to ``V_d``, which is model assumption
+   (b) ("the absence of a message can be detected") realized by an actual
+   timeout over an actual wire.  The
    deadline is one timer per round, armed before the first send, and it
    bounds the sends too: one still in flight is cut off and, with every
    frame not yet sent, metered as lost.
@@ -94,9 +96,9 @@ NodeId = Hashable
 
 class _RoundDeadline:
     """One round's one timer: when it fires it cancels every task in
-    :attr:`waiting` — the run's own task while it sends, then each collect
-    still waiting.  A dict, not a set: cancelled collects resume in node
-    order, so same-seed runs stay byte-identical."""
+    :attr:`waiting` — the run's own task while it sends, then the collect
+    task of each node still waiting.  A dict, not a set: cancelled
+    collects resume in node order, so same-seed runs stay byte-identical."""
 
     __slots__ = ("at", "expired", "waiting", "timer")
 
@@ -251,14 +253,8 @@ class AsyncRoundRunner:
                         for _ in frames:
                             self.metrics.record_send_failure(round_no)
                 del deadline.waiting[task]
-                collected = await asyncio.gather(
-                    *(
-                        self._collect(node, round_no, deadline, expected[node])
-                        for node in order
-                    )
-                )
+                inboxes = await self._collect_round(round_no, deadline, expected)
                 deadline.timer.cancel()
-                inboxes = dict(zip(order, collected))
                 self.metrics.record_round_duration(
                     round_no, loop.time() - round_started
                 )
@@ -525,26 +521,89 @@ class AsyncRoundRunner:
         else:
             self.metrics.record_late(round_no)
 
+    async def _collect_round(
+        self,
+        round_no: int,
+        deadline: _RoundDeadline,
+        expected: Dict[NodeId, Set[NodeId]],
+    ) -> Dict[NodeId, List[Message]]:
+        """Collect every node's inbox for the round, in ``engine.order``.
+
+        Each node's *expected* set is what it waits on: the sources whose
+        end-of-round signal (MARK frame, or a BATCH frame's ``mark`` flag)
+        closes its round early — every peer on the unbatched path, only
+        the protocol's expected sources on the batched one.  A source that
+        never resolves is recorded as a timeout; any of its frames still
+        in flight stay undelivered for this round, and the protocol
+        resolves the corresponding expected paths to ``V_d`` — the
+        real-wire realization of assumption (b).  Frames from other rounds
+        — stale DATA, stale BATCH, *and stale MARK* — are metered as late
+        frames, so chaos-induced lateness shows up in campaign reports
+        whichever frame kind it hit.
+
+        The run yields once, so whatever its sends woke (a mux pump) files
+        its frames first; then each node files what has already arrived
+        (:meth:`_drain`) in the run's own task, and only a node that must
+        still wait gets a :meth:`_collect` task.  Those are the only tasks
+        a round creates; ``docs/runtime.md`` §7 has the cost.
+        """
+        await asyncio.sleep(0)
+        inboxes: Dict[NodeId, List[Message]] = {}
+        waits = []
+        for node in self.engine.order:
+            pending = expected[node]
+            inbox = inboxes[node] = []
+            span = None
+            if self.tracer is not None:
+                span = self.tracer.begin(
+                    "collect",
+                    "runner",
+                    parent=getattr(self._round_span, "span_id", None),
+                    instance=self.instance_id,
+                    round_no=round_no,
+                    destination=node,
+                    waiting=len(pending),
+                )
+            if self._drain(node, round_no, deadline, pending, inbox):
+                waits.append(
+                    self._collect(node, round_no, deadline, pending, inbox, span)
+                )
+            else:
+                self._close_collect(node, round_no, pending, inbox, span)
+        await asyncio.gather(*waits)
+        return inboxes
+
+    def _drain(
+        self,
+        node: NodeId,
+        round_no: int,
+        deadline: _RoundDeadline,
+        pending: Set[NodeId],
+        inbox: List[Message],
+    ) -> bool:
+        """File the frames already queued for *node*
+        (:meth:`~repro.net.transport.Transport.recv_nowait`), by
+        :meth:`_collect`'s rules; True when *node* must still wait."""
+        if not pending or deadline.expired:
+            return False
+        loop = asyncio.get_running_loop()
+        while pending and loop.time() < deadline.at:
+            frame = self.transport.recv_nowait(node)
+            if frame is None:
+                return True
+            self._file_frame(frame, round_no, pending, inbox)
+        return False
+
     async def _collect(
         self,
         node: NodeId,
         round_no: int,
         deadline: _RoundDeadline,
         pending: Set[NodeId],
-    ) -> List[Message]:
-        """Drain *node*'s inbox until *pending* resolves or the deadline.
-
-        *pending* is the set of sources whose end-of-round signal (MARK
-        frame, or a BATCH frame's ``mark`` flag) closes the round early:
-        every peer on the unbatched path, only the protocol's expected
-        sources on the batched one.  A source that never resolves is
-        recorded as a timeout; any of its frames that were still in flight
-        stay undelivered for this round, and the protocol resolves the
-        corresponding expected paths to ``V_d`` — the real-wire
-        realization of assumption (b).  Frames from other rounds — stale
-        DATA, stale BATCH, *and stale MARK* — are metered as late frames,
-        so chaos-induced lateness shows up in campaign reports whichever
-        frame kind it hit.
+        inbox: List[Message],
+        span: Optional["Span"],
+    ) -> None:
+        """Wait on *node*'s inbox until *pending* resolves or the deadline.
 
         The deadline is the single place absence is decided; a collect arms
         no timer of its own.  It awaits ``transport.recv`` directly while
@@ -552,23 +611,10 @@ class AsyncRoundRunner:
         :meth:`_RoundDeadline.ended` claims is the round closing (a frame
         just handed over stays queued and surfaces a round late), any
         other is re-raised.  A collect that starts after the deadline
-        awaits nothing.  Collects are the only tasks a round creates;
-        ``docs/runtime.md`` §7 has the cost.
+        awaits nothing.
         """
         loop = asyncio.get_running_loop()
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.begin(
-                "collect",
-                "runner",
-                parent=getattr(self._round_span, "span_id", None),
-                instance=self.instance_id,
-                round_no=round_no,
-                destination=node,
-                waiting=len(pending),
-            )
-        inbox: List[Message] = []
-        if pending and not deadline.expired:
+        if not deadline.expired:
             task = asyncio.current_task()
             deadline.waiting[task] = None
             try:
@@ -580,6 +626,17 @@ class AsyncRoundRunner:
                     raise
             finally:
                 del deadline.waiting[task]
+        self._close_collect(node, round_no, pending, inbox, span)
+
+    def _close_collect(
+        self,
+        node: NodeId,
+        round_no: int,
+        pending: Set[NodeId],
+        inbox: List[Message],
+        span: Optional["Span"],
+    ) -> None:
+        """File every source still *pending* as a timeout; end the span."""
         for peer in sorted(pending, key=str):
             self.metrics.record_timeout(round_no, node, peer)
             if span is not None:
@@ -595,7 +652,6 @@ class AsyncRoundRunner:
                 )
         if span is not None:
             self.tracer.end(span, delivered=len(inbox), unresolved=len(pending))
-        return inbox
 
 
 # ----------------------------------------------------------------------

@@ -193,6 +193,12 @@ class SupervisedTransport(TransportLayer):
             if frame.seq is None or self._admit(frame, node):
                 return frame
 
+    def recv_nowait(self, node: NodeId) -> Optional[Frame]:
+        while True:
+            frame = self.inner.recv_nowait(node)
+            if frame is None or frame.seq is None or self._admit(frame, node):
+                return frame
+
     def _admit(self, frame: Frame, node: NodeId) -> bool:
         """Receive-side dedup: True when *frame* is not a replay.
 

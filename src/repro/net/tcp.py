@@ -42,7 +42,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.exceptions import TransportError
 from repro.net.codec import Frame, FrameDecoder, pack_frame
 from repro.net.metrics import NetMetrics
-from repro.net.transport import Transport, drain
+from repro.net.transport import Transport, drain, take_nowait
 
 NodeId = Hashable
 
@@ -290,3 +290,6 @@ class TcpTransport(Transport):
         if inbox is None:
             raise TransportError(f"no endpoint for node {node!r}")
         return await inbox.get()
+
+    def recv_nowait(self, node: NodeId) -> Optional[Frame]:
+        return take_nowait(self._inboxes, node)

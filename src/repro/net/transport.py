@@ -22,7 +22,10 @@ Contract:
   awaits a round's sends one after another, whatever the transport;
 * :meth:`Transport.recv` returns the next frame addressed to a node,
   waiting until one arrives (the runner bounds the wait with the round
-  deadline — that timeout *is* the paper's "detectable absence").
+  deadline — that timeout *is* the paper's "detectable absence");
+* :meth:`Transport.recv_nowait` returns the next frame already there, or
+  ``None`` at once: the runner files what has arrived without a task of
+  its own, and awaits ``recv`` only for a node that must still wait.
 """
 
 from __future__ import annotations
@@ -46,6 +49,16 @@ def drain(inbox: "asyncio.Queue[Frame]") -> None:
         inbox.get_nowait()
 
 
+def take_nowait(
+    inboxes: Dict[NodeId, "asyncio.Queue[Frame]"], node: NodeId
+) -> Optional[Frame]:
+    """The next frame queued in *node*'s inbox, or ``None`` if it is empty."""
+    inbox = inboxes.get(node)
+    if inbox is None:
+        raise TransportError(f"no endpoint for node {node!r}")
+    return None if inbox.empty() else inbox.get_nowait()
+
+
 class Transport(ABC):
     """Moves frames between the endpoints of one protocol run."""
 
@@ -63,6 +76,15 @@ class Transport(ABC):
     @abstractmethod
     async def recv(self, node: NodeId) -> Frame:
         """Next frame addressed to *node* (waits until one arrives)."""
+
+    def recv_nowait(self, node: NodeId) -> Optional[Frame]:
+        """Next frame already queued for *node*, or ``None`` at once.
+
+        The frames :meth:`recv` would return, in its order.  The default,
+        ``None``, leaves the runner to :meth:`recv`; a transport that
+        overrides :meth:`recv` overrides this too.
+        """
+        return None
 
     @abstractmethod
     async def close(self) -> None:
@@ -195,6 +217,9 @@ class LocalBus(Transport):
             raise TransportError(f"no endpoint for node {node!r}")
         return await inbox.get()
 
+    def recv_nowait(self, node: NodeId) -> Optional[Frame]:
+        return take_nowait(self._inboxes, node)
+
     async def restart_endpoint(self, node: NodeId) -> None:
         """Crash-restart: queued-but-undelivered frames for *node* are lost."""
         inbox = self._inboxes.get(node)
@@ -249,6 +274,9 @@ class TransportLayer(Transport):
 
     async def recv(self, node: NodeId) -> Frame:
         return await self.inner.recv(node)
+
+    def recv_nowait(self, node: NodeId) -> Optional[Frame]:
+        return self.inner.recv_nowait(node)
 
     async def send_corrupted(self, frame: Frame, rng: random.Random) -> int:
         return await self.inner.send_corrupted(frame, rng)

@@ -23,10 +23,10 @@ concurrent agreement instances over it.  Two pieces make that work:
   :class:`~repro.net.transport.Transport`, so an unmodified
   :class:`~repro.net.runner.AsyncRoundRunner` drives its instance over it.
   ``send`` forwards the frames its runner stamped with the instance id,
-  ``recv`` reads the instance's demultiplexed queue, and ``close``
-  releases the instance (the runner's ``finally: transport.close()`` is
-  the GC hook) — the *shared* transport stays open until the mux itself
-  stops.
+  ``recv`` (and ``recv_nowait``) reads the instance's demultiplexed
+  queue, and ``close`` releases the instance (the runner's ``finally:
+  transport.close()`` is the GC hook) — the *shared* transport stays open
+  until the mux itself stops.
 
 Layering with chaos: wrap the shared transport in a
 :class:`~repro.net.chaos.transport.ChaosTransport` *below* the mux, so
@@ -262,6 +262,10 @@ class InstanceChannel(Transport):
 
     async def recv(self, node: NodeId) -> Frame:
         return await self.mux.queue_for(self.instance_id, node).get()
+
+    def recv_nowait(self, node: NodeId) -> Optional[Frame]:
+        queue = self.mux.queue_for(self.instance_id, node)
+        return None if queue.empty() else queue.get_nowait()
 
     async def close(self) -> None:
         self.mux.release(self.instance_id)

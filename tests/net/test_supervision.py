@@ -28,7 +28,9 @@ from repro.net.supervision import (
     backoff_delay,
 )
 from repro.net.transport import LocalBus
+from repro.obs.events import LINK_OUTAGE, EventBus
 from repro.sim.messages import Message, RelayPayload
+from repro.trace import Tracer
 from tests.net.flaky import FlakyTransport
 
 NODES = ["S", "p1", "p2"]
@@ -180,6 +182,49 @@ class TestTransparentHealing:
         )
         assert outcome.decisions == reference.decisions
         assert outcome.metrics.total_send_failures == 0
+
+    def test_a_healed_outage_is_metered_published_and_traced(self):
+        """One refused attempt, then the re-dial lands: the link records one
+        outage, the bus one ``link_outage`` with ``healed=True``, the
+        ``link_heal`` span ends ``healed=True``, and the frame arrives
+        once, under the ``seq`` it was stamped with."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            sup = SupervisedTransport(
+                FlakyTransport(LocalBus(), failures=1), rng=random.Random(0)
+            )
+            metrics, bus = NetMetrics(transport=sup.name), EventBus()
+            tracer = Tracer(7, clock=loop.time)
+            metrics.attach_bus(bus)
+            sup.attach_metrics(metrics)
+            sup.attach_tracer(tracer)
+            await sup.open(NODES)
+            started = loop.time()
+            try:
+                await sup.send(data_frame())
+                frame = sup.recv_nowait("p1")
+                replay = sup.recv_nowait("p1")
+            finally:
+                await sup.close()
+            return frame, replay, loop.time() - started, metrics, bus, tracer
+
+        frame, replay, healed_in, metrics, bus, tracer = run_on_virtual_clock(
+            scenario()
+        )
+        assert frame.seq == 1 and frame.message.payload.value == "engage"
+        assert replay is None
+        link = metrics.link("S", "p1")
+        assert (link.outages, link.outage_seconds) == (1, healed_in)
+        assert 0 < healed_in <= backoff_delay(1, SimpleNamespace(random=lambda: 1.0))
+        (outage,) = [e for e in bus.recent() if e.kind == LINK_OUTAGE]
+        assert outage.data == {
+            "source": "S", "destination": "p1", "seconds": healed_in, "healed": True,
+        }
+        (heal,) = [s for s in tracer.spans if s.name == "link_heal"]
+        assert heal.attrs["healed"] is True and heal.seq == 1
+        assert [e.name for e in heal.events] == ["backoff"]
+        assert metrics.total_send_failures == 0
 
     def test_exhausted_retries_become_metered_absence(self, spec_1_2):
         """An unhealable link is an omission fault, not an exception: the

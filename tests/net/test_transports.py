@@ -157,6 +157,10 @@ class _Recording(Transport):
         self.calls.append(("recv", node))
         return data_frame(destination=node)
 
+    def recv_nowait(self, node):
+        self.calls.append(("recv_nowait", node))
+        return data_frame(destination=node)
+
     async def send_corrupted(self, frame, rng):
         self.calls.append(("send_corrupted", frame, rng))
         return 3
@@ -185,6 +189,7 @@ class TestTransportLayer:
             await layer.open(NODES)
             assert await layer.send(frame) == 7
             assert (await layer.recv("p1")).destination == "p1"
+            assert layer.recv_nowait("p2").destination == "p2"
             assert await layer.send_corrupted(frame, None) == 3
             assert layer.reset_connections("p2") == 2
             await layer.restart_endpoint("p2")
@@ -200,6 +205,7 @@ class TestTransportLayer:
             ("open", tuple(NODES)),
             ("send", frame),
             ("recv", "p1"),
+            ("recv_nowait", "p2"),
             ("send_corrupted", frame, None),
             ("reset_connections", "p2"),
             ("restart_endpoint", "p2"),

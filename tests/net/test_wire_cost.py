@@ -8,10 +8,11 @@
 * MARK frames are metered in ``bytes_sent`` like every other frame, so
   batched and unbatched byte totals reconcile with ``batch_bytes_saved``;
 * a frame costs the event loop no task and no timer, sent or received:
-  one task per node-round (its collect) and one deadline timer per round,
-  which bounds the sends as well as the collects — in a plain run and in
-  a served instance alike, since nothing above the runner arms a timer —
-  and no timer left scheduled however the run ends;
+  a round collects in the run's own task and creates one task only per
+  node that must wait (none in a fault-free run), and arms one deadline
+  timer, which bounds the sends as well as the collects — in a plain run
+  and in a served instance alike, since nothing above the runner arms a
+  timer — and no timer is left scheduled however the run ends;
 * a round's frames leave in link order (``engine.order`` source-major,
   destination-minor), one after another, from one call site, on every
   transport stack.
@@ -298,36 +299,30 @@ def _run_counting(spec, transport, scenario=lambda runner: runner.run()):
 
 
 @pytest.mark.parametrize(
-    "spec,sends,collects,rounds",
-    [(SPECS[0], 16, 15, 3), (SPECS[1], 66, 28, 4)],
-    ids=str,
+    "spec,sends,rounds", [(SPECS[0], 16, 3), (SPECS[1], 66, 4)], ids=str
 )
 def test_a_received_frame_costs_no_task_and_a_round_leaves_no_timer(
-    spec, sends, collects, rounds
+    spec, sends, rounds
 ):
-    """One task per node-round (its collect) and one deadline timer per
-    round — none per frame sent, none per frame received; the gathered
-    fan-out used to add one task per frame sent (31 and 94 tasks),
-    ``wait_for`` around every ``recv`` one more each (47 and 160), and a
-    timer per node-round (8 and 18 timers)."""
+    """No task and one deadline timer per round — none per frame sent,
+    none per frame received, none per node: every frame is already queued
+    when the round collects.  The gathered fan-out used to add one task
+    per frame sent (31 and 94 tasks), ``wait_for`` around every ``recv``
+    one more each (47 and 160), a timer per node-round (8 and 18 timers),
+    and a collect task per node-round (15 and 28 tasks)."""
     runner, created, armed, timers = _run_counting(spec, LocalBus())
     assert runner.metrics.total_frames == sends
-    assert created.count("AsyncRoundRunner._send") == 0
-    assert created.count("AsyncRoundRunner._collect") == collects
-    assert len(created) == collects == {5: 15, 7: 28}[spec.n_nodes]
+    assert created == []
     assert armed == rounds == runner.metrics.total_rounds
     assert timers == []
 
 
-@pytest.mark.parametrize(
-    "spec,collects,rounds", [(SPECS[0], 15, 3), (SPECS[1], 28, 4)], ids=str
-)
-def test_a_served_instance_costs_its_collects_and_one_timer_per_round(
-    spec, collects, rounds
-):
-    """The gateway awaits the runner directly: a served instance creates
-    the tasks and timers a plain run does and nothing more (a ``wait_for``
-    watchdog added one task and one timer: 16/29 tasks, 9/19 timers)."""
+@pytest.mark.parametrize("spec,rounds", [(SPECS[0], 3), (SPECS[1], 4)], ids=str)
+def test_a_served_instance_costs_its_collects_and_one_timer_per_round(spec, rounds):
+    """The gateway awaits the runner directly and the mux pumps have filed
+    every frame before the round collects: a served instance creates no
+    task, as a plain run (a ``wait_for`` watchdog added one task and one
+    timer, 16/29 tasks and 9/19 timers; a collect per node-round 15/28)."""
     nodes = node_names(spec.n_nodes)
 
     async def main():
@@ -338,7 +333,7 @@ def test_a_served_instance_costs_its_collects_and_one_timer_per_round(
 
     outcome, created, armed, timers = asyncio.run(main())
     assert outcome.ok and outcome.metrics.total_timeouts == 0
-    assert created == ["AsyncRoundRunner._collect"] * collects
+    assert created == []
     assert armed == rounds == outcome.metrics.total_rounds
     assert timers == []
 
@@ -350,6 +345,28 @@ def test_a_timed_out_round_leaves_no_timer():
     assert timers == []
 
 
+def test_only_a_node_that_must_wait_gets_a_collect_task():
+    """S->p1 is lost: p1 alone waits, in round 1, and it alone gets a task;
+    every other node-round files what has already arrived."""
+    bus = _LossyBus(lambda frame: (frame.source, frame.destination) == ("S", "p1"))
+    waited = []
+
+    def noting(runner):
+        collect = runner._collect
+
+        def _collect(node, round_no, *rest):
+            waited.append((round_no, node))
+            return collect(node, round_no, *rest)
+
+        runner._collect = _collect
+        return runner.run()
+
+    runner, created, armed, _ = _run_counting(SPECS[0], bus, noting)
+    assert created == ["AsyncRoundRunner._collect"]
+    assert waited == [(1, "p1")]
+    assert armed == 3 and runner.metrics.total_timeouts == 1
+
+
 def test_a_cancelled_run_leaves_no_timer():
     async def cancel_mid_collect(runner):
         task = asyncio.ensure_future(runner.run())
@@ -358,9 +375,10 @@ def test_a_cancelled_run_leaves_no_timer():
         with pytest.raises(asyncio.CancelledError):
             await task
 
-    # Nothing arrives, so every collect is waiting on its deadline.
+    # Nothing arrives, so every receiver is waiting on its deadline; the
+    # sender expects nobody in round 1 and gets no task.
     _, created, _, timers = _run_counting(SPECS[0], _LossyBus(), cancel_mid_collect)
-    assert created.count("AsyncRoundRunner._collect") == 5
+    assert created.count("AsyncRoundRunner._collect") == 4
     assert timers == []
 
 

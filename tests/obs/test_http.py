@@ -7,10 +7,12 @@ import pytest
 
 from repro.core.scenario import Instance
 from repro.net.metrics import NetMetrics
+from repro.net.tcp import TcpTransport
+from repro.net.transport import LocalBus
 from repro.obs.events import EventBus
 from repro.obs.http import ObsServer, scrape
 from repro.obs.prom import metrics_registry, parse_exposition
-from repro.serve import serve_plan
+from repro.serve import plan, serve_plan
 
 
 def run(coro):
@@ -119,26 +121,55 @@ def port_of(announce_line):
     return int(announce_line.rsplit(":", 1)[1].split("/")[0])
 
 
+def _held_first_send(transport):
+    """The plan's *transport* whose first ``send`` waits for its
+    ``release`` event: the instance making it stays in flight until a
+    scraper has seen it."""
+
+    class HeldFirstSend({"local": LocalBus, "tcp": TcpTransport}[transport]):
+        held = False
+
+        def __init__(self):
+            super().__init__()
+            self.release = asyncio.Event()
+
+        async def send(self, frame):
+            if not self.held:
+                self.held = True
+                await self.release.wait()
+            return await super().send(frame)
+
+    return HeldFirstSend()
+
+
 class TestLiveServeScrape:
     """``serve_plan``'s endpoint, scraped while instances are in flight."""
 
     @staticmethod
-    def serve_and_scrape(transport):
-        """Serve a plan past the admission bound and scrape ``/metrics``
-        from the announce callback until an instance shows as admitted
-        but not decided; return the announce lines and the scrape."""
-        announced, scraped, tasks = [], [], []
+    def serve_and_scrape(transport, monkeypatch):
+        """Serve a plan past the admission bound, holding its first send,
+        and scrape ``/metrics`` from the announce callback until an
+        instance shows in flight — then release the send; return the
+        announce lines and the scrape."""
+        announced, scraped, tasks, wires = [], [], [], []
+
+        def held_transport(name):
+            wires.append(_held_first_send(name))
+            return wires[-1]
+
+        monkeypatch.setattr(plan, "make_transport", held_transport)
 
         async def scrape_live(port):
-            for _ in range(200):
-                status, body = await scrape("127.0.0.1", port)
-                assert status == 200
-                samples = parse_exposition(body)
-                if (samples["repro_gateway_inflight"]
-                        + samples["repro_gateway_queue_depth"]) >= 1:
-                    scraped.append(body)
-                    return
-                await asyncio.sleep(0.001)
+            try:
+                for _ in range(200):
+                    status, body = await scrape("127.0.0.1", port)
+                    assert status == 200
+                    if parse_exposition(body)["repro_gateway_inflight"] >= 1:
+                        scraped.append(body)
+                        return
+                    await asyncio.sleep(0.001)
+            finally:
+                wires[0].release.set()
 
         def announce(line):
             announced.append(line)
@@ -155,11 +186,12 @@ class TestLiveServeScrape:
 
         outcomes = run(scenario())
         assert len(outcomes) == 12 and all(o.ok for o in outcomes)
+        assert wires[0].held
         return announced, scraped
 
     @pytest.mark.parametrize("transport", ["local", "tcp"])
-    def test_serve_run_answers_a_live_scrape(self, transport):
-        _, scraped = self.serve_and_scrape(transport)
+    def test_serve_run_answers_a_live_scrape(self, transport, monkeypatch):
+        _, scraped = self.serve_and_scrape(transport, monkeypatch)
         assert len(scraped) == 1
         # The live exposition is well-formed and carries the gateway +
         # bus families only a running service can produce.
@@ -173,10 +205,10 @@ class TestLiveServeScrape:
             key.startswith("repro_instances_total") for key in samples
         )
 
-    def test_ephemeral_port_is_announced_once_bound(self):
+    def test_ephemeral_port_is_announced_once_bound(self, monkeypatch):
         # Port 0 lets the OS pick: the chosen port must be announced so
         # scrapers (and CI) never race on a fixed number.
-        announced, scraped = self.serve_and_scrape("local")
+        announced, scraped = self.serve_and_scrape("local", monkeypatch)
         assert len(announced) == 1 and len(scraped) == 1
         port = port_of(announced[0])
         assert port > 0
