@@ -161,6 +161,20 @@ echo "== a round collects inline (recv_nowait on every transport; a task only fo
 # served) are the guard against a per-node gather coming back.
 python -m pytest -q tests/net/test_recv_nowait.py tests/net/test_wire_cost.py
 
+echo "== a frame hop builds its wire objects in one step (twins, seq stamp, poisoned bodies) =="
+python -m pytest -q \
+    tests/net/test_codec.py::TestConstruction \
+    tests/sim/test_messages.py::TestConstruction \
+    tests/net/test_supervision.py::TestSeqStamp \
+    tests/net/test_codec.py::TestDecodeRobustness \
+    tests/net/test_tcp_resilience.py::TestPoisonedConnection
+# The supervisor stamps seq with one positional Frame(...): replace()
+# walks fields() and re-enters __init__ by keyword, 2 µs more per frame.
+if grep -n "replace(" src/repro/net/supervision.py; then
+    echo "replace( is back in net/supervision.py: stamp seq with one positional Frame(...)" >&2
+    exit 1
+fi
+
 echo "== a trace event costs once (built in one step, audited in one pass) =="
 # Stamping an instance builds the stamped event directly: replace() walks
 # fields() and re-enters __init__ by keyword, 2.5 µs more per event.

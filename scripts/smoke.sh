@@ -27,6 +27,14 @@ python -m pytest -q tests/net/test_async_faults.py
 echo "== what the wire path costs (one encode per frame, one send order, a task only for a node that waits) =="
 python -m pytest -q tests/net/test_recv_nowait.py tests/net/test_wire_cost.py
 
+echo "== a frame hop builds its wire objects in one step (twins, seq stamp, poisoned bodies) =="
+python -m pytest -q \
+    tests/net/test_codec.py::TestConstruction \
+    tests/sim/test_messages.py::TestConstruction \
+    tests/net/test_supervision.py::TestSeqStamp \
+    tests/net/test_codec.py::TestDecodeRobustness \
+    tests/net/test_tcp_resilience.py::TestPoisonedConnection
+
 echo "== one deadline per round (it bounds sends and collects; nothing above the runner) =="
 python -m pytest -q tests/net/test_collect_deadline.py tests/serve/test_shutdown.py
 

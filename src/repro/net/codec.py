@@ -136,6 +136,13 @@ class Frame:
     — attach its record to the causing span.  ``None`` — the default —
     omits the ``"tc"`` key, so untraced frames (and every archived v1/v2
     byte stream) encode and decode byte-identically to before.
+
+    A frame hop builds three of these — the runner's, the supervisor's
+    ``seq`` stamp and the decoder's — so ``__init__`` fills the instance
+    dict directly instead of paying the generated frozen ``__init__``'s
+    ``object.__setattr__`` per field; equality, hashing, ``repr`` and
+    frozenness stay generated (``tests/net/test_codec.py::TestConstruction``
+    pins the twin).
     """
 
     kind: str
@@ -149,6 +156,23 @@ class Frame:
     instance: Optional[Hashable] = None
     seq: Optional[int] = None
     trace: Optional[str] = None
+
+    def __init__(
+        self, kind, round_no, source, destination, message=None, sent_at=0.0,
+        messages=(), mark=False, instance=None, seq=None, trace=None,
+    ) -> None:
+        fields_ = self.__dict__
+        fields_["kind"] = kind
+        fields_["round_no"] = round_no
+        fields_["source"] = source
+        fields_["destination"] = destination
+        fields_["message"] = message
+        fields_["sent_at"] = sent_at
+        fields_["messages"] = messages
+        fields_["mark"] = mark
+        fields_["instance"] = instance
+        fields_["seq"] = seq
+        fields_["trace"] = trace
 
 
 # ----------------------------------------------------------------------
@@ -238,39 +262,53 @@ def decode_frame(data: bytes) -> Frame:
     :func:`~repro.sim.jsonable.from_jsonable` hands scalars (node ids,
     path hops) back at its first check and rebuilds the hot payload shapes
     (relay, ``V_d``, tuple) with list comprehensions, not generators.
+
+    Every body that is not a frame raises :class:`TransportError` and
+    nothing else: bytes that are not UTF-8 JSON, an unknown envelope
+    version, a body that is not an object or lacks a key, a message that
+    is not an object or lacks a field, an unknown wire tag, an empty relay
+    path, or nesting too deep to walk.  A stream reader can therefore
+    contain every poisoned body by catching :class:`TransportError` alone.
+    The ``kind`` is not checked: a kind this codec does not build (an
+    older peer's link probe) decodes, and the runner meters it as late.
     """
     try:
         body = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TransportError(f"malformed frame: {exc}") from exc
-    version = body.get("v", 1)
-    if version not in ENVELOPE_VERSIONS:
-        raise TransportError(
-            f"unsupported frame envelope version {version!r} "
-            f"(this codec understands {ENVELOPE_VERSIONS})"
+    try:
+        version = body.get("v", 1)
+        if version not in ENVELOPE_VERSIONS:
+            raise TransportError(
+                f"unsupported frame envelope version {version!r} "
+                f"(this codec understands {ENVELOPE_VERSIONS})"
+            )
+        kind = body["kind"]
+        message = None
+        messages: Tuple[Message, ...] = ()
+        mark = False
+        if kind == DATA:
+            message = message_from_jsonable(body["msg"])
+        elif kind == BATCH:
+            messages = tuple([message_from_jsonable(raw) for raw in body["msgs"]])
+            mark = bool(body["mark"])
+        return Frame(
+            kind,
+            body["round"],
+            from_jsonable(body["src"]),
+            from_jsonable(body["dst"]),
+            message,
+            body["at"],
+            messages,
+            mark,
+            from_jsonable(body["iid"]) if "iid" in body else None,
+            body.get("seq"),
+            body.get("tc"),
         )
-    kind = body["kind"]
-    message = None
-    messages: Tuple[Message, ...] = ()
-    mark = False
-    if kind == DATA:
-        message = message_from_jsonable(body["msg"])
-    elif kind == BATCH:
-        messages = tuple([message_from_jsonable(raw) for raw in body["msgs"]])
-        mark = bool(body["mark"])
-    return Frame(
-        kind=kind,
-        round_no=body["round"],
-        source=from_jsonable(body["src"]),
-        destination=from_jsonable(body["dst"]),
-        message=message,
-        sent_at=body["at"],
-        messages=messages,
-        mark=mark,
-        instance=from_jsonable(body["iid"]) if "iid" in body else None,
-        seq=body.get("seq"),
-        trace=body.get("tc"),
-    )
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise TransportError(
+            f"malformed frame: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def pack_frame(frame: Frame) -> bytes:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ConfigurationError, TransportError
@@ -120,7 +120,11 @@ class SupervisedTransport(TransportLayer):
         link = (frame.source, frame.destination)
         seq = self._next_seq.get(link, 0) + 1
         self._next_seq[link] = seq
-        frame = replace(frame, seq=seq)
+        frame = Frame(
+            frame.kind, frame.round_no, frame.source, frame.destination,
+            frame.message, frame.sent_at, frame.messages, frame.mark,
+            frame.instance, seq, frame.trace,
+        )
         loop = asyncio.get_running_loop()
         outage_started: Optional[float] = None
         heal_span = None

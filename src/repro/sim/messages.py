@@ -50,6 +50,17 @@ class Message:
     round_sent: int = 0
     tag: str = ""
 
+    def __init__(self, source, destination, payload, round_sent=0, tag="") -> None:
+        # Filled directly, like TraceEvent: the generated frozen __init__
+        # pays one object.__setattr__ per field, and every decoded message
+        # is built here (tests/sim/test_messages.py::TestConstruction).
+        fields_ = self.__dict__
+        fields_["source"] = source
+        fields_["destination"] = destination
+        fields_["payload"] = payload
+        fields_["round_sent"] = round_sent
+        fields_["tag"] = tag
+
     def with_payload(self, payload: Any) -> "Message":
         """Copy of this message with a different payload (adversary use)."""
         return replace(self, payload=payload)
@@ -61,15 +72,28 @@ class RelayPayload:
 
     ``path`` is the full relay path *including* the relayer sending this
     message (so a direct send from sender ``s`` carries ``path == (s,)``);
-    ``value`` is the value being relayed.
+    ``value`` is the value being relayed.  An empty path is refused with
+    :class:`ValueError`.
+
+    ``__init__`` and ``__repr__`` are written out: one payload is built per
+    decoded message and its ``repr`` is :func:`delivery_order`'s sort key,
+    so both run once per message on the wire.  They build and render
+    exactly what the generated ones would; equality, hashing and
+    frozenness stay generated.
     """
 
     path: Tuple[NodeId, ...]
     value: Any
 
-    def __post_init__(self) -> None:
-        if not self.path:
+    def __init__(self, path, value) -> None:
+        if not path:
             raise ValueError("RelayPayload.path must be non-empty")
+        fields_ = self.__dict__
+        fields_["path"] = path
+        fields_["value"] = value
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(path={self.path!r}, value={self.value!r})"
 
 
 def delivery_order(messages: Iterable[Message]) -> List[Message]:

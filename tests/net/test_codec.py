@@ -1,5 +1,9 @@
 """Wire-format tests: tagged JSON values, frames, incremental decoding."""
 
+import dataclasses
+import json
+from typing import Hashable, Optional, Tuple
+
 import pytest
 
 from repro.core.values import DEFAULT
@@ -17,6 +21,7 @@ from repro.net.codec import (
     to_jsonable,
 )
 from repro.sim.messages import Message, RelayPayload
+from tests import twins
 
 
 class TestValueRoundTrip:
@@ -235,11 +240,15 @@ class TestFrameDecoder:
 
     def test_a_body_that_is_json_but_no_frame_is_consumed_and_loud(self):
         frame = self._marks(1)[0]
+        blob = pack_frame(frame) + b"\x00\x00\x00\x02{}" + b"\x00\x00"
         decoder = FrameDecoder()
-        with pytest.raises(KeyError):
-            decoder.feed(pack_frame(frame) + b"\x00\x00\x00\x02{}" + b"\x00\x00")
-        # As before: what was parsed is gone, the unparsed tail is kept.
-        assert decoder.pending_bytes == 2
+        with pytest.raises(TransportError):
+            decoder.feed(blob)
+        # Like any poison: the stream is abandoned, the buffer cleared ...
+        assert decoder.pending_bytes == 0
+        # ... and the tolerant feed keeps the frame before it.
+        got, error = FrameDecoder().feed_tolerant(blob)
+        assert got == [frame] and isinstance(error, TransportError)
 
 
 class TestEnvelopeVersions:
@@ -345,3 +354,119 @@ class TestSupervisionFrames:
     def test_legacy_frame_decodes_with_no_seq(self):
         legacy = b'{"at":0.0,"dst":"p1","kind":"mark","round":1,"src":"S"}'
         assert decode_frame(legacy).seq is None
+
+
+@dataclasses.dataclass(frozen=True)
+class PlainFrame:
+    """Frame as the generated frozen dataclass would build it."""
+
+    kind: str
+    round_no: int
+    source: Hashable
+    destination: Hashable
+    message: Optional[Message] = None
+    sent_at: float = 0.0
+    messages: Tuple[Message, ...] = dataclasses.field(default=())
+    mark: bool = False
+    instance: Optional[Hashable] = None
+    seq: Optional[int] = None
+    trace: Optional[str] = None
+
+
+_MSG = Message("S", "p1", RelayPayload(("S",), "engage"), 1, "byz")
+_MSGS = (_MSG, Message("S", "p1", RelayPayload(("S", "p2"), DEFAULT), 1, "byz"))
+
+FRAME_SAMPLES = [
+    (MARK, 1, "S", "p1"),
+    (DATA, 2, "p1", "p2", _MSG, 3.25),
+    (BATCH, 3, "S", "p1", None, 1.5, _MSGS, True),
+    (BATCH, 1, "S", "p1", None, 0.5, (), True, "i0007", 12, "00ff00ff00ff00ff"),
+    (DATA, 0, 0, 1, _MSG, 0.0, (), False, ("op", 3), None, None),
+]
+
+
+class TestConstruction:
+    """The hand-written ``Frame.__init__`` builds what the generated one would."""
+
+    def test_parameters_are_the_fields_in_order_with_their_defaults(self):
+        twins.assert_parameters_are_the_fields(Frame)
+
+    @pytest.mark.parametrize("args", FRAME_SAMPLES, ids=lambda a: f"{a[0]}-{len(a)}")
+    def test_same_object_as_the_plain_frozen_twin(self, args):
+        ours, plain = twins.assert_builds_the_twin(
+            Frame, PlainFrame, args,
+            [{"seq": 7}, {"trace": "t", "instance": "i1"}, {"messages": _MSGS}],
+        )
+        assert repr(ours) == repr(plain).replace("PlainFrame", "Frame", 1)
+        assert decode_frame(encode_frame(ours)) == ours
+
+    def test_frozen(self):
+        twins.assert_frozen(Frame(*FRAME_SAMPLES[3]))
+
+    def test_missing_and_unknown_arguments_are_refused(self):
+        twins.assert_arguments_checked(Frame, (MARK, 1, "S", "p1"))
+
+
+def _body(**fields):
+    """A MARK body with *fields* replaced (``None`` drops the key)."""
+    body = {"at": 0.0, "dst": "p1", "kind": "mark", "round": 1, "src": "S"}
+    body.update(fields)
+    return json.dumps({k: v for k, v in body.items() if v is not None}).encode()
+
+
+_MSG_JSON = {
+    "destination": "p1", "payload": "v", "round_sent": 1, "source": "S", "tag": "",
+}
+NOT_A_FRAME = {
+    "list": b"[1]",
+    "number": b"42",
+    "string": b'"frame"',
+    "null": b"null",
+    "empty-object": b"{}",
+    "no-round": _body(round=None),
+    "batch-msgs-hold-a-number": _body(kind="batch", mark=True, msgs=[1]),
+    "batch-msgs-not-a-list": _body(kind="batch", mark=True, msgs=3),
+    "batch-without-mark": _body(kind="batch", msgs=[]),
+    "data-without-msg": _body(kind="data"),
+    "data-msg-without-source": _body(
+        kind="data", msg={k: v for k, v in _MSG_JSON.items() if k != "source"}
+    ),
+    "data-msg-a-list": _body(kind="data", msg=["S", "p1"]),
+    "empty-relay-path": _body(
+        kind="data",
+        msg={**_MSG_JSON, "payload": {"__repro__": "relay", "path": [], "value": 1}},
+    ),
+    "unhashable-dict-key": _body(dst={"__repro__": "dict", "items": [[[1], 2]]}),
+    "version-a-list": _body(v=[2]),
+    "too-deep-to-walk": _body(src=[[]]).replace(b"[[]]", b"[" * 900 + b"]" * 900),
+    "too-deep-to-parse": b"[" * 100_000,
+}
+
+
+class TestDecodeRobustness:
+    """A body that is valid JSON but no frame is a TransportError, the one
+    error a stream reader contains — never an exception escaping it."""
+
+    @pytest.mark.parametrize("body", NOT_A_FRAME.values(), ids=NOT_A_FRAME.keys())
+    def test_a_body_that_is_no_frame_raises_transport_error(self, body):
+        with pytest.raises(TransportError):
+            decode_frame(body)
+
+    @pytest.mark.parametrize("body", NOT_A_FRAME.values(), ids=NOT_A_FRAME.keys())
+    def test_the_frames_before_it_survive_the_tolerant_feed(self, body):
+        good = [
+            Frame(kind=BATCH, round_no=1, source="S", destination="p1",
+                  messages=_MSGS, mark=True, seq=1),
+            Frame(kind=MARK, round_no=1, source="p2", destination="p1"),
+        ]
+        decoder = FrameDecoder()
+        stream = b"".join(pack_frame(f) for f in good)
+        stream += len(body).to_bytes(4, "big") + body
+        frames, error = decoder.feed_tolerant(stream + pack_frame(good[1]))
+        assert frames == good
+        assert isinstance(error, TransportError)
+        assert decoder.pending_bytes == 0
+
+    def test_a_kind_it_does_not_build_still_decodes(self):
+        # An older peer's link probe; the runner meters it as late.
+        assert decode_frame(_body(kind="ping")).kind == "ping"

@@ -3,7 +3,10 @@
 ``tests/net/reference_codec.py`` holds the codec as it was — dict tree +
 ``json.dumps(sort_keys=True)`` out, ``json.loads`` + recursive walk in.
 The live ``encode_frame`` / ``decode_frame`` must agree with it on every
-frame: same bytes, same decoded frame, same error type and message.
+frame: same bytes, same decoded frame, same error type and message — with
+one deliberate departure: a JSON body that is not a frame raises
+:class:`TransportError` (caused by the reference's own error) instead of
+letting that error escape the stream reader.
 
 Decoded frames are compared by ``repr``: it tells ``1`` from ``1.0`` from
 ``True`` and ``-0.0`` from ``0.0`` (``==`` does not) and treats ``nan`` as
@@ -298,9 +301,12 @@ def test_foreign_but_legal_bytes_decode_as_the_reference_does(data):
     ],
 )
 def test_malformed_bodies_fail_as_loudly_as_before(data):
-    """Valid JSON that is not a frame: not a TransportError, before or now."""
+    """Valid JSON that is not a frame: the reference's error, now wrapped
+    in the TransportError a stream reader contains."""
     with pytest.raises(Exception) as ref:
         reference.decode_frame(data)
-    with pytest.raises(type(ref.value)) as new:
+    assert not isinstance(ref.value, TransportError)
+    with pytest.raises(TransportError) as new:
         decode_frame(data)
-    assert str(new.value) == str(ref.value)
+    cause = new.value.__cause__
+    assert type(cause) is type(ref.value) and str(cause) == str(ref.value)

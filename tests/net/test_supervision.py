@@ -18,7 +18,7 @@ import pytest
 from repro.core.protocol import execute_degradable_protocol
 from repro.core.spec import DegradableSpec
 from repro.explore.clock import run_on_virtual_clock
-from repro.net.codec import DATA, Frame
+from repro.net.codec import BATCH, DATA, MARK, Frame
 from repro.net.metrics import NetMetrics
 from repro.net.runner import run_agreement_async
 from repro.net.supervision import (
@@ -72,6 +72,41 @@ class TestBackoffPolicy:
         a = [backoff_delay(k, random.Random(3)) for k in range(1, 5)]
         b = [backoff_delay(k, random.Random(3)) for k in range(1, 5)]
         assert a == b
+
+
+_MESSAGE = Message("S", "p1", RelayPayload(("S",), "engage"), 1, "byz")
+STAMP_SAMPLES = [
+    Frame(DATA, 1, "S", "p1", _MESSAGE, 2.5),
+    Frame(MARK, 2, "S", "p1", sent_at=3.5),
+    Frame(BATCH, 3, "S", "p1", None, 4.5, (_MESSAGE, _MESSAGE), True),
+    Frame(DATA, 1, "S", "p1", _MESSAGE, 2.5, instance="i7", trace="00ab"),
+    Frame(MARK, 2, "S", "p1", sent_at=3.5, instance=("op", 1), trace="00cd"),
+    Frame(BATCH, 3, "S", "p1", None, 4.5, (_MESSAGE,), False, "i9", None, "00ef"),
+]
+
+
+class TestSeqStamp:
+    def test_the_stamped_frame_is_replace_with_seq(self):
+        """The positional stamp keeps every field but ``seq`` as it was."""
+
+        async def scenario():
+            # LocalBus queues the very object the supervisor sent.
+            bus = LocalBus()
+            sup = SupervisedTransport(bus)
+            await sup.open(NODES)
+            try:
+                for frame in STAMP_SAMPLES:
+                    await sup.send(frame)
+                return [await bus.recv("p1") for _ in STAMP_SAMPLES]
+            finally:
+                await sup.close()
+
+        sent = asyncio.run(scenario())
+        assert len(sent) == len(STAMP_SAMPLES)
+        for seq, (frame, stamped) in enumerate(zip(STAMP_SAMPLES, sent), 1):
+            assert type(stamped) is Frame
+            assert stamped == replace(frame, seq=seq)
+            assert vars(stamped) == vars(replace(frame, seq=seq))
 
 
 class TestSequenceDedup:

@@ -11,7 +11,7 @@ counted), and the endpoint keeps serving fresh connections.
 import asyncio
 import struct
 
-from repro.net.codec import DATA, Frame, pack_frame
+from repro.net.codec import BATCH, DATA, Frame, pack_frame
 from repro.net.metrics import NetMetrics
 from repro.net.tcp import TcpTransport
 from repro.sim.messages import Message, RelayPayload
@@ -96,6 +96,42 @@ class TestPoisonedConnection:
         received, decode_errors = asyncio.run(scenario())
         assert received.kind == DATA
         assert received.message.payload.value == "engage"
+        assert decode_errors == 1
+
+    def test_json_that_is_no_frame_is_contained_and_counted(self):
+        """One chunk carrying [valid BATCH][``[1]``]: valid JSON but no
+        frame.  The BATCH is delivered, the poison counted once, and the
+        endpoint serves the next connection."""
+        batch = Frame(
+            kind=BATCH, round_no=1, source="S", destination="p1",
+            messages=(data_frame().message,), mark=True, seq=1,
+        )
+
+        async def scenario():
+            tcp = TcpTransport()
+            metrics = NetMetrics(transport=tcp.name)
+            tcp.attach_metrics(metrics)
+            await tcp.open(NODES)
+            host, port = tcp.address_of("p1")
+
+            _, writer = await asyncio.open_connection(host, port)
+            writer.write(pack_frame(batch) + poisoned_frame_bytes(b"[1]"))
+            await writer.drain()
+            writer.close()
+
+            first = await asyncio.wait_for(tcp.recv("p1"), timeout=5.0)
+            for _ in range(50):
+                if metrics.decode_errors:
+                    break
+                await asyncio.sleep(0.01)
+            await tcp.send(data_frame(value="second"))
+            second = await asyncio.wait_for(tcp.recv("p1"), timeout=5.0)
+            await tcp.close()
+            return first, second, metrics.decode_errors
+
+        first, second, decode_errors = asyncio.run(scenario())
+        assert first == batch
+        assert second.message.payload.value == "second"
         assert decode_errors == 1
 
     def test_oversized_length_prefix_contained_too(self):
