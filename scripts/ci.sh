@@ -254,6 +254,17 @@ if grep -n "^from repro.analysis\|^import repro.analysis" src/repro/cli/__init__
     exit 1
 fi
 
+# One seeded sampler: a chaos-campaign trial is a FuzzCase judged by the
+# oracle, and the package samples with random.Random, not Hypothesis.
+if grep -rn "hypothesis" src/; then
+    echo "src/ mentions hypothesis: repro fuzz samples from random.Random; strategies live in tests/verify/" >&2
+    exit 1
+fi
+if grep -rnE "TrialConfig|run_campaign_sync|CampaignReport" src/; then
+    echo "the chaos campaign's own case/driver/report is back under src/: a trial is a grid FuzzCase (repro.verify.fuzz)" >&2
+    exit 1
+fi
+
 echo "== one scenario vocabulary (one node list, one fault-kind table, replayable tokens) =="
 # The S,p1..p{N-1} builder and the kind -> Behavior mapping live once, in
 # repro.core.scenario.  (A count test, since `! grep` never trips `set -e`.)

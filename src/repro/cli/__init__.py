@@ -102,6 +102,16 @@ def _add_seed_argument(parser, default: int, help_text: str) -> None:
     parser.add_argument("--seed", type=int, default=default, help=help_text)
 
 
+def _replay(token: str, transports=("local", "tcp")) -> int:
+    """``fuzz``/``chaos --replay``: rerun one case from its token (either
+    grammar) and print its outcome; exit 1 if the oracle objects."""
+    from repro.verify.fuzz import parse_case_token, run_case
+
+    outcome = run_case(parse_case_token(token), transports)
+    print(outcome.render())
+    return 0 if outcome.ok else 1
+
+
 def _n_nodes(args) -> int:
     """``-n``, defaulting to the paper's minimum ``2m + u + 1``."""
     return args.nodes if args.nodes is not None else 2 * args.m + args.u + 1

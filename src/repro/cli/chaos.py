@@ -1,14 +1,21 @@
 """``chaos`` — soak the async runtime under seeded network chaos.
 
 Loss, duplication, reordering, corruption, partitions and crashes, with
-the paper's D.1–D.4 guarantee tiers asserted against the chaos actually
-injected; ``--kill-links`` soaks the self-healing layer and ``--replay``
-reruns one trial from its token.
+every trial a grid :class:`~repro.verify.fuzz.FuzzCase` judged by the
+conformance oracle against the D.1–D.4 tier the chaos actually injected
+selects; ``--kill-links`` soaks the self-healing layer and ``--replay``
+reruns one trial from its token (as ``repro fuzz --replay`` does).
 """
 
 from __future__ import annotations
 
-from repro.cli import _add_seed_argument, _add_wire_arguments, _count, _verb
+from repro.cli import (
+    _add_seed_argument,
+    _add_wire_arguments,
+    _count,
+    _replay,
+    _verb,
+)
 
 
 def register(sub) -> None:
@@ -38,33 +45,31 @@ def register(sub) -> None:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.net.chaos import (
-        SEVERITIES,
-        parse_replay,
-        run_campaign_sync,
-        run_trial_sync,
-    )
+    from repro.net.chaos import SEVERITIES
+    from repro.verify.fuzz import grid_cases, run_cases
 
     if args.replay:
-        result = run_trial_sync(parse_replay(args.replay))
-        print(result.render())
-        return 1 if result.failed else 0
+        return _replay(args.replay)
 
     severities = list(SEVERITIES) if args.severity == "all" else [args.severity]
     print(f"chaos campaign: seed={args.seed} transport={args.transport} "
           f"severities={','.join(severities)} trials/severity={args.trials}"
           + (" kill-links soak" if args.kill_links else ""))
-    report = run_campaign_sync(
+    report = run_cases(
+        grid_cases(
+            args.seed,
+            severities,
+            args.trials,
+            transport=args.transport,
+            timeout=args.timeout,
+            kill_links=args.kill_links,
+        ),
         args.seed,
-        severities,
-        args.trials,
-        transport=args.transport,
-        timeout=args.timeout,
-        progress=lambda result: print(result.line()),
-        kill_links=args.kill_links,
+        (args.transport,),
+        on_case=lambda outcome: print(outcome.line()),
     )
     print()
-    print(report.render())
+    print(report.render_campaign())
     if args.report:
         report.save(args.report)
         print(f"  report written to {args.report}")

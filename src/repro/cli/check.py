@@ -23,6 +23,7 @@ from repro.cli import (
     _add_wire_arguments,
     _count,
     _n_nodes,
+    _replay,
     _verb,
 )
 from repro.core.scenario import FAULT_KINDS, fault_pairs
@@ -117,16 +118,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from repro.verify.fuzz import parse_case_token, run_case, run_fuzz
+    from repro.verify.fuzz import run_fuzz
 
     transports = (
         ("local", "tcp") if args.transport == "all" else (args.transport,)
     )
     if args.replay:
-        case = parse_case_token(args.replay)
-        outcome = run_case(case, transports=transports)
-        print(outcome.render())
-        return 0 if outcome.ok else 1
+        return _replay(args.replay, transports)
     examples = args.examples
     if examples is None:
         examples = 6 if args.quick else 20

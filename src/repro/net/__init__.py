@@ -82,7 +82,6 @@ from repro.net.chaos import (
     Partition,
     make_policy,
     partition_injector,
-    run_trial_sync,
 )
 
 __all__ = [
@@ -114,6 +113,5 @@ __all__ = [
     "pack_frame",
     "partition_injector",
     "run_agreement_async",
-    "run_trial_sync",
     "to_jsonable",
 ]

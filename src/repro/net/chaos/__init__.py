@@ -18,21 +18,25 @@ harness against realistic network misbehaviour:
 * :mod:`~repro.net.chaos.accounting` — chaos translated into the paper's
   fault vocabulary: each afflicted node set yields an effective fault
   count ``f_eff`` that selects the guarantee tier to assert;
-* :mod:`~repro.net.chaos.campaign` — seed-driven soak sweeps over
-  ``(m, u, N) x severity`` grids with JSON reports and one-command
-  replay of any failed trial; :func:`run_seeded_instance` is the one
-  "seeded chaotic net instance" recipe its trials, ``repro trace`` and
-  the fuzzer all run.
+* :func:`run_seeded_instance` (:mod:`~repro.net.chaos.campaign`) — the
+  one "seeded chaotic net instance" recipe: the outcome, the afflicted
+  set and the tier it selects.  ``repro chaos`` sweeps it over
+  ``(m, u, N) x severity`` grids of :class:`~repro.verify.fuzz.FuzzCase`
+  trials, each judged by the conformance oracle, with JSON reports and
+  one-command replay of any failed trial; ``repro trace`` and the fuzzer
+  run it too.
 
 Quickstart::
 
-    from repro.net.chaos import TrialConfig, run_trial_sync
+    from repro.verify.fuzz import FuzzCase, run_case
 
-    result = run_trial_sync(TrialConfig(
-        m=1, u=2, n_nodes=5, severity="heavy", transport="local", seed=7,
-    ))
-    assert not result.failed          # D-conditions hold for its tier
-    print(result.tier, result.chaos_counts)
+    case = FuzzCase(
+        m=1, u=2, n_nodes=5, chaos_severity="heavy", chaos_seed=7,
+        timeout=0.25, transport="local",
+    )
+    outcome = run_case(case)          # one batched run over the bus
+    assert outcome.ok                 # the oracle's 14 checks, tier included
+    print(outcome.render())           # tier, afflicted nodes, chaos counts
 
 Or from the command line::
 
@@ -45,22 +49,8 @@ from repro.net.chaos.accounting import (
     ChaosEvent,
     ChaosLog,
     partition_injector,
-    tier_is_asserted,
 )
-from repro.net.chaos.campaign import (
-    DEFAULT_GRID,
-    CampaignReport,
-    TrialConfig,
-    TrialResult,
-    campaign_configs,
-    parse_replay,
-    run_campaign,
-    run_campaign_sync,
-    run_seeded_instance,
-    run_trial,
-    run_trial_sync,
-    trial_seed,
-)
+from repro.net.chaos.campaign import run_seeded_instance
 from repro.net.chaos.policy import (
     SEVERITIES,
     ChaosPolicy,
@@ -75,28 +65,16 @@ from repro.net.chaos.transport import ChaosTransport
 __all__ = [
     "ABSENCE_KINDS",
     "BENIGN_KINDS",
-    "CampaignReport",
     "ChaosEvent",
     "ChaosLog",
     "ChaosPolicy",
     "ChaosTransport",
     "Crash",
-    "DEFAULT_GRID",
     "EndpointRestart",
     "Partition",
     "SEVERITIES",
-    "TrialConfig",
-    "TrialResult",
-    "campaign_configs",
     "make_policy",
-    "parse_replay",
     "partition_injector",
-    "run_campaign",
-    "run_campaign_sync",
     "run_seeded_instance",
-    "run_trial",
-    "run_trial_sync",
     "seeded_policy",
-    "tier_is_asserted",
-    "trial_seed",
 ]

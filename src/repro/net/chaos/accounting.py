@@ -122,14 +122,6 @@ class ChaosLog:
 
 
 # ----------------------------------------------------------------------
-# Tier selection
-# ----------------------------------------------------------------------
-def tier_is_asserted(tier: str) -> bool:
-    """Whether the paper promises anything at this tier."""
-    return tier in ("byzantine", "degraded")
-
-
-# ----------------------------------------------------------------------
 # Shared vocabulary with the synchronous engine
 # ----------------------------------------------------------------------
 def partition_injector(partition: Partition) -> OmissionInjector:

@@ -14,12 +14,15 @@ was delivered to whom.  This package audits finished runs after the fact:
 * :mod:`repro.verify.demux` — splits a multi-instance ``mode="serve"``
   record (:mod:`repro.serve`) into one auditable per-instance record per
   agreement, keyed by each event's ``meta["instance"]`` stamp;
-* :mod:`repro.verify.fuzz` — a Hypothesis-driven differential fuzzer that
-  samples small instances × behaviours × chaos seeds, runs them over
-  sync / local-bus / tcp × batched / unbatched, and feeds every trace
-  through the oracle plus cross-mode decision equivalence.
+* :mod:`repro.verify.fuzz` — one seeded case type for the differential
+  fuzzer and the chaos campaign: ``random.Random(seed)`` samples small
+  instances × behaviours × chaos seeds and runs them over sync /
+  local-bus / tcp × batched / unbatched, a campaign grid runs one chaos
+  trial per case, and every trace goes through the oracle (plus
+  cross-mode decision equivalence for chaos-free samples).
 
-CLI: ``repro verify <trace.jsonl>`` and ``repro fuzz [--quick --seed S]``.
+CLI: ``repro verify <trace.jsonl>``, ``repro fuzz [--quick --seed S]`` and
+``repro chaos``.
 """
 
 from repro.verify.demux import demux_record

@@ -1,8 +1,15 @@
-"""Campaign machinery: replay tokens, trial seeds, reports, reproducibility."""
+"""Campaign machinery: grid cases, replay tokens, trial seeds, reports,
+reproducibility.
+
+A ``repro chaos`` trial is a grid :class:`~repro.verify.fuzz.FuzzCase`
+(transport set, no declared faults) judged by the conformance oracle; the
+campaign report is a :class:`~repro.verify.fuzz.FuzzReport` rendering.
+"""
 
 import json
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,32 +19,54 @@ from repro.exceptions import ConfigurationError
 from repro.explore import run_on_virtual_clock
 from repro.net import LocalBus, run_agreement_async
 from repro.net.chaos import (
-    DEFAULT_GRID,
     SEVERITIES,
     EndpointRestart,
-    TrialConfig,
-    campaign_configs,
     make_policy,
-    parse_replay,
-    run_campaign,
     run_seeded_instance,
-    run_trial,
     seeded_policy,
+)
+from repro.verify.fuzz import (
+    DEFAULT_GRID,
+    GRID_VALUE,
+    FuzzCase,
+    grid_cases,
+    parse_case_token,
+    rerun_diff,
+    run_case_async,
+    run_cases_async,
     trial_seed,
 )
 
 
+def _grid(seed, severities, trials, **kwargs):
+    return run_on_virtual_clock(
+        run_cases_async(grid_cases(seed, severities, trials, **kwargs), seed)
+    )
+
+
 class TestReplayToken:
     def test_round_trip(self):
-        config = TrialConfig(
-            m=1, u=2, n_nodes=5, severity="heavy",
-            transport="tcp", seed=987654, timeout=0.3,
+        case = FuzzCase(
+            m=1, u=2, n_nodes=5, sender_value=GRID_VALUE,
+            chaos_severity="heavy", chaos_seed=987654, timeout=0.3,
+            transport="tcp",
         )
-        assert parse_replay(config.replay_token) == config
+        assert parse_case_token(case.token) == case
+        # The retired chaos grammar reads onto the same case.
+        assert parse_case_token(
+            "m=1,u=2,n=5,severity=heavy,transport=tcp,seed=987654,"
+            "timeout=0.3"
+        ) == case
 
     def test_default_timeout_optional_in_token(self):
-        config = parse_replay("m=1,u=2,n=5,severity=light,transport=local,seed=3")
-        assert config.timeout == 0.25
+        case = parse_case_token(
+            "m=1,u=2,n=5,severity=light,transport=local,seed=3"
+        )
+        assert case.timeout == 0.25
+        assert case.token == (
+            "m=1,u=2,n=5,value=engage,faults=-,chaos=light:3,timeout=0.25,"
+            "transport=local"
+        )
 
     @pytest.mark.parametrize("token", [
         "",
@@ -48,15 +77,17 @@ class TestReplayToken:
     ])
     def test_malformed_tokens_rejected(self, token):
         with pytest.raises(ConfigurationError):
-            parse_replay(token)
+            parse_case_token(token)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            TrialConfig(m=1, u=2, n_nodes=5, severity="light",
-                        transport="carrier-pigeon", seed=1)
-        with pytest.raises(ConfigurationError):
-            TrialConfig(m=1, u=2, n_nodes=5, severity="light",
-                        transport="local", seed=1, timeout=0.0)
+        for token in (
+            "m=1,u=2,n=5,severity=light,transport=carrier-pigeon,seed=1",
+            "m=1,u=2,n=5,severity=light,transport=local,seed=1,timeout=0",
+            "m=1,u=2,n=5,chaos=light:1,transport=carrier-pigeon",
+            "m=1,u=2,n=5,chaos=light:1,timeout=0",
+        ):
+            with pytest.raises(ConfigurationError):
+                parse_case_token(token)
 
 
 class TestSeededPolicy:
@@ -98,28 +129,31 @@ class TestSeededPolicy:
 
 
 class TestSeededInstance:
-    """``run_seeded_instance`` is the run-one-net-instance recipe
-    ``run_trial``, ``repro trace`` and the fuzzer each spelled out."""
+    """``run_seeded_instance`` is the run-one-net-instance recipe a grid
+    trial, ``repro trace`` and the fuzzer each spelled out."""
 
     @pytest.mark.no_wall_timeout
     @pytest.mark.parametrize("kill_links", [False, True])
     @pytest.mark.parametrize("severity", SEVERITIES)
     def test_reproduces_the_inlined_trial(self, severity, kill_links):
-        config = TrialConfig(2, 3, 8, severity, "local", 7, kill_links=kill_links)
-        spec, nodes = config.instance.spec(), config.instance.nodes()
+        case = FuzzCase(
+            2, 3, 8, GRID_VALUE, chaos_severity=severity, chaos_seed=7,
+            timeout=0.25, transport="local", kill_links=kill_links,
+        )
+        spec, nodes = case.spec(), case.nodes()
 
         async def inlined():
-            # run_trial's body, as it read before the recipe had a name.
+            # The grid trial's body, as it read before the recipe had a name.
             policy, rng = seeded_policy(severity, spec, nodes, 7, kill_links)
             return await run_agreement_async(
                 spec, nodes, nodes[0], "engage",
-                transport=LocalBus(), round_timeout=config.timeout,
+                transport=LocalBus(), round_timeout=case.timeout,
                 chaos=policy, chaos_rng=rng, supervise=kill_links,
             )
 
         want = run_on_virtual_clock(inlined())
         got, afflicted, tier = run_on_virtual_clock(run_seeded_instance(
-            config.instance, "local", config.timeout, severity, 7, kill_links
+            case, "local", case.timeout, severity, 7, kill_links
         ))
         assert got.result.decisions == want.result.decisions
         assert afflicted == want.chaos.afflicted
@@ -127,14 +161,14 @@ class TestSeededInstance:
         assert got.chaos.counts() == want.chaos.counts()
         assert got.metrics.counters() == want.metrics.counters()
 
-        trial = run_on_virtual_clock(run_trial(config))
-        assert trial.decisions == {
-            str(n): repr(v) for n, v in want.result.decisions.items()
-        }
-        assert trial.afflicted == sorted(str(n) for n in afflicted)
-        assert (trial.tier, trial.f_eff) == (tier, len(afflicted))
-        assert trial.chaos_counts == want.chaos.counts()
-        assert trial.fingerprint == want.metrics.counters()
+        trial = run_on_virtual_clock(run_case_async(case))
+        (run,) = trial.runs.values()
+        (report,) = trial.reports.values()
+        assert run.result.decisions == want.result.decisions
+        assert report.record.faulty == afflicted
+        assert report.tier == tier
+        assert trial.chaos_totals() == want.chaos.counts()
+        assert run.metrics.counters() == want.metrics.counters()
 
     def test_a_clean_network_charges_only_the_declared_faults(self):
         instance = Instance(1, 2, 5, "alpha", (("p2", "silent"),))
@@ -156,38 +190,44 @@ class TestTrialSeeds:
         assert len(seeds) == 20  # no collisions across the small grid
 
     def test_configs_cycle_the_spec_grid(self):
-        configs = campaign_configs(7, ["light"], len(DEFAULT_GRID) + 1, "local")
-        triples = [(c.m, c.u, c.n_nodes) for c in configs]
+        cases = grid_cases(7, ["light"], len(DEFAULT_GRID) + 1, "local")
+        triples = [(c.m, c.u, c.n_nodes) for c in cases]
         assert triples[: len(DEFAULT_GRID)] == list(DEFAULT_GRID)
         assert triples[len(DEFAULT_GRID)] == DEFAULT_GRID[0]
+        # The campaign's seeds, and its fault-free instance under chaos.
+        assert [c.chaos_seed for c in cases] == [
+            trial_seed(7, "light", index) for index in range(len(cases))
+        ]
+        assert {(c.sender_value, c.faults) for c in cases} == {
+            (GRID_VALUE, ())
+        }
 
 
 class TestTrialResult:
     def test_record_only_tier_never_fails(self):
         # A partition can afflict up to u + 1 nodes when the instance has
         # room (u < N // 2); find a seed landing in the record-only tier
-        # and check it is recorded, not judged.
+        # and check it is recorded, not failed.
         for seed in range(40):
-            result = run_on_virtual_clock(run_trial(TrialConfig(
-                m=1, u=2, n_nodes=6, severity="partition",
-                transport="local", seed=seed,
+            outcome = run_on_virtual_clock(run_case_async(FuzzCase(
+                m=1, u=2, n_nodes=6, sender_value=GRID_VALUE,
+                chaos_severity="partition", chaos_seed=seed, timeout=0.25,
+                transport="local",
             )))
-            if result.tier == "none":
-                assert not result.checked
-                assert result.passed is None
-                assert not result.failed
+            (report,) = outcome.reports.values()
+            if report.tier == "none":
+                assert outcome.ok, outcome.render()
+                assert outcome.line().startswith("  [rec] ")
                 return
         pytest.skip("no record-only trial in the first 40 seeds")
 
     def test_json_shape(self):
-        result = run_on_virtual_clock(run_trial(TrialConfig(
-            m=1, u=2, n_nodes=5, severity="light",
-            transport="local", seed=11,
-        )))
-        blob = result.to_json()
-        assert parse_replay(blob["replay"]) == result.config
-        assert blob["tier"] in ("byzantine", "degraded", "none")
-        assert set(blob["chaos_counts"]) == {
+        report = _grid(11, ["light"], 1)
+        (blob,) = report.to_json()["cases"]
+        assert parse_case_token(blob["replay"]) == report.outcomes[0].case
+        (mode,) = blob["modes"].values()
+        assert mode["tier"] in ("byzantine", "degraded", "none")
+        assert set(mode["chaos_counts"]) == {
             "drop", "corrupt", "partition", "crash", "restart",
             "dup", "reorder", "delay", "reset",
         }
@@ -196,17 +236,18 @@ class TestTrialResult:
 
 class TestCampaign:
     def test_small_campaign_report(self, tmp_path):
-        report = run_on_virtual_clock(
-            run_campaign(7, ["light", "crash"], 2, transport="local")
-        )
-        assert len(report.trials) == 4
+        report = _grid(7, ["light", "crash"], 2)
+        assert len(report.outcomes) == 4
         assert report.ok  # light/crash on the default grid must pass
+        assert report.rerun_mismatches is None  # not a kill-links soak
 
         blob = report.to_json()
-        assert blob["n_trials"] == 4
+        assert blob["n_cases"] == 4
         assert set(blob["tiers"]) == {"byzantine", "degraded", "none"}
-        checked = [t for t in report.trials if t.checked]
-        assert checked, "campaign never exercised an asserted tier"
+        judged = blob["tiers"]["byzantine"]["trials"] + (
+            blob["tiers"]["degraded"]["trials"]
+        )
+        assert judged, "campaign never exercised an asserted tier"
         assert blob["worst_case_seeds"]  # heaviest-chaos seeds when no failures
 
         out = tmp_path / "report.json"
@@ -214,53 +255,51 @@ class TestCampaign:
         assert json.loads(out.read_text())["ok"] is True
 
     def test_same_seed_campaign_is_bit_identical(self, tmp_path):
-        first = run_on_virtual_clock(
-            run_campaign(13, ["heavy"], 3, transport="local")
-        )
-        second = run_on_virtual_clock(
-            run_campaign(13, ["heavy"], 3, transport="local")
-        )
+        first = _grid(13, ["heavy"], 3)
+        second = _grid(13, ["heavy"], 3)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         first.save(str(a))
         second.save(str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_rerun_diff_names_what_changed_by_replay_token(self):
-        report = run_on_virtual_clock(
-            run_campaign(7, ["light"], 2, transport="local")
-        )
-        assert report.rerun_mismatches is None  # not a kill-links soak
-        assert report.diff(report.trials) == []
+        report = _grid(7, ["light"], 2)
+        assert rerun_diff(report.outcomes, report.outcomes) == []
 
-        first, second = report.trials
-        counter = sorted(first.fingerprint)[0]
+        first, second = report.outcomes
+        (run,) = first.runs.values()
+        counters = run.metrics.counters()
+        counter = sorted(counters)[0]
+        bumped = {**counters, counter: counters[counter] + 1}
+        (mode, other), = second.runs.items()
+        forged = replace(other.result, decisions={
+            **other.result.decisions, "p1": "forged",
+        })
         planted = [
-            replace(first, fingerprint={
-                **first.fingerprint, counter: first.fingerprint[counter] + 1,
+            replace(first, runs={
+                mode: replace(run, metrics=SimpleNamespace(
+                    counters=lambda: bumped,
+                )),
             }),
-            replace(second, decisions={**second.decisions, "p1": "'forged'"}),
+            replace(second, runs={mode: replace(other, result=forged)}),
         ]
-        fingerprint_line, decisions_line = report.diff(planted)
+        fingerprint_line, decisions_line = rerun_diff(report.outcomes, planted)
         assert fingerprint_line.startswith(
-            f"{first.config.replay_token}: fingerprint diverged"
+            f"{first.case.token}: fingerprint diverged"
         )
         assert counter in fingerprint_line
-        assert decisions_line == (
-            f"{second.config.replay_token}: decisions diverged"
-        )
+        assert decisions_line == f"{second.case.token}: decisions diverged"
 
     @pytest.mark.no_wall_timeout
     def test_kill_links_campaign_reruns_itself(self):
-        report = run_on_virtual_clock(
-            run_campaign(7, ["light", "crash"], 2, kill_links=True)
-        )
+        report = _grid(7, ["light", "crash"], 2, kill_links=True)
         assert report.rerun_mismatches == []
         assert report.ok
-        assert "same-seed re-run: all 4 trial" in report.render()
+        assert "same-seed re-run: all 4 trial" in report.render_campaign()
         assert report.verdict().startswith("campaign PASSED (4 trials")
 
         report.rerun_mismatches = ["token: decisions diverged"]
         assert not report.ok
-        assert "NOT reproducible" in report.render()
-        assert "tier byzantine" not in report.render()
+        assert "NOT reproducible" in report.render_campaign()
+        assert "tier byzantine" not in report.render_campaign()
         assert report.verdict() == "campaign FAILED (kill-links determinism)"

@@ -17,7 +17,8 @@ from repro.core.spec import DegradableSpec
 from repro.exceptions import TransportError
 from repro.explore.clock import run_on_virtual_clock
 from repro.net import LocalBus, TcpTransport, run_agreement_async
-from repro.net.chaos import ChaosPolicy, TrialConfig, run_trial
+from repro.net.chaos import ChaosPolicy
+from repro.verify.fuzz import FuzzCase, run_case_async
 
 from tests.conftest import node_names
 from tests.net.flaky import FlakyTransport
@@ -119,17 +120,23 @@ class TestSameSeedSameRun:
 class TestTrialDeterminism:
     @pytest.mark.parametrize("severity", ["heavy", "partition", "crash"])
     def test_same_config_same_result(self, severity):
-        config = TrialConfig(
-            m=1, u=2, n_nodes=5, severity=severity,
-            transport="local", seed=1234,
+        case = FuzzCase(
+            m=1, u=2, n_nodes=5, sender_value=VALUE, chaos_severity=severity,
+            chaos_seed=1234, timeout=0.25, transport="local",
         )
-        first = run_on_virtual_clock(run_trial(config))
-        second = run_on_virtual_clock(run_trial(config))
-        assert first.decisions == second.decisions
-        assert first.chaos_counts == second.chaos_counts
-        assert first.afflicted == second.afflicted
-        assert first.tier == second.tier
-        assert first.substitutions == second.substitutions
+        first = run_on_virtual_clock(run_case_async(case))
+        second = run_on_virtual_clock(run_case_async(case))
+        assert first.fingerprints == second.fingerprints
+        assert first.chaos_totals() == second.chaos_totals()
+        ((mode, report),) = first.reports.items()
+        again = second.reports[mode]
+        assert report.decisions == again.decisions
+        assert report.record.faulty == again.record.faulty
+        assert report.tier == again.tier
+        assert (
+            first.runs[mode].result.stats.substitutions
+            == second.runs[mode].result.stats.substitutions
+        )
 
 
 class TestFlakyProbabilisticMode:

@@ -31,6 +31,7 @@ from repro.net.transport import LocalBus
 from repro.obs.events import LINK_OUTAGE, EventBus
 from repro.sim.messages import Message, RelayPayload
 from repro.trace import Tracer
+from repro.verify.fuzz import FuzzCase, parse_case_token, rerun_diff, run_case
 from tests.net.flaky import FlakyTransport
 
 NODES = ["S", "p1", "p2"]
@@ -289,59 +290,52 @@ class TestTransparentHealing:
 
 
 class TestKillLinksSoak:
-    def test_restart_trial_is_deterministic_on_localbus(self):
-        from repro.net.chaos.campaign import TrialConfig, run_trial_sync
-
-        config = TrialConfig(
-            m=1, u=2, n_nodes=5, severity="light", transport="local",
-            seed=2024, timeout=0.5, kill_links=True,
+    @staticmethod
+    def _case(transport, seed, m=1, u=2, n=5):
+        return FuzzCase(
+            m=m, u=u, n_nodes=n, sender_value="engage",
+            chaos_severity="light", chaos_seed=seed, timeout=0.5,
+            transport=transport, kill_links=True,
         )
-        first = run_trial_sync(config)
-        second = run_trial_sync(config)
-        assert first.endpoint_restarts == 1
-        assert first.decisions == second.decisions
-        assert first.fingerprint == second.fingerprint
-        assert not first.failed and not second.failed
+
+    def test_restart_trial_is_deterministic_on_localbus(self):
+        case = self._case("local", 2024)
+        first, second = run_case(case), run_case(case)
+        run, again = first.runs["local"], second.runs["local"]
+        assert run.metrics.endpoint_restarts == 1
+        assert rerun_diff([first], [second]) == []
+        assert run.result.decisions == again.result.decisions
+        assert run.metrics.counters() == again.metrics.counters()
+        assert first.ok and second.ok, first.render()
 
     def test_replay_token_round_trips_kill_links(self):
-        from repro.net.chaos.campaign import TrialConfig, parse_replay
-
-        config = TrialConfig(
-            m=1, u=2, n_nodes=5, severity="light", transport="local",
-            seed=9, timeout=0.5, kill_links=True,
-        )
-        assert parse_replay(config.replay_token) == config
-        plain = TrialConfig(
-            m=1, u=2, n_nodes=5, severity="light", transport="local",
-            seed=9, timeout=0.5,
-        )
-        assert "kill_links" not in plain.replay_token
-        assert parse_replay(plain.replay_token) == plain
+        case = self._case("local", 9)
+        assert parse_case_token(case.token) == case
+        plain = replace(case, kill_links=False)
+        assert "kill_links" not in plain.token
+        assert parse_case_token(plain.token) == plain
 
     @pytest.mark.timeout(300)
     def test_tcp_reset_and_restart_soak(self):
         """Acceptance gate: a deep spec over real TCP, every connection
         hard-reset at each relay round and one endpoint crash-restarted
-        mid-run — completes, satisfies its tier, actually reconnects, and
-        reproduces its full wire fingerprint on a same-seed re-run."""
-        from repro.net.chaos.campaign import TrialConfig, run_trial_sync
-
-        config = TrialConfig(
-            m=2, u=3, n_nodes=8, severity="light", transport="tcp",
-            seed=2108511367, timeout=0.5, kill_links=True,
-        )
-        first = run_trial_sync(config)
-        second = run_trial_sync(config)
-        assert not first.failed, first.violations
-        assert first.reconnects > 0  # relay links genuinely re-dialed
-        assert first.endpoint_restarts == 1
-        assert first.decisions == second.decisions
-        assert first.fingerprint == second.fingerprint
-        for key in first.fingerprint:
+        mid-run — completes, passes the oracle for its tier, actually
+        reconnects, and reproduces its full wire fingerprint on a
+        same-seed re-run."""
+        case = self._case("tcp", 2108511367, m=2, u=3, n=8)
+        first, second = run_case(case), run_case(case)
+        assert first.ok, first.render()
+        run, again = first.runs["tcp"], second.runs["tcp"]
+        assert run.metrics.total_reconnects > 0  # relay links re-dialed
+        assert run.metrics.endpoint_restarts == 1
+        assert run.result.decisions == again.result.decisions
+        fingerprint = run.metrics.counters()
+        assert fingerprint == again.metrics.counters()
+        for key in fingerprint:
             if key.startswith("link.") and key.endswith(".reconnects"):
                 break
         else:
             raise AssertionError(
                 "fingerprint carries no reconnect counters: "
-                f"{sorted(first.fingerprint)}"
+                f"{sorted(fingerprint)}"
             )

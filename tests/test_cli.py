@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.verify.oracle import VOTE_MISMATCH, Violation
 
 
 def run_cli(capsys, *argv):
@@ -223,8 +224,34 @@ class TestChaos:
             "m=1,u=2,n=5,severity=crash,transport=local,seed=11",
         )
         assert code == 0
-        assert "replay m=1,u=2,n=5" in out
-        assert "verdict:" in out
+        # The chaos grammar replays as its grid case: one batched run.
+        assert out.startswith(
+            "[ok] m=1,u=2,n=5,value=engage,faults=-,chaos=crash:11,"
+            "timeout=0.25,transport=local\n"
+        )
+        assert "    local            tier=" in out
+        assert "afflicted=" in out and "chaos: " in out
+
+    def test_the_oracle_judges_every_trial(self, capsys, monkeypatch):
+        from repro.verify import fuzz as fuzz_module
+
+        real = fuzz_module.verify_record
+
+        def sabotaged(record):
+            report = real(record)
+            report.violations.append(
+                Violation(VOTE_MISMATCH, None, None, "planted by the test")
+            )
+            return report
+
+        monkeypatch.setattr(fuzz_module, "verify_record", sabotaged)
+        code, out, _ = run_cli(
+            capsys, "chaos", "--seed", "7", "--severity", "light",
+            "--trials", "2",
+        )
+        assert code == 1
+        assert "campaign FAILED (2 checked-tier violation(s))" in out
+        assert out.count('python -m repro chaos --replay "') == 2
 
     def test_bad_replay_token(self, capsys):
         code, _, err = run_cli(capsys, "chaos", "--replay", "nonsense")
@@ -250,6 +277,11 @@ class TestParser:
             (["suite", "/nonexistent.json"], "cannot read suite"),
             (["serve", "--metrics-port", "99999"], "--metrics-port must be in"),
             (["serve", "--metrics-port", "-1"], "--metrics-port must be in"),
+            (["fuzz", "--replay", "m=1,u=2,n=5,timeout=0"],
+             "timeout must be > 0"),
+            (["chaos", "--replay",
+              "m=1,u=2,n=5,severity=light,transport=local,seed=3,timeout=0"],
+             "timeout must be > 0"),
         ],
     )
     def test_bad_argument_is_one_error_line_not_a_traceback(

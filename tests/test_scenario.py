@@ -2,7 +2,8 @@
 
 ``repro.core.scenario`` is the single description of an agreement
 instance behind the fuzzer, the explorer, the chaos campaign and the CLI.
-These tables pin what the three replay grammars share: every token the
+These tables pin what the three replay grammars share (the chaos grammar
+is read by the fuzz reader's shim onto a grid ``FuzzCase``): every token the
 repository prints or documents parses to the config built by hand and
 re-renders to the same bytes; every malformed token is a
 ``ConfigurationError`` naming its grammar; and the fault-kind table is
@@ -27,19 +28,29 @@ from repro.core.scenario import (
 from repro.exceptions import ConfigurationError
 from repro.explore import ExploreConfig, parse_explore_token
 from repro.explore import explorer as explore_module
-from repro.net.chaos import TrialConfig, parse_replay
 from repro.verify import fuzz as fuzz_module
-from repro.verify.fuzz import FuzzCase, parse_case_token
+from repro.verify.fuzz import GRID_VALUE, FuzzCase, parse_case_token
+
+
+def parse_replay(token):
+    """The retired chaos grammar: the fuzz reader's shim onto a grid case."""
+    return parse_case_token(token)
 
 
 _fuzz, _explore, _chaos = parse_case_token, parse_explore_token, parse_replay
 
 
+def _grid(m, u, n, severity, transport, seed, timeout=0.25, kill_links=False):
+    """The grid case a chaos-grammar token names."""
+    return FuzzCase(
+        m, u, n, GRID_VALUE, chaos_severity=severity, chaos_seed=seed,
+        timeout=timeout, transport=transport, kill_links=kill_links,
+    )
+
+
 def _render(config):
     if isinstance(config, tuple):  # explore: (config, schedule)
         return config[0].token(config[1])
-    if isinstance(config, TrialConfig):
-        return config.replay_token
     return config.token
 
 
@@ -47,49 +58,56 @@ def _render(config):
 #  the config built by hand, canonical rendering — None when the token
 #  already is canonical).
 GOLDEN = [
-    # chaos: tests/test_cli.py, the verify skill, scripts/ci.sh
+    # chaos: tests/test_cli.py, the verify skill, scripts/ci.sh.  The
+    # chaos grammar reads onto a grid FuzzCase and renders as a fuzz token.
     (
         _chaos,
         "m=1,u=2,n=5,severity=crash,transport=local,seed=11",
-        TrialConfig(1, 2, 5, "crash", "local", 11),
-        "m=1,u=2,n=5,severity=crash,transport=local,seed=11,timeout=0.25",
+        _grid(1, 2, 5, "crash", "local", 11),
+        "m=1,u=2,n=5,value=engage,faults=-,chaos=crash:11,timeout=0.25,"
+        "transport=local",
     ),
     # tests/net/test_chaos_campaign.py
     (
         _chaos,
         "m=1,u=2,n=5,severity=light,transport=local,seed=3",
-        TrialConfig(1, 2, 5, "light", "local", 3, timeout=0.25),
-        "m=1,u=2,n=5,severity=light,transport=local,seed=3,timeout=0.25",
+        _grid(1, 2, 5, "light", "local", 3, timeout=0.25),
+        "m=1,u=2,n=5,value=engage,faults=-,chaos=light:3,timeout=0.25,"
+        "transport=local",
     ),
     # docs/runtime.md
     (
         _chaos,
         "m=1,u=2,n=5,severity=heavy,transport=local,seed=123,timeout=0.25",
-        TrialConfig(1, 2, 5, "heavy", "local", 123, timeout=0.25),
-        None,
+        _grid(1, 2, 5, "heavy", "local", 123, timeout=0.25),
+        "m=1,u=2,n=5,value=engage,faults=-,chaos=heavy:123,timeout=0.25,"
+        "transport=local",
     ),
     # kill_links=1 is appended only when set
     (
         _chaos,
         "m=2,u=3,n=8,severity=light,transport=tcp,seed=7,timeout=0.5,"
         "kill_links=1",
-        TrialConfig(2, 3, 8, "light", "tcp", 7, timeout=0.5, kill_links=True),
-        None,
+        _grid(2, 3, 8, "light", "tcp", 7, timeout=0.5, kill_links=True),
+        "m=2,u=3,n=8,value=engage,faults=-,chaos=light:7,timeout=0.5,"
+        "transport=tcp,kill_links=1",
     ),
     (
         _chaos,
         "m=2,u=3,n=8,severity=light,transport=tcp,seed=7,timeout=0.5,"
         "kill_links=0",
-        TrialConfig(2, 3, 8, "light", "tcp", 7, timeout=0.5),
-        "m=2,u=3,n=8,severity=light,transport=tcp,seed=7,timeout=0.5",
+        _grid(2, 3, 8, "light", "tcp", 7, timeout=0.5),
+        "m=2,u=3,n=8,value=engage,faults=-,chaos=light:7,timeout=0.5,"
+        "transport=tcp",
     ),
     # scripts/replay_tokens.sh
     (
         _chaos,
         "m=1,u=2,n=5,severity=crash,transport=local,seed=11,timeout=0.25,"
         "kill_links=1",
-        TrialConfig(1, 2, 5, "crash", "local", 11, kill_links=True),
-        None,
+        _grid(1, 2, 5, "crash", "local", 11, kill_links=True),
+        "m=1,u=2,n=5,value=engage,faults=-,chaos=crash:11,timeout=0.25,"
+        "transport=local,kill_links=1",
     ),
     # fuzz: docs/testing.md, docs/runtime.md, tests/verify/test_fuzz.py,
     # scripts/replay_tokens.sh
@@ -278,6 +296,12 @@ class TestMalformedTokens:
         message = str(excinfo.value)
         assert repr(key) in message
         assert "known keys: m, u, n, " in message
+
+    def test_chaos_seed_without_a_severity_never_replays_chaos_free(self):
+        # chaos=:5 used to replay a chaos-free case and print chaos=-.
+        with pytest.raises(ConfigurationError, match="fuzz") as excinfo:
+            _fuzz("m=1,u=2,n=5,chaos=:5")
+        assert "without a severity" in str(excinfo.value)
 
     def test_unknown_key_error_lists_the_grammars_keys(self):
         for module, (parse, base) in (
