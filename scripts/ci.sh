@@ -175,13 +175,21 @@ if grep -n "replace(" src/repro/net/supervision.py; then
     exit 1
 fi
 
-echo "== a trace event costs once (built in one step, audited in one pass) =="
+echo "== a trace event costs once (built in one step, its meta shared, audited in one pass) =="
 # Stamping an instance builds the stamped event directly: replace() walks
 # fields() and re-enters __init__ by keyword, 2.5 µs more per event.
 if sed -n '/^    def record(/,/^    def record_message(/p' src/repro/sim/trace.py | grep -n "replace("; then
     echo "replace( is back in EventTrace.record: build the stamped TraceEvent directly" >&2
     exit 1
 fi
+# A run's events share one meta dict per tag and frame shape, and lines()
+# writes each meta object's text once: a meta is read-only under src/.
+if grep -rnE '\.meta\[[^]]*\] *=[^=]|\.meta\.(update|setdefault|pop)\(' src/; then
+    echo "a write into an event's meta is back under src/: metas are shared within a trace, build a new dict" >&2
+    exit 1
+fi
+python -m pytest -q tests/net/test_trace_metas.py \
+    tests/sim/test_trace_differential.py::test_whole_traces_match_the_reference
 # The oracle files every event once; no check rescans the trace.
 if grep -n "def _deliveries_for\|def _index_sends" src/repro/verify/oracle.py; then
     echo "a per-check rescan of the trace is back in verify/oracle.py: read the one-pass buckets" >&2

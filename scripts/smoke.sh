@@ -15,6 +15,10 @@ python -m pytest -x -q
 echo "== trace line writer vs its reference (same lines, headers, fingerprints) =="
 python -m pytest -q tests/sim/test_trace_differential.py
 
+echo "== a trace writes each meta once (one dict per tag and frame shape in a run; whole traces vs the reference) =="
+python -m pytest -q tests/net/test_trace_metas.py \
+    tests/sim/test_trace_differential.py::test_whole_traces_match_the_reference
+
 echo "== one-pass oracle vs its reference (same reports on frontiers, mutations, doctored traces) =="
 python -m pytest -q tests/verify/test_oracle_differential.py
 

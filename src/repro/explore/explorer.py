@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.eig import byz_resolver
@@ -115,6 +116,12 @@ class ExploreConfig(Instance):
 
     def __post_init__(self) -> None:
         self.spec()  # validate N > 2m + u eagerly
+        # The virtual clock's horizon and every schedule delay scale with
+        # the deadline: 0, a negative, nan or inf describes no execution.
+        if not (isfinite(self.round_timeout) and self.round_timeout > 0):
+            raise ConfigurationError(
+                f"timeout must be finite and > 0, got {self.round_timeout}"
+            )
 
     def token(self, schedule: Sequence[int] = ()) -> str:
         """Replay token naming this config plus one schedule."""

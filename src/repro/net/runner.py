@@ -197,6 +197,9 @@ class AsyncRoundRunner:
             record_trace=False,
         )
         self.engine.trace = self.trace
+        #: Frame metas by shape: one dict per distinct frame shape in this
+        #: run, shared by all its trace lines (:meth:`_frame_meta`).
+        self._frame_metas: Dict[tuple, dict] = {}
 
     # ------------------------------------------------------------------
     # Execution
@@ -356,7 +359,7 @@ class AsyncRoundRunner:
                     self.trace.record(
                         TraceEvent(
                             round_no, EventKind.COALESCED, source, destination,
-                            None, "", {"messages": len(messages), "mark": frame.mark},
+                            None, "", self._frame_meta(frame, coalesced=True),
                         )
                     )
         return frames, expected
@@ -473,17 +476,38 @@ class AsyncRoundRunner:
     ) -> None:
         if self.trace is None:
             return
-        meta: dict = {"frame": frame.kind}
-        if frame.kind == BATCH:
-            meta["messages"] = len(frame.messages)
-            meta["mark"] = frame.mark
+        meta = self._frame_meta(frame)
         if extra_meta:
-            meta.update(extra_meta)
+            meta = {**meta, **extra_meta}
         self.trace.record(
             TraceEvent(
                 round_no, kind, frame.source, frame.destination, None, note, meta
             )
         )
+
+    def _frame_meta(self, frame: Frame, coalesced: bool = False) -> dict:
+        """A frame line's meta, one dict per frame shape in this run.
+
+        ``{"frame": kind}``, plus ``messages`` and ``mark`` for a BATCH; a
+        ``coalesced`` line's is ``messages`` and ``mark`` alone.  Shared
+        only when the kind is exactly a ``str`` and the mark exactly a
+        ``bool`` (the count is a ``len``), so ``mark=1`` never aliases
+        ``mark=True``; any other frame gets a fresh dict.
+        """
+        kind = frame.kind
+        batch = coalesced or kind == BATCH
+        count, mark = (len(frame.messages), frame.mark) if batch else (0, False)
+        shared = kind.__class__ is str and mark.__class__ is bool
+        key = (coalesced, kind, count, mark)
+        meta = self._frame_metas.get(key) if shared else None
+        if meta is None:
+            meta = {} if coalesced else {"frame": kind}
+            if batch:
+                meta["messages"] = count
+                meta["mark"] = mark
+            if shared:
+                self._frame_metas[key] = meta
+        return meta
 
     def _file_frame(
         self,

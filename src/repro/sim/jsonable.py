@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import isfinite
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from repro.core.values import DEFAULT
 from repro.exceptions import TransportError
@@ -201,6 +201,26 @@ def raw_json(value: Any) -> str:
     if value.__class__ in _SCALAR_TYPES:
         return canonical_json(value)
     return _stock_json(value)
+
+
+def leaf_json(value: Any, write: Callable[[Any], str]) -> str:
+    """``write(value)``, straight from the leaf memo on a hit.
+
+    For an exact ``str`` or ``int`` (and ``None``) every writer in this
+    module emits the same text, so a field that is almost always such a
+    leaf — a trace line's node ids, note and round — skips *write*'s
+    dispatch; anything else, and a memo miss, is *write*'s call.
+    """
+    cls = value.__class__
+    if cls is str:
+        text = _STR_TEXT.get(value)
+    elif cls is int:
+        text = _INT_TEXT.get(value)
+    elif value is None:
+        return "null"
+    else:
+        return write(value)
+    return text or write(value)
 
 
 def to_jsonable_lossy(value: Any) -> Any:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.exceptions import TraceFormatError
-from repro.sim.jsonable import from_jsonable, lossy_json, raw_json
+from repro.sim.jsonable import from_jsonable, leaf_json, lossy_json, raw_json
 from repro.sim.messages import Message
 
 NodeId = Hashable
@@ -86,7 +86,10 @@ class TraceEvent:
     payload: Any
     note: str = ""
     #: Optional structured annotations (message tag, frame kind, batch
-    #: size, ...).  Keys are strings; values must be jsonable.
+    #: size, ...).  Keys are strings; values must be jsonable.  Read-only:
+    #: the events of one trace share one dict per distinct tag and frame
+    #: shape (:meth:`EventTrace.record_message`,
+    #: :meth:`~repro.net.runner.AsyncRoundRunner._frame_meta`).
     meta: Optional[Dict[str, Any]] = field(default=None)
 
     def __init__(
@@ -120,6 +123,8 @@ class EventTrace:
     def __init__(self, instance: Optional[Hashable] = None) -> None:
         self.instance = instance
         self._events: List[TraceEvent] = []
+        #: ``{"tag": tag}`` by tag: one meta per distinct tag in this trace.
+        self._tag_metas: Dict[str, Dict[str, str]] = {}
 
     def record(self, event: TraceEvent) -> None:
         if self.instance is not None:
@@ -135,11 +140,26 @@ class EventTrace:
     def record_message(
         self, round_no: int, kind: EventKind, message: Message, note: str = ""
     ) -> None:
+        """Record *message* as a *kind* event, its tag as the meta.
+
+        Every event of one exact-``str`` tag shares one ``{"tag": tag}``
+        dict, kept per trace (a service names its tags ``byz:<id>``, so a
+        process-wide table would grow without bound); a tag of any other
+        type gets a fresh dict.
+        """
         tag = message.tag
+        if not tag:
+            meta = None
+        elif tag.__class__ is str:
+            meta = self._tag_metas.get(tag)
+            if meta is None:
+                meta = self._tag_metas[tag] = {"tag": tag}
+        else:
+            meta = {"tag": tag}
         self.record(
             TraceEvent(
                 round_no, kind, message.source, message.destination,
-                message.payload, note, {"tag": tag} if tag else None,
+                message.payload, note, meta,
             )
         )
 
@@ -219,18 +239,24 @@ class EventTrace:
         """The canonical JSON line of every event, in recording order.
 
         A relayed payload is one object shared by all its ``sent`` and
-        ``delivered`` lines, so each payload object's text is written once
-        per call, keyed by ``id()``: the events hold their payloads for
-        the whole call, so no id is reused while the table lives.
+        ``delivered`` lines, and a meta one object shared by every line of
+        its tag or frame shape, so each payload and meta object's text is
+        written once per call, keyed by ``id()``: the events hold both for
+        the whole call, so no id is reused while the table lives.  One
+        table serves both fields — both are written by :func:`lossy_json`,
+        so one object has one text whichever field it fills.
         """
-        payload_text: Dict[int, str] = {}
+        texts: Dict[int, str] = {}
         out = []
         for event in self._events:
-            key = id(event.payload)
-            text = payload_text.get(key)
-            if text is None:
-                text = payload_text[key] = lossy_json(event.payload)
-            out.append(_line(event, text))
+            payload, meta = event.payload, event.meta
+            payload_text = texts.get(id(payload))
+            if payload_text is None:
+                payload_text = texts[id(payload)] = lossy_json(payload)
+            meta_text = texts.get(id(meta))
+            if meta_text is None:
+                meta_text = texts[id(meta)] = lossy_json(meta)
+            out.append(_line(event, payload_text, meta_text))
         return out
 
     @classmethod
@@ -283,22 +309,28 @@ def event_to_json(event: TraceEvent) -> str:
       can be sorted, hashed and joined without re-reading them — every
       fingerprint and golden trace is a hash of exactly these lines.
     """
-    return _line(event, lossy_json(event.payload))
+    return _line(event, lossy_json(event.payload), lossy_json(event.meta))
 
 
-_KIND_TEXT = {kind: raw_json(kind.value) for kind in EventKind}
+#: Keyed by the member's value: hashing the member itself calls the
+#: Python-level ``Enum.__hash__``, about 5 % of a line's cost.
+_KIND_TEXT = {kind._value_: raw_json(kind.value) for kind in EventKind}
 
 
-def _line(event: TraceEvent, payload: str) -> str:
-    """*event*'s line around its already written *payload* text."""
+def _line(event: TraceEvent, payload: str, meta: str) -> str:
+    """*event*'s line around its already written *payload* and *meta* text.
+
+    The other fields are almost always exact ``str``/``int`` leaves (node
+    ids, an empty note, the round), written from the leaf memo.
+    """
     return (
-        f'{{"destination":{lossy_json(event.destination)},'
-        f'"kind":{_KIND_TEXT[event.kind]},'
-        f'"meta":{lossy_json(event.meta)},'
-        f'"note":{raw_json(event.note)},'
+        f'{{"destination":{leaf_json(event.destination, lossy_json)},'
+        f'"kind":{_KIND_TEXT[event.kind._value_]},'
+        f'"meta":{meta},'
+        f'"note":{leaf_json(event.note, raw_json)},'
         f'"payload":{payload},'
-        f'"round":{raw_json(event.round_no)},'
-        f'"source":{lossy_json(event.source)}}}'
+        f'"round":{leaf_json(event.round_no, raw_json)},'
+        f'"source":{leaf_json(event.source, lossy_json)}}}'
     )
 
 

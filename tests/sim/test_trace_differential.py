@@ -4,7 +4,8 @@
 ``to_jsonable_lossy`` -> dict tree -> ``json.dumps(sort_keys=True)`` per
 event, and a fingerprint over the joined-then-split text.  The live
 ``event_to_json`` / ``RunRecord.header`` / ``to_jsonl`` / ``fingerprint``
-must agree with it on every event and every record: same bytes, same hash.
+must agree with it on every event, every whole trace and every record:
+same bytes, same hash.
 """
 
 import asyncio
@@ -20,6 +21,7 @@ from repro.core.values import DEFAULT
 from repro.net import LocalBus, run_agreement_async
 from repro.net.codec import BATCH, DATA, MARK
 from repro.sim.jsonable import Opaque
+from repro.sim.messages import RelayPayload
 from repro.sim.trace import EventKind, EventTrace, TraceEvent, event_from_json, event_to_json
 from repro.verify import RunRecord, record_net_outcome, record_sync_run
 
@@ -102,6 +104,59 @@ def test_an_unencodable_leaf_makes_the_whole_field_opaque():
     assert decoded.payload == Opaque(repr(["fine", ("also fine", bad)]))
     assert decoded.meta == Opaque(repr({"tag": "byz", "extra": bad}))
     assert (decoded.source, decoded.destination) == ("S", "p1")
+
+
+# ----------------------------------------------------------------------
+# Whole traces: the per-call text memo
+# ----------------------------------------------------------------------
+# ``lines()`` writes each payload and meta *object* once per call, keyed by
+# ``id()``; a single event cannot show whether that memo keys by identity.
+# So: whole traces drawn from a small pool in which objects recur (a
+# runner shares one meta per tag and frame shape), sit beside equal but
+# distinct twins, and compare equal across types (``1``/``True``/``1.0``)
+# — a memo keyed by value would write one's text for the other.  One dict
+# fills both fields, since the two share one table.
+_BOTH = {"mark": True}
+_RELAY = RelayPayload(("S", "p1"), "v")
+_PAYLOAD_POOL = [
+    None, DEFAULT, "1", 1, True, 1.0, "v", ("S", "p1"), ("S", "p1"),
+    _RELAY, _RELAY, RelayPayload(("S", "p1"), "v"), RelayPayload(("S", 1), True),
+    [1, "1"], [True, 1.0], _BOTH, Unencodable(), Opaque("1"),
+]
+_TAG = {"tag": "byz"}
+_FRAME = {"frame": BATCH, "messages": 2, "mark": True}
+_META_POOL = [
+    None, _TAG, _TAG, {"tag": "byz"}, {"tag": 1}, {"tag": "1"},
+    _BOTH, {"mark": True}, {"mark": 1}, {"mark": 1.0}, {"mark": "1"},
+    _FRAME, _FRAME, {"frame": BATCH, "messages": 2, "mark": 1},
+    {"frame": BATCH, "messages": True, "mark": True}, {"frame": MARK},
+    {"frame_round": 1}, {"instance": "1"}, {"instance": 1}, {"tag": Unencodable()},
+]
+_pooled_events = st.builds(
+    TraceEvent,
+    round_no=st.sampled_from([1, 2, True, "1"]),
+    kind=st.sampled_from(list(EventKind)),
+    source=st.sampled_from(["S", "p1", "1", 1, True, None, ("rack", 1)]),
+    destination=st.sampled_from([None, "p1", "1", 1, 1.0, Unencodable()]),
+    payload=st.sampled_from(_PAYLOAD_POOL),
+    note=st.sampled_from(["", "1", "by ByzantineRelayInjector"]),
+    meta=st.sampled_from(_META_POOL),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pooled_events, max_size=40))
+def test_whole_traces_match_the_reference(events):
+    trace = EventTrace()
+    for event in events:
+        trace.record(event)
+    assert trace.lines() == [reference.event_to_json(e) for e in events]
+    assert trace.to_jsonl() == reference.trace_to_jsonl(trace)
+    record = RunRecord(
+        spec=DegradableSpec(m=1, u=2, n_nodes=5), nodes=tuple(node_names(5)),
+        sender="S", sender_value="v", faulty=frozenset({"p1"}), trace=trace,
+    )
+    assert record.fingerprint() == reference.fingerprint(record)
 
 
 # ----------------------------------------------------------------------

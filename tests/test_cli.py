@@ -282,6 +282,16 @@ class TestParser:
             (["chaos", "--replay",
               "m=1,u=2,n=5,severity=light,transport=local,seed=3,timeout=0"],
              "timeout must be > 0"),
+            (["explore", "--replay", "m=1,u=2,n=5,timeout=0"],
+             "timeout must be finite and > 0, got 0.0"),
+            (["explore", "--replay", "m=1,u=2,n=5,timeout=-1"],
+             "timeout must be finite and > 0, got -1.0"),
+            (["explore", "--replay", "m=1,u=2,n=5,timeout=nan"],
+             "timeout must be finite and > 0, got nan"),
+            (["explore", "--replay", "m=1,u=2,n=5,timeout=inf"],
+             "timeout must be finite and > 0, got inf"),
+            (["explore", "--timeout", "inf"],
+             "timeout must be finite and > 0, got inf"),
         ],
     )
     def test_bad_argument_is_one_error_line_not_a_traceback(
