@@ -113,6 +113,19 @@ for path in ("src/repro/net/transport.py", "src/repro/net/tcp.py"):
                     )
 PY
 
+echo "== one observer seam (a layer reaches the bus and tracer through its recorder) =="
+# NetMetrics is built with the run's bus and tracer, and attach_metrics is
+# the only seam that hands them down a stack; a layer and TcpTransport
+# always hold a recorder (a private one until one is attached).
+if grep -rn --include="*.py" "attach_tracer\|attach_bus" src/; then
+    echo "attach_tracer/attach_bus is back under src/: the recorder carries the run's bus and tracer" >&2
+    exit 1
+fi
+if grep -rn --include="*.py" "metrics is None\|metrics is not None" src/repro/net/; then
+    echo "a recorder None-guard is back under src/repro/net/: every layer holds a recorder" >&2
+    exit 1
+fi
+
 echo "== two runtimes, one round (the runner calls the engine's emit; one interception contract) =="
 # net/adapters.py is gone: FaultInjector is the only interception base
 # class and CrashInjector (sim/faults.py) is the wire-level crash.

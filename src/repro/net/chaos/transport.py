@@ -199,10 +199,10 @@ class ChaosTransport(TransportLayer):
             self._record("drop", frame, afflicted=frozenset({frame.source}))
             await self.inner.send(frame)
         for r in range(self._round_seen + 1, round_no + 1):
-            if self.policy.partition_active(r) and self.metrics is not None:
+            if self.policy.partition_active(r):
                 self.metrics.record_partition_round()
             for crash in self.policy.crashes:
-                if crash.at_round == r and self.metrics is not None:
+                if crash.at_round == r:
                     self.metrics.record_crash_event()
             # Scheduled transport faults execute at round onset, *between*
             # the previous round's collection and this round's first send
@@ -211,8 +211,7 @@ class ChaosTransport(TransportLayer):
             # frame and the reconnect count is seed-deterministic.
             if r in self.policy.link_resets:
                 self.inner.reset_connections()
-                if self.metrics is not None:
-                    self.metrics.record_link_reset()
+                self.metrics.record_link_reset()
                 if self.tracer is not None:
                     self.tracer.instant("chaos_reset", "chaos", round_no=r)
                 self.log.record(
@@ -226,8 +225,7 @@ class ChaosTransport(TransportLayer):
             for restart in self.policy.restarts:
                 if restart.at_round == r:
                     await self.inner.restart_endpoint(restart.node)
-                    if self.metrics is not None:
-                        self.metrics.record_endpoint_restart()
+                    self.metrics.record_endpoint_restart()
                     if self.tracer is not None:
                         self.tracer.instant(
                             "chaos_restart",
@@ -275,8 +273,6 @@ class ChaosTransport(TransportLayer):
                 round=frame.round_no,
                 link=f"{frame.source}->{frame.destination}",
             )
-        if self.metrics is None:
-            return
         if kind in ("drop", "partition", "crash"):
             self.metrics.record_chaos_drop(frame.round_no)
         elif kind == "dup":

@@ -30,6 +30,7 @@ from repro.obs.stats import percentiles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.events import EventBus
+    from repro.trace import Tracer
 
 NodeId = Hashable
 
@@ -119,9 +120,19 @@ def _round_total(counter: str) -> property:
 
 
 class NetMetrics:
-    """Run-wide metrics recorder for one async agreement execution."""
+    """Run-wide metrics recorder for one async agreement execution.
 
-    def __init__(self, transport: str = "") -> None:
+    Also the run's observer handle: built with its optional event *bus*
+    and span *tracer*, which every transport layer it is attached to
+    reaches through it.  Neither may change :meth:`counters`.
+    """
+
+    def __init__(
+        self,
+        transport: str = "",
+        bus: Optional["EventBus"] = None,
+        tracer: Optional["Tracer"] = None,
+    ) -> None:
         self.transport = transport
         self.rounds: Dict[int, RoundMetrics] = {}
         #: ``V_d`` substitutions performed by the protocol (assumption (b)).
@@ -149,24 +160,17 @@ class NetMetrics:
         #: Scheduled hard-resets of pooled connections the chaos layer
         #: (or an operator) executed.
         self.link_resets = 0
-        #: Optional observability event bus (:mod:`repro.obs.events`).
+        #: Observability event bus (:mod:`repro.obs.events`), or None.
         #: Recording methods that mark lifecycle transitions publish to it
-        #: via :meth:`publish`; with no bus attached every publish is a
-        #: no-op, so an unobserved run pays one ``None`` check per event.
-        self.bus: Optional["EventBus"] = None
+        #: via :meth:`publish`; with no bus every publish is a no-op, so
+        #: an unobserved run pays one ``None`` check per event.
+        self.bus = bus
+        #: Span tracer (:mod:`repro.trace`), or None.
+        self.tracer = tracer
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def attach_bus(self, bus: Optional["EventBus"]) -> None:
-        """Attach (or detach, with ``None``) an observability event bus.
-
-        Events are operator signal only: publication draws zero RNG and
-        nothing event-derived may enter :meth:`counters` — attaching a
-        bus must never change a same-seed run's fingerprint.
-        """
-        self.bus = bus
-
     def publish(self, kind: str, **data: object) -> None:
         """Publish one observability event if a bus is attached."""
         bus = self.bus

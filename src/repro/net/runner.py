@@ -57,6 +57,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass, replace
+from math import isfinite
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -74,7 +75,7 @@ from repro.core.byz import AgreementResult
 from repro.core.protocol import ProtocolSession
 from repro.core.spec import DegradableSpec
 from repro.core.values import Value
-from repro.exceptions import TransportError
+from repro.exceptions import ConfigurationError, TransportError
 from repro.net.codec import BATCH, DATA, MARK, Frame, batch_bytes_saved
 from repro.net.metrics import NetMetrics
 from repro.net.stack import build_stack
@@ -154,8 +155,10 @@ class AsyncRoundRunner:
         events: Optional["EventBus"] = None,
         tracer: Optional["Tracer"] = None,
     ) -> None:
-        if round_timeout <= 0:
-            raise ValueError(f"round_timeout must be > 0, got {round_timeout}")
+        if not (isfinite(round_timeout) and round_timeout > 0):
+            raise ConfigurationError(
+                f"round_timeout must be > 0 and finite, got {round_timeout}"
+            )
         self.session = session
         self.transport = transport if transport is not None else LocalBus()
         self.round_timeout = round_timeout
@@ -166,19 +169,18 @@ class AsyncRoundRunner:
         #: service traces can be demultiplexed offline.  ``None`` keeps the
         #: legacy single-instance wire format and trace shape.
         self.instance_id = instance_id
-        self.metrics = NetMetrics(transport=self.transport.name)
-        if events is not None:
-            self.metrics.attach_bus(events)
-        # Let the transport stack record what only it can see (decode
-        # errors, injected chaos) into the same recorder.
+        # The run's recorder carries its bus and tracer: the transport
+        # stack records, publishes and traces what only it can see
+        # (decode errors, injected chaos, link healing) through it.
+        self.metrics = NetMetrics(
+            transport=self.transport.name, bus=events, tracer=tracer
+        )
         self.transport.attach_metrics(self.metrics)
         #: Optional span tracer (:mod:`repro.trace`).  Purely
         #: observational: recording draws zero RNG and never awaits, so a
         #: same-seed run is identical with it attached or not — the
         #: tracing-determinism suite pins this.
         self.tracer = tracer
-        if tracer is not None:
-            self.transport.attach_tracer(tracer)
         self._round_span: Optional["Span"] = None
         #: Canonical execution trace: protocol events are logged by the
         #: processes themselves (via :meth:`ProtocolSession.attach_trace`)
@@ -721,16 +723,14 @@ async def run_agreement_async(
     injected connection resets and endpoint restarts are healed by real
     re-dials while unhealable outages degrade into metered absences.
 
-    *events* attaches a :class:`~repro.obs.events.EventBus` to the
-    recorder: round/link lifecycle events are published as they happen.
-    Publication draws zero RNG and never enters the determinism
-    fingerprint — same-seed runs are identical with it on or off.
-
-    *tracer* attaches a :class:`~repro.trace.Tracer` to the runner and
-    the whole transport stack: round/collect/send spans, supervision
-    heal spans, chaos injection events and demux spans are recorded with
-    deterministic ids.  Same invariant as *events*: observing a run
-    never changes it.
+    *events* (an :class:`~repro.obs.events.EventBus`) and *tracer* (a
+    :class:`~repro.trace.Tracer`) are built into the run's recorder,
+    which reaches the runner and every layer of the transport stack:
+    round/link lifecycle events are published as they happen, and
+    round/collect/send spans, supervision heal spans and chaos injection
+    events are recorded with deterministic ids.  Neither draws RNG or
+    enters the determinism fingerprint — observing a run never changes
+    it.
     """
     wire, chaos_log = build_stack(
         transport if transport is not None else LocalBus(),

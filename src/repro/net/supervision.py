@@ -156,7 +156,7 @@ class SupervisedTransport(TransportLayer):
                     )
                 await asyncio.sleep(delay)
                 continue
-            if outage_started is not None and self.metrics is not None:
+            if outage_started is not None:
                 seconds = loop.time() - outage_started
                 self.metrics.record_outage(*link, seconds)
                 self.metrics.publish(
@@ -171,16 +171,15 @@ class SupervisedTransport(TransportLayer):
             return nbytes
         # Retry budget exhausted: the outage window closes unhealed and the
         # caller records the frame absent.
-        if self.metrics is not None:
-            seconds = loop.time() - outage_started
-            self.metrics.record_outage(*link, seconds)
-            self.metrics.publish(
-                "link_outage",
-                source=str(link[0]),
-                destination=str(link[1]),
-                seconds=seconds,
-                healed=False,
-            )
+        seconds = loop.time() - outage_started
+        self.metrics.record_outage(*link, seconds)
+        self.metrics.publish(
+            "link_outage",
+            source=str(link[0]),
+            destination=str(link[1]),
+            seconds=seconds,
+            healed=False,
+        )
         if heal_span is not None:
             self.tracer.end(heal_span, healed=False)
         raise TransportError(
@@ -226,8 +225,7 @@ class SupervisedTransport(TransportLayer):
         if seq <= high - window:
             return True
         if seq in sup.seen:
-            if self.metrics is not None:
-                self.metrics.record_dedup(*link)
+            self.metrics.record_dedup(*link)
             return False
         sup.seen.add(seq)
         return True

@@ -57,7 +57,7 @@ class TcpTransport(Transport):
 
     def __init__(self, host: str = "127.0.0.1") -> None:
         self.host = host
-        self.metrics: Optional[NetMetrics] = None
+        self.metrics = NetMetrics(transport=self.name)
         self._servers: Dict[NodeId, asyncio.AbstractServer] = {}
         self._addresses: Dict[NodeId, Tuple[str, int]] = {}
         self._inboxes: Dict[NodeId, "asyncio.Queue[Frame]"] = {}
@@ -105,8 +105,7 @@ class TcpTransport(Transport):
                     for frame in frames:
                         self._inboxes[node].put_nowait(frame)
                     if error is not None:
-                        if self.metrics is not None:
-                            self.metrics.record_decode_error()
+                        self.metrics.record_decode_error()
                         break
             except asyncio.CancelledError:
                 pass
@@ -226,7 +225,7 @@ class TcpTransport(Transport):
             if writer is None or writer.is_closing():
                 _, writer = await asyncio.open_connection(*address)
                 self._writers[link] = writer
-                if link in self._ever_connected and self.metrics is not None:
+                if link in self._ever_connected:
                     self.metrics.record_reconnect(*link)
             writer.write(payload)
             await writer.drain()
@@ -240,8 +239,7 @@ class TcpTransport(Transport):
             stale = self._writers.pop(link, None)
             if stale is not None:
                 self._retire(stale)
-            if self.metrics is not None:
-                self.metrics.record_link_error(*link)
+            self.metrics.record_link_error(*link)
             raise TransportError(
                 f"send {link[0]!r} -> {link[1]!r} failed: {exc}"
             ) from exc

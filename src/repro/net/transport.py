@@ -25,7 +25,10 @@ Contract:
   deadline — that timeout *is* the paper's "detectable absence");
 * :meth:`Transport.recv_nowait` returns the next frame already there, or
   ``None`` at once: the runner files what has arrived without a task of
-  its own, and awaits ``recv`` only for a node that must still wait.
+  its own, and awaits ``recv`` only for a node that must still wait;
+* :meth:`Transport.attach_metrics` hands the run's recorder down the
+  stack — the one observer seam: a layer counts into it and publishes
+  and traces through its ``bus`` and ``tracer``.
 """
 
 from __future__ import annotations
@@ -91,25 +94,15 @@ class Transport(ABC):
         """Tear down endpoints and release all resources."""
 
     def attach_metrics(self, metrics: NetMetrics) -> None:
-        """Offer a metrics recorder to the transport (optional seam).
+        """Offer the run's recorder to the transport (the observer seam).
 
-        The runner attaches its :class:`~repro.net.metrics.NetMetrics`
-        before opening the transport; transports that observe events the
-        runner cannot see (poisoned byte streams, injected chaos) record
-        them here.  Wrapping transports must forward the call.  The default
-        is a no-op.
-        """
-
-    def attach_tracer(self, tracer) -> None:
-        """Offer a span tracer to the transport (optional seam).
-
-        Mirrors :meth:`attach_metrics`: the runner attaches its
-        :class:`~repro.trace.Tracer` before opening the transport, and
-        layers that do causally interesting work the runner cannot see —
-        chaos injections, supervision healing, demuxing — record spans
-        and span events there.  Wrapping transports must forward the
-        call.  The default is a no-op; tracing is strictly observational
-        and must never change transport behaviour.
+        The runner (or a service's mux) attaches its
+        :class:`~repro.net.metrics.NetMetrics` before opening the
+        transport; transports that observe what the runner cannot see
+        (poisoned byte streams, injected chaos, link healing) record it
+        there and publish and trace through the recorder's ``bus`` and
+        ``tracer``.  Wrapping transports must forward the call.  The
+        default is a no-op.
         """
 
     def round_opened(
@@ -235,10 +228,11 @@ class TransportLayer(Transport):
     """One layer of a transport stack: the whole contract, forwarded.
 
     Holds the wrapped transport as :attr:`inner`, forwards every method of
-    the :class:`Transport` contract down to it, and keeps the recorder and
-    tracer the runner attaches (passing them on, so every layer of a stack
-    sees the same ones).  A concrete layer sets :attr:`layer` — its name
-    reads ``<layer>+<inner name>`` — and overrides only what it changes.
+    the :class:`Transport` contract down to it, and keeps the recorder the
+    runner attaches (passing it on, so every layer of a stack sees the
+    same one; a private one until then).  A concrete layer sets
+    :attr:`layer` — its name reads ``<layer>+<inner name>`` — and
+    overrides only what it changes.
     """
 
     #: This layer's prefix in the stack's name.
@@ -246,20 +240,20 @@ class TransportLayer(Transport):
 
     def __init__(self, inner: Transport) -> None:
         self.inner = inner
-        self.metrics: Optional[NetMetrics] = None
-        self.tracer = None
+        self.metrics = NetMetrics(transport=self.name)
 
     @property
     def name(self) -> str:  # type: ignore[override]
         return f"{self.layer}+{self.inner.name}"
 
+    @property
+    def tracer(self):
+        """The span tracer of the attached recorder (None when untraced)."""
+        return self.metrics.tracer
+
     def attach_metrics(self, metrics: NetMetrics) -> None:
         self.metrics = metrics
         self.inner.attach_metrics(metrics)
-
-    def attach_tracer(self, tracer) -> None:
-        self.tracer = tracer
-        self.inner.attach_tracer(tracer)
 
     def round_opened(
         self, round_no: int, deadline: float, instance=None

@@ -53,21 +53,21 @@ class ObsServer:
         self.host = host
         self._requested_port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        #: Requests served, by path (the server's own observability).
-        self.requests: Dict[str, int] = {}
 
     @classmethod
-    def for_service(cls, service, bus, port: int, tracer=None) -> "ObsServer":
+    def for_service(cls, service, port: int) -> "ObsServer":
         """The endpoint ``repro serve`` puts on a service.
 
         ``/metrics`` snapshots the service's aggregate recorder, gateway
-        state, *bus* and *tracer* per scrape; ``/healthz`` adds the
-        gateway's progress and queue state to ``"status": "ok"``.
+        state, and the bus and tracer that recorder carries per scrape;
+        ``/events`` serves that bus; ``/healthz`` adds the gateway's
+        progress and queue state to ``"status": "ok"``.
         """
         aggregate = service.aggregate_metrics
+        bus = aggregate.bus
         return cls(
             lambda: metrics_registry(
-                aggregate, service=service, bus=bus, tracer=tracer
+                aggregate, service=service, bus=bus, tracer=aggregate.tracer
             ),
             health=lambda: {
                 "instances_done": len(service.outcomes),
@@ -171,7 +171,6 @@ class ObsServer:
     def _route(self, target: str) -> Tuple[int, str, str]:
         parts = urlsplit(target)
         path = parts.path
-        self.requests[path] = self.requests.get(path, 0) + 1
         if path == "/metrics":
             return (
                 200,

@@ -46,6 +46,7 @@ import asyncio
 import random
 from collections import deque
 from dataclasses import dataclass
+from math import isfinite
 from typing import (
     TYPE_CHECKING,
     Deque,
@@ -152,9 +153,9 @@ class AgreementService:
             raise ConfigurationError(
                 f"queue_limit must be >= 0, got {queue_limit}"
             )
-        if round_timeout <= 0:
+        if not (isfinite(round_timeout) and round_timeout > 0):
             raise ConfigurationError(
-                f"round_timeout must be > 0, got {round_timeout}"
+                f"round_timeout must be > 0 and finite, got {round_timeout}"
             )
         if len(set(nodes)) != spec.n_nodes:
             raise ConfigurationError(
@@ -172,19 +173,15 @@ class AgreementService:
             chaos_rng,
             supervise,
         )
-        #: Optional span tracer: one admission→verdict span per instance,
-        #: parenting the per-round spans its runner opens, with the whole
-        #: transport stack (supervision heals, chaos injections, demux)
-        #: attached via the mux.  Observational only — zero RNG, no awaits.
-        self.tracer = tracer
-        self.mux = InstanceMux(base, self.nodes, tracer=tracer)
-        #: Observability bus (optional): lifecycle events — admission,
-        #: verdicts, link outages — are published here.
-        #: Publication draws zero RNG and never touches the determinism
-        #: fingerprint; same-seed runs are identical with it on or off.
-        self.events = events
-        if events is not None:
-            self.mux.metrics.attach_bus(events)
+        # The service's recorder carries its optional observers: the event
+        # bus (admission, verdicts, link outages) and the span tracer (one
+        # admission→verdict span per instance, parenting its runner's
+        # round spans).  Zero RNG, no awaits, never in the fingerprint.
+        self.mux = InstanceMux(
+            base,
+            self.nodes,
+            NetMetrics(transport=base.name, bus=events, tracer=tracer),
+        )
         self.max_inflight = max_inflight
         self.queue_limit = queue_limit
         self.round_timeout = round_timeout
@@ -314,17 +311,18 @@ class AgreementService:
         loop = asyncio.get_running_loop()
         future: "asyncio.Future" = loop.create_future()
         self._futures[instance_id] = future
-        if self.tracer is not None:
+        tracer = self.aggregate_metrics.tracer
+        if tracer is not None:
             # The admission→verdict span: opened at submit, closed when
             # the verdict lands, parenting every round span the instance's
             # runner opens (scope registry keyed by instance id).
-            span = self.tracer.begin(
+            span = tracer.begin(
                 "instance",
                 "gateway",
                 instance=instance_id,
                 sender=str(sender),
             )
-            self.tracer.set_scope(instance_id, span.span_id)
+            tracer.set_scope(instance_id, span.span_id)
         self._admitted += 1
         self._pending.put_nowait(
             _Job(
@@ -444,6 +442,7 @@ class AgreementService:
 
     async def _run_instance(self, job: _Job) -> InstanceOutcome:
         loop = asyncio.get_running_loop()
+        aggregate = self.aggregate_metrics
         channel = self.mux.channel(job.instance_id)
         session = ProtocolSession.byz(
             self.spec,
@@ -460,8 +459,8 @@ class AgreementService:
             batching=self.batching,
             record_trace=self.record_trace,
             instance_id=job.instance_id,
-            events=self.events,
-            tracer=self.tracer,
+            events=aggregate.bus,
+            tracer=aggregate.tracer,
         )
         result = await runner.run()
         latency = loop.time() - job.submitted_at
@@ -485,13 +484,13 @@ class AgreementService:
             latency=latency,
             trace=runner.trace,
         )
-        if self.tracer is not None:
-            span = self.tracer.scope_span(job.instance_id)
+        if aggregate.tracer is not None:
+            span = aggregate.tracer.scope_span(job.instance_id)
             if span is not None:
-                self.tracer.end(span, tier=tier, ok=report.satisfied)
+                aggregate.tracer.end(span, tier=tier, ok=report.satisfied)
         self._latencies.append(latency)
         self.outcomes[job.instance_id] = outcome
-        self.aggregate_metrics.publish(
+        aggregate.publish(
             "instance_decided",
             instance=str(job.instance_id),
             tier=tier,
@@ -499,7 +498,7 @@ class AgreementService:
             afflicted=len(afflicted),
             latency=latency,
         )
-        self.aggregate_metrics.record_instance(job.instance_id, runner.metrics)
+        aggregate.record_instance(job.instance_id, runner.metrics)
         return outcome
 
 

@@ -57,21 +57,20 @@ class InstanceMux:
         self,
         transport: Transport,
         nodes: Sequence[NodeId],
-        tracer=None,
+        metrics: Optional[NetMetrics] = None,
     ) -> None:
         self.transport = transport
         self.nodes: tuple = tuple(nodes)
-        #: Aggregate recorder: transport-level events (decode errors,
-        #: chaos, stray frames) land here; each instance's runner keeps its
-        #: own per-instance :class:`NetMetrics` on its channel.
-        self.metrics = NetMetrics(transport=transport.name)
+        #: Aggregate recorder, attached to the shared stack exactly once:
+        #: transport-level events (decode errors, chaos, stray frames) land
+        #: here, published on its bus and traced on its tracer; each
+        #: instance's runner keeps its own per-instance :class:`NetMetrics`
+        #: on its channel.
+        self.metrics = (
+            metrics if metrics is not None
+            else NetMetrics(transport=transport.name)
+        )
         transport.attach_metrics(self.metrics)
-        #: Shared span tracer: attached to the shared stack exactly once
-        #: (like the aggregate recorder); per-instance runners carry the
-        #: same tracer, so a channel's attach must not re-wire it.
-        self.tracer = tracer
-        if tracer is not None:
-            transport.attach_tracer(tracer)
         self._queues: Dict[InstanceId, Dict[NodeId, "asyncio.Queue[Frame]"]] = {}
         self._pumps: List["asyncio.Task"] = []
         self._started = False
@@ -178,10 +177,11 @@ class InstanceMux:
             except TransportError:
                 return  # transport torn down under us; mux is stopping
             queues = self._queues.get(frame.instance)
+            tracer = self.metrics.tracer
             if queues is None:
                 self.metrics.record_stray_frame()
-                if self.tracer is not None:
-                    self.tracer.instant(
+                if tracer is not None:
+                    tracer.instant(
                         "demux",
                         "mux",
                         parent=frame.trace,
@@ -191,8 +191,8 @@ class InstanceMux:
                         stray=True,
                     )
                 continue
-            if self.tracer is not None:
-                self.tracer.instant(
+            if tracer is not None:
+                tracer.instant(
                     "demux",
                     "mux",
                     parent=frame.trace,
@@ -226,19 +226,12 @@ class InstanceChannel(Transport):
 
     def attach_metrics(self, metrics: NetMetrics) -> None:
         # Deliberately NOT forwarded: the mux attached the aggregate
-        # recorder to the shared stack once; re-attaching every instance's
-        # recorder would make transport-level counts land on whichever
-        # instance attached last.  The per-instance recorder is kept for
-        # the channel's own bookkeeping (runner-side counters reach it
-        # directly).
+        # recorder (with the service's bus and tracer) to the shared stack
+        # once; re-attaching every instance's recorder would make
+        # transport-level counts land on whichever instance attached last.
+        # The per-instance recorder is kept for the channel's own
+        # bookkeeping (runner-side counters reach it directly).
         self.metrics = metrics
-
-    def attach_tracer(self, tracer) -> None:
-        # Deliberately NOT forwarded, same reason as attach_metrics: the
-        # mux attached the shared tracer to the shared stack exactly once.
-        # Every instance's runner carries the same tracer object anyway,
-        # so there is nothing to rewire per channel.
-        pass
 
     def round_opened(
         self, round_no: int, deadline: float, instance=None

@@ -119,9 +119,7 @@ async def serve_plan(
         **service_options,
     )
     if events is not None:
-        obs_server = ObsServer.for_service(
-            service, events, metrics_port, service_options.get("tracer")
-        )
+        obs_server = ObsServer.for_service(service, metrics_port)
         await obs_server.start()
         if announce is not None:
             announce(f"metrics: {obs_server.url}/metrics")

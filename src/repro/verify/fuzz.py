@@ -36,6 +36,7 @@ import asyncio
 import json
 import random
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Iterable, List
 from typing import Optional, Sequence, Tuple
 
@@ -142,9 +143,9 @@ class FuzzCase(Instance):
                 f"unknown transport {self.transport!r}; "
                 f"choose from {TRANSPORTS}"
             )
-        if not self.timeout > 0:
+        if not (isfinite(self.timeout) and self.timeout > 0):
             raise ConfigurationError(
-                f"timeout must be > 0, got {self.timeout}"
+                f"timeout must be > 0 and finite, got {self.timeout}"
             )
 
     @property

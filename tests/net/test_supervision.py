@@ -230,11 +230,9 @@ class TestTransparentHealing:
             sup = SupervisedTransport(
                 FlakyTransport(LocalBus(), failures=1), rng=random.Random(0)
             )
-            metrics, bus = NetMetrics(transport=sup.name), EventBus()
-            tracer = Tracer(7, clock=loop.time)
-            metrics.attach_bus(bus)
+            bus, tracer = EventBus(), Tracer(7, clock=loop.time)
+            metrics = NetMetrics(transport=sup.name, bus=bus, tracer=tracer)
             sup.attach_metrics(metrics)
-            sup.attach_tracer(tracer)
             await sup.open(NODES)
             started = loop.time()
             try:

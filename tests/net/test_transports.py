@@ -140,9 +140,6 @@ class _Recording(Transport):
     def attach_metrics(self, metrics):
         self.calls.append(("attach_metrics", metrics))
 
-    def attach_tracer(self, tracer):
-        self.calls.append(("attach_tracer", tracer))
-
     def round_opened(self, round_no, deadline, instance=None):
         self.calls.append(("round_opened", round_no, deadline, instance))
 
@@ -181,9 +178,9 @@ class TestTransportLayer:
         async def scenario():
             base = _Recording()
             layer = TransportLayer(base)
-            metrics, tracer, frame = NetMetrics(), object(), data_frame()
+            tracer, frame = object(), data_frame()
+            metrics = NetMetrics(tracer=tracer)
             layer.attach_metrics(metrics)
-            layer.attach_tracer(tracer)
             assert layer.metrics is metrics and layer.tracer is tracer
             layer.round_opened(2, 1.5, "i0")
             await layer.open(NODES)
@@ -200,7 +197,6 @@ class TestTransportLayer:
         calls, metrics, tracer, frame, layer = asyncio.run(scenario())
         assert calls == [
             ("attach_metrics", metrics),
-            ("attach_tracer", tracer),
             ("round_opened", 2, 1.5, "i0"),
             ("open", tuple(NODES)),
             ("send", frame),

@@ -146,9 +146,8 @@ class TestRecorderWiring:
         metrics.publish("anything", x=1)  # must not raise
 
     def test_recorder_hooks_reach_the_bus(self):
-        metrics = NetMetrics(transport="test")
         bus = EventBus()
-        metrics.attach_bus(bus)
+        metrics = NetMetrics(transport="test", bus=bus)
         metrics.record_stray_frame()
         metrics.record_reconnect("S", "p1")
         metrics.record_endpoint_restart()

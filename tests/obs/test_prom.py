@@ -25,9 +25,8 @@ def build_golden_recorder():
     Fully deterministic — no wall clock, no RNG — so the rendered
     exposition is byte-stable and can be pinned as a golden file.
     """
-    metrics = NetMetrics(transport="golden")
     bus = EventBus()
-    metrics.attach_bus(bus)
+    metrics = NetMetrics(transport="golden", bus=bus)
 
     metrics.record_batch(1, 4, 400, 120)
     metrics.record_send(1, 100)

@@ -292,6 +292,15 @@ class TestParser:
              "timeout must be finite and > 0, got inf"),
             (["explore", "--timeout", "inf"],
              "timeout must be finite and > 0, got inf"),
+            (["net", "--timeout", "inf"],
+             "round_timeout must be > 0 and finite, got inf"),
+            (["serve", "--timeout", "inf"],
+             "round_timeout must be > 0 and finite, got inf"),
+            (["fuzz", "--replay", "m=1,u=2,n=5,timeout=inf"],
+             "timeout must be > 0 and finite, got inf"),
+            (["chaos", "--replay",
+              "m=1,u=2,n=5,severity=light,transport=local,seed=3,timeout=inf"],
+             "timeout must be > 0 and finite, got inf"),
         ],
     )
     def test_bad_argument_is_one_error_line_not_a_traceback(
@@ -302,6 +311,22 @@ class TestParser:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert names in err
+
+    def test_infinite_deadline_with_a_crashed_node_exits_at_once(self):
+        """A crashed node is detected at the round deadline; an infinite
+        deadline would wait for it forever, so it is a usage error."""
+        import subprocess
+        import sys
+
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "net", "--adversary", "crash",
+             "--faulty", "p1", "--timeout", "inf"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: round_timeout must be > 0 and finite, got inf\n"
+        )
 
 
 class TestStartup:
