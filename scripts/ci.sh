@@ -113,6 +113,19 @@ for path in ("src/repro/net/transport.py", "src/repro/net/tcp.py"):
                     )
 PY
 
+echo "== one endpoint store (every node inbox is a LocalBus queue) =="
+# TCP, the mux's channels and the explorer derive from LocalBus and
+# override only how a frame arrives; the inbox helpers, the mux's queue
+# registry and the explorer's deques and waiter futures are gone.
+if grep -rnE "take_nowait|def drain|queue_for|_queues|_waiters" src/; then
+    echo "a hand-written inbox is back under src/: node inboxes live in LocalBus" >&2
+    exit 1
+fi
+if grep -n "deque(" src/repro/explore/transport.py; then
+    echo "explore/transport.py keeps its own deques: its inboxes are LocalBus's" >&2
+    exit 1
+fi
+
 echo "== one observer seam (a layer reaches the bus and tracer through its recorder) =="
 # NetMetrics is built with the run's bus and tracer, and attach_metrics is
 # the only seam that hands them down a stack; a layer and TcpTransport

@@ -9,8 +9,8 @@ the :data:`FAULT_KINDS` table behind :func:`build_behavior`, the frozen
 (:func:`parse_token` / :func:`format_token`) every ``--replay`` speaks.
 
 A replay token must never silently replay a different run, so a key the
-grammar does not know is an error; empty segments (a trailing comma) are
-skipped.  Nothing here imports :mod:`repro.net`, and
+grammar does not know, or one named twice, is an error; empty segments (a
+trailing comma) are skipped.  Nothing here imports :mod:`repro.net`, and
 ``spec()/nodes()/behaviors()`` never parse or re-validate a token.
 """
 
@@ -127,11 +127,12 @@ def parse_token(
     *fields* maps each key the grammar knows to ``(keyword, convert)``:
     the config-constructor keyword it fills and the text -> value
     conversion.  Keys the token omits are left to the constructor's
-    defaults; an unknown key, a segment without ``=``, a missing
-    *required* key or a failed conversion is a
+    defaults; an unknown or repeated key, a segment without ``=``, a
+    missing *required* key or a failed conversion is a
     :class:`ConfigurationError` labelled with the grammar's name.
     """
     values: Dict[str, object] = {}
+    seen = set()
     for part in token.split(","):
         part = part.strip()
         if not part:
@@ -148,6 +149,12 @@ def parse_token(
                 f"unknown key {key!r} in {grammar} replay token {token!r}; "
                 f"known keys: {', '.join(fields)}"
             )
+        if key in seen:
+            raise ConfigurationError(
+                f"repeated key {key!r} in {grammar} replay token {token!r}; "
+                f"each key may appear once (known keys: {', '.join(fields)})"
+            )
+        seen.add(key)
         keyword, convert = fields[key]
         try:
             values[keyword] = convert(text.strip())

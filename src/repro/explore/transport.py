@@ -1,8 +1,9 @@
 """Explored transport: every frame's fate is a schedule decision point.
 
-:class:`ExploredTransport` is an in-memory transport (per-node deques, no
-sockets, no copying) with one twist: each ``send(frame)`` asks a
-:class:`ScheduleController` what to do with the frame —
+:class:`ExploredTransport` is an in-memory transport (the
+:class:`~repro.net.transport.LocalBus` inboxes, no sockets, no copying)
+with one twist: each ``send(frame)`` asks a :class:`ScheduleController`
+what to do with the frame —
 
 * ``deliver`` — enqueue immediately (the *default*: choosing it at every
   decision point reproduces the happy-path execution);
@@ -54,10 +55,8 @@ settles those stall schedules by their drop twin instead of running them.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Deque,
     Dict,
     FrozenSet,
     Hashable,
@@ -70,7 +69,7 @@ from typing import (
 
 from repro.exceptions import ConfigurationError, TransportError
 from repro.net.codec import BATCH, DATA, MARK, Frame
-from repro.net.transport import Transport
+from repro.net.transport import LocalBus
 
 NodeId = Hashable
 
@@ -200,10 +199,12 @@ class _Tracked:
     timer: Optional[asyncio.TimerHandle] = field(default=None, repr=False)
 
 
-class ExploredTransport(Transport):
+class ExploredTransport(LocalBus):
     """In-memory transport whose deliveries the schedule decides.
 
     Decision index == send order: the runner awaits sends one by one.
+    A node's inbox queues each arrived frame's :class:`_Tracked` entry;
+    :meth:`_take` unwraps it.
     """
 
     name = "explored"
@@ -217,12 +218,11 @@ class ExploredTransport(Transport):
             raise ValueError(
                 f"round_timeout must be > 0, got {round_timeout}"
             )
+        super().__init__()
         self.controller = controller
         self.round_timeout = round_timeout
         #: Sources whose frames missed the round they belonged to.
         self.afflicted: Set[NodeId] = set()
-        self._inboxes: Dict[NodeId, Deque[_Tracked]] = {}
-        self._waiters: Dict[NodeId, Deque["asyncio.Future"]] = {}
         self._tracked: List[_Tracked] = []
         # Round numbers are per multiplexing instance (None outside a
         # mux), so boundaries and miss detection are keyed accordingly.
@@ -264,10 +264,6 @@ class ExploredTransport(Transport):
     # ------------------------------------------------------------------
     # Transport contract
     # ------------------------------------------------------------------
-    async def open(self, nodes: Sequence[NodeId]) -> None:
-        self._inboxes = {node: deque() for node in nodes}
-        self._waiters = {node: deque() for node in nodes}
-
     def round_opened(
         self, round_no: int, deadline: float, instance=None
     ) -> None:
@@ -331,26 +327,18 @@ class ExploredTransport(Transport):
         inbox = self._inbox(node)
         loop = asyncio.get_running_loop()
         self._listened[node] = loop.time()
-        while not inbox:
-            waiter = loop.create_future()
-            self._waiters[node].append(waiter)
-            try:
-                await waiter
-            finally:
-                self._listened[node] = loop.time()
-                if not waiter.done():
-                    try:
-                        self._waiters[node].remove(waiter)
-                    except ValueError:
-                        pass
-        return self._take(node, inbox)
+        try:
+            entry = await inbox.get()
+        finally:
+            self._listened[node] = loop.time()
+        return self._take(node, entry)
 
     def recv_nowait(self, node: NodeId) -> Optional[Frame]:
         inbox = self._inbox(node)
-        if not inbox:
+        if inbox.empty():
             self._listened[node] = asyncio.get_running_loop().time()
             return None
-        return self._take(node, inbox)
+        return self._take(node, inbox.get_nowait())
 
     async def close(self) -> None:
         for entry in self._tracked:
@@ -358,8 +346,7 @@ class ExploredTransport(Transport):
                 entry.timer.cancel()
             if not entry.consumed:
                 self._charge(entry)
-        self._inboxes = {}
-        self._waiters = {}
+        await super().close()
 
     def silent_stalls(self) -> FrozenSet[int]:
         """Decision indices of drops whose ``stall`` nobody would hear.
@@ -377,17 +364,11 @@ class ExploredTransport(Transport):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _inbox(self, node: NodeId) -> Deque[_Tracked]:
-        inbox = self._inboxes.get(node)
-        if inbox is None:
-            raise TransportError(f"no endpoint for node {node!r}")
-        return inbox
-
-    def _take(self, node: NodeId, inbox: Deque[_Tracked]) -> Frame:
-        """Hand over the head of *node*'s inbox: *node* listened now, the
-        frame is consumed, and charged if it is a round late."""
+    def _take(self, node: NodeId, entry: _Tracked) -> Frame:
+        """Hand over *entry*, just taken from *node*'s inbox: *node*
+        listened now, the frame is consumed, and charged if it is a round
+        late."""
         self._listened[node] = asyncio.get_running_loop().time()
-        entry = inbox.popleft()
         entry.consumed = True
         current = self._instance_round.get(entry.frame.instance, 0)
         if entry.frame.round_no < current:
@@ -400,13 +381,7 @@ class ExploredTransport(Transport):
         inbox = self._inboxes.get(entry.frame.destination)
         if inbox is None:
             return  # delivered after close: a miss, charged in close()
-        inbox.append(entry)
-        waiters = self._waiters[entry.frame.destination]
-        while waiters:
-            waiter = waiters.popleft()
-            if not waiter.done():
-                waiter.set_result(None)
-                break
+        inbox.put_nowait(entry)
 
     def _charge(self, entry: _Tracked) -> None:
         if not entry.charged:

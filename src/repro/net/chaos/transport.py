@@ -16,7 +16,11 @@ failed soak trial must replay exactly from ``(config, seed)``:
   sequence is a pure function of the (deterministic) frame sequence;
 * injected latency sleeps *inline* in ``send`` rather than spawning a
   delivery task: ordering relative to the round's end-of-round markers is
-  preserved by construction instead of by racing the event loop;
+  preserved by construction instead of by racing the event loop.  A delay
+  that would end at or after its frame's round deadline (the runner
+  announces each one through ``round_opened``) is a drop charged to the
+  frame's source — neither slept nor sent — so the deadline never cuts
+  off the sends queued behind it and ``f_eff`` counts the absence;
 * reordering holds a frame back per link and releases it when the next
   frame on that link passes (delayed redelivery, swapped order).  A MARK
   on the link flushes the held frame first, so a reordered frame never
@@ -74,6 +78,8 @@ class ChaosTransport(TransportLayer):
         self.log = ChaosLog()
         self._held: Dict[Link, Frame] = {}
         self._round_seen = 0
+        #: ``(instance, round) -> deadline`` for rounds still open.
+        self._deadlines: Dict[Tuple[object, int], float] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -81,7 +87,20 @@ class ChaosTransport(TransportLayer):
     async def open(self, nodes: Sequence[NodeId]) -> None:
         self._held = {}
         self._round_seen = 0
+        self._deadlines = {}
         await self.inner.open(nodes)
+
+    def round_opened(
+        self, round_no: int, deadline: float, instance=None
+    ) -> None:
+        # A round whose deadline has passed sends nothing more, so only
+        # open rounds are kept: the map stays as small as the live set.
+        now = asyncio.get_running_loop().time()
+        self._deadlines = {
+            key: until for key, until in self._deadlines.items() if until > now
+        }
+        self._deadlines[(instance, round_no)] = deadline
+        super().round_opened(round_no, deadline, instance)
 
     async def close(self) -> None:
         # A frame still held at teardown was never delivered: account it
@@ -154,6 +173,15 @@ class ChaosTransport(TransportLayer):
         if policy.latency_probability and rng.random() < policy.latency_probability:
             low, high = policy.latency
             delay = low + (high - low) * rng.random()
+            deadline = self._deadlines.get((frame.instance, frame.round_no))
+            if (
+                deadline is not None
+                and asyncio.get_running_loop().time() + delay >= deadline
+            ):
+                # The frame would land after its round closed: an absence,
+                # charged now rather than cut off by the runner's deadline.
+                self._record("drop", frame, afflicted=frozenset({frame.source}))
+                return 0
             self._record("delay", frame)
             if delay > 0:
                 await asyncio.sleep(delay)

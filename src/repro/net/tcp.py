@@ -42,7 +42,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.exceptions import TransportError
 from repro.net.codec import Frame, FrameDecoder, pack_frame
 from repro.net.metrics import NetMetrics
-from repro.net.transport import Transport, drain, take_nowait
+from repro.net.transport import LocalBus
 
 NodeId = Hashable
 
@@ -50,17 +50,21 @@ NodeId = Hashable
 _CLOSE_TIMEOUT = 1.0
 
 
-class TcpTransport(Transport):
-    """Length-prefixed JSON frames over real localhost sockets."""
+class TcpTransport(LocalBus):
+    """Length-prefixed JSON frames over real localhost sockets.
+
+    The node inboxes are :class:`~repro.net.transport.LocalBus`'s; a frame
+    arrives in one when a node's server decodes it off a socket.
+    """
 
     name = "tcp"
 
     def __init__(self, host: str = "127.0.0.1") -> None:
+        super().__init__()
         self.host = host
         self.metrics = NetMetrics(transport=self.name)
         self._servers: Dict[NodeId, asyncio.AbstractServer] = {}
         self._addresses: Dict[NodeId, Tuple[str, int]] = {}
-        self._inboxes: Dict[NodeId, "asyncio.Queue[Frame]"] = {}
         self._writers: Dict[Tuple[NodeId, NodeId], asyncio.StreamWriter] = {}
         self._closing: List[asyncio.StreamWriter] = []
         self._reader_tasks: List[asyncio.Task] = []
@@ -75,8 +79,8 @@ class TcpTransport(Transport):
     # Lifecycle
     # ------------------------------------------------------------------
     async def open(self, nodes: Sequence[NodeId]) -> None:
+        await super().open(nodes)
         for node in nodes:
-            self._inboxes[node] = asyncio.Queue()
             server = await asyncio.start_server(
                 self._make_handler(node), host=self.host, port=0
             )
@@ -135,8 +139,8 @@ class TcpTransport(Transport):
             if not task.done():
                 task.cancel()
         self._reader_tasks = []
-        self._inboxes = {}
         self._addresses = {}
+        await super().close()
 
     @staticmethod
     async def _await_closed(writer: asyncio.StreamWriter) -> None:
@@ -198,7 +202,7 @@ class TcpTransport(Transport):
         await server.wait_closed()
         for link in [l for l in list(self._writers) if node in l]:
             self._retire(self._writers.pop(link))
-        drain(self._inboxes[node])
+        await super().restart_endpoint(node)
         replacement = await asyncio.start_server(
             self._make_handler(node), host=self.host, port=0
         )
@@ -282,12 +286,3 @@ class TcpTransport(Transport):
         if writer is not None:
             self._retire(writer)
         return len(payload)
-
-    async def recv(self, node: NodeId) -> Frame:
-        inbox = self._inboxes.get(node)
-        if inbox is None:
-            raise TransportError(f"no endpoint for node {node!r}")
-        return await inbox.get()
-
-    def recv_nowait(self, node: NodeId) -> Optional[Frame]:
-        return take_nowait(self._inboxes, node)

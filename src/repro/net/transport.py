@@ -4,7 +4,9 @@ A :class:`Transport` moves :class:`~repro.net.codec.Frame` objects between
 node endpoints.  The runner never cares how: :class:`LocalBus` ferries
 frames through in-process asyncio queues without copying (built for massive
 in-process fan-out), :class:`~repro.net.tcp.TcpTransport` ships
-length-prefixed JSON over real localhost sockets.
+length-prefixed JSON over real localhost sockets into those same queues —
+:class:`LocalBus` is the one endpoint store, and every transport with node
+inboxes derives from it.
 Wrappers (chaos, supervision) derive from :class:`TransportLayer`,
 which forwards the whole contract to the wrapped transport, so a layer
 defines only the methods it changes.
@@ -43,23 +45,6 @@ from repro.net.codec import Frame, encode_frame
 from repro.net.metrics import NetMetrics
 
 NodeId = Hashable
-
-
-def drain(inbox: "asyncio.Queue[Frame]") -> None:
-    """Lose every frame queued in *inbox*, keeping the queue itself (an
-    endpoint restart: whoever waits on it keeps waiting on the live one)."""
-    while not inbox.empty():
-        inbox.get_nowait()
-
-
-def take_nowait(
-    inboxes: Dict[NodeId, "asyncio.Queue[Frame]"], node: NodeId
-) -> Optional[Frame]:
-    """The next frame queued in *node*'s inbox, or ``None`` if it is empty."""
-    inbox = inboxes.get(node)
-    if inbox is None:
-        raise TransportError(f"no endpoint for node {node!r}")
-    return None if inbox.empty() else inbox.get_nowait()
 
 
 class Transport(ABC):
@@ -172,14 +157,24 @@ class Transport(ABC):
 
 
 class LocalBus(Transport):
-    """In-process transport over per-node asyncio queues.
+    """In-process transport over per-node asyncio queues: the endpoint store.
 
-    Frames are delivered by reference — the payload object the sender hands
-    over is the object the receiver gets, and nothing is ever decoded.
-    Byte accounting is optional: ``measure_bytes=True`` runs
-    :func:`~repro.net.codec.encode_frame` exactly once per frame, purely
-    to size it — the only encode a frame on this bus ever costs, since
-    batch savings are envelope arithmetic
+    Every transport that ends in a node inbox keeps it here — one
+    ``asyncio.Queue`` per node, read by :meth:`recv`/:meth:`recv_nowait`,
+    emptied in place by :meth:`restart_endpoint` and dropped by
+    :meth:`close` — and overrides only how a frame arrives:
+    :class:`~repro.net.tcp.TcpTransport` from a socket,
+    :class:`~repro.serve.mux.InstanceChannel` from the mux's pump,
+    :class:`~repro.explore.transport.ExploredTransport` when the schedule
+    says.  A node without an inbox has no endpoint: every read raises
+    :class:`~repro.exceptions.TransportError`.
+
+    On the bus itself frames are delivered by reference — the payload
+    object the sender hands over is the object the receiver gets, and
+    nothing is ever decoded.  Byte accounting is optional:
+    ``measure_bytes=True`` runs :func:`~repro.net.codec.encode_frame`
+    exactly once per frame, purely to size it — the only encode a frame on
+    this bus ever costs, since batch savings are envelope arithmetic
     (:func:`~repro.net.codec.batch_bytes_saved`) — and the count is what
     TCP would carry minus the 4-byte length prefix.  Switch it off for
     raw fan-out throughput; sends then report 0 bytes and 0 saved.
@@ -189,7 +184,7 @@ class LocalBus(Transport):
 
     def __init__(self, measure_bytes: bool = True) -> None:
         self.measure_bytes = measure_bytes
-        self._inboxes: Dict[NodeId, "asyncio.Queue[Frame]"] = {}
+        self._inboxes: Dict[NodeId, asyncio.Queue] = {}
 
     async def open(self, nodes: Sequence[NodeId]) -> None:
         self._inboxes = {node: asyncio.Queue() for node in nodes}
@@ -204,21 +199,26 @@ class LocalBus(Transport):
         inbox.put_nowait(frame)
         return nbytes
 
-    async def recv(self, node: NodeId) -> Frame:
+    def _inbox(self, node: NodeId) -> asyncio.Queue:
         inbox = self._inboxes.get(node)
         if inbox is None:
             raise TransportError(f"no endpoint for node {node!r}")
-        return await inbox.get()
+        return inbox
+
+    async def recv(self, node: NodeId) -> Frame:
+        return await self._inbox(node).get()
 
     def recv_nowait(self, node: NodeId) -> Optional[Frame]:
-        return take_nowait(self._inboxes, node)
+        inbox = self._inbox(node)
+        return None if inbox.empty() else inbox.get_nowait()
 
     async def restart_endpoint(self, node: NodeId) -> None:
-        """Crash-restart: queued-but-undelivered frames for *node* are lost."""
-        inbox = self._inboxes.get(node)
-        if inbox is None:
-            raise TransportError(f"no endpoint for node {node!r}")
-        drain(inbox)
+        """Crash-restart: queued-but-undelivered frames for *node* are lost;
+        the queue itself stays, so whoever waits on it keeps waiting on
+        the live one."""
+        inbox = self._inbox(node)
+        while not inbox.empty():
+            inbox.get_nowait()
 
     async def close(self) -> None:
         self._inboxes = {}

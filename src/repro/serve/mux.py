@@ -6,11 +6,11 @@ concurrent agreement instances over it.  Two pieces make that work:
 
 * :class:`InstanceMux` owns the shared transport.  It opens it once with
   the full node set and runs one *pump* task per node: an endless
-  ``recv`` loop that routes every inbound frame to the per-instance queue
-  its ``instance`` field names (the version-2 envelope of
-  :mod:`repro.net.codec`).  An instance's queues are created when the
-  gateway opens its channel — before the instance's first send, since one
-  process hosts every node of an instance — and garbage-collected when the
+  ``recv`` loop that puts every inbound frame into the inbox of the
+  channel its ``instance`` field names (the version-2 envelope of
+  :mod:`repro.net.codec`).  An instance's channel is made when the
+  gateway asks for it — before the instance's first send, since one
+  process hosts every node of an instance — and released when the
   instance's runner closes it.  The mux only routes: a frame for an
   instance it does not hold (a decided instance's straggler, or an
   unversioned frame) is counted *stray*
@@ -20,13 +20,13 @@ concurrent agreement instances over it.  Two pieces make that work:
   can never reach a later instance.
 
 * :class:`InstanceChannel` is the per-instance face of the mux: a full
-  :class:`~repro.net.transport.Transport`, so an unmodified
-  :class:`~repro.net.runner.AsyncRoundRunner` drives its instance over it.
-  ``send`` forwards the frames its runner stamped with the instance id,
-  ``recv`` (and ``recv_nowait``) reads the instance's demultiplexed
-  queue, and ``close`` releases the instance (the runner's ``finally:
-  transport.close()`` is the GC hook) — the *shared* transport stays open
-  until the mux itself stops.
+  :class:`~repro.net.transport.LocalBus` whose inboxes the mux's pumps
+  fill, so an unmodified :class:`~repro.net.runner.AsyncRoundRunner`
+  drives its instance over it.  ``send`` forwards the frames its runner
+  stamped with the instance id, ``recv`` (and ``recv_nowait``) reads the
+  bus's queues, and ``close`` releases the instance (the runner's
+  ``finally: transport.close()`` is the GC hook) — the *shared* transport
+  stays open until the mux itself stops.
 
 Layering with chaos: wrap the shared transport in a
 :class:`~repro.net.chaos.transport.ChaosTransport` *below* the mux, so
@@ -44,7 +44,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 from repro.exceptions import TransportError
 from repro.net.codec import Frame
 from repro.net.metrics import NetMetrics
-from repro.net.transport import Transport
+from repro.net.transport import LocalBus, Transport
 
 NodeId = Hashable
 InstanceId = Hashable
@@ -71,7 +71,7 @@ class InstanceMux:
             else NetMetrics(transport=transport.name)
         )
         transport.attach_metrics(self.metrics)
-        self._queues: Dict[InstanceId, Dict[NodeId, "asyncio.Queue[Frame]"]] = {}
+        self._channels: Dict[InstanceId, "InstanceChannel"] = {}
         self._pumps: List["asyncio.Task"] = []
         self._started = False
 
@@ -89,12 +89,15 @@ class InstanceMux:
         self._started = True
 
     async def stop(self) -> None:
-        """Cancel the pumps and close the shared transport."""
+        """Cancel the pumps, release every channel and close the shared
+        transport."""
         for task in self._pumps:
             task.cancel()
         if self._pumps:
             await asyncio.gather(*self._pumps, return_exceptions=True)
         self._pumps = []
+        for instance_id in list(self._channels):
+            self.release(instance_id)
         if self._started:
             await self.transport.close()
             self._started = False
@@ -119,43 +122,27 @@ class InstanceMux:
     # ------------------------------------------------------------------
     # Instance registry
     # ------------------------------------------------------------------
-    def register(self, instance_id: InstanceId) -> None:
-        """Provision the per-node inbound queues for *instance_id*
-        (idempotent while the instance is live)."""
+    def channel(self, instance_id: InstanceId) -> "InstanceChannel":
+        """The Transport-shaped view of *instance_id*: made, with its
+        inboxes, the first time it is asked for; the same one after."""
         if instance_id is None:
             raise TransportError("instance id must not be None on a mux")
-        if instance_id not in self._queues:
-            self._queues[instance_id] = {
-                node: asyncio.Queue() for node in self.nodes
-            }
+        channel = self._channels.get(instance_id)
+        if channel is None:
+            channel = InstanceChannel(self, instance_id)
+            self._channels[instance_id] = channel
+        return channel
 
     def release(self, instance_id: InstanceId) -> None:
-        """Garbage-collect a finished instance's queues (idempotent)."""
-        self._queues.pop(instance_id, None)
-
-    def channel(self, instance_id: InstanceId) -> "InstanceChannel":
-        """Register *instance_id* and return its Transport-shaped view."""
-        self.register(instance_id)
-        return InstanceChannel(self, instance_id)
+        """Retire a finished instance (idempotent): its channel drops its
+        inboxes, and a frame that names it from now on is stray."""
+        channel = self._channels.pop(instance_id, None)
+        if channel is not None:
+            channel._inboxes = {}
 
     @property
     def live_instances(self) -> int:
-        return len(self._queues)
-
-    def queue_for(
-        self, instance_id: InstanceId, node: NodeId
-    ) -> "asyncio.Queue[Frame]":
-        queues = self._queues.get(instance_id)
-        if queues is None:
-            raise TransportError(
-                f"instance {instance_id!r} is not registered on this mux"
-            )
-        queue = queues.get(node)
-        if queue is None:
-            raise TransportError(
-                f"no endpoint for node {node!r} (mux nodes: {self.nodes!r})"
-            )
-        return queue
+        return len(self._channels)
 
     # ------------------------------------------------------------------
     # Demux pumps
@@ -164,7 +151,7 @@ class InstanceMux:
         """Route every frame the transport delivers to *node*.
 
         The pump is the *sole* consumer of ``transport.recv(node)``;
-        per-instance runners read their channel queues instead.  A frame
+        per-instance runners read their channel's inboxes instead.  A frame
         for an instance this mux does not hold — a decided instance's
         straggler, or an unversioned (v1) frame that cannot name one — is
         counted stray and dropped.
@@ -176,9 +163,9 @@ class InstanceMux:
                 raise
             except TransportError:
                 return  # transport torn down under us; mux is stopping
-            queues = self._queues.get(frame.instance)
+            channel = self._channels.get(frame.instance)
             tracer = self.metrics.tracer
-            if queues is None:
+            if channel is None:
                 self.metrics.record_stray_frame()
                 if tracer is not None:
                     tracer.instant(
@@ -201,24 +188,27 @@ class InstanceMux:
                     source=frame.source,
                     destination=node,
                 )
-            queues[node].put_nowait(frame)
+            channel._inboxes[node].put_nowait(frame)
 
 
-class InstanceChannel(Transport):
+class InstanceChannel(LocalBus):
     """One instance's Transport-shaped view of a shared, muxed transport.
 
     Hand this to an :class:`~repro.net.runner.AsyncRoundRunner` as its
-    transport: ``open`` (re-)registers the instance instead of opening the
-    shared transport again, ``send`` forwards to the shared transport (the
-    runner stamped its instance id on the frame), ``recv`` reads the
-    instance's demultiplexed queue, and ``close`` releases the instance on
-    the mux — the shared transport itself outlives every channel.
+    transport.  Its inboxes, one per mux node, are the bus's, filled by
+    the mux's pumps rather than by ``send``: ``open`` checks the run's
+    nodes instead of opening the shared transport again, ``send`` forwards
+    to the shared transport (the runner stamped its instance id on the
+    frame), and ``close`` releases the instance on the mux — the shared
+    transport itself outlives every channel.
     """
 
     def __init__(self, mux: InstanceMux, instance_id: InstanceId) -> None:
+        super().__init__()
         self.mux = mux
         self.instance_id = instance_id
         self.metrics: Optional[NetMetrics] = None
+        self._inboxes = {node: asyncio.Queue() for node in mux.nodes}
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -248,17 +238,14 @@ class InstanceChannel(Transport):
                 f"instance {self.instance_id!r} names nodes {unknown!r} "
                 f"outside the service node set {self.mux.nodes!r}"
             )
-        self.mux.register(self.instance_id)
 
     async def send(self, frame: Frame) -> int:
         return await self.mux.transport.send(frame)
 
-    async def recv(self, node: NodeId) -> Frame:
-        return await self.mux.queue_for(self.instance_id, node).get()
-
-    def recv_nowait(self, node: NodeId) -> Optional[Frame]:
-        queue = self.mux.queue_for(self.instance_id, node)
-        return None if queue.empty() else queue.get_nowait()
+    async def restart_endpoint(self, node: NodeId) -> None:
+        # A node's endpoint belongs to the shared transport
+        # (InstanceMux.restart_node); one instance's view cannot restart it.
+        await Transport.restart_endpoint(self, node)
 
     async def close(self) -> None:
         self.mux.release(self.instance_id)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.spec import DegradableSpec
 from repro.exceptions import ConfigurationError
+from repro.explore.clock import run_on_virtual_clock
 from repro.net.chaos import (
     ChaosPolicy,
     ChaosTransport,
@@ -23,6 +24,7 @@ from repro.net.codec import DATA, MARK, Frame
 from repro.net.metrics import NetMetrics
 from repro.net.transport import LocalBus
 from repro.sim.messages import Message, RelayPayload
+from repro.verify.fuzz import FuzzCase, run_case_async
 
 NODES = ["S", "p1", "p2", "p3"]
 
@@ -180,6 +182,57 @@ class TestReorder:
         log = asyncio.run(scenario())
         assert log.counts()["drop"] == 1
         assert log.afflicted == frozenset({"p3"})
+
+
+class TestLatency:
+    """A drawn delay that would outlive its frame's round is that frame's
+    absence: charged to its source as a drop, neither slept nor sent."""
+
+    @staticmethod
+    async def delayed(deadline_in):
+        chaos = chaos_over_bus(
+            ChaosPolicy(latency_probability=1.0, latency=(0.01, 0.01))
+        )
+        await chaos.open(NODES)
+        loop = asyncio.get_running_loop()
+        chaos.round_opened(1, loop.time() + deadline_in)
+        started = loop.time()
+        await chaos.send(data_frame(source="p2", destination="p1"))
+        waited = loop.time() - started
+        got = chaos.recv_nowait("p1")
+        await chaos.close()
+        return waited, got, chaos.log
+
+    def test_a_delay_inside_the_round_is_slept_and_delivered(self):
+        waited, got, log = run_on_virtual_clock(self.delayed(0.5))
+        assert waited == pytest.approx(0.01)
+        assert got is not None
+        assert log.counts()["delay"] == 1 and log.f_eff == 0
+
+    @pytest.mark.parametrize("deadline_in", [0.01, 0.005])
+    def test_a_delay_reaching_the_deadline_is_a_charged_drop(self, deadline_in):
+        waited, got, log = run_on_virtual_clock(self.delayed(deadline_in))
+        assert waited == 0 and got is None
+        assert log.counts()["drop"] == 1 and log.counts()["delay"] == 0
+        assert log.afflicted == {"p2"}
+
+    def test_heavy_seeds_at_a_tight_deadline_assert_their_true_tier(self):
+        # Each drawn delay is a large share of a 2 ms round, so 21 of
+        # these 40 seeds draw a delay that outlives its round: unless that
+        # absence is charged, f_eff is too low and TIER_D1 is asserted.
+        failed = [
+            seed
+            for seed in range(40)
+            if not run_on_virtual_clock(
+                run_case_async(
+                    FuzzCase(
+                        1, 2, 5, chaos_severity="heavy", chaos_seed=seed,
+                        timeout=0.002, transport="local",
+                    )
+                )
+            ).ok
+        ]
+        assert failed == []
 
 
 class TestCorrupt:

@@ -157,22 +157,59 @@ class TestGarbageCollection:
 
         assert run(scenario()) == 1
 
-    def test_register_none_instance_rejected(self):
+    def test_channel_for_none_instance_rejected(self):
         mux = InstanceMux(LocalBus(), NODES)
         with pytest.raises(TransportError, match="must not be None"):
-            mux.register(None)
+            mux.channel(None)
+        assert mux.live_instances == 0
 
     def test_release_is_idempotent(self):
         mux = InstanceMux(LocalBus(), NODES)
-        mux.register("x")
+        channel = mux.channel("x")
         mux.release("x")
         mux.release("x")
         assert mux.live_instances == 0
+        with pytest.raises(TransportError, match="no endpoint"):
+            channel.recv_nowait("S")
 
-    def test_queue_for_unregistered_instance_raises(self):
+    def test_a_retired_channel_has_no_endpoint(self):
+        # A released channel drops its inboxes: its reads fail loudly
+        # instead of waiting on a queue nobody fills any more.
+        async def scenario():
+            mux = InstanceMux(LocalBus(), NODES)
+            await mux.start()
+            try:
+                channel = mux.channel("gone")
+                assert channel.recv_nowait("S") is None
+                await channel.close()
+                with pytest.raises(TransportError, match="no endpoint"):
+                    channel.recv_nowait("S")
+                with pytest.raises(TransportError, match="no endpoint"):
+                    await channel.recv("S")
+            finally:
+                await mux.stop()
+
+        run(scenario())
+
+    def test_a_channel_is_made_once(self):
         mux = InstanceMux(LocalBus(), NODES)
-        with pytest.raises(TransportError, match="not registered"):
-            mux.queue_for("ghost", "S")
+        first = mux.channel("x")
+        assert mux.channel("x") is first
+        assert mux.live_instances == 1
+
+    def test_a_stopped_mux_holds_no_channel_or_queue(self):
+        async def scenario():
+            mux = InstanceMux(LocalBus(), NODES)
+            await mux.start()
+            channels = [mux.channel(f"i{i}") for i in range(4)]
+            await mux.transport.send(mark("p1", instance="i0"))
+            await asyncio.sleep(0)  # the pump routes it to i0's inbox
+            await mux.stop()
+            return mux, channels
+
+        mux, channels = run(scenario())
+        assert mux.live_instances == 0 and not mux._channels
+        assert [channel._inboxes for channel in channels] == [{}] * 4
 
 
 class TestSharedTransport:
@@ -240,4 +277,4 @@ class TestFlatState:
         after_256, after_512, served = run_on_virtual_clock(scenario())
         assert served == 512
         assert after_256 == after_512
-        assert after_512["_queues"] == 0
+        assert after_512["_channels"] == 0

@@ -122,7 +122,7 @@ class TestCloseHygiene:
     def test_mux_never_delivers_to_a_retired_channel(self):
         """GC under cancellation: once a channel is released, frames for
         its instance are counted stray — never delivered, never able to
-        resurrect the queue set."""
+        resurrect the channel's inboxes."""
 
         async def scenario():
             bus = LocalBus()
@@ -156,7 +156,7 @@ class TestCloseHygiene:
                 strays = mux.metrics.stray_frames
                 live = mux.live_instances
                 with pytest.raises(TransportError):
-                    mux.queue_for("i-gone", "p1")
+                    channel.recv_nowait("p1")
             finally:
                 await mux.stop()
             return strays, live

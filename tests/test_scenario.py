@@ -297,6 +297,36 @@ class TestMalformedTokens:
         assert repr(key) in message
         assert "known keys: m, u, n, " in message
 
+    @pytest.mark.parametrize(
+        "parse,grammar,token,key",
+        [
+            (_fuzz, "fuzz", "m=1,u=2,n=5,chaos=heavy:3,chaos=light:3", "chaos"),
+            (
+                _chaos,
+                "chaos",
+                "m=1,u=2,n=5,severity=light,transport=local,seed=3,seed=4",
+                "seed",
+            ),
+            (
+                _explore,
+                "explore",
+                "m=1,u=2,n=5,value=alpha,faults=-,timeout=1.0,batch=1,"
+                "sup=0,bug=0,bug=1,sched=1",
+                "bug",
+            ),
+        ],
+    )
+    def test_a_repeated_key_never_replays_a_different_run(
+        self, parse, grammar, token, key
+    ):
+        # Keeping either value replays a run the token does not name:
+        # the last one would turn bug=0,bug=1 into the planted bug.
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse(token)
+        message = str(excinfo.value)
+        assert f"repeated key {key!r} in {grammar} replay token" in message
+        assert "known keys: m, u, n, " in message
+
     def test_chaos_seed_without_a_severity_never_replays_chaos_free(self):
         # chaos=:5 used to replay a chaos-free case and print chaos=-.
         with pytest.raises(ConfigurationError, match="fuzz") as excinfo:
