@@ -139,6 +139,14 @@ if grep -rn --include="*.py" "metrics is None\|metrics is not None" src/repro/ne
     exit 1
 fi
 
+echo "== one metric store (/metrics and stats --prom are renderings of the recorder) =="
+# obs/prom.py writes each family once from the recorder at render time;
+# the Counter/Gauge/Histogram/Registry store and its inc/observe are gone.
+if grep -rnE "class (_Family|Counter|Gauge|Histogram|Registry)\b|\.inc\(|\.observe\(" src/repro/obs/; then
+    echo "a metric store is back under src/repro/obs/: the exposition is a rendering of NetMetrics" >&2
+    exit 1
+fi
+
 echo "== two runtimes, one round (the runner calls the engine's emit; one interception contract) =="
 # net/adapters.py is gone: FaultInjector is the only interception base
 # class and CrashInjector (sim/faults.py) is the wire-level crash.

@@ -25,6 +25,9 @@ python -m pytest -q tests/verify/test_oracle_differential.py
 echo "== EIG shape table vs its reference (same paths, folds, votes, process steps) =="
 python -m pytest -q tests/core/test_eig_differential.py
 
+echo "== exposition writer vs its reference (same /metrics and stats --prom text, bar the link-errors family) =="
+python -m pytest -q tests/obs/test_prom_differential.py
+
 echo "== the shared round, from both runtimes (same checks, same injector order, same crash) =="
 python -m pytest -q tests/net/test_async_faults.py
 

@@ -9,10 +9,10 @@ link supervision verdicts — and makes it exportable:
 * :mod:`repro.obs.events` — a structured, zero-RNG event bus the
   runner / supervisor / mux / gateway publish lifecycle events to
   (rounds, link state transitions, instance admission and verdicts);
-* :mod:`repro.obs.prom` — a dependency-free Prometheus text-exposition
-  registry plus :func:`~repro.obs.prom.metrics_registry`, the stable
-  mapping from a recorder snapshot to the exported metric catalog
-  (``docs/observability.md``), and
+* :mod:`repro.obs.prom` — :func:`~repro.obs.prom.metrics_registry`, the
+  stable rendering of a recorder into the exported metric catalog
+  (``docs/observability.md``) as dependency-free Prometheus text
+  exposition — a view of the recorder, not a second metric store — and
   :func:`~repro.obs.prom.parse_exposition`, the tiny validator the CI
   gate runs against every scrape;
 * :mod:`repro.obs.http` — an asyncio ``/metrics`` + ``/healthz`` +
@@ -30,25 +30,14 @@ decisions and fingerprints with the observability layer on or off.
 
 from repro.obs.events import EventBus, ObsEvent
 from repro.obs.http import ObsServer, scrape
-from repro.obs.prom import (
-    Counter,
-    Gauge,
-    Histogram,
-    Registry,
-    metrics_registry,
-    parse_exposition,
-)
+from repro.obs.prom import metrics_registry, parse_exposition
 from repro.obs.snapshot import render_snapshot
 from repro.obs.stats import percentile, percentiles
 
 __all__ = [
-    "Counter",
     "EventBus",
-    "Gauge",
-    "Histogram",
     "ObsEvent",
     "ObsServer",
-    "Registry",
     "metrics_registry",
     "parse_exposition",
     "percentile",

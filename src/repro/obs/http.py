@@ -4,8 +4,8 @@ A deliberately small HTTP/1.0-style server on ``asyncio.start_server`` —
 no frameworks, no threads — good enough for a Prometheus scraper, a
 ``curl``, and the CI gate:
 
-* ``GET /metrics`` — the Prometheus text exposition of a freshly built
-  :class:`~repro.obs.prom.Registry` (the ``source`` callable snapshots
+* ``GET /metrics`` — the Prometheus text exposition of a freshly written
+  :class:`~repro.obs.prom.Exposition` (the ``source`` callable renders
   live state per scrape);
 * ``GET /healthz`` — JSON liveness: ``{"status": "ok", ...}``, merged
   with the optional ``health`` callable's payload (``repro serve`` adds
@@ -29,7 +29,7 @@ from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.events import EventBus
-from repro.obs.prom import Registry, metrics_registry
+from repro.obs.prom import Exposition, metrics_registry
 
 __all__ = ["ObsServer", "scrape"]
 
@@ -37,11 +37,11 @@ _MAX_REQUEST_BYTES = 8192
 
 
 class ObsServer:
-    """Serves one registry snapshot per scrape, plus health and events."""
+    """Serves one exposition snapshot per scrape, plus health and events."""
 
     def __init__(
         self,
-        source: Callable[[], Registry],
+        source: Callable[[], Exposition],
         health: Optional[Callable[[], Dict[str, object]]] = None,
         bus: Optional[EventBus] = None,
         host: str = "127.0.0.1",

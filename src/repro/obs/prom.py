@@ -1,36 +1,25 @@
 """Prometheus text exposition, no third-party dependencies.
 
-A minimal metric registry — :class:`Counter`, :class:`Gauge`,
-:class:`Histogram` (fixed buckets) inside a :class:`Registry` — rendered
-in the Prometheus text exposition format (version 0.0.4), plus a tiny
-:func:`parse_exposition` validator that tests and the CI gate use to
-fail on malformed lines.
-
-The interesting half is :func:`metrics_registry`: it maps one
-:class:`~repro.net.metrics.NetMetrics` recorder (and optionally a live
-:class:`~repro.serve.gateway.AgreementService` and
-:class:`~repro.obs.events.EventBus`) onto a stable metric catalog.  The
-registry is rebuilt per scrape — a snapshot, so every sample in one
-``/metrics`` response is from one consistent read of the recorder — and
-its counter values agree with :meth:`NetMetrics.counters` by
-construction (``docs/observability.md`` documents the catalog and which
-D.1–D.4 signal each metric carries).
+:func:`metrics_registry` renders one :class:`~repro.net.metrics.NetMetrics`
+recorder (and optionally a live
+:class:`~repro.serve.gateway.AgreementService`, its
+:class:`~repro.obs.events.EventBus` and a tracer) as the stable metric
+catalog, in the Prometheus text exposition format (version 0.0.4).  It
+keeps no metric store of its own: each family is read from the recorder
+when the scrape renders and written once through :class:`Exposition`, so
+every sample in one ``/metrics`` response is from one consistent read and
+the counter values agree with :meth:`NetMetrics.counters` by construction
+(``docs/observability.md`` documents the catalog and which D.1–D.4
+signal each metric carries).  :func:`parse_exposition` is the tiny
+validator tests and the CI gate run against every rendering.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.metrics import NetMetrics
@@ -38,10 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.gateway import AgreementService
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Registry",
+    "Exposition",
     "metrics_registry",
     "parse_exposition",
     "LATENCY_BUCKETS",
@@ -59,11 +45,6 @@ DURATION_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-LabelValues = Tuple[str, ...]
 
 
 def _format_value(value: float) -> str:
@@ -89,195 +70,104 @@ def _escape_label(value: str) -> str:
     )
 
 
-class _Family:
-    """Shared plumbing: a named family with labeled children."""
-
-    type_name = "untyped"
-
-    def __init__(
-        self, name: str, help_text: str, labelnames: Sequence[str] = ()
-    ) -> None:
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        for label in labelnames:
-            if not _LABEL_RE.match(label):
-                raise ValueError(f"invalid label name {label!r}")
-        self.name = name
-        self.help_text = help_text
-        self.labelnames = tuple(labelnames)
-        self._children: Dict[LabelValues, float] = {}
-
-    def _key(self, labels: Mapping[str, str]) -> LabelValues:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"{self.name} expects labels {self.labelnames}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
-
-    def _labels_text(self, values: LabelValues) -> str:
-        if not self.labelnames:
-            return ""
-        inner = ",".join(
-            f'{name}="{_escape_label(value)}"'
-            for name, value in zip(self.labelnames, values)
-        )
-        return "{" + inner + "}"
-
-    def samples(self) -> Iterable[Tuple[str, str, float]]:
-        """Yield ``(sample_name, labels_text, value)`` rows, sorted."""
-        for values in sorted(self._children):
-            yield self.name, self._labels_text(values), self._children[values]
-
-    def render(self) -> str:
-        lines = [
-            f"# HELP {self.name} {self.help_text}",
-            f"# TYPE {self.name} {self.type_name}",
-        ]
-        for sample_name, labels_text, value in self.samples():
-            lines.append(
-                f"{sample_name}{labels_text} {_format_value(value)}"
-            )
-        return "\n".join(lines)
+def _labels_text(names: Sequence[str], values: Sequence[object]) -> str:
+    if not names:
+        return ""
+    return "{" + ",".join(
+        f'{name}="{_escape_label(str(value))}"'
+        for name, value in zip(names, values)
+    ) + "}"
 
 
-class Counter(_Family):
-    """Monotonically increasing count (snapshot semantics: ``set`` too)."""
+def _children(labels: Sequence[str], data) -> List[Tuple[tuple, object]]:
+    """``[(label values, data)]`` sorted by label values.
 
-    type_name = "counter"
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up, got {amount}")
-        key = self._key(labels)
-        self._children[key] = self._children.get(key, 0.0) + amount
-
-    def set(self, value: float, **labels: str) -> None:
-        """Snapshot assignment — the registry is rebuilt per scrape."""
-        if value < 0:
-            raise ValueError(f"counters are non-negative, got {value}")
-        self._children[self._key(labels)] = value
+    An unlabeled family's *data* is its one child's; a labeled family's
+    maps each label value (a tuple of values when *labels* names more
+    than one) to a child's.
+    """
+    if not labels:
+        return [((), data)]
+    return sorted(
+        (key if isinstance(key, tuple) else (key,), value)
+        for key, value in data.items()
+    )
 
 
-class Gauge(_Family):
-    """A value that can go anywhere."""
+class Exposition:
+    """One scrape's exposition text, written family by family.
 
-    type_name = "gauge"
-
-    def set(self, value: float, **labels: str) -> None:
-        self._children[self._key(labels)] = value
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = self._key(labels)
-        self._children[key] = self._children.get(key, 0.0) + amount
-
-
-class Histogram(_Family):
-    """Fixed-bucket cumulative histogram (``_bucket``/``_sum``/``_count``)."""
-
-    type_name = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        buckets: Sequence[float],
-        labelnames: Sequence[str] = (),
-    ) -> None:
-        super().__init__(name, help_text, labelnames)
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError("buckets must be a non-empty ascending sequence")
-        self.buckets = tuple(float(b) for b in buckets)
-        # child -> (per-bucket counts, sum, count)
-        self._hist: Dict[LabelValues, Tuple[List[int], float, int]] = {}
-
-    def observe(self, value: float, **labels: str) -> None:
-        key = self._key(labels)
-        counts, total, n = self._hist.get(
-            key, ([0] * len(self.buckets), 0.0, 0)
-        )
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[index] += 1
-        self._hist[key] = (counts, total + value, n + 1)
-
-    def observe_many(self, values: Iterable[float], **labels: str) -> None:
-        for value in values:
-            self.observe(value, **labels)
-
-    def samples(self) -> Iterable[Tuple[str, str, float]]:
-        for key in sorted(self._hist):
-            counts, total, n = self._hist[key]
-            base = list(zip(self.labelnames, key))
-            for bound, count in zip(self.buckets, counts):
-                pairs = base + [("le", _format_value(bound))]
-                labels_text = "{" + ",".join(
-                    f'{name}="{_escape_label(str(value))}"'
-                    for name, value in pairs
-                ) + "}"
-                yield f"{self.name}_bucket", labels_text, float(count)
-            pairs = base + [("le", "+Inf")]
-            labels_text = "{" + ",".join(
-                f'{name}="{_escape_label(str(value))}"'
-                for name, value in pairs
-            ) + "}"
-            yield f"{self.name}_bucket", labels_text, float(n)
-            suffix = self._labels_text(key)
-            yield f"{self.name}_sum", suffix, total
-            yield f"{self.name}_count", suffix, float(n)
-
-    def render(self) -> str:
-        lines = [
-            f"# HELP {self.name} {self.help_text}",
-            f"# TYPE {self.name} {self.type_name}",
-        ]
-        for sample_name, labels_text, value in self.samples():
-            lines.append(
-                f"{sample_name}{labels_text} {_format_value(value)}"
-            )
-        return "\n".join(lines)
-
-
-class Registry:
-    """A named collection of metric families, rendered sorted by name."""
+    :meth:`add` and :meth:`histogram` format a family's block as it is
+    written; :meth:`render` joins the blocks sorted by family name.  A
+    repeated name keeps both blocks, so :func:`parse_exposition` rejects
+    the duplicate samples rather than one copy silently replacing the
+    other.
+    """
 
     def __init__(self) -> None:
-        self._families: Dict[str, _Family] = {}
+        self._blocks: List[Tuple[str, str]] = []
 
-    def register(self, family: _Family) -> _Family:
-        if family.name in self._families:
-            raise ValueError(f"duplicate metric family {family.name!r}")
-        self._families[family.name] = family
-        return family
+    def _write(
+        self, name: str, kind: str, help_text: str, rows: List[str]
+    ) -> None:
+        head = [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+        self._blocks.append((name, "\n".join(head + rows)))
 
-    def counter(
-        self, name: str, help_text: str, labelnames: Sequence[str] = ()
-    ) -> Counter:
-        return self.register(Counter(name, help_text, labelnames))  # type: ignore[return-value]
+    def add(
+        self,
+        name: str,
+        kind: str,
+        help_text: str,
+        samples,
+        labels: Sequence[str] = (),
+    ) -> None:
+        """Write a ``counter`` or ``gauge`` family.
 
-    def gauge(
-        self, name: str, help_text: str, labelnames: Sequence[str] = ()
-    ) -> Gauge:
-        return self.register(Gauge(name, help_text, labelnames))  # type: ignore[return-value]
+        *samples* is an unlabeled family's value, or maps each label
+        value to its sample's value; an empty mapping writes the header
+        alone.
+        """
+        self._write(name, kind, help_text, [
+            f"{name}{_labels_text(labels, values)} {_format_value(value)}"
+            for values, value in _children(labels, samples)
+        ])
 
     def histogram(
         self,
         name: str,
         help_text: str,
         buckets: Sequence[float],
-        labelnames: Sequence[str] = (),
-    ) -> Histogram:
-        return self.register(Histogram(name, help_text, buckets, labelnames))  # type: ignore[return-value]
+        observations,
+        labels: Sequence[str] = (),
+    ) -> None:
+        """Write a cumulative fixed-bucket histogram family.
 
-    def get(self, name: str) -> Optional[_Family]:
-        return self._families.get(name)
+        *observations* is an unlabeled family's observed values, or maps
+        each label value to its child's.  A child observed no times
+        writes no samples.
+        """
+        rows: List[str] = []
+        for values, child in _children(labels, observations):
+            if not child:
+                continue
+            ordered = sorted(child)
+            total = 0.0
+            for value in child:  # in observation order: the sum's bits
+                total += value
+            for bound in (*buckets, math.inf):
+                le = _labels_text(
+                    (*labels, "le"), (*values, _format_value(bound))
+                )
+                count = bisect.bisect_right(ordered, bound)
+                rows.append(f"{name}_bucket{le} {count}")
+            suffix = _labels_text(labels, values)
+            rows.append(f"{name}_sum{suffix} {_format_value(total)}")
+            rows.append(f"{name}_count{suffix} {len(child)}")
+        self._write(name, "histogram", help_text, rows)
 
     def render(self) -> str:
         """The full exposition body, families sorted by metric name."""
-        blocks = [
-            self._families[name].render()
-            for name in sorted(self._families)
-        ]
+        blocks = [text for _, text in sorted(self._blocks)]
         return "\n".join(blocks) + ("\n" if blocks else "")
 
 
@@ -286,7 +176,7 @@ class Registry:
 # ----------------------------------------------------------------------
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^{}]*\})?"
+    r'(?P<labels>\{(?:[^{}"]|"(?:[^"\\]|\\.)*")*\})?'
     r" (?P<value>[^ ]+)"
     r"(?: (?P<timestamp>-?[0-9]+))?$"
 )
@@ -359,233 +249,206 @@ def parse_exposition(text: str) -> Dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# NetMetrics -> registry mapping (the exported catalog)
+# NetMetrics -> exposition (the exported catalog)
 # ----------------------------------------------------------------------
 def metrics_registry(
     metrics: "NetMetrics",
     service: Optional["AgreementService"] = None,
     bus: Optional["EventBus"] = None,
     tracer=None,
-) -> Registry:
-    """Snapshot one recorder (plus optional service/bus state) as a Registry.
+) -> Exposition:
+    """Render one recorder (plus optional service/bus state) as exposition.
 
     Counter values are lifted straight from the recorder the runtime
     already maintains, so ``/metrics`` agrees with
     :meth:`NetMetrics.counters` without double bookkeeping.  For a
     service aggregate the wire totals (frames, messages, bytes, rounds,
     substitutions, latencies, durations) cover every decided instance
-    folded into it — the recorder's ``total_*`` views sum them.  Rebuilt per
-    scrape: cheap (one pass over the recorder) and race-free enough for
-    a single event loop.  *tracer* (a :class:`repro.trace.Tracer`) adds
-    the span-derived families: per-category span counts and duration
-    histograms.
+    folded into it — the recorder's ``total_*`` views sum them.  Written
+    per scrape: cheap (one pass over the recorder) and race-free enough
+    for a single event loop.  *tracer* (a :class:`repro.trace.Tracer`)
+    adds the span-derived families: per-category span counts and
+    duration histograms.
     """
-    registry = Registry()
+    out = Exposition()
+    links = metrics.links.values()
 
-    info = registry.gauge(
-        "repro_build_info", "Static run identity.", ("transport",)
+    out.add(
+        "repro_build_info", "gauge", "Static run identity.",
+        {metrics.transport or "unknown": 1}, ("transport",),
     )
-    info.set(1, transport=metrics.transport or "unknown")
-
-    registry.gauge(
-        "repro_rounds_total", "Engine rounds the runtime executed."
-    ).set(metrics.total_rounds)
-    registry.counter(
-        "repro_messages_sent_total",
-        "Protocol messages handed to the transport.",
-    ).set(metrics.total_messages)
-    registry.counter(
-        "repro_frames_sent_total", "Wire frames successfully sent."
-    ).set(metrics.total_frames)
-    registry.counter(
-        "repro_frames_batched_total",
-        "BATCH frames among the sent frames.",
-    ).set(metrics.total_frames_batched)
-    registry.counter(
-        "repro_bytes_sent_total", "Bytes on the wire (0 when unmeasured)."
-    ).set(metrics.total_bytes)
-    registry.counter(
-        "repro_substitutions_total",
-        "V_d substitutions for absent messages (assumption (b); "
-        "the core degradation signal).",
-    ).set(metrics.total_substitutions)
-    registry.counter(
-        "repro_dropped_messages_total",
-        "Messages removed by fault adapters before the wire.",
-    ).set(metrics.total_dropped)
-    registry.counter(
-        "repro_send_failures_total",
-        "Frames whose send failed (observed as absence).",
-    ).set(metrics.total_send_failures)
-    registry.counter(
-        "repro_timeouts_total",
-        "(receiver, peer) pairs unresolved at a round deadline.",
-    ).set(metrics.total_timeouts)
-    registry.counter(
-        "repro_late_frames_total",
-        "Frames that arrived after their round closed.",
-    ).set(metrics.total_late_frames)
-    registry.counter(
-        "repro_decode_errors_total",
-        "Poisoned byte streams a transport discarded.",
-    ).set(metrics.decode_errors)
-
-    chaos = registry.counter(
-        "repro_chaos_events_total",
+    out.add(
+        "repro_rounds_total", "gauge",
+        "Engine rounds the runtime executed.", metrics.total_rounds,
+    )
+    for name, help_text, value in (
+        ("repro_messages_sent_total",
+         "Protocol messages handed to the transport.",
+         metrics.total_messages),
+        ("repro_frames_sent_total", "Wire frames successfully sent.",
+         metrics.total_frames),
+        ("repro_frames_batched_total", "BATCH frames among the sent frames.",
+         metrics.total_frames_batched),
+        ("repro_bytes_sent_total", "Bytes on the wire (0 when unmeasured).",
+         metrics.total_bytes),
+        ("repro_substitutions_total",
+         "V_d substitutions for absent messages (assumption (b); "
+         "the core degradation signal).",
+         metrics.total_substitutions),
+        ("repro_dropped_messages_total",
+         "Messages removed by fault adapters before the wire.",
+         metrics.total_dropped),
+        ("repro_send_failures_total",
+         "Frames whose send failed (observed as absence).",
+         metrics.total_send_failures),
+        ("repro_timeouts_total",
+         "(receiver, peer) pairs unresolved at a round deadline.",
+         metrics.total_timeouts),
+        ("repro_late_frames_total",
+         "Frames that arrived after their round closed.",
+         metrics.total_late_frames),
+        ("repro_decode_errors_total",
+         "Poisoned byte streams a transport discarded.",
+         metrics.decode_errors),
+        ("repro_partition_rounds_total",
+         "Engine rounds with at least one severed partition.",
+         metrics.partition_rounds),
+        ("repro_link_reconnects_total",
+         "Supervised links re-established after carrying traffic.",
+         metrics.total_reconnects),
+        ("repro_link_deduped_frames_total",
+         "Inbound frames dropped as sequence-number replays.",
+         metrics.total_deduped),
+        ("repro_link_errors_total",
+         "Sends a transport failed with a connection-level error.",
+         sum(link.errors for link in links)),
+        ("repro_link_outages_total",
+         "Outage windows the link supervisor rode out.",
+         metrics.total_outages),
+        ("repro_link_outage_seconds_total",
+         "Wall-clock seconds spent inside outage windows.",
+         sum(link.outage_seconds for link in links)),
+        ("repro_endpoint_restarts_total",
+         "Node endpoints killed and restarted mid-run.",
+         metrics.endpoint_restarts),
+        ("repro_link_resets_total",
+         "Scheduled hard-resets of pooled connections.",
+         metrics.link_resets),
+        ("repro_instances_folded_total",
+         "Decided service instances folded into the aggregate recorder.",
+         len(metrics.instances)),
+        ("repro_stray_frames_total",
+         "Frames routed to a retired or unknown instance.",
+         metrics.stray_frames),
+    ):
+        out.add(name, "counter", help_text, value)
+    out.add(
+        "repro_chaos_events_total", "counter",
         "Chaos-layer perturbations by kind.",
+        {
+            "drop": metrics.total_chaos_drops,
+            "dup": metrics.total_chaos_dups,
+            "reorder": metrics.total_chaos_reorders,
+            "corruption": metrics.total_chaos_corruptions,
+            "crash": metrics.crash_events,
+        },
         ("kind",),
     )
-    chaos.set(metrics.total_chaos_drops, kind="drop")
-    chaos.set(metrics.total_chaos_dups, kind="dup")
-    chaos.set(metrics.total_chaos_reorders, kind="reorder")
-    chaos.set(metrics.total_chaos_corruptions, kind="corruption")
-    chaos.set(metrics.crash_events, kind="crash")
-    registry.counter(
-        "repro_partition_rounds_total",
-        "Engine rounds with at least one severed partition.",
-    ).set(metrics.partition_rounds)
-
-    registry.counter(
-        "repro_link_reconnects_total",
-        "Supervised links re-established after carrying traffic.",
-    ).set(metrics.total_reconnects)
-    registry.counter(
-        "repro_link_deduped_frames_total",
-        "Inbound frames dropped as sequence-number replays.",
-    ).set(metrics.total_deduped)
-    registry.counter(
-        "repro_link_outages_total",
-        "Outage windows the link supervisor rode out.",
-    ).set(metrics.total_outages)
-    registry.counter(
-        "repro_link_outage_seconds_total",
-        "Wall-clock seconds spent inside outage windows.",
-    ).set(sum(link.outage_seconds for link in metrics.links.values()))
-    registry.counter(
-        "repro_endpoint_restarts_total",
-        "Node endpoints killed and restarted mid-run.",
-    ).set(metrics.endpoint_restarts)
-    registry.counter(
-        "repro_link_resets_total",
-        "Scheduled hard-resets of pooled connections.",
-    ).set(metrics.link_resets)
-
-    registry.counter(
-        "repro_instances_folded_total",
-        "Decided service instances folded into the aggregate recorder.",
-    ).set(len(metrics.instances))
-    registry.counter(
-        "repro_stray_frames_total",
-        "Frames routed to a retired or unknown instance.",
-    ).set(metrics.stray_frames)
-
-    latency = registry.histogram(
+    out.histogram(
         "repro_delivery_latency_seconds",
         "One-way data-frame delivery latency.",
         LATENCY_BUCKETS,
+        [value for entry in metrics.all_rounds() for value in entry.latencies],
     )
-    for entry in metrics.all_rounds():
-        latency.observe_many(entry.latencies)
-    durations = registry.histogram(
+    out.histogram(
         "repro_round_duration_seconds",
         "Wall-clock duration of each engine round.",
         DURATION_BUCKETS,
-    )
-    durations.observe_many(
-        d for d in metrics.round_durations() if d > 0.0
+        [d for d in metrics.round_durations() if d > 0.0],
     )
 
     if service is not None:
-        registry.gauge(
-            "repro_gateway_inflight",
-            "Instances currently holding a worker slot.",
-        ).set(service.inflight)
-        registry.gauge(
-            "repro_gateway_queue_depth",
-            "Admitted instances waiting for a worker slot.",
-        ).set(service.queue_depth)
-        registry.gauge(
-            "repro_gateway_admitted",
-            "Submitted-but-unfinished instances (queued + in flight).",
-        ).set(service.admitted)
-        registry.counter(
-            "repro_gateway_rejected_submits_total",
+        for name, help_text, value in (
+            ("repro_gateway_inflight",
+             "Instances currently holding a worker slot.",
+             service.inflight),
+            ("repro_gateway_queue_depth",
+             "Admitted instances waiting for a worker slot.",
+             service.queue_depth),
+            ("repro_gateway_admitted",
+             "Submitted-but-unfinished instances (queued + in flight).",
+             service.admitted),
+            ("repro_gateway_retry_after_seconds",
+             "Current backpressure hint handed to rejected clients.",
+             service.retry_after_hint()),
+        ):
+            out.add(name, "gauge", help_text, value)
+        out.add(
+            "repro_gateway_rejected_submits_total", "counter",
             "Submits bounced by admission control.",
-        ).set(service.rejected_submits)
-        registry.gauge(
-            "repro_gateway_retry_after_seconds",
-            "Current backpressure hint handed to rejected clients.",
-        ).set(service.retry_after_hint())
-        outcomes = registry.counter(
-            "repro_instances_total",
-            "Finished instances by outcome.",
-            ("outcome",),
+            service.rejected_submits,
         )
-        tiers: Dict[str, int] = {}
-        satisfied = violated = 0
-        inst_latency = registry.histogram(
+        outcomes = list(service.outcomes.values())
+        tiers = dict.fromkeys(("byzantine", "degraded", "none"), 0)
+        for outcome in outcomes:
+            tiers[outcome.tier] += 1
+        satisfied = sum(1 for outcome in outcomes if outcome.ok)
+        out.add(
+            "repro_instances_total", "counter",
+            "Finished instances by outcome.",
+            {"decided": len(outcomes)}, ("outcome",),
+        )
+        out.add(
+            "repro_tier_verdicts_total", "counter",
+            "Per-instance D.1-D.4 guarantee-tier verdicts "
+            "(byzantine: f<=m; degraded: m<f<=u; none: f>u).",
+            tiers, ("tier",),
+        )
+        out.add(
+            "repro_instance_contracts_total", "counter",
+            "Finished instances by contract verdict.",
+            {"satisfied": satisfied, "violated": len(outcomes) - satisfied},
+            ("verdict",),
+        )
+        out.histogram(
             "repro_instance_latency_seconds",
             "Submit-to-decision latency of finished instances.",
             DURATION_BUCKETS,
+            [outcome.latency for outcome in outcomes],
         )
-        for outcome in service.outcomes.values():
-            tiers[outcome.tier] = tiers.get(outcome.tier, 0) + 1
-            if outcome.ok:
-                satisfied += 1
-            else:
-                violated += 1
-            inst_latency.observe(outcome.latency)
-        outcomes.set(len(service.outcomes), outcome="decided")
-        tier_counter = registry.counter(
-            "repro_tier_verdicts_total",
-            "Per-instance D.1-D.4 guarantee-tier verdicts "
-            "(byzantine: f<=m; degraded: m<f<=u; none: f>u).",
-            ("tier",),
-        )
-        for tier in ("byzantine", "degraded", "none"):
-            tier_counter.set(tiers.get(tier, 0), tier=tier)
-        contracts = registry.counter(
-            "repro_instance_contracts_total",
-            "Finished instances by contract verdict.",
-            ("verdict",),
-        )
-        contracts.set(satisfied, verdict="satisfied")
-        contracts.set(violated, verdict="violated")
 
     if bus is not None:
-        events = registry.counter(
-            "repro_obs_events_total",
+        out.add(
+            "repro_obs_events_total", "counter",
             "Observability events published, by kind.",
-            ("kind",),
+            bus.counts, ("kind",),
         )
-        for kind in sorted(bus.counts):
-            events.set(bus.counts[kind], kind=kind)
-        registry.counter(
-            "repro_obs_subscriber_errors_total",
+        out.add(
+            "repro_obs_subscriber_errors_total", "counter",
             "Event-bus subscriber callbacks that raised.",
-        ).set(bus.subscriber_errors)
-        registry.counter(
-            "repro_obs_events_dropped_total",
+            bus.subscriber_errors,
+        )
+        out.add(
+            "repro_obs_events_dropped_total", "counter",
             "Events evicted from the bounded ring buffer "
             "(no longer replayable via /events).",
-        ).set(bus.events_dropped)
+            bus.events_dropped,
+        )
 
     if tracer is not None:
         by_category = tracer.durations_by_category()
-        span_counter = registry.counter(
-            "repro_spans_total",
+        out.add(
+            "repro_spans_total", "counter",
             "Finished trace spans, by instrumented layer.",
+            {category: len(spans) for category, spans in by_category.items()},
             ("category",),
         )
-        span_duration = registry.histogram(
+        out.histogram(
             "repro_span_duration_seconds",
             "Duration of finished trace spans, by instrumented layer.",
             DURATION_BUCKETS,
+            by_category,
             ("category",),
         )
-        for category in sorted(by_category):
-            durations_list = by_category[category]
-            span_counter.set(len(durations_list), category=category)
-            span_duration.observe_many(durations_list, category=category)
 
-    return registry
+    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.obs.prom import Registry, parse_exposition
+from repro.obs.prom import Exposition, parse_exposition
 
 __all__ = ["render_snapshot"]
 
@@ -35,30 +35,25 @@ def render_snapshot(path: str, prom: bool = False) -> str:
         kinds[kind] = kinds.get(kind, 0) + 1
         rounds.add(event.round_no)
     if prom:
-        registry = Registry()
-        info = registry.gauge(
-            "repro_trace_info", "Recorded run identity.",
+        out = Exposition()
+        out.add(
+            "repro_trace_info", "gauge", "Recorded run identity.",
+            {(str(record.mode), str(record.transport or "unknown")): 1},
             ("mode", "transport"),
         )
-        info.set(
-            1,
-            mode=str(record.mode),
-            transport=str(record.transport or "unknown"),
+        out.add(
+            "repro_trace_rounds_total", "gauge",
+            "Rounds present in the trace.", len(rounds),
         )
-        registry.gauge(
-            "repro_trace_rounds_total", "Rounds present in the trace."
-        ).set(len(rounds))
-        registry.gauge(
-            "repro_trace_nodes_total", "Nodes in the recorded run."
-        ).set(len(record.nodes))
-        counter = registry.counter(
-            "repro_trace_events_total",
-            "Recorded trace events by kind.",
-            ("kind",),
+        out.add(
+            "repro_trace_nodes_total", "gauge",
+            "Nodes in the recorded run.", len(record.nodes),
         )
-        for kind in sorted(kinds):
-            counter.set(kinds[kind], kind=kind)
-        text = registry.render()
+        out.add(
+            "repro_trace_events_total", "counter",
+            "Recorded trace events by kind.", kinds, ("kind",),
+        )
+        text = out.render()
         parse_exposition(text)  # self-check: never emit malformed lines
         return text
     lines = [

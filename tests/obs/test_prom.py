@@ -2,21 +2,28 @@
 
 import math
 import os
+import re
 
 import pytest
 
+from repro.core.spec import DegradableSpec
+from repro.explore.clock import run_on_virtual_clock
+from repro.net.chaos import seeded_policy
 from repro.net.metrics import NetMetrics
 from repro.obs.events import EventBus
-from repro.obs.prom import (
-    Counter,
-    Gauge,
-    Histogram,
-    Registry,
-    metrics_registry,
-    parse_exposition,
-)
+from repro.obs.prom import Exposition, metrics_registry, parse_exposition
+from repro.serve.gateway import AgreementService
+from repro.trace.spans import Tracer
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_metrics.prom")
+from tests.obs import reference_prom as reference
+
+HERE = os.path.dirname(__file__)
+GOLDEN_PATH = os.path.join(HERE, "golden_metrics.prom")
+CATALOG_DOC = os.path.join(HERE, "..", "..", "docs", "observability.md")
+
+SPEC = DegradableSpec(m=1, u=2, n_nodes=5)
+NODES = ("S", "p1", "p2", "p3", "p4")
+VALUES = ("attack", "retreat", "hold", "regroup")
 
 
 def build_golden_recorder():
@@ -51,6 +58,7 @@ def build_golden_recorder():
 
     metrics.record_reconnect("S", "p1")
     metrics.record_dedup("S", "p1")
+    metrics.record_link_error("S", "p1")
     metrics.record_outage("S", "p1", 0.5)
     metrics.record_endpoint_restart()
     metrics.record_link_reset()
@@ -60,40 +68,74 @@ def build_golden_recorder():
     return metrics, bus
 
 
+def serve_scrape(severity="", count=16, seed=9):
+    """A finished (1,2,5) LocalBus service on the virtual clock.
+
+    Carries an ``EventBus`` and a ``Tracer``; *severity* names a
+    ``seeded_policy`` preset ("" runs clean).  Returns the service and
+    the ``metrics_registry`` arguments a full scrape of it passes.
+    """
+
+    async def run():
+        bus = EventBus()
+        tracer = Tracer(seed=seed)
+        chaos = chaos_rng = None
+        if severity:
+            chaos, chaos_rng = seeded_policy(severity, SPEC, NODES, seed)
+        service = AgreementService(
+            SPEC, NODES, chaos=chaos, chaos_rng=chaos_rng, max_inflight=4,
+            round_timeout=0.25, events=bus, tracer=tracer,
+        )
+        async with service:
+            iids = [
+                service.submit(NODES[i % len(NODES)], VALUES[i % len(VALUES)])
+                for i in range(count)
+            ]
+            for iid in iids:
+                await service.decision(iid)
+        return service, dict(service=service, bus=bus, tracer=tracer)
+
+    return run_on_virtual_clock(run())
+
+
 class TestPrimitives:
+    """The writer's formatting, and the registry checks it dropped.
+
+    The checks ``Counter``/``Gauge``/``Histogram``/``Registry`` made
+    (non-negative counters, valid names, matching label sets, ascending
+    buckets, unique families) guarded code constants, not input; their
+    cases run against ``reference_prom``, the oracle's own contract.
+    """
+
     def test_counter_rejects_negatives(self):
-        counter = Counter("c_total", "help")
+        counter = reference.Counter("c_total", "help")
         with pytest.raises(ValueError):
             counter.inc(-1)
         with pytest.raises(ValueError):
             counter.set(-1)
 
     def test_labeled_samples_sorted_and_escaped(self):
-        gauge = Gauge("g", "help", ("node",))
-        gauge.set(2, node="p2")
-        gauge.set(1, node='a"b\\c')
-        text = gauge.render()
+        out = Exposition()
+        out.add("g", "gauge", "help", {"p2": 2, 'a"b\\c': 1}, ("node",))
+        text = out.render()
         assert text.splitlines()[2] == 'g{node="a\\"b\\\\c"} 1'
         assert text.splitlines()[3] == 'g{node="p2"} 2'
 
     def test_label_set_must_match(self):
-        gauge = Gauge("g", "help", ("node",))
+        gauge = reference.Gauge("g", "help", ("node",))
         with pytest.raises(ValueError, match="expects labels"):
             gauge.set(1, other="x")
 
     def test_invalid_names_rejected(self):
         with pytest.raises(ValueError, match="invalid metric name"):
-            Counter("2bad", "help")
+            reference.Counter("2bad", "help")
         with pytest.raises(ValueError, match="invalid label name"):
-            Gauge("g", "help", ("bad-label",))
+            reference.Gauge("g", "help", ("bad-label",))
 
     def test_histogram_buckets_cumulative_with_inf(self):
-        hist = Histogram("h_seconds", "help", (0.1, 1.0))
-        hist.observe_many([0.05, 0.5, 5.0])
-        samples = dict(
-            (name + labels, value)
-            for name, labels, value in hist.samples()
-        )
+        out = Exposition()
+        out.histogram("h_seconds", "help", (0.1, 1.0), [0.05, 0.5, 5.0])
+        samples = parse_exposition(out.render())
         assert samples['h_seconds_bucket{le="0.1"}'] == 1
         assert samples['h_seconds_bucket{le="1"}'] == 2
         assert samples['h_seconds_bucket{le="+Inf"}'] == 3
@@ -102,21 +144,31 @@ class TestPrimitives:
 
     def test_histogram_buckets_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
-            Histogram("h", "help", (1.0, 0.1))
+            reference.Histogram("h", "help", (1.0, 0.1))
 
     def test_registry_rejects_duplicates(self):
-        registry = Registry()
+        registry = reference.Registry()
         registry.counter("x_total", "help")
         with pytest.raises(ValueError, match="duplicate"):
             registry.gauge("x_total", "help")
 
+    def test_repeated_family_reaches_the_text(self):
+        # Both copies are written, so the validator sees the mistake.
+        out = Exposition()
+        out.add("x_total", "counter", "help", 1)
+        out.add("x_total", "gauge", "help", 2)
+        text = out.render()
+        assert text.count("# TYPE x_total ") == 2
+        with pytest.raises(ValueError, match="duplicate sample"):
+            parse_exposition(text)
+
 
 class TestParser:
     def test_round_trips_a_registry(self):
-        registry = Registry()
-        registry.counter("a_total", "help").inc(3)
-        registry.gauge("b", "help", ("k",)).set(1.5, k="v")
-        samples = parse_exposition(registry.render())
+        out = Exposition()
+        out.add("a_total", "counter", "help", 3)
+        out.add("b", "gauge", "help", {"v": 1.5}, ("k",))
+        samples = parse_exposition(out.render())
         assert samples["a_total"] == 3
         assert samples['b{k="v"}'] == 1.5
 
@@ -139,6 +191,11 @@ class TestParser:
     def test_malformed_lines_raise(self, bad):
         with pytest.raises(ValueError):
             parse_exposition(bad + "\n")
+
+    @pytest.mark.parametrize("line", ['m{k="a}b"} 1', 'm{k="{"} 1'])
+    def test_braces_inside_label_values(self, line):
+        # Legal in text format 0.0.4, and _escape_label leaves them be.
+        assert parse_exposition(line + "\n") == {line[:-2]: 1}
 
     def test_duplicate_samples_raise(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -169,6 +226,7 @@ class TestCatalogGolden:
         assert samples["repro_substitutions_total"] == 2
         assert samples['repro_chaos_events_total{kind="drop"}'] == 1
         assert samples["repro_link_reconnects_total"] == 1
+        assert samples["repro_link_errors_total"] == 1
         assert samples["repro_link_outage_seconds_total"] == 0.5
         assert samples["repro_instances_folded_total"] == 1
         assert samples["repro_delivery_latency_seconds_count"] == 2
@@ -200,3 +258,17 @@ class TestCatalogGolden:
             ("repro_stray_frames_total", "stray_frames"),
         ):
             assert samples[prom_name] == counters[counter_key], prom_name
+
+
+class TestCatalogDoc:
+    def test_docs_catalog_matches_a_full_scrape(self):
+        # docs/observability.md's tables name exactly the families one
+        # scrape with a service, a bus and a tracer writes.
+        service, scrape = serve_scrape(count=2)
+        text = metrics_registry(service.aggregate_metrics, **scrape).render()
+        written = set(re.findall(r"^# TYPE (\S+) ", text, re.M))
+        with open(CATALOG_DOC, encoding="utf-8") as handle:
+            documented = set(
+                re.findall(r"^\| `(repro_[a-z_]+)` \|", handle.read(), re.M)
+            )
+        assert documented == written

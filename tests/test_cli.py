@@ -1,9 +1,34 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
 from repro.verify.oracle import VOTE_MISMATCH, Violation
+
+
+GOLDEN_TRACE = os.path.join(
+    os.path.dirname(__file__), "..", "examples", "traces", "golden_m1u2.jsonl"
+)
+GOLDEN_TRACE_PROM = """\
+# HELP repro_trace_events_total Recorded trace events by kind.
+# TYPE repro_trace_events_total counter
+repro_trace_events_total{kind="corrupted"} 3
+repro_trace_events_total{kind="decided"} 5
+repro_trace_events_total{kind="delivered"} 16
+repro_trace_events_total{kind="sent"} 16
+# HELP repro_trace_info Recorded run identity.
+# TYPE repro_trace_info gauge
+repro_trace_info{mode="sync",transport="sim"} 1
+# HELP repro_trace_nodes_total Nodes in the recorded run.
+# TYPE repro_trace_nodes_total gauge
+repro_trace_nodes_total 5
+# HELP repro_trace_rounds_total Rounds present in the trace.
+# TYPE repro_trace_rounds_total gauge
+repro_trace_rounds_total 3
+
+"""
 
 
 def run_cli(capsys, *argv):
@@ -424,6 +449,28 @@ class TestStats:
         code, out, _ = run_cli(capsys, "stats", str(trace), "--prom")
         assert code == 0
         assert 'repro_trace_info{mode="serve"' in out
+
+    def test_golden_trace_exposition_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "stats", GOLDEN_TRACE, "--prom"
+        )
+        assert code == 0
+        assert out == GOLDEN_TRACE_PROM
+
+    def test_brace_in_a_header_label_value(self, capsys, tmp_path):
+        # "{" and "}" are legal inside a quoted label value; the
+        # validator used to reject the line and the command died.
+        with open(GOLDEN_TRACE, encoding="utf-8") as handle:
+            header, rest = handle.read().split("\n", 1)
+        assert '"transport":"sim"' in header
+        path = tmp_path / "brace.jsonl"
+        path.write_text(
+            header.replace('"transport":"sim"', '"transport":"sim{1}"')
+            + "\n" + rest
+        )
+        code, out, _ = run_cli(capsys, "stats", str(path), "--prom")
+        assert code == 0
+        assert 'repro_trace_info{mode="sync",transport="sim{1}"} 1\n' in out
 
     def test_json_that_is_not_a_trace_record_is_refused(
         self, capsys, tmp_path
