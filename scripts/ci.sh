@@ -341,8 +341,8 @@ echo "== schedule explorer (exhausted frontiers + shrink gate) =="
 # its budget also exits 0), and the planted vote bug must be found and
 # shrunk to a replayable one-deviation token (exit 1).
 timeout 300 python -m repro explore --depth 2 --budget 150 | tee "${ARTIFACTS}/explore.txt"
-if ! grep -q "frontier exhausted at depth 2: 513 schedules settled (149 run + 364 covered" "${ARTIFACTS}/explore.txt"; then
-    echo "(1,2,5) did not exhaust its depth-2 frontier in 149 runs" >&2
+if ! grep -q "frontier exhausted at depth 2: 513 schedules settled (13 run + 500 covered" "${ARTIFACTS}/explore.txt"; then
+    echo "(1,2,5) did not exhaust its depth-2 frontier in 13 runs" >&2
     exit 1
 fi
 if timeout 300 python -m repro explore --inject-vote-bug 1 --depth 2 --budget 150; then
@@ -350,12 +350,16 @@ if timeout 300 python -m repro explore --inject-vote-bug 1 --depth 2 --budget 15
     exit 1
 fi
 # The deeper certificate tier-1 has no time for: (2,2,7) clean to an
-# exhausted depth-2 frontier, 8 713 schedules from 2 572 runs (~14 s).
+# exhausted depth-2 frontier, 8 713 schedules from 34 runs (~1 s).
 timeout 600 python -m repro explore -m 2 -u 2 --depth 2 --budget 3000 | tee "${ARTIFACTS}/explore.txt"
-if ! grep "frontier exhausted at depth 2: " "${ARTIFACTS}/explore.txt" | grep -q "(2572 run + "; then
-    echo "(2,2,7) did not exhaust its depth-2 frontier in 2572 runs" >&2
+if ! grep -q "frontier exhausted at depth 2: 8713 schedules settled (34 run + " "${ARTIFACTS}/explore.txt"; then
+    echo "(2,2,7) did not exhaust its 8713-schedule depth-2 frontier in 34 runs" >&2
     exit 1
 fi
+# The orbit cover's gate by name: every schedule of four symmetric
+# frontiers, run directly, is the first run of its orbit relabelled, and
+# the group is the one the configuration allows.
+timeout 300 python -m pytest -q tests/explore/test_reduction.py::TestOrbitTwins tests/explore/test_reduction.py::TestSymmetryGroup
 # The unbatched (1,2,5) depth-2 frontier both ways (5 839 reference +
 # 4 263 reduced runs, ~45 s): tier-1 keeps its depth-1 slice only.
 timeout 600 python -m pytest -q -m slow tests/explore/test_reduction.py

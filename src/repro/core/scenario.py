@@ -92,6 +92,13 @@ class Instance:
                     f"{self.grammar} names unknown faulty node {node!r} "
                     f"(nodes are {SENDER}, p1 .. p{self.n_nodes - 1})"
                 )
+            if node in behaviors:
+                # Keeping either kind runs a node the faults do not name.
+                raise ConfigurationError(
+                    f"repeated faulty node {node!r} in {self.grammar} "
+                    f"faults ({'+'.join(f'{n}:{k}' for n, k in self.faults)}"
+                    f"); each node may have one fault kind"
+                )
             behaviors[node] = build_behavior(kind, nodes)
         return behaviors
 

@@ -19,9 +19,11 @@ bounded by the number of non-default choices (*depth_bound*, the
 classical delay bound) and by a total execution *budget*.  Each child
 prefix extends its parent at a decision index past the parent's own
 prefix, so every schedule is generated exactly once — and *run* at most
-once per observable behaviour: a schedule that only flips a drop nobody
-would have heard as a ``stall`` is settled by the run it repeats
-(``covered``, see :func:`explore`).  A violating
+once per observable behaviour up to receiver relabelling: a schedule
+that only flips a drop nobody would have heard as a ``stall``, or one
+whose receivers a symmetry of the configuration relabels onto a settled
+schedule, is settled by the run it repeats (``covered``, see
+:func:`explore`).  A violating
 execution is shrunk to a minimal prefix (greedily zeroing deviations,
 then lowering the survivors) before being reported with its replay
 token.
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import permutations, product
 from math import isfinite
 from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -349,6 +352,140 @@ def shrink_schedule(
 
 
 # ----------------------------------------------------------------------
+# Receiver symmetry
+# ----------------------------------------------------------------------
+def symmetry_classes(config: ExploreConfig) -> Tuple[Tuple[str, ...], ...]:
+    """The receivers a relabelling may permute: colour classes of two or
+    more, each in node order.
+
+    A receiver's colour is its fault kind (``None`` when fault-free) plus
+    the face every per-destination table of the configuration (the
+    ``faces`` of ``two-faced``) shows it; the sender has no colour and
+    never moves.  The symmetry group is every colour-preserving
+    permutation — the product of the symmetric groups on these classes,
+    trivial when there are none.  Unbatched wire mode always has the
+    trivial group: its same-instant timers fire in arming order, which is
+    node order, so a relabelled schedule may race differently.
+    """
+    if not config.batching:
+        return ()
+    kinds = dict(config.faults)
+    tables = [
+        behavior.faces
+        for behavior in config.behaviors().values()
+        if hasattr(behavior, "faces")
+    ]
+    classes: Dict[tuple, List[str]] = {}
+    for node in config.nodes():
+        if node != SENDER:
+            colour = (kinds.get(node), tuple(t.get(node) for t in tables))
+            classes.setdefault(colour, []).append(node)
+    return tuple(tuple(c) for c in classes.values() if len(c) > 1)
+
+
+class _Orbits:
+    """Settled schedules by orbit under the receiver symmetry group.
+
+    A schedule is named by its deviations' frame identities ``(round,
+    source, destination, action)``, nodes as indices into
+    ``config.nodes()``; its *key* is the least image of that set under
+    the group.  Only the receivers the deviations name are relabelled,
+    and only onto the first members of their class: any image can be
+    pushed down onto those, in order, without growing, so the least
+    image is among them.
+    """
+
+    def __init__(self, nodes: Sequence[str], classes) -> None:
+        self.index = {node: i for i, node in enumerate(nodes)}
+        self.classes = [[self.index[n] for n in c] for c in classes]
+        self.class_of = {
+            i: k for k, members in enumerate(self.classes) for i in members
+        }
+        #: key -> (relabelling onto the key, trail, {silent drop: stall}).
+        self.settled: Dict[tuple, tuple] = {}
+
+    def key(self, schedule, trail) -> Tuple[tuple, Dict[int, int]]:
+        """*schedule*'s key and the relabelling of its named receivers
+        onto it; *trail* is the one *schedule* was enumerated from."""
+        index = self.index
+        deviations = [
+            (
+                trail[i].round_no,
+                index[trail[i].source],
+                index[trail[i].destination],
+                trail[i].menu[choice],
+            )
+            for i, choice in enumerate(schedule)
+            if choice
+        ]
+        named: Dict[int, List[int]] = {}  # class -> its named receivers
+        for node in {n for _, s, d, _ in deviations for n in (s, d)}:
+            if node in self.class_of:
+                named.setdefault(self.class_of[node], []).append(node)
+        best = None
+        for images in product(
+            *(
+                permutations(self.classes[k][: len(members)])
+                for k, members in named.items()
+            )
+        ):
+            relabel = {
+                node: image
+                for k, image_k in zip(named, images)
+                for node, image in zip(named[k], image_k)
+            }
+            image = tuple(
+                sorted(
+                    (r, relabel.get(s, s), relabel.get(d, d), a)
+                    for r, s, d, a in deviations
+                )
+            )
+            if best is None or image < best[0]:
+                best = (image, relabel)
+        return best
+
+    def cover(self, key, relabel) -> Optional[tuple]:
+        """``(trail, {silent drop: stall})`` of the schedule that *relabel*
+        carries onto *key*, read off the settled twin with that key —
+        None when nothing with the key has settled, or when the twin's
+        trail is not in node order or the relabelling does not carry its
+        shape onto itself (then the schedule is run)."""
+        settled = self.settled.get(key)
+        if settled is None:
+            return None
+        theirs, trail, stalls = settled
+        back = {image: node for node, image in relabel.items()}
+        sigma = list(range(len(self.index)))
+        for node, image in theirs.items():
+            sigma[node] = back[image]
+        for members in self.classes:  # complete it within each class
+            taken = {sigma[n] for n in members if n in theirs}
+            spare = [n for n in members if n not in taken]
+            free = [n for n in members if n not in theirs]
+            for node, image in zip(free, spare):
+                sigma[node] = image
+        index = self.index
+        frames = [
+            (p.round_no, index[p.source], index[p.destination])
+            for p in trail
+        ]
+        if any(a >= b for a, b in zip(frames, frames[1:])):
+            return None
+        position = {frame: i for i, frame in enumerate(frames)}
+        moved = {}
+        for i, (round_no, source, destination) in enumerate(frames):
+            j = position.get((round_no, sigma[source], sigma[destination]))
+            if (
+                j is None
+                or trail[j].kind != trail[i].kind
+                or trail[j].menu != trail[i].menu
+            ):
+                return None
+            moved[i] = j
+        return trail, {moved[i]: stall for i, stall in stalls.items()}
+
+
+# ----------------------------------------------------------------------
 # Bounded DFS
 # ----------------------------------------------------------------------
 @dataclass
@@ -380,9 +517,10 @@ class ExploreReport:
     """Everything one bounded exploration produced.
 
     ``executions`` counts schedules actually *run* (what ``budget`` caps
-    and ``schedules_per_sec`` divides; ``decision_points``, ``offered``
-    and ``pruned`` sum over them); ``covered`` counts schedules settled
-    without a run, by the execution they are known to repeat.
+    and ``schedules_per_sec`` divides; ``decision_points``, ``offered``,
+    ``pruned`` and ``unique_fingerprints`` are over them); ``covered``
+    counts schedules settled without a run, by the execution they are
+    known to repeat, possibly with the receivers relabelled.
     """
 
     config: ExploreConfig
@@ -427,7 +565,8 @@ class ExploreReport:
                 f"frontier exhausted at depth {self.depth_bound}: "
                 f"{self.schedules} schedules settled ({self.executions} run "
                 f"+ {self.covered} covered: a stall nobody listened for is "
-                f"its drop)"
+                f"its drop, a receiver relabelling of a settled schedule is "
+                f"that schedule)"
             )
         else:
             why = (
@@ -487,6 +626,13 @@ def explore(
     reported once, by the twin that ran), children enumerated from the
     twin's trail.  The flipped schedule inherits the twin's remaining
     silent drops, so the rule composes to any depth.
+
+    One run per orbit: when the configuration has receiver symmetries
+    (:func:`symmetry_classes`), a schedule whose relabelled image has
+    settled is covered the same way — the twin's verdict, children from
+    the twin's trail and the twin's silent drops, both mapped through the
+    relabelling by frame identity.  A twin whose trail is not in node
+    order is never covered from; the schedule is run.
     """
     if isinstance(config, DegradableSpec):
         config = ExploreConfig(
@@ -503,15 +649,22 @@ def explore(
     )
     started = time.perf_counter()
     fingerprints = set()
-    # Schedules a settled one covers: key -> (the twin's trail while the
-    # schedule is expandable, {silent drop index: its stall choice}).
-    # Flipping drop to stall moves a schedule later in DFS order, so a
-    # twin always settles before the schedule it covers is popped.
+    # Schedules a settled one covers: schedule -> (the twin's trail,
+    # {silent drop index: its stall choice}).  Flipping drop to stall
+    # moves a schedule later in DFS order, so a twin always settles
+    # before the schedule it covers is popped.
     covered_by: Dict[Tuple[int, ...], tuple] = {}
-    stack: List[Tuple[int, ...]] = [()]
+    classes = symmetry_classes(config)
+    orbits = _Orbits(config.nodes(), classes) if classes else None
+    # (schedule, the trail it was enumerated from)
+    stack: List[Tuple[Tuple[int, ...], tuple]] = [((), ())]
     while stack:
-        prefix = stack.pop()
+        prefix, parent = stack.pop()
         twin = covered_by.pop(prefix, None)
+        if orbits is not None:
+            key, relabel = orbits.key(prefix, parent)
+            if twin is None:
+                twin = orbits.cover(key, relabel)
         if twin is not None:
             trail, stalls = twin
             report.covered += 1
@@ -544,14 +697,14 @@ def explore(
             stalls = {
                 i: trail[i].menu.index(STALL) for i in outcome.silent_stalls
             }
-        expandable = sum(1 for c in prefix if c != 0) < depth_bound
+        if orbits is not None:
+            orbits.settled.setdefault(key, (relabel, trail, stalls))
         for i, stall in stalls.items():
             others = {j: s for j, s in stalls.items() if j != i}
             covered_by[prefix[:i] + (stall,) + prefix[i + 1:]] = (
-                trail if expandable else None,
-                others,
+                trail, others
             )
-        if not expandable:
+        if sum(1 for c in prefix if c != 0) >= depth_bound:
             continue
         # Branch on every decision at or past this prefix: each child is
         # generated from exactly one parent, so the search tree never
@@ -564,7 +717,7 @@ def explore(
         # LIFO stack + reversed children = earliest decision points are
         # explored first, keeping shallow (early-round) deviations ahead
         # of deep ones under tight budgets.
-        stack.extend(reversed(children))
+        stack.extend((child, trail) for child in reversed(children))
     else:
         report.frontier_exhausted = True
     report.unique_fingerprints = len(fingerprints)

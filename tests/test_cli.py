@@ -326,6 +326,12 @@ class TestParser:
             (["chaos", "--replay",
               "m=1,u=2,n=5,severity=light,transport=local,seed=3,timeout=inf"],
              "timeout must be > 0 and finite, got inf"),
+            (["fuzz", "--replay",
+              "m=1,u=2,n=5,value=alpha,faults=p1:lie+p1:two-faced,chaos=-,"
+              "timeout=2.0", "--transport", "local"],
+             "repeated faulty node 'p1' in fuzz faults"),
+            (["explore", "--faulty", "p1:two-faced,p1:lie", "--depth", "0"],
+             "repeated faulty node 'p1' in explore faults"),
         ],
     )
     def test_bad_argument_is_one_error_line_not_a_traceback(

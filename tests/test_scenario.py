@@ -298,6 +298,34 @@ class TestMalformedTokens:
         assert "known keys: m, u, n, " in message
 
     @pytest.mark.parametrize(
+        "grammar",
+        [
+            # Both kinds used to parse; the run kept one and the token
+            # printed both.
+            "fuzz",
+            "explore",
+            # The retired chaos grammar declares no faults at all, so it
+            # cannot carry a repeated node either.
+            "chaos",
+        ],
+    )
+    def test_a_repeated_faulty_node_never_replays_a_different_run(
+        self, grammar
+    ):
+        parse, base = BASES[grammar]
+        faults = "faults=p1:lie+p1:two-faced"
+        if grammar == "chaos":
+            with pytest.raises(ConfigurationError, match="unknown key 'faults'"):
+                parse(base + "," + faults)
+            return
+        token = base.replace("faults=-", faults)
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse(token).behaviors()
+        message = str(excinfo.value)
+        assert f"repeated faulty node 'p1' in {grammar} faults" in message
+        assert "p1:lie+p1:two-faced" in message
+
+    @pytest.mark.parametrize(
         "parse,grammar,token,key",
         [
             (_fuzz, "fuzz", "m=1,u=2,n=5,chaos=heavy:3,chaos=light:3", "chaos"),

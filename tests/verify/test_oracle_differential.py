@@ -19,7 +19,7 @@ from repro.core.behavior import LieAboutSender
 from repro.core.protocol import execute_degradable_protocol
 from repro.core.spec import DegradableSpec
 from repro.exceptions import VerificationError
-from repro.explore import ExploreConfig, explore, explorer, run_on_virtual_clock
+from repro.explore import ExploreConfig, run_on_virtual_clock
 from repro.net import LocalBus, run_agreement_async
 from repro.serve import AgreementService, record_service_run
 from repro.sim.faults import OmissionInjector
@@ -27,6 +27,8 @@ from repro.sim.trace import EventKind, EventTrace, TraceEvent
 from repro.verify import record_net_outcome, record_sync_run, verify_record
 
 from tests.conftest import node_names
+from tests.explore import reference_explorer
+from tests.explore.reference_explorer import reference_explore
 from tests.verify import reference_oracle as reference
 from tests.verify.test_mutations import MUTATED_RECORDS
 
@@ -71,6 +73,8 @@ FRONTIERS = {
 
 @pytest.mark.parametrize("name", list(FRONTIERS))
 def test_every_frontier_run_gets_the_reference_verdict(name, monkeypatch):
+    # The search that runs every schedule: the live one settles most of a
+    # symmetric frontier without a record to judge.
     config, depth = FRONTIERS[name]
     records = []
 
@@ -79,11 +83,13 @@ def test_every_frontier_run_gets_the_reference_verdict(name, monkeypatch):
         records.append(outcome.record)
         return outcome
 
-    run_schedule = explorer.run_schedule
-    monkeypatch.setattr(explorer, "run_schedule", recording)
-    report = explore(config, depth_bound=depth, budget=10**6, stop_at_first=False)
+    run_schedule = reference_explorer.run_schedule
+    monkeypatch.setattr(reference_explorer, "run_schedule", recording)
+    report = reference_explore(
+        config, depth_bound=depth, budget=10**6, stop_at_first=False
+    )
     assert report.frontier_exhausted and report.ok
-    assert len(records) == report.executions
+    assert len(records) == report.executions == report.schedules
     for record in records:
         assert_same_verdict(record)
 
