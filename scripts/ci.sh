@@ -307,6 +307,16 @@ if grep -rnE "TrialConfig|run_campaign_sync|CampaignReport" src/; then
     exit 1
 fi
 
+echo "== a process loads no graph library it does not query =="
+# Topology is its adjacency map; networkx is imported by the graph
+# algorithms on their first call.  A fresh interpreter imports every entry
+# point and must leave networkx unloaded until it asks a graph question.
+if grep -rnE --include="*.py" "^(from|import) networkx" src/; then
+    echo "a module-level networkx import is back under src/: import it through repro.sim.network._networkx" >&2
+    exit 1
+fi
+python -m pytest -q tests/test_public_api.py::test_a_process_loads_no_graph_library_it_does_not_query
+
 echo "== one scenario vocabulary (one node list, one fault-kind table, replayable tokens) =="
 # The S,p1..p{N-1} builder and the kind -> Behavior mapping live once, in
 # repro.core.scenario.  (A count test, since `! grep` never trips `set -e`.)

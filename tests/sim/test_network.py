@@ -109,6 +109,19 @@ class TestDisjointPaths:
             for s2 in interiors[i + 1:]:
                 assert not (s1 & s2)
 
+    def test_direct_link_first_on_a_sparse_graph(self):
+        # The final sort puts the direct link first on any graph, not only
+        # on the complete one.
+        ring = Topology.ring(NODES)
+        for a, b in (("a", "b"), ("e", "a"), ("c", "b")):
+            assert ring.disjoint_paths(a, b, 2)[0] == (a, b)
+        harary = Topology.k_connected_harary([f"n{i}" for i in range(8)], 3)
+        for a, b in (("n0", "n1"), ("n4", "n0"), ("n1", "n5")):
+            assert harary.has_edge(a, b)
+            paths = harary.disjoint_paths(a, b, 3)
+            assert paths[0] == (a, b)
+            assert all(len(p) > 2 for p in paths[1:])
+
     def test_insufficient_paths_raise(self):
         topo = Topology.ring(NODES)
         with pytest.raises(RoutingError):

@@ -85,6 +85,17 @@ def test_version_string():
     assert repro.__version__.count(".") == 2
 
 
+def test_version_matches_pyproject():
+    # A regex, not tomllib: tomllib is 3.11+ and the floor is 3.9.
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert declared is not None, "pyproject.toml has no version line"
+    assert declared.group(1) == repro.__version__
+
+
 def test_no_import_cycle_clocksync_first():
     """Regression: importing repro.clocksync before repro.analysis once
     closed an import cycle through analysis.report.  Both orders must work
@@ -100,6 +111,35 @@ def test_no_import_cycle_clocksync_first():
             [sys.executable, "-c", order], capture_output=True, text=True
         )
         assert proc.returncode == 0, (order, proc.stderr)
+
+
+GRAPH_FREE_ENTRY_POINTS = (
+    "repro", "repro.serve", "repro.explore", "repro.verify", "repro.cli", "repro.net.tcp",
+)
+
+GRAPH_LIBRARY_PROBE = f"""
+import sys
+import {", ".join(GRAPH_FREE_ENTRY_POINTS)}
+assert "networkx" not in sys.modules, "networkx loaded by importing the entry points"
+from repro.sim.network import Topology
+assert Topology.complete(["a", "b", "c"]).links["a"] == {{"b", "c"}}
+assert "networkx" not in sys.modules, "networkx loaded by a complete topology"
+assert Topology.ring(["a", "b", "c", "d"]).connectivity() == 2
+assert "networkx" in sys.modules, "connectivity ran without networkx"
+"""
+
+
+def test_a_process_loads_no_graph_library_it_does_not_query():
+    """networkx costs ~20 MB and ~130 ms to import; only the graph
+    algorithms (Theorem 3's connectivity, disjoint-path routing) load it,
+    on their first call.  A fresh interpreter is the only clean slate."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", GRAPH_LIBRARY_PROBE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_public_module_has_docstring():
