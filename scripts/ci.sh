@@ -190,6 +190,19 @@ if sed -n '/^def event_to_json/,/^def event_from_json/p' src/repro/sim/trace.py 
     exit 1
 fi
 
+echo "== a frame that never touches a wire is not written (LocalBus sizes it; no per-frame savings) =="
+# LocalBus counts bytes with codec.frame_size, arithmetic on field
+# lengths; batch savings are a test-side formula
+# (tests/net/reference_codec.batch_savings), not a runtime counter.
+if grep -rn "batch_bytes_saved" src/; then
+    echo "batch_bytes_saved is back under src/: batch savings are computed from captured frames, in tests" >&2
+    exit 1
+fi
+if grep -n "encode_frame" src/repro/net/transport.py; then
+    echo "net/transport.py uses encode_frame: a frame on LocalBus is sized by frame_size, never written" >&2
+    exit 1
+fi
+
 echo "== a round collects inline (recv_nowait on every transport; a task only for a node that waits) =="
 # The task-count pins (0 collect tasks per fault-free instance, plain or
 # served) are the guard against a per-node gather coming back.

@@ -23,10 +23,12 @@ Each frame is serialized **once** and without an intermediate tree:
 fragments of :func:`repro.sim.jsonable.canonical_json` (that module states
 the kernel's invariants), byte for byte what ``json.dumps(sort_keys=True)``
 gave — ``tests/net/reference_codec.py`` keeps that implementation as the
-oracle.  The text is ASCII, so ``len(text)`` is the byte count, and a
-message's text is the same in a DATA and in a BATCH frame, so what a batch
-saves is envelope arithmetic (:func:`batch_bytes_saved`): no message is
-ever encoded just to be measured.
+oracle.  The text is ASCII, so ``len(text)`` is the byte count, and
+:func:`frame_size` gives that count without writing the text: the
+envelope's fixed characters plus each field's text length, leaf lengths
+from the leaf memo and payload texts from the payload memo that
+:func:`encode_frame` fills too.  A frame that never touches a wire — on
+:class:`~repro.net.transport.LocalBus` — is sized, never written.
 
 Envelope versioning: a frame that belongs to a multiplexed protocol
 instance (:mod:`repro.serve`) carries ``"v": 2`` and its ``instance_id``
@@ -49,8 +51,10 @@ from repro.sim.jsonable import (
     TAG,
     canonical_json,
     from_jsonable,
+    json_len,
     message_from_jsonable,
     message_json,
+    message_json_len,
     raw_json,
     to_jsonable,
 )
@@ -65,9 +69,9 @@ __all__ = [
     "MARK",
     "MAX_FRAME_BYTES",
     "TAG",
-    "batch_bytes_saved",
     "decode_frame",
     "encode_frame",
+    "frame_size",
     "from_jsonable",
     "pack_frame",
     "to_jsonable",
@@ -187,11 +191,13 @@ class Frame:
 #   {"at":A,"dst":D[,"iid":I],"kind":K[,"mark":B,"msgs":[M,..]][,"msg":M],
 #    "round":R[,"seq":Q],"src":S[,"tc":T][,"v":2]}
 _V2_TAIL = ',"v":2}'
-# Sizes of the fixed text around the fields, for batch_bytes_saved.
-_MARK_FIXED = len('{"at":,"dst":,"kind":"mark","round":,"src":}')
+# Sizes of the fixed text around the fields, for frame_size.
+_ENVELOPE_FIXED = len('{"at":,"dst":,"kind":,"round":,"src":}')
+_DATA_FIXED = len(',"msg":')
+_BATCH_FIXED = len(',"mark":,"msgs":[]')
 _V2_FIXED = len(',"iid":') + len(_V2_TAIL) - len("}")
-_DATA_EXTRA = len(',"msg":')  # "data" is as long as "mark"
-_BATCH_EXTRA = len('"batch"') - len('"mark"') + len(',"mark":,"msgs":[]')
+_SEQ_FIXED = len(',"seq":')
+_TC_FIXED = len(',"tc":')
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -227,32 +233,43 @@ def encode_frame(frame: Frame) -> bytes:
         raise TransportError(f"frame not JSON-encodable: {exc}") from exc
 
 
-def batch_bytes_saved(frame: Frame) -> int:
-    """Bytes BATCH *frame* saves over the DATA frames + MARK it replaces.
+def frame_size(frame: Frame) -> int:
+    """``len(encode_frame(frame))``, without writing the frame's text.
 
-    Those carry the batch's ``at``/``dst``/``round``/``src``/``iid`` but
-    no ``seq``/``tc``.  With ``E`` that envelope's size as a MARK frame, a
-    DATA frame is ``E + len(',"msg":') + len(M)`` and the batch is ``E``
-    plus its own keys plus the same ``M`` texts and ``n - 1`` commas: the
-    message lengths cancel, which is exactly what re-encoding them gave.
+    The envelope's fixed characters plus each field's text length, read
+    in :func:`encode_frame`'s order and wrapped alike, so a frame
+    :func:`encode_frame` rejects raises the same :class:`TransportError`.
     """
-    n = len(frame.messages)
-    envelope = (
-        _MARK_FIXED
-        + len(raw_json(frame.sent_at))
-        + len(canonical_json(frame.destination))
-        + len(raw_json(frame.round_no))
-        + len(canonical_json(frame.source))
-    )
-    if frame.instance is not None:
-        envelope += _V2_FIXED + len(canonical_json(frame.instance))
-    batch = envelope + _BATCH_EXTRA + len(raw_json(frame.mark)) + max(0, n - 1)
-    if frame.seq is not None:
-        batch += len(',"seq":') + len(raw_json(frame.seq))
-    if frame.trace is not None:
-        batch += len(',"tc":') + len(raw_json(frame.trace))
-    unbatched = n * (envelope + _DATA_EXTRA) + (envelope if frame.mark else 0)
-    return max(0, unbatched - batch)
+    kind = frame.kind
+    try:
+        if kind == DATA:
+            if frame.message is None:
+                raise TransportError("DATA frame without a message")
+            size = _DATA_FIXED + message_json_len(frame.message)
+        elif kind == BATCH:
+            lengths = [message_json_len(m) for m in frame.messages]
+            size = sum(lengths) + max(0, len(lengths) - 1)
+            size += _BATCH_FIXED + json_len(frame.mark, raw_json)
+        else:
+            size = 0
+        instance = frame.instance
+        if instance is not None:
+            size += _V2_FIXED + json_len(instance)
+        if frame.seq is not None:
+            size += _SEQ_FIXED + json_len(frame.seq, raw_json)
+        if frame.trace is not None:
+            size += _TC_FIXED + json_len(frame.trace, raw_json)
+        return (
+            size
+            + _ENVELOPE_FIXED
+            + json_len(frame.sent_at, raw_json)
+            + json_len(frame.destination)
+            + json_len(kind, raw_json)
+            + json_len(frame.round_no, raw_json)
+            + json_len(frame.source)
+        )
+    except (TypeError, ValueError) as exc:
+        raise TransportError(f"frame not JSON-encodable: {exc}") from exc
 
 
 def decode_frame(data: bytes) -> Frame:

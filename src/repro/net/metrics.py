@@ -78,9 +78,6 @@ class RoundMetrics:
     frames_sent: int = 0
     #: BATCH frames among those (0 on the unbatched path).
     frames_batched: int = 0
-    #: Bytes the batch envelope deduplication saved vs one frame per
-    #: message plus a marker (0 for unmeasured transports).
-    batch_bytes_saved: int = 0
     #: Wall-clock seconds from first send to the end of collection.
     duration: float = 0.0
     #: Messages removed by fault injectors before reaching the transport.
@@ -196,15 +193,12 @@ class NetMetrics:
         entry.bytes_sent += nbytes
         entry.frames_sent += 1
 
-    def record_batch(
-        self, round_no: int, n_messages: int, nbytes: int, saved: int
-    ) -> None:
+    def record_batch(self, round_no: int, n_messages: int, nbytes: int) -> None:
         entry = self.round(round_no)
         entry.messages_sent += n_messages
         entry.bytes_sent += nbytes
         entry.frames_sent += 1
         entry.frames_batched += 1
-        entry.batch_bytes_saved += saved
 
     def record_round_duration(self, round_no: int, seconds: float) -> None:
         self.round(round_no).duration = seconds
@@ -340,7 +334,6 @@ class NetMetrics:
     #: Wire frames successfully sent — the batching win shows here.
     total_frames = _round_total("frames_sent")
     total_frames_batched = _round_total("frames_batched")
-    total_batch_bytes_saved = _round_total("batch_bytes_saved")
     total_timeouts = _round_total("timeouts")
     total_send_failures = _round_total("send_failures")
     total_dropped = _round_total("dropped")
@@ -502,10 +495,7 @@ class NetMetrics:
             f"V_d substitutions={self.total_substitutions}"
         )
         if self.total_frames_batched:
-            lines.append(
-                f"batching: {self.total_frames_batched} batch frame(s), "
-                f"{self.total_batch_bytes_saved} envelope byte(s) saved"
-            )
+            lines.append(f"batching: {self.total_frames_batched} batch frame(s)")
         if self.instances:
             lines.append(
                 f"multiplexing: {len(self.instances)} instance(s) folded in  "

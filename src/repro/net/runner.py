@@ -76,7 +76,7 @@ from repro.core.protocol import ProtocolSession
 from repro.core.spec import DegradableSpec
 from repro.core.values import Value
 from repro.exceptions import ConfigurationError, TransportError
-from repro.net.codec import BATCH, DATA, MARK, Frame, batch_bytes_saved
+from repro.net.codec import BATCH, DATA, MARK, Frame
 from repro.net.metrics import NetMetrics
 from repro.net.stack import build_stack
 from repro.net.transport import LocalBus, Transport
@@ -456,14 +456,7 @@ class AsyncRoundRunner:
         elif frame.kind == MARK:
             self.metrics.record_mark(round_no, nbytes)
         elif frame.kind == BATCH:
-            # Unmeasured sends (nbytes == 0) report nothing saved, as
-            # they report nothing sent.
-            self.metrics.record_batch(
-                round_no,
-                len(frame.messages),
-                nbytes,
-                batch_bytes_saved(frame) if nbytes > 0 else 0,
-            )
+            self.metrics.record_batch(round_no, len(frame.messages), nbytes)
         self._trace_frame(EventKind.FRAME_SENT, round_no, frame)
         if span is not None:
             self.tracer.end(span, ok=True)

@@ -41,7 +41,7 @@ from abc import ABC, abstractmethod
 from typing import Dict, Hashable, Optional, Sequence
 
 from repro.exceptions import TransportError
-from repro.net.codec import Frame, encode_frame
+from repro.net.codec import Frame, frame_size
 from repro.net.metrics import NetMetrics
 
 NodeId = Hashable
@@ -171,13 +171,12 @@ class LocalBus(Transport):
 
     On the bus itself frames are delivered by reference — the payload
     object the sender hands over is the object the receiver gets, and
-    nothing is ever decoded.  Byte accounting is optional:
-    ``measure_bytes=True`` runs :func:`~repro.net.codec.encode_frame`
-    exactly once per frame, purely to size it — the only encode a frame on
-    this bus ever costs, since batch savings are envelope arithmetic
-    (:func:`~repro.net.codec.batch_bytes_saved`) — and the count is what
-    TCP would carry minus the 4-byte length prefix.  Switch it off for
-    raw fan-out throughput; sends then report 0 bytes and 0 saved.
+    nothing is ever encoded or decoded.  Byte accounting is optional:
+    ``measure_bytes=True`` sizes each frame with
+    :func:`~repro.net.codec.frame_size` — arithmetic on field lengths,
+    never the frame's text — and the count is what TCP would carry minus
+    the 4-byte length prefix.  Switch it off for raw fan-out throughput;
+    sends then report 0 bytes.
     """
 
     name = "local"
@@ -195,7 +194,7 @@ class LocalBus(Transport):
             raise TransportError(
                 f"no endpoint for destination {frame.destination!r}"
             )
-        nbytes = len(encode_frame(frame)) if self.measure_bytes else 0
+        nbytes = frame_size(frame) if self.measure_bytes else 0
         inbox.put_nowait(frame)
         return nbytes
 

@@ -39,6 +39,15 @@ whole-field :class:`Opaque` fallback.  Its invariants:
   filled lazily, at most :data:`LEAF_MEMO_ENTRIES` texts of at most
   :data:`LEAF_MEMO_TEXT` characters each, cleared when full; nothing is
   cached on messages or for containers, so mutable payloads are re-read;
+  their *lengths*, which size a frame without writing it
+  (:func:`json_len`, :func:`message_json_len`), come from a length memo
+  of the same shape and bounds;
+* a message's payload comes from a second **bounded memo**
+  (:func:`payload_json`) when its text cannot change — a relay payload
+  over exact ``str`` hops and an exact ``str`` or ``V_d`` value — so a
+  payload relayed to many receivers is written once; at most
+  :data:`PAYLOAD_MEMO_ENTRIES` texts of at most :data:`PAYLOAD_MEMO_TEXT`
+  characters, cleared when full;
 * the rest is still ``json``'s: string escaping on a memo miss,
   ``float.__repr__`` for finite floats, and a stock ``JSONEncoder`` for
   non-finite floats, scalar subclasses and untagged non-scalar fields.
@@ -49,7 +58,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import isfinite
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 from repro.core.values import DEFAULT
 from repro.exceptions import TransportError
@@ -75,9 +84,16 @@ class Opaque:
 LEAF_MEMO_ENTRIES = 4096
 LEAF_MEMO_TEXT = 64
 
+#: Bounds of the payload memo: entries held, and characters per text.
+PAYLOAD_MEMO_ENTRIES = 4096
+PAYLOAD_MEMO_TEXT = 256
+
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 _STR_TEXT: Dict[str, str] = {}
 _INT_TEXT: Dict[int, str] = {}
+_STR_LEN: Dict[str, int] = {}
+_INT_LEN: Dict[int, int] = {}
+_PAYLOAD_TEXT: Dict[Tuple[Tuple[str, ...], Any], str] = {}
 _escape = json.encoder.encode_basestring_ascii
 _stock_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -146,6 +162,15 @@ def _remember(table: dict, value: Any, text: str) -> str:
     return text
 
 
+def _remember_len(table: dict, value: Any, text: str) -> int:
+    size = len(text)
+    if size <= LEAF_MEMO_TEXT:
+        if len(table) >= LEAF_MEMO_ENTRIES:
+            table.clear()
+        table[value] = size
+    return size
+
+
 def canonical_json(value: Any) -> str:
     """The canonical JSON text of ``to_jsonable(value)``, without the tree.
 
@@ -203,6 +228,25 @@ def raw_json(value: Any) -> str:
     return _stock_json(value)
 
 
+def json_len(value: Any, write: Callable[[Any], str] = canonical_json) -> int:
+    """``len(write(value))``, without the text for a frame's usual leaves.
+
+    *write* is :func:`canonical_json` or :func:`raw_json`; both emit an
+    exact ``str``, ``int`` or finite ``float`` alike.  An exact ``str`` or
+    ``int`` takes its length from the length memo (one table per exact
+    type, bounded like the text memo), a finite ``float`` from its
+    ``repr``; anything else, and a memo miss, is *write*'s call.
+    """
+    cls = value.__class__
+    if cls is str:
+        return _STR_LEN.get(value) or _remember_len(_STR_LEN, value, write(value))
+    if cls is int:
+        return _INT_LEN.get(value) or _remember_len(_INT_LEN, value, write(value))
+    if cls is float and isfinite(value):
+        return len(float.__repr__(value))
+    return len(write(value))
+
+
 def leaf_json(value: Any, write: Callable[[Any], str]) -> str:
     """``write(value)``, straight from the leaf memo on a hit.
 
@@ -252,14 +296,64 @@ def lossy_json(value: Any) -> str:
         return f'{{"__repro__":"opaque","text":{_escape(repr(value))}}}'
 
 
+def payload_json(payload: Any) -> str:
+    """``canonical_json(payload)``, from the payload memo when its text
+    cannot change.
+
+    Only a :class:`~repro.sim.messages.RelayPayload` whose hops are exact
+    ``str`` and whose value is an exact ``str`` or ``V_d`` is looked up or
+    held: such a payload equals another only if both write the same text
+    (a ``str`` equals no number, ``V_d`` only itself), so ``1``, ``1.0``
+    and ``True`` never alias, and nothing in it can be mutated.  Every
+    other payload — a container above all — is re-read on every call.
+    """
+    if payload.__class__ is RelayPayload:
+        value = payload.value
+        path = payload.path
+        if (value.__class__ is str or value is DEFAULT) and path.__class__ is tuple:
+            for hop in path:
+                if hop.__class__ is not str:
+                    break
+            else:
+                key = (path, value)
+                text = _PAYLOAD_TEXT.get(key)
+                if text is None:
+                    text = canonical_json(payload)
+                    if len(text) <= PAYLOAD_MEMO_TEXT:
+                        if len(_PAYLOAD_TEXT) >= PAYLOAD_MEMO_ENTRIES:
+                            _PAYLOAD_TEXT.clear()
+                        _PAYLOAD_TEXT[key] = text
+                return text
+    return canonical_json(payload)
+
+
 def message_json(message: Message) -> str:
     """Canonical JSON text of one message (keys in sorted order)."""
     return (
         f'{{"destination":{canonical_json(message.destination)},'
-        f'"payload":{canonical_json(message.payload)},'
+        f'"payload":{payload_json(message.payload)},'
         f'"round_sent":{raw_json(message.round_sent)},'
         f'"source":{canonical_json(message.source)},'
         f'"tag":{raw_json(message.tag)}}}'
+    )
+
+
+_MESSAGE_FIXED = len('{"destination":,"payload":,"round_sent":,"source":,"tag":}')
+
+
+def message_json_len(message: Message) -> int:
+    """``len(message_json(message))``, without writing the message's text.
+
+    Reads the fields in :func:`message_json`'s order, so an unencodable
+    field raises what :func:`message_json` raises.
+    """
+    return (
+        _MESSAGE_FIXED
+        + json_len(message.destination)
+        + len(payload_json(message.payload))
+        + json_len(message.round_sent, raw_json)
+        + json_len(message.source)
+        + json_len(message.tag, raw_json)
     )
 
 

@@ -11,8 +11,14 @@ letting that error escape the stream reader.
 Decoded frames are compared by ``repr``: it tells ``1`` from ``1.0`` from
 ``True`` and ``-0.0`` from ``0.0`` (``==`` does not) and treats ``nan`` as
 equal to itself (``==`` does not).
+
+``frame_size`` is held to the same oracle: it equals the reference's
+encoded length on every frame here, on the golden frames and on every
+frame a quick fuzz run carries, and raises the reference's error on every
+frame it rejects.
 """
 
+import asyncio
 import itertools
 import json
 
@@ -22,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.values import DEFAULT
 from repro.exceptions import TransportError
+from repro.net import codec, transport
 from repro.net.codec import (
     BATCH,
     DATA,
@@ -29,12 +36,16 @@ from repro.net.codec import (
     Frame,
     decode_frame,
     encode_frame,
+    frame_size,
 )
+from repro.net.transport import LocalBus
 from repro.sim import jsonable
 from repro.sim.jsonable import canonical_json, from_jsonable, to_jsonable
 from repro.sim.messages import Message, RelayPayload
+from repro.verify.fuzz import run_fuzz
 
 from tests.net import reference_codec as reference
+from tests.net import test_codec_trace
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -138,6 +149,12 @@ def test_encode_and_decode_match_the_reference(frame):
     assert repr(decode_frame(data)) == repr(reference.decode_frame(data))
 
 
+@settings(max_examples=400, deadline=None)
+@given(frames())
+def test_frame_size_is_the_encoded_length(frame):
+    assert frame_size(frame) == len(reference.encode_frame(frame))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_values)
 def test_canonical_json_is_the_sorted_dump_of_the_tree(value):
@@ -164,6 +181,7 @@ def test_equal_valued_leaves_of_different_type_never_alias(order):
         frame = _data(RelayPayload(path=(value, "p1"), value=value), instance=value)
         data = encode_frame(frame)
         assert data == reference.encode_frame(frame)
+        assert frame_size(frame) == len(data)
         decoded = decode_frame(data)
         assert type(decoded.message.payload.value) is type(value)
         assert type(decoded.message.payload.path[0]) is type(value)
@@ -194,6 +212,62 @@ def test_mutable_payloads_are_re_read_on_every_encode():
     second = encode_frame(frame)
     assert first != second
     assert second == reference.encode_frame(frame)
+    # Sizing re-reads it too, and so does a LocalBus send.
+    assert frame_size(frame) == len(second)
+    bus = LocalBus()
+    asyncio.run(bus.open(["p1"]))
+    payload.append("longer")
+    assert asyncio.run(bus.send(frame)) == len(reference.encode_frame(frame))
+    payload.pop()
+    assert asyncio.run(bus.send(frame)) == len(second)
+
+
+def test_payload_memo_is_bounded_and_skips_long_texts(monkeypatch):
+    monkeypatch.setattr(jsonable, "PAYLOAD_MEMO_ENTRIES", 8)
+    jsonable._PAYLOAD_TEXT.clear()
+    for i in range(100):
+        payload = RelayPayload(path=("S", f"p{i}"), value="v")
+        text = jsonable.payload_json(payload)
+        assert text == canonical_json(payload) == jsonable.payload_json(payload)
+        assert 0 < len(jsonable._PAYLOAD_TEXT) <= 8
+    long_path = RelayPayload(path=("S", "n" * jsonable.PAYLOAD_MEMO_TEXT), value="v")
+    long_value = RelayPayload(path=("S",), value="é" * jsonable.PAYLOAD_MEMO_TEXT)
+    for payload in (long_path, long_value):
+        assert jsonable.payload_json(payload) == canonical_json(payload)
+        assert frame_size(_data(payload)) == len(reference.encode_frame(_data(payload)))
+    held = list(jsonable._PAYLOAD_TEXT.values())
+    assert held and all(len(t) <= jsonable.PAYLOAD_MEMO_TEXT for t in held)
+    # Only payloads whose text cannot change are held: exact str hops and
+    # a str or V_d value.  Numbers, containers and subclasses are re-read.
+    jsonable._PAYLOAD_TEXT.clear()
+    for payload in (
+        RelayPayload(path=("S",), value=1),
+        RelayPayload(path=("S",), value=True),
+        RelayPayload(path=(1,), value="v"),
+        RelayPayload(path=("S",), value=("v",)),
+        RelayPayload(path=["S"], value="v"),
+        RelayPayload(path=("S",), value=type("Str", (str,), {})("v")),
+    ):
+        assert jsonable.payload_json(payload) == canonical_json(payload)
+    assert jsonable._PAYLOAD_TEXT == {}
+    jsonable.payload_json(RelayPayload(path=("S", "p1"), value=DEFAULT))
+    assert len(jsonable._PAYLOAD_TEXT) == 1
+
+
+def test_length_memo_is_bounded_and_skips_long_texts(monkeypatch):
+    monkeypatch.setattr(jsonable, "LEAF_MEMO_ENTRIES", 8)
+    jsonable._STR_LEN.clear()
+    jsonable._INT_LEN.clear()
+    for i in range(100):
+        assert jsonable.json_len(f"node-{i}") == len(f'"node-{i}"')
+        assert jsonable.json_len(10_000 + i) == len(str(10_000 + i))
+        assert len(jsonable._STR_LEN) <= 8 and len(jsonable._INT_LEN) <= 8
+    long_text = "é" * jsonable.LEAF_MEMO_TEXT
+    assert jsonable.json_len(long_text) == len(canonical_json(long_text))
+    assert long_text not in jsonable._STR_LEN
+    # 1, 1.0 and True are sized by their own text, in any order.
+    for value in (1, 1.0, True, 1, True, 1.0):
+        assert jsonable.json_len(value) == len(canonical_json(value))
 
 
 # ----------------------------------------------------------------------
@@ -213,26 +287,32 @@ def _both_raise(fn_new, fn_reference, arg):
     assert type(new.value.__cause__) is type(ref.value.__cause__)
 
 
-@pytest.mark.parametrize(
-    "frame",
-    [
-        _data(_Exotic()),
-        _data({1, 2}),
-        _data(RelayPayload(path=("S",), value=[_Exotic()])),
-        _data(b"bytes"),
-        _data("ok", instance=_Exotic()),
-        Frame(kind=DATA, round_no=1, source="S", destination="p1"),
-        # Untagged envelope fields are json's call, TypeError included.
-        Frame(kind=MARK, round_no=_Exotic(), source="S", destination="p1"),
-        Frame(kind=MARK, round_no=1, source="S", destination="p1", trace=_Exotic()),
-        Frame(
-            kind=BATCH, round_no=1, source="S", destination="p1",
-            messages=(Message("S", "p1", "v", 1, _Exotic()),),
-        ),
-    ],
-)
+UNENCODABLE_FRAMES = [
+    _data(_Exotic()),
+    _data({1, 2}),
+    _data(RelayPayload(path=("S",), value=[_Exotic()])),
+    _data(b"bytes"),
+    _data("ok", instance=_Exotic()),
+    Frame(kind=DATA, round_no=1, source="S", destination="p1"),
+    # Untagged envelope fields are json's call, TypeError included.
+    Frame(kind=MARK, round_no=_Exotic(), source="S", destination="p1"),
+    Frame(kind=MARK, round_no=1, source="S", destination="p1", trace=_Exotic()),
+    Frame(
+        kind=BATCH, round_no=1, source="S", destination="p1",
+        messages=(Message("S", "p1", "v", 1, _Exotic()),),
+    ),
+]
+
+
+@pytest.mark.parametrize("frame", UNENCODABLE_FRAMES)
 def test_unencodable_frames_raise_the_same_transport_error(frame):
     _both_raise(encode_frame, reference.encode_frame, frame)
+
+
+@pytest.mark.parametrize("frame", UNENCODABLE_FRAMES)
+def test_frame_size_raises_what_encode_frame_raises(frame):
+    _both_raise(frame_size, reference.encode_frame, frame)
+    _both_raise(frame_size, encode_frame, frame)
 
 
 @pytest.mark.parametrize(
@@ -251,6 +331,41 @@ def test_odd_envelope_fields_encode_as_json_would(frame):
     data = encode_frame(frame)
     assert data == reference.encode_frame(frame)
     assert repr(decode_frame(data)) == repr(reference.decode_frame(data))
+    assert frame_size(frame) == len(data)
+
+
+_GOLDENS = test_codec_trace.TestUntracedBytesUnchanged.GOLDENS
+
+
+@pytest.mark.parametrize("kind", sorted(_GOLDENS))
+def test_frame_size_of_a_golden_frame_is_its_length(kind):
+    frame, golden = _GOLDENS[kind]
+    assert frame_size(frame) == len(golden) == len(reference.encode_frame(frame))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_frame_size_on_every_frame_of_a_quick_fuzz_run(monkeypatch, seed):
+    """Every frame ``repro fuzz --quick`` carries — sized on LocalBus,
+    encoded on TCP — is sized as the reference encodes it."""
+    carried = []
+    real_size, real_encode = codec.frame_size, codec.encode_frame
+
+    def sizing(frame):
+        carried.append(frame)
+        return real_size(frame)
+
+    def encoding(frame):
+        carried.append(frame)
+        return real_encode(frame)
+
+    monkeypatch.setattr(transport, "frame_size", sizing)
+    monkeypatch.setattr(codec, "encode_frame", encoding)
+    report = run_fuzz(seed=seed, max_examples=6, transports=("local", "tcp"))
+    assert report.ok
+    assert len(carried) > 500
+    assert {frame.kind for frame in carried} == {DATA, MARK, BATCH}
+    for frame in carried:
+        assert real_size(frame) == len(reference.encode_frame(frame)), frame
 
 
 @pytest.mark.parametrize(

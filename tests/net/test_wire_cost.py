@@ -1,12 +1,14 @@
-"""What the wire path costs: one serialization per frame, honest byte counts.
+"""What the wire path costs: at most one serialization per frame, honest byte counts.
 
-* batch savings are envelope arithmetic and must equal what re-encoding
-  every replaced frame used to give (the old formula lives in
-  ``reference_codec.batch_savings``);
-* every frame sent is encoded exactly once — and on TCP decoded exactly
-  once — so ``codec.encodes_per_frame_sent`` sits at its floor of 1.0;
+* a frame on ``LocalBus`` is sized by ``codec.frame_size``, never encoded:
+  every count equals its encoded length, and the savings of a batch summed
+  from sizes equal what re-encoding every replaced frame gives (that
+  formula lives in ``reference_codec.batch_savings``);
+* a frame that crosses a wire is encoded exactly once — and on TCP decoded
+  exactly once; on ``LocalBus`` it is neither encoded nor decoded;
 * MARK frames are metered in ``bytes_sent`` like every other frame, so
-  batched and unbatched byte totals reconcile with ``batch_bytes_saved``;
+  batched and unbatched byte totals reconcile with the savings computed
+  from the captured batches;
 * a frame costs the event loop no task and no timer, sent or received:
   a round collects in the run's own task and creates one task only per
   node that must wait (none in a fault-free run), and arms one deadline
@@ -30,7 +32,7 @@ from repro.exceptions import TransportError
 from repro.explore.clock import run_on_virtual_clock
 from repro.net import codec
 from repro.net.chaos.policy import ChaosPolicy
-from repro.net.codec import BATCH, MARK, Frame, batch_bytes_saved, encode_frame
+from repro.net.codec import BATCH, DATA, MARK, Frame, encode_frame, frame_size
 from repro.net.runner import AsyncRoundRunner, run_agreement_async
 from repro.net.supervision import MAX_ATTEMPTS, backoff_delay
 from repro.net.tcp import TcpTransport
@@ -49,8 +51,8 @@ SPECS = [DegradableSpec(m=1, u=2, n_nodes=5), DegradableSpec(m=2, u=2, n_nodes=7
 class _CapturingBus(LocalBus):
     """``LocalBus`` that keeps every ``(frame, nbytes)`` it carried."""
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, measure_bytes: bool = True) -> None:
+        super().__init__(measure_bytes)
         self.sent = []
 
     async def send(self, frame) -> int:
@@ -73,8 +75,24 @@ def _run_pinned(coro):
         loop.close()
 
 
+def _sized_savings(frame):
+    """What BATCH *frame* saves over the DATA frames + MARK it replaces,
+    from sizes alone: those carry the batch's envelope but no seq/tc."""
+    envelope = dict(
+        round_no=frame.round_no,
+        source=frame.source,
+        destination=frame.destination,
+        sent_at=frame.sent_at,
+        instance=frame.instance,
+    )
+    replaced = [Frame(DATA, message=m, **envelope) for m in frame.messages]
+    if frame.mark:
+        replaced.append(Frame(MARK, **envelope))
+    return max(0, sum(map(frame_size, replaced)) - frame_size(frame))
+
+
 # ----------------------------------------------------------------------
-# Savings: arithmetic == re-encoding
+# Savings: sizes == re-encoding
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 @pytest.mark.parametrize("instance", [None, "op7", ("svc", 7)], ids=repr)
@@ -93,10 +111,10 @@ def test_savings_match_reencoding_for_every_frame_of_a_run(spec, instance, trace
     assert batches and len(batches) == len(bus.sent)
     assert all((f.trace is not None) == traced for f, _ in batches)
     for frame, nbytes in batches:
-        assert nbytes == len(encode_frame(frame))
-        assert batch_bytes_saved(frame) == reference.batch_savings(frame, nbytes)
-    total = sum(reference.batch_savings(f, n) for f, n in batches)
-    assert runner.metrics.total_batch_bytes_saved == total > 0
+        assert nbytes == len(reference.encode_frame(frame))
+        assert _sized_savings(frame) == reference.batch_savings(frame, nbytes)
+    assert sum(reference.batch_savings(f, n) for f, n in batches) > 0
+    assert runner.metrics.total_bytes == sum(n for _, n in batches)
 
 
 def _message(i=0, payload=None):
@@ -127,21 +145,22 @@ def _message(i=0, payload=None):
 def test_savings_match_reencoding_on_corner_frames(fields):
     base = dict(kind=BATCH, round_no=2, source="p1", destination="p2", sent_at=17.25)
     frame = Frame(**{**base, **fields})
-    nbytes = len(encode_frame(frame))
-    assert batch_bytes_saved(frame) == reference.batch_savings(frame, nbytes)
+    nbytes = len(reference.encode_frame(frame))
+    assert frame_size(frame) == len(encode_frame(frame)) == nbytes
+    assert _sized_savings(frame) == reference.batch_savings(frame, nbytes)
 
 
 def test_an_unmeasured_run_reports_nothing_sent_and_nothing_saved():
     spec = SPECS[0]
     nodes = node_names(spec.n_nodes)
+    bus = _CapturingBus(measure_bytes=False)
     outcome = asyncio.run(
-        run_agreement_async(
-            spec, nodes, nodes[0], "attack", transport=LocalBus(measure_bytes=False)
-        )
+        run_agreement_async(spec, nodes, nodes[0], "attack", transport=bus)
     )
     assert outcome.metrics.total_frames == 16
     assert outcome.metrics.total_bytes == 0
-    assert outcome.metrics.total_batch_bytes_saved == 0
+    assert [n for _, n in bus.sent] == [0] * 16
+    assert sum(reference.batch_savings(f, n) for f, n in bus.sent) == 0
 
 
 # ----------------------------------------------------------------------
@@ -149,9 +168,8 @@ def test_an_unmeasured_run_reports_nothing_sent_and_nothing_saved():
 # ----------------------------------------------------------------------
 @pytest.fixture
 def codec_calls(monkeypatch):
-    """Count ``encode_frame`` / ``decode_frame`` calls at every use site."""
-    from repro.net import transport as transport_module
-
+    """Count ``encode_frame`` / ``decode_frame`` calls at every use site:
+    the codec and every ``repro`` module that imported either by name."""
     calls = {"encode": 0, "decode": 0}
     real_encode, real_decode = codec.encode_frame, codec.decode_frame
 
@@ -163,14 +181,18 @@ def codec_calls(monkeypatch):
         calls["decode"] += 1
         return real_decode(data)
 
-    monkeypatch.setattr(codec, "encode_frame", counting_encode)
-    monkeypatch.setattr(codec, "decode_frame", counting_decode)
-    monkeypatch.setattr(transport_module, "encode_frame", counting_encode)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "repro":
+            continue
+        if getattr(module, "encode_frame", None) is real_encode:
+            monkeypatch.setattr(module, "encode_frame", counting_encode)
+        if getattr(module, "decode_frame", None) is real_decode:
+            monkeypatch.setattr(module, "decode_frame", counting_decode)
     return calls
 
 
 @pytest.mark.parametrize("batching", [True, False], ids=["batched", "unbatched"])
-def test_local_bus_encodes_each_frame_once_and_decodes_none(codec_calls, batching):
+def test_local_bus_encodes_no_frame_and_decodes_none(codec_calls, batching):
     spec = SPECS[1]
     nodes = node_names(spec.n_nodes)
     outcome = asyncio.run(
@@ -178,9 +200,9 @@ def test_local_bus_encodes_each_frame_once_and_decodes_none(codec_calls, batchin
             spec, nodes, nodes[0], "attack", transport=LocalBus(), batching=batching
         )
     )
-    frames = outcome.metrics.total_frames
-    assert frames == (66 if batching else 324)
-    assert codec_calls == {"encode": frames, "decode": 0}
+    assert outcome.metrics.total_frames == (66 if batching else 324)
+    assert outcome.metrics.total_bytes > 0
+    assert codec_calls == {"encode": 0, "decode": 0}
 
 
 @pytest.mark.parametrize("supervise", [False, True], ids=["plain", "supervised"])
@@ -207,9 +229,10 @@ def test_batched_and_unbatched_byte_totals_reconcile_with_savings(spec):
 
     The batched path skips structurally silent links altogether, so the
     unbatched run's MARK frames on those links have no batch to be credited
-    to; every other byte of difference is ``batch_bytes_saved``.  Before
-    ``record_mark`` metered bytes the unbatched total omitted every marker
-    and this could not balance.
+    to; every other byte of difference is what the captured batches saved
+    (``reference_codec.batch_savings``).  Before ``record_mark`` metered
+    bytes the unbatched total omitted every marker and this could not
+    balance.
     """
     nodes = node_names(spec.n_nodes)
 
@@ -233,11 +256,9 @@ def test_batched_and_unbatched_byte_totals_reconcile_with_savings(spec):
     )
     assert unbatched.total_bytes == sum(n for _, n in unbatched_frames)
     assert batched.total_bytes == sum(n for _, n in batched_frames)
-    assert batched.total_batch_bytes_saved > 0
-    assert (
-        unbatched.total_bytes - batched.total_bytes
-        == batched.total_batch_bytes_saved + unreplaced_marks
-    )
+    saved = sum(reference.batch_savings(f, n) for f, n in batched_frames)
+    assert saved > 0
+    assert unbatched.total_bytes - batched.total_bytes == saved + unreplaced_marks
 
 
 # ----------------------------------------------------------------------

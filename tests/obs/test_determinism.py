@@ -119,7 +119,7 @@ class TestFingerprintIsAllInts:
         # ones (outages, latencies, durations, folded instances) that must
         # contribute counts — never seconds — to the fingerprint.
         metrics = NetMetrics(transport="audit")
-        metrics.record_batch(1, 4, 400, 120)
+        metrics.record_batch(1, 4, 400)
         metrics.record_latency(1, 0.004)
         metrics.record_round_duration(1, 0.25)
         metrics.record_timeout(1, "p1", "p2")
@@ -129,7 +129,7 @@ class TestFingerprintIsAllInts:
         metrics.record_outage("S", "p1", 1.5)
         metrics.record_endpoint_restart()
         inner = NetMetrics()
-        inner.record_batch(1, 3, 300, 90)
+        inner.record_batch(1, 3, 300)
         inner.record_latency(1, 0.002)
         metrics.record_instance("i0", inner)
         counters = metrics.counters()

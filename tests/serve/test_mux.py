@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.core.scenario import build_behavior
 from repro.core.spec import DegradableSpec
 from repro.exceptions import TransportError
 from repro.explore import run_on_virtual_clock
@@ -11,6 +12,7 @@ from repro.net.codec import MARK, Frame
 from repro.net.metrics import NetMetrics
 from repro.net.transport import LocalBus
 from repro.serve import AgreementService, InstanceChannel, InstanceMux
+from repro.sim import jsonable
 
 NODES = ("S", "p1", "p2")
 
@@ -278,3 +280,36 @@ class TestFlatState:
         assert served == 512
         assert after_256 == after_512
         assert after_512["_channels"] == 0
+
+    def test_payload_memo_is_the_same_size_after_256_and_512_instances(self):
+        """The codec's payload memo holds distinct payload texts, not one
+        per instance served: it stops growing once every payload of the
+        workload has been sized, and stays within its bound."""
+        spec = DegradableSpec(m=1, u=2, n_nodes=5)
+        nodes = ("S", "p1", "p2", "p3", "p4")
+        values = ("attack", "retreat", "hold", "regroup")
+        behaviors = (None, {"p2": build_behavior("lie", nodes)})
+
+        async def serve(service, count):
+            for batch in range(count // 32):
+                ids = [
+                    service.submit(
+                        "S", values[i % 4], behaviors=behaviors[(batch + i) % 2]
+                    )
+                    for i in range(32)
+                ]
+                for iid in ids:
+                    assert (await service.decision(iid)).ok
+
+        async def scenario():
+            async with AgreementService(
+                spec, nodes, record_trace=False
+            ) as service:
+                await serve(service, 256)
+                after_256 = len(jsonable._PAYLOAD_TEXT)
+                await serve(service, 256)
+                return after_256, len(jsonable._PAYLOAD_TEXT)
+
+        jsonable._PAYLOAD_TEXT.clear()
+        after_256, after_512 = run_on_virtual_clock(scenario())
+        assert 0 < after_256 == after_512 <= jsonable.PAYLOAD_MEMO_ENTRIES
