@@ -320,15 +320,24 @@ if grep -rnE "TrialConfig|run_campaign_sync|CampaignReport" src/; then
     exit 1
 fi
 
-echo "== a process loads no graph library it does not query =="
+echo "== a process loads nothing it does not run =="
 # Topology is its adjacency map; networkx is imported by the graph
-# algorithms on their first call.  A fresh interpreter imports every entry
-# point and must leave networkx unloaded until it asks a graph question.
+# algorithms on their first call.  A package re-export resolves on first
+# access (repro/_exports.py), so no package __init__ imports a submodule.
+# Fresh interpreters import the entry points and must leave networkx
+# unloaded until they ask a graph question, and asyncio, socket, ssl,
+# repro.net and repro.obs unloaded until they use a runtime name.
 if grep -rnE --include="*.py" "^(from|import) networkx" src/; then
     echo "a module-level networkx import is back under src/: import it through repro.sim.network._networkx" >&2
     exit 1
 fi
-python -m pytest -q tests/test_public_api.py::test_a_process_loads_no_graph_library_it_does_not_query
+if grep -rnE --include="__init__.py" "^from (repro\.|\.)" src/repro/ | grep -v "from repro._exports import lazy_exports$"; then
+    echo "a package __init__ binds names by importing a submodule: list them in its lazy_exports table" >&2
+    exit 1
+fi
+python -m pytest -q \
+    tests/test_public_api.py::test_a_process_loads_no_graph_library_it_does_not_query \
+    tests/test_public_api.py::test_a_process_loads_nothing_it_does_not_run
 
 echo "== one scenario vocabulary (one node list, one fault-kind table, replayable tokens) =="
 # The S,p1..p{N-1} builder and the kind -> Behavior mapping live once, in

@@ -28,81 +28,29 @@ Quickstart::
     result = run_degradable_agreement(spec, nodes, "S", "engage")
     report = classify(result, faulty=set(), spec=spec)
     assert report.satisfied
+
+The names above resolve on first use (:mod:`repro._exports`): ``import
+repro`` loads none of these packages, and the agreement core never loads
+the asyncio runtime unless a :mod:`repro.net` name is asked for.
 """
 
-from repro.core import (
-    DEFAULT,
-    AgreementResult,
-    Behavior,
-    ConstantLiar,
-    DegradableSpec,
-    EchoAsBehavior,
-    HonestBehavior,
-    LieAboutSender,
-    OutcomeReport,
-    OutcomeShape,
-    RandomLiar,
-    ScriptedBehavior,
-    SilentBehavior,
-    TwoFacedAboutSender,
-    TwoFacedBehavior,
-    classify,
-    execute_degradable_protocol,
-    is_default,
-    k_of_n_vote,
-    majority,
-    message_count,
-    min_connectivity,
-    min_nodes,
-    minimal_spec,
-    run_crusader,
-    run_degradable_agreement,
-    run_oral_messages,
-    vote,
-)
-from repro.net import (
-    AsyncRoundRunner,
-    LocalBus,
-    NetMetrics,
-    TcpTransport,
-    run_agreement_async,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "AgreementResult",
-    "AsyncRoundRunner",
-    "Behavior",
-    "ConstantLiar",
-    "DEFAULT",
-    "DegradableSpec",
-    "EchoAsBehavior",
-    "HonestBehavior",
-    "LieAboutSender",
-    "LocalBus",
-    "NetMetrics",
-    "OutcomeReport",
-    "OutcomeShape",
-    "RandomLiar",
-    "ScriptedBehavior",
-    "SilentBehavior",
-    "TcpTransport",
-    "TwoFacedAboutSender",
-    "TwoFacedBehavior",
-    "__version__",
-    "classify",
-    "execute_degradable_protocol",
-    "is_default",
-    "k_of_n_vote",
-    "majority",
-    "message_count",
-    "min_connectivity",
-    "min_nodes",
-    "minimal_spec",
-    "run_agreement_async",
-    "run_crusader",
-    "run_degradable_agreement",
-    "run_oral_messages",
-    "vote",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "core": (
+        "DEFAULT", "AgreementResult", "Behavior", "ConstantLiar", "DegradableSpec",
+        "EchoAsBehavior", "HonestBehavior", "LieAboutSender", "OutcomeReport",
+        "OutcomeShape", "RandomLiar", "ScriptedBehavior", "SilentBehavior",
+        "TwoFacedAboutSender", "TwoFacedBehavior", "classify",
+        "execute_degradable_protocol", "is_default", "k_of_n_vote", "majority",
+        "message_count", "min_connectivity", "min_nodes", "minimal_spec",
+        "run_crusader", "run_degradable_agreement", "run_oral_messages", "vote",
+    ),
+    "net": (
+        "AsyncRoundRunner", "LocalBus", "NetMetrics", "TcpTransport",
+        "run_agreement_async",
+    ),
+})
+__all__.append("__version__")

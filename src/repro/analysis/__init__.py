@@ -1,150 +1,46 @@
 """Analysis and experiment machinery: bounds validation, reliability,
 complexity accounting, Monte-Carlo fault injection and table rendering."""
 
-from repro.analysis.adversary_search import (
-    SearchResult,
-    ViolationWitness,
-    count_profiles,
-    exhaustive_search,
-    verify_instance_exhaustively,
-)
-from repro.analysis.charts import bar_chart, log_bar_chart, sparkline, staircase
-from repro.analysis.confidence import (
-    summarize_confidence,
-    trials_needed,
-    violation_rate_upper_bound,
-)
-from repro.analysis.degradation import (
-    DegradationLevel,
-    DegradationProfile,
-    degradation_profile,
-)
-from repro.analysis.complexity import (
-    ComplexityPoint,
-    byz_complexity,
-    crusader_complexity,
-    om_complexity,
-    sm_complexity,
-    survive_u_comparison,
-    verify_message_count,
-)
-from repro.analysis.lowerbounds import (
-    ConnectivityScenarioResult,
-    NodeGroups,
-    Scenario,
-    ScenarioOutcome,
-    TripleResult,
-    connectivity_scenarios,
-    make_groups,
-    run_scenario_triple,
-    theorem2_scenarios,
-)
-from repro.analysis.mixed_faults import (
-    MixedCell,
-    MixedFaultStudy,
-    crash_only_envelope,
-    mixed_fault_grid,
-)
-from repro.analysis.scenario import (
-    BEHAVIOR_BUILDERS,
-    ScenarioSpec,
-    ScenarioSuite,
-    reference_suite,
-)
-from repro.analysis.montecarlo import (
-    ADVERSARY_ZOO,
-    MonteCarloSummary,
-    TrialRecord,
-    exhaustive_fault_sets,
-    run_campaign,
-)
-from repro.analysis.report import generate_report, write_report
-from repro.analysis.runner import (
-    EXPERIMENTS,
-    ExperimentResult,
-    run_experiments,
-    summarize,
-    write_results,
-)
-from repro.analysis.reliability import (
-    ReliabilityPoint,
-    compare_configurations,
-    degradable_vs_byzantine,
-    fault_count_pmf,
-    heterogeneous_fault_pmf,
-    heterogeneous_reliability,
-    pareto_configurations,
-    reliability,
-    unsafe_probability_curve,
-)
-from repro.analysis.tables import (
-    render_table,
-    section2_min_nodes_table,
-    seven_node_tradeoff_table,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ADVERSARY_ZOO",
-    "BEHAVIOR_BUILDERS",
-    "MixedCell",
-    "MixedFaultStudy",
-    "ScenarioSpec",
-    "ScenarioSuite",
-    "crash_only_envelope",
-    "mixed_fault_grid",
-    "reference_suite",
-    "summarize_confidence",
-    "trials_needed",
-    "violation_rate_upper_bound",
-    "ComplexityPoint",
-    "DegradationLevel",
-    "DegradationProfile",
-    "degradation_profile",
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "run_experiments",
-    "summarize",
-    "write_results",
-    "SearchResult",
-    "ViolationWitness",
-    "bar_chart",
-    "count_profiles",
-    "exhaustive_search",
-    "generate_report",
-    "write_report",
-    "log_bar_chart",
-    "sparkline",
-    "staircase",
-    "verify_instance_exhaustively",
-    "ConnectivityScenarioResult",
-    "MonteCarloSummary",
-    "NodeGroups",
-    "ReliabilityPoint",
-    "Scenario",
-    "ScenarioOutcome",
-    "TrialRecord",
-    "TripleResult",
-    "byz_complexity",
-    "compare_configurations",
-    "connectivity_scenarios",
-    "crusader_complexity",
-    "degradable_vs_byzantine",
-    "exhaustive_fault_sets",
-    "fault_count_pmf",
-    "heterogeneous_fault_pmf",
-    "heterogeneous_reliability",
-    "pareto_configurations",
-    "make_groups",
-    "om_complexity",
-    "sm_complexity",
-    "reliability",
-    "render_table",
-    "run_campaign",
-    "run_scenario_triple",
-    "section2_min_nodes_table",
-    "seven_node_tradeoff_table",
-    "survive_u_comparison",
-    "theorem2_scenarios",
-    "unsafe_probability_curve",
-    "verify_message_count",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "adversary_search": (
+        "SearchResult", "ViolationWitness", "count_profiles", "exhaustive_search",
+        "verify_instance_exhaustively",
+    ),
+    "charts": ("bar_chart", "log_bar_chart", "sparkline", "staircase"),
+    "confidence": (
+        "summarize_confidence", "trials_needed", "violation_rate_upper_bound",
+    ),
+    "degradation": ("DegradationLevel", "DegradationProfile", "degradation_profile"),
+    "complexity": (
+        "ComplexityPoint", "byz_complexity", "crusader_complexity", "om_complexity",
+        "sm_complexity", "survive_u_comparison", "verify_message_count",
+    ),
+    "lowerbounds": (
+        "ConnectivityScenarioResult", "NodeGroups", "Scenario", "ScenarioOutcome",
+        "TripleResult", "connectivity_scenarios", "make_groups", "run_scenario_triple",
+        "theorem2_scenarios",
+    ),
+    "mixed_faults": (
+        "MixedCell", "MixedFaultStudy", "crash_only_envelope", "mixed_fault_grid",
+    ),
+    "scenario": (
+        "BEHAVIOR_BUILDERS", "ScenarioSpec", "ScenarioSuite", "reference_suite",
+    ),
+    "montecarlo": (
+        "ADVERSARY_ZOO", "MonteCarloSummary", "TrialRecord", "exhaustive_fault_sets",
+        "run_campaign",
+    ),
+    "report": ("generate_report", "write_report"),
+    "runner": (
+        "EXPERIMENTS", "ExperimentResult", "run_experiments", "summarize",
+        "write_results",
+    ),
+    "reliability": (
+        "ReliabilityPoint", "compare_configurations", "degradable_vs_byzantine",
+        "fault_count_pmf", "heterogeneous_fault_pmf", "heterogeneous_reliability",
+        "pareto_configurations", "reliability", "unsafe_probability_curve",
+    ),
+    "tables": ("render_table", "section2_min_nodes_table", "seven_node_tradeoff_table"),
+})

@@ -5,52 +5,17 @@ computation channels fed by a sensor through an agreement protocol and
 drained into an external voter, with forward/backward recovery on top.
 """
 
-from repro.channels.multisensor import (
-    MultiSensorReport,
-    MultiSensorSystem,
-    fault_tolerant_midpoint,
-)
-from repro.channels.pipeline import (
-    PipelineStats,
-    ReplicatedPipeline,
-    StepRecord,
-)
-from repro.channels.recovery import (
-    MissionSimulator,
-    MissionStats,
-    RecoveryAction,
-    RecoveryController,
-    StepOutcome,
-)
-from repro.channels.system import (
-    ByzantineChannelSystem,
-    ChannelRunReport,
-    DegradableChannelSystem,
-)
-from repro.channels.voter import (
-    ExternalVoter,
-    MajorityVoter,
-    VoteOutcome,
-    VoterVerdict,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ByzantineChannelSystem",
-    "ChannelRunReport",
-    "DegradableChannelSystem",
-    "ExternalVoter",
-    "MajorityVoter",
-    "MissionSimulator",
-    "MissionStats",
-    "MultiSensorReport",
-    "PipelineStats",
-    "ReplicatedPipeline",
-    "StepRecord",
-    "MultiSensorSystem",
-    "fault_tolerant_midpoint",
-    "RecoveryAction",
-    "RecoveryController",
-    "StepOutcome",
-    "VoteOutcome",
-    "VoterVerdict",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "multisensor": (
+        "MultiSensorReport", "MultiSensorSystem", "fault_tolerant_midpoint",
+    ),
+    "pipeline": ("PipelineStats", "ReplicatedPipeline", "StepRecord"),
+    "recovery": (
+        "MissionSimulator", "MissionStats", "RecoveryAction", "RecoveryController",
+        "StepOutcome",
+    ),
+    "system": ("ByzantineChannelSystem", "ChannelRunReport", "DegradableChannelSystem"),
+    "voter": ("ExternalVoter", "MajorityVoter", "VoteOutcome", "VoterVerdict"),
+})

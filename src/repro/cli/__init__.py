@@ -26,10 +26,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from repro.core.scenario import Instance
-from repro.exceptions import ConfigurationError, ReproError
+if TYPE_CHECKING:
+    from repro.core.scenario import Instance
 
 
 def _checked(flag: str, cast: Callable, bound: str, ok: Callable) -> Callable:
@@ -43,6 +43,8 @@ def _checked(flag: str, cast: Callable, bound: str, ok: Callable) -> Callable:
     def convert(text: str):
         value = cast(text)
         if not ok(value):
+            from repro.exceptions import ConfigurationError
+
             raise ConfigurationError(f"{flag} must be {bound}, got {value}")
         return value
 
@@ -119,6 +121,8 @@ def _n_nodes(args) -> int:
 
 def _instance(args, faults=()) -> Instance:
     """The agreement instance the ``(m, u, N)`` / ``--value`` flags name."""
+    from repro.core.scenario import Instance
+
     instance = Instance(
         args.m,
         args.u,
@@ -145,6 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.exceptions import ReproError
+
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)

@@ -10,8 +10,6 @@ and tracing never perturbs the run it observes.
 
 from __future__ import annotations
 
-import asyncio
-
 from repro.cli import (
     _add_seed_argument,
     _add_spec_arguments,
@@ -85,6 +83,8 @@ def _cmd_trace(args) -> int:
 
 def _traced_net(args, instance, severity, tracer):
     """Run and print net mode; return the run's verify record."""
+    import asyncio
+
     from repro.net.chaos import run_seeded_instance
     from repro.verify import record_net_outcome
 
@@ -108,6 +108,8 @@ def _traced_net(args, instance, severity, tracer):
 
 def _traced_service(args, instance, severity, tracer):
     """Run and print serve mode; return the run's verify record."""
+    import asyncio
+
     from repro.serve import record_service_run, serve_plan
 
     service, outcomes = asyncio.run(serve_plan(

@@ -12,52 +12,21 @@ Three approaches:
   processor faults exceed it.
 """
 
-from repro.clocksync.convergence import (
-    InteractiveConvergence,
-    SyncHistory,
-    SyncRoundReport,
-    max_tolerable_faults,
-)
-from repro.clocksync.degradable import (
-    ClockFaceBehavior,
-    DegradableClockSync,
-    DegradableSyncReport,
-    DegradableSyncRound,
-)
-from repro.clocksync.evaluation import (
-    ADVERSARY_FAMILIES,
-    ConjectureCell,
-    ConjectureEvaluation,
-    evaluate_conjecture,
-)
-from repro.clocksync.protocol import (
-    ClockFaceInjector,
-    ClockSyncProcess,
-    ProtocolConvergence,
-)
-from repro.clocksync.witnesses import (
-    WitnessedClockSystem,
-    WitnessedSystemReport,
-    witnesses_needed,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ADVERSARY_FAMILIES",
-    "ClockFaceBehavior",
-    "ConjectureCell",
-    "ConjectureEvaluation",
-    "evaluate_conjecture",
-    "ClockFaceInjector",
-    "ClockSyncProcess",
-    "ProtocolConvergence",
-    "DegradableClockSync",
-    "DegradableSyncReport",
-    "DegradableSyncRound",
-    "InteractiveConvergence",
-    "SyncHistory",
-    "SyncRoundReport",
-    "WitnessedClockSystem",
-    "WitnessedSystemReport",
-    "max_tolerable_faults",
-    "witnesses_needed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "convergence": (
+        "InteractiveConvergence", "SyncHistory", "SyncRoundReport",
+        "max_tolerable_faults",
+    ),
+    "degradable": (
+        "ClockFaceBehavior", "DegradableClockSync", "DegradableSyncReport",
+        "DegradableSyncRound",
+    ),
+    "evaluation": (
+        "ADVERSARY_FAMILIES", "ConjectureCell", "ConjectureEvaluation",
+        "evaluate_conjecture",
+    ),
+    "protocol": ("ClockFaceInjector", "ClockSyncProcess", "ProtocolConvergence"),
+    "witnesses": ("WitnessedClockSystem", "WitnessedSystemReport", "witnesses_needed"),
+})

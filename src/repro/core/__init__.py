@@ -12,147 +12,44 @@ Public surface re-exported here:
 * classification — :func:`classify` against conditions D.1–D.4
 """
 
-from repro.core.behavior import (
-    Behavior,
-    BehaviorMap,
-    ConstantLiar,
-    EchoAsBehavior,
-    FunctionBehavior,
-    HonestBehavior,
-    LieAboutSender,
-    RandomLiar,
-    ScriptedBehavior,
-    SilentBehavior,
-    TwoFacedAboutSender,
-    TwoFacedBehavior,
-    faulty_nodes,
-)
-from repro.core.bounds import (
-    configurations,
-    feasible,
-    max_byzantine_faults,
-    max_u,
-    min_connectivity,
-    min_nodes,
-    min_nodes_table,
-    trade_off_curve,
-)
-from repro.core.byz import (
-    AgreementResult,
-    ExecutionStats,
-    direct_transport,
-    message_count,
-    run_degradable_agreement,
-)
-from repro.core.conditions import OutcomeReport, OutcomeShape, assert_contract, classify
-from repro.core.crusader import crusader_message_count, run_crusader
-from repro.core.detection import FaultCountDetector, SuspectTracker, quorum_detection
-from repro.core.eig import EIGTree, byz_resolver, majority_resolver
-from repro.core.interactive_consistency import (
-    ic_runner_byz,
-    ic_runner_om,
-    run_interactive_consistency,
-    vectors_agree,
-    vectors_valid,
-)
-from repro.core.oral_messages import om_message_count, run_oral_messages
-from repro.core.signed import (
-    SelectiveForwarder,
-    SignedBehavior,
-    SignedMessage,
-    SilentSigner,
-    TwoFacedSigner,
-    run_signed_agreement,
-    sm_message_count,
-)
-from repro.core.protocol import (
-    AgreementProcess,
-    ProtocolSession,
-    execute_degradable_protocol,
-    make_byz_processes,
-    make_om_processes,
-)
-from repro.core.spec import DegradableSpec, minimal_spec, sub_minimal_spec
-from repro.core.vector_agreement import (
-    VectorReport,
-    classify_vectors,
-    compatible_merge,
-    run_degradable_interactive_consistency,
-)
-from repro.core.values import DEFAULT, DefaultValue, is_default, non_default
-from repro.core.vote import k_of_n_vote, majority, unanimity, vote
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AgreementProcess",
-    "AgreementResult",
-    "Behavior",
-    "BehaviorMap",
-    "ConstantLiar",
-    "DEFAULT",
-    "DefaultValue",
-    "DegradableSpec",
-    "EchoAsBehavior",
-    "FaultCountDetector",
-    "EIGTree",
-    "ExecutionStats",
-    "FunctionBehavior",
-    "HonestBehavior",
-    "LieAboutSender",
-    "OutcomeReport",
-    "OutcomeShape",
-    "RandomLiar",
-    "ScriptedBehavior",
-    "SuspectTracker",
-    "SilentBehavior",
-    "TwoFacedAboutSender",
-    "TwoFacedBehavior",
-    "VectorReport",
-    "assert_contract",
-    "byz_resolver",
-    "classify",
-    "classify_vectors",
-    "compatible_merge",
-    "run_degradable_interactive_consistency",
-    "configurations",
-    "crusader_message_count",
-    "direct_transport",
-    "ProtocolSession",
-    "execute_degradable_protocol",
-    "faulty_nodes",
-    "feasible",
-    "ic_runner_byz",
-    "ic_runner_om",
-    "is_default",
-    "k_of_n_vote",
-    "majority",
-    "majority_resolver",
-    "make_byz_processes",
-    "make_om_processes",
-    "max_byzantine_faults",
-    "max_u",
-    "message_count",
-    "min_connectivity",
-    "min_nodes",
-    "min_nodes_table",
-    "minimal_spec",
-    "non_default",
-    "om_message_count",
-    "quorum_detection",
-    "run_crusader",
-    "run_degradable_agreement",
-    "run_interactive_consistency",
-    "run_oral_messages",
-    "run_signed_agreement",
-    "SelectiveForwarder",
-    "SignedBehavior",
-    "SignedMessage",
-    "SilentSigner",
-    "sm_message_count",
-    "sub_minimal_spec",
-    "TwoFacedSigner",
-    "trade_off_curve",
-    "unanimity",
-    "vectors_agree",
-    "vectors_valid",
-    "vote",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "behavior": (
+        "Behavior", "BehaviorMap", "ConstantLiar", "EchoAsBehavior", "FunctionBehavior",
+        "HonestBehavior", "LieAboutSender", "RandomLiar", "ScriptedBehavior",
+        "SilentBehavior", "TwoFacedAboutSender", "TwoFacedBehavior", "faulty_nodes",
+    ),
+    "bounds": (
+        "configurations", "feasible", "max_byzantine_faults", "max_u",
+        "min_connectivity", "min_nodes", "min_nodes_table", "trade_off_curve",
+    ),
+    "byz": (
+        "AgreementResult", "ExecutionStats", "direct_transport", "message_count",
+        "run_degradable_agreement",
+    ),
+    "conditions": ("OutcomeReport", "OutcomeShape", "assert_contract", "classify"),
+    "crusader": ("crusader_message_count", "run_crusader"),
+    "detection": ("FaultCountDetector", "SuspectTracker", "quorum_detection"),
+    "eig": ("EIGTree", "byz_resolver", "majority_resolver"),
+    "interactive_consistency": (
+        "ic_runner_byz", "ic_runner_om", "run_interactive_consistency", "vectors_agree",
+        "vectors_valid",
+    ),
+    "oral_messages": ("om_message_count", "run_oral_messages"),
+    "signed": (
+        "SelectiveForwarder", "SignedBehavior", "SignedMessage", "SilentSigner",
+        "TwoFacedSigner", "run_signed_agreement", "sm_message_count",
+    ),
+    "protocol": (
+        "AgreementProcess", "ProtocolSession", "execute_degradable_protocol",
+        "make_byz_processes", "make_om_processes",
+    ),
+    "spec": ("DegradableSpec", "minimal_spec", "sub_minimal_spec"),
+    "vector_agreement": (
+        "VectorReport", "classify_vectors", "compatible_merge",
+        "run_degradable_interactive_consistency",
+    ),
+    "values": ("DEFAULT", "DefaultValue", "is_default", "non_default"),
+    "vote": ("k_of_n_vote", "majority", "unanimity", "vote"),
+})

@@ -17,56 +17,17 @@ Public surface::
     shrink_schedule(config, schedule)             # minimize a violation
 """
 
-from repro.explore.clock import (
-    ExploreDeadlockError,
-    VirtualClockLoop,
-    run_on_virtual_clock,
-)
-from repro.explore.explorer import (
-    FAULT_KINDS,
-    ExploreConfig,
-    ExploreReport,
-    ExploreViolation,
-    ScheduleOutcome,
-    explore,
-    parse_explore_token,
-    run_schedule,
-    run_token,
-    shrink_schedule,
-    trim_schedule,
-)
-from repro.explore.transport import (
-    DEFER,
-    DELIVER,
-    DROP,
-    STALL,
-    DecisionPoint,
-    ExploredTransport,
-    ExploreScheduleError,
-    ScheduleController,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFER",
-    "DELIVER",
-    "DROP",
-    "STALL",
-    "DecisionPoint",
-    "ExploreConfig",
-    "ExploreDeadlockError",
-    "ExploreReport",
-    "ExploreScheduleError",
-    "ExploreViolation",
-    "ExploredTransport",
-    "FAULT_KINDS",
-    "ScheduleController",
-    "ScheduleOutcome",
-    "VirtualClockLoop",
-    "explore",
-    "parse_explore_token",
-    "run_on_virtual_clock",
-    "run_schedule",
-    "run_token",
-    "shrink_schedule",
-    "trim_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "clock": ("ExploreDeadlockError", "VirtualClockLoop", "run_on_virtual_clock"),
+    "explorer": (
+        "FAULT_KINDS", "ExploreConfig", "ExploreReport", "ExploreViolation",
+        "ScheduleOutcome", "explore", "parse_explore_token", "run_schedule",
+        "run_token", "shrink_schedule", "trim_schedule",
+    ),
+    "transport": (
+        "DEFER", "DELIVER", "DROP", "STALL", "DecisionPoint", "ExploredTransport",
+        "ExploreScheduleError", "ScheduleController",
+    ),
+})

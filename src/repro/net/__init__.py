@@ -50,68 +50,21 @@ Quickstart::
 Or from the command line: ``python -m repro net --transport tcp``.
 """
 
-from repro.net.codec import (
-    BATCH,
-    DATA,
-    MARK,
-    Frame,
-    FrameDecoder,
-    decode_frame,
-    encode_frame,
-    from_jsonable,
-    pack_frame,
-    to_jsonable,
-)
-from repro.net.metrics import NetMetrics, RoundMetrics
-from repro.net.runner import (
-    AsyncRoundRunner,
-    NetRunOutcome,
-    run_agreement_async,
-)
-from repro.net.stack import build_stack, make_transport
-from repro.net.supervision import SupervisedTransport
-from repro.net.tcp import TcpTransport
-from repro.net.transport import LocalBus, Transport, TransportLayer
+from repro._exports import lazy_exports
 
-# Chaos imports the runner — keep this after the core modules above.
-from repro.net.chaos import (
-    ChaosLog,
-    ChaosPolicy,
-    ChaosTransport,
-    Crash,
-    Partition,
-    make_policy,
-    partition_injector,
-)
-
-__all__ = [
-    "AsyncRoundRunner",
-    "BATCH",
-    "ChaosLog",
-    "ChaosPolicy",
-    "ChaosTransport",
-    "Crash",
-    "DATA",
-    "Frame",
-    "FrameDecoder",
-    "LocalBus",
-    "MARK",
-    "NetMetrics",
-    "NetRunOutcome",
-    "Partition",
-    "RoundMetrics",
-    "SupervisedTransport",
-    "TcpTransport",
-    "Transport",
-    "TransportLayer",
-    "build_stack",
-    "decode_frame",
-    "encode_frame",
-    "from_jsonable",
-    "make_policy",
-    "make_transport",
-    "pack_frame",
-    "partition_injector",
-    "run_agreement_async",
-    "to_jsonable",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "codec": (
+        "BATCH", "DATA", "MARK", "Frame", "FrameDecoder", "decode_frame",
+        "encode_frame", "from_jsonable", "pack_frame", "to_jsonable",
+    ),
+    "metrics": ("NetMetrics", "RoundMetrics"),
+    "runner": ("AsyncRoundRunner", "NetRunOutcome", "run_agreement_async"),
+    "stack": ("build_stack", "make_transport"),
+    "supervision": ("SupervisedTransport",),
+    "tcp": ("TcpTransport",),
+    "transport": ("LocalBus", "Transport", "TransportLayer"),
+    "chaos": (
+        "ChaosLog", "ChaosPolicy", "ChaosTransport", "Crash", "Partition",
+        "make_policy", "partition_injector",
+    ),
+})

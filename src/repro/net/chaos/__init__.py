@@ -43,38 +43,16 @@ Or from the command line::
     python -m repro chaos --seed 7 --severity heavy --trials 20 --report out.json
 """
 
-from repro.net.chaos.accounting import (
-    ABSENCE_KINDS,
-    BENIGN_KINDS,
-    ChaosEvent,
-    ChaosLog,
-    partition_injector,
-)
-from repro.net.chaos.campaign import run_seeded_instance
-from repro.net.chaos.policy import (
-    SEVERITIES,
-    ChaosPolicy,
-    Crash,
-    EndpointRestart,
-    Partition,
-    make_policy,
-    seeded_policy,
-)
-from repro.net.chaos.transport import ChaosTransport
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ABSENCE_KINDS",
-    "BENIGN_KINDS",
-    "ChaosEvent",
-    "ChaosLog",
-    "ChaosPolicy",
-    "ChaosTransport",
-    "Crash",
-    "EndpointRestart",
-    "Partition",
-    "SEVERITIES",
-    "make_policy",
-    "partition_injector",
-    "run_seeded_instance",
-    "seeded_policy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "accounting": (
+        "ABSENCE_KINDS", "BENIGN_KINDS", "ChaosEvent", "ChaosLog", "partition_injector",
+    ),
+    "campaign": ("run_seeded_instance",),
+    "policy": (
+        "SEVERITIES", "ChaosPolicy", "Crash", "EndpointRestart", "Partition",
+        "make_policy", "seeded_policy",
+    ),
+    "transport": ("ChaosTransport",),
+})

@@ -56,6 +56,7 @@ from repro.sim.jsonable import (
     message_json,
     message_json_len,
     raw_json,
+    scoped_json,
     to_jsonable,
 )
 from repro.sim.messages import Message
@@ -217,7 +218,7 @@ def encode_frame(frame: Frame) -> bytes:
         # supervised links for "seq", only traced frames for "tc": without
         # them the bytes are the legacy version-1 wire format.
         instance = frame.instance
-        iid = "" if instance is None else f',"iid":{canonical_json(instance)}'
+        iid = "" if instance is None else f',"iid":{scoped_json(instance)}'
         seq = "" if frame.seq is None else f',"seq":{raw_json(frame.seq)}'
         tc = "" if frame.trace is None else f',"tc":{raw_json(frame.trace)}'
         tail = "}" if instance is None else _V2_TAIL
@@ -254,7 +255,7 @@ def frame_size(frame: Frame) -> int:
             size = 0
         instance = frame.instance
         if instance is not None:
-            size += _V2_FIXED + json_len(instance)
+            size += _V2_FIXED + len(scoped_json(instance))
         if frame.seq is not None:
             size += _SEQ_FIXED + json_len(frame.seq, raw_json)
         if frame.trace is not None:

@@ -28,20 +28,12 @@ enters the determinism fingerprint, so chaos campaigns produce identical
 decisions and fingerprints with the observability layer on or off.
 """
 
-from repro.obs.events import EventBus, ObsEvent
-from repro.obs.http import ObsServer, scrape
-from repro.obs.prom import metrics_registry, parse_exposition
-from repro.obs.snapshot import render_snapshot
-from repro.obs.stats import percentile, percentiles
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EventBus",
-    "ObsEvent",
-    "ObsServer",
-    "metrics_registry",
-    "parse_exposition",
-    "percentile",
-    "percentiles",
-    "render_snapshot",
-    "scrape",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "events": ("EventBus", "ObsEvent"),
+    "http": ("ObsServer", "scrape"),
+    "prom": ("metrics_registry", "parse_exposition"),
+    "snapshot": ("render_snapshot",),
+    "stats": ("percentile", "percentiles"),
+})

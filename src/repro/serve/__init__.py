@@ -21,21 +21,10 @@ that service layer over the existing async runtime:
   cross-check against the synchronous reference engine.
 """
 
-from repro.serve.gateway import (
-    AgreementService,
-    InstanceOutcome,
-    record_service_run,
-)
-from repro.serve.mux import InstanceChannel, InstanceMux
-from repro.serve.plan import check_divergence, plan_workload, serve_plan
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AgreementService",
-    "InstanceChannel",
-    "InstanceMux",
-    "InstanceOutcome",
-    "check_divergence",
-    "plan_workload",
-    "record_service_run",
-    "serve_plan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "gateway": ("AgreementService", "InstanceOutcome", "record_service_run"),
+    "mux": ("InstanceChannel", "InstanceMux"),
+    "plan": ("check_divergence", "plan_workload", "serve_plan"),
+})

@@ -33,8 +33,8 @@ whole-field :class:`Opaque` fallback.  Its invariants:
   fixed tagged shapes above, written with its keys already in order;
 * **ASCII-only output** — strings go through ``json``'s own
   ``ensure_ascii`` escaper — so ``len(text)`` is the encoded byte count;
-* exact ``str`` and ``int`` leaves (node ids, path hops, tags, round
-  numbers) come from a **bounded memo**: one table per exact type, i.e.
+* exact ``str`` and ``int`` leaves (node ids, path hops, round numbers)
+  come from a **bounded memo**: one table per exact type, i.e.
   keyed by ``(type, value)`` so ``1``, ``1.0`` and ``True`` never alias,
   filled lazily, at most :data:`LEAF_MEMO_ENTRIES` texts of at most
   :data:`LEAF_MEMO_TEXT` characters each, cleared when full; nothing is
@@ -48,6 +48,12 @@ whole-field :class:`Opaque` fallback.  Its invariants:
   payload relayed to many receivers is written once; at most
   :data:`PAYLOAD_MEMO_ENTRIES` texts of at most :data:`PAYLOAD_MEMO_TEXT`
   characters, cleared when full;
+* a field that lives as long as one protocol instance — a frame's
+  instance id, a message's tag (``byz:i0042``) — never enters the leaf
+  memos: :func:`scoped_json` holds it in a small table of its own
+  (:data:`SCOPED_MEMO_ENTRIES`, cleared when full), so a service that
+  runs thousands of instances keeps its node ids memoized instead of
+  flushing them with one-use keys;
 * the rest is still ``json``'s: string escaping on a memo miss,
   ``float.__repr__`` for finite floats, and a stock ``JSONEncoder`` for
   non-finite floats, scalar subclasses and untagged non-scalar fields.
@@ -88,12 +94,16 @@ LEAF_MEMO_TEXT = 64
 PAYLOAD_MEMO_ENTRIES = 4096
 PAYLOAD_MEMO_TEXT = 256
 
+#: Entries of the instance-scoped memo: two per instance in flight.
+SCOPED_MEMO_ENTRIES = 256
+
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 _STR_TEXT: Dict[str, str] = {}
 _INT_TEXT: Dict[int, str] = {}
 _STR_LEN: Dict[str, int] = {}
 _INT_LEN: Dict[int, int] = {}
 _PAYLOAD_TEXT: Dict[Tuple[Tuple[str, ...], Any], str] = {}
+_SCOPED_TEXT: Dict[str, str] = {}
 _escape = json.encoder.encode_basestring_ascii
 _stock_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -247,6 +257,24 @@ def json_len(value: Any, write: Callable[[Any], str] = canonical_json) -> int:
     return len(write(value))
 
 
+def scoped_json(value: Any, write: Callable[[Any], str] = canonical_json) -> str:
+    """``write(value)`` for an instance-scoped field (instance id, tag).
+
+    An exact ``str`` — which every writer here emits alike — comes from
+    the instance-scoped memo, at most :data:`SCOPED_MEMO_ENTRIES` texts,
+    cleared when full; anything else is *write*'s call.  Its length sizes
+    the field in :func:`~repro.net.codec.frame_size`.
+    """
+    if value.__class__ is not str:
+        return write(value)
+    text = _SCOPED_TEXT.get(value)
+    if text is None:
+        if len(_SCOPED_TEXT) >= SCOPED_MEMO_ENTRIES:
+            _SCOPED_TEXT.clear()
+        text = _SCOPED_TEXT[value] = _escape(value)
+    return text
+
+
 def leaf_json(value: Any, write: Callable[[Any], str]) -> str:
     """``write(value)``, straight from the leaf memo on a hit.
 
@@ -334,7 +362,7 @@ def message_json(message: Message) -> str:
         f'"payload":{payload_json(message.payload)},'
         f'"round_sent":{raw_json(message.round_sent)},'
         f'"source":{canonical_json(message.source)},'
-        f'"tag":{raw_json(message.tag)}}}'
+        f'"tag":{scoped_json(message.tag, raw_json)}}}'
     )
 
 
@@ -353,7 +381,7 @@ def message_json_len(message: Message) -> int:
         + len(payload_json(message.payload))
         + json_len(message.round_sent, raw_json)
         + json_len(message.source)
-        + json_len(message.tag, raw_json)
+        + len(scoped_json(message.tag, raw_json))
     )
 
 

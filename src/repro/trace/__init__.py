@@ -7,38 +7,16 @@ and :mod:`repro.trace.critical` for per-round critical-path analysis;
 CLI verb prints for a traced run.
 """
 
-from .spans import Span, SpanEvent, Tracer, span_key
-from .export import (
-    SCHEMA,
-    perfetto_trace,
-    read_spans,
-    spans_from_jsonl,
-    spans_to_jsonl,
-    validate_spans,
-    write_perfetto,
-    write_spans,
-)
-from .critical import (
-    CostEntry, RoundPath, critical_paths, cross_link, summary_lines, trace_report,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Span",
-    "SpanEvent",
-    "Tracer",
-    "span_key",
-    "SCHEMA",
-    "perfetto_trace",
-    "read_spans",
-    "spans_from_jsonl",
-    "spans_to_jsonl",
-    "validate_spans",
-    "write_perfetto",
-    "write_spans",
-    "CostEntry",
-    "RoundPath",
-    "critical_paths",
-    "cross_link",
-    "summary_lines",
-    "trace_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "spans": ("Span", "SpanEvent", "Tracer", "span_key"),
+    "export": (
+        "SCHEMA", "perfetto_trace", "read_spans", "spans_from_jsonl", "spans_to_jsonl",
+        "validate_spans", "write_perfetto", "write_spans",
+    ),
+    "critical": (
+        "CostEntry", "RoundPath", "critical_paths", "cross_link", "summary_lines",
+        "trace_report",
+    ),
+})

@@ -25,22 +25,11 @@ CLI: ``repro verify <trace.jsonl>``, ``repro fuzz [--quick --seed S]`` and
 ``repro chaos``.
 """
 
-from repro.verify.demux import demux_record
-from repro.verify.oracle import ConformanceReport, Violation, verify_record, verify_trace_file
-from repro.verify.record import RunRecord, record_net_outcome, record_sync_run
-from repro.verify.fuzz import FuzzCase, FuzzReport, run_case, run_fuzz
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ConformanceReport",
-    "FuzzCase",
-    "FuzzReport",
-    "RunRecord",
-    "Violation",
-    "demux_record",
-    "record_net_outcome",
-    "record_sync_run",
-    "run_case",
-    "run_fuzz",
-    "verify_record",
-    "verify_trace_file",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "demux": ("demux_record",),
+    "oracle": ("ConformanceReport", "Violation", "verify_record", "verify_trace_file"),
+    "record": ("RunRecord", "record_net_outcome", "record_sync_run"),
+    "fuzz": ("FuzzCase", "FuzzReport", "run_case", "run_fuzz"),
+})

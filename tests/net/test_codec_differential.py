@@ -203,6 +203,29 @@ def test_leaf_memo_is_bounded_and_skips_long_texts(monkeypatch):
     assert canonical_json("node-99") == '"node-99"' and "node-99" in jsonable._STR_TEXT
 
 
+def test_scoped_memo_is_bounded_and_keeps_out_of_the_leaf_memos(monkeypatch):
+    """Instance ids and tags are written through their own bounded memo:
+    the same text as either writer, and never a leaf-memo entry."""
+    monkeypatch.setattr(jsonable, "SCOPED_MEMO_ENTRIES", 8)
+    jsonable._STR_TEXT.clear()
+    jsonable._STR_LEN.clear()
+    jsonable._SCOPED_TEXT.clear()
+    for i in range(100):
+        iid, tag = f"i{i:04d}", f"byz:i{i:04d}\u00e9"
+        assert jsonable.scoped_json(iid) == json.dumps(iid)
+        assert jsonable.scoped_json(tag, jsonable.raw_json) == json.dumps(tag)
+        assert jsonable.scoped_json(tag) == jsonable.scoped_json(tag)
+        assert 0 < len(jsonable._SCOPED_TEXT) <= 8
+    assert not jsonable._STR_LEN and not jsonable._STR_TEXT
+    # Anything but an exact str is the writer's call, errors included.
+    assert jsonable.scoped_json(7) == "7" and jsonable.scoped_json(("a",)) == (
+        canonical_json(("a",))
+    )
+    assert jsonable.scoped_json([1], jsonable.raw_json) == "[1]"
+    with pytest.raises(TransportError):
+        jsonable.scoped_json(object())
+
+
 def test_mutable_payloads_are_re_read_on_every_encode():
     payload = ["a", {"k": 1}]
     frame = _data(payload)

@@ -313,3 +313,39 @@ class TestFlatState:
         jsonable._PAYLOAD_TEXT.clear()
         after_256, after_512 = run_on_virtual_clock(scenario())
         assert 0 < after_256 == after_512 <= jsonable.PAYLOAD_MEMO_ENTRIES
+
+    def test_leaf_memos_keep_the_node_ids_over_5000_instances(self):
+        """An instance id and its tag (``i0042``, ``byz:i0042``) live as
+        long as their instance: they are held by the small instance-scoped
+        memo, so the leaf memos hold the node ids and the fixed words only
+        — the same entries after 200 and 5 000 instances — instead of
+        filling with two one-use keys per instance and being cleared,
+        node ids and all, about every 2 000 instances."""
+        spec = DegradableSpec(m=1, u=2, n_nodes=5)
+        nodes = ("S", "p1", "p2", "p3", "p4")
+        leaf_memos = (jsonable._STR_TEXT, jsonable._STR_LEN)
+
+        async def serve(service, count):
+            for _ in range(count // 40):
+                ids = [service.submit("S", "v") for _ in range(40)]
+                for iid in ids:
+                    assert (await service.decision(iid)).ok
+
+        async def scenario():
+            async with AgreementService(
+                spec, nodes, record_trace=False
+            ) as service:
+                await serve(service, 200)
+                after_200 = [dict(memo) for memo in leaf_memos]
+                await serve(service, 4800)
+                return after_200, len(service.outcomes)
+
+        for memo in (*leaf_memos, jsonable._SCOPED_TEXT):
+            memo.clear()
+        after_200, served = run_on_virtual_clock(scenario())
+        assert served == 5000
+        assert [dict(memo) for memo in leaf_memos] == after_200
+        for memo in leaf_memos:
+            assert set(nodes) <= set(memo)
+            assert len(memo) < 32
+        assert 0 < len(jsonable._SCOPED_TEXT) <= jsonable.SCOPED_MEMO_ENTRIES
