@@ -335,6 +335,12 @@ if grep -rnE --include="__init__.py" "^from (repro\.|\.)" src/repro/ | grep -v "
     echo "a package __init__ binds names by importing a submodule: list them in its lazy_exports table" >&2
     exit 1
 fi
+# A transport layer is imported by the branch of net/stack.py that builds
+# it: a LocalBus service without supervision loads neither.
+if grep -nE "^(from|import) repro\.net\.(tcp|supervision)" src/repro/net/stack.py; then
+    echo "net/stack.py imports the TCP transport or the supervisor at module level: import each where it is built" >&2
+    exit 1
+fi
 python -m pytest -q \
     tests/test_public_api.py::test_a_process_loads_no_graph_library_it_does_not_query \
     tests/test_public_api.py::test_a_process_loads_nothing_it_does_not_run
@@ -412,6 +418,28 @@ timeout 300 python -m repro serve --instances 32 --max-inflight 32 --seed 7
 timeout 300 python -m repro serve --instances 8 --chaos light --seed 5 --timeout 0.5
 timeout 300 python -m repro serve --instances 64 --max-inflight 4 --queue-limit 4 --seed 7
 timeout 300 python -m repro serve --instances 4 --trace "${ARTIFACTS}/serve.jsonl"
+
+echo "== a service's memory is bounded (a window of decided instances, folded sums for the rest) =="
+# The service keeps its last OUTCOME_WINDOW decided instances (plus the
+# latest HELD_OUTCOMES outside D.1/D.2) and folds the rest into running
+# sums, so a scrape counts from the sums and walks the window.  A count
+# taken by walking service.outcomes or sizing metrics.instances would
+# read the window, not the run.
+if grep -nE "for [a-z_]+ in (service\.outcomes|outcomes)\b|service\.outcomes\.values\(|len\(service\.outcomes\)|len\(metrics\.instances\)" \
+        src/repro/obs/prom.py src/repro/obs/http.py; then
+    echo "obs/prom.py or obs/http.py counts by walking the service window: read the service's tally and the recorder's instances_folded" >&2
+    exit 1
+fi
+# A round's wait-set table is the session's, shared by every instance's
+# recorder: nothing writes into it.
+if grep -rnE "expected_sources\[[^]]*\] *=|expected_sources\.(update|setdefault|pop)\(" src/; then
+    echo "a write into a shared wait-set table (RoundMetrics.expected_sources) under src/" >&2
+    exit 1
+fi
+python -m pytest -q tests/serve/test_bounded_state.py tests/serve/test_aggregate_differential.py
+# repro serve takes each decision as it lands: a plan longer than the
+# window is decided whole.
+timeout 300 python -m repro serve --instances 3000 --max-inflight 16 --seed 7 | tail -1 | grep -F "ALL INSTANCES SATISFIED"
 
 echo "== observability gate (live scrape + traced kill-links smoke) =="
 # Starts repro serve --metrics-port, scrapes the endpoint while live,

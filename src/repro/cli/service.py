@@ -76,11 +76,25 @@ def register(sub) -> None:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.serve import check_divergence, record_service_run, serve_plan
+    from repro.serve import divergence_check, record_service_run, serve_plan
 
     instance = _instance(args)
     spec = instance.spec()
-    service, outcomes = asyncio.run(serve_plan(
+    diverges = None
+    if not args.no_verify and not args.chaos:
+        diverges = divergence_check(spec, instance.nodes())
+
+    def printed(outcome):
+        """What the verb prints of one outcome: all it keeps of it."""
+        status = "ok " if outcome.ok else "FAIL"
+        line = (f"  [{status}] {outcome.instance_id}  sender={outcome.sender} "
+                f"value={outcome.sender_value!r}  tier={outcome.tier} "
+                f"f_eff={len(outcome.afflicted)}  "
+                f"latency={outcome.latency * 1000:.1f}ms")
+        diverged = diverges is not None and diverges(outcome)
+        return line, outcome.ok, outcome.instance_id if diverged else None
+
+    service, lines = asyncio.run(serve_plan(
         instance,
         args.instances,
         args.seed,
@@ -92,23 +106,20 @@ def _cmd_serve(args) -> int:
         # External scrapers (and the CI gate) parse this line; keep
         # it first and flushed so they see it before the run ends.
         announce=lambda line: print(line, flush=True),
+        keep=printed,
         max_inflight=args.max_inflight,
         queue_limit=args.queue_limit,
     ))
-    print(f"{spec}; {len(outcomes)} instance(s) multiplexed over one "
+    print(f"{spec}; {len(lines)} instance(s) multiplexed over one "
           f"'{service.aggregate_metrics.transport}' transport"
           + (f" under '{args.chaos}' chaos" if args.chaos else ""))
-    for outcome in outcomes:
-        status = "ok " if outcome.ok else "FAIL"
-        print(f"  [{status}] {outcome.instance_id}  sender={outcome.sender} "
-              f"value={outcome.sender_value!r}  tier={outcome.tier} "
-              f"f_eff={len(outcome.afflicted)}  "
-              f"latency={outcome.latency * 1000:.1f}ms")
+    for line, _ok, _diverged in lines:
+        print(line)
     print()
     print(service.aggregate_metrics.render())
-    ok = all(outcome.ok for outcome in outcomes)
-    if not args.no_verify and not args.chaos:
-        diverged = check_divergence(spec, instance.nodes(), outcomes)
+    ok = all(instance_ok for _line, instance_ok, _diverged in lines)
+    if diverges is not None:
+        diverged = sorted(iid for _line, _ok, iid in lines if iid is not None)
         for iid in diverged:
             print(f"  !! {iid}: decisions diverge from the synchronous engine")
         print()

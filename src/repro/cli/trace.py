@@ -112,17 +112,20 @@ def _traced_service(args, instance, severity, tracer):
 
     from repro.serve import record_service_run, serve_plan
 
-    service, outcomes = asyncio.run(serve_plan(
+    def printed(outcome):
+        status = "ok " if outcome.ok else "FAIL"
+        return (f"  [{status}] {outcome.instance_id}  "
+                f"sender={outcome.sender} tier={outcome.tier}  "
+                f"latency={outcome.latency * 1000:.1f}ms")
+
+    service, lines = asyncio.run(serve_plan(
         instance, args.instances, args.seed,
         transport=args.transport, round_timeout=args.timeout,
-        severity=severity, tracer=tracer,
+        severity=severity, tracer=tracer, keep=printed,
     ))
     print(f"{instance.spec()}; traced service run, seed={args.seed}, "
-          f"{len(outcomes)} instance(s)"
+          f"{len(lines)} instance(s)"
           + (f", '{severity}' chaos" if severity else ""))
-    for outcome in outcomes:
-        status = "ok " if outcome.ok else "FAIL"
-        print(f"  [{status}] {outcome.instance_id}  "
-              f"sender={outcome.sender} tier={outcome.tier}  "
-              f"latency={outcome.latency * 1000:.1f}ms")
+    for line in lines:
+        print(line)
     return record_service_run(service)

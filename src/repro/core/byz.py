@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
+from repro._slots import slotted
 from repro.core.behavior import BehaviorMap, Path, behavior_for
 from repro.core.spec import DegradableSpec
 from repro.core.values import Value
@@ -46,6 +47,7 @@ from repro.exceptions import ConfigurationError
 NodeId = Hashable
 
 
+@slotted
 @dataclass
 class ExecutionStats:
     """Message and round accounting for one protocol execution."""
@@ -60,6 +62,7 @@ class ExecutionStats:
     substitutions: int = 0
 
 
+@slotted
 @dataclass
 class AgreementResult:
     """Outcome of one degradable-agreement execution.

@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, Hashable, List, Optional, Tuple
 
+from repro._slots import slotted
 from repro.core.byz import AgreementResult
 from repro.core.spec import DegradableSpec
 from repro.core.values import DEFAULT, Value, distinct_non_default
@@ -49,6 +50,7 @@ class OutcomeShape(enum.Enum):
     VACUOUS = "vacuous"
 
 
+@slotted
 @dataclass
 class OutcomeReport:
     """Full classification of one execution."""

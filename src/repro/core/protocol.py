@@ -223,6 +223,29 @@ def _source_table(
     )
 
 
+#: The wait-set table of a round no node waits in.
+_NO_WAITS: Dict[NodeId, Tuple[NodeId, ...]] = {}
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _wait_tables(
+    nodes: Tuple[NodeId, ...], sender: NodeId
+) -> Tuple[Dict[NodeId, Tuple[NodeId, ...]], ...]:
+    """:func:`_source_table` as the runtimes publish it: ``(direct wave,
+    relay waves)``, each ``receiver -> sources`` with the receivers in
+    stepping order (``str``) and each source tuple sorted by ``str``.
+    Receivers with no source are left out."""
+    order = sorted(nodes, key=str)
+    return tuple(
+        {
+            node: tuple(sorted(table[node], key=str))
+            for node in order
+            if table.get(node)
+        }
+        for table in _source_table(nodes, sender)
+    )
+
+
 class ProtocolSession:
     """Transport-agnostic handle on one message-passing protocol run.
 
@@ -332,6 +355,17 @@ class ProtocolSession:
         if 2 <= round_no <= self.data_rounds:
             return self._relay_sources.get(node, _NOBODY)
         return _NOBODY
+
+    def wait_sets(self, round_no: int) -> Dict[NodeId, Tuple[NodeId, ...]]:
+        """Round *round_no*'s wait-set table: every node that expects data,
+        in stepping order, with its :meth:`expected_sources` sorted by
+        ``str``.  One table per ``(nodes, sender, round)``, shared by every
+        session of them — read it, never write into it."""
+        if round_no == 1:
+            return _wait_tables(self.nodes, self.sender)[0]
+        if 2 <= round_no <= self.data_rounds:
+            return _wait_tables(self.nodes, self.sender)[1]
+        return _NO_WAITS
 
     def collect_result(self, messages: int = 0, rounds: int = 0) -> AgreementResult:
         """Package every receiver's decision as an :class:`AgreementResult`.

@@ -64,6 +64,17 @@ class AdmissionError(ReproError):
         self.retry_after = retry_after
 
 
+class UnknownInstanceError(ConfigurationError):
+    """A service holds no instance under the asked-for id.
+
+    Raised by :meth:`repro.serve.AgreementService.decision` for an id that
+    was never submitted to the service, or whose instance decided and has
+    since left the service's bounded window of decided instances
+    (``docs/runtime.md``, "Single-use ids under the window").  Take each
+    decision as it lands to never meet the second case.
+    """
+
+
 class RoutingError(SimulationError):
     """A virtual link could not be established over the physical topology.
 

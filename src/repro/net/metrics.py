@@ -19,13 +19,22 @@ fingerprint the determinism suite compares across same-seed runs.
 Latency percentiles use nearest-rank on the pooled sample; with the whole
 runtime in one OS process, the send/receive timestamps share one monotonic
 clock, so the numbers are genuine one-way frame latencies.
+
+A service aggregate keeps the recorders of its last
+:data:`INSTANCE_WINDOW` decided instances whole; an older one is folded
+into :class:`FoldedInstances` (running sums and histogram buckets) as it
+leaves the window, so the aggregate's size and the cost of reading it do
+not grow with the service's history.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro._slots import slotted
 from repro.obs.stats import percentiles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,7 +45,25 @@ NodeId = Hashable
 
 Link = Tuple[str, str]
 
+#: Fixed histogram buckets for one-way frame latencies (seconds).
+LATENCY_BUCKETS: Tuple[float, ...] = (
+    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+)
 
+#: Fixed histogram buckets for round / instance durations (seconds).
+DURATION_BUCKETS: Tuple[float, ...] = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+)
+
+#: Decided instances whose recorders a service aggregate keeps whole
+#: (:meth:`NetMetrics.record_instance`); an older one is folded into
+#: :attr:`NetMetrics.folded` as it leaves.
+INSTANCE_WINDOW = 512
+
+
+@slotted
 @dataclass
 class LinkMetrics:
     """Per-directed-link supervision counters (:mod:`repro.net.supervision`).
@@ -62,6 +89,7 @@ class LinkMetrics:
     outage_seconds: float = 0.0
 
 
+@slotted
 @dataclass
 class RoundMetrics:
     """Counters for a single engine round."""
@@ -100,10 +128,117 @@ class RoundMetrics:
     latencies: List[float] = field(default_factory=list)
     #: Per-node structural wait-sets: the sources each node's round can,
     #: by the protocol's round schedule, receive data from.  Published so
-    #: offline checkers can tell structural silence from losses.
+    #: offline checkers can tell structural silence from losses.  A
+    #: runner's rounds share the session's table
+    #: (:meth:`~repro.core.protocol.ProtocolSession.wait_sets`): read-only.
     expected_sources: Dict[NodeId, Tuple[NodeId, ...]] = field(
         default_factory=dict
     )
+
+
+#: A round's fingerprint counters, in the order :meth:`NetMetrics.counters`
+#: lists them (see :func:`_round_values`).
+_ROUND_FINGERPRINT: Tuple[str, ...] = (
+    "messages_sent", "frames_sent", "frames_batched", "dropped",
+    "send_failures", "timeouts", "late_frames", "chaos_drops", "chaos_dups",
+    "chaos_reorders", "chaos_corruptions", "delivered", "expected_links",
+)
+
+
+@lru_cache(maxsize=64)
+def _round_keys(round_no: int) -> Tuple[str, ...]:
+    """The fingerprint keys of round *round_no*: ``r<n>.<counter>``."""
+    return tuple(f"r{round_no}.{name}" for name in _ROUND_FINGERPRINT)
+
+
+def _round_values(entry: RoundMetrics) -> Tuple[int, ...]:
+    """One round's fingerprint counters, in :data:`_ROUND_FINGERPRINT` order."""
+    return (
+        entry.messages_sent,
+        entry.frames_sent,
+        entry.frames_batched,
+        entry.dropped,
+        entry.send_failures,
+        entry.timeouts,
+        entry.late_frames,
+        entry.chaos_drops,
+        entry.chaos_dups,
+        entry.chaos_reorders,
+        entry.chaos_corruptions,
+        len(entry.latencies),
+        sum(len(sources) for sources in entry.expected_sources.values()),
+    )
+
+
+class Buckets:
+    """Observations folded into fixed histogram buckets.
+
+    ``counts[i]`` counts the values in ``(bounds[i-1], bounds[i]]``, the
+    last entry those above every bound; ``total`` is their sum, in fold
+    order.  :meth:`repro.obs.prom.Exposition.histogram` renders them
+    beside the observations still held whole.
+    """
+
+    __slots__ = ("bounds", "counts", "total")
+
+    def __init__(self, bounds: Sequence[float]) -> None:
+        self.bounds = bounds
+        self.counts = [0] * (len(bounds) + 1)
+        self.total = 0.0
+
+    def add(self, value: float) -> None:
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.total += value
+
+
+class FoldedInstances:
+    """Running sums of the instance recorders a service aggregate evicted.
+
+    ``counters`` sums their :meth:`NetMetrics.counters` key by key;
+    ``bytes_sent`` and ``rounds`` are the two totals the fingerprint
+    leaves out; their latency and (non-zero) round-duration samples live
+    on as histogram buckets only.
+    """
+
+    __slots__ = (
+        "instances", "rounds", "round_numbers", "bytes_sent", "counters",
+        "latencies", "durations",
+    )
+
+    def __init__(self) -> None:
+        self.instances = 0
+        self.rounds = 0
+        self.round_numbers: set = set()
+        self.bytes_sent = 0
+        self.counters: Dict[str, int] = {}
+        self.latencies = Buckets(LATENCY_BUCKETS)
+        self.durations = Buckets(DURATION_BUCKETS)
+
+    def add(self, recorder: "NetMetrics") -> None:
+        """Fold one instance's own recorder in."""
+        self.instances += 1
+        self.rounds += len(recorder.rounds)
+        counters = self.counters
+        for key, value in recorder._head().items():
+            counters[key] = counters.get(key, 0) + value
+        for round_no, entry in recorder.rounds.items():
+            self.round_numbers.add(round_no)
+            for key, value in zip(_round_keys(round_no), _round_values(entry)):
+                counters[key] = counters.get(key, 0) + value
+            self.bytes_sent += entry.bytes_sent
+            if entry.duration > 0.0:
+                self.durations.add(entry.duration)
+            for latency in entry.latencies:
+                self.latencies.add(latency)
+
+    def total(self, counter: str) -> int:
+        """One :class:`RoundMetrics` counter, summed over every folded round."""
+        if counter == "bytes_sent":
+            return self.bytes_sent
+        return sum(
+            self.counters.get(f"r{round_no}.{counter}", 0)
+            for round_no in self.round_numbers
+        )
 
 
 def _round_total(counter: str) -> property:
@@ -111,7 +246,10 @@ def _round_total(counter: str) -> property:
     recorder's own rounds and those of every instance folded into it."""
 
     def total(self: "NetMetrics") -> int:
-        return sum(getattr(entry, counter) for entry in self.all_rounds())
+        value = sum(getattr(entry, counter) for entry in self.all_rounds())
+        if self.folded is not None:
+            value += self.folded.total(counter)
+        return value
 
     return property(total)
 
@@ -123,6 +261,13 @@ class NetMetrics:
     and span *tracer*, which every transport layer it is attached to
     reaches through it.  Neither may change :meth:`counters`.
     """
+
+    __slots__ = (
+        "transport", "rounds", "substitutions", "decode_errors",
+        "partition_rounds", "crash_events", "instances", "folded",
+        "stray_frames", "links", "endpoint_restarts", "link_resets", "bus",
+        "tracer",
+    )
 
     def __init__(
         self,
@@ -143,9 +288,14 @@ class NetMetrics:
         #: Folded recorders of a multiplexed service run
         #: (:mod:`repro.serve`): instance id → the *instance's own*
         #: recorder, folded in by :meth:`record_instance` when the
-        #: instance decides.  Every ``total_*`` figure sums this recorder's
-        #: rounds and theirs.  Single-agreement runs leave this empty.
+        #: instance decides — the last :data:`INSTANCE_WINDOW` of them, in
+        #: decision order.  Every ``total_*`` figure sums this recorder's
+        #: rounds, theirs and :attr:`folded`'s.  Single-agreement runs
+        #: leave this empty.
         self.instances: Dict[str, "NetMetrics"] = {}
+        #: Running sums of the recorders evicted from :attr:`instances`;
+        #: None until the first eviction.
+        self.folded: Optional[FoldedInstances] = None
         #: Frames the service demux routed to a retired (already decided
         #: and garbage-collected) or never-registered instance.
         self.stray_frames = 0
@@ -213,9 +363,10 @@ class NetMetrics:
         self.round(round_no).timeouts += 1
 
     def record_expected(
-        self, round_no: int, node: NodeId, sources: Tuple[NodeId, ...]
+        self, round_no: int, table: Dict[NodeId, Tuple[NodeId, ...]]
     ) -> None:
-        self.round(round_no).expected_sources[node] = tuple(sources)
+        """Publish the round's wait-set table (shared, read-only)."""
+        self.round(round_no).expected_sources = table
 
     def record_late(self, round_no: int) -> None:
         self.round(round_no).late_frames += 1
@@ -255,8 +406,17 @@ class NetMetrics:
         the aggregate fingerprint is insensitive to instance *completion
         order* — two same-seed service runs fingerprint identically even
         though the event loop interleaves them freely.
+
+        Past :data:`INSTANCE_WINDOW` instances the oldest recorder leaves
+        :attr:`instances` and is folded into :attr:`folded`: the work is
+        done on eviction, so a run inside the window pays nothing for it.
         """
-        self.instances[str(instance_id)] = recorder
+        instances = self.instances
+        instances[str(instance_id)] = recorder
+        if len(instances) > INSTANCE_WINDOW:
+            if self.folded is None:
+                self.folded = FoldedInstances()
+            self.folded.add(instances.pop(next(iter(instances))))
 
     def record_partition_round(self) -> None:
         self.partition_rounds += 1
@@ -304,12 +464,19 @@ class NetMetrics:
     # Aggregates
     # ------------------------------------------------------------------
     def all_rounds(self) -> List[RoundMetrics]:
-        """Every round entry of this recorder and of the folded ones."""
+        """Every round entry of this recorder and of the window's recorders
+        (an evicted instance's rounds live on as :attr:`folded` sums)."""
         return [
             entry
             for recorder in (self, *self.instances.values())
             for entry in recorder.rounds.values()
         ]
+
+    @property
+    def instances_folded(self) -> int:
+        """Decided instances folded in: the window's plus the evicted."""
+        evicted = 0 if self.folded is None else self.folded.instances
+        return len(self.instances) + evicted
 
     @property
     def total_rounds(self) -> int:
@@ -320,12 +487,17 @@ class NetMetrics:
         folded in, theirs are the rounds that count.
         """
         folded = sum(len(r.rounds) for r in self.instances.values())
+        if self.folded is not None:
+            folded += self.folded.rounds
         return folded or len(self.rounds)
 
     @property
     def total_substitutions(self) -> int:
         """``V_d`` substitutions of this run and of every folded instance."""
-        return self.substitutions + sum(
+        evicted = 0
+        if self.folded is not None:
+            evicted = self.folded.counters.get("substitutions", 0)
+        return self.substitutions + evicted + sum(
             r.substitutions for r in self.instances.values()
         )
 
@@ -345,7 +517,8 @@ class NetMetrics:
 
     def round_durations(self) -> List[float]:
         """Per-round wall-clock durations (seconds), in round order —
-        this recorder's, then each folded instance's."""
+        this recorder's, then each window instance's (an evicted one's
+        are in ``folded.durations``)."""
         return [
             recorder.rounds[r].duration
             for recorder in (self, *self.instances.values())
@@ -394,8 +567,42 @@ class NetMetrics:
 
         A folded instance contributes its own recorder's ``counters()``
         under ``inst.<id>.``; the ``total_*`` properties are the place
-        that sums across instances.
+        that sums across instances.  Once an instance has been evicted
+        from the window (:data:`INSTANCE_WINDOW`), the per-instance keys
+        give way to ``folded.instances`` and ``folded.<key>``: each key
+        of the instances' fingerprints summed over every folded instance,
+        evicted or not — still insensitive to completion order.
         """
+        out = self._head()
+        folded = self.folded
+        if folded is None:
+            for instance_id in sorted(self.instances):
+                folded_counters = self.instances[instance_id].counters()
+                for key, value in sorted(folded_counters.items()):
+                    out[f"inst.{instance_id}.{key}"] = value
+        else:
+            sums = dict(folded.counters)
+            for recorder in self.instances.values():
+                for key, value in recorder.counters().items():
+                    sums[key] = sums.get(key, 0) + value
+            out["folded.instances"] = self.instances_folded
+            for key in sorted(sums):
+                out[f"folded.{key}"] = sums[key]
+        for round_no in sorted(self.rounds):
+            out.update(
+                zip(_round_keys(round_no), _round_values(self.rounds[round_no]))
+            )
+        for key, value in out.items():
+            if type(value) is not int:
+                raise TypeError(
+                    f"fingerprint counter {key!r} is {value!r} "
+                    f"({type(value).__name__}); only ints may enter the "
+                    f"determinism fingerprint — wall-clock leakage?"
+                )
+        return out
+
+    def _head(self) -> Dict[str, int]:
+        """The fingerprint's run-wide counters and its link counters."""
         out: Dict[str, int] = {
             "substitutions": self.substitutions,
             "decode_errors": self.decode_errors,
@@ -415,42 +622,15 @@ class NetMetrics:
                 out[prefix + "reconnects"] = entry.reconnects
             if entry.deduped:
                 out[prefix + "deduped"] = entry.deduped
-        for instance_id in sorted(self.instances):
-            folded = self.instances[instance_id].counters()
-            for key, value in sorted(folded.items()):
-                out[f"inst.{instance_id}.{key}"] = value
-        for round_no in sorted(self.rounds):
-            entry = self.rounds[round_no]
-            prefix = f"r{round_no}."
-            out[prefix + "messages_sent"] = entry.messages_sent
-            out[prefix + "frames_sent"] = entry.frames_sent
-            out[prefix + "frames_batched"] = entry.frames_batched
-            out[prefix + "dropped"] = entry.dropped
-            out[prefix + "send_failures"] = entry.send_failures
-            out[prefix + "timeouts"] = entry.timeouts
-            out[prefix + "late_frames"] = entry.late_frames
-            out[prefix + "chaos_drops"] = entry.chaos_drops
-            out[prefix + "chaos_dups"] = entry.chaos_dups
-            out[prefix + "chaos_reorders"] = entry.chaos_reorders
-            out[prefix + "chaos_corruptions"] = entry.chaos_corruptions
-            out[prefix + "delivered"] = len(entry.latencies)
-            out[prefix + "expected_links"] = sum(
-                len(sources) for sources in entry.expected_sources.values()
-            )
-        for key, value in out.items():
-            if type(value) is not int:
-                raise TypeError(
-                    f"fingerprint counter {key!r} is {value!r} "
-                    f"({type(value).__name__}); only ints may enter the "
-                    f"determinism fingerprint — wall-clock leakage?"
-                )
         return out
 
     def latency_percentiles(self) -> Dict[str, float]:
         """Pooled one-way latency percentiles, nearest-rank, in seconds.
 
-        Delegates to :func:`repro.obs.stats.percentiles` — the one
-        canonical nearest-rank implementation.
+        Pools this recorder's samples and the window's; an evicted
+        instance's samples are kept as histogram buckets only.  Delegates
+        to :func:`repro.obs.stats.percentiles` — the one canonical
+        nearest-rank implementation.
         """
         pooled: List[float] = []
         for entry in self.all_rounds():
@@ -498,7 +678,7 @@ class NetMetrics:
             lines.append(f"batching: {self.total_frames_batched} batch frame(s)")
         if self.instances:
             lines.append(
-                f"multiplexing: {len(self.instances)} instance(s) folded in  "
+                f"multiplexing: {self.instances_folded} instance(s) folded in  "
                 f"rounds={self.total_rounds}"
                 + (f"  stray_frames={self.stray_frames}"
                    if self.stray_frames else "")

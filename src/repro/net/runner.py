@@ -293,16 +293,13 @@ class AsyncRoundRunner:
         This is the oracle's seam for telling *structural* silence (a link
         the round schedule leaves empty) apart from *losses* (chaos drops,
         deadline misses): anything a node expected here but never filed is
-        an absence that must show up as a ``defaulted`` substitution.
+        an absence that must show up as a ``defaulted`` substitution.  The
+        table is the session's shared one, not a copy.
         """
-        for node in self.engine.order:
-            sources = tuple(
-                sorted(self.session.expected_sources(round_no, node), key=str)
-            )
-            if not sources:
-                continue
-            self.metrics.record_expected(round_no, node, sources)
-            if self.trace is not None:
+        table = self.session.wait_sets(round_no)
+        self.metrics.record_expected(round_no, table)
+        if self.trace is not None:
+            for node, sources in table.items():
                 self.trace.record(
                     TraceEvent(round_no, EventKind.EXPECTED, node, None, sources)
                 )

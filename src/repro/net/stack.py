@@ -6,7 +6,9 @@ the optional layers, always in the same order —
 ``Supervised(Chaos(base))`` — so injected connection resets and endpoint
 restarts exercise the real re-dial path while frame chaos still reaches
 the protocol.  The runner entry point, the service gateway and the
-schedule explorer all assemble their stack here.
+schedule explorer all assemble their stack here.  Each layer is imported
+by the branch that builds it, so a LocalBus stack without chaos or
+supervision loads neither the TCP transport nor the supervisor.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.net.supervision import SupervisedTransport
-from repro.net.tcp import TcpTransport
 from repro.net.transport import LocalBus, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -24,8 +24,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 
 def make_transport(name: str) -> Transport:
-    """``"tcp"`` -> :class:`TcpTransport`, anything else -> :class:`LocalBus`."""
-    return TcpTransport() if name == "tcp" else LocalBus()
+    """``"tcp"`` -> :class:`~repro.net.tcp.TcpTransport`, anything else ->
+    :class:`LocalBus`."""
+    if name != "tcp":
+        return LocalBus()
+    from repro.net.tcp import TcpTransport
+
+    return TcpTransport()
 
 
 def build_stack(
@@ -50,6 +55,8 @@ def build_stack(
         base = ChaosTransport(base, chaos, rng=chaos_rng)
         chaos_log = base.log
     if supervise:
+        from repro.net.supervision import SupervisedTransport
+
         seed = chaos.seed if chaos is not None else 0
         base = SupervisedTransport(base, rng=random.Random(seed))
     return base, chaos_log

@@ -70,7 +70,7 @@ class ObsServer:
                 aggregate, service=service, bus=bus, tracer=aggregate.tracer
             ),
             health=lambda: {
-                "instances_done": len(service.outcomes),
+                "instances_done": service.decided,
                 "inflight": service.inflight,
                 "queue_depth": service.queue_depth,
             },

@@ -21,8 +21,12 @@ import math
 import re
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+# The fixed histogram buckets are defined beside the recorder that folds a
+# service's evicted samples into them, and exported here with the catalog.
+from repro.net.metrics import DURATION_BUCKETS, LATENCY_BUCKETS
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.metrics import NetMetrics
+    from repro.net.metrics import Buckets, NetMetrics
     from repro.obs.events import EventBus
     from repro.serve.gateway import AgreementService
 
@@ -33,18 +37,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "DURATION_BUCKETS",
 ]
-
-#: Fixed histogram buckets for one-way frame latencies (seconds).
-LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-)
-
-#: Fixed histogram buckets for round / instance durations (seconds).
-DURATION_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 
 def _format_value(value: float) -> str:
@@ -139,30 +131,37 @@ class Exposition:
         buckets: Sequence[float],
         observations,
         labels: Sequence[str] = (),
+        folded: Optional["Buckets"] = None,
     ) -> None:
         """Write a cumulative fixed-bucket histogram family.
 
         *observations* is an unlabeled family's observed values, or maps
-        each label value to its child's.  A child observed no times
-        writes no samples.
+        each label value to its child's.  An unlabeled family's *folded*
+        buckets (:class:`~repro.net.metrics.Buckets` over these *buckets*)
+        count observations no longer held, before the held ones.  A child
+        observed no times writes no samples.
         """
         rows: List[str] = []
+        counts = folded.counts if folded is not None else ()
         for values, child in _children(labels, observations):
-            if not child:
+            if not child and not any(counts):
                 continue
             ordered = sorted(child)
-            total = 0.0
+            total = 0.0 if folded is None else folded.total
             for value in child:  # in observation order: the sum's bits
                 total += value
-            for bound in (*buckets, math.inf):
+            below = 0
+            for index, bound in enumerate((*buckets, math.inf)):
                 le = _labels_text(
                     (*labels, "le"), (*values, _format_value(bound))
                 )
-                count = bisect.bisect_right(ordered, bound)
+                if counts:
+                    below += counts[index]
+                count = bisect.bisect_right(ordered, bound) + below
                 rows.append(f"{name}_bucket{le} {count}")
             suffix = _labels_text(labels, values)
             rows.append(f"{name}_sum{suffix} {_format_value(total)}")
-            rows.append(f"{name}_count{suffix} {len(child)}")
+            rows.append(f"{name}_count{suffix} {len(child) + below}")
         self._write(name, "histogram", help_text, rows)
 
     def render(self) -> str:
@@ -268,7 +267,9 @@ def metrics_registry(
     per scrape: cheap (one pass over the recorder) and race-free enough
     for a single event loop.  *tracer* (a :class:`repro.trace.Tracer`)
     adds the span-derived families: per-category span counts and
-    duration histograms.
+    duration histograms.  A scrape reads the recorder's and the service's
+    window of decided instances plus their running sums for the evicted
+    ones: its cost is bounded by the window, not by the run's history.
     """
     out = Exposition()
     links = metrics.links.values()
@@ -336,7 +337,7 @@ def metrics_registry(
          metrics.link_resets),
         ("repro_instances_folded_total",
          "Decided service instances folded into the aggregate recorder.",
-         len(metrics.instances)),
+         metrics.instances_folded),
         ("repro_stray_frames_total",
          "Frames routed to a retired or unknown instance.",
          metrics.stray_frames),
@@ -354,17 +355,20 @@ def metrics_registry(
         },
         ("kind",),
     )
+    evicted = metrics.folded
     out.histogram(
         "repro_delivery_latency_seconds",
         "One-way data-frame delivery latency.",
         LATENCY_BUCKETS,
         [value for entry in metrics.all_rounds() for value in entry.latencies],
+        folded=None if evicted is None else evicted.latencies,
     )
     out.histogram(
         "repro_round_duration_seconds",
         "Wall-clock duration of each engine round.",
         DURATION_BUCKETS,
         [d for d in metrics.round_durations() if d > 0.0],
+        folded=None if evicted is None else evicted.durations,
     )
 
     if service is not None:
@@ -388,33 +392,33 @@ def metrics_registry(
             "Submits bounced by admission control.",
             service.rejected_submits,
         )
-        outcomes = list(service.outcomes.values())
-        tiers = dict.fromkeys(("byzantine", "degraded", "none"), 0)
-        for outcome in outcomes:
-            tiers[outcome.tier] += 1
-        satisfied = sum(1 for outcome in outcomes if outcome.ok)
+        tally = service.tally()
         out.add(
             "repro_instances_total", "counter",
             "Finished instances by outcome.",
-            {"decided": len(outcomes)}, ("outcome",),
+            {"decided": tally.decided}, ("outcome",),
         )
         out.add(
             "repro_tier_verdicts_total", "counter",
             "Per-instance D.1-D.4 guarantee-tier verdicts "
             "(byzantine: f<=m; degraded: m<f<=u; none: f>u).",
-            tiers, ("tier",),
+            tally.tiers, ("tier",),
         )
         out.add(
             "repro_instance_contracts_total", "counter",
             "Finished instances by contract verdict.",
-            {"satisfied": satisfied, "violated": len(outcomes) - satisfied},
+            {
+                "satisfied": tally.satisfied,
+                "violated": tally.decided - tally.satisfied,
+            },
             ("verdict",),
         )
         out.histogram(
             "repro_instance_latency_seconds",
             "Submit-to-decision latency of finished instances.",
             DURATION_BUCKETS,
-            [outcome.latency for outcome in outcomes],
+            (),
+            folded=tally.latencies,
         )
 
     if bus is not None:

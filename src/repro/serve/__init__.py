@@ -17,8 +17,9 @@ that service layer over the existing async runtime:
   a run for ``repro verify``'s demux path;
 * :mod:`repro.serve.plan` — the seeded plan, :func:`serve_plan` (what
   ``repro serve`` and ``repro trace --mode serve`` run, waiting out
-  admission backpressure) and :func:`check_divergence`, the
-  cross-check against the synchronous reference engine.
+  admission backpressure and taking each decision as it lands) and
+  :func:`divergence_check` / :func:`check_divergence`, the cross-check
+  against the synchronous reference engine.
 """
 
 from repro._exports import lazy_exports
@@ -26,5 +27,7 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "gateway": ("AgreementService", "InstanceOutcome", "record_service_run"),
     "mux": ("InstanceChannel", "InstanceMux"),
-    "plan": ("check_divergence", "plan_workload", "serve_plan"),
+    "plan": (
+        "check_divergence", "divergence_check", "plan_workload", "serve_plan",
+    ),
 })

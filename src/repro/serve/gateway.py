@@ -38,6 +38,14 @@ its stamped trace to the service trace;
 ``mode="serve"`` :class:`~repro.verify.record.RunRecord` that
 ``repro.verify``'s demux helper can split back into per-instance records
 for conformance checking.
+
+A service meant to run indefinitely holds bounded state: the outcomes of
+its last :data:`OUTCOME_WINDOW` decided instances, plus the latest
+:data:`HELD_OUTCOMES` outside D.1/D.2.  An outcome that leaves is folded
+into an :class:`OutcomeTally` (decided count, tier and contract counts,
+latency buckets), so every count stays whole while a scrape walks the
+window only.  Instance ids are single-use while their instance is held;
+see :meth:`AgreementService.decision` for what an evicted id answers.
 """
 
 from __future__ import annotations
@@ -58,14 +66,24 @@ from typing import (
     Sequence,
 )
 
+from repro._slots import slotted
 from repro.core.behavior import BehaviorMap
 from repro.core.byz import AgreementResult
 from repro.core.conditions import OutcomeReport, classify
 from repro.core.protocol import ProtocolSession
 from repro.core.spec import DegradableSpec
 from repro.core.values import Value
-from repro.exceptions import AdmissionError, ConfigurationError
-from repro.net.metrics import NetMetrics
+from repro.exceptions import (
+    AdmissionError,
+    ConfigurationError,
+    UnknownInstanceError,
+)
+from repro.net.metrics import (
+    DURATION_BUCKETS,
+    INSTANCE_WINDOW,
+    Buckets,
+    NetMetrics,
+)
 from repro.net.runner import AsyncRoundRunner
 from repro.net.stack import build_stack
 from repro.net.transport import LocalBus, Transport
@@ -81,7 +99,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 NodeId = Hashable
 InstanceId = Hashable
 
+#: The fault set of an instance nobody was declared faulty in, shared.
+_NOBODY: FrozenSet[NodeId] = frozenset()
 
+#: Decided instances whose outcome the service keeps whole, the latest
+#: ones (the aggregate recorder keeps as many of their recorders).
+OUTCOME_WINDOW = INSTANCE_WINDOW
+#: Outcomes outside D.1/D.2 kept after they leave the window, the latest
+#: this many: the instances an operator asks about.
+HELD_OUTCOMES = 64
+
+
+@slotted
 @dataclass
 class InstanceOutcome:
     """Everything one service-run agreement instance produced."""
@@ -114,6 +143,47 @@ class InstanceOutcome:
     def ok(self) -> bool:
         """Whether the paper's contract for this instance's tier held."""
         return self.report.satisfied
+
+    @property
+    def agreed(self) -> bool:
+        """Whether D.1 or D.2 held: every fault-free receiver agreed."""
+        return bool(self.report.d1 or self.report.d2)
+
+
+class OutcomeTally:
+    """Decided instances, counted: the figures a scrape reports.
+
+    ``tiers`` counts guarantee tiers, ``satisfied`` the instances whose
+    contract held, ``latencies`` their submit-to-decision latencies in the
+    exposition's duration buckets.
+    """
+
+    __slots__ = ("decided", "tiers", "satisfied", "latencies")
+
+    def __init__(self) -> None:
+        self.decided = 0
+        self.tiers: Dict[str, int] = dict.fromkeys(
+            ("byzantine", "degraded", "none"), 0
+        )
+        self.satisfied = 0
+        self.latencies = Buckets(DURATION_BUCKETS)
+
+    def add(self, outcome: "InstanceOutcome") -> None:
+        self.decided += 1
+        self.tiers[outcome.tier] += 1
+        self.satisfied += outcome.ok
+        self.latencies.add(outcome.latency)
+
+    def plus(self, outcomes) -> "OutcomeTally":
+        """A new tally: this one with *outcomes* added."""
+        tally = OutcomeTally()
+        tally.decided, tally.satisfied = self.decided, self.satisfied
+        tally.tiers = dict(self.tiers)
+        tally.latencies.counts = list(self.latencies.counts)
+        tally.latencies.total = self.latencies.total
+        for outcome in outcomes:
+            tally.add(outcome)
+        return tally
 
 
 @dataclass
@@ -188,9 +258,19 @@ class AgreementService:
         self.batching = batching
         self.record_trace = record_trace
 
+        #: Decided instances held whole, in decision order: the window
+        #: plus the held ones outside D.1/D.2.
         self.outcomes: Dict[InstanceId, InstanceOutcome] = {}
         self.rejected_submits = 0
+        #: Futures of the instances not yet decided, and of failed ones
+        #: still in the window.
         self._futures: Dict[InstanceId, "asyncio.Future"] = {}
+        #: Finished instances (decided or failed) in the window, oldest
+        #: first, and the held outcomes that left it.
+        self._window: Deque[InstanceId] = deque()
+        self._held: Deque[InstanceId] = deque()
+        #: The outcomes that left: counted, not kept.
+        self._evicted = OutcomeTally()
         self._pending: "asyncio.Queue[_Job]" = asyncio.Queue()
         self._workers: List["asyncio.Task"] = []
         #: Submitted-but-unfinished instances (queued + in flight); the
@@ -235,7 +315,7 @@ class AgreementService:
         if self._started:
             self.aggregate_metrics.publish(
                 "service_stopped",
-                instances=len(self.outcomes),
+                instances=self.decided,
                 rejected_submits=self.rejected_submits,
             )
         self._started = False
@@ -265,6 +345,21 @@ class AgreementService:
         """Admitted instances currently holding a worker slot."""
         return max(0, self._admitted - self._pending.qsize())
 
+    @property
+    def decided(self) -> int:
+        """Instances decided so far, held or evicted."""
+        return self._evicted.decided + len(self.outcomes)
+
+    @property
+    def evicted(self) -> int:
+        """Decided instances whose outcome has left the window, counted."""
+        return self._evicted.decided
+
+    def tally(self) -> OutcomeTally:
+        """Every decided instance, counted: the evicted outcomes' running
+        sums plus one walk of the held ones."""
+        return self._evicted.plus(self.outcomes.values())
+
     # ------------------------------------------------------------------
     # Client API
     # ------------------------------------------------------------------
@@ -280,7 +375,9 @@ class AgreementService:
         Raises :class:`~repro.exceptions.AdmissionError` (with a
         ``retry_after`` hint) when ``max_inflight`` instances are active
         and the admission queue already holds ``queue_limit`` more.
-        Instance ids are single-use; omit *instance_id* for a fresh one.
+        Instance ids are single-use while the service holds their
+        instance (undecided, in the window, or held); omit *instance_id*
+        for a fresh one, which never collides with a held id.
         """
         if not self._started:
             raise AdmissionError("service is not running (call start())")
@@ -302,8 +399,11 @@ class AgreementService:
             )
         if instance_id is None:
             instance_id = f"i{self._instance_counter:04d}"
+            while self._holds(instance_id):
+                self._instance_counter += 1
+                instance_id = f"i{self._instance_counter:04d}"
         self._instance_counter += 1
-        if instance_id in self._futures:
+        if self._holds(instance_id):
             raise ConfigurationError(
                 f"instance id {instance_id!r} already submitted; "
                 f"instance ids are single-use"
@@ -342,14 +442,28 @@ class AgreementService:
         )
         return instance_id
 
+    def _holds(self, instance_id: InstanceId) -> bool:
+        return instance_id in self._futures or instance_id in self.outcomes
+
     async def decision(self, instance_id: InstanceId) -> InstanceOutcome:
-        """Await the finished outcome of a submitted instance."""
+        """Await the finished outcome of a submitted instance.
+
+        Answers while the service holds the instance: until it decides,
+        then while its outcome is in the window (or held).  An id it does
+        not hold — never submitted, or evicted — raises
+        :class:`~repro.exceptions.UnknownInstanceError`.
+        """
         future = self._futures.get(instance_id)
-        if future is None:
-            raise ConfigurationError(
-                f"unknown instance {instance_id!r}: not submitted here"
+        if future is not None:
+            return await future
+        outcome = self.outcomes.get(instance_id)
+        if outcome is None:
+            raise UnknownInstanceError(
+                f"unknown instance {instance_id!r}: not submitted here, or "
+                f"decided and evicted from the last {OUTCOME_WINDOW} "
+                f"decided instances"
             )
-        return await future
+        return outcome
 
     async def submit_and_wait(
         self,
@@ -436,14 +550,35 @@ class AgreementService:
             else:
                 if not job.future.done():
                     job.future.set_result(outcome)
+                # The outcome answers decision() from now on.
+                del self._futures[job.instance_id]
             finally:
                 self._admitted -= 1
                 self._pending.task_done()
+            self._window.append(job.instance_id)
+            if len(self._window) > OUTCOME_WINDOW:
+                self._leave_window(self._window.popleft())
+
+    def _leave_window(self, instance_id: InstanceId) -> None:
+        """Let the oldest finished instance go: a failed one's future is
+        dropped; an outcome outside D.1/D.2 is held (the oldest held one
+        goes in its place once :data:`HELD_OUTCOMES` are); any other
+        outcome is folded into the evicted tally."""
+        self._futures.pop(instance_id, None)
+        outcome = self.outcomes.get(instance_id)
+        if outcome is None:
+            return
+        if not outcome.agreed:
+            self._held.append(instance_id)
+            if len(self._held) <= HELD_OUTCOMES:
+                return
+            instance_id = self._held.popleft()
+        self._evicted.add(self.outcomes.pop(instance_id))
 
     async def _run_instance(self, job: _Job) -> InstanceOutcome:
         loop = asyncio.get_running_loop()
         aggregate = self.aggregate_metrics
-        channel = self.mux.channel(job.instance_id)
+        channel = self.mux.channel(job.instance_id, opened_at=loop.time())
         session = ProtocolSession.byz(
             self.spec,
             self.nodes,
@@ -464,7 +599,7 @@ class AgreementService:
         )
         result = await runner.run()
         latency = loop.time() - job.submitted_at
-        declared = frozenset(job.behaviors or ())
+        declared = frozenset(job.behaviors) if job.behaviors else _NOBODY
         afflicted = declared
         if self.chaos_log is not None:
             afflicted = declared | self.chaos_log.afflicted_for(
@@ -513,7 +648,9 @@ def record_service_run(service: AgreementService) -> "RunRecord":
     fault set so :func:`repro.verify.demux_record` can rebuild one
     auditable per-instance record per entry.  The top-level sender /
     value / faulty fields describe the *first* instance (the header needs
-    one); per-instance truth always comes from the meta listing.
+    one); per-instance truth always comes from the meta listing.  The
+    record covers the instances the service holds; once some have left
+    the window, ``meta["evicted"]`` counts them.
     """
     from repro.verify.record import RunRecord
 
@@ -532,6 +669,9 @@ def record_service_run(service: AgreementService) -> "RunRecord":
         }
         for outcome in outcomes
     ]
+    meta: Dict[str, object] = {"instances": instances_meta}
+    if service.evicted:
+        meta["evicted"] = service.evicted
     first = outcomes[0]
     union_faulty = frozenset().union(*(o.afflicted for o in outcomes))
     return RunRecord(
@@ -545,5 +685,5 @@ def record_service_run(service: AgreementService) -> "RunRecord":
         transport=service.aggregate_metrics.transport or "local",
         batched=service.batching,
         tag="byz",
-        meta={"instances": instances_meta},
+        meta=meta,
     )

@@ -15,9 +15,11 @@ concurrent agreement instances over it.  Two pieces make that work:
   instance it does not hold (a decided instance's straggler, or an
   unversioned frame) is counted *stray*
   (:meth:`~repro.net.metrics.NetMetrics.record_stray_frame`), not
-  delivered.  Instance ids are single-use by the gateway's rule
-  (:meth:`~repro.serve.gateway.AgreementService.submit`), so a straggler
-  can never reach a later instance.
+  delivered.  An instance id is single-use while the gateway holds its
+  instance (:meth:`~repro.serve.gateway.AgreementService.submit`); once
+  it has left the gateway's window a client may submit it again, so a
+  channel also refuses a frame stamped (``sent_at``) before it was
+  opened: a straggler of the id's earlier instance is stray too.
 
 * :class:`InstanceChannel` is the per-instance face of the mux: a full
   :class:`~repro.net.transport.LocalBus` whose inboxes the mux's pumps
@@ -39,6 +41,7 @@ instance assert its own D.1–D.4 tier.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.exceptions import TransportError
@@ -122,14 +125,18 @@ class InstanceMux:
     # ------------------------------------------------------------------
     # Instance registry
     # ------------------------------------------------------------------
-    def channel(self, instance_id: InstanceId) -> "InstanceChannel":
+    def channel(
+        self, instance_id: InstanceId, opened_at: float = -math.inf
+    ) -> "InstanceChannel":
         """The Transport-shaped view of *instance_id*: made, with its
-        inboxes, the first time it is asked for; the same one after."""
+        inboxes, the first time it is asked for; the same one after.
+        A frame stamped before *opened_at* (the loop time the gateway
+        opens the instance at) is not filed into it."""
         if instance_id is None:
             raise TransportError("instance id must not be None on a mux")
         channel = self._channels.get(instance_id)
         if channel is None:
-            channel = InstanceChannel(self, instance_id)
+            channel = InstanceChannel(self, instance_id, opened_at)
             self._channels[instance_id] = channel
         return channel
 
@@ -154,7 +161,8 @@ class InstanceMux:
         per-instance runners read their channel's inboxes instead.  A frame
         for an instance this mux does not hold — a decided instance's
         straggler, or an unversioned (v1) frame that cannot name one — is
-        counted stray and dropped.
+        counted stray and dropped; so is one stamped before its channel
+        opened (a straggler of an earlier instance under a reused id).
         """
         while True:
             try:
@@ -165,7 +173,7 @@ class InstanceMux:
                 return  # transport torn down under us; mux is stopping
             channel = self._channels.get(frame.instance)
             tracer = self.metrics.tracer
-            if channel is None:
+            if channel is None or frame.sent_at < channel.opened_at:
                 self.metrics.record_stray_frame()
                 if tracer is not None:
                     tracer.instant(
@@ -203,10 +211,18 @@ class InstanceChannel(LocalBus):
     transport itself outlives every channel.
     """
 
-    def __init__(self, mux: InstanceMux, instance_id: InstanceId) -> None:
+    def __init__(
+        self,
+        mux: InstanceMux,
+        instance_id: InstanceId,
+        opened_at: float = -math.inf,
+    ) -> None:
         super().__init__()
         self.mux = mux
         self.instance_id = instance_id
+        #: Frames stamped before this loop time belong to an earlier
+        #: instance under the same id: the pump counts them stray.
+        self.opened_at = opened_at
         self.metrics: Optional[NetMetrics] = None
         self._inboxes = {node: asyncio.Queue() for node in mux.nodes}
 

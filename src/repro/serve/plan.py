@@ -5,17 +5,29 @@ seed)``: senders cycle round-robin through the node set and values are
 drawn from a small seeded vocabulary.  :func:`serve_plan` is what
 ``repro serve`` and ``repro trace --mode serve`` run: that plan submitted
 in order to an (optionally chaotic, traced, scraped) service, waiting out
-admission backpressure, every decision awaited.  :func:`check_divergence`
-is the one cross-check of service decisions against the synchronous
-engine.  Measuring the service (throughput, latency percentiles) is the
-job of ``perf/``, not of this module.
+admission backpressure, each decision taken as it lands.
+:func:`divergence_check` is the one cross-check of service decisions
+against the synchronous engine, one outcome at a time.  Measuring the
+service (throughput, latency percentiles) is the job of ``perf/``, not of
+this module.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.protocol import execute_degradable_protocol
 from repro.core.scenario import Instance
@@ -41,21 +53,21 @@ def plan_workload(
     ]
 
 
-def check_divergence(
-    spec: DegradableSpec,
-    nodes: Sequence[NodeId],
-    outcomes: Iterable[InstanceOutcome],
-) -> List[str]:
-    """Compare every service decision to the synchronous reference engine.
+def divergence_check(
+    spec: DegradableSpec, nodes: Sequence[NodeId]
+) -> Callable[[InstanceOutcome], bool]:
+    """A per-outcome cross-check against the synchronous reference engine.
 
     The sync engine is the repo's ground truth for the protocol; any
     mismatch means the service path (mux, shared transport, admission,
     concurrent scheduling) changed a decision — a correctness failure
-    that must fail loudly.  Returns the diverging instance ids, sorted.
+    that must fail loudly.  The returned function answers whether one
+    outcome's decisions diverge; it runs the engine once per distinct
+    ``(sender, value)``.
     """
-    divergences: List[str] = []
     expected_cache: Dict[Tuple[NodeId, object], dict] = {}
-    for outcome in sorted(outcomes, key=lambda o: o.instance_id):
+
+    def diverges(outcome: InstanceOutcome) -> bool:
         key = (outcome.sender, outcome.sender_value)
         if key not in expected_cache:
             reference, _ = execute_degradable_protocol(
@@ -66,9 +78,24 @@ def check_divergence(
                 record_trace=False,
             )
             expected_cache[key] = reference.decisions
-        if outcome.decisions != expected_cache[key]:
-            divergences.append(outcome.instance_id)
-    return divergences
+        return outcome.decisions != expected_cache[key]
+
+    return diverges
+
+
+def check_divergence(
+    spec: DegradableSpec,
+    nodes: Sequence[NodeId],
+    outcomes: Iterable[InstanceOutcome],
+) -> List[str]:
+    """:func:`divergence_check` over *outcomes*: the diverging instance
+    ids, sorted."""
+    diverges = divergence_check(spec, nodes)
+    return [
+        outcome.instance_id
+        for outcome in sorted(outcomes, key=lambda o: o.instance_id)
+        if diverges(outcome)
+    ]
 
 
 async def serve_plan(
@@ -81,18 +108,23 @@ async def serve_plan(
     metrics_port: Optional[int] = None,
     linger: float = 0.0,
     announce=None,
+    keep: Optional[Callable[[InstanceOutcome], object]] = None,
     **service_options,
-) -> Tuple[AgreementService, List[InstanceOutcome]]:
-    """Serve the seeded plan; return the service and outcomes.
+) -> Tuple[AgreementService, List]:
+    """Serve the seeded plan; return the service and what was kept.
 
     Builds an :class:`AgreementService` for *instance*'s ``(m, u, N)``
     (under the seeded *severity* chaos preset when one is named; extra
     keywords — ``max_inflight``, ``queue_limit``, ``tracer`` — go to its
-    constructor), submits :func:`plan_workload`'s *instances* entries in
-    plan order and awaits every decision, in submission order.  A submit
-    the admission bound rejects waits out the service's ``retry_after``
-    hint and is submitted again, so instance ids stay consecutive; within
-    the bound the plan goes in as one burst.  With *metrics_port* set,
+    constructor) and submits :func:`plan_workload`'s *instances* entries in
+    plan order.  Each decision is taken as it lands, before the service's
+    window can evict it, and ``keep(outcome)`` — the outcome itself by
+    default — is kept, in plan order: a caller that passes what it prints
+    holds that, not every outcome.  At most ``max_inflight +
+    queue_limit`` decisions wait to be taken.  A submit the admission
+    bound rejects waits out the service's ``retry_after`` hint and is
+    submitted again, so instance ids stay consecutive; within the bound
+    the plan goes in as one burst.  With *metrics_port* set,
     ``/metrics`` + ``/healthz`` + ``/events`` are served for the duration
     of the run plus *linger* seconds (the scrape window for external
     collectors), and *announce* gets the bound endpoint as one line
@@ -123,20 +155,31 @@ async def serve_plan(
         await obs_server.start()
         if announce is not None:
             announce(f"metrics: {obs_server.url}/metrics")
+    kept: List = []
+    landing: Deque["asyncio.Future"] = deque()
+    bound = service.max_inflight + service.queue_limit
+
+    async def take_oldest() -> None:
+        outcome = await landing.popleft()
+        kept.append(outcome if keep is None else keep(outcome))
+
     try:
         async with service:
-            iids = []
             for sender, value in plan_workload(nodes, instances, seed):
                 while True:
                     try:
-                        iids.append(service.submit(sender, value))
+                        iid = service.submit(sender, value)
                         break
                     except AdmissionError as exc:
                         await asyncio.sleep(exc.retry_after)
-            decided = [await service.decision(iid) for iid in iids]
+                landing.append(asyncio.ensure_future(service.decision(iid)))
+                while landing and (landing[0].done() or len(landing) > bound):
+                    await take_oldest()
+            while landing:
+                await take_oldest()
             if linger > 0:
                 await asyncio.sleep(linger)
     finally:
         if obs_server is not None:
             await obs_server.close()
-    return service, decided
+    return service, kept

@@ -12,6 +12,7 @@ from repro.net.codec import MARK, Frame
 from repro.net.metrics import NetMetrics
 from repro.net.transport import LocalBus
 from repro.serve import AgreementService, InstanceChannel, InstanceMux
+from repro.serve.gateway import OUTCOME_WINDOW
 from repro.sim import jsonable
 
 NODES = ("S", "p1", "p2")
@@ -338,12 +339,13 @@ class TestFlatState:
                 await serve(service, 200)
                 after_200 = [dict(memo) for memo in leaf_memos]
                 await serve(service, 4800)
-                return after_200, len(service.outcomes)
+                return after_200, service.decided, len(service.outcomes)
 
         for memo in (*leaf_memos, jsonable._SCOPED_TEXT):
             memo.clear()
-        after_200, served = run_on_virtual_clock(scenario())
+        after_200, served, held = run_on_virtual_clock(scenario())
         assert served == 5000
+        assert held <= OUTCOME_WINDOW
         assert [dict(memo) for memo in leaf_memos] == after_200
         for memo in leaf_memos:
             assert set(nodes) <= set(memo)

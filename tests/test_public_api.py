@@ -192,6 +192,9 @@ def test_a_process_loads_no_graph_library_it_does_not_query():
 
 RUNTIME_MODULES = ("asyncio", "socket", "ssl", "repro.net", "repro.obs")
 
+#: Transport layers a LocalBus service without supervision never builds.
+STACK_MODULES = ("repro.net.tcp", "repro.net.supervision")
+
 RUNTIME_PROBE = f"""
 import contextlib, io, sys
 import repro, repro.core, repro.sim, repro.analysis.montecarlo, repro.cli
@@ -202,6 +205,18 @@ assert not loaded, f"the agreement core and `repro table` loaded {{loaded}}"
 from repro import LocalBus
 missing = [name for name in {RUNTIME_MODULES!r} if name not in sys.modules]
 assert not missing, f"`from repro import LocalBus` did not load {{missing}}"
+import asyncio
+from repro.core.spec import DegradableSpec
+from repro.serve import AgreementService
+async def serve():
+    async with AgreementService(
+        DegradableSpec(1, 2, 5), ("S", "p1", "p2", "p3", "p4"),
+        record_trace=False,
+    ) as service:
+        assert (await service.submit_and_wait("S", "v")).ok
+asyncio.run(serve())
+stacked = [name for name in {STACK_MODULES!r} if name in sys.modules]
+assert not stacked, f"a LocalBus service without supervision loaded {{stacked}}"
 """
 
 
@@ -226,7 +241,9 @@ def test_a_process_loads_nothing_it_does_not_run():
     """BYZ and the synchronous engine need no network runtime: importing
     the package, the core, the simulator and the Monte-Carlo campaign, and
     printing the paper's tables, leave asyncio, sockets, TLS and the
-    runtime/observability packages unloaded until a runtime name is used."""
+    runtime/observability packages unloaded until a runtime name is used;
+    a LocalBus service without supervision then loads neither the TCP
+    transport nor the supervisor."""
     proc = subprocess.run(
         [sys.executable, "-c", RUNTIME_PROBE], capture_output=True, text=True
     )
