@@ -113,7 +113,7 @@ for path in ("src/repro/net/transport.py", "src/repro/net/tcp.py"):
                     )
 PY
 
-echo "== one endpoint store (every node inbox is a LocalBus queue) =="
+echo "== one endpoint store (every node inbox is a LocalBus Inbox) =="
 # TCP, the mux's channels and the explorer derive from LocalBus and
 # override only how a frame arrives; the inbox helpers, the mux's queue
 # registry and the explorer's deques and waiter futures are gone.
@@ -123,6 +123,19 @@ if grep -rnE "take_nowait|def drain|queue_for|_queues|_waiters" src/; then
 fi
 if grep -n "deque(" src/repro/explore/transport.py; then
     echo "explore/transport.py keeps its own deques: its inboxes are LocalBus's" >&2
+    exit 1
+fi
+# The inbox is net/transport.py's Inbox, a deque with one reader: an
+# asyncio.Queue (getter list, task counting, join event) is not back on
+# the frame path.  A round's BATCH frames share one sent_at, read once.
+if grep -n "asyncio.Queue(" src/repro/net/transport.py src/repro/net/tcp.py \
+        src/repro/serve/mux.py src/repro/explore/transport.py; then
+    echo "an asyncio.Queue is back as a node inbox: inboxes are net/transport.py's Inbox" >&2
+    exit 1
+fi
+stamps="$(sed -n '/def _frame_batched(/,/^    def /p' src/repro/net/runner.py | grep -c "\.time()" || true)"
+if [ "${stamps}" -gt 1 ]; then
+    echo "_frame_batched reads the clock ${stamps} times: a round's frames share one sent_at" >&2
     exit 1
 fi
 

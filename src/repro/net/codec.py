@@ -27,8 +27,10 @@ oracle.  The text is ASCII, so ``len(text)`` is the byte count, and
 :func:`frame_size` gives that count without writing the text: the
 envelope's fixed characters plus each field's text length, leaf lengths
 from the leaf memo and payload texts from the payload memo that
-:func:`encode_frame` fills too.  A frame that never touches a wire — on
-:class:`~repro.net.transport.LocalBus` — is sized, never written.
+:func:`encode_frame` fills too — and for a runner-built BATCH frame, the
+envelope and message parts its round shares, remembered once per round.
+A frame that never touches a wire — on :class:`~repro.net.transport.LocalBus`
+— is sized, never written.
 
 Envelope versioning: a frame that belongs to a multiplexed protocol
 instance (:mod:`repro.serve`) carries ``"v": 2`` and its ``instance_id``
@@ -44,10 +46,11 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.exceptions import TransportError
 from repro.sim.jsonable import (
+    MESSAGE_FIXED,
     TAG,
     canonical_json,
     from_jsonable,
@@ -55,6 +58,7 @@ from repro.sim.jsonable import (
     message_from_jsonable,
     message_json,
     message_json_len,
+    payload_json,
     raw_json,
     scoped_json,
     to_jsonable,
@@ -120,7 +124,8 @@ class Frame:
 
     ``sent_at`` is the sender's monotonic timestamp, stamped by the runner
     and used for latency percentiles (all endpoints share one clock since
-    the runtime hosts every node in one process).
+    the runtime hosts every node in one process).  A round's BATCH frames
+    share one: the instant the runner built them.
 
     ``instance`` identifies the protocol instance a frame belongs to when
     many agreement instances share one transport pair per link
@@ -234,15 +239,124 @@ def encode_frame(frame: Frame) -> bytes:
         raise TransportError(f"frame not JSON-encodable: {exc}") from exc
 
 
+#: Entries of each per-round part memo (envelopes, message parts).
+ROUND_MEMO_ENTRIES = 256
+
+# Field types whose equal values write equal text: a per-round part is
+# keyed by a field's exact type and value, so 1, 1.0 and True never alias.
+_KEYED_TYPES = frozenset((str, int, bool, type(None)))
+_ENVELOPE_PARTS: Dict[tuple, int] = {}
+_MESSAGE_PARTS: Dict[Tuple[int, str], int] = {}
+
+
+def _remember_part(table: dict, key: tuple, size: int) -> int:
+    if len(table) >= ROUND_MEMO_ENTRIES:
+        table.clear()
+    table[key] = size
+    return size
+
+
+def _round_batch_size(frame: Frame) -> Optional[int]:
+    """The size of a runner-built BATCH frame from per-round parts, or
+    ``None`` for any other frame.
+
+    A round's BATCH frames share everything but their ids and messages:
+    the envelope (``sent_at``, round, instance, mark) is sized once per
+    round, and so is the part of a message that depends on its
+    ``round_sent`` and tag alone.  A frame is left to the general path
+    unless its ids are exact ``str``, its stamp a non-zero ``float``
+    (``0.0`` and ``-0.0`` are equal but write differently), its round,
+    instance and mark exact scalars of :data:`_KEYED_TYPES`, it has no
+    ``seq`` or ``trace``, and every message goes from the frame's source
+    to its destination under the first message's exact-``int`` round and
+    exact-``str`` tag.  On such a frame only a payload can raise, and it
+    raises in :func:`encode_frame`'s order.
+    """
+    source, destination, sent_at = frame.source, frame.destination, frame.sent_at
+    if (
+        frame.kind is not BATCH
+        or source.__class__ is not str
+        or destination.__class__ is not str
+        or sent_at.__class__ is not float
+        or not sent_at
+        or frame.seq is not None
+        or frame.trace is not None
+    ):
+        return None
+    round_no, instance, mark = frame.round_no, frame.instance, frame.mark
+    round_type, instance_type, mark_type = (
+        round_no.__class__, instance.__class__, mark.__class__,
+    )
+    if (
+        round_type not in _KEYED_TYPES
+        or instance_type not in _KEYED_TYPES
+        or mark_type not in _KEYED_TYPES
+    ):
+        return None
+    messages = frame.messages
+    if messages.__class__ is not tuple:
+        return None
+    key = (sent_at, round_type, round_no, instance_type, instance, mark_type, mark)
+    size = _ENVELOPE_PARTS.get(key)
+    if size is None:
+        size = _ENVELOPE_FIXED + _BATCH_FIXED + len(BATCH) + 2
+        size += json_len(sent_at, raw_json) + json_len(round_no, raw_json)
+        size += json_len(mark, raw_json)
+        if instance is not None:
+            size += _V2_FIXED + len(scoped_json(instance))
+        size = _remember_part(_ENVELOPE_PARTS, key, size)
+    ids = json_len(source) + json_len(destination)
+    if not messages:
+        return size + ids
+    first = messages[0]
+    round_sent, tag = first.round_sent, first.tag
+    if round_sent.__class__ is not int or tag.__class__ is not str:
+        return None
+    part = _MESSAGE_PARTS.get((round_sent, tag))
+    if part is None:
+        part = _remember_part(
+            _MESSAGE_PARTS,
+            (round_sent, tag),
+            MESSAGE_FIXED + json_len(round_sent, raw_json) + len(scoped_json(tag)),
+        )
+    # Each message is its part, the frame's two ids and its payload; the
+    # messages are joined by n - 1 commas.
+    size += ids + len(messages) * (part + ids + 1) - 1
+    for message in messages:
+        other = message.source
+        if other is not source and (other.__class__ is not str or other != source):
+            return None
+        other = message.destination
+        if other is not destination and (
+            other.__class__ is not str or other != destination
+        ):
+            return None
+        other = message.round_sent
+        if other is not round_sent and (
+            other.__class__ is not int or other != round_sent
+        ):
+            return None
+        other = message.tag
+        if other is not tag and (other.__class__ is not str or other != tag):
+            return None
+        size += len(payload_json(message.payload))
+    return size
+
+
 def frame_size(frame: Frame) -> int:
     """``len(encode_frame(frame))``, without writing the frame's text.
 
-    The envelope's fixed characters plus each field's text length, read
-    in :func:`encode_frame`'s order and wrapped alike, so a frame
+    A runner-built BATCH frame is sized from per-round parts
+    (:func:`_round_batch_size`); any other frame from the envelope's fixed
+    characters plus each field's text length.  Either way fields are read
+    in :func:`encode_frame`'s order and errors wrapped alike, so a frame
     :func:`encode_frame` rejects raises the same :class:`TransportError`.
     """
     kind = frame.kind
     try:
+        size = _round_batch_size(frame)
+        if size is not None:
+            return size
         if kind == DATA:
             if frame.message is None:
                 raise TransportError("DATA frame without a message")

@@ -315,14 +315,17 @@ class AsyncRoundRunner:
         source's markers, so receivers still ride out the deadline for
         crashed nodes), and skips links that carry no data *and* are
         not expected by the protocol's round schedule — structurally
-        silent links cost zero frames.  Every frame is built, stamped and
-        its ``coalesced`` line recorded before the first one is sent.
+        silent links cost zero frames.  Every frame is built and its
+        ``coalesced`` line recorded before the first one is sent, and all
+        of them carry one ``sent_at``: the loop time the round's frames
+        were built at, read once, so a round's envelopes are equal and
+        :func:`~repro.net.codec.frame_size` sizes them once.
 
         Returns the frames in link order (source-major) and each node's
         pending-source set for collection: the sources it should wait on
         before closing the round early.
         """
-        loop = asyncio.get_running_loop()
+        sent_at = asyncio.get_running_loop().time()
         order = self.engine.order
         groups: Dict[tuple, List[Message]] = {}
         for message in survivors:
@@ -350,7 +353,7 @@ class AsyncRoundRunner:
                     destination=destination,
                     messages=tuple(messages),
                     mark=not muted,
-                    sent_at=loop.time(),
+                    sent_at=sent_at,
                     instance=self.instance_id,
                 )
                 frames.append(frame)

@@ -2,9 +2,9 @@
 
 A :class:`Transport` moves :class:`~repro.net.codec.Frame` objects between
 node endpoints.  The runner never cares how: :class:`LocalBus` ferries
-frames through in-process asyncio queues without copying (built for massive
-in-process fan-out), :class:`~repro.net.tcp.TcpTransport` ships
-length-prefixed JSON over real localhost sockets into those same queues —
+frames through in-process :class:`Inbox` queues without copying (built for
+massive in-process fan-out), :class:`~repro.net.tcp.TcpTransport` ships
+length-prefixed JSON over real localhost sockets into those same inboxes —
 :class:`LocalBus` is the one endpoint store, and every transport with node
 inboxes derives from it.
 Wrappers (chaos, supervision) derive from :class:`TransportLayer`,
@@ -38,7 +38,8 @@ from __future__ import annotations
 import asyncio
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, Optional, Sequence
+from collections import deque
+from typing import Any, Dict, Hashable, Optional, Sequence
 
 from repro.exceptions import TransportError
 from repro.net.codec import Frame, frame_size
@@ -156,14 +157,79 @@ class Transport(ABC):
         await self.close()
 
 
+class Inbox:
+    """One node's queue of inbound frames: a deque and one reader.
+
+    An inbox is read by one reader at a time — a mux pump, or one collect
+    of a round — so it keeps a single waiter future where
+    :class:`asyncio.Queue` keeps a getter list, unfinished-task count and
+    a ``join`` event nobody here reads.  A put wakes the waiting reader
+    the way ``asyncio.Queue`` wakes its first getter (the future's result
+    is set; the reader pops on its next step), so every run's scheduling
+    is the queue's.  A frame leaves only when a reader pops it: a
+    :meth:`get` cancelled after its frame was put leaves that frame
+    queued.  A second concurrent :meth:`get`, and a :meth:`get` on a
+    closed inbox, raise :class:`~repro.exceptions.TransportError`;
+    :meth:`close` wakes the waiting reader with that error.
+    """
+
+    __slots__ = ("_items", "_waiter", "_closed")
+
+    def __init__(self) -> None:
+        self._items: deque = deque()
+        self._waiter: Optional[asyncio.Future] = None
+        self._closed = False
+
+    def put_nowait(self, item: Any) -> None:
+        self._items.append(item)
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def get_nowait(self) -> Any:
+        """The oldest item; :class:`IndexError` when there is none."""
+        return self._items.popleft()
+
+    def empty(self) -> bool:
+        return not self._items
+
+    async def get(self) -> Any:
+        """The oldest item, waiting for one to be put."""
+        if self._waiter is not None:
+            raise TransportError("inbox already has a waiting reader")
+        items = self._items
+        while not items:
+            if self._closed:
+                raise TransportError("endpoint closed")
+            waiter = self._waiter = asyncio.get_running_loop().create_future()
+            try:
+                await waiter
+            finally:
+                self._waiter = None
+        return items.popleft()
+
+    def clear(self) -> None:
+        """Lose every queued item; a waiting reader keeps waiting."""
+        self._items.clear()
+
+    def close(self) -> None:
+        """Refuse further waits and wake the waiting reader with
+        :class:`~repro.exceptions.TransportError`."""
+        self._closed = True
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_exception(TransportError("endpoint closed"))
+
+
 class LocalBus(Transport):
-    """In-process transport over per-node asyncio queues: the endpoint store.
+    """In-process transport over per-node inboxes: the endpoint store.
 
     Every transport that ends in a node inbox keeps it here — one
-    ``asyncio.Queue`` per node, read by :meth:`recv`/:meth:`recv_nowait`,
+    :class:`Inbox` per node, read by :meth:`recv`/:meth:`recv_nowait`,
     emptied in place by :meth:`restart_endpoint` and dropped by
-    :meth:`close` — and overrides only how a frame arrives:
-    :class:`~repro.net.tcp.TcpTransport` from a socket,
+    :meth:`close`, which wakes a reader waiting on it with
+    :class:`~repro.exceptions.TransportError` — and overrides only how a
+    frame arrives: :class:`~repro.net.tcp.TcpTransport` from a socket,
     :class:`~repro.serve.mux.InstanceChannel` from the mux's pump,
     :class:`~repro.explore.transport.ExploredTransport` when the schedule
     says.  A node without an inbox has no endpoint: every read raises
@@ -174,8 +240,9 @@ class LocalBus(Transport):
     nothing is ever encoded or decoded.  Byte accounting is optional:
     ``measure_bytes=True`` sizes each frame with
     :func:`~repro.net.codec.frame_size` — arithmetic on field lengths,
-    never the frame's text — and the count is what TCP would carry minus
-    the 4-byte length prefix.  Switch it off for raw fan-out throughput;
+    never the frame's text, with the envelope a round's BATCH frames share
+    sized once — and the count is what TCP would carry minus the 4-byte
+    length prefix.  Switch it off for raw fan-out throughput;
     sends then report 0 bytes.
     """
 
@@ -183,10 +250,10 @@ class LocalBus(Transport):
 
     def __init__(self, measure_bytes: bool = True) -> None:
         self.measure_bytes = measure_bytes
-        self._inboxes: Dict[NodeId, asyncio.Queue] = {}
+        self._inboxes: Dict[NodeId, Inbox] = {}
 
     async def open(self, nodes: Sequence[NodeId]) -> None:
-        self._inboxes = {node: asyncio.Queue() for node in nodes}
+        self._inboxes = {node: Inbox() for node in nodes}
 
     async def send(self, frame: Frame) -> int:
         inbox = self._inboxes.get(frame.destination)
@@ -198,7 +265,7 @@ class LocalBus(Transport):
         inbox.put_nowait(frame)
         return nbytes
 
-    def _inbox(self, node: NodeId) -> asyncio.Queue:
+    def _inbox(self, node: NodeId) -> Inbox:
         inbox = self._inboxes.get(node)
         if inbox is None:
             raise TransportError(f"no endpoint for node {node!r}")
@@ -213,14 +280,19 @@ class LocalBus(Transport):
 
     async def restart_endpoint(self, node: NodeId) -> None:
         """Crash-restart: queued-but-undelivered frames for *node* are lost;
-        the queue itself stays, so whoever waits on it keeps waiting on
+        the inbox itself stays, so whoever waits on it keeps waiting on
         the live one."""
-        inbox = self._inbox(node)
-        while not inbox.empty():
-            inbox.get_nowait()
+        self._inbox(node).clear()
+
+    def drop_endpoints(self) -> None:
+        """Drop every inbox, waking a reader waiting on one with
+        :class:`~repro.exceptions.TransportError`."""
+        for inbox in self._inboxes.values():
+            inbox.close()
+        self._inboxes = {}
 
     async def close(self) -> None:
-        self._inboxes = {}
+        self.drop_endpoints()
 
 
 class TransportLayer(Transport):

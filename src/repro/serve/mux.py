@@ -26,7 +26,7 @@ concurrent agreement instances over it.  Two pieces make that work:
   fill, so an unmodified :class:`~repro.net.runner.AsyncRoundRunner`
   drives its instance over it.  ``send`` forwards the frames its runner
   stamped with the instance id, ``recv`` (and ``recv_nowait``) reads the
-  bus's queues, and ``close`` releases the instance (the runner's
+  bus's inboxes, and ``close`` releases the instance (the runner's
   ``finally: transport.close()`` is the GC hook) — the *shared* transport
   stays open until the mux itself stops.
 
@@ -47,7 +47,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 from repro.exceptions import TransportError
 from repro.net.codec import Frame
 from repro.net.metrics import NetMetrics
-from repro.net.transport import LocalBus, Transport
+from repro.net.transport import Inbox, LocalBus, Transport
 
 NodeId = Hashable
 InstanceId = Hashable
@@ -142,10 +142,12 @@ class InstanceMux:
 
     def release(self, instance_id: InstanceId) -> None:
         """Retire a finished instance (idempotent): its channel drops its
-        inboxes, and a frame that names it from now on is stray."""
+        inboxes — a read waiting on one raises
+        :class:`~repro.exceptions.TransportError` — and a frame that names
+        it from now on is stray."""
         channel = self._channels.pop(instance_id, None)
         if channel is not None:
-            channel._inboxes = {}
+            channel.drop_endpoints()
 
     @property
     def live_instances(self) -> int:
@@ -203,11 +205,14 @@ class InstanceChannel(LocalBus):
     """One instance's Transport-shaped view of a shared, muxed transport.
 
     Hand this to an :class:`~repro.net.runner.AsyncRoundRunner` as its
-    transport.  Its inboxes, one per mux node, are the bus's, filled by
-    the mux's pumps rather than by ``send``: ``open`` checks the run's
-    nodes instead of opening the shared transport again, ``send`` forwards
-    to the shared transport (the runner stamped its instance id on the
-    frame), and ``close`` releases the instance on the mux — the shared
+    transport.  Its inboxes, one :class:`~repro.net.transport.Inbox` per
+    mux node, are the bus's, filled by the mux's pumps rather than by
+    ``send`` and read by the runner alone (its drain, or the one collect
+    waiting on a node): ``open`` checks the run's nodes instead of
+    opening the shared transport again, ``send`` forwards to the shared
+    transport (the runner stamped its instance id on the frame), and
+    ``close`` releases the instance on the mux — a read still waiting
+    raises :class:`~repro.exceptions.TransportError` — while the shared
     transport itself outlives every channel.
     """
 
@@ -224,7 +229,7 @@ class InstanceChannel(LocalBus):
         #: instance under the same id: the pump counts them stray.
         self.opened_at = opened_at
         self.metrics: Optional[NetMetrics] = None
-        self._inboxes = {node: asyncio.Queue() for node in mux.nodes}
+        self._inboxes = {node: Inbox() for node in mux.nodes}
 
     @property
     def name(self) -> str:  # type: ignore[override]

@@ -366,7 +366,8 @@ def message_json(message: Message) -> str:
     )
 
 
-_MESSAGE_FIXED = len('{"destination":,"payload":,"round_sent":,"source":,"tag":}')
+#: Characters of a message's text around its fields.
+MESSAGE_FIXED = len('{"destination":,"payload":,"round_sent":,"source":,"tag":}')
 
 
 def message_json_len(message: Message) -> int:
@@ -376,7 +377,7 @@ def message_json_len(message: Message) -> int:
     field raises what :func:`message_json` raises.
     """
     return (
-        _MESSAGE_FIXED
+        MESSAGE_FIXED
         + json_len(message.destination)
         + len(payload_json(message.payload))
         + json_len(message.round_sent, raw_json)

@@ -13,9 +13,12 @@ Decoded frames are compared by ``repr``: it tells ``1`` from ``1.0`` from
 equal to itself (``==`` does not).
 
 ``frame_size`` is held to the same oracle: it equals the reference's
-encoded length on every frame here, on the golden frames and on every
-frame a quick fuzz run carries, and raises the reference's error on every
-frame it rejects.
+encoded length on every frame here, on the golden frames, on every frame
+a quick fuzz run carries and on every frame of served runs, and raises the
+reference's error on every frame it rejects.  A runner-built BATCH frame
+is sized from per-round parts; the frames that must not be are held to
+the general path, and frames that share a stamp but differ in a field
+whose equal values write differently (``1`` / ``True``) are sized apart.
 """
 
 import asyncio
@@ -26,8 +29,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.scenario import build_behavior, node_ids
+from repro.core.spec import DegradableSpec
 from repro.core.values import DEFAULT
 from repro.exceptions import TransportError
+from repro.explore import run_on_virtual_clock
 from repro.net import codec, transport
 from repro.net.codec import (
     BATCH,
@@ -39,6 +45,7 @@ from repro.net.codec import (
     frame_size,
 )
 from repro.net.transport import LocalBus
+from repro.serve import AgreementService
 from repro.sim import jsonable
 from repro.sim.jsonable import canonical_json, from_jsonable, to_jsonable
 from repro.sim.messages import Message, RelayPayload
@@ -389,6 +396,150 @@ def test_frame_size_on_every_frame_of_a_quick_fuzz_run(monkeypatch, seed):
     assert {frame.kind for frame in carried} == {DATA, MARK, BATCH}
     for frame in carried:
         assert real_size(frame) == len(reference.encode_frame(frame)), frame
+
+
+# ----------------------------------------------------------------------
+# Per-round parts: served frames, frames left to the general path, aliases
+# ----------------------------------------------------------------------
+def _served_frames(monkeypatch, m, u, n, faults):
+    """Every frame a service at ``(m, u, n)`` sizes on the virtual clock,
+    one instance per entry of *faults* (``{node: behaviour kind}``)."""
+    nodes = node_ids(n)
+    sized = []
+    real_size = codec.frame_size
+
+    def sizing(frame):
+        sized.append(frame)
+        return real_size(frame)
+
+    monkeypatch.setattr(transport, "frame_size", sizing)
+
+    async def scenario():
+        service = AgreementService(
+            DegradableSpec(m=m, u=u, n_nodes=n), nodes, max_inflight=4,
+            round_timeout=0.5, record_trace=False,
+        )
+        async with service:
+            ids = [
+                service.submit(
+                    nodes[0], ("attack", "retreat")[i % 2],
+                    behaviors={
+                        node: build_behavior(kind, nodes)
+                        for node, kind in plan.items()
+                    },
+                )
+                for i, plan in enumerate(faults)
+            ]
+            for iid in ids:
+                await service.decision(iid)
+
+    run_on_virtual_clock(scenario())
+    return sized
+
+
+@pytest.mark.parametrize(
+    "m, u, n, faults",
+    [
+        (1, 2, 5, [{}, {"p4": "lie"}, {"p2": "two-faced"},
+                   {"p1": "lie", "p3": "two-faced"}, {"S": "two-faced"}]),
+        (2, 2, 7, [{}, {"p5": "two-faced"}, {"p2": "lie", "p6": "two-faced"},
+                   {"S": "lie"}]),
+    ],
+)
+def test_frame_size_on_every_frame_of_served_runs(monkeypatch, m, u, n, faults):
+    """Every frame a service sizes takes the per-round parts, and each is
+    its encoded length, live and reference alike."""
+    sized = _served_frames(monkeypatch, m, u, n, faults)
+    assert len(sized) > 10 * len(faults)
+    assert {frame.kind for frame in sized} == {BATCH}
+    assert len({frame.instance for frame in sized}) == len(faults)
+    for frame in sized:
+        assert codec._round_batch_size(frame) is not None, frame
+        size = frame_size(frame)
+        assert size == len(encode_frame(frame)), frame
+        assert size == len(reference.encode_frame(frame)), frame
+
+
+def _batch(*messages, **fields):
+    envelope = dict(
+        kind=BATCH, round_no=2, source="p1", destination="p2",
+        sent_at=1000.25, messages=messages, mark=True, instance="i7",
+    )
+    envelope.update(fields)
+    return Frame(**envelope)
+
+
+def _relayed(source="p1", destination="p2", tag="byz:i7", round_sent=2, value="a"):
+    return Message(
+        source, destination, RelayPayload(("S", source), value), round_sent, tag
+    )
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        _batch(_relayed(), _relayed(source="p3")),  # mixed sources
+        _batch(_relayed(), _relayed(destination="p3")),  # mixed destinations
+        _batch(_relayed(), _relayed(tag="byz:i8")),  # mixed tags
+        _batch(_relayed(), _relayed(round_sent=True)),  # mixed round types
+        _batch(_relayed(tag=7)),  # a non-str tag
+        _batch(
+            Message(1, 2, RelayPayload((0, 1), "a"), 2, "byz:i7"),
+            source=1, destination=2,
+        ),  # int node ids
+        _batch(_relayed(), seq=4),
+        _batch(_relayed(), trace="00000000000000aa"),
+        _batch(_relayed(), sent_at=0.0),
+        _batch(_relayed(), sent_at=-0.0),
+        _batch(_relayed(), sent_at=7),  # a non-float stamp
+        _batch(_relayed(), instance=("i", 7)),
+        _batch(_relayed(), mark=1.0),
+        Frame(kind=DATA, round_no=2, source="p1", destination="p2",
+              message=_relayed(), sent_at=1000.25),
+        Frame(kind=MARK, round_no=2, source="p1", destination="p2",
+              sent_at=1000.25),
+    ],
+)
+def test_frames_off_the_round_path_are_sized_in_full(frame):
+    assert codec._round_batch_size(frame) is None
+    assert frame_size(frame) == len(reference.encode_frame(frame))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (dict(mark=True), dict(mark=1)),
+        (dict(mark=1), dict(mark=True)),
+        (dict(mark=False), dict(mark=0)),
+        (dict(instance=True), dict(instance=1)),
+        (dict(instance=1), dict(instance=True)),
+        (dict(instance=None), dict(instance="i7")),
+        (dict(round_no=True), dict(round_no=1)),
+        (dict(round_no=1), dict(round_no=True)),
+    ],
+)
+def test_frames_sharing_a_stamp_never_alias_a_field_of_another_type(
+    first, second
+):
+    """The per-round memo keys each field by exact type and value: a frame
+    whose field equals the last one's in value alone is sized afresh."""
+    for fields in (first, second, first):
+        frame = _batch(_relayed(), sent_at=4321.5, **fields)
+        assert codec._round_batch_size(frame) is not None
+        assert frame_size(frame) == len(reference.encode_frame(frame)), fields
+
+
+def test_round_memos_are_bounded(monkeypatch):
+    monkeypatch.setattr(codec, "ROUND_MEMO_ENTRIES", 4)
+    monkeypatch.setattr(codec, "_ENVELOPE_PARTS", {})
+    monkeypatch.setattr(codec, "_MESSAGE_PARTS", {})
+    for index in range(10):
+        frame = _batch(
+            _relayed(round_sent=index), sent_at=100.0 + index, round_no=index
+        )
+        assert frame_size(frame) == len(reference.encode_frame(frame))
+        assert len(codec._ENVELOPE_PARTS) <= 4
+        assert len(codec._MESSAGE_PARTS) <= 4
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Transport unit tests: LocalBus, FlakyTransport and TcpTransport."""
+"""Transport unit tests: LocalBus, FlakyTransport and TcpTransport, and the
+inbox contract every node endpoint keeps."""
 
 import asyncio
 
@@ -11,10 +12,12 @@ from repro.net.chaos import ChaosPolicy, ChaosTransport
 from repro.net.metrics import NetMetrics
 from repro.net.supervision import SupervisedTransport
 from repro.net.transport import (
+    Inbox,
     LocalBus,
     Transport,
     TransportLayer,
 )
+from repro.serve import InstanceMux
 from repro.sim.messages import Message, RelayPayload
 from tests.net.flaky import FlakyTransport
 
@@ -90,6 +93,23 @@ class TestLocalBus:
             with pytest.raises(TransportError):
                 await bus.send(data_frame(destination="ghost"))
             await bus.close()
+
+        asyncio.run(scenario())
+
+    def test_close_in_the_turn_a_reader_was_woken_still_wakes_it(self):
+        """A reader woken by a frame that a restart then loses, on a bus
+        closed in that same turn, raises instead of waiting again."""
+
+        async def scenario():
+            bus = LocalBus()
+            await bus.open(NODES)
+            reader = asyncio.ensure_future(bus.recv("p1"))
+            await asyncio.sleep(0)
+            await bus.send(data_frame())
+            await bus.restart_endpoint("p1")
+            await bus.close()
+            with pytest.raises(TransportError):
+                await asyncio.wait_for(reader, 1.0)
 
         asyncio.run(scenario())
 
@@ -277,3 +297,209 @@ class TestTcpTransport:
             await tcp.close()
 
         asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# The inbox contract: LocalBus, TcpTransport and an InstanceChannel
+# ----------------------------------------------------------------------
+class _Endpoint:
+    """p1's inbox on one transport kind: a reader, a way in, a way out.
+
+    ``local`` and ``tcp`` read and write one transport; ``channel`` reads
+    an :class:`~repro.serve.mux.InstanceChannel` whose frames come in
+    over the mux's shared LocalBus and its pump.
+    """
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    async def open(self):
+        if self.kind == "channel":
+            self.mux = InstanceMux(LocalBus(), NODES)
+            await self.mux.start()
+            self.reader = self.mux.channel("i1")
+            await self.reader.open(NODES)
+            self.writer = self.mux.transport
+        else:
+            self.reader = LocalBus() if self.kind == "local" else TcpTransport()
+            self.writer = self.reader
+            await self.reader.open(NODES)
+        return self
+
+    def inbox(self):
+        return self.reader._inboxes["p1"]
+
+    async def send(self, value):
+        frame = data_frame(value=value)
+        if self.kind == "channel":
+            frame = Frame(
+                kind=DATA, round_no=1, source="S", destination="p1",
+                message=frame.message, instance="i1",
+            )
+        await self.writer.send(frame)
+
+    async def arrive(self, value):
+        """Send a frame carrying *value* and wait until p1's inbox holds
+        it (nobody reads meanwhile)."""
+        inbox = self.inbox()
+        queued = len(inbox._items)
+        await self.send(value)
+        for _ in range(5000):
+            if len(inbox._items) > queued:
+                return
+            await asyncio.sleep(0.001)
+        raise AssertionError(f"{value!r} never reached p1's inbox")
+
+    async def recv(self):
+        return value_of(await asyncio.wait_for(self.reader.recv("p1"), 5.0))
+
+    async def close(self):
+        if self.kind == "channel":
+            await self.mux.stop()
+        else:
+            await self.reader.close()
+
+
+def value_of(frame):
+    return frame.message.payload.value
+
+
+async def settle():
+    """Let every ready task take its steps (a reader parks on its inbox)."""
+    for _ in range(5):
+        await asyncio.sleep(0)
+
+
+@pytest.mark.parametrize("kind", ["local", "tcp", "channel"])
+class TestInboxContract:
+    def test_fifo_across_interleaved_puts_and_gets(self, kind):
+        async def scenario():
+            endpoint = await _Endpoint(kind).open()
+            try:
+                got = []
+                await endpoint.arrive("a")
+                await endpoint.arrive("b")
+                got.append(await endpoint.recv())
+                await endpoint.arrive("c")
+                got.append(await endpoint.recv())
+                got.append(value_of(endpoint.reader.recv_nowait("p1")))
+                waiting = asyncio.ensure_future(endpoint.reader.recv("p1"))
+                await settle()
+                await endpoint.send("d")
+                await endpoint.send("e")
+                got.append(value_of(await asyncio.wait_for(waiting, 5.0)))
+                got.append(await endpoint.recv())
+                return got
+            finally:
+                await endpoint.close()
+
+        assert asyncio.run(scenario()) == ["a", "b", "c", "d", "e"]
+
+    def test_a_recv_cancelled_after_its_frame_was_put_leaves_it_queued(
+        self, kind, monkeypatch
+    ):
+        """The round deadline firing in the turn a frame is handed over
+        loses nothing: the frame waits for the next read (a late frame)."""
+        put = Inbox.put_nowait
+
+        async def scenario():
+            endpoint = await _Endpoint(kind).open()
+            try:
+                target = endpoint.inbox()
+                reader = asyncio.ensure_future(endpoint.reader.recv("p1"))
+                await settle()
+
+                def put_then_cancel(inbox, item):
+                    put(inbox, item)
+                    if inbox is target:
+                        reader.cancel()
+
+                monkeypatch.setattr(Inbox, "put_nowait", put_then_cancel)
+                await endpoint.send("handed-over")
+                await asyncio.wait([reader], timeout=5.0)
+                assert reader.cancelled()
+                frame = endpoint.reader.recv_nowait("p1")
+                return None if frame is None else value_of(frame)
+            finally:
+                await endpoint.close()
+
+        assert asyncio.run(scenario()) == "handed-over"
+
+    def test_a_second_concurrent_recv_raises(self, kind):
+        async def scenario():
+            endpoint = await _Endpoint(kind).open()
+            try:
+                first = asyncio.ensure_future(endpoint.reader.recv("p1"))
+                await settle()
+                with pytest.raises(TransportError):
+                    await asyncio.wait_for(endpoint.reader.recv("p1"), 1.0)
+                await endpoint.send("x")
+                return value_of(await asyncio.wait_for(first, 5.0))
+            finally:
+                await endpoint.close()
+
+        assert asyncio.run(scenario()) == "x"
+
+    def test_close_wakes_a_waiting_recv_and_refuses_later_ones(self, kind):
+        """Closing a bus, or releasing a channel, drops its inboxes: a read
+        parked on one raises instead of waiting forever."""
+
+        async def scenario():
+            endpoint = await _Endpoint(kind).open()
+            try:
+                waiting = asyncio.ensure_future(endpoint.reader.recv("p1"))
+                await settle()
+                if kind == "channel":
+                    endpoint.mux.release("i1")
+                else:
+                    await endpoint.reader.close()
+                with pytest.raises(TransportError):
+                    await asyncio.wait_for(waiting, 1.0)
+                with pytest.raises(TransportError):
+                    await asyncio.wait_for(endpoint.reader.recv("p1"), 1.0)
+            finally:
+                await endpoint.close()
+
+        asyncio.run(scenario())
+
+
+class TestRestartInPlace:
+    @pytest.mark.parametrize("kind", ["local", "tcp"])
+    def test_restart_empties_the_inbox_and_a_waiting_recv_reads_on(self, kind):
+        async def scenario():
+            endpoint = await _Endpoint(kind).open()
+            try:
+                inbox = endpoint.inbox()
+                await endpoint.arrive("lost")
+                await endpoint.writer.restart_endpoint("p1")
+                assert endpoint.inbox() is inbox
+                assert endpoint.reader.recv_nowait("p1") is None
+                waiting = asyncio.ensure_future(endpoint.reader.recv("p1"))
+                await settle()
+                await endpoint.writer.restart_endpoint("p1")
+                await endpoint.send("after")
+                return value_of(await asyncio.wait_for(waiting, 5.0))
+            finally:
+                await endpoint.close()
+
+        assert asyncio.run(scenario()) == "after"
+
+    def test_a_channel_reader_outlives_its_node_restart(self):
+        """A channel's endpoint is the shared transport's: the channel
+        cannot restart it, and a read waiting on it through a node restart
+        gets the next frame."""
+
+        async def scenario():
+            endpoint = await _Endpoint("channel").open()
+            try:
+                with pytest.raises(TransportError):
+                    await endpoint.reader.restart_endpoint("p1")
+                waiting = asyncio.ensure_future(endpoint.reader.recv("p1"))
+                await settle()
+                await endpoint.mux.restart_node("p1")
+                await endpoint.send("after")
+                return value_of(await asyncio.wait_for(waiting, 5.0))
+            finally:
+                await endpoint.close()
+
+        assert asyncio.run(scenario()) == "after"
