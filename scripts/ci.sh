@@ -434,13 +434,23 @@ timeout 300 python -m repro serve --instances 4 --trace "${ARTIFACTS}/serve.json
 
 echo "== a service's memory is bounded (a window of decided instances, folded sums for the rest) =="
 # The service keeps its last OUTCOME_WINDOW decided instances (plus the
-# latest HELD_OUTCOMES outside D.1/D.2) and folds the rest into running
+# latest HELD_OUTCOMES held ones) in one store, service.outcomes, which is
+# the aggregate recorder's window, and folds what it evicts into running
 # sums, so a scrape counts from the sums and walks the window.  A count
-# taken by walking service.outcomes or sizing metrics.instances would
-# read the window, not the run.
-if grep -nE "for [a-z_]+ in (service\.outcomes|outcomes)\b|service\.outcomes\.values\(|len\(service\.outcomes\)|len\(metrics\.instances\)" \
+# taken by walking service.outcomes or sizing metrics.window would read
+# the window, not the run.
+if grep -nE "for [a-z_]+ in (service\.outcomes|outcomes)\b|service\.outcomes\.values\(|len\(service\.outcomes\)|len\(metrics\.window\)" \
         src/repro/obs/prom.py src/repro/obs/http.py; then
     echo "obs/prom.py or obs/http.py counts by walking the service window: read the service's tally and the recorder's instances_folded" >&2
+    exit 1
+fi
+# One window, one fold, one eviction site: one window-size constant under
+# src/, no second fold class beside InstanceTally, and one place where an
+# outcome leaves the store.
+if [ "$(grep -rnE "^[A-Z_]*WINDOW[A-Z_]* *(: *[A-Za-z]+)? *=" src/ | wc -l)" -ne 1 ] \
+        || grep -rnE "^class (FoldedInstances|OutcomeTally)\b" src/ \
+        || [ "$(grep -c "outcomes\.pop(" src/repro/serve/gateway.py)" -ne 1 ]; then
+    echo "the service keeps its decided instances twice: one window-size constant, one fold class (InstanceTally), one eviction site (AgreementService._evict)" >&2
     exit 1
 fi
 # A round's wait-set table is the session's, shared by every instance's

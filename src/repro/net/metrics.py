@@ -20,11 +20,11 @@ Latency percentiles use nearest-rank on the pooled sample; with the whole
 runtime in one OS process, the send/receive timestamps share one monotonic
 clock, so the numbers are genuine one-way frame latencies.
 
-A service aggregate keeps the recorders of its last
-:data:`INSTANCE_WINDOW` decided instances whole; an older one is folded
-into :class:`FoldedInstances` (running sums and histogram buckets) as it
-leaves the window, so the aggregate's size and the cost of reading it do
-not grow with the service's history.
+A service aggregate holds the recorders of the decided instances its
+service keeps, in :attr:`NetMetrics.window`; the service bounds that
+window and folds what it evicts into its :class:`InstanceTally` (running
+sums and histogram buckets), so the aggregate's size and the cost of
+reading it do not grow with the service's history.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple,
+)
 
 from repro._slots import slotted
 from repro.obs.stats import percentiles
@@ -56,11 +58,6 @@ DURATION_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-#: Decided instances whose recorders a service aggregate keeps whole
-#: (:meth:`NetMetrics.record_instance`); an older one is folded into
-#: :attr:`NetMetrics.folded` as it leaves.
-INSTANCE_WINDOW = 512
 
 
 @slotted
@@ -191,22 +188,33 @@ class Buckets:
         self.total += value
 
 
-class FoldedInstances:
-    """Running sums of the instance recorders a service aggregate evicted.
+class InstanceTally:
+    """A service's decided instances, counted: its one running fold.
 
-    ``counters`` sums their :meth:`NetMetrics.counters` key by key;
-    ``bytes_sent`` and ``rounds`` are the two totals the fingerprint
-    leaves out; their latency and (non-zero) round-duration samples live
-    on as histogram buckets only.
+    :meth:`decide` counts an instance as it decides: ``decided``, its
+    guarantee tier in ``tiers``, ``satisfied`` if its contract held, and
+    its submit-to-decision latency in ``instance_latencies``.  :meth:`fold`
+    takes in the recorder of an instance the service evicts: ``evicted``
+    counts them, ``counters`` sums their :meth:`NetMetrics.counters` key
+    by key, ``bytes_sent`` and ``rounds`` are the two totals the
+    fingerprint leaves out, and their latency and (non-zero)
+    round-duration samples live on as histogram buckets only.
     """
 
     __slots__ = (
-        "instances", "rounds", "round_numbers", "bytes_sent", "counters",
-        "latencies", "durations",
+        "decided", "tiers", "satisfied", "instance_latencies", "evicted",
+        "rounds", "round_numbers", "bytes_sent", "counters", "latencies",
+        "durations",
     )
 
     def __init__(self) -> None:
-        self.instances = 0
+        self.decided = 0
+        self.tiers: Dict[str, int] = dict.fromkeys(
+            ("byzantine", "degraded", "none"), 0
+        )
+        self.satisfied = 0
+        self.instance_latencies = Buckets(DURATION_BUCKETS)
+        self.evicted = 0
         self.rounds = 0
         self.round_numbers: set = set()
         self.bytes_sent = 0
@@ -214,9 +222,16 @@ class FoldedInstances:
         self.latencies = Buckets(LATENCY_BUCKETS)
         self.durations = Buckets(DURATION_BUCKETS)
 
-    def add(self, recorder: "NetMetrics") -> None:
-        """Fold one instance's own recorder in."""
-        self.instances += 1
+    def decide(self, tier: str, satisfied: bool, latency: float) -> None:
+        """Count one decided instance."""
+        self.decided += 1
+        self.tiers[tier] += 1
+        self.satisfied += satisfied
+        self.instance_latencies.add(latency)
+
+    def fold(self, recorder: "NetMetrics") -> None:
+        """Fold an evicted instance's own recorder in."""
+        self.evicted += 1
         self.rounds += len(recorder.rounds)
         counters = self.counters
         for key, value in recorder._head().items():
@@ -264,7 +279,7 @@ class NetMetrics:
 
     __slots__ = (
         "transport", "rounds", "substitutions", "decode_errors",
-        "partition_rounds", "crash_events", "instances", "folded",
+        "partition_rounds", "crash_events", "window", "folded",
         "stray_frames", "links", "endpoint_restarts", "link_resets", "bus",
         "tracer",
     )
@@ -285,17 +300,17 @@ class NetMetrics:
         self.partition_rounds = 0
         #: Node crash onsets the chaos layer executed.
         self.crash_events = 0
-        #: Folded recorders of a multiplexed service run
-        #: (:mod:`repro.serve`): instance id → the *instance's own*
-        #: recorder, folded in by :meth:`record_instance` when the
-        #: instance decides — the last :data:`INSTANCE_WINDOW` of them, in
-        #: decision order.  Every ``total_*`` figure sums this recorder's
-        #: rounds, theirs and :attr:`folded`'s.  Single-agreement runs
-        #: leave this empty.
-        self.instances: Dict[str, "NetMetrics"] = {}
-        #: Running sums of the recorders evicted from :attr:`instances`;
-        #: None until the first eviction.
-        self.folded: Optional[FoldedInstances] = None
+        #: The decided instances of a multiplexed service run
+        #: (:mod:`repro.serve`) whose recorders are held whole, in decision
+        #: order: instance id → what :meth:`record_instance` was handed,
+        #: whose ``metrics`` is the *instance's own* recorder.  A service
+        #: shares this dict as its ``outcomes`` and evicts from it.  Every
+        #: ``total_*`` figure sums this recorder's rounds, theirs and
+        #: :attr:`folded`'s.  Single-agreement runs leave this empty.
+        self.window: Dict[Hashable, Any] = {}
+        #: The service's tally once its window first overflowed: the sums
+        #: of the recorders evicted from :attr:`window`.  None before.
+        self.folded: Optional[InstanceTally] = None
         #: Frames the service demux routed to a retired (already decided
         #: and garbage-collected) or never-registered instance.
         self.stray_frames = 0
@@ -393,30 +408,25 @@ class NetMetrics:
         self.stray_frames += 1
         self.publish("stray_frame", total=self.stray_frames)
 
-    def record_instance(
-        self, instance_id: Hashable, recorder: "NetMetrics"
-    ) -> None:
-        """Fold one decided instance's recorder into this run.
+    def record_instance(self, instance_id: Hashable, entry: Any) -> None:
+        """Bring one decided instance's recorder into this run.
 
-        Called by the service gateway when an instance completes, with the
-        recorder the instance's runner wrote (nothing is copied: totals
-        and the fingerprint are derived from it on demand).  The key is
-        stringified so arbitrary hashable instance ids serialize stably.
-        Because :meth:`counters` emits the folded counters sorted by key,
-        the aggregate fingerprint is insensitive to instance *completion
-        order* — two same-seed service runs fingerprint identically even
-        though the event loop interleaves them freely.
-
-        Past :data:`INSTANCE_WINDOW` instances the oldest recorder leaves
-        :attr:`instances` and is folded into :attr:`folded`: the work is
-        done on eviction, so a run inside the window pays nothing for it.
+        Called by the service gateway when an instance decides, with its
+        outcome; *entry* may be a bare recorder too (a recorder is its own
+        :attr:`metrics`).  Nothing is copied: totals and the fingerprint
+        are derived from ``entry.metrics`` on demand.  Because
+        :meth:`counters` lists the instances sorted by the text of their
+        id, the aggregate fingerprint is insensitive to instance
+        *completion order* — two same-seed service runs fingerprint
+        identically even though the event loop interleaves them freely.
+        The caller bounds :attr:`window`.
         """
-        instances = self.instances
-        instances[str(instance_id)] = recorder
-        if len(instances) > INSTANCE_WINDOW:
-            if self.folded is None:
-                self.folded = FoldedInstances()
-            self.folded.add(instances.pop(next(iter(instances))))
+        self.window[instance_id] = entry
+
+    @property
+    def metrics(self) -> "NetMetrics":
+        """This recorder: a bare recorder is its own :attr:`window` entry."""
+        return self
 
     def record_partition_round(self) -> None:
         self.partition_rounds += 1
@@ -463,20 +473,24 @@ class NetMetrics:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
+    def _recorders(self) -> List["NetMetrics"]:
+        """The recorders of the instances held whole, in decision order."""
+        return [entry.metrics for entry in self.window.values()]
+
     def all_rounds(self) -> List[RoundMetrics]:
         """Every round entry of this recorder and of the window's recorders
         (an evicted instance's rounds live on as :attr:`folded` sums)."""
         return [
             entry
-            for recorder in (self, *self.instances.values())
+            for recorder in (self, *self._recorders())
             for entry in recorder.rounds.values()
         ]
 
     @property
     def instances_folded(self) -> int:
         """Decided instances folded in: the window's plus the evicted."""
-        evicted = 0 if self.folded is None else self.folded.instances
-        return len(self.instances) + evicted
+        evicted = 0 if self.folded is None else self.folded.evicted
+        return len(self.window) + evicted
 
     @property
     def total_rounds(self) -> int:
@@ -486,7 +500,7 @@ class NetMetrics:
         only hold what the shared chaos layer did — so once instances are
         folded in, theirs are the rounds that count.
         """
-        folded = sum(len(r.rounds) for r in self.instances.values())
+        folded = sum(len(r.rounds) for r in self._recorders())
         if self.folded is not None:
             folded += self.folded.rounds
         return folded or len(self.rounds)
@@ -498,7 +512,7 @@ class NetMetrics:
         if self.folded is not None:
             evicted = self.folded.counters.get("substitutions", 0)
         return self.substitutions + evicted + sum(
-            r.substitutions for r in self.instances.values()
+            r.substitutions for r in self._recorders()
         )
 
     total_messages = _round_total("messages_sent")
@@ -521,7 +535,7 @@ class NetMetrics:
         are in ``folded.durations``)."""
         return [
             recorder.rounds[r].duration
-            for recorder in (self, *self.instances.values())
+            for recorder in (self, *self._recorders())
             for r in sorted(recorder.rounds)
         ]
 
@@ -567,22 +581,23 @@ class NetMetrics:
 
         A folded instance contributes its own recorder's ``counters()``
         under ``inst.<id>.``; the ``total_*`` properties are the place
-        that sums across instances.  Once an instance has been evicted
-        from the window (:data:`INSTANCE_WINDOW`), the per-instance keys
-        give way to ``folded.instances`` and ``folded.<key>``: each key
-        of the instances' fingerprints summed over every folded instance,
-        evicted or not — still insensitive to completion order.
+        that sums across instances.  Once the service's window has
+        overflowed (:attr:`folded` is set), the per-instance keys give way
+        to ``folded.instances`` and ``folded.<key>``: each key of the
+        instances' fingerprints summed over every folded instance, evicted
+        or not — still insensitive to completion order.
         """
         out = self._head()
         folded = self.folded
         if folded is None:
-            for instance_id in sorted(self.instances):
-                folded_counters = self.instances[instance_id].counters()
+            window = self.window
+            for instance_id in sorted(window, key=str):
+                folded_counters = window[instance_id].metrics.counters()
                 for key, value in sorted(folded_counters.items()):
                     out[f"inst.{instance_id}.{key}"] = value
         else:
             sums = dict(folded.counters)
-            for recorder in self.instances.values():
+            for recorder in self._recorders():
                 for key, value in recorder.counters().items():
                     sums[key] = sums.get(key, 0) + value
             out["folded.instances"] = self.instances_folded
@@ -676,7 +691,7 @@ class NetMetrics:
         )
         if self.total_frames_batched:
             lines.append(f"batching: {self.total_frames_batched} batch frame(s)")
-        if self.instances:
+        if self.window:
             lines.append(
                 f"multiplexing: {self.instances_folded} instance(s) folded in  "
                 f"rounds={self.total_rounds}"

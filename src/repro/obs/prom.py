@@ -267,9 +267,9 @@ def metrics_registry(
     per scrape: cheap (one pass over the recorder) and race-free enough
     for a single event loop.  *tracer* (a :class:`repro.trace.Tracer`)
     adds the span-derived families: per-category span counts and
-    duration histograms.  A scrape reads the recorder's and the service's
-    window of decided instances plus their running sums for the evicted
-    ones: its cost is bounded by the window, not by the run's history.
+    duration histograms.  A scrape walks the service's one store of
+    decided instances and reads every count and evicted sum from its
+    tally: its cost is bounded by the store, not by the run's history.
     """
     out = Exposition()
     links = metrics.links.values()
@@ -418,7 +418,7 @@ def metrics_registry(
             "Submit-to-decision latency of finished instances.",
             DURATION_BUCKETS,
             (),
-            folded=tally.latencies,
+            folded=tally.instance_latencies,
         )
 
     if bus is not None:

@@ -29,23 +29,25 @@ crash-restarts one node's endpoint mid-campaign through the transport's
 ``restart_endpoint`` — the same path a chaos-scheduled restart takes (see
 :meth:`~repro.serve.mux.InstanceMux.restart_node`).
 
-Every finished instance folds its recorder into the service's aggregate
-recorder (``NetMetrics.record_instance``: the aggregate's totals sum the
-folded recorders, and its fingerprint lists their counters keyed and
-sorted, so it is insensitive to completion order) and appends
-its stamped trace to the service trace;
-:func:`record_service_run` packages the whole service run as one
-``mode="serve"`` :class:`~repro.verify.record.RunRecord` that
+Every decided instance brings its outcome, and with it its recorder, into
+the service's aggregate recorder (``NetMetrics.record_instance``: the
+aggregate's totals sum those recorders, and its fingerprint lists their
+counters keyed and sorted, so it is insensitive to completion order);
+:func:`record_service_run` packages the instances the service holds as
+one ``mode="serve"`` :class:`~repro.verify.record.RunRecord` that
 ``repro.verify``'s demux helper can split back into per-instance records
 for conformance checking.
 
-A service meant to run indefinitely holds bounded state: the outcomes of
-its last :data:`OUTCOME_WINDOW` decided instances, plus the latest
-:data:`HELD_OUTCOMES` outside D.1/D.2.  An outcome that leaves is folded
-into an :class:`OutcomeTally` (decided count, tier and contract counts,
-latency buckets), so every count stays whole while a scrape walks the
-window only.  Instance ids are single-use while their instance is held;
-see :meth:`AgreementService.decision` for what an evicted id answers.
+A service meant to run indefinitely holds bounded state in one store,
+``AgreementService.outcomes`` (the aggregate recorder's ``window``): the
+last :data:`OUTCOME_WINDOW` decided instances, after the latest
+:data:`HELD_OUTCOMES` held ones — outcomes outside D.1/D.2 that left the
+window, and failed instances, which take no window slot.  An outcome
+evicted from it has its recorder folded into the service's
+:class:`~repro.net.metrics.InstanceTally`, which also counts every
+instance as it decides, so a scrape reads every count from the tally.
+Instance ids are single-use while their instance is held; see
+:meth:`AgreementService.decision` for what an evicted id answers.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import asyncio
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from math import isfinite
 from typing import (
     TYPE_CHECKING,
@@ -78,12 +81,7 @@ from repro.exceptions import (
     ConfigurationError,
     UnknownInstanceError,
 )
-from repro.net.metrics import (
-    DURATION_BUCKETS,
-    INSTANCE_WINDOW,
-    Buckets,
-    NetMetrics,
-)
+from repro.net.metrics import InstanceTally, NetMetrics
 from repro.net.runner import AsyncRoundRunner
 from repro.net.stack import build_stack
 from repro.net.transport import LocalBus, Transport
@@ -103,10 +101,11 @@ InstanceId = Hashable
 _NOBODY: FrozenSet[NodeId] = frozenset()
 
 #: Decided instances whose outcome the service keeps whole, the latest
-#: ones (the aggregate recorder keeps as many of their recorders).
-OUTCOME_WINDOW = INSTANCE_WINDOW
-#: Outcomes outside D.1/D.2 kept after they leave the window, the latest
-#: this many: the instances an operator asks about.
+#: ones: the window.
+OUTCOME_WINDOW = 512
+#: Instances held beside the window, the latest this many: outcomes
+#: outside D.1/D.2 that left it, and failed instances — the instances an
+#: operator asks about.
 HELD_OUTCOMES = 64
 
 
@@ -148,42 +147,6 @@ class InstanceOutcome:
     def agreed(self) -> bool:
         """Whether D.1 or D.2 held: every fault-free receiver agreed."""
         return bool(self.report.d1 or self.report.d2)
-
-
-class OutcomeTally:
-    """Decided instances, counted: the figures a scrape reports.
-
-    ``tiers`` counts guarantee tiers, ``satisfied`` the instances whose
-    contract held, ``latencies`` their submit-to-decision latencies in the
-    exposition's duration buckets.
-    """
-
-    __slots__ = ("decided", "tiers", "satisfied", "latencies")
-
-    def __init__(self) -> None:
-        self.decided = 0
-        self.tiers: Dict[str, int] = dict.fromkeys(
-            ("byzantine", "degraded", "none"), 0
-        )
-        self.satisfied = 0
-        self.latencies = Buckets(DURATION_BUCKETS)
-
-    def add(self, outcome: "InstanceOutcome") -> None:
-        self.decided += 1
-        self.tiers[outcome.tier] += 1
-        self.satisfied += outcome.ok
-        self.latencies.add(outcome.latency)
-
-    def plus(self, outcomes) -> "OutcomeTally":
-        """A new tally: this one with *outcomes* added."""
-        tally = OutcomeTally()
-        tally.decided, tally.satisfied = self.decided, self.satisfied
-        tally.tiers = dict(self.tiers)
-        tally.latencies.counts = list(self.latencies.counts)
-        tally.latencies.total = self.latencies.total
-        for outcome in outcomes:
-            tally.add(outcome)
-        return tally
 
 
 @dataclass
@@ -258,19 +221,23 @@ class AgreementService:
         self.batching = batching
         self.record_trace = record_trace
 
-        #: Decided instances held whole, in decision order: the window
-        #: plus the held ones outside D.1/D.2.
-        self.outcomes: Dict[InstanceId, InstanceOutcome] = {}
+        #: The one store: decided instances held whole, in decision order
+        #: (the held ones outside D.1/D.2, then the window).  It is the
+        #: aggregate recorder's window, so each outcome, and the recorder
+        #: it carries, is referenced from this one dict.
+        self.outcomes: Dict[InstanceId, InstanceOutcome] = (
+            self.aggregate_metrics.window
+        )
         self.rejected_submits = 0
-        #: Futures of the instances not yet decided, and of failed ones
-        #: still in the window.
+        #: Futures of the instances not yet decided, and of held failed
+        #: ones.
         self._futures: Dict[InstanceId, "asyncio.Future"] = {}
-        #: Finished instances (decided or failed) in the window, oldest
-        #: first, and the held outcomes that left it.
-        self._window: Deque[InstanceId] = deque()
+        #: Held instances, oldest first: outcomes outside D.1/D.2 that
+        #: left the window, and failed instances.
         self._held: Deque[InstanceId] = deque()
-        #: The outcomes that left: counted, not kept.
-        self._evicted = OutcomeTally()
+        #: Every decided instance, counted as it decides; the recorders of
+        #: the evicted ones, folded.
+        self._tally = InstanceTally()
         self._pending: "asyncio.Queue[_Job]" = asyncio.Queue()
         self._workers: List["asyncio.Task"] = []
         #: Submitted-but-unfinished instances (queued + in flight); the
@@ -348,17 +315,16 @@ class AgreementService:
     @property
     def decided(self) -> int:
         """Instances decided so far, held or evicted."""
-        return self._evicted.decided + len(self.outcomes)
+        return self._tally.decided
 
     @property
     def evicted(self) -> int:
-        """Decided instances whose outcome has left the window, counted."""
-        return self._evicted.decided
+        """Decided instances the service no longer holds, counted."""
+        return self._tally.evicted
 
-    def tally(self) -> OutcomeTally:
-        """Every decided instance, counted: the evicted outcomes' running
-        sums plus one walk of the held ones."""
-        return self._evicted.plus(self.outcomes.values())
+    def tally(self) -> InstanceTally:
+        """Every decided instance, counted (live: it runs on)."""
+        return self._tally
 
     # ------------------------------------------------------------------
     # Client API
@@ -461,7 +427,7 @@ class AgreementService:
             raise UnknownInstanceError(
                 f"unknown instance {instance_id!r}: not submitted here, or "
                 f"decided and evicted from the last {OUTCOME_WINDOW} "
-                f"decided instances"
+                f"decided instances and the {HELD_OUTCOMES} held"
             )
         return outcome
 
@@ -515,13 +481,14 @@ class AgreementService:
     @property
     def aggregate_metrics(self) -> NetMetrics:
         """Shared-transport recorder with every decided instance's recorder
-        folded in (totals and fingerprint cover them)."""
+        brought in (totals and fingerprint cover them)."""
         return self.mux.metrics
 
     def service_trace(self) -> EventTrace:
-        """Every finished instance's stamped events, one merged trace.
+        """The stamped events of every decided instance the service holds
+        (:attr:`outcomes`), one merged trace.
 
-        Instances appear in completion order; concatenation keeps each
+        Instances appear in decision order; concatenation keeps each
         one's internal event order intact, which is all the
         demux-and-verify path needs (record fingerprints sort lines).
         """
@@ -547,6 +514,8 @@ class AgreementService:
             except Exception as exc:  # surfaced to the awaiting client
                 if not job.future.done():
                     job.future.set_exception(exc)
+                # Its future answers decision() while it is held.
+                self._hold(job.instance_id)
             else:
                 if not job.future.done():
                     job.future.set_result(outcome)
@@ -555,25 +524,20 @@ class AgreementService:
             finally:
                 self._admitted -= 1
                 self._pending.task_done()
-            self._window.append(job.instance_id)
-            if len(self._window) > OUTCOME_WINDOW:
-                self._leave_window(self._window.popleft())
 
-    def _leave_window(self, instance_id: InstanceId) -> None:
-        """Let the oldest finished instance go: a failed one's future is
-        dropped; an outcome outside D.1/D.2 is held (the oldest held one
-        goes in its place once :data:`HELD_OUTCOMES` are); any other
-        outcome is folded into the evicted tally."""
-        self._futures.pop(instance_id, None)
-        outcome = self.outcomes.get(instance_id)
-        if outcome is None:
-            return
-        if not outcome.agreed:
-            self._held.append(instance_id)
-            if len(self._held) <= HELD_OUTCOMES:
-                return
-            instance_id = self._held.popleft()
-        self._evicted.add(self.outcomes.pop(instance_id))
+    def _hold(self, instance_id: InstanceId) -> None:
+        """Hold a failed instance or an outcome that left the window; past
+        :data:`HELD_OUTCOMES` the oldest held one is evicted."""
+        held = self._held
+        held.append(instance_id)
+        if len(held) > HELD_OUTCOMES:
+            self._evict(held.popleft())
+
+    def _evict(self, instance_id: InstanceId) -> None:
+        """The one eviction site: a failed instance's future is dropped;
+        an outcome leaves the store, its recorder folded into the tally."""
+        if self._futures.pop(instance_id, None) is None:
+            self._tally.fold(self.outcomes.pop(instance_id).metrics)
 
     async def _run_instance(self, job: _Job) -> InstanceOutcome:
         loop = asyncio.get_running_loop()
@@ -624,7 +588,7 @@ class AgreementService:
             if span is not None:
                 aggregate.tracer.end(span, tier=tier, ok=report.satisfied)
         self._latencies.append(latency)
-        self.outcomes[job.instance_id] = outcome
+        self._tally.decide(tier, report.satisfied, latency)
         aggregate.publish(
             "instance_decided",
             instance=str(job.instance_id),
@@ -633,7 +597,19 @@ class AgreementService:
             afflicted=len(afflicted),
             latency=latency,
         )
-        aggregate.record_instance(job.instance_id, runner.metrics)
+        aggregate.record_instance(job.instance_id, outcome)
+        if self._tally.decided > OUTCOME_WINDOW:
+            # The window's oldest outcome, after the held ones, leaves it:
+            # it is held if outside D.1/D.2, else evicted.  From the first
+            # one on, the aggregate reads the tally as its fold.
+            outcomes = self.outcomes
+            held = len(outcomes) - OUTCOME_WINDOW - 1
+            oldest = next(islice(outcomes, held, None))
+            aggregate.folded = self._tally
+            if outcomes[oldest].agreed:
+                self._evict(oldest)
+            else:
+                self._hold(oldest)
         return outcome
 
 

@@ -17,7 +17,7 @@ concurrent agreement instances over it.  Two pieces make that work:
   (:meth:`~repro.net.metrics.NetMetrics.record_stray_frame`), not
   delivered.  An instance id is single-use while the gateway holds its
   instance (:meth:`~repro.serve.gateway.AgreementService.submit`); once
-  it has left the gateway's window a client may submit it again, so a
+  the gateway has evicted it a client may submit it again, so a
   channel also refuses a frame stamped (``sent_at``) before it was
   opened: a straggler of the id's earlier instance is stray too.
 

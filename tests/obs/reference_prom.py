@@ -468,7 +468,7 @@ def metrics_registry(
     registry.counter(
         "repro_instances_folded_total",
         "Decided service instances folded into the aggregate recorder.",
-    ).set(len(metrics.instances))
+    ).set(len(metrics.window))
     registry.counter(
         "repro_stray_frames_total",
         "Frames routed to a retired or unknown instance.",

@@ -5,7 +5,7 @@ window: the folding ``NetMetrics``, the Prometheus catalog and the
 gateway's outcome walks, verbatim.  The client here holds every outcome it
 was handed, in decision order, and rebuilds that aggregate from them.
 
-* A run of at most :data:`~repro.net.metrics.INSTANCE_WINDOW` instances is
+* A run of at most :data:`~repro.serve.gateway.OUTCOME_WINDOW` instances is
   byte-identical to it: ``counters()``, every ``total_*``,
   ``latency_percentiles()``, ``render()``, the ``/metrics`` exposition,
   ``/healthz``, ``service_stopped`` and ``record_service_run(...)
@@ -23,7 +23,6 @@ from repro.core.scenario import build_behavior
 from repro.core.spec import DegradableSpec
 from repro.explore import run_on_virtual_clock
 from repro.net.chaos import seeded_policy
-from repro.net.metrics import INSTANCE_WINDOW
 from repro.obs.events import EventBus
 from repro.obs.http import ObsServer
 from repro.obs.prom import metrics_registry, parse_exposition
@@ -104,7 +103,7 @@ def stopped_instances(bus):
     params=[
         ("clean-traced", 64, "", True),
         ("light-chaos", 48, "light", True),
-        ("window-full", INSTANCE_WINDOW, "", False),
+        ("window-full", OUTCOME_WINDOW, "", False),
     ],
     ids=lambda p: p[0],
 )
@@ -116,7 +115,7 @@ def inside_window(request):
 class TestInsideTheWindow:
     def test_the_run_is_inside_the_window(self, inside_window):
         service, _bus, decided = inside_window
-        assert len(decided) <= INSTANCE_WINDOW
+        assert len(decided) <= OUTCOME_WINDOW
         assert service.aggregate_metrics.folded is None
         assert service.evicted == 0
 
@@ -159,7 +158,7 @@ class TestInsideTheWindow:
 
 @pytest.fixture(scope="module")
 def past_the_window():
-    return serve(INSTANCE_WINDOW * 3, record_trace=False)
+    return serve(OUTCOME_WINDOW * 3, record_trace=False)
 
 
 class TestPastTheWindow:

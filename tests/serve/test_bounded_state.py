@@ -10,6 +10,9 @@
   evicted id answers :class:`UnknownInstanceError` and may be submitted
   again; and no straggler of an evicted instance is ever filed into the
   later instance that reuses its id.
+* :class:`TestFailedInstance` — a failed instance takes no window slot:
+  after one, the store, the fingerprint and the counts agree, inside the
+  window and past it.
 """
 
 from __future__ import annotations
@@ -24,17 +27,22 @@ import tracemalloc
 import pytest
 
 import repro
+from repro.core.behavior import FunctionBehavior
 from repro.core.scenario import build_behavior
 from repro.core.spec import DegradableSpec
 from repro.exceptions import ConfigurationError, UnknownInstanceError
 from repro.explore import run_on_virtual_clock
 from repro.net.chaos.policy import ChaosPolicy
 from repro.net.codec import MARK, Frame
-from repro.net.metrics import INSTANCE_WINDOW
 from repro.net.transport import LocalBus
 from repro.obs.http import ObsServer
 from repro.obs.prom import metrics_registry
-from repro.serve import AgreementService, InstanceMux, gateway
+from repro.serve import (
+    AgreementService,
+    InstanceMux,
+    gateway,
+    record_service_run,
+)
 from repro.serve.gateway import OUTCOME_WINDOW
 
 SPEC = DegradableSpec(m=1, u=2, n_nodes=5)
@@ -115,7 +123,7 @@ class TestFlatService:
         at_2500, at_5000, service = run_on_virtual_clock(scenario())
         assert at_2500 == at_5000
         assert at_5000["service"]["outcomes"] == OUTCOME_WINDOW
-        assert at_5000["recorder"]["instances"] == INSTANCE_WINDOW
+        assert at_5000["recorder"]["window"] == OUTCOME_WINDOW
         aggregate = service.aggregate_metrics
         assert service.decided == aggregate.instances_folded == 5000
         assert aggregate.total_frames == 5000 * 16
@@ -310,3 +318,69 @@ class TestSingleUseIds:
             assert outcome.ok and outcome.tier == "byzantine"
             assert set(outcome.decisions.values()) == {f"v{n}"}
             assert outcome.metrics.total_late_frames == 0
+
+
+class TestFailedInstance:
+    def test_the_store_the_fingerprint_and_the_counts_agree(self, monkeypatch):
+        """Window 4: one instance decides, one fails (its behaviour
+        raises), three decide — inside the window, all four decided are
+        held whole and listed — then four more decide, past it.  The
+        failed one is held: ``decision`` re-raises its error at both."""
+        monkeypatch.setattr(gateway, "OUTCOME_WINDOW", 4)
+
+        def boom(path, source, destination, honest_value):
+            raise RuntimeError("behaviour raised")
+
+        def view(service):
+            aggregate = service.aggregate_metrics
+            counters = aggregate.counters()
+            assert service.decided == aggregate.instances_folded
+            assert service.decided == service.tally().decided
+            assert service.evicted + len(service.outcomes) == service.decided
+            record = record_service_run(service)
+            listed = [entry["id"] for entry in record.meta["instances"]]
+            assert listed == list(service.outcomes)
+            assert record.meta.get("evicted", 0) == service.evicted
+            inst = sorted(
+                {key.split(".")[1] for key in counters if key.startswith("inst.")}
+            )
+            folded = counters.get("folded.instances")
+            if folded is None:
+                assert inst == sorted(service.outcomes)
+            else:
+                assert inst == [] and folded == service.decided
+            return {
+                "held": list(service.outcomes), "inst": inst,
+                "folded": folded, "evicted": service.evicted,
+            }
+
+        async def scenario():
+            async with AgreementService(SPEC, NODES, record_trace=False) as service:
+                await service.submit_and_wait("S", "v")
+                failed = service.submit(
+                    "S", "v", behaviors={"p1": FunctionBehavior(boom)}
+                )
+                with pytest.raises(RuntimeError, match="behaviour raised"):
+                    await service.decision(failed)
+                for _ in range(3):
+                    assert (await service.submit_and_wait("S", "v")).ok
+                inside = view(service)
+                for _ in range(4):
+                    assert (await service.submit_and_wait("S", "v")).ok
+                past = view(service)
+                with pytest.raises(RuntimeError, match="behaviour raised"):
+                    await service.decision(failed)
+                with pytest.raises(UnknownInstanceError):
+                    await service.decision("i0000")
+            return failed, inside, past
+
+        failed, inside, past = run_on_virtual_clock(scenario())
+        assert failed == "i0001"
+        decided = ["i0000", "i0002", "i0003", "i0004"]
+        assert inside == {
+            "held": decided, "inst": decided, "folded": None, "evicted": 0,
+        }
+        assert past == {
+            "held": ["i0005", "i0006", "i0007", "i0008"], "inst": [],
+            "folded": 8, "evicted": 4,
+        }

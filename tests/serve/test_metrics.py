@@ -206,7 +206,7 @@ class TestServiceScrape:
         counters = aggregate.counters()
         for outcome in outcomes:
             iid = str(outcome.instance_id)
-            assert aggregate.instances[iid] is outcome.metrics
+            assert aggregate.window[iid].metrics is outcome.metrics
             for key, value in outcome.metrics.counters().items():
                 assert counters[f"inst.{iid}.{key}"] == value
         assert "multiplexing: 8 instance(s) folded in" in aggregate.render()
