@@ -90,7 +90,7 @@ if grep -rnE "_retired|instance_attached|span_closed|BackoffPolicy|supervision_r
     exit 1
 fi
 # restart_endpoint empties a node's inbox in place: a replaced queue
-# leaves the mux's pump parked on the old one, and the node is deaf.
+# leaves a waiting collect parked on the old one, and the node is deaf.
 python - <<'PY'
 import ast
 import sys
@@ -131,6 +131,18 @@ fi
 if grep -n "asyncio.Queue(" src/repro/net/transport.py src/repro/net/tcp.py \
         src/repro/serve/mux.py src/repro/explore/transport.py; then
     echo "an asyncio.Queue is back as a node inbox: inboxes are net/transport.py's Inbox" >&2
+    exit 1
+fi
+echo "== a frame is filed where it lands (one delivery path, no reader task) =="
+# The mux files a frame in the call that delivered it: its per-node pump
+# tasks are gone, and a TCP endpoint decodes in its protocol's
+# data_received instead of a stream-reader task per connection.
+if grep -rn "_pump" src/repro/serve/; then
+    echo "a mux pump is back under serve/: the mux is a filter on the delivery path" >&2
+    exit 1
+fi
+if grep -nE "start_server|_reader_tasks" src/repro/net/tcp.py; then
+    echo "a stream-reader endpoint is back in net/tcp.py: endpoints are asyncio.Protocols that decode in data_received" >&2
     exit 1
 fi
 stamps="$(sed -n '/def _frame_batched(/,/^    def /p' src/repro/net/runner.py | grep -c "\.time()" || true)"
@@ -459,7 +471,8 @@ if grep -rnE "expected_sources\[[^]]*\] *=|expected_sources\.(update|setdefault|
     echo "a write into a shared wait-set table (RoundMetrics.expected_sources) under src/" >&2
     exit 1
 fi
-python -m pytest -q tests/serve/test_bounded_state.py tests/serve/test_aggregate_differential.py
+python -m pytest -q tests/serve/test_bounded_state.py tests/serve/test_aggregate_differential.py \
+    tests/net/test_tcp_bookkeeping.py tests/serve/test_recv_only.py
 # repro serve takes each decision as it lands: a plan longer than the
 # window is decided whole.
 timeout 300 python -m repro serve --instances 3000 --max-inflight 16 --seed 7 | tail -1 | grep -F "ALL INSTANCES SATISFIED"

@@ -203,8 +203,11 @@ class ExploredTransport(LocalBus):
     """In-memory transport whose deliveries the schedule decides.
 
     Decision index == send order: the runner awaits sends one by one.
-    A node's inbox queues each arrived frame's :class:`_Tracked` entry;
-    :meth:`_take` unwraps it.
+    A delivered frame goes down the delivery path; when the path ends in
+    this transport's :meth:`deliver`, the node's inbox queues the frame's
+    :class:`_Tracked` entry and the read (:meth:`_take`) unwraps it.  A
+    frame the path files elsewhere — a service mux's channel — counts as
+    read when it is handed on.
     """
 
     name = "explored"
@@ -233,6 +236,8 @@ class ExploredTransport(LocalBus):
         #: Decision index of each dropped frame whose menu offers
         #: ``stall`` -> (destination, instant the stall would surface).
         self._drop_stalls: Dict[int, Tuple[NodeId, float]] = {}
+        #: The entry :meth:`_deliver` is handing down the delivery path.
+        self._filing: Optional[_Tracked] = None
 
     # ------------------------------------------------------------------
     # Menus (partial-order pruning lives here)
@@ -377,11 +382,26 @@ class ExploredTransport(LocalBus):
             self._charge(entry)
         return entry.frame
 
+    def deliver(self, node: NodeId, frame: Frame) -> None:
+        entry, self._filing = self._filing, None
+        if entry is None or entry.frame is not frame:
+            # Filed from outside the schedule: tracked from here on.
+            entry = _Tracked(frame=frame, action=DELIVER)
+        inbox = self._inboxes.get(node)
+        if inbox is not None:
+            inbox.put_nowait(entry)
+
     def _deliver(self, entry: _Tracked) -> None:
-        inbox = self._inboxes.get(entry.frame.destination)
-        if inbox is None:
+        node = entry.frame.destination
+        if node not in self._inboxes:
             return  # delivered after close: a miss, charged in close()
-        inbox.put_nowait(entry)
+        self._filing = entry
+        self._sink(node, entry.frame)
+        if self._filing is entry:
+            # Not filed here: handed past this transport, or dropped by a
+            # filter on the way — read now, as a reader there sees it.
+            self._filing = None
+            self._take(node, entry)
 
     def _charge(self, entry: _Tracked) -> None:
         if not entry.charged:

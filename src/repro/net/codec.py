@@ -390,10 +390,13 @@ def frame_size(frame: Frame) -> int:
 def decode_frame(data: bytes) -> Frame:
     """Inverse of :func:`encode_frame`.
 
-    The body is parsed once and rebuilt in one flat pass:
-    :func:`~repro.sim.jsonable.from_jsonable` hands scalars (node ids,
-    path hops) back at its first check and rebuilds the hot payload shapes
-    (relay, ``V_d``, tuple) with list comprehensions, not generators.
+    The body is parsed once and rebuilt in one flat pass.  A message of
+    the usual shape is built directly: ``str`` node ids as parsed, and a
+    relay payload over ``str`` hops with a ``str`` or ``V_d`` value is
+    the one object the decode memo holds for its ``(path, value)``
+    (:func:`~repro.sim.jsonable.payload_from_jsonable`, the mirror of the
+    encode side's payload memo).  Every other shape is
+    :func:`~repro.sim.jsonable.from_jsonable`'s walk.
 
     Every body that is not a frame raises :class:`TransportError` and
     nothing else: bytes that are not UTF-8 JSON, an unknown envelope

@@ -560,15 +560,20 @@ class AsyncRoundRunner:
         frames, so chaos-induced lateness shows up in campaign reports
         whichever frame kind it hit.
 
-        The run yields once, so whatever its sends woke (a mux pump) files
-        its frames first; then each node files what has already arrived
-        (:meth:`_drain`) in the run's own task, and only a node that must
-        still wait gets a :meth:`_collect` task.  Those are the only tasks
-        a round creates; ``docs/runtime.md`` §7 has the cost.
+        A frame is in its inbox from the call that landed it — the bus's
+        ``send``, a socket callback, a service mux's demux — with no task
+        between.  The run yields once, so whatever its sends made ready
+        runs first; then each node files what has already arrived
+        (:meth:`_drain`) in the run's own task.  If a node must still
+        wait, the run yields once more and drains those nodes again: a
+        socket's bytes land in the loop turn after they were sent, where
+        a collect task would have taken its first step.  Only a node that
+        must wait after that gets a :meth:`_collect` task.  Those are the
+        only tasks a round creates; ``docs/runtime.md`` §7 has the cost.
         """
         await asyncio.sleep(0)
         inboxes: Dict[NodeId, List[Message]] = {}
-        waits = []
+        waiting = []
         for node in self.engine.order:
             pending = expected[node]
             inbox = inboxes[node] = []
@@ -584,11 +589,19 @@ class AsyncRoundRunner:
                     waiting=len(pending),
                 )
             if self._drain(node, round_no, deadline, pending, inbox):
-                waits.append(
-                    self._collect(node, round_no, deadline, pending, inbox, span)
-                )
+                waiting.append((node, pending, inbox, span))
             else:
                 self._close_collect(node, round_no, pending, inbox, span)
+        waits = []
+        if waiting:
+            await asyncio.sleep(0)
+            for node, pending, inbox, span in waiting:
+                if self._drain(node, round_no, deadline, pending, inbox):
+                    waits.append(self._collect(
+                        node, round_no, deadline, pending, inbox, span
+                    ))
+                else:
+                    self._close_collect(node, round_no, pending, inbox, span)
         await asyncio.gather(*waits)
         return inboxes
 

@@ -19,9 +19,11 @@ round deadline (assumption (b)):
   unchanged versus the sync engine.
 
 * **Idempotent resume.**  Every supervised frame is stamped with a
-  per-directed-link sequence number (``Frame.seq``); the receive side
-  remembers the numbers it admitted within ``dedup_window`` of the
-  link's high-water mark and drops replays, so a frame retransmitted
+  per-directed-link sequence number (``Frame.seq``); the receive side — a
+  filter on the inner transport's delivery path, so a frame is judged
+  where it lands — remembers the numbers it admitted within
+  ``dedup_window`` of the link's high-water mark and drops replays before
+  they reach an inbox, so a frame retransmitted
   across a reconnect is deduplicated, never double-delivered.  The window
   tolerates reordering: an out-of-order *new* sequence number is
   delivered normally (a high-water mark alone would manufacture losses
@@ -48,7 +50,7 @@ from typing import Dict, Hashable, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ConfigurationError, TransportError
 from repro.net.codec import Frame
-from repro.net.transport import Transport, TransportLayer
+from repro.net.transport import Deliver, Transport, TransportLayer
 
 NodeId = Hashable
 Link = Tuple[NodeId, NodeId]
@@ -82,7 +84,16 @@ class LinkSupervisor:
 
 
 class SupervisedTransport(TransportLayer):
-    """Self-healing wrapper: re-dials with backoff and dedups replays."""
+    """Self-healing wrapper: re-dials with backoff and dedups replays.
+
+    Dedup is the first filter on the delivery path: :meth:`open` points
+    the inner transport's path at it, and what it admits goes on to the
+    inner transport's own inboxes — where :meth:`recv` reads — or to the
+    sink :meth:`deliver_to` named (a service mux's demux).  Over a
+    transport that implements only ``recv``, the
+    :class:`~repro.net.transport.Transport` default's reader tasks bring
+    the frames up, so they are read through a sink, not :meth:`recv`.
+    """
 
     layer = "supervised"
 
@@ -101,11 +112,21 @@ class SupervisedTransport(TransportLayer):
         self.dedup_window = dedup_window
         self._links: Dict[Link, LinkSupervisor] = {}
         self._next_seq: Dict[Link, int] = {}
+        #: Where an admitted frame goes.
+        self._sink: Deliver = inner.deliver
+        self._readers: Optional[asyncio.Future] = None
 
     async def open(self, nodes: Sequence[NodeId]) -> None:
         await self.inner.open(nodes)
         self._links = {}
         self._next_seq = {}
+        self._readers = self.inner.deliver_to(self._deliver, nodes)
+
+    def deliver_to(
+        self, sink: Deliver, nodes: Sequence[NodeId]
+    ) -> Optional[asyncio.Future]:
+        self._sink = sink
+        return self._readers
 
     def link(self, source: NodeId, destination: NodeId) -> LinkSupervisor:
         key = (source, destination)
@@ -188,19 +209,11 @@ class SupervisedTransport(TransportLayer):
         )
 
     # ------------------------------------------------------------------
-    # Receive path: dedup replays
+    # Delivery path: dedup replays
     # ------------------------------------------------------------------
-    async def recv(self, node: NodeId) -> Frame:
-        while True:
-            frame = await self.inner.recv(node)
-            if frame.seq is None or self._admit(frame, node):
-                return frame
-
-    def recv_nowait(self, node: NodeId) -> Optional[Frame]:
-        while True:
-            frame = self.inner.recv_nowait(node)
-            if frame is None or frame.seq is None or self._admit(frame, node):
-                return frame
+    def _deliver(self, node: NodeId, frame: Frame) -> None:
+        if frame.seq is None or self._admit(frame, node):
+            self._sink(node, frame)
 
     def _admit(self, frame: Frame, node: NodeId) -> bool:
         """Receive-side dedup: True when *frame* is not a replay.

@@ -4,9 +4,14 @@ Every node endpoint is an asyncio TCP server bound to an ephemeral port on
 the loopback interface.  Senders keep one pooled connection per directed
 ``(source, destination)`` link — mirroring the paper's point-to-point
 network — and write ``4-byte length + canonical JSON`` frames
-(:mod:`repro.net.codec`).  The server side feeds an incremental
-:class:`~repro.net.codec.FrameDecoder` and routes completed frames into the
-destination node's inbox queue.
+(:mod:`repro.net.codec`).  Both ends of a connection are
+:class:`asyncio.Protocol` callbacks, not stream tasks: the receiving end
+feeds each chunk the socket hands it to an incremental
+:class:`~repro.net.codec.FrameDecoder` inside ``data_received`` and sends
+every completed frame down the transport's delivery path there and then
+(the node's inbox, or the filters a stack put in front of it), so a
+received frame costs no task; the sending end writes into the socket and
+waits only when the socket has buffered more than it will take.
 
 Failure model: connect and write errors surface as
 :class:`~repro.exceptions.TransportError`; the failed connection is evicted
@@ -14,7 +19,9 @@ from the pool so the next send on the link (a supervisor's re-dial, or the
 next round's frame) opens a fresh socket.  A frame that is never delivered
 (peer crashed, link unhealed) is simply *absent* at the receiver, which
 resolves it to ``V_d`` at the round deadline — the same
-degradation path as every other fault in the model.
+degradation path as every other fault in the model.  A connection leaves
+the transport's bookkeeping when it is lost, so reconnects under chaos
+leave nothing behind.
 
 A frame that *arrives* but does not decode (corrupted in flight — what the
 chaos layer injects through :meth:`TcpTransport.send_corrupted`) poisons
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import TransportError
 from repro.net.codec import Frame, FrameDecoder, pack_frame
@@ -50,11 +57,86 @@ NodeId = Hashable
 _CLOSE_TIMEOUT = 1.0
 
 
+class _Connection(asyncio.Protocol):
+    """One socket of a :class:`TcpTransport`, held in its bookkeeping
+    from ``connection_made`` until ``connection_lost``."""
+
+    def __init__(self, tcp: "TcpTransport") -> None:
+        self.tcp = tcp
+        self.transport: Optional[asyncio.Transport] = None
+        #: Done once the socket is closed and released.
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.tcp._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.tcp._connections.discard(self)
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+
+class _Inbound(_Connection):
+    """The receiving end of a connection to *node*'s endpoint."""
+
+    def __init__(self, tcp: "TcpTransport", node: NodeId) -> None:
+        super().__init__(tcp)
+        self.node = node
+        self.decoder = FrameDecoder()
+
+    def data_received(self, data: bytes) -> None:
+        # Tolerant decode: frames completed before a poisoned one are
+        # still delivered; the poison itself abandons only this
+        # connection (the stream cannot resync), the endpoint stays alive
+        # for every other connection.
+        frames, error = self.decoder.feed_tolerant(data)
+        sink, node = self.tcp._sink, self.node
+        for frame in frames:
+            sink(node, frame)
+        if error is not None:
+            self.tcp.metrics.record_decode_error()
+            self.transport.close()
+
+
+class _Outbound(_Connection):
+    """The sending end of one pooled link."""
+
+    def __init__(self, tcp: "TcpTransport") -> None:
+        super().__init__(tcp)
+        self._resumed: Optional[asyncio.Future] = None
+
+    def pause_writing(self) -> None:
+        self._resumed = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        resumed, self._resumed = self._resumed, None
+        if resumed is not None and not resumed.done():
+            resumed.set_result(None)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        resumed, self._resumed = self._resumed, None
+        if resumed is not None and not resumed.done():
+            resumed.set_exception(ConnectionResetError("connection lost"))
+
+    def write(self, payload: bytes) -> Optional[asyncio.Future]:
+        """Hand *payload* to the socket.  Returns what to await before the
+        next write — ``None`` unless the transport now buffers more than
+        its high-water mark — and raises :class:`ConnectionResetError` on
+        a connection that is gone."""
+        self.transport.write(payload)
+        if self.transport.is_closing():
+            raise ConnectionResetError("connection lost")
+        return self._resumed
+
+
 class TcpTransport(LocalBus):
     """Length-prefixed JSON frames over real localhost sockets.
 
     The node inboxes are :class:`~repro.net.transport.LocalBus`'s; a frame
-    arrives in one when a node's server decodes it off a socket.
+    lands on the delivery path when a node's endpoint decodes it off a
+    socket.
     """
 
     name = "tcp"
@@ -65,9 +147,9 @@ class TcpTransport(LocalBus):
         self.metrics = NetMetrics(transport=self.name)
         self._servers: Dict[NodeId, asyncio.AbstractServer] = {}
         self._addresses: Dict[NodeId, Tuple[str, int]] = {}
-        self._writers: Dict[Tuple[NodeId, NodeId], asyncio.StreamWriter] = {}
-        self._closing: List[asyncio.StreamWriter] = []
-        self._reader_tasks: List[asyncio.Task] = []
+        self._writers: Dict[Tuple[NodeId, NodeId], _Outbound] = {}
+        #: Every open socket, either end: a connection leaves when lost.
+        self._connections: Set[_Connection] = set()
         #: Links that have successfully carried at least one frame; a
         #: re-dial on such a link is a *reconnect* (first dials are not).
         self._ever_connected: set = set()
@@ -81,84 +163,43 @@ class TcpTransport(LocalBus):
     async def open(self, nodes: Sequence[NodeId]) -> None:
         await super().open(nodes)
         for node in nodes:
-            server = await asyncio.start_server(
-                self._make_handler(node), host=self.host, port=0
-            )
-            self._servers[node] = server
-            sockname = server.sockets[0].getsockname()
-            self._addresses[node] = (sockname[0], sockname[1])
+            await self._serve(node)
 
-    def _make_handler(self, node: NodeId):
-        async def handle(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            task = asyncio.current_task()
-            if task is not None:
-                self._reader_tasks.append(task)
-            decoder = FrameDecoder()
-            try:
-                while True:
-                    chunk = await reader.read(65536)
-                    if not chunk:
-                        break
-                    # Tolerant decode: frames completed before a poisoned
-                    # one are still delivered; the poison itself abandons
-                    # only this connection (the stream cannot resync), the
-                    # endpoint stays alive for every other connection.
-                    frames, error = decoder.feed_tolerant(chunk)
-                    for frame in frames:
-                        self._inboxes[node].put_nowait(frame)
-                    if error is not None:
-                        self.metrics.record_decode_error()
-                        break
-            except asyncio.CancelledError:
-                pass
-            except (ConnectionError, OSError):
-                # A peer that resets mid-read costs this connection only;
-                # the endpoint keeps serving, the sender re-dials.
-                pass
-            finally:
-                writer.close()
-
-        return handle
+    async def _serve(self, node: NodeId) -> None:
+        """Listen for *node* on a fresh ephemeral port."""
+        server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self, node), host=self.host, port=0
+        )
+        self._servers[node] = server
+        sockname = server.sockets[0].getsockname()
+        self._addresses[node] = (sockname[0], sockname[1])
 
     async def close(self) -> None:
-        writers = list(self._writers.values()) + self._closing
+        connections = list(self._connections)
         self._writers = {}
-        self._closing = []
-        for writer in writers:
-            writer.close()
-        for writer in writers:
-            await self._await_closed(writer)
+        for connection in connections:
+            connection.transport.close()
         for server in self._servers.values():
             server.close()
+        # Without waiting for every socket to finish closing, repeated
+        # open/close cycles — exactly what chaos soak campaigns do — leak
+        # half-closed sockets and emit ResourceWarnings at GC time.
+        if connections:
+            await asyncio.wait(
+                [connection.closed for connection in connections],
+                timeout=_CLOSE_TIMEOUT,
+            )
         for server in self._servers.values():
             await server.wait_closed()
         self._servers = {}
-        for task in self._reader_tasks:
-            if not task.done():
-                task.cancel()
-        self._reader_tasks = []
         self._addresses = {}
         await super().close()
 
-    @staticmethod
-    async def _await_closed(writer: asyncio.StreamWriter) -> None:
-        """Wait (briefly) for a closed socket to finish, never raising.
-
-        Without the ``wait_closed`` await, repeated open/close cycles —
-        exactly what chaos soak campaigns do — leak half-closed sockets
-        and emit ``ResourceWarning``s at garbage collection time.
-        """
-        try:
-            await asyncio.wait_for(writer.wait_closed(), timeout=_CLOSE_TIMEOUT)
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            pass
-
-    def _retire(self, writer: asyncio.StreamWriter) -> None:
-        """Evict a writer from service but keep it for a clean close."""
-        writer.close()
-        self._closing.append(writer)
+    def _retire(self, link: Tuple[NodeId, NodeId]) -> None:
+        """Evict *link*'s pooled writer; its socket closes cleanly."""
+        writer = self._writers.pop(link, None)
+        if writer is not None:
+            writer.transport.close()
 
     # ------------------------------------------------------------------
     # Fault surface (chaos / operators)
@@ -178,11 +219,7 @@ class TcpTransport(LocalBus):
             if node is None or node in link
         ]
         for link in links:
-            writer = self._writers.pop(link)
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-            self._closing.append(writer)
+            self._writers.pop(link).transport.abort()
         return len(links)
 
     async def restart_endpoint(self, node: NodeId) -> None:
@@ -201,14 +238,9 @@ class TcpTransport(LocalBus):
         server.close()
         await server.wait_closed()
         for link in [l for l in list(self._writers) if node in l]:
-            self._retire(self._writers.pop(link))
+            self._retire(link)
         await super().restart_endpoint(node)
-        replacement = await asyncio.start_server(
-            self._make_handler(node), host=self.host, port=0
-        )
-        self._servers[node] = replacement
-        sockname = replacement.sockets[0].getsockname()
-        self._addresses[node] = (sockname[0], sockname[1])
+        await self._serve(node)
 
     # ------------------------------------------------------------------
     # Traffic
@@ -226,13 +258,18 @@ class TcpTransport(LocalBus):
         """Write *payload* on the pooled connection for *link*."""
         writer = self._writers.get(link)
         try:
-            if writer is None or writer.is_closing():
-                _, writer = await asyncio.open_connection(*address)
+            if writer is None or writer.transport.is_closing():
+                _, writer = await asyncio.get_running_loop().create_connection(
+                    lambda: _Outbound(self), *address
+                )
                 self._writers[link] = writer
                 if link in self._ever_connected:
                     self.metrics.record_reconnect(*link)
-            writer.write(payload)
-            await writer.drain()
+            resumed = writer.write(payload)
+            if resumed is not None:
+                # Shared by every send waiting on this link: one cancelled
+                # send must not cancel it for the others.
+                await asyncio.shield(resumed)
             self._ever_connected.add(link)
         except (ConnectionError, OSError) as exc:
             # A reset connection costs this link one frame, never the
@@ -240,9 +277,7 @@ class TcpTransport(LocalBus):
             # a link loss, and the caller decides: a supervisor re-dials,
             # the runner lets the receiver resolve the absence to V_d at
             # the round deadline — assumption (b).
-            stale = self._writers.pop(link, None)
-            if stale is not None:
-                self._retire(stale)
+            self._retire(link)
             self.metrics.record_link_error(*link)
             raise TransportError(
                 f"send {link[0]!r} -> {link[1]!r} failed: {exc}"
@@ -282,7 +317,5 @@ class TcpTransport(LocalBus):
             payload[4 + rng.randrange(body_len)] = 0xFF
         link = (frame.source, frame.destination)
         await self._write(link, address, bytes(payload))
-        writer = self._writers.pop(link, None)
-        if writer is not None:
-            self._retire(writer)
+        self._retire(link)
         return len(payload)

@@ -11,6 +11,16 @@ Wrappers (chaos, supervision) derive from :class:`TransportLayer`,
 which forwards the whole contract to the wrapped transport, so a layer
 defines only the methods it changes.
 
+A frame is filed where it lands.  The transport it arrives on — the bus's
+``send``, a TCP endpoint's socket callback, the explorer's schedule —
+hands it to one *delivery path*, a plain call ``sink(node, frame)``: by
+default its own :meth:`Transport.deliver`, which files it into the node's
+inbox; :meth:`Transport.deliver_to` points the path elsewhere.  Receive-side
+logic is a filter on that path, never a reader of the inbox — the
+supervisor's replay dedup, then a service mux's demux into the inbox of the
+instance the frame names — so no task stands between a frame's arrival and
+the inbox its runner reads.
+
 Contract:
 
 * :meth:`Transport.open` is called once with the full node set before any
@@ -28,6 +38,8 @@ Contract:
 * :meth:`Transport.recv_nowait` returns the next frame already there, or
   ``None`` at once: the runner files what has arrived without a task of
   its own, and awaits ``recv`` only for a node that must still wait;
+* :meth:`Transport.deliver_to` points the delivery path at a sink (a
+  service mux's demux) instead of :meth:`Transport.deliver`;
 * :meth:`Transport.attach_metrics` hands the run's recorder down the
   stack — the one observer seam: a layer counts into it and publishes
   and traces through its ``bus`` and ``tracer``.
@@ -39,13 +51,15 @@ import asyncio
 import random
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Dict, Hashable, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, Optional, Sequence
 
 from repro.exceptions import TransportError
 from repro.net.codec import Frame, frame_size
 from repro.net.metrics import NetMetrics
 
 NodeId = Hashable
+#: A delivery path: called with each frame as it lands for a node.
+Deliver = Callable[[NodeId, Frame], None]
 
 
 class Transport(ABC):
@@ -78,6 +92,45 @@ class Transport(ABC):
     @abstractmethod
     async def close(self) -> None:
         """Tear down endpoints and release all resources."""
+
+    def deliver(self, node: NodeId, frame: Frame) -> None:
+        """File *frame*, just arrived for *node*, where :meth:`recv` reads it.
+
+        The end of the delivery path when nothing took it over.  A
+        transport with no endpoints of its own has nowhere to file: the
+        default raises :class:`~repro.exceptions.TransportError`.
+        """
+        raise TransportError(
+            f"{self.name} transport has no endpoint to file into"
+        )
+
+    def deliver_to(
+        self, sink: Deliver, nodes: Sequence[NodeId]
+    ) -> Optional["asyncio.Future"]:
+        """Hand each frame that lands for one of *nodes* to ``sink(node,
+        frame)``, in arrival order, instead of filing it for :meth:`recv`.
+
+        Called once, after :meth:`open`.  A transport that delivers calls
+        *sink* where the frame lands, in the callback that landed it, and
+        returns ``None``.  The default is for a transport that implements
+        only :meth:`recv`: one task per node reads it and hands on what it
+        reads, until a read raises
+        :class:`~repro.exceptions.TransportError` (the transport closed);
+        it returns those tasks' future, which the caller cancels and
+        awaits before it closes the transport.
+        """
+        loop = asyncio.get_running_loop()
+        return asyncio.gather(
+            *[loop.create_task(self._recv_into(sink, node)) for node in nodes]
+        )
+
+    async def _recv_into(self, sink: Deliver, node: NodeId) -> None:
+        while True:
+            try:
+                frame = await self.recv(node)
+            except TransportError:
+                return
+            sink(node, frame)
 
     def attach_metrics(self, metrics: NetMetrics) -> None:
         """Offer the run's recorder to the transport (the observer seam).
@@ -160,9 +213,9 @@ class Transport(ABC):
 class Inbox:
     """One node's queue of inbound frames: a deque and one reader.
 
-    An inbox is read by one reader at a time — a mux pump, or one collect
-    of a round — so it keeps a single waiter future where
-    :class:`asyncio.Queue` keeps a getter list, unfinished-task count and
+    An inbox is read by one reader at a time — a round's drain, or the one
+    collect of a round that must wait — so it keeps a single waiter future
+    where :class:`asyncio.Queue` keeps a getter list, unfinished-task count and
     a ``join`` event nobody here reads.  A put wakes the waiting reader
     the way ``asyncio.Queue`` wakes its first getter (the future's result
     is set; the reader pops on its next step), so every run's scheduling
@@ -230,10 +283,13 @@ class LocalBus(Transport):
     :meth:`close`, which wakes a reader waiting on it with
     :class:`~repro.exceptions.TransportError` — and overrides only how a
     frame arrives: :class:`~repro.net.tcp.TcpTransport` from a socket,
-    :class:`~repro.serve.mux.InstanceChannel` from the mux's pump,
+    :class:`~repro.serve.mux.InstanceChannel` from the mux's demux,
     :class:`~repro.explore.transport.ExploredTransport` when the schedule
     says.  A node without an inbox has no endpoint: every read raises
-    :class:`~repro.exceptions.TransportError`.
+    :class:`~repro.exceptions.TransportError`, and a frame that lands for
+    it is lost.  A frame that lands goes down the bus's delivery path:
+    :meth:`deliver`, its own inbox, unless :meth:`deliver_to` named
+    another sink.
 
     On the bus itself frames are delivered by reference — the payload
     object the sender hands over is the object the receiver gets, and
@@ -251,19 +307,27 @@ class LocalBus(Transport):
     def __init__(self, measure_bytes: bool = True) -> None:
         self.measure_bytes = measure_bytes
         self._inboxes: Dict[NodeId, Inbox] = {}
+        #: The delivery path a landed frame takes.
+        self._sink: Deliver = self.deliver
 
     async def open(self, nodes: Sequence[NodeId]) -> None:
         self._inboxes = {node: Inbox() for node in nodes}
 
     async def send(self, frame: Frame) -> int:
-        inbox = self._inboxes.get(frame.destination)
-        if inbox is None:
-            raise TransportError(
-                f"no endpoint for destination {frame.destination!r}"
-            )
+        node = frame.destination
+        if node not in self._inboxes:
+            raise TransportError(f"no endpoint for destination {node!r}")
         nbytes = frame_size(frame) if self.measure_bytes else 0
-        inbox.put_nowait(frame)
+        self._sink(node, frame)
         return nbytes
+
+    def deliver(self, node: NodeId, frame: Frame) -> None:
+        inbox = self._inboxes.get(node)
+        if inbox is not None:
+            inbox.put_nowait(frame)
+
+    def deliver_to(self, sink: Deliver, nodes: Sequence[NodeId]) -> None:
+        self._sink = sink
 
     def _inbox(self, node: NodeId) -> Inbox:
         inbox = self._inboxes.get(node)
@@ -342,6 +406,14 @@ class TransportLayer(Transport):
 
     def recv_nowait(self, node: NodeId) -> Optional[Frame]:
         return self.inner.recv_nowait(node)
+
+    def deliver(self, node: NodeId, frame: Frame) -> None:
+        self.inner.deliver(node, frame)
+
+    def deliver_to(
+        self, sink: Deliver, nodes: Sequence[NodeId]
+    ) -> Optional["asyncio.Future"]:
+        return self.inner.deliver_to(sink, nodes)
 
     async def send_corrupted(self, frame: Frame, rng: random.Random) -> int:
         return await self.inner.send_corrupted(frame, rng)

@@ -5,13 +5,18 @@ connection, one LocalBus inbox per node — and runs arbitrarily many
 concurrent agreement instances over it.  Two pieces make that work:
 
 * :class:`InstanceMux` owns the shared transport.  It opens it once with
-  the full node set and runs one *pump* task per node: an endless
-  ``recv`` loop that puts every inbound frame into the inbox of the
-  channel its ``instance`` field names (the version-2 envelope of
-  :mod:`repro.net.codec`).  An instance's channel is made when the
-  gateway asks for it — before the instance's first send, since one
-  process hosts every node of an instance — and released when the
-  instance's runner closes it.  The mux only routes: a frame for an
+  the full node set and takes over its delivery path
+  (:meth:`~repro.net.transport.Transport.deliver_to`): every frame that
+  lands — in the bus's ``send``, in a TCP endpoint's socket callback,
+  after the supervisor's dedup — is filed, in the same call, into the
+  inbox of the channel its ``instance`` field names (the version-2
+  envelope of :mod:`repro.net.codec`).  No task and no second queue stand
+  between a frame's arrival and its runner's inbox; only a transport that
+  implements nothing but ``recv`` gets reader tasks, from the
+  :class:`~repro.net.transport.Transport` default.  An instance's channel
+  is made when the gateway asks for it — before the instance's first
+  send, since one process hosts every node of an instance — and released
+  when the instance's runner closes it.  The mux only routes: a frame for an
   instance it does not hold (a decided instance's straggler, or an
   unversioned frame) is counted *stray*
   (:meth:`~repro.net.metrics.NetMetrics.record_stray_frame`), not
@@ -22,8 +27,8 @@ concurrent agreement instances over it.  Two pieces make that work:
   opened: a straggler of the id's earlier instance is stray too.
 
 * :class:`InstanceChannel` is the per-instance face of the mux: a full
-  :class:`~repro.net.transport.LocalBus` whose inboxes the mux's pumps
-  fill, so an unmodified :class:`~repro.net.runner.AsyncRoundRunner`
+  :class:`~repro.net.transport.LocalBus` whose inboxes the mux's demux
+  fills, so an unmodified :class:`~repro.net.runner.AsyncRoundRunner`
   drives its instance over it.  ``send`` forwards the frames its runner
   stamped with the instance id, ``recv`` (and ``recv_nowait``) reads the
   bus's inboxes, and ``close`` releases the instance (the runner's
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence
 
 from repro.exceptions import TransportError
 from repro.net.codec import Frame
@@ -75,30 +80,27 @@ class InstanceMux:
         )
         transport.attach_metrics(self.metrics)
         self._channels: Dict[InstanceId, "InstanceChannel"] = {}
-        self._pumps: List["asyncio.Task"] = []
+        #: The reader tasks of a transport that only implements ``recv``.
+        self._readers: Optional["asyncio.Future"] = None
         self._started = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Open the shared transport and start one pump task per node."""
+        """Open the shared transport and file what it delivers."""
         if self._started:
             return
         await self.transport.open(list(self.nodes))
-        self._pumps = [
-            asyncio.ensure_future(self._pump(node)) for node in self.nodes
-        ]
+        self._readers = self.transport.deliver_to(self._demux, self.nodes)
         self._started = True
 
     async def stop(self) -> None:
-        """Cancel the pumps, release every channel and close the shared
-        transport."""
-        for task in self._pumps:
-            task.cancel()
-        if self._pumps:
-            await asyncio.gather(*self._pumps, return_exceptions=True)
-        self._pumps = []
+        """Release every channel and close the shared transport."""
+        readers, self._readers = self._readers, None
+        if readers is not None:
+            readers.cancel()
+            await asyncio.gather(readers, return_exceptions=True)
         for instance_id in list(self._channels):
             self.release(instance_id)
         if self._started:
@@ -110,10 +112,11 @@ class InstanceMux:
 
         The same path a chaos-scheduled restart takes:
         :meth:`~repro.net.transport.Transport.restart_endpoint` loses the
-        frames queued for *node* and keeps its inbox, so the node's pump
-        goes on reading it.  In-flight instances see the restarted node
-        go absent for the frames it lost (assumption (b): recorded
-        absence, ``V_d``, not a hang); later instances see nothing.
+        frames queued for *node* and keeps its endpoint, so the frames
+        that land after it are filed as before.  In-flight instances see
+        the restarted node go absent for the frames it lost (assumption
+        (b): recorded absence, ``V_d``, not a hang); later instances see
+        nothing.
         """
         if node not in self.nodes:
             raise TransportError(
@@ -154,51 +157,43 @@ class InstanceMux:
         return len(self._channels)
 
     # ------------------------------------------------------------------
-    # Demux pumps
+    # Demux
     # ------------------------------------------------------------------
-    async def _pump(self, node: NodeId) -> None:
-        """Route every frame the transport delivers to *node*.
+    def _demux(self, node: NodeId, frame: Frame) -> None:
+        """File *frame*, just landed for *node*, into its instance's inbox.
 
-        The pump is the *sole* consumer of ``transport.recv(node)``;
-        per-instance runners read their channel's inboxes instead.  A frame
+        The last filter on the shared transport's delivery path.  A frame
         for an instance this mux does not hold — a decided instance's
         straggler, or an unversioned (v1) frame that cannot name one — is
         counted stray and dropped; so is one stamped before its channel
         opened (a straggler of an earlier instance under a reused id).
         """
-        while True:
-            try:
-                frame = await self.transport.recv(node)
-            except asyncio.CancelledError:
-                raise
-            except TransportError:
-                return  # transport torn down under us; mux is stopping
-            channel = self._channels.get(frame.instance)
-            tracer = self.metrics.tracer
-            if channel is None or frame.sent_at < channel.opened_at:
-                self.metrics.record_stray_frame()
-                if tracer is not None:
-                    tracer.instant(
-                        "demux",
-                        "mux",
-                        parent=frame.trace,
-                        round_no=frame.round_no,
-                        source=frame.source,
-                        destination=node,
-                        stray=True,
-                    )
-                continue
+        channel = self._channels.get(frame.instance)
+        tracer = self.metrics.tracer
+        if channel is None or frame.sent_at < channel.opened_at:
+            self.metrics.record_stray_frame()
             if tracer is not None:
                 tracer.instant(
                     "demux",
                     "mux",
                     parent=frame.trace,
-                    instance=frame.instance,
                     round_no=frame.round_no,
                     source=frame.source,
                     destination=node,
+                    stray=True,
                 )
-            channel._inboxes[node].put_nowait(frame)
+            return
+        if tracer is not None:
+            tracer.instant(
+                "demux",
+                "mux",
+                parent=frame.trace,
+                instance=frame.instance,
+                round_no=frame.round_no,
+                source=frame.source,
+                destination=node,
+            )
+        channel.deliver(node, frame)
 
 
 class InstanceChannel(LocalBus):
@@ -206,7 +201,7 @@ class InstanceChannel(LocalBus):
 
     Hand this to an :class:`~repro.net.runner.AsyncRoundRunner` as its
     transport.  Its inboxes, one :class:`~repro.net.transport.Inbox` per
-    mux node, are the bus's, filled by the mux's pumps rather than by
+    mux node, are the bus's, filled by the mux's demux rather than by
     ``send`` and read by the runner alone (its drain, or the one collect
     waiting on a node): ``open`` checks the run's nodes instead of
     opening the shared transport again, ``send`` forwards to the shared
@@ -226,7 +221,7 @@ class InstanceChannel(LocalBus):
         self.mux = mux
         self.instance_id = instance_id
         #: Frames stamped before this loop time belong to an earlier
-        #: instance under the same id: the pump counts them stray.
+        #: instance under the same id: the demux counts them stray.
         self.opened_at = opened_at
         self.metrics: Optional[NetMetrics] = None
         self._inboxes = {node: Inbox() for node in mux.nodes}

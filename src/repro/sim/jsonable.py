@@ -47,7 +47,12 @@ whole-field :class:`Opaque` fallback.  Its invariants:
   over exact ``str`` hops and an exact ``str`` or ``V_d`` value — so a
   payload relayed to many receivers is written once; at most
   :data:`PAYLOAD_MEMO_ENTRIES` texts of at most :data:`PAYLOAD_MEMO_TEXT`
-  characters, cleared when full;
+  characters, cleared when full.  The way in mirrors it: a parsed relay
+  of that shape becomes the one :class:`~repro.sim.messages.RelayPayload`
+  a third memo of the same bounds holds per ``(path, value)``
+  (:func:`payload_from_jsonable`).  Both key ``V_d`` by ``None`` — the
+  value is an exact ``str`` or ``V_d``, so ``None`` stands for nothing
+  else — and so never call ``V_d``'s Python-level ``__hash__``;
 * a field that lives as long as one protocol instance — a frame's
   instance id, a message's tag (``byz:i0042``) — never enters the leaf
   memos: :func:`scoped_json` holds it in a small table of its own
@@ -103,6 +108,8 @@ _INT_TEXT: Dict[int, str] = {}
 _STR_LEN: Dict[str, int] = {}
 _INT_LEN: Dict[int, int] = {}
 _PAYLOAD_TEXT: Dict[Tuple[Tuple[str, ...], Any], str] = {}
+_PAYLOAD_OBJECT: Dict[Tuple[Tuple[str, ...], Any], RelayPayload] = {}
+_VD_TREE = {TAG: "vd"}
 _SCOPED_TEXT: Dict[str, str] = {}
 _escape = json.encoder.encode_basestring_ascii
 _stock_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -343,7 +350,7 @@ def payload_json(payload: Any) -> str:
                 if hop.__class__ is not str:
                     break
             else:
-                key = (path, value)
+                key = (path, None if value is DEFAULT else value)
                 text = _PAYLOAD_TEXT.get(key)
                 if text is None:
                     text = canonical_json(payload)
@@ -386,12 +393,61 @@ def message_json_len(message: Message) -> int:
     )
 
 
+def payload_from_jsonable(obj: Any) -> Any:
+    """``from_jsonable(obj)`` for a parsed message payload.
+
+    A relay over exact ``str`` hops with an exact ``str`` or ``V_d``
+    value — the shape :func:`payload_json` memoizes on the way out — is
+    the one :class:`~repro.sim.messages.RelayPayload` the decode memo
+    holds for its ``(path, value)``, built on a miss: a payload is
+    immutable, so the receivers of one relay share it.  At most
+    :data:`PAYLOAD_MEMO_ENTRIES` payloads of at most
+    :data:`PAYLOAD_MEMO_TEXT` characters of hops and value are held,
+    cleared when full.  Every other shape is :func:`from_jsonable`'s walk
+    and raises what it raises.
+    """
+    if obj.__class__ is dict and obj.get(TAG) == "relay":
+        path = obj.get("path")
+        value = obj.get("value")
+        if value.__class__ is str:
+            stand_in = value
+        elif value == _VD_TREE:
+            value, stand_in = DEFAULT, None
+        else:
+            return from_jsonable(obj)
+        if path.__class__ is list:
+            for hop in path:
+                if hop.__class__ is not str:
+                    break
+            else:
+                path = tuple(path)
+                key = (path, stand_in)
+                payload = _PAYLOAD_OBJECT.get(key)
+                if payload is None:
+                    payload = RelayPayload(path, value)
+                    size = sum(map(len, path)) + len(stand_in or "")
+                    if size <= PAYLOAD_MEMO_TEXT:
+                        if len(_PAYLOAD_OBJECT) >= PAYLOAD_MEMO_ENTRIES:
+                            _PAYLOAD_OBJECT.clear()
+                        _PAYLOAD_OBJECT[key] = payload
+                return payload
+    return from_jsonable(obj)
+
+
 def message_from_jsonable(raw: dict) -> Message:
-    """Inverse of :func:`message_json` on the parsed JSON object."""
+    """Inverse of :func:`message_json` on the parsed JSON object: ``str``
+    node ids as parsed, the payload through :func:`payload_from_jsonable`,
+    anything else through :func:`from_jsonable`."""
+    source = raw["source"]
+    if source.__class__ is not str:
+        source = from_jsonable(source)
+    destination = raw["destination"]
+    if destination.__class__ is not str:
+        destination = from_jsonable(destination)
     return Message(
-        from_jsonable(raw["source"]),
-        from_jsonable(raw["destination"]),
-        from_jsonable(raw["payload"]),
+        source,
+        destination,
+        payload_from_jsonable(raw["payload"]),
         raw["round_sent"],
         raw["tag"],
     )

@@ -199,7 +199,7 @@ class EchoBus(LocalBus):
 
     def _echo(self, frame: Frame) -> None:
         self.echoes += 1
-        self._inboxes[frame.destination].put_nowait(frame)
+        self._sink(frame.destination, frame)
 
 
 class TestSingleUseIds:
