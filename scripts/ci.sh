@@ -497,6 +497,32 @@ timeout 300 python3 -m pytest perf/ -q
 timeout 300 python3 perf/run.py --quick --seed 7
 echo "src/ Python lines: $(find src -name '*.py' | xargs wc -l | tail -1)"
 
+echo "== src/ holds what an entry point reaches (a call recorder; the tier-1-only count may not grow) =="
+# scripts/reach.py runs tier-1 and its entry table (every verb with each of
+# its flags, the benchmarks, the examples, the gate scripts and perf/) under
+# a stdlib call recorder and sorts every src/ function by what calls it.
+# What only tier-1 calls is safety code, the Transport contract, a
+# reference a differential holds, or documented public API
+# (docs/testing.md §4, docs/api.md); fixtures and test clients live
+# under tests/.  The bound is this tree's own reading, in physical lines.
+if ! timeout 1200 python scripts/reach.py --check 879 > "${ARTIFACTS}/reach.txt"; then
+    cat "${ARTIFACTS}/reach.txt"
+    exit 1
+fi
+head -4 "${ARTIFACTS}/reach.txt"
+# Mechanisms no entry point reached are gone, with their tests.
+if grep -rnE "ProtocolConvergence|ClockSyncProcess|ClockFaceInjector|ClockReadingPayload|TwoFacedAboutSender|unsafe_probability_curve|exhaustive_fault_sets|partition_corruptor|narrate_ballots|def faulty_nodes|expected_path_count|is_quiet|read_matrix" src/ \
+        || [ -e src/repro/clocksync/protocol.py ] \
+        || grep -nE "def (dump|load)\(" src/repro/sim/trace.py; then
+    echo "a deleted mechanism is back under src/: nothing that ships reaches it" >&2
+    exit 1
+fi
+# Test fixtures and test clients live under tests/.
+if grep -rnE "class (IdleProcess|RecordingProcess|ScriptedProcess|ScriptedBehavior|FunctionBehavior)\b|def (scrape|make_om_processes|ic_runner_om|check_divergence|verify_message_count|verify_instance_exhaustively|replay_fingerprints)\(" src/; then
+    echo "a test fixture or test client is back under src/: it lives under tests/" >&2
+    exit 1
+fi
+
 echo "== slow suite (full fuzz budget) =="
 timeout 600 python -m pytest -q -m slow --ignore=tests/explore/test_reduction.py
 

@@ -42,8 +42,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "core": (
         "DEFAULT", "AgreementResult", "Behavior", "ConstantLiar", "DegradableSpec",
         "EchoAsBehavior", "HonestBehavior", "LieAboutSender", "OutcomeReport",
-        "OutcomeShape", "RandomLiar", "ScriptedBehavior", "SilentBehavior",
-        "TwoFacedAboutSender", "TwoFacedBehavior", "classify",
+        "OutcomeShape", "RandomLiar", "SilentBehavior", "TwoFacedBehavior", "classify",
         "execute_degradable_protocol", "is_default", "k_of_n_vote", "majority",
         "message_count", "min_connectivity", "min_nodes", "minimal_spec",
         "run_crusader", "run_degradable_agreement", "run_oral_messages", "vote",

@@ -6,7 +6,6 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "adversary_search": (
         "SearchResult", "ViolationWitness", "count_profiles", "exhaustive_search",
-        "verify_instance_exhaustively",
     ),
     "charts": ("bar_chart", "log_bar_chart", "sparkline", "staircase"),
     "confidence": (
@@ -15,7 +14,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "degradation": ("DegradationLevel", "DegradationProfile", "degradation_profile"),
     "complexity": (
         "ComplexityPoint", "byz_complexity", "crusader_complexity", "om_complexity",
-        "sm_complexity", "survive_u_comparison", "verify_message_count",
+        "sm_complexity", "survive_u_comparison",
     ),
     "lowerbounds": (
         "ConnectivityScenarioResult", "NodeGroups", "Scenario", "ScenarioOutcome",
@@ -29,8 +28,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "BEHAVIOR_BUILDERS", "ScenarioSpec", "ScenarioSuite", "reference_suite",
     ),
     "montecarlo": (
-        "ADVERSARY_ZOO", "MonteCarloSummary", "TrialRecord", "exhaustive_fault_sets",
-        "run_campaign",
+        "ADVERSARY_ZOO", "MonteCarloSummary", "TrialRecord", "run_campaign",
     ),
     "report": ("generate_report", "write_report"),
     "runner": (
@@ -40,7 +38,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "reliability": (
         "ReliabilityPoint", "compare_configurations", "degradable_vs_byzantine",
         "fault_count_pmf", "heterogeneous_fault_pmf", "heterogeneous_reliability",
-        "pareto_configurations", "reliability", "unsafe_probability_curve",
+        "pareto_configurations", "reliability",
     ),
     "tables": ("render_table", "section2_min_nodes_table", "seven_node_tradeoff_table"),
 })

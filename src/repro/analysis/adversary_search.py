@@ -197,16 +197,3 @@ def exhaustive_search(
                     if stop_at_first:
                         return result
     return result
-
-
-def verify_instance_exhaustively(u: int) -> Tuple[SearchResult, SearchResult]:
-    """The headline pair for a 1/u instance.
-
-    Returns ``(at_bound, below_bound)``: the at-bound search must find **no**
-    violating adversary; the below-bound search (one node fewer) must find
-    one.  Together they witness both directions of Theorem 2 for the
-    instance, exhaustively over the three-symbol domain.
-    """
-    at_bound = exhaustive_search(u, 2 + u + 1)
-    below = exhaustive_search(u, 2 + u, stop_at_first=True)
-    return at_bound, below

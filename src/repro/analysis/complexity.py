@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.byz import message_count, run_degradable_agreement
+from repro.core.byz import message_count
 from repro.core.crusader import crusader_message_count
 from repro.core.oral_messages import om_message_count
 from repro.core.signed import sm_message_count
@@ -122,12 +122,3 @@ def survive_u_comparison(u_values: Sequence[int]) -> List[List[ComplexityPoint]]
         row.extend(byz_complexity(m, u) for m in range(1, u + 1))
         grid.append(row)
     return grid
-
-
-def verify_message_count(m: int, u: int, n_nodes: Optional[int] = None) -> bool:
-    """Cross-check closed form vs an instrumented fault-free execution."""
-    n_nodes = n_nodes if n_nodes is not None else 2 * m + u + 1
-    spec = DegradableSpec(m=m, u=u, n_nodes=n_nodes)
-    nodes = [f"p{k}" for k in range(n_nodes)]
-    result = run_degradable_agreement(spec, nodes, nodes[0], "v")
-    return result.stats.messages == message_count(n_nodes, m)

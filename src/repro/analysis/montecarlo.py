@@ -11,7 +11,6 @@ fault count — full agreement up to ``m``, two-class degradation up to
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
@@ -26,7 +25,7 @@ from repro.core.behavior import (
     SilentBehavior,
 )
 from repro.core.byz import run_degradable_agreement
-from repro.core.conditions import OutcomeReport, OutcomeShape, classify
+from repro.core.conditions import OutcomeShape, classify
 from repro.core.spec import DegradableSpec
 from repro.core.values import Value
 from repro.exceptions import AnalysisError
@@ -198,29 +197,3 @@ def run_campaign(
             )
         )
     return summary
-
-
-def exhaustive_fault_sets(
-    spec: DegradableSpec,
-    max_faults: int,
-    behavior_factory: Callable[[NodeId, NodeId], Behavior],
-    sender_value: Value = "alpha",
-) -> List[OutcomeReport]:
-    """Run every fault set of size up to *max_faults* (deterministic sweep).
-
-    Exponential in *max_faults*; intended for small specs in tests where
-    exhaustiveness beats sampling.
-    """
-    nodes = [f"p{k}" for k in range(spec.n_nodes)]
-    sender = nodes[0]
-    reports: List[OutcomeReport] = []
-    for f in range(max_faults + 1):
-        for faulty in itertools.combinations(nodes, f):
-            behaviors = {
-                node: behavior_factory(node, sender) for node in faulty
-            }
-            result = run_degradable_agreement(
-                spec, nodes, sender, sender_value, behaviors
-            )
-            reports.append(classify(result, frozenset(faulty), spec))
-    return reports

@@ -135,13 +135,6 @@ def degradable_vs_byzantine(
     }
 
 
-def unsafe_probability_curve(
-    m: int, u: int, n_nodes: int, p_values: Sequence[float]
-) -> List[ReliabilityPoint]:
-    """Reliability sweep across node-fault probabilities (for plots)."""
-    return [reliability(m, u, n_nodes, p) for p in p_values]
-
-
 def heterogeneous_fault_pmf(p_nodes: Sequence[float]) -> List[float]:
     """Poisson-binomial pmf of the fault count with per-node probabilities.
 

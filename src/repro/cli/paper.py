@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from repro.cli import _add_seed_argument, _verb
+from repro.cli import _add_seed_argument, _count, _verb
 from repro.exceptions import ConfigurationError
 
 
@@ -50,7 +50,7 @@ def register(sub) -> None:
                    help="search one node below the bound instead")
 
     p = _verb(sub, "mission", _cmd_mission, "fly the Figure 1(b) channel system")
-    p.add_argument("--steps", type=int, default=300)
+    p.add_argument("--steps", type=_count("--steps"), default=300)
     p.add_argument("-p", "--fault-probability", type=float, default=0.05)
     _add_seed_argument(p, 0, "seeds the transient-fault draw")
 

@@ -27,6 +27,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "ADVERSARY_FAMILIES", "ConjectureCell", "ConjectureEvaluation",
         "evaluate_conjecture",
     ),
-    "protocol": ("ClockFaceInjector", "ClockSyncProcess", "ProtocolConvergence"),
     "witnesses": ("WitnessedClockSystem", "WitnessedSystemReport", "witnesses_needed"),
 })

@@ -16,9 +16,8 @@ from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "behavior": (
-        "Behavior", "BehaviorMap", "ConstantLiar", "EchoAsBehavior", "FunctionBehavior",
-        "HonestBehavior", "LieAboutSender", "RandomLiar", "ScriptedBehavior",
-        "SilentBehavior", "TwoFacedAboutSender", "TwoFacedBehavior", "faulty_nodes",
+        "Behavior", "BehaviorMap", "ConstantLiar", "EchoAsBehavior", "HonestBehavior",
+        "LieAboutSender", "RandomLiar", "SilentBehavior", "TwoFacedBehavior",
     ),
     "bounds": (
         "configurations", "feasible", "max_byzantine_faults", "max_u",
@@ -33,7 +32,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "detection": ("FaultCountDetector", "SuspectTracker", "quorum_detection"),
     "eig": ("EIGTree", "byz_resolver", "majority_resolver"),
     "interactive_consistency": (
-        "ic_runner_byz", "ic_runner_om", "run_interactive_consistency", "vectors_agree",
+        "ic_runner_byz", "run_interactive_consistency", "vectors_agree",
         "vectors_valid",
     ),
     "oral_messages": ("om_message_count", "run_oral_messages"),
@@ -43,7 +42,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "protocol": (
         "AgreementProcess", "ProtocolSession", "execute_degradable_protocol",
-        "make_byz_processes", "make_om_processes",
+        "make_byz_processes",
     ),
     "spec": ("DegradableSpec", "minimal_spec", "sub_minimal_spec"),
     "vector_agreement": (

@@ -12,8 +12,8 @@ the paper's model:
 * a faulty node sees the full relay *path* (the protocol context), the
   destination, and the value an honest node would have sent;
 * it may send different values to different destinations ("two-faced"
-  behaviour), lie consistently, stay silent, or follow a pre-written script
-  (used to reconstruct the Figure 2 impossibility scenarios);
+  behaviour), lie consistently, stay silent, or lie only along chosen relay
+  chains (used to reconstruct the Figure 2 impossibility scenarios);
 * per assumption (b) of Section 4, the *absence* of a message is detected by
   the receiver, which substitutes the default value ``V_d`` — so a silent
   node is modelled as one that sends :data:`DEFAULT`.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro.core.values import DEFAULT, Value
 
@@ -133,39 +133,6 @@ class RandomLiar(Behavior):
         return self.rng.choice(choices)
 
 
-class ScriptedBehavior(Behavior):
-    """Plays back an explicit script, keyed by ``(path, destination)``.
-
-    Missing entries fall back to a default rule (honest by default).  This is
-    the building block for the Theorem 2 / Figure 2 scenario constructions,
-    where each faulty node's lies are fully choreographed.
-    """
-
-    def __init__(
-        self,
-        script: Dict[Tuple[Path, NodeId], Value],
-        fallback: Optional[Behavior] = None,
-    ) -> None:
-        self.script = dict(script)
-        self.fallback = fallback or HonestBehavior()
-
-    def send(self, path: Path, source: NodeId, destination: NodeId, honest_value: Value) -> Value:
-        key = (path, destination)
-        if key in self.script:
-            return self.script[key]
-        return self.fallback.send(path, source, destination, honest_value)
-
-
-class FunctionBehavior(Behavior):
-    """Adapts a plain function ``f(path, source, destination, honest) -> value``."""
-
-    def __init__(self, fn: Callable[[Path, NodeId, NodeId, Value], Value]) -> None:
-        self.fn = fn
-
-    def send(self, path: Path, source: NodeId, destination: NodeId, honest_value: Value) -> Value:
-        return self.fn(path, source, destination, honest_value)
-
-
 class EchoAsBehavior(Behavior):
     """Pretends it received a fixed value and relays protocol-consistently.
 
@@ -202,24 +169,6 @@ class LieAboutSender(Behavior):
     def send(self, path: Path, source: NodeId, destination: NodeId, honest_value: Value) -> Value:
         if path == (self.top_sender,):
             return self.claimed
-        return honest_value
-
-
-class TwoFacedAboutSender(Behavior):
-    """Per-destination claims about the direct-from-sender value only.
-
-    Used by the faulty sender-group extras in the Theorem 2 scenario (b):
-    they tell one group of nodes they received ``alpha`` and the other group
-    ``beta``, while relaying everything else honestly.
-    """
-
-    def __init__(self, faces: Dict[NodeId, Value], top_sender: NodeId) -> None:
-        self.faces = dict(faces)
-        self.top_sender = top_sender
-
-    def send(self, path: Path, source: NodeId, destination: NodeId, honest_value: Value) -> Value:
-        if path == (self.top_sender,) and destination in self.faces:
-            return self.faces[destination]
         return honest_value
 
 
@@ -295,15 +244,6 @@ def behavior_for(behaviors: Optional[BehaviorMap], node: NodeId) -> Behavior:
     if behaviors and node in behaviors:
         return behaviors[node]
     return _HONEST
-
-
-def faulty_nodes(behaviors: Optional[BehaviorMap]) -> frozenset:
-    """The set of nodes that have a (non-honest) behaviour attached."""
-    if not behaviors:
-        return frozenset()
-    return frozenset(
-        node for node, b in behaviors.items() if not isinstance(b, HonestBehavior)
-    )
 
 
 _HONEST = HonestBehavior()

@@ -301,18 +301,3 @@ class EIGTree:
 
     def items(self) -> Iterable[Tuple[PathT, Value]]:
         return self.stored.items()
-
-
-def expected_path_count(n_nodes: int, depth: int) -> int:
-    """Number of paths an EIG tree holds when fully populated.
-
-    ``sum over r in 1..depth of (n-1)(n-2)...(n-r)`` from the perspective of
-    one receiver (paths avoid the owner).
-    """
-    total = 0
-    for length in range(1, depth + 1):
-        term = 1
-        for k in range(length):
-            term *= n_nodes - 1 - k
-        total += term
-    return total

@@ -9,8 +9,9 @@ result, which applies to interactive consistency: IC-style algorithms that
 tolerate ``(N-1)/3`` faults cannot degrade gracefully beyond ``N/3``, while
 m/u-degradable agreement (a *single-sender* problem) can, for
 ``m < (N-1)/3``.  This module lets the experiments exhibit that structural
-difference: we build IC from ``N`` parallel single-sender agreements, using
-either OM(m) or degradable BYZ as the building block.
+difference: we build IC from ``N`` parallel single-sender agreements, any
+:data:`AgreementRunner` as the building block (:func:`ic_runner_byz` for
+degradable BYZ).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Callable, Dict, Hashable, Optional, Sequence
 
 from repro.core.behavior import BehaviorMap
 from repro.core.byz import AgreementResult, run_degradable_agreement
-from repro.core.oral_messages import run_oral_messages
 from repro.core.spec import DegradableSpec
 from repro.core.values import Value
 from repro.exceptions import ConfigurationError
@@ -47,7 +47,7 @@ def run_interactive_consistency(
         Each node's private input (one entry per node).
     runner:
         Callable executing one single-sender agreement instance — typically
-        a partial application of :func:`ic_runner_byz` / :func:`ic_runner_om`.
+        a partial application of :func:`ic_runner_byz`.
     """
     node_list = list(nodes)
     missing = [p for p in node_list if p not in private_values]
@@ -69,19 +69,6 @@ def ic_runner_byz(
 
     def run(nodes: Sequence[NodeId], sender: NodeId, value: Value) -> AgreementResult:
         return run_degradable_agreement(spec, nodes, sender, value, behaviors)
-
-    return run
-
-
-def ic_runner_om(
-    m: int, behaviors: Optional[BehaviorMap] = None, require_quorum: bool = True
-) -> AgreementRunner:
-    """An IC building block that uses Lamport's OM(m) per sender."""
-
-    def run(nodes: Sequence[NodeId], sender: NodeId, value: Value) -> AgreementResult:
-        return run_oral_messages(
-            m, nodes, sender, value, behaviors, require_quorum=require_quorum
-        )
 
     return run
 

@@ -106,39 +106,6 @@ def narrate_execution(
     return "\n".join(lines)
 
 
-def narrate_ballots(
-    spec: DegradableSpec,
-    nodes: Sequence[NodeId],
-    sender: NodeId,
-    sender_value: Value,
-    behaviors: Optional[BehaviorMap] = None,
-) -> str:
-    """Narrate only the final ballot sheet of every receiver (m = 1 view).
-
-    For the two-round instances this is the most useful summary: each
-    receiver's direct value plus the echoes it voted over.
-    """
-    result, engine = execute_degradable_protocol(
-        spec, nodes, sender, sender_value, behaviors
-    )
-    lines = [f"{spec}; ballots per receiver (threshold "
-             f"{spec.vote_threshold(spec.n_nodes)} of {spec.n_receivers}):"]
-    receivers = [n for n in nodes if n != sender]
-    for receiver in receivers:
-        entries = []
-        for event in engine.trace.deliveries_to(receiver):
-            payload = event.payload
-            if isinstance(payload, RelayPayload):
-                entries.append(
-                    f"{'>'.join(map(str, payload.path))}={payload.value!r}"
-                )
-        lines.append(
-            f"  {receiver}: {', '.join(entries)} "
-            f"=> {result.decisions[receiver]!r}"
-        )
-    return "\n".join(lines)
-
-
 def _payload_key(payload) -> object:
     if isinstance(payload, RelayPayload):
         return (payload.path, payload.value)

@@ -37,7 +37,6 @@ from repro.core.eig import (
     Resolver,
     byz_resolver,
     eig_shape,
-    majority_resolver,
 )
 from repro.core.spec import DegradableSpec
 from repro.core.values import DEFAULT, Value
@@ -421,31 +420,6 @@ def make_byz_processes(
             m=spec.m,
             depth=spec.rounds,
             resolver=byz_resolver,
-            value=sender_value if node == sender else None,
-            tag=tag,
-        )
-        for node in nodes
-    ]
-
-
-def make_om_processes(
-    m: int,
-    nodes: Sequence[NodeId],
-    sender: NodeId,
-    sender_value: Value,
-    tag: str = "om",
-) -> List[AgreementProcess]:
-    """Processes for one Lamport OM(m) instance (depth m+1, majority)."""
-    if sender not in nodes:
-        raise ConfigurationError(f"sender {sender!r} not among nodes")
-    return [
-        AgreementProcess(
-            node_id=node,
-            all_nodes=nodes,
-            sender=sender,
-            m=m,
-            depth=m + 1 if m > 0 else 1,
-            resolver=majority_resolver,
             value=sender_value if node == sender else None,
             tag=tag,
         )

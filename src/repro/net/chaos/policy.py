@@ -239,21 +239,6 @@ class ChaosPolicy:
     def partition_active(self, round_no: int) -> bool:
         return any(p.active(round_no) for p in self.partitions)
 
-    @property
-    def is_quiet(self) -> bool:
-        """True when the policy can never touch a frame."""
-        return (
-            self.drop_probability == 0.0
-            and self.duplicate_probability == 0.0
-            and self.reorder_probability == 0.0
-            and self.corrupt_probability == 0.0
-            and self.latency_probability == 0.0
-            and not self.partitions
-            and not self.crashes
-            and not self.link_resets
-            and not self.restarts
-        )
-
 
 # ----------------------------------------------------------------------
 # Severity presets

@@ -32,7 +32,7 @@ from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "events": ("EventBus", "ObsEvent"),
-    "http": ("ObsServer", "scrape"),
+    "http": ("ObsServer",),
     "prom": ("metrics_registry", "parse_exposition"),
     "snapshot": ("render_snapshot",),
     "stats": ("percentile", "percentiles"),

@@ -17,8 +17,7 @@ no frameworks, no threads — good enough for a Prometheus scraper, a
 * anything else — 404.
 
 Port 0 binds an ephemeral port; :attr:`ObsServer.port` reports the real
-one after :meth:`ObsServer.start`.  :func:`scrape` is the matching
-client the tests scrape a live service with.
+one after :meth:`ObsServer.start`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.obs.events import EventBus
 from repro.obs.prom import Exposition, metrics_registry
 
-__all__ = ["ObsServer", "scrape"]
+__all__ = ["ObsServer"]
 
 _MAX_REQUEST_BYTES = 8192
 
@@ -228,38 +227,3 @@ class ObsServer:
         )
         writer.write(head.encode("latin-1") + payload)
         await writer.drain()
-
-
-async def scrape(
-    host: str, port: int, path: str = "/metrics", timeout: float = 5.0
-) -> Tuple[int, str]:
-    """Minimal HTTP GET; returns ``(status, body)``.
-
-    The in-process client for self-scrapes and tests — stdlib-only and
-    loop-friendly (``urllib`` would block the event loop mid-run).
-    """
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout=timeout
-    )
-    try:
-        request = (
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            f"Connection: close\r\n\r\n"
-        )
-        writer.write(request.encode("latin-1"))
-        await writer.drain()
-        raw = await asyncio.wait_for(reader.read(), timeout=timeout)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except Exception:
-            pass
-    head, _, body = raw.partition(b"\r\n\r\n")
-    status_line = head.split(b"\r\n", 1)[0].decode("latin-1", "replace")
-    try:
-        status = int(status_line.split()[1])
-    except (IndexError, ValueError):
-        raise ValueError(f"malformed HTTP response: {status_line!r}")
-    return status, body.decode("utf-8", "replace")

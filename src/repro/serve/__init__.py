@@ -18,7 +18,7 @@ that service layer over the existing async runtime:
 * :mod:`repro.serve.plan` — the seeded plan, :func:`serve_plan` (what
   ``repro serve`` and ``repro trace --mode serve`` run, waiting out
   admission backpressure and taking each decision as it lands) and
-  :func:`divergence_check` / :func:`check_divergence`, the cross-check
+  :func:`divergence_check`, the cross-check
   against the synchronous reference engine.
 """
 
@@ -28,6 +28,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "gateway": ("AgreementService", "InstanceOutcome", "record_service_run"),
     "mux": ("InstanceChannel", "InstanceMux"),
     "plan": (
-        "check_divergence", "divergence_check", "plan_workload", "serve_plan",
+        "divergence_check", "plan_workload", "serve_plan",
     ),
 })

@@ -22,7 +22,6 @@ from typing import (
     Deque,
     Dict,
     Hashable,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -81,21 +80,6 @@ def divergence_check(
         return outcome.decisions != expected_cache[key]
 
     return diverges
-
-
-def check_divergence(
-    spec: DegradableSpec,
-    nodes: Sequence[NodeId],
-    outcomes: Iterable[InstanceOutcome],
-) -> List[str]:
-    """:func:`divergence_check` over *outcomes*: the diverging instance
-    ids, sorted."""
-    diverges = divergence_check(spec, nodes)
-    return [
-        outcome.instance_id
-        for outcome in sorted(outcomes, key=lambda o: o.instance_id)
-        if diverges(outcome)
-    ]
 
 
 async def serve_plan(

@@ -14,13 +14,10 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "ByzantineRelayInjector", "CrashInjector", "MessageCorruptor",
         "OmissionInjector", "SpuriousTimeoutInjector", "behavior_injectors",
     ),
-    "messages": ("ClockReadingPayload", "Envelope", "Message", "RelayPayload"),
+    "messages": ("Envelope", "Message", "RelayPayload"),
     "network": ("Topology",),
     "multiplex": ("MultiplexProcess", "run_concurrent_agreements"),
-    "node": ("IdleProcess", "Process", "RecordingProcess", "ScriptedProcess"),
-    "routing": (
-        "RoutedTransport", "constant_corruptor", "partition_corruptor",
-        "silent_corruptor",
-    ),
+    "node": ("Process",),
+    "routing": ("RoutedTransport", "constant_corruptor", "silent_corruptor"),
     "trace": ("EventKind", "EventTrace", "TraceEvent"),
 })

@@ -48,12 +48,6 @@ class HardwareClock:
     def total_correction(self) -> float:
         return self._correction
 
-    def __repr__(self) -> str:
-        return (
-            f"HardwareClock(drift={self.drift:+.2e}, offset={self.offset:+.4f}, "
-            f"correction={self._correction:+.4f})"
-        )
-
 
 class ClockFace(ABC):
     """What an *observer* sees when it reads this node's clock.
@@ -165,16 +159,6 @@ class ClockEnsemble:
     def read(self, of: NodeId, by: NodeId, real_time: float) -> float:
         """What node *by* observes when reading node *of*'s clock."""
         return self.faces[of].read(real_time, by)
-
-    def read_matrix(self, real_time: float) -> Dict[NodeId, Dict[NodeId, float]]:
-        """``matrix[observer][source]`` = observed reading."""
-        return {
-            observer: {
-                source: self.read(source, observer, real_time)
-                for source in self.nodes
-            }
-            for observer in self.nodes
-        }
 
     def skew(self, real_time: float, among: Optional[list] = None) -> float:
         """Max pairwise difference of hardware readings among *among* nodes.

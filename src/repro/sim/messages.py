@@ -123,14 +123,6 @@ def delivery_order(messages: Iterable[Message]) -> List[Message]:
     return [entry[4] for entry in keyed]
 
 
-@dataclass(frozen=True)
-class ClockReadingPayload:
-    """Payload used by the clock-synchronization protocols."""
-
-    reading: float
-    epoch: int = 0
-
-
 @dataclass
 class Envelope:
     """A message in transit, with routing metadata used by the relay layer.

@@ -11,7 +11,7 @@ injections, not scheduling artefacts.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Hashable, List, Optional, Sequence
+from typing import Any, Hashable, List, Sequence
 
 from repro.sim.messages import Message
 
@@ -77,43 +77,3 @@ class Process(ABC):
     def __repr__(self) -> str:
         state = f"decided={self._decision!r}" if self._decided else "running"
         return f"{type(self).__name__}({self.node_id!r}, {state})"
-
-
-class IdleProcess(Process):
-    """A process that never sends anything (placeholder / crashed node)."""
-
-    def step(self, round_no: int, inbox: Sequence[Message]) -> List[Message]:
-        return []
-
-
-class RecordingProcess(Process):
-    """Stores everything it receives; useful in engine-level tests."""
-
-    def __init__(self, node_id: NodeId) -> None:
-        super().__init__(node_id)
-        self.received: List[Message] = []
-
-    def step(self, round_no: int, inbox: Sequence[Message]) -> List[Message]:
-        self.received.extend(inbox)
-        return []
-
-
-class ScriptedProcess(Process):
-    """Sends a fixed script of messages: ``{round: [(dest, payload)]}``.
-
-    Used by unit tests and by hand-built adversarial scenarios that need a
-    node to emit specific messages at specific rounds.
-    """
-
-    def __init__(self, node_id: NodeId, script: Optional[dict] = None, tag: str = "") -> None:
-        super().__init__(node_id)
-        self.script = dict(script or {})
-        self.tag = tag
-        self.received: List[Message] = []
-
-    def step(self, round_no: int, inbox: Sequence[Message]) -> List[Message]:
-        self.received.extend(inbox)
-        out = []
-        for destination, payload in self.script.get(round_no, []):
-            out.append(self.send(destination, payload, round_no, tag=self.tag))
-        return out

@@ -169,9 +169,6 @@ class RoutedTransport:
 class _Swallowed:
     """Internal marker: a copy that never arrived (distinct from V_d)."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<swallowed>"
-
 
 _SWALLOWED = _Swallowed()
 
@@ -181,24 +178,6 @@ def constant_corruptor(forged: Value) -> HopCorruptor:
 
     def corrupt(hop: NodeId, prev: NodeId, nxt: NodeId, value: Value) -> Value:
         return forged
-
-    return corrupt
-
-
-def partition_corruptor(
-    target_side: frozenset, forged: Value
-) -> HopCorruptor:
-    """Theorem 3 scenario: corrupt only copies heading into *target_side*.
-
-    The faulty cut nodes "change each message from G1 to G2 to carry value
-    beta and change each other message to carry value alpha" — this helper
-    builds the G1-to-G2 half; compose two of them for the full script.
-    """
-
-    def corrupt(hop: NodeId, prev: NodeId, nxt: NodeId, value: Value) -> Value:
-        if nxt in target_side:
-            return forged
-        return value
 
     return corrupt
 

@@ -273,19 +273,6 @@ class EventTrace:
             trace.record(event_from_json(line, where=f"line {lineno}"))
         return trace
 
-    def dump(self, path: str) -> None:
-        """Write the JSONL rendering to *path*."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl())
-            if self._events:
-                handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "EventTrace":
-        """Read a trace previously written by :meth:`dump`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_jsonl(handle.read())
-
 
 # ----------------------------------------------------------------------
 # Single-event (de)serialization

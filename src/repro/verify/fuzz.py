@@ -468,13 +468,6 @@ def run_case(
     return asyncio.run(run_case_async(case, transports))
 
 
-def replay_fingerprints(
-    case: FuzzCase, transports: Sequence[str] = ("local",)
-) -> Dict[str, str]:
-    """Per-mode trace fingerprints for one replay of *case*."""
-    return dict(run_case(case, transports=transports).fingerprints)
-
-
 def rerun_diff(
     first: Sequence[CaseOutcome], rerun: Sequence[CaseOutcome]
 ) -> List[str]:

@@ -5,9 +5,14 @@ import pytest
 from repro.analysis.adversary_search import (
     count_profiles,
     exhaustive_search,
-    verify_instance_exhaustively,
 )
 from repro.exceptions import AnalysisError
+
+
+def verify_instance_exhaustively(u):
+    """``(at_bound, below_bound)`` searches of a 1/u instance: Theorem 2 in
+    both directions, exhaustively over the three-symbol domain."""
+    return exhaustive_search(u, 2 + u + 1), exhaustive_search(u, 2 + u, stop_at_first=True)
 
 
 class TestCountProfiles:

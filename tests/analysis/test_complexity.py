@@ -7,9 +7,18 @@ from repro.analysis.complexity import (
     crusader_complexity,
     om_complexity,
     survive_u_comparison,
-    verify_message_count,
 )
+from repro.core.byz import message_count, run_degradable_agreement
+from repro.core.spec import DegradableSpec
 from repro.exceptions import AnalysisError
+
+
+def verify_message_count(m, u):
+    """The closed form against an instrumented fault-free execution."""
+    spec = DegradableSpec(m=m, u=u, n_nodes=2 * m + u + 1)
+    nodes = [f"p{k}" for k in range(spec.n_nodes)]
+    result = run_degradable_agreement(spec, nodes, nodes[0], "v")
+    return result.stats.messages == message_count(spec.n_nodes, m)
 
 
 class TestByzComplexity:

@@ -4,10 +4,8 @@ import pytest
 
 from repro.analysis.montecarlo import (
     ADVERSARY_ZOO,
-    exhaustive_fault_sets,
     run_campaign,
 )
-from repro.core.behavior import EchoAsBehavior
 from repro.core.spec import DegradableSpec
 from repro.exceptions import AnalysisError
 
@@ -79,15 +77,3 @@ class TestCampaign:
         assert all(t.regime == "none" for t in summary.trials)
         # nothing is promised, so nothing can be violated
         assert not summary.violations
-
-
-class TestExhaustive:
-    def test_all_fault_sets_within_u_satisfy(self, spec):
-        reports = exhaustive_fault_sets(
-            spec,
-            max_faults=2,
-            behavior_factory=lambda node, sender: EchoAsBehavior("junk"),
-        )
-        # C(5,0)+C(5,1)+C(5,2) = 1+5+10 = 16 reports
-        assert len(reports) == 16
-        assert all(r.satisfied for r in reports)

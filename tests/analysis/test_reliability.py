@@ -9,7 +9,6 @@ from repro.analysis.reliability import (
     degradable_vs_byzantine,
     fault_count_pmf,
     reliability,
-    unsafe_probability_curve,
 )
 from repro.exceptions import AnalysisError
 
@@ -94,8 +93,3 @@ class TestComparisons:
         assert (
             result["degradable"].p_unsafe < result["byzantine_m"].p_unsafe
         )
-
-    def test_curve(self):
-        curve = unsafe_probability_curve(1, 2, 5, [0.01, 0.05, 0.1])
-        assert len(curve) == 3
-        assert curve[0].p_unsafe < curve[1].p_unsafe < curve[2].p_unsafe

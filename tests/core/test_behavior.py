@@ -7,17 +7,15 @@ from repro.core.behavior import (
     ChainTwoFaced,
     ConstantLiar,
     EchoAsBehavior,
-    FunctionBehavior,
     HonestBehavior,
     LieAboutSender,
     RandomLiar,
-    ScriptedBehavior,
     SilentBehavior,
     TwoFacedBehavior,
     behavior_for,
-    faulty_nodes,
 )
 from repro.core.values import DEFAULT
+from tests.core.behaviors import FunctionBehavior, ScriptedBehavior
 
 
 class TestBasicBehaviors:
@@ -138,8 +136,3 @@ class TestHelpers:
         bmap = {"x": ConstantLiar(9)}
         assert behavior_for(bmap, "x").send((), "x", "y", 1) == 9
         assert behavior_for(bmap, "z").send((), "z", "y", 1) == 1
-
-    def test_faulty_nodes(self):
-        bmap = {"x": ConstantLiar(9), "y": HonestBehavior()}
-        assert faulty_nodes(bmap) == {"x"}
-        assert faulty_nodes(None) == frozenset()

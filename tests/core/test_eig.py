@@ -5,7 +5,6 @@ import pytest
 from repro.core.eig import (
     EIGTree,
     byz_resolver,
-    expected_path_count,
     majority_resolver,
 )
 from repro.core.values import DEFAULT
@@ -89,10 +88,6 @@ class TestExpectedPaths:
         tree = make_tree(owner="A")
         paths = set(tree.expected_paths(2, "S"))
         assert paths == {("S", "B"), ("S", "C"), ("S", "D")}
-
-    def test_count_formula(self):
-        # paths avoiding one owner: (n-1)(n-2)...(n-r) summed
-        assert expected_path_count(5, 2) == 4 + 4 * 3
 
 
 class TestResolveBYZ:

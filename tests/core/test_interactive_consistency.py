@@ -5,7 +5,6 @@ import pytest
 from repro.core.behavior import ConstantLiar, LieAboutSender, TwoFacedBehavior
 from repro.core.interactive_consistency import (
     ic_runner_byz,
-    ic_runner_om,
     run_interactive_consistency,
     vectors_agree,
     vectors_valid,
@@ -13,6 +12,7 @@ from repro.core.interactive_consistency import (
 from repro.core.spec import DegradableSpec
 from repro.exceptions import ConfigurationError
 from tests.conftest import node_names
+from tests.core.om import ic_runner_om
 
 NODES = node_names(5)
 PRIVATE = {n: f"value-of-{n}" for n in NODES}

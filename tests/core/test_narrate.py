@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.behavior import LieAboutSender, TwoFacedBehavior
-from repro.core.narrate import narrate_ballots, narrate_execution
+from repro.core.behavior import LieAboutSender
+from repro.core.narrate import narrate_execution
 from repro.core.spec import DegradableSpec
 from tests.conftest import node_names
 
@@ -56,18 +56,3 @@ class TestNarrateExecution:
         )
         assert "faulty nodes: ['p3']" in text
         assert "[x] p3" in text
-
-
-class TestNarrateBallots:
-    def test_ballot_sheet(self, spec):
-        behaviors = {"S": TwoFacedBehavior({"p1": "x", "p2": "y"})}
-        text = narrate_ballots(spec, NODES, "S", "alpha", behaviors)
-        assert "ballots per receiver" in text
-        assert "threshold 3 of 4" in text
-        # every receiver line shows its vote result
-        for receiver in NODES[1:]:
-            assert f"  {receiver}: " in text
-
-    def test_paths_rendered(self, spec):
-        text = narrate_ballots(spec, NODES, "S", "alpha")
-        assert "S>p1='alpha'" in text

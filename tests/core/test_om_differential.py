@@ -12,11 +12,11 @@ from repro.core.behavior import (
     TwoFacedBehavior,
 )
 from repro.core.oral_messages import run_oral_messages
-from repro.core.protocol import make_om_processes
 from repro.sim.engine import SynchronousEngine
 from repro.sim.faults import behavior_injectors
 from repro.sim.network import Topology
 from tests.conftest import node_names
+from tests.core.om import make_om_processes
 
 DOMAIN = ["attack", "retreat", "regroup"]
 

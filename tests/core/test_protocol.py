@@ -7,7 +7,6 @@ from repro.core.protocol import (
     ProtocolSession,
     execute_degradable_protocol,
     make_byz_processes,
-    make_om_processes,
 )
 from repro.core.spec import DegradableSpec
 from repro.core.values import DEFAULT
@@ -17,6 +16,7 @@ from repro.sim.faults import OmissionInjector, behavior_injectors
 from repro.sim.network import Topology
 from repro.sim.trace import EventKind
 from tests.conftest import node_names
+from tests.core.om import make_om_processes
 
 
 class TestConstruction:

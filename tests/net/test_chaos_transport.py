@@ -82,13 +82,6 @@ class TestQuietPolicy:
         assert len(log) == 0
         assert log.f_eff == 0
 
-    def test_is_quiet_flag(self):
-        assert ChaosPolicy().is_quiet
-        assert not ChaosPolicy(drop_probability=0.1).is_quiet
-        assert not ChaosPolicy(
-            crashes=(Crash(node="p1", at_round=1),)
-        ).is_quiet
-
 
 class TestDrop:
     def test_certain_drop_charges_source(self):

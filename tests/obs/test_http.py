@@ -10,7 +10,8 @@ from repro.net.metrics import NetMetrics
 from repro.net.tcp import TcpTransport
 from repro.net.transport import LocalBus
 from repro.obs.events import EventBus
-from repro.obs.http import ObsServer, scrape
+from repro.obs.http import ObsServer
+from tests.obs.scrape import scrape
 from repro.obs.prom import metrics_registry, parse_exposition
 from repro.serve import plan, serve_plan
 

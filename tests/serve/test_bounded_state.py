@@ -27,7 +27,6 @@ import tracemalloc
 import pytest
 
 import repro
-from repro.core.behavior import FunctionBehavior
 from repro.core.scenario import build_behavior
 from repro.core.spec import DegradableSpec
 from repro.exceptions import ConfigurationError, UnknownInstanceError
@@ -44,6 +43,7 @@ from repro.serve import (
     record_service_run,
 )
 from repro.serve.gateway import OUTCOME_WINDOW
+from tests.core.behaviors import FunctionBehavior
 
 SPEC = DegradableSpec(m=1, u=2, n_nodes=5)
 NODES = ("S", "p1", "p2", "p3", "p4")

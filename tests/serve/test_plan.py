@@ -5,11 +5,21 @@ import asyncio
 from repro.core.scenario import Instance
 from repro.serve import (
     AgreementService,
-    check_divergence,
     plan_workload,
     serve_plan,
 )
-from repro.serve.plan import VALUES
+from repro.serve.plan import VALUES, divergence_check
+
+
+def check_divergence(spec, nodes, outcomes):
+    """:func:`divergence_check` over *outcomes*: the diverging instance
+    ids, sorted."""
+    diverges = divergence_check(spec, nodes)
+    return [
+        outcome.instance_id
+        for outcome in sorted(outcomes, key=lambda o: o.instance_id)
+        if diverges(outcome)
+    ]
 
 NODES = Instance(1, 2, 5).nodes()
 

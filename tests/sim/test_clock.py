@@ -91,12 +91,6 @@ class TestEnsemble:
         assert ens.read("bad", "a", 5.0) == 99.0
         assert ens.read("b", "a", 5.0) == 5.2
 
-    def test_read_matrix(self):
-        ens = self.build()
-        matrix = ens.read_matrix(1.0)
-        assert matrix["a"]["bad"] == 99.0
-        assert matrix["b"]["a"] == 1.0
-
     def test_skew_over_fault_free_only(self):
         ens = self.build()
         assert ens.skew(0.0) == pytest.approx(0.2)

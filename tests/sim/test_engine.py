@@ -10,8 +10,9 @@ from repro.exceptions import SimulationError
 from repro.sim.engine import FaultInjector, SynchronousEngine
 from repro.sim.messages import Message
 from repro.sim.network import Topology
-from repro.sim.node import IdleProcess, Process, RecordingProcess, ScriptedProcess
+from repro.sim.node import Process
 from repro.sim.trace import EventKind
+from tests.sim.processes import IdleProcess, RecordingProcess, ScriptedProcess
 
 NODES = ["a", "b", "c"]
 

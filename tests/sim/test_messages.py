@@ -6,7 +6,7 @@ from typing import Any, Hashable, Tuple
 import pytest
 
 from repro.core.values import DEFAULT
-from repro.sim.messages import ClockReadingPayload, Envelope, Message, RelayPayload
+from repro.sim.messages import Envelope, Message, RelayPayload
 from tests import twins
 
 
@@ -133,13 +133,6 @@ class TestConstruction:
         ):
             with pytest.raises(ValueError, match="must be non-empty"):
                 build()
-
-
-class TestClockReadingPayload:
-    def test_fields(self):
-        p = ClockReadingPayload(reading=12.5, epoch=3)
-        assert p.reading == 12.5
-        assert p.epoch == 3
 
 
 class TestEnvelope:

@@ -10,8 +10,8 @@ from repro.core.vector_agreement import (
 )
 from repro.exceptions import SimulationError
 from repro.sim.multiplex import MultiplexProcess, run_concurrent_agreements
-from repro.sim.node import IdleProcess, RecordingProcess, ScriptedProcess
 from tests.conftest import node_names
+from tests.sim.processes import IdleProcess, RecordingProcess, ScriptedProcess
 
 NODES = node_names(5)
 PRIVATE = {n: f"val-{n}" for n in NODES}

@@ -1,7 +1,8 @@
 """Unit tests for the Process base classes."""
 
 from repro.sim.messages import Message
-from repro.sim.node import IdleProcess, Process, RecordingProcess, ScriptedProcess
+from repro.sim.node import Process
+from tests.sim.processes import IdleProcess, RecordingProcess, ScriptedProcess
 
 
 class TestDecision:

@@ -8,7 +8,6 @@ from repro.sim.network import Topology
 from repro.sim.routing import (
     RoutedTransport,
     constant_corruptor,
-    partition_corruptor,
     silent_corruptor,
 )
 
@@ -102,14 +101,6 @@ class TestCorruption:
         assert t((), "n0", "n4", "v") in ("v", DEFAULT)
         # counters updated
         assert t.copies_sent >= 4
-
-    def test_partition_corruptor_direction_sensitive(self):
-        right = frozenset({"n4"})
-        corr = partition_corruptor(right, "bad")
-        # heading into the target side: corrupted
-        assert corr("n1", "n0", "n4", "v") == "bad"
-        # heading elsewhere: untouched
-        assert corr("n1", "n0", "n2", "v") == "v"
 
     def test_endpoints_never_corrupt(self):
         # Corruptors on source/destination don't apply (only interior hops).

@@ -256,23 +256,10 @@ class TestExport:
         with pytest.raises(TraceFormatError):
             EventTrace.from_jsonl('{"kind": "sent"}')
 
-    def test_dump_to_file(self, tmp_path):
-        trace = EventTrace()
-        trace.record(delivered(1, "a", "b", "x"))
-        path = tmp_path / "trace.jsonl"
-        trace.dump(str(path))
-        content = path.read_text()
-        assert content.endswith("\n")
-        assert '"round":1' in content
-        assert EventTrace.load(str(path)).events == trace.events
-
-    def test_empty_trace(self, tmp_path):
+    def test_empty_trace(self):
         trace = EventTrace()
         assert trace.to_jsonl() == ""
-        path = tmp_path / "empty.jsonl"
-        trace.dump(str(path))
-        assert path.read_text() == ""
-        assert len(EventTrace.load(str(path))) == 0
+        assert len(EventTrace.from_jsonl("")) == 0
 
 
 class TestViewComparison:

@@ -332,6 +332,8 @@ class TestParser:
              "repeated faulty node 'p1' in fuzz faults"),
             (["explore", "--faulty", "p1:two-faced,p1:lie", "--depth", "0"],
              "repeated faulty node 'p1' in explore faults"),
+            (["mission", "--steps", "0"], "--steps must be >= 1, got 0"),
+            (["mission", "--steps", "-1"], "--steps must be >= 1, got -1"),
         ],
     )
     def test_bad_argument_is_one_error_line_not_a_traceback(

@@ -10,6 +10,8 @@ disappears, or changes its default shows up here as a one-line diff.
 """
 
 import argparse
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +156,27 @@ def test_every_verb_answers_help(verb, capsys):
         main([verb, "--help"])
     assert exit_info.value.code == 0
     assert f"usage: repro {verb}" in capsys.readouterr().out
+
+
+def test_every_flag_is_in_the_reach_entry_table():
+    """scripts/reach.py measures what the shipped verbs reach by running
+    each one; a flag no entry passes leaves the code behind it reading as
+    tier-1-only.  Every verb, and every option of every verb, appears in
+    at least one of the table's ``python -m repro <verb>`` invocations."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reach.py"
+    spec = importlib.util.spec_from_file_location("reach", path)
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    passed = {}
+    for command in reach.ENTRIES:
+        if command[:3] == reach.REPRO:
+            passed.setdefault(command[3], set()).update(command[4:])
+    missing = [
+        (verb, "/".join(action.option_strings))
+        for verb, verb_parser in verbs(build_parser()).items()
+        for action in verb_parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+        and not passed.get(verb, set()) & set(action.option_strings)
+    ]
+    missing += [(verb, "") for verb in verbs(build_parser()) if verb not in passed]
+    assert not missing, missing

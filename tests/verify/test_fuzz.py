@@ -23,13 +23,17 @@ from repro.verify.fuzz import (
     SPEC_CORNERS,
     FuzzCase,
     parse_case_token,
-    replay_fingerprints,
     run_case,
     run_case_async,
     run_fuzz,
     sample_cases,
 )
 from tests.verify.strategies import case_strategy
+
+
+def replay_fingerprints(case, transports=("local",)):
+    """Per-mode trace fingerprints for one replay of *case*."""
+    return dict(run_case(case, transports=transports).fingerprints)
 
 
 class TestReplayTokens:
