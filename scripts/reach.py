@@ -15,9 +15,9 @@ A function is an outermost ``def``: a module-level function or a method
 "Statement lines" are its non-blank, non-comment body lines without the
 docstring, "physical lines" its whole span, decorators included.
 
-    PYTHONPATH=src python scripts/reach.py             # report
-    PYTHONPATH=src python scripts/reach.py --check 900 # and fail above 900
-                                                       # tier-1-only lines
+    PYTHONPATH=src python scripts/reach.py          # report
+    PYTHONPATH=src python scripts/reach.py --check  # and fail above BOUND
+                                                    # tier-1-only lines
 
 The recorder is a ``sitecustomize`` module in a temporary ``PYTHONPATH``
 directory, so every interpreter a run starts (``python -m repro`` from a
@@ -42,6 +42,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: The ratchet: ``--check`` fails when more physical lines than this are
+#: tier-1 only.  It is the tree's own reading; lower it as code goes.
+BOUND = 879
 
 HOOK = '''\
 """Call recorder installed by scripts/reach.py (see its docstring)."""
@@ -246,7 +250,7 @@ def classify(src: Path, out: Path) -> Dict[str, List[Function]]:
     return classes
 
 
-def report(classes: Dict[str, List[Function]], root: Path = ROOT) -> None:
+def report(classes: Dict[str, List[Function]]) -> None:
     print(f"{'reach':<12} {'functions':>9} {'statement lines':>15} {'physical lines':>14}")
     for name in CLASSES:
         fns = classes[name]
@@ -255,18 +259,16 @@ def report(classes: Dict[str, List[Function]], root: Path = ROOT) -> None:
     for name in CLASSES[1:]:
         print(f"\n{name}:")
         for fn in classes[name]:
-            print(f"  {fn.path.relative_to(root)}:{fn.first} {fn.qualname} ({fn.physical})")
+            print(f"  {fn.path.relative_to(ROOT)}:{fn.first} {fn.qualname} ({fn.physical})")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", type=int, default=None,
-                        help="exit 1 if more physical lines than this are tier-1 only")
-    parser.add_argument("--keep", default="", help="keep the call logs in this directory")
+    parser.add_argument("--check", action="store_true",
+                        help=f"exit 1 if more than {BOUND} physical lines are tier-1 only")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
-        out = Path(args.keep or scratch)
-        out.mkdir(parents=True, exist_ok=True)
+        out = Path(scratch)
         src = ROOT / "src" / "repro"
         status = record(TIER1, "tier1", out, src)
         if status:
@@ -278,9 +280,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         classes = classify(src, out)
     report(classes)
     tier1_only = sum(f.physical for f in classes["tier-1 only"])
-    if args.check is not None and tier1_only > args.check:
+    if args.check and tier1_only > BOUND:
         print(f"reach: {tier1_only} physical lines are tier-1 only, above the "
-              f"{args.check} allowed", file=sys.stderr)
+              f"{BOUND} allowed", file=sys.stderr)
         return 1
     return 0
 

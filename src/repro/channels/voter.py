@@ -95,6 +95,9 @@ class MajorityVoter:
         value = self.vote(outputs)
         return VoterVerdict(value=value, outcome=_classify(value, expected))
 
+    def __repr__(self) -> str:
+        return f"MajorityVoter(n={self.n})"
+
 
 def _classify(voted: Value, expected: Value) -> VoteOutcome:
     if voted == expected:

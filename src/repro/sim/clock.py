@@ -48,6 +48,12 @@ class HardwareClock:
     def total_correction(self) -> float:
         return self._correction
 
+    def __repr__(self) -> str:
+        return (
+            f"HardwareClock(drift={self.drift:+.2e}, offset={self.offset:+.4f}, "
+            f"correction={self._correction:+.4f})"
+        )
+
 
 class ClockFace(ABC):
     """What an *observer* sees when it reads this node's clock.

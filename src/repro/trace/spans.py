@@ -290,3 +290,10 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.spans)
+
+    def __repr__(self) -> str:
+        open_count = sum(1 for s in self.spans if s.end is None)
+        return (
+            f"Tracer(seed={self.seed}, spans={len(self.spans)}, "
+            f"open={open_count})"
+        )
