@@ -174,11 +174,14 @@ def run_campaign(
     for _ in range(n_trials):
         f = rng.choice(fault_counts)
         candidates = nodes if include_sender_fault else nodes[1:]
-        faulty = frozenset(rng.sample(candidates, f)) if f else frozenset()
+        # Each factory draws from the campaign RNG, so behaviours are built
+        # in the sampled order: a frozenset's order follows the string hash.
+        sampled = rng.sample(candidates, f) if f else []
+        faulty = frozenset(sampled)
         adversary_name = rng.choice(zoo_names)
         factory = zoo[adversary_name]
         behaviors: BehaviorMap = {
-            node: factory(rng, node, sender, value_domain) for node in faulty
+            node: factory(rng, node, sender, value_domain) for node in sampled
         }
         sender_value = rng.choice(list(value_domain))
         result = run_degradable_agreement(

@@ -179,8 +179,9 @@ class MissionSimulator:
                     return base_faults
                 return frozenset(
                     node
-                    for node in base_faults
-                    if self.rng.random() >= self.clear_probability
+                    for node in self.system.nodes
+                    if node in base_faults
+                    and self.rng.random() >= self.clear_probability
                 )
 
             outcome = self.controller.execute_step(
@@ -202,7 +203,10 @@ class MissionSimulator:
         return stats
 
     def _random_behaviors(self, faulty: AbstractSet[NodeId]) -> BehaviorMap:
+        # Draws follow system.nodes, never a set's hash order, so a seed
+        # means the same mission in every process.
         return {
             node: RandomLiar(self.value_domain, rng=random.Random(self.rng.getrandbits(32)))
-            for node in faulty
+            for node in self.system.nodes
+            if node in faulty
         }

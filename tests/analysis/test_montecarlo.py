@@ -1,5 +1,9 @@
 """Tests for the Monte-Carlo fault-injection harness."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis.montecarlo import (
@@ -25,6 +29,28 @@ class TestCampaign:
         a = run_campaign(spec, n_trials=50, seed=3)
         b = run_campaign(spec, n_trials=50, seed=3)
         assert [t.__dict__ for t in a.trials] == [t.__dict__ for t in b.trials]
+
+    def test_same_seed_same_trials_under_any_hash_seed(self):
+        """Each factory draws from the campaign RNG, so behaviours must be
+        built in a fixed order: iterating the faulty frozenset follows the
+        string hash, which differs between processes."""
+        probe = (
+            "from repro.analysis.montecarlo import run_campaign\n"
+            "from repro.core.spec import DegradableSpec\n"
+            "summary = run_campaign(DegradableSpec(m=1, u=2, n_nodes=5), "
+            "n_trials=300, fault_counts=[2, 3], seed=7)\n"
+            "print([(t.n_faulty, t.adversary, t.shape.value, "
+            "t.largest_agreeing_class) for t in summary.trials])\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env=dict(os.environ, PYTHONHASHSEED=str(hash_seed)),
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for hash_seed in (0, 1, 3)
+        }
+        assert len(outputs) == 1
 
     def test_fault_counts_respected(self, spec):
         summary = run_campaign(spec, n_trials=100, fault_counts=[2], seed=1)

@@ -1,5 +1,9 @@
 """Tests for forward/backward recovery and the mission simulator."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.channels.recovery import (
@@ -107,6 +111,26 @@ class TestMissionSimulator:
         a = MissionSimulator(system, fault_probability=0.1, seed=5).run(50)
         b = MissionSimulator(system, fault_probability=0.1, seed=5).run(50)
         assert a == b
+
+    def test_same_seed_same_mission_under_any_hash_seed(self):
+        """Faults clear and liars are seeded in system.nodes order, not in a
+        frozenset's hash order, so a seed means one mission everywhere."""
+        probe = (
+            "from repro.channels.recovery import MissionSimulator\n"
+            "from repro.channels.system import DegradableChannelSystem\n"
+            "system = DegradableChannelSystem(m=1, u=2, computation=lambda v: v * 2)\n"
+            "print(MissionSimulator(system, fault_probability=0.1, seed=3)"
+            ".run(60, sender_value=21))\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env=dict(os.environ, PYTHONHASHSEED=str(hash_seed)),
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for hash_seed in (0, 1, 3)
+        }
+        assert len(outputs) == 1
 
     def test_probability_validated(self, system):
         with pytest.raises(ConfigurationError):
