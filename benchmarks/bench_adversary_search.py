@@ -1,71 +1,11 @@
-"""E4b — exhaustive adversary search (Theorems 1 and 2, complete for m=1).
-
-Beyond running the paper's *specific* Figure 2 scenarios (E4), this
-experiment enumerates **every deterministic adversary** over a 3-symbol
-value domain for the 1/1- and 1/2-degradable instances:
-
-* at ``N = 2m + u + 1``: zero violating adversaries exist — Theorem 1 for
-  these instances is witnessed exhaustively, not just by sampling;
-* at ``N = 2m + u``: the search produces concrete violating strategies —
-  Theorem 2's impossibility is inhabited, and the first witness found is
-  exactly a Figure 2-style collusion.
+"""E4b — exhaustive adversary search (Theorems 1 and 2, complete for m=1):
+every deterministic adversary over a 3-symbol domain for the 1/1 and 1/2
+instances; none violates at N = 2m+u+1, some do at N = 2m+u.  Registry
+entry E4b (``repro.analysis.runner``).
 """
 
-from conftest import emit
-
-from repro.analysis.adversary_search import exhaustive_search
-from repro.analysis.tables import render_table
-
-
-def run_experiment():
-    rows = []
-    witnesses = {}
-    for u in (1, 2):
-        at = exhaustive_search(u, 2 + u + 1)
-        below = exhaustive_search(u, 2 + u)
-        rows.append([
-            f"1/{u}",
-            2 + u + 1,
-            at.profiles_checked,
-            len(at.violations),
-            2 + u,
-            below.profiles_checked,
-            len(below.violations),
-        ])
-        witnesses[u] = below.violations[0] if below.violations else None
-    return rows, witnesses
+from conftest import run_full
 
 
 def test_exhaustive_adversary_search(benchmark):
-    rows, witnesses = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    for row in rows:
-        assert row[3] == 0, f"violating adversary at the bound: {row}"
-        assert row[6] > 0, f"no violation below the bound: {row}"
-
-    witness_lines = []
-    for u, witness in witnesses.items():
-        witness_lines.append(
-            f"1/{u} @ N={2 + u}: faulty={witness.faulty}, "
-            f"violated: {witness.report.violations[0]}"
-        )
-
-    emit(
-        "E4b / Theorems 1+2 — exhaustive adversary enumeration (m=1)",
-        render_table(
-            [
-                "instance",
-                "N at bound",
-                "profiles",
-                "violations",
-                "N below",
-                "profiles",
-                "violations",
-            ],
-            rows,
-            title="Every deterministic adversary over domain {alpha, beta, V_d}",
-        )
-        + "\n\nFirst violating witnesses below the bound:\n  "
-        + "\n  ".join(witness_lines),
-    )
-    benchmark.extra_info["profiles_at_bound"] = sum(r[2] for r in rows)
+    run_full(benchmark, "E4b")

@@ -6,79 +6,21 @@ enables: to *survive* u faults safely, BYZ(m, m) on 2m+u+1 nodes is
 drastically cheaper than OM(u) on 3u+1 nodes, because recursion depth
 follows m, not u.
 
-Also cross-checks the closed-form message counts against instrumented
-executions of both the functional and the message-passing implementations
-(they must agree exactly), and times the protocol run itself.
+Registry entry E6 (``repro.analysis.runner``) also cross-checks the
+closed-form message counts against instrumented executions of both the
+functional and the message-passing implementations (they must agree
+exactly); the two speed tests here time the protocol run itself.
 """
 
-from conftest import emit
+from conftest import run_full
 
-from repro.analysis.complexity import (
-    byz_complexity,
-    crusader_complexity,
-    om_complexity,
-    survive_u_comparison,
-)
-from repro.analysis.tables import render_table
-from repro.core.byz import message_count, run_degradable_agreement
+from repro.core.byz import run_degradable_agreement
 from repro.core.protocol import execute_degradable_protocol
 from repro.core.spec import DegradableSpec
-from repro.sim.trace import EventKind
-
-
-def cross_check():
-    """closed form == functional execution == message-passing trace."""
-    checked = 0
-    for m, u in [(0, 2), (1, 1), (1, 2), (1, 4), (2, 2), (2, 3)]:
-        spec = DegradableSpec(m=m, u=u, n_nodes=2 * m + u + 1)
-        nodes = [f"p{k}" for k in range(spec.n_nodes)]
-        functional = run_degradable_agreement(spec, nodes, nodes[0], "v")
-        _, engine = execute_degradable_protocol(spec, nodes, nodes[0], "v")
-        analytic = message_count(spec.n_nodes, m)
-        assert functional.stats.messages == analytic, (m, u)
-        assert engine.trace.count(EventKind.SENT) == analytic, (m, u)
-        checked += 1
-    return checked
 
 
 def test_message_complexity_tables(benchmark):
-    checked = benchmark.pedantic(cross_check, rounds=1, iterations=1)
-    assert checked == 6
-
-    rows = []
-    for u in (1, 2, 3, 4):
-        for point in survive_u_comparison([u])[0]:
-            rows.append([
-                u,
-                point.algorithm if point.algorithm == "OM" else f"BYZ(m={point.m})",
-                point.n_nodes,
-                point.rounds,
-                point.messages,
-            ])
-    crusader_rows = [
-        ["-", "Crusader(f=2)", crusader_complexity(2).n_nodes, 2,
-         crusader_complexity(2).messages],
-    ]
-    emit(
-        "E6 / Section 4 — cost of surviving u faults safely",
-        render_table(
-            ["target u", "algorithm", "nodes", "rounds", "messages"],
-            rows + crusader_rows,
-            title="OM(u) on 3u+1 nodes vs BYZ(m,m) on 2m+u+1 nodes",
-        )
-        + "\n\nBYZ with small m wins on every axis: fewer nodes, fewer "
-        "rounds, exponentially fewer messages — the quantitative form of "
-        "'the increase in resource requirements is minimal'.",
-    )
-
-    # Qualitative claims pinned down:
-    for u in (2, 3, 4):
-        om = om_complexity(u)
-        cheap = byz_complexity(1, u)
-        assert cheap.messages < om.messages
-        assert cheap.rounds < om.rounds
-        assert cheap.n_nodes < om.n_nodes
-    benchmark.extra_info["cross_checked_configs"] = checked
+    run_full(benchmark, "E6")
 
 
 def test_protocol_execution_speed(benchmark):

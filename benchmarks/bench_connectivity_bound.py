@@ -1,66 +1,11 @@
-"""E5 — Theorem 3: connectivity at least m+u+1 (Section 5).
-
-Paper artefact: the cut-set argument — with connectivity m+u, the faulty
-halves F1 (|F1| = m) and F2 (|F2| = u) of a vertex cut produce
-indistinguishable situations that force the far side of the cut to violate
-D.1 or D.3; with connectivity m+u+1 (the paper notes it is sufficient)
-both fault scenarios are survivable.
-
-Regeneration: sparse Harary topologies at exact connectivities, the
-disjoint-path relay transport with the u+1-copy acceptance rule, and the
-faulty cut nodes corrupting everything they forward.
+"""E5 — Theorem 3 (Section 5): with connectivity m+u the faulty halves F1
+(m nodes) and F2 (u nodes) of a vertex cut break D.1 or D.3; with m+u+1
+both scenarios are survivable.  Harary topologies, the disjoint-path relay
+with u+1-copy acceptance.  Registry entry E5 (``repro.analysis.runner``).
 """
 
-from conftest import emit
-
-from repro.analysis.lowerbounds import connectivity_scenarios
-from repro.analysis.tables import render_table
-
-# m = u cases are excluded where m+u < 2m+1 (the below-bound probe would
-# sit under even the classic Byzantine connectivity floor).
-CASES = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
-
-
-def run_experiment():
-    rows = []
-    for m, u in CASES:
-        at_bound = connectivity_scenarios(m, u, m + u + 1)
-        below = connectivity_scenarios(m, u, m + u)
-        broken = []
-        if not below.f1_report.satisfied:
-            broken.append("F1(f=m)")
-        if not below.f2_report.satisfied:
-            broken.append("F2(f=u)")
-        rows.append([
-            f"{m}/{u}",
-            m + u + 1,
-            "holds" if at_bound.both_satisfied else "BREAKS?!",
-            m + u,
-            "breaks" if not below.both_satisfied else "HOLDS?!",
-            "+".join(broken) or "-",
-        ])
-    return rows
+from conftest import run_full
 
 
 def test_connectivity_bound(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    for row in rows:
-        assert row[2] == "holds", row
-        assert row[4] == "breaks", row
-
-    emit(
-        "E5 / Theorem 3 — connectivity bound m+u+1 over disjoint-path relays",
-        render_table(
-            ["m/u", "k=m+u+1", "scenarios", "k=m+u", "scenarios", "which breaks"],
-            rows,
-            title=(
-                "Faulty cut nodes corrupt all forwarded copies; acceptance "
-                "threshold u+1 of k disjoint-path copies"
-            ),
-        )
-        + "\n\nAt k = m+u the honest value cannot reach u+1 intact copies "
-        "once the m cut nodes corrupt theirs, so condition D.1 breaks — "
-        "exactly the paper's two-scenario contradiction.",
-    )
-    benchmark.extra_info["cases"] = [f"{m}/{u}" for m, u in CASES]
+    run_full(benchmark, "E5")

@@ -1,18 +1,17 @@
 """E9 (extension) — the degradation-profile "figure".
 
-The paper defines the regimes (Section 2) but never plots them; this
-experiment renders the definitional staircase as a measured figure for the
-1/2- and 1/4-degradable instances, plus the degradable interactive
-consistency extension (conditions V.1/V.2, the constructive counterpart to
-the Bhandari discussion).
+The paper defines the regimes (Section 2) but never plots them; registry
+entry E9 (``repro.analysis.runner``) renders the definitional staircase as
+a measured figure for the 1/2- and 1/4-degradable instances.  E9b is the
+degradable interactive consistency extension (conditions V.1/V.2, the
+constructive counterpart to the Bhandari discussion).
 """
 
 import itertools
 
-from conftest import emit
+from conftest import emit, run_full
 
-from repro.analysis.degradation import degradation_profile
-from repro.core.behavior import ChainLiar, LieAboutSender, TwoFacedBehavior
+from repro.core.behavior import ChainLiar, TwoFacedBehavior
 from repro.core.spec import DegradableSpec
 from repro.core.vector_agreement import (
     classify_vectors,
@@ -20,32 +19,8 @@ from repro.core.vector_agreement import (
 )
 
 
-def run_profiles():
-    profiles = []
-    for m, u, n in [(1, 2, 5), (1, 4, 7)]:
-        spec = DegradableSpec(m=m, u=u, n_nodes=n)
-        profiles.append(degradation_profile(spec, trials_per_level=60, seed=11))
-    return profiles
-
-
 def test_degradation_profiles(benchmark):
-    profiles = benchmark.pedantic(run_profiles, rounds=1, iterations=1)
-
-    blocks = []
-    for profile in profiles:
-        assert profile.full_band_clean()
-        assert profile.degraded_band_clean()
-        assert profile.core_agreement_floor() >= profile.spec.m + 1
-        blocks.append(profile.render())
-
-    emit(
-        "E9 / extension figure — outcome shape vs fault count",
-        "\n\n".join(blocks)
-        + "\n\nStaircase matches the definition: unanimous through the "
-        "byzantine band, at worst two-class through the degraded band, and "
-        "the agreeing core never dips below m+1 within u faults.",
-    )
-    benchmark.extra_info["instances"] = len(profiles)
+    run_full(benchmark, "E9")
 
 
 def test_degradable_interactive_consistency(benchmark):
@@ -58,13 +33,11 @@ def test_degradable_interactive_consistency(benchmark):
         checked = 0
         for f in range(spec.u + 1):
             for faulty in itertools.combinations(nodes, f):
-                behaviors = {}
-                for node in faulty:
-                    behaviors[node] = (
-                        TwoFacedBehavior({"p1": "x", "p2": "y"})
-                        if node == "S"
-                        else ChainLiar("junk", "S")
-                    )
+                behaviors = {
+                    node: TwoFacedBehavior({"p1": "x", "p2": "y"})
+                    if node == "S" else ChainLiar("junk", "S")
+                    for node in faulty
+                }
                 vectors = run_degradable_interactive_consistency(
                     spec, nodes, private, behaviors
                 )

@@ -1,105 +1,12 @@
-"""E3 — Figure 1 and conditions B.1 / C.1–C.3 (Section 3).
-
-Paper artefact: the two multiple-channel systems of Figure 1 and the
-guarantee comparison of Section 3:
-
-* (a) 3 channels + majority voter + Byzantine agreement: correct output up
-  to m=1 faults (B.1), *unguaranteed* beyond — "the three-channel system
-  may fail if two of the channels obtained the same incorrect value";
-* (b) 4 channels + 3-out-of-4 voter + 1/2-degradable agreement: correct up
-  to m=1 (C.1), correct-or-default up to u=2 (C.2), graceful two-class
-  channel states (C.3).
-
-We sweep fault counts over both systems with colluding adversaries and
-tabulate the external-entity outcome frequencies.
+"""E3 — Figure 1 and conditions B.1 / C.1–C.3 (Section 3): the 3-channel
+Byzantine system "may fail if two of the channels obtained the same
+incorrect value"; the 4-channel 1/2-degradable one gives the correct value
+or the default.  Every channel subset up to two colluding faults.
+Registry entry E3 (``repro.analysis.runner``).
 """
 
-import itertools
-
-from conftest import emit
-
-from repro.analysis.tables import render_table
-from repro.channels.system import ByzantineChannelSystem, DegradableChannelSystem
-from repro.channels.voter import VoteOutcome
-from repro.core.behavior import LieAboutSender
-
-SENSOR_VALUE = 21
-
-
-def computation(v):
-    return v * 2
-
-
-def forged_output(honest):
-    return 42_000  # what colluding channels hand the voter
-
-
-def sweep_system(system, max_faults):
-    """All channel-fault subsets up to max_faults; outcome tally per f."""
-    tally = {}
-    for f in range(max_faults + 1):
-        counts = {o: 0 for o in VoteOutcome}
-        for faulty in itertools.combinations(system.channels, f):
-            behaviors = {
-                ch: LieAboutSender(99, system.sender) for ch in faulty
-            }
-            output_faults = {ch: forged_output for ch in faulty}
-            report = system.run(
-                SENSOR_VALUE,
-                faulty=set(faulty),
-                agreement_behaviors=behaviors,
-                output_faults=output_faults,
-            )
-            counts[report.verdict.outcome] += 1
-        tally[f] = counts
-    return tally
-
-
-def run_experiment():
-    byz = ByzantineChannelSystem(m=1, computation=computation)
-    degr = DegradableChannelSystem(m=1, u=2, computation=computation)
-    return sweep_system(byz, 2), sweep_system(degr, 2)
+from conftest import run_full
 
 
 def test_fig1_channel_systems(benchmark):
-    byz_tally, degr_tally = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
-
-    # B.1 / C.1: single faults masked by both designs.
-    assert byz_tally[1][VoteOutcome.CORRECT] == 3
-    assert degr_tally[1][VoteOutcome.CORRECT] == 4
-
-    # Beyond m: the Byzantine system produces INCORRECT outputs...
-    assert byz_tally[2][VoteOutcome.INCORRECT] > 0
-    # ...while the degradable system never does (condition C.2).
-    assert degr_tally[2][VoteOutcome.INCORRECT] == 0
-    assert (
-        degr_tally[2][VoteOutcome.CORRECT]
-        + degr_tally[2][VoteOutcome.DEFAULT]
-        == 6  # C(4,2) fault patterns
-    )
-
-    rows = []
-    for label, tally in (("Fig 1(a) Byzantine 3-ch", byz_tally),
-                         ("Fig 1(b) degradable 4-ch", degr_tally)):
-        for f, counts in tally.items():
-            rows.append([
-                label,
-                f,
-                counts[VoteOutcome.CORRECT],
-                counts[VoteOutcome.DEFAULT],
-                counts[VoteOutcome.INCORRECT],
-            ])
-    emit(
-        "E3 / Figure 1 — external-entity outcomes under channel collusion",
-        render_table(
-            ["system", "f", "correct", "default", "INCORRECT"],
-            rows,
-            title="All fault subsets per f; forged outputs + agreement lies",
-        )
-        + "\n\nB.1/C.1 hold at f<=1; at f=2 only the degradable system "
-        "stays safe (C.2).",
-    )
-    benchmark.extra_info["byz_incorrect_at_2"] = byz_tally[2][VoteOutcome.INCORRECT]
-    benchmark.extra_info["degr_incorrect_at_2"] = degr_tally[2][VoteOutcome.INCORRECT]
+    run_full(benchmark, "E3")

@@ -1,107 +1,11 @@
-"""E4 — Figure 2 and Theorem 2 (Section 5).
-
-Paper artefact: the three fault scenarios of Figure 2 proving that
-1/2-degradable agreement is impossible with fewer than 5 nodes, plus the
-Part II group-simulation extension to arbitrary (m, u).
-
-Regeneration: build the scenario triples as behaviour scripts, run
-algorithm BYZ on them at N = 2m+u (at least one condition must break) and
-at N = 2m+u+1 (all three must pass), and verify the indistinguishability
-the proof relies on — byte-identical local views for the targeted nodes.
+"""E4 — Figure 2 and Theorem 2 (Section 5): the three fault scenarios, and
+their group-simulation lift to any (m, u), run against BYZ at N = 2m+u (a
+condition breaks) and 2m+u+1 (all hold), with the byte-identical local
+views the proof relies on.  Registry entry E4 (``repro.analysis.runner``).
 """
 
-from conftest import emit
-
-from repro.analysis.lowerbounds import (
-    make_groups,
-    run_scenario_triple,
-    theorem2_scenarios,
-)
-from repro.analysis.tables import render_table
-from repro.core.protocol import execute_degradable_protocol
-from repro.core.spec import sub_minimal_spec
-
-CASES = [(1, 1), (1, 2), (1, 4), (2, 2), (2, 3), (3, 3)]
-
-
-def views_identical(m, u):
-    """(B-group view: (a) vs (b), A-group view: (b) vs (c)) at N=2m+u."""
-    n = 2 * m + u
-    spec = sub_minimal_spec(m, u, n)
-    groups = make_groups(m, u, n)
-    scenarios = theorem2_scenarios(groups)
-    views = []
-    for scenario in scenarios:
-        _, engine = execute_degradable_protocol(
-            spec,
-            groups.all_nodes,
-            groups.sender,
-            scenario.sender_value,
-            scenario.behaviors,
-        )
-        views.append(
-            {
-                node: engine.trace.local_view(node)
-                for node in groups.group_a + groups.group_b
-            }
-        )
-    b_match = all(
-        views[0][b] == views[1][b] for b in groups.group_b
-    )
-    a_match = all(
-        views[1][a] == views[2][a] for a in groups.group_a
-    )
-    return b_match, a_match
-
-
-def run_experiment():
-    rows = []
-    for m, u in CASES:
-        below = run_scenario_triple(m, u, 2 * m + u)
-        above = run_scenario_triple(m, u, 2 * m + u + 1)
-        b_match, a_match = views_identical(m, u)
-        violated = next(
-            (o.scenario.name for o in below.outcomes if not o.satisfied), "-"
-        )
-        rows.append([
-            f"{m}/{u}",
-            2 * m + u,
-            "breaks" if not below.all_satisfied else "HOLDS?!",
-            violated,
-            2 * m + u + 1,
-            "holds" if above.all_satisfied else "BREAKS?!",
-            "yes" if b_match else "NO",
-            "yes" if a_match else "NO",
-        ])
-    return rows
+from conftest import run_full
 
 
 def test_fig2_impossibility(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    for row in rows:
-        assert row[2] == "breaks", row    # necessity at N = 2m+u
-        assert row[5] == "holds", row     # sufficiency at N = 2m+u+1
-        assert row[6] == "yes", row       # B-group view: (a) == (b)
-        assert row[7] == "yes", row       # A-group view: (b) == (c)
-
-    emit(
-        "E4 / Figure 2 + Theorem 2 — scenario triple at and below the bound",
-        render_table(
-            [
-                "m/u",
-                "N=2m+u",
-                "triple",
-                "which scenario breaks",
-                "N=2m+u+1",
-                "triple",
-                "B views (a)==(b)",
-                "A views (b)==(c)",
-            ],
-            rows,
-            title="Each row: the three collusion scenarios run against BYZ",
-        )
-        + "\n\nThe paper's 4-node Figure 2 is the m/u = 1/2 row; the rest "
-        "are the Part II group-simulation instances.",
-    )
-    benchmark.extra_info["cases"] = [f"{m}/{u}" for m, u in CASES]
+    run_full(benchmark, "E4")

@@ -1,105 +1,17 @@
-"""E8 — the cost-effectiveness claim (Sections 3 and 7).
-
-Paper artefact: "degradable agreement is a cost-effective approach for
-tolerating a small number of Byzantine failures using forward recovery and
-a large number of failures using backward recovery ... the increase in
-resource requirements is minimal."
-
-Regeneration in two layers:
-
-* the combinatorial reliability model: probability the system is correct /
-  safe-degraded / unsafe, compared across 3m+1 Byzantine, 2m+u+1
-  degradable and 3u+1 brute-force designs;
-* an executed mission: the Figure 1(b) channel system flown for hundreds
-  of steps with transient faults, measuring forward recovery, backward
-  recovery and safety end to end.
+"""E8 — the cost-effectiveness claim (Sections 3 and 7): "the increase in
+resource requirements is minimal".  The reliability model of 3m+1,
+2m+u+1 and 3u+1 designs, and the Figure 1(b) system flown through
+transient faults.  Registry entry E8 (``repro.analysis.runner``).
 """
 
-from conftest import emit
-
-from repro.analysis.reliability import (
-    compare_configurations,
-    degradable_vs_byzantine,
-)
-from repro.analysis.tables import render_table
-from repro.channels.recovery import MissionSimulator
-from repro.channels.system import DegradableChannelSystem
-
-P_NODE = 0.03
-
-
-def reliability_tables():
-    head_to_head = degradable_vs_byzantine(1, 2, P_NODE)
-    seven = compare_configurations(7, P_NODE)
-    return head_to_head, seven
+from conftest import run_full
 
 
 def test_reliability_model(benchmark):
-    head_to_head, seven = benchmark.pedantic(
-        reliability_tables, rounds=1, iterations=1
-    )
-
-    byz_m = head_to_head["byzantine_m"]
-    degr = head_to_head["degradable"]
-    byz_u = head_to_head["byzantine_u"]
-
-    # The paper's economics, as inequalities:
-    assert degr.n_nodes == byz_m.n_nodes + 1          # minimal extra hardware
-    assert byz_u.n_nodes == byz_m.n_nodes + 3         # brute force costs 3x more extra
-    assert degr.p_unsafe < byz_m.p_unsafe             # safer than 3m+1
-    assert degr.p_correct > byz_u.p_correct - 1e-9 or True
-    assert degr.p_unsafe < 10 * byz_u.p_unsafe        # close to brute force safety
-
-    rows = [
-        ["Byzantine m=1 (3m+1)", byz_m.n_nodes, byz_m.p_correct,
-         byz_m.p_safe_degraded, byz_m.p_unsafe],
-        ["degradable 1/2 (2m+u+1)", degr.n_nodes, degr.p_correct,
-         degr.p_safe_degraded, degr.p_unsafe],
-        ["Byzantine u=2 (3u+1)", byz_u.n_nodes, byz_u.p_correct,
-         byz_u.p_safe_degraded, byz_u.p_unsafe],
-    ]
-    seven_rows = [
-        [f"{p.m}/{p.u} on 7 nodes", p.n_nodes, p.p_correct,
-         p.p_safe_degraded, p.p_unsafe]
-        for p in seven
-    ]
-    emit(
-        "E8 / Sections 3+7 — cost-effectiveness of degradable agreement",
-        render_table(
-            ["design", "nodes", "P(correct)", "P(safe degraded)", "P(unsafe)"],
-            rows + seven_rows,
-            title=f"per-node fault probability p = {P_NODE}",
-        )
-        + "\n\nOne extra node (4 -> 5) buys a ~10x drop in unsafe "
-        "probability; matching that via full Byzantine agreement (u=2) "
-        "costs three extra nodes and an extra round.",
-    )
-    benchmark.extra_info["p_unsafe_byz_m"] = byz_m.p_unsafe
-    benchmark.extra_info["p_unsafe_degradable"] = degr.p_unsafe
+    run_full(benchmark, "E8", blocks=slice(0, 1))
 
 
 def test_mission_with_recovery(benchmark):
-    """Executed mission: forward recovery up to m, backward recovery and
-    safe stops beyond — zero unsafe steps within the fault envelope."""
-
-    def fly():
-        system = DegradableChannelSystem(m=1, u=2, computation=lambda v: v * 2)
-        sim = MissionSimulator(
-            system,
-            fault_probability=0.05,
-            clear_probability=0.7,
-            max_retries=2,
-            seed=2024,
-        )
-        return sim.run(300, sender_value=21)
-
-    stats = benchmark.pedantic(fly, rounds=1, iterations=1)
-    assert stats.steps == 300
-    assert stats.unsafe == 0
-    assert stats.availability > 0.95
-    emit(
-        "E8b / Section 3 — 300-step mission, p_fault=0.05/node/step",
-        f"forward: {stats.forward}, backward-recovered: {stats.recovered}, "
-        f"safe stops: {stats.safe_stops}, unsafe: {stats.unsafe}\n"
-        f"availability: {stats.availability:.3f}, safety: {stats.safety:.3f}",
-    )
+    """Forward recovery up to m, backward recovery and safe stops beyond —
+    zero unsafe steps within the fault envelope."""
+    run_full(benchmark, "E8", blocks=slice(1, 2))

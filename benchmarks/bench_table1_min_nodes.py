@@ -1,63 +1,11 @@
-"""E1 — the Section 2 minimum-node table.
-
-Paper artefact: the table "minimum number of nodes necessary for different
-values of m and u" (page 3), i.e. ``2m + u + 1`` over the grid m in 0..3,
-u in 0..6, with dashes where ``u < m``.
-
-Regeneration has two halves:
-
-* the *formula* side — recompute the grid from the bound;
-* the *validation* side — for each (m, u) cell, run algorithm BYZ at the
-  claimed minimum against worst-case adversaries (sufficiency) and run the
-  Theorem 2 scenario triple one node below it (necessity).
-
-Timing measures the full sufficiency+necessity validation sweep.
+"""E1 — the Section 2 minimum-node table: ``2m + u + 1`` over m in 0..3,
+u in 0..6 (a dash where ``u < m``), each cell fuzzed at the minimum
+(sufficiency) and attacked with the Theorem 2 triple one node below it
+(necessity).  Registry entry E1 (``repro.analysis.runner``).
 """
 
-from conftest import emit
-
-from repro.analysis.lowerbounds import run_scenario_triple
-from repro.analysis.montecarlo import run_campaign
-from repro.analysis.tables import section2_min_nodes_table
-from repro.core.bounds import min_nodes, min_nodes_table
-from repro.core.spec import DegradableSpec
-
-GRID = [(m, u) for m in range(0, 4) for u in range(m, 7)]
-
-
-def validate_cell(m: int, u: int) -> bool:
-    """Sufficiency at 2m+u+1 (fuzzing) and necessity at 2m+u (scenarios)."""
-    spec = DegradableSpec(m=m, u=u, n_nodes=min_nodes(m, u))
-    summary = run_campaign(spec, n_trials=60, seed=m * 100 + u)
-    if summary.violations:
-        return False
-    if m >= 1:  # the scenario construction needs m >= 1
-        below = run_scenario_triple(m, u, 2 * m + u)
-        if below.all_satisfied:
-            return False
-    return True
-
-
-def sweep() -> int:
-    return sum(1 for m, u in GRID if validate_cell(m, u))
+from conftest import run_full
 
 
 def test_table1_regeneration(benchmark):
-    validated = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    assert validated == len(GRID), "some (m, u) cell failed validation"
-
-    table = min_nodes_table()
-    # Spot-check the published values.
-    assert table[2][1] == 5  # 1/2-degradable: 5 nodes
-    assert table[2][2] == 7  # 2/2: 7 nodes
-    assert table[6][0] == 7  # 0/6: 7 nodes
-    assert table[6][3] == 13  # 3/6: 13 nodes
-    assert table[0][1] is None  # u < m: dash
-
-    emit(
-        "E1 / Section 2 table — minimum nodes for m/u-degradable agreement",
-        section2_min_nodes_table()
-        + f"\n\nvalidated cells: {validated}/{len(GRID)} "
-        f"(sufficiency fuzzed at 2m+u+1; necessity via scenario triple at 2m+u)",
-    )
-    benchmark.extra_info["validated_cells"] = validated
+    run_full(benchmark, "E1")

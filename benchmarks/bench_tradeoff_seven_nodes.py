@@ -1,78 +1,11 @@
-"""E2 — the seven-node trade-off (Section 2).
-
-Paper artefact: "given a system consisting of 7 nodes, one may achieve one
-of the following: 2/2-degradable agreement, or 1/4-degradable agreement, or
-0/6-degradable agreement."
-
-We regenerate the configuration list, then chart — for each configuration —
-which guarantee actually holds as the fault count climbs from 0 to 6,
-using worst-case-flavoured adversaries.  The expected staircase:
-
-* 2/2: full agreement up to f=2, nothing beyond;
-* 1/4: full up to f=1, two-class up to f=4;
-* 0/6: full at f=0, two-class up to f=6.
+"""E2 — the seven-node trade-off (Section 2): "given a system consisting of
+7 nodes, one may achieve ... 2/2-degradable agreement, or 1/4-degradable
+agreement, or 0/6-degradable agreement", and which guarantee holds for each
+as f climbs 0..6.  Registry entry E2 (``repro.analysis.runner``).
 """
 
-from conftest import emit
-
-from repro.analysis.montecarlo import run_campaign
-from repro.analysis.tables import render_table, seven_node_tradeoff_table
-from repro.core.bounds import configurations
-from repro.core.spec import DegradableSpec
-
-N_NODES = 7
-TRIALS_PER_F = 40
-
-
-def guarantee_staircase():
-    """For each maximal config and each f: did the promised regime hold?"""
-    rows = []
-    for m, u in sorted(configurations(N_NODES), reverse=True):
-        spec = DegradableSpec(m=m, u=u, n_nodes=N_NODES)
-        cells = []
-        for f in range(N_NODES):
-            summary = run_campaign(
-                spec,
-                n_trials=TRIALS_PER_F,
-                fault_counts=[f],
-                seed=1000 * m + f,
-            )
-            regime = spec.guarantee_for(f)
-            ok = not summary.violations
-            if regime == "byzantine":
-                cells.append("FULL" if ok else "viol!")
-            elif regime == "degraded":
-                cells.append("2cls" if ok else "viol!")
-            else:
-                cells.append(".")
-        rows.append([f"{m}/{u}"] + cells)
-    return rows
+from conftest import run_full
 
 
 def test_seven_node_tradeoff(benchmark):
-    rows = benchmark.pedantic(guarantee_staircase, rounds=1, iterations=1)
-
-    assert {tuple(r[0].split("/")) for r in rows} == {
-        ("2", "2"), ("1", "4"), ("0", "6")
-    }
-    by_config = {r[0]: r[1:] for r in rows}
-    assert by_config["2/2"][:3] == ["FULL", "FULL", "FULL"]
-    assert by_config["2/2"][3:] == [".", ".", ".", "."]
-    assert by_config["1/4"][:2] == ["FULL", "FULL"]
-    assert by_config["1/4"][2:5] == ["2cls", "2cls", "2cls"]
-    assert by_config["0/6"][0] == "FULL"
-    assert all(cell == "2cls" for cell in by_config["0/6"][1:])
-
-    table = render_table(
-        ["config"] + [f"f={f}" for f in range(N_NODES)],
-        rows,
-        title=(
-            "Guarantee achieved vs fault count (FULL = D.1/D.2, "
-            "2cls = D.3/D.4, . = no promise)"
-        ),
-    )
-    emit(
-        "E2 / Section 2 — the 7-node trade-off",
-        seven_node_tradeoff_table(N_NODES) + "\n\n" + table,
-    )
-    benchmark.extra_info["configs"] = [r[0] for r in rows]
+    run_full(benchmark, "E2")

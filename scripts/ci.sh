@@ -42,6 +42,35 @@ python -m repro suite
 python -m repro net --transport local
 python -m repro net --transport tcp
 
+echo "== one writer per paper result (the registry computes and judges; benchmarks, report and verbs call it) =="
+# Each paper result is computed and judged by its entry in
+# repro.analysis.runner.EXPERIMENTS and the per-instance helpers it loops
+# over (theorem2_case, theorem3_case, search_case, survive_u_costs,
+# degradation_case, fly_mission).  A benchmark times an entry at its full
+# size; the report and the paper verbs call the helpers.
+if grep -nE "(run_scenario_triple|connectivity_scenarios|exhaustive_search|degradation_profile|degradable_vs_byzantine|survive_u_comparison|om_complexity|byz_complexity|MissionSimulator|ChannelSystem)\(" \
+        benchmarks/*.py src/repro/analysis/report.py src/repro/cli/paper.py \
+        || grep -nE "run_campaign\(" benchmarks/*.py; then
+    echo "a benchmark, the report or a paper verb computes a paper result itself: call its registry entry or helper (repro.analysis.runner)" >&2
+    exit 1
+fi
+
+echo "== artefacts are a function of the code (one output under two hash seeds) =="
+# A seeded draw that iterates a set of node ids follows the string hash,
+# which differs between processes: what the benchmarks print and the
+# report must not move with PYTHONHASHSEED.
+for hash_seed in 0 3; do
+    PYTHONHASHSEED="${hash_seed}" python -m pytest benchmarks/ --benchmark-disable -s -q \
+        > "${ARTIFACTS}/bench-${hash_seed}.txt"
+    PYTHONHASHSEED="${hash_seed}" python -m repro report --no-battery \
+        > "${ARTIFACTS}/report-${hash_seed}.txt"
+done
+if ! diff "${ARTIFACTS}/bench-0.txt" "${ARTIFACTS}/bench-3.txt" \
+        || ! diff "${ARTIFACTS}/report-0.txt" "${ARTIFACTS}/report-3.txt"; then
+    echo "a benchmark artefact or the report depends on PYTHONHASHSEED: draw seeded randomness in list order, never a set's" >&2
+    exit 1
+fi
+
 echo "== one send path (the runner has no retry loop; supervision is the only backoff) =="
 # (`! grep` alone never trips `set -e`; spell the failure out.)
 if grep -rn "RetryPolicy" src/; then

@@ -109,6 +109,21 @@ def count_profiles(
     return total
 
 
+def search_case(
+    u: int, below: bool = False, first_only: bool = True
+) -> Tuple[SearchResult, bool]:
+    """Search the 1/u instance at the Theorem 2 bound, or one node below it.
+
+    Returns ``(result, witnessed)``: at ``N = u + 3`` no violating
+    adversary may exist, at ``N = u + 2`` one must.  A below-bound search
+    stops at its first witness unless *first_only* is false.
+    """
+    result = exhaustive_search(
+        u, 2 + u + (0 if below else 1), stop_at_first=below and first_only
+    )
+    return result, result.contract_unbreakable != below
+
+
 def exhaustive_search(
     u: int,
     n_nodes: int,

@@ -19,7 +19,7 @@ is ``m``, not ``u``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.byz import message_count
 from repro.core.crusader import crusader_message_count
@@ -122,3 +122,15 @@ def survive_u_comparison(u_values: Sequence[int]) -> List[List[ComplexityPoint]]
         row.extend(byz_complexity(m, u) for m in range(1, u + 1))
         grid.append(row)
     return grid
+
+
+def survive_u_costs(u: int) -> Tuple[List[ComplexityPoint], bool]:
+    """OM(u) and BYZ(m, u) for ``1 <= m <= u``, and whether BYZ(1, u) is
+    cheaper than OM(u) on nodes, rounds and messages (it is for u >= 2)."""
+    points = survive_u_comparison([u])[0]
+    om, cheap = points[0], points[1]
+    return points, (
+        cheap.messages < om.messages
+        and cheap.rounds < om.rounds
+        and cheap.n_nodes < om.n_nodes
+    )

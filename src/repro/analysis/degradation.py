@@ -20,7 +20,7 @@ extension artefact).  Expected shape for an m/u instance:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.charts import sparkline, staircase
 from repro.analysis.montecarlo import ADVERSARY_ZOO, run_campaign
@@ -169,3 +169,17 @@ def degradation_profile(
             )
         profile.levels.append(level)
     return profile
+
+
+def degradation_case(
+    spec: DegradableSpec, trials_per_level: int, seed: int
+) -> Tuple[DegradationProfile, bool]:
+    """The profile of one instance, and whether it matches the definition:
+    unanimous within m faults, at worst two-class within u, and an agreeing
+    core of at least m + 1 throughout."""
+    profile = degradation_profile(spec, trials_per_level=trials_per_level, seed=seed)
+    return profile, (
+        profile.full_band_clean()
+        and profile.degraded_band_clean()
+        and profile.core_agreement_floor() >= spec.m + 1
+    )

@@ -9,10 +9,9 @@ general parameters by group simulation — such that:
 * the chained decisions contradict one of the conditions D.1/D.2/D.3.
 
 This module builds exactly those scenarios as behaviour maps and runs them
-against *any* agreement protocol with our behaviour interface.  For a
-correct protocol at ``N = 2m + u`` the scenario triple therefore must make
-at least one condition fail — which is what the experiments demonstrate for
-algorithm BYZ — while at ``N = 2m + u + 1`` all three scenarios pass.
+against algorithm BYZ.  At ``N = 2m + u`` the scenario triple therefore
+must make at least one condition fail, while at ``N = 2m + u + 1`` all
+three scenarios pass.
 
 Generalized construction (``N = 2m + u``; for the proof sketch see
 DESIGN.md and the module tests):
@@ -40,7 +39,7 @@ the same — over the disjoint-path relay transport.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.behavior import (
     BehaviorMap,
@@ -49,7 +48,7 @@ from repro.core.behavior import (
     LieAboutSender,
     TwoFacedBehavior,
 )  # LieAboutSender: used by the Theorem 3 cut scenarios below
-from repro.core.byz import AgreementResult, run_degradable_agreement
+from repro.core.byz import run_degradable_agreement
 from repro.core.conditions import OutcomeReport, classify
 from repro.core.spec import DegradableSpec, sub_minimal_spec
 from repro.core.values import Value
@@ -58,13 +57,6 @@ from repro.sim.network import Topology
 from repro.sim.routing import HopCorruptor, RoutedTransport
 
 NodeId = Hashable
-
-#: Signature every protocol under test must expose (matches
-#: ``run_degradable_agreement``).
-ProtocolRunner = Callable[
-    [DegradableSpec, Sequence[NodeId], NodeId, Value, Optional[BehaviorMap]],
-    AgreementResult,
-]
 
 
 @dataclass
@@ -235,11 +227,10 @@ def run_scenario_triple(
     m: int,
     u: int,
     n_nodes: int,
-    runner: Optional[ProtocolRunner] = None,
     alpha: Value = "alpha",
     beta: Value = "beta",
 ) -> TripleResult:
-    """Run the Theorem 2 triple against a protocol at the given node count.
+    """Run the Theorem 2 triple against BYZ at the given node count.
 
     With ``n_nodes == 2m + u`` a correct deterministic protocol *must* fail
     at least one scenario (that is the theorem); with
@@ -251,10 +242,9 @@ def run_scenario_triple(
         spec = sub_minimal_spec(m=m, u=u, n_nodes=n_nodes)
     groups = make_groups(m, u, n_nodes)
     scenarios = theorem2_scenarios(groups, alpha=alpha, beta=beta)
-    run = runner or run_degradable_agreement
     result = TripleResult(spec=spec)
     for scenario in scenarios:
-        agreement = run(
+        agreement = run_degradable_agreement(
             spec,
             groups.all_nodes,
             groups.sender,
@@ -264,6 +254,17 @@ def run_scenario_triple(
         report = classify(agreement, scenario.faulty, spec)
         result.outcomes.append(ScenarioOutcome(scenario=scenario, report=report))
     return result
+
+
+def theorem2_case(m: int, u: int) -> Tuple[TripleResult, TripleResult, bool]:
+    """The Theorem 2 triple one node below the bound and at it.
+
+    Returns ``(below, at, witnessed)``: the theorem is witnessed when the
+    triple breaks at ``N = 2m + u`` and holds at ``N = 2m + u + 1``.
+    """
+    below = run_scenario_triple(m, u, 2 * m + u)
+    at = run_scenario_triple(m, u, 2 * m + u + 1)
+    return below, at, not below.all_satisfied and at.all_satisfied
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +358,23 @@ def connectivity_scenarios(
         f1_report=run_with_cut_faults(f1),
         f2_report=run_with_cut_faults(f2),
     )
+
+
+def theorem3_case(
+    m: int, u: int
+) -> Tuple[ConnectivityScenarioResult, ConnectivityScenarioResult, bool]:
+    """The Theorem 3 pair one below connectivity ``m + u + 1`` and at it.
+
+    Returns ``(below, at, witnessed)``: the theorem is witnessed when the
+    pair holds at ``k = m + u + 1`` and breaks at ``k = m + u``.
+    """
+    if m < 1:
+        # At m = 0 the below-bound relay would have u paths and a u + 1
+        # acceptance rule: no pair exists to run.
+        raise AnalysisError(f"the Theorem 3 scenario pair needs m >= 1, got m={m}")
+    below = connectivity_scenarios(m, u, m + u)
+    at = connectivity_scenarios(m, u, m + u + 1)
+    return below, at, at.both_satisfied and not below.both_satisfied
 
 
 def _corrupt_everything(forged: Value) -> HopCorruptor:

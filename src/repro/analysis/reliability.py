@@ -22,10 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.core.bounds import configurations
 from repro.exceptions import AnalysisError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; a mission imports channels
+    from repro.channels.recovery import MissionStats
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,28 @@ def degradable_vs_byzantine(
         "extra_nodes_degradable": degr.n_nodes - byz_m.n_nodes,
         "extra_nodes_byzantine_u": byz_u.n_nodes - byz_m.n_nodes,
     }
+
+
+def fly_mission(
+    steps: int,
+    fault_probability: float,
+    seed: int,
+    clear_probability: float = 0.5,
+) -> Tuple["MissionStats", bool]:
+    """Fly the Figure 1(b) channel system (1/2-degradable, 4 channels) for
+    *steps* steps of transient faults; returns ``(stats, safe)``, safe when
+    no step acted on a wrong value."""
+    from repro.channels.recovery import MissionSimulator
+    from repro.channels.system import DegradableChannelSystem
+
+    system = DegradableChannelSystem(m=1, u=2, computation=lambda v: v * 2)
+    stats = MissionSimulator(
+        system,
+        fault_probability=fault_probability,
+        clear_probability=clear_probability,
+        seed=seed,
+    ).run(steps, sender_value=21)
+    return stats, stats.unsafe == 0
 
 
 def heterogeneous_fault_pmf(p_nodes: Sequence[float]) -> List[float]:

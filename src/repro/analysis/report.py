@@ -15,17 +15,15 @@ generation time, so the document doubles as an end-to-end smoke artefact
 from __future__ import annotations
 
 import io
-from typing import List, Optional
 
 from repro.analysis.charts import log_bar_chart
-from repro.analysis.complexity import byz_complexity, om_complexity, sm_complexity
+from repro.analysis.complexity import sm_complexity, survive_u_costs
 from repro.analysis.confidence import summarize_confidence
-from repro.analysis.degradation import degradation_profile
-from repro.analysis.lowerbounds import connectivity_scenarios, run_scenario_triple
+from repro.analysis.degradation import degradation_case
 from repro.analysis.mixed_faults import mixed_fault_grid
 from repro.analysis.montecarlo import run_campaign
 from repro.analysis.reliability import compare_configurations
-from repro.analysis.runner import run_experiments, summarize
+from repro.analysis.runner import EXPERIMENTS, run_experiments, summarize
 from repro.analysis.tables import (
     render_table,
     section2_min_nodes_table,
@@ -61,8 +59,7 @@ def generate_report(
 
     if include_battery:
         section("Experiment battery (quick sizes)")
-        results = run_experiments()
-        block(summarize(results))
+        block(summarize(run_experiments()))
 
     section("Section 2 — minimum nodes (2m+u+1)")
     block(section2_min_nodes_table())
@@ -73,45 +70,18 @@ def generate_report(
     section("Adversarial fuzzing confidence (1/2-degradable, 5 nodes)")
     spec = DegradableSpec(m=1, u=2, n_nodes=5)
     campaign = run_campaign(spec, n_trials=trials, seed=seed)
-    block(
-        summarize_confidence(campaign.n_trials, len(campaign.violations))
-    )
+    block(summarize_confidence(campaign.n_trials, len(campaign.violations)))
 
     section("Degradation profile (1/2-degradable, 5 nodes)")
-    profile = degradation_profile(spec, trials_per_level=60, seed=seed)
+    profile, _ = degradation_case(spec, trials_per_level=60, seed=seed)
     block(profile.render())
 
-    section("Theorem 2 — scenario triples at and below the node bound")
-    rows = []
-    for m, u in [(1, 2), (2, 3)]:
-        below = run_scenario_triple(m, u, 2 * m + u)
-        above = run_scenario_triple(m, u, 2 * m + u + 1)
-        rows.append([
-            f"{m}/{u}",
-            2 * m + u,
-            "breaks" if not below.all_satisfied else "HOLDS?!",
-            2 * m + u + 1,
-            "holds" if above.all_satisfied else "BREAKS?!",
-        ])
-    block(render_table(
-        ["m/u", "N below", "triple", "N at bound", "triple"], rows
-    ))
-
-    section("Theorem 3 — connectivity bound over disjoint-path relays")
-    rows = []
-    for m, u in [(1, 2), (2, 3)]:
-        at = connectivity_scenarios(m, u, m + u + 1)
-        below = connectivity_scenarios(m, u, m + u)
-        rows.append([
-            f"{m}/{u}",
-            m + u,
-            "breaks" if not below.both_satisfied else "HOLDS?!",
-            m + u + 1,
-            "holds" if at.both_satisfied else "BREAKS?!",
-        ])
-    block(render_table(
-        ["m/u", "k below", "pair", "k at bound", "pair"], rows
-    ))
+    for heading, exp_id in (
+        ("Theorem 2 — scenario triples at and below the node bound", "E4"),
+        ("Theorem 3 — connectivity bound over disjoint-path relays", "E5"),
+    ):
+        section(heading)
+        block(EXPERIMENTS[exp_id]().artefacts[0][1])
 
     section("Reliability of the 7-node configurations (p_node = 0.02)")
     points = compare_configurations(7, 0.02)
@@ -126,12 +96,12 @@ def generate_report(
     block(log_bar_chart([(f"{p.m}/{p.u}", p.p_unsafe) for p in points]))
 
     section("Cost of surviving u = 3 faults safely")
-    rows = []
-    om = om_complexity(3)
-    rows.append(["OM(3)", om.n_nodes, om.rounds, om.messages])
-    for m in (1, 2, 3):
-        point = byz_complexity(m, 3)
-        rows.append([f"BYZ({m}/3)", point.n_nodes, point.rounds, point.messages])
+    points, _ = survive_u_costs(3)
+    rows = [
+        ["OM(3)" if p.algorithm == "OM" else f"BYZ({p.m}/3)", p.n_nodes,
+         p.rounds, p.messages]
+        for p in points
+    ]
     sm = sm_complexity(3)
     rows.append(["SM(3), signed", sm.n_nodes, sm.rounds, sm.messages])
     block(render_table(["algorithm", "nodes", "rounds", "messages"], rows))

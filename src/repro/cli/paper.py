@@ -105,32 +105,28 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_scenarios(args) -> int:
-    from repro.analysis import run_scenario_triple
+    from repro.analysis.lowerbounds import theorem2_case
 
-    below = run_scenario_triple(args.m, args.u, 2 * args.m + args.u)
-    above = run_scenario_triple(args.m, args.u, 2 * args.m + args.u + 1)
+    below, at, witnessed = theorem2_case(args.m, args.u)
     print(below.summary())
-    print(above.summary())
-    ok = (not below.all_satisfied) and above.all_satisfied
+    print(at.summary())
     print(
         "Theorem 2 witnessed: breaks below the bound, holds at it."
-        if ok
+        if witnessed
         else "UNEXPECTED: Theorem 2 pattern not observed"
     )
-    return 0 if ok else 1
+    return 0 if witnessed else 1
 
 
 def _cmd_connectivity(args) -> int:
-    from repro.analysis import connectivity_scenarios
+    from repro.analysis.lowerbounds import theorem3_case
 
-    at = connectivity_scenarios(args.m, args.u, args.m + args.u + 1)
-    below = connectivity_scenarios(args.m, args.u, args.m + args.u)
+    below, at, witnessed = theorem3_case(args.m, args.u)
     print(f"connectivity {at.connectivity}: "
           f"{'holds' if at.both_satisfied else 'BREAKS'}")
     print(f"connectivity {below.connectivity}: "
           f"{'breaks' if not below.both_satisfied else 'HOLDS (unexpected)'}")
-    ok = at.both_satisfied and not below.both_satisfied
-    return 0 if ok else 1
+    return 0 if witnessed else 1
 
 
 def _cmd_reliability(args) -> int:
@@ -152,15 +148,15 @@ def _cmd_reliability(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    from repro.analysis import byz_complexity, log_bar_chart, om_complexity
-    from repro.analysis import render_table
+    from repro.analysis import log_bar_chart, render_table
+    from repro.analysis.complexity import survive_u_costs
 
-    rows = []
-    om = om_complexity(args.u)
-    rows.append(["OM", om.n_nodes, om.rounds, om.messages])
-    for m in range(1, args.u + 1):
-        point = byz_complexity(m, args.u)
-        rows.append([f"BYZ(m={m})", point.n_nodes, point.rounds, point.messages])
+    points, _ = survive_u_costs(args.u)
+    rows = [
+        ["OM" if p.algorithm == "OM" else f"BYZ(m={p.m})", p.n_nodes, p.rounds,
+         p.messages]
+        for p in points
+    ]
     print(render_table(
         ["algorithm", "nodes", "rounds", "messages"],
         rows,
@@ -172,34 +168,26 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from repro.analysis import exhaustive_search
+    from repro.analysis.adversary_search import search_case
 
-    n = 2 + args.u + (0 if args.below else 1)
-    result = exhaustive_search(args.u, n, stop_at_first=args.below)
-    print(f"1/{args.u}-degradable at N={n}: "
+    result, witnessed = search_case(args.u, below=args.below)
+    print(f"1/{args.u}-degradable at N={result.spec.n_nodes}: "
           f"{result.profiles_checked} adversary profiles checked")
     if result.contract_unbreakable:
         print("no violating adversary exists over the 3-symbol domain")
-        return 0 if not args.below else 1
-    witness = result.violations[0]
-    print(f"violation found: faulty={witness.faulty}")
-    for violation in witness.report.violations:
-        print(f"  {violation}")
-    return 1 if not args.below else 0
+    else:
+        witness = result.violations[0]
+        print(f"violation found: faulty={witness.faulty}")
+        for violation in witness.report.violations:
+            print(f"  {violation}")
+    return 0 if witnessed else 1
 
 
 def _cmd_mission(args) -> int:
     from repro.analysis import bar_chart
-    from repro.channels.recovery import MissionSimulator
-    from repro.channels.system import DegradableChannelSystem
+    from repro.analysis.reliability import fly_mission
 
-    system = DegradableChannelSystem(m=1, u=2, computation=lambda v: v * 2)
-    sim = MissionSimulator(
-        system,
-        fault_probability=args.fault_probability,
-        seed=args.seed,
-    )
-    stats = sim.run(args.steps, sender_value=21)
+    stats, safe = fly_mission(args.steps, args.fault_probability, args.seed)
     print(bar_chart([
         ("forward", stats.forward),
         ("recovered", stats.recovered),
@@ -207,7 +195,7 @@ def _cmd_mission(args) -> int:
         ("unsafe", stats.unsafe),
     ], width=40))
     print(f"availability {stats.availability:.3f}, safety {stats.safety:.3f}")
-    return 0 if stats.unsafe == 0 else 1
+    return 0 if safe else 1
 
 
 def _cmd_report(args) -> int:

@@ -9,6 +9,15 @@ from repro.analysis.scenario import (
     ScenarioSuite,
     reference_suite,
 )
+from repro.core.behavior import (
+    ChainLiar,
+    ChainTwoFaced,
+    ConstantLiar,
+    EchoAsBehavior,
+    LieAboutSender,
+    SilentBehavior,
+    TwoFacedBehavior,
+)
 from repro.core.values import DEFAULT
 from repro.exceptions import AnalysisError
 
@@ -57,21 +66,30 @@ class TestScenarioSpec:
             spec.run()
 
     def test_every_registered_builder_constructs(self):
-        args = {
-            "constant-liar": {"value": "x"},
-            "silent": {},
-            "echo-as": {"value": "x"},
-            "two-faced": {"faces": {"p1": "x"}},
-            "lie-about-sender": {"value": "x", "sender": "S"},
-            "chain-liar": {"value": "x", "sender": "S", "extras": ["p1"]},
-            "chain-two-faced": {
-                "faces": {"p1": "x"}, "sender": "S", "extras": []
-            },
+        # kind -> (builder arguments, class built, what it sends to p1
+        # when relaying the sender's value)
+        expected = {
+            "constant-liar": ({"value": "x"}, ConstantLiar, "x"),
+            "silent": ({}, SilentBehavior, DEFAULT),
+            "echo-as": ({"value": "x"}, EchoAsBehavior, "x"),
+            "two-faced": ({"faces": {"p1": "x"}}, TwoFacedBehavior, "x"),
+            "lie-about-sender": (
+                {"value": "x", "sender": "S"}, LieAboutSender, "x"
+            ),
+            "chain-liar": (
+                {"value": "x", "sender": "S", "extras": ["p1"]}, ChainLiar, "x"
+            ),
+            "chain-two-faced": (
+                {"faces": {"p1": "x"}, "sender": "S", "extras": []},
+                ChainTwoFaced,
+                "x",
+            ),
         }
-        assert set(args) == set(BEHAVIOR_BUILDERS)
-        for kind, kwargs in args.items():
+        assert set(expected) == set(BEHAVIOR_BUILDERS)
+        for kind, (kwargs, cls, sent) in expected.items():
             behavior = BEHAVIOR_BUILDERS[kind](dict(kwargs, kind=kind))
-            assert behavior.send((), "a", "b", "honest") is not None or True
+            assert type(behavior) is cls, kind
+            assert behavior.send(("S",), "a", "p1", "honest") == sent, kind
 
     def test_sub_minimal_scenarios_allowed(self):
         spec = ScenarioSpec(name="below", m=1, u=2, n_nodes=4)

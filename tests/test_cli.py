@@ -334,6 +334,9 @@ class TestParser:
              "repeated faulty node 'p1' in explore faults"),
             (["mission", "--steps", "0"], "--steps must be >= 1, got 0"),
             (["mission", "--steps", "-1"], "--steps must be >= 1, got -1"),
+            (["connectivity", "-m", "0", "-u", "2"],
+             "the Theorem 3 scenario pair needs m >= 1, got m=0"),
+            (["complexity", "-u", "0"], "u must be >= 1, got 0"),
         ],
     )
     def test_bad_argument_is_one_error_line_not_a_traceback(
