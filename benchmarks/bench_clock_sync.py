@@ -1,146 +1,20 @@
-"""E7 — degradable clock synchronization (Section 6).
-
-Paper artefacts:
-
-* the impossibility context: interactive convergence fails once a third or
-  more clocks are two-faced ([3], [5]);
-* the m/u-degradable clock synchronization *problem statement* and the
-  conjecture that it is solvable with more than 2m+u clocks;
-* the Section 6.2 witness-clock alternative.
-
-Regeneration: run our agreement-based candidate algorithm across the fault
-grid (f = 0..u) and a spread of adversary styles, and report for each cell
-whether the paper's conditions held — the empirical evidence for the
-conjecture the paper leaves open.
+"""E7 — degradable clock synchronization (Section 6): the candidate
+algorithm against the conjecture's conditions (E7), interactive
+convergence on both sides of a third two-faced clocks (E7b), and the
+Section 6.2 witness clocks (E7c).  Registry entries E7, E7b and E7c
+(``repro.analysis.runner``).
 """
 
-from conftest import emit
-
-from repro.analysis.tables import render_table
-from repro.clocksync.convergence import InteractiveConvergence
-from repro.clocksync.degradable import DegradableClockSync
-from repro.clocksync.witnesses import WitnessedClockSystem, witnesses_needed
-from repro.core.spec import DegradableSpec
-from repro.sim.clock import (
-    ClockEnsemble,
-    ConstantFace,
-    SkewedFace,
-    TwoFacedClock,
-)
-
-SPEC = DegradableSpec(m=1, u=2, n_nodes=7)
-SKEW_BOUND = 0.25
-ERROR_BOUND = 1.0
-
-ADVERSARIES = {
-    "stuck": lambda k: ConstantFace(500.0 + k),
-    "fast": lambda k: SkewedFace(rate=2.0 + k),
-    "two-faced": lambda k: TwoFacedClock({"c0": 5.0 + k, "c1": -5.0 - k}, 9.0),
-    "subtle": lambda k: TwoFacedClock({}, fallback_offset=0.1 * (k + 1)),
-}
-
-
-def build(n_good, faces):
-    ens = ClockEnsemble()
-    for i in range(n_good):
-        ens.add_good(f"c{i}", drift=1e-5 * (i - n_good // 2), offset=0.02 * i)
-    for name, face in faces.items():
-        ens.add_faulty(name, face)
-    return ens
-
-
-def run_grid():
-    rows = []
-    for adversary, make_face in ADVERSARIES.items():
-        for f in range(SPEC.u + 1):
-            faces = {f"bad{k}": make_face(k) for k in range(f)}
-            ens = build(SPEC.n_nodes - f, faces)
-            sync = DegradableClockSync(ens, SPEC, delta=SKEW_BOUND)
-            report = sync.run(period=10.0, n_rounds=4)
-            if f <= SPEC.m:
-                ok = report.condition1_holds(SKEW_BOUND, ERROR_BOUND)
-                condition = "1"
-            else:
-                ok = report.condition2_holds(ens, SKEW_BOUND, ERROR_BOUND)
-                condition = "2"
-            rows.append([
-                adversary,
-                f,
-                condition,
-                "holds" if ok else "FAILS",
-                f"{report.final.skew_after:.4f}",
-                len(report.final.detectors),
-            ])
-    return rows
+from conftest import run_full
 
 
 def test_degradable_clock_sync_conjecture(benchmark):
-    rows = benchmark.pedantic(run_grid, rounds=1, iterations=1)
-    failures = [r for r in rows if r[3] == "FAILS"]
-    assert not failures, failures
-
-    emit(
-        "E7 / Section 6.1 — degradable clock synchronization (conjecture)",
-        render_table(
-            ["adversary", "f", "condition", "verdict", "final skew", "detectors"],
-            rows,
-            title=f"{SPEC}, candidate algorithm = per-clock degradable "
-            f"agreement + suspect counting",
-        )
-        + "\n\nEvery cell satisfies the paper's formulation: condition 1 "
-        "for f<=m, condition 2 (m+1 synced OR m+1 detectors) for m<f<=u — "
-        "empirical support for the open conjecture.",
-    )
-    benchmark.extra_info["grid_cells"] = len(rows)
+    run_full(benchmark, "E7")
 
 
-def test_convergence_breaks_at_a_third(benchmark):
-    """The motivating impossibility: CNV with 3 of 7 two-faced clocks."""
-
-    def run():
-        ens = build(4, {
-            f"bad{k}": TwoFacedClock({"c0": 3.0, "c1": 3.0}, -3.0)
-            for k in range(3)
-        })
-        algo = InteractiveConvergence(ens, delta=4.0)
-        return algo.run(period=10.0, n_rounds=6)
-
-    history = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert history.final_skew > 1.0
-    emit(
-        "E7b / Section 6 context — CNV beyond a third faulty clocks",
-        f"7 clocks, 3 two-faced: final fault-free skew = "
-        f"{history.final_skew:.4f} (no convergence), vs < 0.001 within the "
-        f"N/3 bound.",
-    )
+def test_convergence_on_both_sides_of_a_third(benchmark):
+    run_full(benchmark, "E7b")
 
 
 def test_witness_clocks(benchmark):
-    """Section 6.2: witnesses keep clock faults under a third."""
-
-    def run():
-        n_proc = 5
-        extra = witnesses_needed(n_proc, clock_faults=2)
-        system = WitnessedClockSystem(
-            processors=[f"p{k}" for k in range(n_proc)],
-            n_witnesses=extra,
-            delta=0.2,
-        )
-        for k, proc in enumerate(system.processors):
-            system.add_good_clock(proc, offset=0.01 * k)
-        witnesses = system.witnesses
-        system.add_faulty_clock(witnesses[0], ConstantFace(99.0))
-        system.add_faulty_clock(witnesses[1], TwoFacedClock({"p0": 2.0}, -2.0))
-        for w in witnesses[2:]:
-            system.add_good_clock(w)
-        return system.run(period=10.0, n_rounds=5)
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert report.within_spec
-    assert report.history.final_skew < 0.01
-    emit(
-        "E7c / Section 6.2 — witness clocks",
-        f"{report.n_processors} processors + {report.n_witnesses} witness "
-        f"clocks tolerate {report.n_clock_faults} clock faults; final skew "
-        f"{report.history.final_skew:.5f}.",
-    )
+    run_full(benchmark, "E7c")

@@ -1,60 +1,11 @@
-"""E11 (extension) — mixed Byzantine/crash fault budgets.
-
-The paper charges every fault at the Byzantine rate; realistic fleets see
-mostly crashes, which degradable agreement converts into ``V_d`` entries
-that the two-class conditions absorb.  This experiment measures the
-guarantee level across the (byzantine b, crash c) budget grid and the
-pure-crash envelope — an empirical characterization, no theorem claimed.
-
-Expected shape (and asserted):
-
-* FULL agreement tracks ``b + c`` against the vote slack
-  (``n - 1 - m`` of ``n - 1`` ballots);
-* the two-class property survives every measured cell with ``b <= u``,
-  *regardless of c* — crashes never fabricate values.
+"""E11 (extension) — mixed Byzantine/crash fault budgets: the guarantee
+level per (byzantine b, crash c) budget and the pure-crash envelope, an
+empirical characterization with no theorem claimed.  Registry entry E11
+(``repro.analysis.runner``).
 """
 
-from conftest import emit
-
-from repro.analysis.mixed_faults import crash_only_envelope, mixed_fault_grid
-from repro.core.spec import DegradableSpec
-
-SPEC = DegradableSpec(m=1, u=2, n_nodes=6)
-
-
-def run_study():
-    study = mixed_fault_grid(SPEC, trials_per_cell=40, seed=17)
-    envelope = crash_only_envelope(SPEC, trials_per_count=40, seed=23)
-    return study, envelope
+from conftest import run_full
 
 
 def test_mixed_fault_budgets(benchmark):
-    study, envelope = benchmark.pedantic(run_study, rounds=1, iterations=1)
-
-    # Full band: exactly the vote slack.
-    assert study.cell(0, 0).level == "FULL"
-    assert study.cell(1, 0).level == "FULL"
-    assert study.cell(0, 1).level == "FULL"
-    assert study.cell(2, 0).level == "2cls"
-    # Two-class robustness: every non-vacuous cell with b <= u holds it.
-    for cell in study.cells:
-        if not cell.vacuous and cell.n_byzantine <= SPEC.u:
-            assert cell.level in ("FULL", "2cls"), (
-                cell.n_byzantine, cell.n_crash
-            )
-    # Crash-only: never falls below two-class.
-    assert all(
-        level in ("FULL", "2cls", "n/a") for level in envelope.values()
-    )
-
-    emit(
-        "E11 / extension — guarantee level per (byzantine, crash) budget",
-        study.render()
-        + "\n\ncrash-only envelope: "
-        + ", ".join(f"c={c}:{level}" for c, level in sorted(envelope.items()))
-        + "\n\nCrashes cost far less than the worst-case bound: the "
-        "two-class guarantee survives any crash load (a silent node can "
-        "only contribute V_d), while full agreement ends exactly at the "
-        "vote slack.",
-    )
-    benchmark.extra_info["cells"] = len(study.cells)
+    run_full(benchmark, "E11")

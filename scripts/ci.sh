@@ -46,11 +46,15 @@ echo "== one writer per paper result (the registry computes and judges; benchmar
 # Each paper result is computed and judged by its entry in
 # repro.analysis.runner.EXPERIMENTS and the per-instance helpers it loops
 # over (theorem2_case, theorem3_case, search_case, survive_u_costs,
-# degradation_case, fly_mission).  A benchmark times an entry at its full
-# size; the report and the paper verbs call the helpers.
-if grep -nE "(run_scenario_triple|connectivity_scenarios|exhaustive_search|degradation_profile|degradable_vs_byzantine|survive_u_comparison|om_complexity|byz_complexity|MissionSimulator|ChannelSystem)\(" \
+# evaluate_conjecture, degradation_case, fly_mission).  A benchmark times
+# an entry at its full size; the report prints quick-size artefacts and
+# the paper verbs call the helpers.
+if grep -nE "(run_scenario_triple|connectivity_scenarios|exhaustive_search|degradation_profile|degradable_vs_byzantine|survive_u_comparison|om_complexity|byz_complexity|MissionSimulator|ChannelSystem|DegradableClockSync|InteractiveConvergence|WitnessedClockSystem)\(" \
         benchmarks/*.py src/repro/analysis/report.py src/repro/cli/paper.py \
-        || grep -nE "run_campaign\(" benchmarks/*.py; then
+        || grep -nE "(evaluate_conjecture|mixed_fault_grid|crash_only_envelope)\(" \
+            benchmarks/*.py src/repro/analysis/report.py \
+        || grep -nE "run_campaign\(" benchmarks/*.py \
+        || grep -nE "run_degradable_interactive_consistency\(" benchmarks/bench_degradation_profile.py; then
     echo "a benchmark, the report or a paper verb computes a paper result itself: call its registry entry or helper (repro.analysis.runner)" >&2
     exit 1
 fi
@@ -68,6 +72,17 @@ done
 if ! diff "${ARTIFACTS}/bench-0.txt" "${ARTIFACTS}/bench-3.txt" \
         || ! diff "${ARTIFACTS}/report-0.txt" "${ARTIFACTS}/report-3.txt"; then
     echo "a benchmark artefact or the report depends on PYTHONHASHSEED: draw seeded randomness in list order, never a set's" >&2
+    exit 1
+fi
+
+echo "== REPORT.md is what repro report writes =="
+# The committed report is regenerated and compared.  The one line pattern
+# masked is the battery's per-entry wall time, "(N.NNs)" at a line's end:
+# a clock reading, never a count, a verdict or a table cell.
+PYTHONHASHSEED=0 python -m repro report -o "${ARTIFACTS}/REPORT.md" > /dev/null
+wall_time='s/\([0-9]+\.[0-9]{2}s\)$/(N.NNs)/'
+if ! diff <(sed -E "${wall_time}" REPORT.md) <(sed -E "${wall_time}" "${ARTIFACTS}/REPORT.md"); then
+    echo "REPORT.md is not what the code writes: regenerate it with python -m repro report -o REPORT.md" >&2
     exit 1
 fi
 

@@ -45,7 +45,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: The ratchet: ``--check`` fails when more physical lines than this are
 #: tier-1 only.  It is the tree's own reading; lower it as code goes.
-BOUND = 879
+BOUND = 822
 
 HOOK = '''\
 """Call recorder installed by scripts/reach.py (see its docstring)."""

@@ -10,7 +10,7 @@
 * ``mission``                   — fly the Figure 1(b) channel system;
 * ``clocksync``                 — the degradable clock-sync conjecture;
 * ``suite`` / ``experiments`` / ``report`` — the golden scenario suite, the
-  E1..E9 battery, and every table and figure as one markdown report.
+  E1..E11 battery, and every table and figure as one markdown report.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def register(sub) -> None:
 
     p = _verb(
         sub, "experiments", _cmd_experiments,
-        "run the quick experiment battery (E1..E9)",
+        "run the quick experiment battery (E1..E11)",
     )
     p.add_argument("--only", default="",
                    help="comma-separated experiment ids (default: all)")
@@ -213,7 +213,7 @@ def _cmd_clocksync(args) -> int:
     from repro.clocksync.evaluation import evaluate_conjecture
     from repro.core.spec import DegradableSpec
 
-    n = args.nodes if args.nodes is not None else 2 * args.m + args.u + 2
+    n = args.nodes if args.nodes is not None else 2 * args.m + args.u + 1
     spec = DegradableSpec(m=args.m, u=args.u, n_nodes=n)
     evaluation = evaluate_conjecture(spec)
     print(evaluation.render())

@@ -41,7 +41,7 @@ class TestStructure:
     def test_battery_included_when_requested(self):
         text = generate_report(trials=30, seed=1, include_battery=True)
         assert "Experiment battery" in text
-        assert "9/9 experiments passed" in text
+        assert "14/14 experiments passed" in text
 
 
 class TestWriteReport:
